@@ -20,30 +20,29 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import (
-    FieldMismatch,
     InvalidRelation,
     NotFiniteDimensional,
     NotSplitBasic,
     UnsupportedField,
 )
 from .exactfield import (
-    GF,
     QQ,
     Field,
     Matrix,
     check_same_field,
+    combine_rows,
     field_tag_str,
     kernel_basis,
     parse_field,
-    rank,
+    quotient_map,
     row_space_basis,
-    rref,
     solve,
+    unit_vector,
 )
 
 _ASSOC_EINSUM_CAP = 48
@@ -122,13 +121,13 @@ class Algebra:
 
     def left_mult_matrix(self, x):
         """Matrix of v |-> coords(x * v) acting on row vectors."""
-        return Matrix(self.field, [self.multiply(x, _unit_vec(self, i)) for i in range(self.dim)],
-                      ncols=self.dim)
+        f, n = self.field, self.dim
+        return Matrix(f, [self.multiply(x, unit_vector(f, n, i)) for i in range(n)], ncols=n)
 
     def right_mult_matrix(self, x):
         """Matrix of v |-> coords(v * x) acting on row vectors."""
-        return Matrix(self.field, [self.multiply(_unit_vec(self, i), x) for i in range(self.dim)],
-                      ncols=self.dim)
+        f, n = self.field, self.dim
+        return Matrix(f, [self.multiply(unit_vector(f, n, i), x) for i in range(n)], ncols=n)
 
     def basis_left_mats(self):
         if self._left_mats is None:
@@ -147,7 +146,7 @@ class Algebra:
     def generators(self):
         if self.basic is not None and self.basic.generator_coords:
             return self.basic.generator_coords
-        return tuple(_unit_vec(self, i) for i in range(self.dim))
+        return tuple(unit_vector(self.field, self.dim, i) for i in range(self.dim))
 
     def is_commutative(self):
         return all(self.struct[i][j] == self.struct[j][i]
@@ -180,7 +179,7 @@ class Algebra:
         f = self.field
         # unit law on every basis vector
         for i in range(self.dim):
-            v = _unit_vec(self, i)
+            v = unit_vector(f, self.dim, i)
             if self.multiply(self.unit, v) != v or self.multiply(v, self.unit) != v:
                 raise ValueError(f"unit law fails on basis element {i}")
         if self.dim <= _ASSOC_EINSUM_CAP and self._assoc_einsum():
@@ -192,8 +191,8 @@ class Algebra:
                 for j in range(self.dim):
                     bij = self.struct[i][j]
                     for l in range(self.dim):
-                        lhs = self.multiply(bij, _unit_vec(self, l))
-                        rhs = self.multiply(_unit_vec(self, i), self.struct[j][l])
+                        lhs = self.multiply(bij, unit_vector(f, self.dim, l))
+                        rhs = self.multiply(unit_vector(f, self.dim, i), self.struct[j][l])
                         if lhs != rhs:
                             raise ValueError(f"associativity fails at ({i},{j},{l})")
             self.associativity_checked = True
@@ -202,11 +201,8 @@ class Algebra:
         f = self.field
         try:
             if f == QQ:
-                den = 1
-                for i in range(self.dim):
-                    for j in range(self.dim):
-                        for x in self.struct[i][j]:
-                            den = den * x.denominator // _int_gcd(den, x.denominator)
+                den = lcm(*(x.denominator for row in self.struct for entry in row
+                            for x in entry))
                 # associativity is invariant under global scaling of the table
                 C = np.array([[[int(x * den) for x in self.struct[i][j]]
                                for j in range(self.dim)]
@@ -228,18 +224,6 @@ class Algebra:
         if not ok:
             raise ValueError("associativity fails")
         return True
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _unit_vec(a, i):
-    z = a.field.zero()
-    o = a.field.one()
-    return tuple(o if k == i else z for k in range(a.dim))
 
 
 def zero_algebra(field):
@@ -421,33 +405,17 @@ class _Reducer:
         return rows
 
     def _build_ideal(self):
-        f = self.field
         rows = self._relation_rows()
-        n = len(self.paths)
-        m = Matrix(f, rows, ncols=n)
-        R, pivots = rref(m)
-        self.pivots = set(pivots)
-        self.rref = R
-        self.pivot_row = {pc: i for i, pc in enumerate(pivots)}
-        self.basis_cols = [j for j in range(n) if j not in self.pivots]
+        self.projection, self.basis_cols = quotient_map(
+            Matrix(self.field, rows, ncols=len(self.paths)))
 
     def reduce_path(self, source, labels):
         """Coordinates of a path class over the surviving (non-pivot) paths."""
-        f = self.field
         idx = self._path_lookup(source, labels)
         if idx is None:
             raise NotFiniteDimensional(
                 f"needed a path of length {len(labels)} beyond the working bound {self.max_len}")
-        out = {}
-        if idx in self.pivots:
-            row = self.rref.rows[self.pivot_row[idx]]
-            for j in self.basis_cols:
-                c = row[j]
-                if not f.is_zero(c):
-                    out[j] = f.neg(c)
-        else:
-            out[idx] = f.one()
-        return out
+        return {j: c for j, c in zip(self.basis_cols, self.projection.rows[idx]) if c}
 
 
 def from_quiver(q, field_tag, degree_bound=32, path_budget=20000):
@@ -520,10 +488,10 @@ def from_quiver(q, field_tag, degree_bound=32, path_budget=20000):
         u[i] = f.one()
         vert_coords[v] = tuple(u)
         unit[i] = f.one()
-    rad_rows = Matrix(f, [_one_hot(f, n, i) for i, p in enumerate(survivors) if len(p) >= 1],
+    rad_rows = Matrix(f, [unit_vector(f, n, i) for i, p in enumerate(survivors) if len(p) >= 1],
                       ncols=n)
     gens = tuple(vert_coords[v] for v in q.vertices) + tuple(
-        _one_hot(f, n, pos[(s, (l,))]) for (s, t, l) in q.arrows if (s, (l,)) in pos)
+        unit_vector(f, n, pos[(s, (l,))]) for (s, t, l) in q.arrows if (s, (l,)) in pos)
     basic = BasicStructure(
         idempotent_coords=tuple(vert_coords[v] for v in q.vertices),
         idempotent_labels=tuple(q.vertices),
@@ -533,12 +501,6 @@ def from_quiver(q, field_tag, degree_bound=32, path_budget=20000):
     alg = Algebra(f, struct, tuple(unit), labels=labels, basic=basic)
     alg.quiver = q
     return alg
-
-
-def _one_hot(field, n, i):
-    z = field.zero()
-    o = field.one()
-    return tuple(o if k == i else z for k in range(n))
 
 
 # --------------------------------------------------------------------------
@@ -594,18 +556,18 @@ def tensor(a, b):
         ilab = []
         for ea, la in zip(a.basic.idempotent_coords, a.basic.idempotent_labels):
             for eb, lb in zip(b.basic.idempotent_coords, b.basic.idempotent_labels):
-                idem.append(_tensor_vec(f, ea, eb, db))
+                idem.append(tensor_coords(f, ea, eb, db))
                 ilab.append(f"{la}⊗{lb}")
         rad = []
         for rrow in a.basic.radical_rows.rows:
             for j in range(db):
-                rad.append(_tensor_vec(f, rrow, _one_hot(f, db, j), db))
+                rad.append(tensor_coords(f, rrow, unit_vector(f, db, j), db))
         for i in range(da):
             for rrow in b.basic.radical_rows.rows:
-                rad.append(_tensor_vec(f, _one_hot(f, da, i), rrow, db))
+                rad.append(tensor_coords(f, unit_vector(f, da, i), rrow, db))
         rad_rows = row_space_basis(Matrix(f, rad, ncols=n))
-        gens = tuple(_tensor_vec(f, g, b.unit, db) for g in a.generators()) + \
-            tuple(_tensor_vec(f, a.unit, g, db) for g in b.generators())
+        gens = tuple(tensor_coords(f, g, b.unit, db) for g in a.generators()) + \
+            tuple(tensor_coords(f, a.unit, g, db) for g in b.generators())
         basic = BasicStructure(tuple(idem), tuple(ilab), rad_rows, gens)
     out = Algebra(f, struct, tuple(unit), labels=labels, basic=basic, _validate=False)
     if a.associativity_checked and b.associativity_checked:
@@ -615,7 +577,8 @@ def tensor(a, b):
     return out
 
 
-def _tensor_vec(f, x, y, db):
+def tensor_coords(f, x, y, db):
+    """Coordinates of x (x) y in the lexicographic basis b_i (x) c_j (db = len(y))."""
     out = [f.zero()] * (len(x) * db)
     for i, xi in enumerate(x):
         if not f.is_zero(xi):
@@ -690,11 +653,11 @@ def triangular(a1, a2, m):
         ilab = tuple(f"L:{l}" for l in a1.basic.idempotent_labels) + \
             tuple(f"R:{l}" for l in a2.basic.idempotent_labels)
         rad = [pad(0, r) for r in a1.basic.radical_rows.rows]
-        rad += [pad(1, _one_hot(f, dm, i)) for i in range(dm)]
+        rad += [pad(1, unit_vector(f, dm, i)) for i in range(dm)]
         rad += [pad(2, r) for r in a2.basic.radical_rows.rows]
         gens = tuple(pad(0, g) for g in a1.generators()) + \
             tuple(pad(2, g) for g in a2.generators()) + \
-            tuple(pad(1, _one_hot(f, dm, i)) for i in range(dm))
+            tuple(pad(1, unit_vector(f, dm, i)) for i in range(dm))
         basic = BasicStructure(idem, ilab, row_space_basis(Matrix(f, rad, ncols=n)), gens)
     alg = Algebra(f, rows, tuple(unit), labels=labels, basic=basic)
     e1 = Idempotent(alg, pad(0, a1.unit), label="diag(1,0)")
@@ -714,7 +677,7 @@ def corner(a, e, with_embedding=False):
     ec = e.coords if isinstance(e, Idempotent) else tuple(f.coerce(x) for x in e)
     span = []
     for i in range(a.dim):
-        span.append(a.multiply(a.multiply(ec, _unit_vec(a, i)), ec))
+        span.append(a.multiply(a.multiply(ec, unit_vector(a.field, a.dim, i)), ec))
     basis = row_space_basis(Matrix(f, span, ncols=a.dim))
     n = basis.nrows
     struct = []
@@ -776,12 +739,8 @@ def _corner_basic(a, ec, basis, f):
         if not all(f.is_zero(x) for x in v):
             rad.append(_express_row(basis, v, f))
     rad_rows = row_space_basis(Matrix(f, rad, ncols=basis.nrows))
-    gens = tuple(_unit_vec_n(f, basis.nrows, i) for i in range(basis.nrows))
+    gens = tuple(unit_vector(f, basis.nrows, i) for i in range(basis.nrows))
     return BasicStructure(tuple(idem), tuple(ilab), rad_rows, gens)
-
-
-def _unit_vec_n(f, n, i):
-    return tuple(f.one() if k == i else f.zero() for k in range(n))
 
 
 @dataclass
@@ -799,59 +758,39 @@ def ideal_and_quotient(a, e):
     ec = e.coords if isinstance(e, Idempotent) else tuple(f.coerce(x) for x in e)
     span = []
     for i in range(a.dim):
-        bie = a.multiply(_unit_vec(a, i), ec)
+        bie = a.multiply(unit_vector(a.field, a.dim, i), ec)
         for j in range(a.dim):
-            span.append(a.multiply(bie, _unit_vec(a, j)))
+            span.append(a.multiply(bie, unit_vector(a.field, a.dim, j)))
     ideal = Matrix(f, span, ncols=a.dim)
-    R, pivots = rref(ideal)
-    ideal_rows = R.take_rows(range(len(pivots)))
-    pivset = set(pivots)
-    free = [j for j in range(a.dim) if j not in pivset]
+    proj, free = quotient_map(ideal)
+    ideal_rows = row_space_basis(ideal)
     nq = len(free)
     if nq == 0:
-        return IdealQuotient(ideal_rows, zero_algebra(f),
-                             Matrix(f, [[] for _ in range(a.dim)], ncols=0), (), True)
-
-    free_pos = {j: t for t, j in enumerate(free)}
-
-    def project(vec):
-        # reduce modulo the ideal RREF rows, then read off free coordinates
-        v = list(vec)
-        for i, pc in enumerate(pivots):
-            c = v[pc]
-            if not f.is_zero(c):
-                row = ideal_rows.rows[i]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v[j] for j in free)
-
-    struct = []
-    for i in free:
-        row = []
-        for j in free:
-            row.append(project(a.struct[i][j]))
-        struct.append(tuple(row))
-    unit = project(a.unit)
+        return IdealQuotient(ideal_rows, zero_algebra(f), proj, (), True)
+    # coordinates in A/AeA of an element of A: reduce modulo AeA through proj
+    struct = tuple(tuple(tuple(combine_rows(proj, enumerate(a.struct[i][j]))) for j in free)
+                   for i in free)
+    unit = tuple(combine_rows(proj, enumerate(a.unit)))
     labels = tuple(f"{a.basis_labels[j]}~" for j in free)
     basic = None
     if a.basic is not None:
         idem = []
         ilab = []
         for iv, il in zip(a.basic.idempotent_coords, a.basic.idempotent_labels):
-            pv = project(iv)
+            pv = tuple(combine_rows(proj, enumerate(iv)))
             if any(not f.is_zero(x) for x in pv):
                 idem.append(pv)
                 ilab.append(il)
-        rad = [project(r) for r in a.basic.radical_rows.rows]
-        rad_rows = row_space_basis(Matrix(f, rad, ncols=nq))
-        gens = tuple(project(g) for g in a.generators())
+        rad_rows = row_space_basis(Matrix(f, [combine_rows(proj, enumerate(r))
+                                              for r in a.basic.radical_rows.rows], ncols=nq))
+        gens = tuple(tuple(combine_rows(proj, enumerate(g))) for g in a.generators())
         basic = BasicStructure(tuple(idem), tuple(ilab), rad_rows, gens)
     quot = Algebra(f, struct, unit, labels=labels, basic=basic)
-    proj = Matrix(f, [project(_unit_vec(a, i)) for i in range(a.dim)], ncols=nq)
     # the projection must be an algebra map
     for i in range(a.dim):
         for j in range(a.dim):
             lhs = quot.multiply(proj.rows[i], proj.rows[j])
-            rhs = project(a.struct[i][j])
+            rhs = tuple(combine_rows(proj, enumerate(a.struct[i][j])))
             if lhs != rhs:
                 raise ValueError("projection failed to be an algebra map")
     return IdealQuotient(ideal_rows, quot, proj, tuple(free), False)
@@ -945,7 +884,7 @@ def discover_basic(a):
     if total != a.unit:
         raise NotSplitBasic("lifted idempotents do not sum to 1")
     basic = BasicStructure(tuple(lifted), tuple(f"p{i}" for i in range(len(lifted))),
-                           rad, tuple(_unit_vec(a, i) for i in range(a.dim)))
+                           rad, tuple(unit_vector(a.field, a.dim, i) for i in range(a.dim)))
     out = Algebra(f, a.struct, a.unit, labels=a.basis_labels, basic=basic, _validate=False)
     out.associativity_checked = a.associativity_checked
     return out
@@ -959,27 +898,11 @@ def _sum_vecs(f, vecs, n):
 
 
 def _quotient_by_ideal(a, ideal_rows):
-    f = a.field
-    R, pivots = rref(ideal_rows)
-    rows = R.take_rows(range(len(pivots)))
-    pivset = set(pivots)
-    free = [j for j in range(a.dim) if j not in pivset]
-
-    def project(vec):
-        v = list(vec)
-        for i, pc in enumerate(pivots):
-            c = v[pc]
-            if not f.is_zero(c):
-                rr = rows.rows[i]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, rr)]
-        return tuple(v[j] for j in free)
-
-    struct = []
-    for i in free:
-        struct.append(tuple(project(a.struct[i][j]) for j in free))
-    quot = Algebra(f, struct, project(a.unit),
+    proj, free = quotient_map(ideal_rows)
+    struct = tuple(tuple(tuple(combine_rows(proj, enumerate(a.struct[i][j]))) for j in free)
+                   for i in free)
+    quot = Algebra(a.field, struct, tuple(combine_rows(proj, enumerate(a.unit))),
                    labels=tuple(a.basis_labels[j] for j in free), _validate=False)
-    proj = Matrix(f, [project(_unit_vec(a, i)) for i in range(a.dim)], ncols=len(free))
     return quot, proj, tuple(free)
 
 
@@ -1017,7 +940,7 @@ def _split_commutative_semisimple(quot):
 
 
 def _corner_span(quot, e):
-    span = [quot.multiply(e, _unit_vec(quot, i)) for i in range(quot.dim)]
+    span = [quot.multiply(e, unit_vector(quot.field, quot.dim, i)) for i in range(quot.dim)]
     return row_space_basis(Matrix(quot.field, span, ncols=quot.dim))
 
 
@@ -1046,13 +969,9 @@ def _rational_eigenvalues(quot, y, e, sub):
         poly.pop()
     if not poly:
         return []
-    den = 1
-    for c in poly:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in poly))
     ipoly = [int(c * den) for c in poly]
-    g = 0
-    for c in ipoly:
-        g = gcd(g, abs(c))
+    g = gcd(*ipoly)
     if g > 1:
         ipoly = [c // g for c in ipoly]
     roots = []

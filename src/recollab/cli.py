@@ -256,21 +256,30 @@ class ResolutionCache:
         return f"res_{h}.json"
 
     def get(self, key):
+        """The stored entry, or None (a miss) when it is absent or undecodable."""
         path = self.root / self._filename(key)
-        if not path.exists():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (FileNotFoundError, ValueError):
+            # a truncated or garbled entry is recomputed and rewritten by put
             self.misses += 1
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
         self.hits += 1
         return data
 
     def put(self, key, res):
+        """Write the entry to a temporary file in the cache directory, then
+        rename it into place, so no reader ever sees a partial entry."""
         path = self.root / self._filename(key)
-        if path.exists():
-            return
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(res, fh, sort_keys=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(res, fh, sort_keys=True)
+            os.replace(tmp, path)
+        finally:
+            if tmp.exists():
+                tmp.unlink()
 
 
 def _encode_resolution(res):

@@ -19,9 +19,15 @@ from .errors import (
     DimensionMismatch,
     InputNotExact,
 )
-from .exactfield import Matrix, express_in_row_basis, kernel_basis, rank, row_space_basis
+from .exactfield import (
+    Matrix,
+    express_in_row_basis,
+    kernel_basis,
+    linear_combination,
+    rank,
+    row_space_basis,
+)
 from .modules import (
-    Bimodule,
     ModuleMap,
     RightModule,
     as_bimodule,
@@ -498,15 +504,7 @@ def _solve_through(src, tgt, post, rhs):
     colsol = solve(sys_mat, target_vec)
     if colsol is None:
         raise ValueError("comparison lift system inconsistent")
-    out = None
-    for c, mp in zip(colsol, maps):
-        if f.is_zero(c):
-            continue
-        term = mp.matrix.scale(c)
-        out = term if out is None else out.add(term)
-    if out is None:
-        out = Matrix.zeros(f, src.dim, tgt.dim)
-    return out
+    return linear_combination(colsol, [mp.matrix for mp in maps], f, src.dim, tgt.dim)
 
 
 @dataclass
@@ -707,15 +705,7 @@ def _horseshoe_tau(Pq, target, proj_prev, d_q, prev_map, f):
     sol = solve(sys_mat, rhs)
     if sol is None:
         raise ValueError("horseshoe tau system inconsistent")
-    out = None
-    for c, mp in zip(sol, maps):
-        if f.is_zero(c):
-            continue
-        term = mp.matrix.scale(c)
-        out = term if out is None else out.add(term)
-    if out is None:
-        out = Matrix.zeros(f, Pq.dim, target.dim)
-    return out
+    return linear_combination(sol, [mp.matrix for mp in maps], f, Pq.dim, target.dim)
 
 
 # --------------------------------------------------------------------------

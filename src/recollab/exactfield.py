@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -492,16 +493,10 @@ def _igcd_row(row):
     g = 0
     for x in row:
         if x:
-            g = _gcd(g, x if x > 0 else -x)
+            g = gcd(g, x)
             if g == 1:
                 return 1
     return g
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _rref_rational(rows, ncols):
@@ -509,9 +504,7 @@ def _rref_rational(rows, ncols):
     # renormalise the surviving pivot rows into the exact rational RREF.
     irows = []
     for r in rows:
-        den = 1
-        for x in r:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in r))
         ir = [int(x * den) for x in r]
         g = _igcd_row(ir)
         if g > 1:
@@ -587,21 +580,33 @@ def kernel_basis(m):
 
     Column j of the output corresponds to the j-th free column f of m: it has
     a 1 in position f, minus the RREF coefficient in each pivot position, and
-    zeros elsewhere, so the output is unique and m @ K = 0 exactly.
+    zeros elsewhere, so the output is unique and m @ K = 0 exactly.  It is the
+    same matrix as the projection of :func:`quotient_map`.
+    """
+    return quotient_map(m)[0]
+
+
+def quotient_map(m):
+    """(P, free): the projection of k^n onto k^n / rowspace(m), n = m.ncols.
+
+    The quotient is coordinatised by the free (non-pivot) columns of the RREF,
+    listed in `free`; P is n x len(free).  Row j of P is the unit vector of j
+    for a free column j, and minus the free part of RREF row i for the pivot
+    column of row i.  RREF rows vanish on the other pivot columns, so vec @ P
+    reduces vec modulo the row space and reads off its free coordinates.
     """
     R, pivots = rref(m)
     f = m.field
-    zero, one = f.zero(), f.one()
+    n = m.ncols
     pivset = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivset]
-    cols = []
-    for fc in free:
-        v = [zero] * m.ncols
-        v[fc] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(R.rows[i][fc])
-        cols.append(v)
-    return Matrix.from_cols(f, cols, nrows=m.ncols)
+    free = [j for j in range(n) if j not in pivset]
+    rows = [None] * n
+    for t, j in enumerate(free):
+        rows[j] = unit_vector(f, len(free), t)
+    for i, pc in enumerate(pivots):
+        r = R.rows[i]
+        rows[pc] = [f.neg(r[j]) for j in free]
+    return Matrix(f, rows, ncols=len(free)), free
 
 
 def solve(m, b):
@@ -647,11 +652,6 @@ def row_space_basis(m):
     return R.take_rows(range(len(pivots)))
 
 
-def column_space_basis(m):
-    """Canonical basis of the column span (RREF of the transpose, as columns)."""
-    return row_space_basis(m.transpose()).transpose()
-
-
 def subspace_equal(u, v):
     """True iff the column spans of u and v coincide (same ambient row count)."""
     check_same_field(u.field, v.field)
@@ -686,6 +686,72 @@ def express_in_row_basis(basis, vectors):
     return sol.transpose()
 
 
+def unit_vector(field, n, i):
+    """The i-th standard basis vector of k^n, as a tuple."""
+    z, o = field.zero(), field.one()
+    return tuple(o if k == i else z for k in range(n))
+
+
+def combine_rows(m, terms):
+    """sum c * (row j of m) over the (j, c) pairs in `terms`, as a list.
+
+    This is a sparse row vector times m: zero coefficients and zero entries
+    of m are skipped, so applying a projection costs its non-zero entries,
+    not a dense product.
+    """
+    acc = [0] * m.ncols
+    rows = m.rows
+    for j, c in terms:
+        if c:
+            for t, x in enumerate(rows[j]):
+                if x:
+                    acc[t] += c * x
+    coerce = m.field.coerce
+    return [coerce(x) for x in acc]
+
+
+def linear_combination(coeffs, mats, field, nrows, ncols):
+    """sum c * M over zip(coeffs, mats), an nrows x ncols matrix."""
+    acc = [[0] * ncols for _ in range(nrows)]
+    for c, mat in zip(coeffs, mats):
+        if c:
+            for arow, mrow in zip(acc, mat.rows):
+                for t, x in enumerate(mrow):
+                    if x:
+                        arow[t] += c * x
+    return Matrix(field, acc, ncols=ncols)
+
+
+def sylvester_rows(pairs, field):
+    """Stacked rows of kron(A, I_nB) - kron(I_nA, B), one block per (A, B).
+
+    An nA x nB matrix X, flattened row-major, is in the kernel of the block
+    of (A, B) iff A @ X = X @ B^T.  Rows come generator-major (one block per
+    pair, in order), then in (x, y)-lexicographic order inside a block:
+    row (x, y) has A[x][x2] at x2 * nB + y and -B[y][y2] at x * nB + y2.
+    Hom_A(M, N) is the kernel for the pairs (g_M, g_N^T); the balancing
+    relations x.g (x) y - x (x) g.y of M (x)_B N are the rows for the pairs
+    (rho_M(g), lambda_N(g)).
+    """
+    sub, zero = field.sub, field.zero()
+    rows = []
+    for a, b in pairs:
+        na, nb = a.nrows, b.nrows
+        n = na * nb
+        a_nz = [[(k * nb, v) for k, v in enumerate(r) if v] for r in a.rows]
+        b_nz = [[(l, v) for l, v in enumerate(r) if v] for r in b.rows]
+        for x in range(na):
+            off = x * nb
+            for y in range(nb):
+                row = [zero] * n
+                for k, v in a_nz[x]:
+                    row[k + y] = v
+                for l, v in b_nz[y]:
+                    row[off + l] = sub(row[off + l], v)
+                rows.append(row)
+    return rows
+
+
 # --------------------------------------------------------------------------
 # Sparse integer rank, used by the truncated bar-complex oracle where dense
 # matrices would not fit.  Columns are dicts {row_index: int coefficient}.
@@ -708,18 +774,14 @@ def _sparse_rank_int(columns):
             lead = min(col)
             piv = pivots.get(lead)
             if piv is None:
-                g = 0
-                for v in col.values():
-                    g = _gcd(g, v if v > 0 else -v)
-                    if g == 1:
-                        break
+                g = gcd(*col.values())
                 if g > 1:
                     col = {r: c // g for r, c in col.items()}
                 pivots[lead] = col
                 rk += 1
                 break
             a, b = piv[lead], col[lead]
-            g = _gcd(a if a > 0 else -a, b if b > 0 else -b)
+            g = gcd(a, b)
             ma, mb = a // g, b // g
             new = {}
             for r, c in col.items():

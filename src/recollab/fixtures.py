@@ -51,10 +51,6 @@ def vertex_idempotent(a, label):
     return Idempotent(a, table[label], label=f"e:{label}")
 
 
-def sink_idempotent_a2(a):
-    return vertex_idempotent(a, "2")
-
-
 def field_bimodule(a2, a1, dim):
     """k^dim as an A2-A1-bimodule when both diagonal algebras are the ground
     field (the Kronecker-shape input [[k,0],[V,k]])."""

@@ -11,13 +11,13 @@ so exactness of every joint is a rank computation, not a trusted theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .algebra import enveloping
 from .complexes import (
     BoundedComplex,
     HomComplexData,
     ProjectiveResolution,
-    ShortExactSequence,
     VectorSpaceComplex,
     hom_complex,
     horseshoe,
@@ -33,6 +33,7 @@ from .exactfield import (
     QQ,
     Matrix,
     express_in_row_basis,
+    linear_combination,
     rank,
     solve,
     sparse_rank,
@@ -46,6 +47,7 @@ from .modules import (
     hom_vec_basis,
     regular_bimodule,
     simple_modules,
+    tensor_map,
     tensor_over,
     trivial_algebra,
     zero_module,
@@ -105,11 +107,6 @@ class PdVerdict:
 # --------------------------------------------------------------------------
 
 
-def left_module_of(bim):
-    """View a B-X-bimodule as a left B-module (forgetting the right side)."""
-    return bim
-
-
 def regular_as_left_env_module(a, env=None):
     """A as a left module over A^op (x) A: (b^op (x) c) . x = c x b."""
     if env is None:
@@ -131,8 +128,6 @@ def _tensor_complex(res, t, n_max):
 
     Returns (VectorSpaceComplex in degrees -n, list of projections per level).
     """
-    f = t.field
-    dn = t.dim
     dims = {}
     diffs = {}
     projs = []
@@ -143,23 +138,12 @@ def _tensor_complex(res, t, n_max):
         dims[-nlev] = tp.bimodule.dim
         projs.append(tp.projection)
     for nlev in range(1, len(level_data)):
-        d = res.diffs[nlev - 1].matrix
-        src = level_data[nlev]
-        tgt = level_data[nlev - 1]
-        rows = []
-        for idx in src.section_indices:
-            x, y = divmod(idx, dn)
-            vec = [f.zero()] * (d.ncols * dn)
-            for x2 in range(d.ncols):
-                v = d.entry(x, x2)
-                if not f.is_zero(v):
-                    vec[x2 * dn + y] = v
-            img = Matrix.row_vector(f, vec).mul(tgt.projection)
-            rows.append(list(img.row(0)))
-        diffs[-nlev] = Matrix(f, rows, ncols=tgt.bimodule.dim)
+        diffs[-nlev] = tensor_map(level_data[nlev].section_indices, t.dim,
+                                  level_data[nlev - 1].projection,
+                                  left=res.diffs[nlev - 1].matrix)
     for n in range(len(level_data), n_max + 2):
         dims[-n] = 0
-    return VectorSpaceComplex(f, dims, diffs), projs
+    return VectorSpaceComplex(t.field, dims, diffs), projs
 
 
 def tor(m, n, n_max, resolve="left", cache=None, with_bases=False):
@@ -211,12 +195,9 @@ class ExtData:
         f = self.target.field
         src = self.resolution.modules[nlev] if nlev <= self.resolution.depth else \
             zero_module(self.resolution.module.algebra)
-        acc = Matrix.zeros(f, src.dim, self.target.dim)
-        for p, maps, off, size in comps:
-            for t, mp in enumerate(maps):
-                c = row[off + t]
-                if not f.is_zero(c):
-                    acc = acc.add(mp.matrix.scale(c))
+        coeffs = [row[off + t] for _, maps, off, _ in comps for t in range(len(maps))]
+        mats = [mp.matrix for _, maps, _, _ in comps for mp in maps]
+        acc = linear_combination(coeffs, mats, f, src.dim, self.target.dim)
         return ModuleMap(src, self.target, acc, _validate=False)
 
     def class_coords(self, cls):
@@ -386,17 +367,9 @@ def _int_columns(cols, f):
         return cols
     out = []
     for col in cols:
-        den = 1
-        for v in col.values():
-            den = den * v.denominator // _gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in col.values()))
         out.append({r: int(v * den) for r, v in col.items()})
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def bar_oracle(a, n_max, budget=20000):
@@ -682,8 +655,6 @@ def _les_tensor(ses, t, n_max, cache, labels):
     labels = labels or ("Tor(sub)", "Tor(mid)", "Tor(quot)")
     hs = horseshoe(ses, n_max + 1, cache=cache)
     t_bim = t if isinstance(t, Bimodule) else as_bimodule(t)
-    f = t_bim.field
-    dn = t_bim.dim
     sub_cx, _ = _tensor_complex(hs.res_sub, t_bim, n_max + 1)
     mid_cx, _ = _tensor_complex(hs.res_mid, t_bim, n_max + 1)
     quot_cx, _ = _tensor_complex(hs.res_quot, t_bim, n_max + 1)
@@ -707,26 +678,13 @@ def _les_tensor(ses, t, n_max, cache, labels):
 
 def _induced_on_tensor(res_a, res_b, block_mat, t_bim, n):
     """Matrix induced by a level map P^a_n -> P^b_n on the tensored quotients."""
-    f = t_bim.field
-    dn = t_bim.dim
-    pa = res_a.modules[n].dim if n <= res_a.depth else 0
-    pb = res_b.modules[n].dim if n <= res_b.depth else 0
     ta = tensor_over(as_bimodule(res_a.modules[n] if n <= res_a.depth else
                                  zero_module(res_a.module.algebra)), t_bim,
                      _validate=False)
     tb = tensor_over(as_bimodule(res_b.modules[n] if n <= res_b.depth else
                                  zero_module(res_b.module.algebra)), t_bim,
                      _validate=False)
-    rows = []
-    for idx in ta.section_indices:
-        x, y = divmod(idx, dn)
-        vec = [f.zero()] * (pb * dn)
-        for x2 in range(pb):
-            v = block_mat.entry(x, x2)
-            if not f.is_zero(v):
-                vec[x2 * dn + y] = v
-        rows.append(list(Matrix.row_vector(f, vec).mul(tb.projection).row(0)))
-    return Matrix(f, rows, ncols=tb.bimodule.dim)
+    return tensor_map(ta.section_indices, t_bim.dim, tb.projection, left=block_mat)
 
 
 def _hom_into_complex(res, t_mod, n_max):
@@ -809,41 +767,9 @@ def _les_cov(ses, t, n_max, cache, labels):
     t_mod = t.restrict_right() if isinstance(t, Bimodule) else t
     res_t = projective_resolution(t_mod, n_max + 1, cache=cache)
     f = t_mod.field
-
-    def hom_from_complex(target):
-        dims = {}
-        diffs = {}
-        bases = []
-        for n in range(n_max + 2):
-            src = res_t.modules[n] if n <= res_t.depth else zero_module(t_mod.algebra)
-            maps = hom_space(src, target) if src.dim and target.dim else []
-            bases.append(maps)
-            dims[n] = len(maps)
-        for n in range(n_max + 1):
-            if dims[n] == 0:
-                diffs[n] = Matrix.zeros(f, 0, dims[n + 1])
-                continue
-            rows = []
-            d = res_t.diffs[n].matrix if n + 1 <= res_t.depth else None
-            tgt_maps = bases[n + 1]
-            tgt_basis = hom_vec_basis(
-                tgt_maps, res_t.modules[n + 1].dim if n + 1 <= res_t.depth else 0,
-                target.dim, f) if tgt_maps else None
-            for mp in bases[n]:
-                if d is None or tgt_basis is None:
-                    rows.append([f.zero()] * dims[n + 1])
-                    continue
-                comp = d.mul(mp.matrix)
-                vec = Matrix(f, [[comp.entry(i, j) for i in range(comp.nrows)
-                                  for j in range(comp.ncols)]], ncols=tgt_basis.ncols)
-                coords = express_in_row_basis(tgt_basis, vec)
-                rows.append(list(coords.rows[0]))
-            diffs[n] = Matrix(f, rows, ncols=dims[n + 1])
-        return VectorSpaceComplex(f, dims, diffs), bases
-
-    sub_cx, sub_b = hom_from_complex(ses.sub)
-    mid_cx, mid_b = hom_from_complex(ses.mid)
-    quot_cx, quot_b = hom_from_complex(ses.quot)
+    sub_cx, sub_b = _hom_into_complex(res_t, ses.sub, n_max)
+    mid_cx, mid_b = _hom_into_complex(res_t, ses.mid, n_max)
+    quot_cx, quot_b = _hom_into_complex(res_t, ses.quot, n_max)
     incs = {}
     prjs = {}
     for n in range(n_max + 2):

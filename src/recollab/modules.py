@@ -23,12 +23,16 @@ from .exactfield import (
     QQ,
     Matrix,
     check_same_field,
+    combine_rows,
     express_in_row_basis,
     kernel_basis,
+    linear_combination,
+    quotient_map,
     rank,
     row_space_basis,
-    rref,
     solve,
+    sylvester_rows,
+    unit_vector,
 )
 
 
@@ -53,29 +57,15 @@ class RightModule:
         a = self.algebra
         if self.dim == 0:
             return
-        ident = Matrix.identity(self.field, self.dim)
-        u = self.action_of(a.unit)
-        if u != ident:
+        f, d = self.field, self.dim
+        if linear_combination(a.unit, self.action, f, d, d) != Matrix.identity(f, d):
             raise ValueError("rho(1) != id")
         for i in range(a.dim):
             for j in range(a.dim):
                 lhs = self.action[i].mul(self.action[j])
-                rhs = self.action_of(a.struct[i][j])
+                rhs = linear_combination(a.struct[i][j], self.action, f, d, d)
                 if lhs != rhs:
                     raise ValueError(f"action incompatibility at basis pair ({i},{j})")
-
-    def action_of(self, coords):
-        """Matrix of v |-> v * x for x given by algebra coordinates."""
-        f = self.field
-        out = None
-        for i, c in enumerate(coords):
-            if f.is_zero(c):
-                continue
-            term = self.action[i].scale(c)
-            out = term if out is None else out.add(term)
-        if out is None:
-            return Matrix.zeros(f, self.dim, self.dim)
-        return out
 
     def is_zero(self):
         return self.dim == 0
@@ -134,9 +124,10 @@ class ModuleMap:
             self._validate()
 
     def _validate(self):
-        for g in self.source.algebra.generators():
-            lhs = self.source.action_of(g).mul(self.matrix)
-            rhs = self.matrix.mul(self.target.action_of(g))
+        src, tgt, f = self.source, self.target, self.source.field
+        for g in src.algebra.generators():
+            lhs = linear_combination(g, src.action, f, src.dim, src.dim).mul(self.matrix)
+            rhs = self.matrix.mul(linear_combination(g, tgt.action, f, tgt.dim, tgt.dim))
             if lhs != rhs:
                 raise ValueError("matrix does not intertwine the actions")
 
@@ -195,30 +186,6 @@ class Bimodule:
         """The left B-action viewed as a right module over B^op."""
         from .algebra import opposite
         return RightModule(opposite(self.left_algebra), self.dim, self.left_action_matrices)
-
-    def left_action_of(self, coords):
-        f = self.field
-        out = None
-        for i, c in enumerate(coords):
-            if f.is_zero(c):
-                continue
-            term = self.left_action_matrices[i].scale(c)
-            out = term if out is None else out.add(term)
-        if out is None:
-            return Matrix.zeros(f, self.dim, self.dim)
-        return out
-
-    def right_action_of(self, coords):
-        f = self.field
-        out = None
-        for i, c in enumerate(coords):
-            if f.is_zero(c):
-                continue
-            term = self.right_action_matrices[i].scale(c)
-            out = term if out is None else out.add(term)
-        if out is None:
-            return Matrix.zeros(f, self.dim, self.dim)
-        return out
 
     def as_right_module_over(self, env):
         """Right module over B^op (x) A (basis b_i^op (x) a_j, lexicographic)."""
@@ -307,23 +274,10 @@ def hom_space(m, n):
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return []
-    rows = []
-    zero = f.zero()
-    for g in m.algebra.generators():
-        gm = m.action_of(g)
-        gn = n.action_of(g)
-        for r in range(dm):
-            for c in range(dn):
-                row = [zero] * (dm * dn)
-                for k in range(dm):
-                    v = gm.entry(r, k)
-                    if not f.is_zero(v):
-                        row[k * dn + c] = f.add(row[k * dn + c], v)
-                for l in range(dn):
-                    v = gn.entry(l, c)
-                    if not f.is_zero(v):
-                        row[r * dn + l] = f.sub(row[r * dn + l], v)
-                rows.append(row)
+    pairs = [(linear_combination(g, m.action, f, dm, dm),
+              linear_combination(g, n.action, f, dn, dn).transpose())
+             for g in m.algebra.generators()]
+    rows = sylvester_rows(pairs, f)
     ker = kernel_basis(Matrix(f, rows, ncols=dm * dn))
     out = []
     for j in range(ker.ncols):
@@ -370,72 +324,36 @@ def tensor_over(m, n, _validate=True):
                        tuple(Matrix(f, [], ncols=0) for _ in range(n.right_algebra.dim)),
                        _validate=False)
         return TensorProduct(bim, Matrix(f, [[] for _ in range(N)], ncols=0), ())
-    zero = f.zero()
+    pairs = [(linear_combination(g, m.right_action_matrices, f, dm, dm),
+              linear_combination(g, n.left_action_matrices, f, dn, dn))
+             for g in B.generators()]
+    projection, free = quotient_map(Matrix(f, sylvester_rows(pairs, f), ncols=N))
+    sections = tuple(free)
+    lam = tuple(tensor_map(sections, dn, projection, left=mat)
+                for mat in m.left_action_matrices)
+    rho = tuple(tensor_map(sections, dn, projection, right=mat)
+                for mat in n.right_action_matrices)
+    bim = Bimodule(m.left_algebra, n.right_algebra, len(free), lam, rho, _validate=_validate)
+    return TensorProduct(bim, projection, sections)
+
+
+def tensor_map(sections, dn, projection, left=None, right=None):
+    """The map between quotient tensor spaces induced by kron(left, I) or
+    kron(I, right) on the plain tensor spaces.
+
+    `sections` are the source's coset representatives x * dn + y (dn the
+    dimension of its right factor); each one's image under the Kronecker
+    product is pushed through the target's `projection`, applied sparsely.
+    """
     rows = []
-    for g in B.generators():
-        rm = m.right_action_of(g)
-        ln = n.left_action_of(g)
-        for x in range(dm):
-            for y in range(dn):
-                row = [zero] * N
-                for x2 in range(dm):
-                    v = rm.entry(x, x2)
-                    if not f.is_zero(v):
-                        row[x2 * dn + y] = f.add(row[x2 * dn + y], v)
-                for y2 in range(dn):
-                    v = ln.entry(y, y2)
-                    if not f.is_zero(v):
-                        row[x * dn + y2] = f.sub(row[x * dn + y2], v)
-                rows.append(row)
-    rel = Matrix(f, rows, ncols=N)
-    R, pivots = rref(rel)
-    relrows = R.take_rows(range(len(pivots)))
-    pivset = set(pivots)
-    free = [j for j in range(N) if j not in pivset]
-    q = len(free)
-
-    def project_vec(vec):
-        v = list(vec)
-        for i, pc in enumerate(pivots):
-            c = v[pc]
-            if not f.is_zero(c):
-                rr = relrows.rows[i]
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, rr)]
-        return [v[j] for j in free]
-
-    proj_rows = []
-    for idx in range(N):
-        vec = [zero] * N
-        vec[idx] = f.one()
-        proj_rows.append(project_vec(vec))
-    projection = Matrix(f, proj_rows, ncols=q)
-
-    def induced(mat_left, mat_right):
-        # action on coset representative (x, y): act on x by mat_left (or y by
-        # mat_right), then project
-        out = []
-        for t in free:
-            x, y = divmod(t, dn)
-            vec = [zero] * N
-            if mat_left is not None:
-                for x2 in range(dm):
-                    v = mat_left.entry(x, x2)
-                    if not f.is_zero(v):
-                        vec[x2 * dn + y] = v
-            else:
-                for y2 in range(dn):
-                    v = mat_right.entry(y, y2)
-                    if not f.is_zero(v):
-                        vec[x * dn + y2] = v
-            out.append(project_vec(vec))
-        return Matrix(f, out, ncols=q)
-
-    lam = tuple(induced(m.left_action_matrices[i], None)
-                for i in range(m.left_algebra.dim))
-    rho = tuple(induced(None, n.right_action_matrices[j])
-                for j in range(n.right_algebra.dim))
-    bim = Bimodule(m.left_algebra, n.right_algebra, q, lam, rho, _validate=_validate)
-    return TensorProduct(bim, projection, tuple(free))
+    for idx in sections:
+        x, y = divmod(idx, dn)
+        if left is not None:
+            terms = ((x2 * dn + y, c) for x2, c in enumerate(left.rows[x]))
+        else:
+            terms = ((x * right.ncols + y2, c) for y2, c in enumerate(right.rows[y]))
+        rows.append(combine_rows(projection, terms))
+    return Matrix(projection.field, rows, ncols=projection.ncols)
 
 
 def hom_module(u, m):
@@ -505,31 +423,11 @@ def submodule_from_rows(m, rows_matrix):
 
 def quotient_by_rows(m, rows_matrix):
     """The quotient of m by the submodule spanned by the rows."""
-    f = m.field
-    R, pivots = rref(rows_matrix)
-    rows = R.take_rows(range(len(pivots)))
-    pivset = set(pivots)
-    free = [j for j in range(m.dim) if j not in pivset]
+    proj, free = quotient_map(rows_matrix)
     q = len(free)
-
-    def project_vec(vec):
-        v = list(vec)
-        for i, pc in enumerate(pivots):
-            c = v[pc]
-            if not f.is_zero(c):
-                rr = rows.rows[i]
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, rr)]
-        return [v[j] for j in free]
-
-    proj = Matrix(f, [project_vec([f.one() if t == i else f.zero() for t in range(m.dim)])
-                      for i in range(m.dim)], ncols=q)
-    acts = []
-    for i in range(m.algebra.dim):
-        rowsq = []
-        for t in free:
-            vec = m.action[i].row(t)
-            rowsq.append(project_vec(vec))
-        acts.append(Matrix(f, rowsq, ncols=q))
+    acts = [Matrix(m.field, [combine_rows(proj, enumerate(act.rows[t])) for t in free],
+                   ncols=q)
+            for act in m.action]
     quot = RightModule(m.algebra, q, acts)
     pm = ModuleMap(m, quot, proj, _validate=False)
     return quot, pm
@@ -549,19 +447,11 @@ def kernel_cokernel(fmap):
 
 
 def top_of(m):
-    """(dim of top, row basis of M*rad, free coordinate indices lifting the top)."""
-    a = m.algebra
-    rad = radical(a)
+    """(projection M -> M / M rad, free coordinate indices lifting the top)."""
     rows = []
-    for r in rad.rows:
-        act = m.action_of(r)
-        for i in range(m.dim):
-            rows.append(act.row(i))
-    mrad = row_space_basis(Matrix(m.field, rows, ncols=m.dim))
-    R, pivots = rref(mrad)
-    pivset = set(pivots)
-    free = tuple(j for j in range(m.dim) if j not in pivset)
-    return len(free), mrad, free
+    for r in radical(m.algebra).rows:
+        rows.extend(linear_combination(r, m.action, m.field, m.dim, m.dim).rows)
+    return quotient_map(Matrix(m.field, rows, ncols=m.dim))
 
 
 @dataclass
@@ -574,7 +464,8 @@ class FreeCover:
 def free_cover(m):
     """Free cover A^r -> m with r the minimal generator count dim(m / m rad)."""
     a = m.algebra
-    r, _, free_idx = top_of(m)
+    _, free_idx = top_of(m)
+    r = len(free_idx)
     if r == 0:
         z = zero_module(a)
         return FreeCover(z, ModuleMap(z, m, Matrix(m.field, [], ncols=m.dim),
@@ -630,7 +521,7 @@ def vertex_projective(a, v_index):
     if key in _VERTEX_PROJ_CACHE:
         return _VERTEX_PROJ_CACHE[key]
     ev = a.basic.idempotent_coords[v_index]
-    span = [a.multiply(ev, _unit(a, i)) for i in range(a.dim)]
+    span = [a.multiply(ev, unit_vector(a.field, a.dim, i)) for i in range(a.dim)]
     basis = row_space_basis(Matrix(a.field, span, ncols=a.dim))
     acts = []
     for i in range(a.dim):
@@ -639,10 +530,6 @@ def vertex_projective(a, v_index):
     mod = RightModule(a, basis.nrows, acts)
     _VERTEX_PROJ_CACHE[key] = (mod, basis)
     return mod, basis
-
-
-def _unit(a, i):
-    return tuple(a.field.one() if k == i else a.field.zero() for k in range(a.dim))
 
 
 @dataclass
@@ -661,38 +548,24 @@ def projective_cover(m):
         raise UnsupportedField("projective covers need the basic structure "
                                "(quiver presentation or discovery over Q)")
     f = m.field
-    rtop, mrad, _ = top_of(m)
+    proj, free = top_of(m)
+    rtop = len(free)
     if rtop == 0:
         z = zero_module(a)
         return ProjectiveCover(z, ModuleMap(z, m, Matrix(f, [], ncols=m.dim),
                                             _validate=False), (), ())
-    R, pivots = rref(mrad)
-    radrows = R.take_rows(range(len(pivots)))
-
-    def project_top(vec):
-        v = list(vec)
-        for i, pc in enumerate(pivots):
-            c = v[pc]
-            if not f.is_zero(c):
-                rr = radrows.rows[i]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, rr)]
-        return v
-
-    pivset = set(pivots)
-    free = [j for j in range(m.dim) if j not in pivset]
     chosen = []       # (generator row in M, vertex index)
-    top_rows = []
+    top_rows = []     # images in the top M / M rad of the chosen generators
     cur_rank = 0
     for v_idx in range(len(a.basic.idempotent_coords)):
         ev = a.basic.idempotent_coords[v_idx]
-        act = m.action_of(ev)
+        act = linear_combination(ev, m.action, f, m.dim, m.dim)
         for t in free:
             cand = act.row(t)  # lift y_t * e_v
-            tp = project_top(cand)
-            trial = top_rows + [tp]
-            rk = rank(Matrix(f, trial, ncols=m.dim))
+            trial = top_rows + [combine_rows(proj, enumerate(cand))]
+            rk = rank(Matrix(f, trial, ncols=rtop))
             if rk > cur_rank:
-                top_rows.append(tp)
+                top_rows = trial
                 cur_rank = rk
                 chosen.append((tuple(cand), v_idx))
                 if cur_rank == rtop:
@@ -718,8 +591,8 @@ def projective_cover(m):
     for (gen, v_idx), basis in zip(chosen, bases):
         for rr in range(basis.nrows):
             w = basis.rows[rr]           # an element e_v x of A
-            img = Matrix.row_vector(f, gen).mul(m.action_of(w))
-            rows.append(img.row(0))
+            act = linear_combination(w, m.action, f, m.dim, m.dim)
+            rows.append(combine_rows(act, enumerate(gen)))
     surj = ModuleMap(P, m, Matrix(f, rows, ncols=m.dim), _validate=False)
     if rank(surj.matrix) != m.dim:
         raise ValueError("projective cover failed to surject")
@@ -777,19 +650,15 @@ def iso_test(m, n, cap=200_000):
         side = min(f.p, d + 1)
         values = [f.coerce(t) for t in range(side)]
     total = side ** h
+    mats = [mp.matrix for mp in maps]
     count = 0
     for combo in itertools.product(values, repeat=h):
         count += 1
         if count > cap:
             raise Inconclusive(f"iso_test grid cap {cap} reached ({total} points needed)")
-        acc = None
-        for c, mp in zip(combo, maps):
-            if f.is_zero(c):
-                continue
-            term = mp.matrix.scale(c)
-            acc = term if acc is None else acc.add(term)
-        if acc is None:
+        if not any(combo):
             continue
+        acc = linear_combination(combo, mats, f, d, d)
         if rank(acc) == d:
             return IsoResult(True, acc)
     return IsoResult(False)
@@ -847,7 +716,7 @@ def canonical_bimodules(a, e):
             rho.append(express_in_row_basis(rows, img))
         return Bimodule(left_alg, right_alg, rows.nrows, tuple(lam), tuple(rho))
 
-    basis_elems = [_unit(a, i) for i in range(a.dim)]
+    basis_elems = [unit_vector(f, a.dim, i) for i in range(a.dim)]
     corner_elems = [emb.rows[i] for i in range(emb.nrows)]
 
     ae_rows = row_space_basis(a.right_mult_matrix(ec))
@@ -860,18 +729,14 @@ def canonical_bimodules(a, e):
     nq = quot_alg.dim
     proj = iq.projection
     if nq:
-        sec = [iq.section_cols[t] for t in range(nq)]
-        lam_q = []
-        rho_q = []
-        for i in range(a.dim):
-            rows_l = []
-            rows_r = []
-            for t in sec:
-                rows_l.append(list(Matrix.row_vector(f, _unit(a, t)).mul(L[i]).mul(proj).row(0)))
-                rows_r.append(list(Matrix.row_vector(f, _unit(a, t)).mul(R[i]).mul(proj).row(0)))
-            lam_q.append(Matrix(f, rows_l, ncols=nq))
-            rho_q.append(Matrix(f, rows_r, ncols=nq))
-        quotient = Bimodule(a, a, nq, tuple(lam_q), tuple(rho_q), _validate=False)
+        # row t of L[i] is b_i b_t and of R[i] is b_t b_i: act on the class
+        # represented by b_t, then project
+        sec = iq.section_cols
+        lam_q = tuple(Matrix(f, [combine_rows(proj, enumerate(mat.rows[t])) for t in sec],
+                             ncols=nq) for mat in L)
+        rho_q = tuple(Matrix(f, [combine_rows(proj, enumerate(mat.rows[t])) for t in sec],
+                             ncols=nq) for mat in R)
+        quotient = Bimodule(a, a, nq, lam_q, rho_q, _validate=False)
     else:
         quotient = Bimodule(a, a, 0,
                             tuple(Matrix(f, [], ncols=0) for _ in range(a.dim)),
@@ -902,7 +767,7 @@ def simple_modules(a):
         stack = Matrix(f, [list(ev)] + [list(r) for r in rad.rows], ncols=a.dim)
         acts = []
         for i in range(a.dim):
-            x = a.multiply(a.multiply(ev, _unit(a, i)), ev)
+            x = a.multiply(a.multiply(ev, unit_vector(f, a.dim, i)), ev)
             coords = solve(stack.transpose(), x)
             if coords is None:
                 raise ValueError("simple action not defined")

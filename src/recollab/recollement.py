@@ -12,9 +12,17 @@ failure there would falsify a theorem instance and aborts loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .algebra import Algebra, Idempotent, opposite, tensor, triangular, zero_algebra
+from .algebra import (
+    Algebra,
+    Idempotent,
+    opposite,
+    tensor,
+    tensor_coords,
+    triangular,
+    zero_algebra,
+)
 from .complexes import projective_resolution
 from .errors import (
     CertificationFailed,
@@ -22,12 +30,11 @@ from .errors import (
     NotStratifying,
     TransferFailed,
 )
-from .exactfield import Matrix, rank, solve
+from .exactfield import Matrix, linear_combination, rank, solve
 from .homology import GradedDims, PdVerdict, ext, tor
 from .modules import (
     Bimodule,
     CanonicalBimodules,
-    ModuleMap,
     RightModule,
     as_bimodule,
     canonical_bimodules,
@@ -36,8 +43,8 @@ from .modules import (
     regular_bimodule,
     regular_module,
     simple_modules,
+    tensor_map,
     tensor_over,
-    zero_module,
 )
 
 
@@ -259,31 +266,16 @@ def _restriction_bimodule(r):
                         _validate=False)
     lam = a1.basis_left_mats()
     proj = r.canon.quotient_projection
-    rho = [_right_mult_by_coords(a1, proj.row(i)) for i in range(a.dim)]
+    rho = [a1.right_mult_matrix(proj.row(i)) for i in range(a.dim)]
     return Bimodule(a1, a, a1.dim, lam, tuple(rho))
-
-
-def _right_mult_by_coords(alg, coords):
-    f = alg.field
-    out = None
-    for i, c in enumerate(coords):
-        if f.is_zero(c):
-            continue
-        term = alg.basis_right_mats()[i].scale(c)
-        out = term if out is None else out.add(term)
-    if out is None:
-        return Matrix.zeros(f, alg.dim, alg.dim)
-    return out
 
 
 def i_lower_module(r, m):
     """i_* of a module: restriction along A -> A/AeA, concentrated in degree 0."""
     a = r.a
     proj = r.canon.quotient_projection
-    acts = []
-    for i in range(a.dim):
-        acts.append(m.action_of(proj.row(i)) if m.dim else
-                    Matrix(a.field, [], ncols=0))
+    acts = [linear_combination(proj.row(i), m.action, a.field, m.dim, m.dim)
+            for i in range(a.dim)]
     return RightModule(a, m.dim, acts)
 
 
@@ -347,21 +339,10 @@ def _battery_modules(alg):
 
 def _tensor_with_map(m, src_bim, tgt_bim, bim_map_rows):
     """Induced map M (x)_A U -> M (x)_A V from a bimodule map U -> V (rows)."""
-    f = m.field
     tp_src = tensor_over(as_bimodule(m), src_bim, _validate=False)
     tp_tgt = tensor_over(as_bimodule(m), tgt_bim, _validate=False)
-    du, dv = src_bim.dim, tgt_bim.dim
-    rows = []
-    for idx in tp_src.section_indices:
-        x, y = divmod(idx, du)
-        vec = [f.zero()] * (m.dim * dv)
-        for y2 in range(dv):
-            v = bim_map_rows.entry(y, y2)
-            if not f.is_zero(v):
-                vec[x * dv + y2] = v
-        img = Matrix.row_vector(f, vec).mul(tp_tgt.projection)
-        rows.append(list(img.row(0)))
-    return tp_src, tp_tgt, Matrix(f, rows, ncols=tp_tgt.bimodule.dim)
+    return tp_src, tp_tgt, tensor_map(tp_src.section_indices, src_bim.dim,
+                                      tp_tgt.projection, right=bim_map_rows)
 
 
 def _certify(r, n_max, cache=None):
@@ -384,10 +365,10 @@ def _certify(r, n_max, cache=None):
 
     # R4 row one at the Euler-characteristic level, plus the literal SES when
     # the relevant Tor groups vanish
-    ses_rows_in = cb.inclusion
+    regular = regular_bimodule(a)
     for label, m in _battery_modules(a):
         g_ideal = tor(as_bimodule(m), cb.aea, n_max, cache=cache)
-        g_mid = tor(as_bimodule(m), regular_bimodule(a), n_max, cache=cache)
+        g_mid = tor(as_bimodule(m), regular, n_max, cache=cache)
         g_quot = tor(as_bimodule(m), cb.quotient, n_max, cache=cache)
         res_m = projective_resolution(m, n_max + 1, cache=cache)
         bounded = res_m.stabilized
@@ -470,7 +451,7 @@ def tensor_transfer(b, r, n_max=6, cache=None):
         raise TransferFailed("tensor transfer needs an idempotent-given recollement")
     big = tensor(b, r.a)
     f = big.field
-    ec = _tensor_coords(b.field, b.unit, r.e.coords, r.a.dim)
+    ec = tensor_coords(b.field, b.unit, r.e.coords, r.a.dim)
     try:
         new_e = Idempotent(big, ec, label=f"1⊗{r.e.label or 'e'}")
         out = from_idempotent(big, new_e, n_max=n_max, cache=cache)
@@ -483,17 +464,6 @@ def tensor_transfer(b, r, n_max=6, cache=None):
         raise TransferFailed(
             f"perfectness did not transfer: {out.perfect.status}")
     return out
-
-
-def _tensor_coords(f, x, y, dy):
-    out = [f.zero()] * (len(x) * dy)
-    for i, xi in enumerate(x):
-        if f.is_zero(xi):
-            continue
-        for j, yj in enumerate(y):
-            if not f.is_zero(yj):
-                out[i * dy + j] = f.mul(xi, yj)
-    return tuple(out)
 
 
 def opposite_transfer(r, n_max=6, cache=None):

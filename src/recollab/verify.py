@@ -9,28 +9,19 @@ inconclusive cutoff verdict to a definite one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import enveloping
-from .complexes import (
-    BoundedComplex,
-    ShortExactSequence,
-    dualize_perfect,
-    horseshoe,
-    projective_resolution,
-)
+from .complexes import ShortExactSequence, dualize_perfect, horseshoe
 from .errors import CertificationFailed
-from .exactfield import Matrix, rank, solve_matrix
+from .exactfield import Matrix, solve_matrix
 from .homology import (
-    GradedDims,
-    LesJoint,
     LesReport,
     LesTerm,
     _assemble_report,
     _hom_into_complex,
     _postcompose_matrix,
     _precompose_matrix,
-    _snake_les,
     hochschild_cohomology,
     hochschild_dimension,
     hochschild_homology,
@@ -38,13 +29,7 @@ from .homology import (
     les_from_ses,
     regular_as_left_env_module,
 )
-from .modules import (
-    ModuleMap,
-    as_bimodule,
-    hom_space,
-    iso_test,
-    regular_bimodule,
-)
+from .modules import ModuleMap, iso_test
 
 
 def _canonical_env_ses(r):

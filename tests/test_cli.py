@@ -225,6 +225,25 @@ def test_determinism_and_cache(tmp_path, capsys):
     assert any(cache_dir.iterdir())
 
 
+def test_truncated_cache_entry_is_a_miss(tmp_path, capsys):
+    path = _write(tmp_path, _doc("dual_numbers"))
+    cache_dir = tmp_path / "cache"
+    argv = ["hochschild", path, "--max-degree", "3", "--cache-dir", str(cache_dir)]
+    assert main(argv) == EXIT_OK
+    cold = capsys.readouterr().out
+    entries = sorted(cache_dir.glob("res_*.json"))
+    assert entries
+    for entry in entries:
+        data = entry.read_bytes()
+        entry.write_bytes(data[:len(data) // 2])
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == cold
+    # the rerun replaced every truncated entry with a whole one
+    for entry in entries:
+        json.loads(entry.read_text(encoding="utf-8"))
+    assert sorted(cache_dir.iterdir()) == entries
+
+
 def test_usage_error_exit_1():
     assert main(["stratify"]) == EXIT_USAGE
 

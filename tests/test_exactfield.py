@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from recollab.errors import DimensionMismatch, FieldMismatch
@@ -9,8 +10,11 @@ from recollab.exactfield import (
     QQ,
     Matrix,
     check_same_field,
+    combine_rows,
     kernel_basis,
+    linear_combination,
     parse_field,
+    quotient_map,
     rank,
     rref,
     solve,
@@ -18,6 +22,8 @@ from recollab.exactfield import (
     sparse_rank,
     subspace_equal,
     subspace_leq,
+    sylvester_rows,
+    unit_vector,
 )
 
 F5 = GF(5)
@@ -227,3 +233,70 @@ def test_sparse_rank_matches_dense():
                 col = {i: rows[i][j] for i in range(nr) if rows[i][j]}
                 cols.append(col)
             assert sparse_rank(cols, field) == rank(m)
+
+
+def _int_rows(rng, nr, nc):
+    return [[rng.randrange(-2, 3) for _ in range(nc)] for _ in range(nr)]
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_sylvester_rows_match_kron_oracle(field):
+    rng = random.Random(404)
+    for trial in range(12):
+        na, nb = rng.randrange(1, 5), rng.randrange(1, 5)
+        ints = [(_int_rows(rng, na, na), _int_rows(rng, nb, nb))
+                for _ in range(rng.randrange(1, 4))]
+        pairs = [(Matrix(field, a), Matrix(field, b)) for a, b in ints]
+        oracle = np.vstack([np.kron(np.array(a), np.eye(nb, dtype=int))
+                            - np.kron(np.eye(na, dtype=int), np.array(b))
+                            for a, b in ints])
+        got = Matrix(field, sylvester_rows(pairs, field), ncols=na * nb)
+        assert got == Matrix(field, oracle.tolist(), ncols=na * nb)
+
+
+def _sequential_projection(m, vec):
+    """The reduce-then-read-free-coordinates loop that quotient_map replaced,
+    kept only as the reference."""
+    f = m.field
+    R, pivots = rref(m)
+    v = list(vec)
+    for i, pc in enumerate(pivots):
+        c = v[pc]
+        if not f.is_zero(c):
+            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, R.rows[i])]
+    return [v[j] for j in range(m.ncols) if j not in pivots]
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_quotient_map_properties(field):
+    rng = random.Random(505)
+    for trial in range(25):
+        n, k = rng.randrange(1, 8), rng.randrange(0, 5)
+        # a product through k dimensions, so the row space is often proper
+        m = Matrix(field, _int_rows(rng, rng.randrange(0, 6), k), ncols=k).mul(
+            Matrix(field, _int_rows(rng, k, n), ncols=n))
+        P, free = quotient_map(m)
+        q = len(free)
+        assert (P.nrows, P.ncols) == (n, q)
+        assert m.mul(P).is_zero()
+        assert P.take_rows(free) == Matrix.identity(field, q)
+        assert rank(P) == n - rank(m)
+        assert P == kernel_basis(m)
+        for _ in range(3):
+            vec = [field.coerce(Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)))
+                   if field == QQ else field.coerce(rng.randrange(5)) for _ in range(n)]
+            expected = _sequential_projection(m, vec)
+            assert combine_rows(P, enumerate(vec)) == expected
+            assert list(Matrix.row_vector(field, vec).mul(P).row(0)) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_linear_combination_and_unit_vector(field):
+    rng = random.Random(606)
+    mats = [Matrix(field, _int_rows(rng, 2, 3)) for _ in range(3)]
+    coeffs = [field.coerce(c) for c in (2, 0, -1)]
+    expected = mats[0].scale(coeffs[0]).add(mats[2].scale(coeffs[2]))
+    assert linear_combination(coeffs, mats, field, 2, 3) == expected
+    assert linear_combination([field.zero()] * 3, mats, field, 2, 3) == \
+        Matrix.zeros(field, 2, 3)
+    assert unit_vector(field, 3, 1) == (field.zero(), field.one(), field.zero())
