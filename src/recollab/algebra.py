@@ -80,6 +80,8 @@ class Algebra:
         self._mult_sparse = None
         self._left_mats = None
         self._right_mats = None
+        self._hashes = None
+        self._vertex_projectives = {}
         self.associativity_checked = False
         if _validate and dim:
             self._validate()
@@ -164,14 +166,33 @@ class Algebra:
         return f"Algebra({field_tag_str(self.field)}, dim={self.dim})"
 
     def content_hash(self):
-        h = hashlib.sha256()
-        h.update(field_tag_str(self.field).encode())
-        ts = self.field.to_str
-        h.update(("|" + ",".join(ts(x) for x in self.unit)).encode())
-        for i in range(self.dim):
-            for j in range(self.dim):
-                h.update(("|" + ",".join(ts(x) for x in self.struct[i][j])).encode())
-        return h.hexdigest()
+        """sha256 of the field, unit and structure constants."""
+        return self._content_hashes()[0]
+
+    def structure_hash(self):
+        """content_hash extended by the basic structure (idempotent, radical
+        and generator coordinates): one table can carry several, and
+        projective covers read it."""
+        return self._content_hashes()[1]
+
+    def _content_hashes(self):
+        # an algebra is immutable, so both hashes are formatted once
+        if self._hashes is None:
+            h = hashlib.sha256()
+            h.update(field_tag_str(self.field).encode())
+            ts = self.field.to_str
+            h.update(("|" + ",".join(ts(x) for x in self.unit)).encode())
+            for i in range(self.dim):
+                for j in range(self.dim):
+                    h.update(("|" + ",".join(ts(x) for x in self.struct[i][j])).encode())
+            content = h.hexdigest()
+            b = self.basic
+            if b is not None:
+                for part in (b.idempotent_coords, b.radical_rows.rows, b.generator_coords):
+                    h.update(("#" + ";".join(",".join(ts(x) for x in v)
+                                             for v in part)).encode())
+            self._hashes = (content, h.hexdigest())
+        return self._hashes
 
     # -- validation ----------------------------------------------------------
 

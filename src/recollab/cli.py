@@ -7,9 +7,13 @@ and configuration.  Exit codes: 0 success, 1 usage/parse error, 2 failed
 precondition (e.g. the idempotent is not stratifying), 3 a theorem instance
 was falsified (loud, build-stopping), 4 resource/budget exceeded.
 
-A content-addressed resolution cache can be enabled with --cache-dir or the
-RECOLLAB_CACHE_DIR environment variable; cache hits never change numerical
-output, and the cache directory is safe to delete wholesale.
+Each command computes a projective resolution once and reuses it for every
+later request with the same content (an in-memory memo, always on).
+--cache-dir, or the RECOLLAB_CACHE_DIR environment variable, also persists
+the resolutions to a directory.  Entries read back from it are rebuilt and
+re-checked (A-linearity, exactness, minimality, depth, periodicity witness)
+and recomputed and rewritten when a check fails, so cache hits never change
+numerical output; the cache directory is safe to delete wholesale.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .algebra import (
     tensor,
     triangular,
 )
-from .complexes import ProjectiveResolution
+from .complexes import resolution_store
 from .errors import (
     BudgetExceeded,
     CertificationFailed,
@@ -49,7 +53,7 @@ from .errors import (
 )
 from .exactfield import Matrix, QQ, field_tag_str, parse_field
 from .homology import bar_oracle, hochschild_cohomology, hochschild_homology
-from .modules import Bimodule, ModuleMap, RightModule
+from .modules import Bimodule
 from .recollement import check_stratifying, from_idempotent
 from .verify import (
     cohomology_les,
@@ -241,13 +245,13 @@ def parse_idempotent(alg, spec):
 
 
 class ResolutionCache:
-    """Content-addressed store of serialized resolutions (safe to delete)."""
+    """The disk side of the resolution store: one JSON file per resolution,
+    named by its content key (safe to delete).  The store re-checks every
+    entry it reads, so this class only reads and writes files."""
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
 
     @staticmethod
     def _filename(key):
@@ -263,92 +267,21 @@ class ResolutionCache:
                 data = json.load(fh)
         except (FileNotFoundError, ValueError):
             # a truncated or garbled entry is recomputed and rewritten by put
-            self.misses += 1
             return None
-        self.hits += 1
         return data
 
-    def put(self, key, res):
+    def put(self, key, data):
         """Write the entry to a temporary file in the cache directory, then
         rename it into place, so no reader ever sees a partial entry."""
         path = self.root / self._filename(key)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(res, fh, sort_keys=True)
+                json.dump(data, fh, sort_keys=True)
             os.replace(tmp, path)
         finally:
             if tmp.exists():
                 tmp.unlink()
-
-
-def _encode_resolution(res):
-    f = res.module.field
-
-    def enc(mat):
-        return mat.to_str_rows()
-
-    return {
-        "version": 1,
-        "levels": [{"dim": p.dim, "action": [enc(m) for m in p.action]}
-                   for p in res.modules],
-        "diffs": [enc(d.matrix) for d in res.diffs],
-        "augmentation": enc(res.augmentation.matrix),
-        "tags": [list(t) for t in res.summand_tags],
-        "stabilized": res.stabilized,
-        "minimal": res.minimal,
-        "periodicity": list(res.periodicity) if res.periodicity else None,
-        "syzygy_dims": list(res.syzygy_dims),
-    }
-
-
-def _decode_resolution(data, module):
-    a = module.algebra
-    f = a.field
-    mods = []
-    for lvl in data["levels"]:
-        action = tuple(Matrix.from_str_rows(f, m, ncols=lvl["dim"])
-                       for m in lvl["action"])
-        mods.append(RightModule(a, lvl["dim"], action, _validate=False))
-    diffs = []
-    for n, rows in enumerate(data["diffs"], start=1):
-        diffs.append(ModuleMap(mods[n], mods[n - 1],
-                               Matrix.from_str_rows(f, rows, ncols=mods[n - 1].dim),
-                               _validate=False))
-    aug = ModuleMap(mods[0], module,
-                    Matrix.from_str_rows(f, data["augmentation"], ncols=module.dim),
-                    _validate=False)
-    return ProjectiveResolution(
-        module=module, modules=mods, diffs=diffs, augmentation=aug,
-        summand_tags=[tuple(t) for t in data["tags"]],
-        stabilized=data["stabilized"], minimal=data["minimal"],
-        periodicity=tuple(data["periodicity"]) if data["periodicity"] else None,
-        syzygy_dims=list(data["syzygy_dims"]),
-    )
-
-
-def _make_cache(args):
-    root = getattr(args, "cache_dir", None) or os.environ.get("RECOLLAB_CACHE_DIR")
-    if not root:
-        return None
-    return _CacheFacade(ResolutionCache(root))
-
-
-class _CacheFacade:
-    """The cache object handed to projective_resolution(cache=...)."""
-
-    def __init__(self, store):
-        self.store = store
-
-    def get(self, key, module):
-        data = self.store.get(key)
-        if data is None:
-            return None
-        return _decode_resolution(data, module)
-
-    def put(self, key, res):
-        if isinstance(res, ProjectiveResolution):
-            self.store.put(key, _encode_resolution(res))
 
 
 # --------------------------------------------------------------------------
@@ -430,8 +363,7 @@ def cmd_stratify(args):
     doc = _load_doc(args.file)
     alg = algebra_from_doc(doc)
     e = parse_idempotent(alg, args.idempotent)
-    cache = _make_cache(args)
-    report, cb = check_stratifying(alg, e, args.max_degree, cache=cache)
+    report, cb = check_stratifying(alg, e, args.max_degree)
     payload = {
         "schema": "recollab.stratify.v1",
         "input_sha256": _doc_hash(doc),
@@ -453,11 +385,10 @@ def cmd_verify(args):
     doc = _load_doc(args.file)
     alg = algebra_from_doc(doc)
     e = parse_idempotent(alg, args.idempotent)
-    cache = _make_cache(args)
     wanted = SUITES if args.suite == "all" else (args.suite,)
     t0 = time.monotonic()
     try:
-        r = from_idempotent(alg, e, n_max=args.max_degree, cache=cache)
+        r = from_idempotent(alg, e, n_max=args.max_degree)
     except NotStratifying as exc:
         payload = {
             "schema": "recollab.verify.v1",
@@ -474,7 +405,7 @@ def cmd_verify(args):
         if suite not in wanted:
             continue
         if suite == "keller":
-            rep = keller_homology(r, args.max_degree, cache=cache)
+            rep = keller_homology(r, args.max_degree)
             suites_out["keller"] = {
                 "les": _les_to_json(rep.les, args.with_matrices),
                 "identification_eAe": rep.side2_identification,
@@ -485,7 +416,7 @@ def cmd_verify(args):
             }
             falsified = falsified or not rep.ok
         elif suite == "cohomology":
-            rep = cohomology_les(r, args.max_degree, cache=cache)
+            rep = cohomology_les(r, args.max_degree)
             suites_out["cohomology"] = {
                 "covariant": _les_to_json(rep.seq_covariant, args.with_matrices),
                 "contravariant": _les_to_json(rep.seq_contravariant,
@@ -498,11 +429,11 @@ def cmd_verify(args):
             }
             falsified = falsified or not rep.ok
         elif suite == "smoothness":
-            rep = smoothness_equivalence(r, cutoff=args.cutoff, cache=cache)
+            rep = smoothness_equivalence(r, cutoff=args.cutoff)
             suites_out["smoothness"] = rep.as_dict()
             falsified = falsified or rep.verdict == "FALSIFIED"
         elif suite == "gldim":
-            rep = gldim_equivalence(r, cutoff=args.cutoff, cache=cache)
+            rep = gldim_equivalence(r, cutoff=args.cutoff)
             suites_out["gldim"] = rep.as_dict()
             falsified = falsified or rep.verdict == "FALSIFIED"
     payload = {
@@ -529,9 +460,8 @@ def cmd_verify(args):
 def cmd_hochschild(args):
     doc = _load_doc(args.file)
     alg = algebra_from_doc(doc)
-    cache = _make_cache(args)
-    hh = hochschild_homology(alg, args.max_degree, cache=cache)
-    hhc = hochschild_cohomology(alg, args.max_degree, cache=cache)
+    hh = hochschild_homology(alg, args.max_degree)
+    hhc = hochschild_cohomology(alg, args.max_degree)
     payload = {
         "schema": "recollab.hochschild.v1",
         "input_sha256": _doc_hash(doc),
@@ -616,8 +546,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    root = args.cache_dir or os.environ.get("RECOLLAB_CACHE_DIR")
     try:
-        return args.func(args)
+        with resolution_store(ResolutionCache(root) if root else None):
+            return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

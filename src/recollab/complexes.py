@@ -11,13 +11,15 @@ as a periodicity witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     AlgebraMismatch,
     DepthMismatch,
     DimensionMismatch,
     InputNotExact,
+    RecollabError,
 )
 from .exactfield import (
     Matrix,
@@ -26,12 +28,14 @@ from .exactfield import (
     linear_combination,
     rank,
     row_space_basis,
+    unit_vector,
 )
 from .modules import (
     ModuleMap,
     RightModule,
     as_bimodule,
     direct_sum,
+    hom_coords,
     hom_space,
     hom_vec_basis,
     hom_module,
@@ -40,6 +44,8 @@ from .modules import (
     projective_cover,
     regular_bimodule,
     submodule_from_rows,
+    top_of,
+    vertex_projective,
     zero_module,
 )
 
@@ -254,24 +260,80 @@ class ProjectiveResolution:
                                   self.diffs[n - 1].matrix, _validate=False)
         return BoundedComplex(self.module.algebra, mods, diffs, _validate=False)
 
-    def content_key(self):
-        return (self.module.algebra.content_hash(), self.module.content_hash())
 
-
-def projective_resolution(m, n_max, cache=None):
+def projective_resolution(m, n_max):
     """Minimal projective resolution of m to depth n_max (or until it stops).
 
     The stabilized flag is True iff the (n_max+1)-st syzygy vanished, so the
     reported depth certifies the projective dimension exactly.  Small syzygies
     are compared against earlier ones; a repeat is recorded as a periodicity
-    witness (certifying infinite projective dimension).
+    witness (certifying infinite projective dimension).  Each resolution is
+    computed once per store (see `resolution_store`) and handed to every
+    later request for the same content, rebound to the requesting module.
     """
-    cache_key = None
-    if cache is not None:
-        cache_key = (m.algebra.content_hash(), m.content_hash(), n_max)
-        hit = cache.get(cache_key, m)
-        if hit is not None:
-            return hit
+    return _store.resolve(m, n_max)
+
+
+class ResolutionStore:
+    """Resolutions by content: an in-memory memo in front of an optional disk.
+
+    The key covers everything a resolution is computed from: the algebra with
+    its basic structure, the module's actions, and the depth.  `disk` is an
+    object with get(key) -> dict or None and put(key, dict); its entries are
+    untrusted, so each is rebuilt and re-checked (`_decode_resolution`), and
+    one that fails is counted in `rejected`, recomputed and rewritten.
+    """
+
+    def __init__(self, disk=None):
+        self.disk = disk
+        self.memo = {}
+        self.rejected = 0
+
+    def resolve(self, m, n_max):
+        key = (m.algebra.structure_hash(), m.content_hash(), n_max)
+        res = self.memo.get(key)
+        if res is None:
+            res = self._load(key, m, n_max)
+            if res is None:
+                res = _resolve(m, n_max)
+                if self.disk is not None:
+                    self.disk.put(key, _encode_resolution(res))
+            self.memo[key] = res
+        if res.module is not m:
+            res = replace(res, module=m, augmentation=ModuleMap(
+                res.modules[0], m, res.augmentation.matrix, _validate=False))
+        return res
+
+    def _load(self, key, m, n_max):
+        data = self.disk.get(key) if self.disk is not None else None
+        if data is None:
+            return None
+        try:
+            return _decode_resolution(data, m, n_max)
+        except (RecollabError, ArithmeticError, AttributeError, LookupError,
+                TypeError, ValueError):
+            # an entry is outside input: malformed or failing a check, it is
+            # not used
+            self.rejected += 1
+            return None
+
+
+_store = ResolutionStore()
+
+
+@contextmanager
+def resolution_store(disk=None):
+    """Resolve in a fresh store, with `disk` as its disk cache, inside the
+    block; library callers outside every block share one process-wide store."""
+    global _store
+    outer, _store = _store, ResolutionStore(disk)
+    try:
+        yield _store
+    finally:
+        _store = outer
+
+
+def _resolve(m, n_max):
     cur = m
     modules = []
     diffs = []
@@ -287,7 +349,6 @@ def projective_resolution(m, n_max, cache=None):
         tags.append(cover.summands)
         if level == 0:
             aug = cover.surjection
-            prev_target = m
         else:
             # d_level: P_level -> P_{level-1} through the syzygy inclusion
             incl = syzygies[-1][1]
@@ -312,8 +373,67 @@ def projective_resolution(m, n_max, cache=None):
         periodicity=periodicity, syzygy_dims=syzygy_dims,
     )
     _assert_resolution_exact(res)
-    if cache is not None:
-        cache.put(cache_key, res)
+    return res
+
+
+def _encode_resolution(res):
+    """A resolution as JSON data: the summand tags and the maps, which is
+    all `_decode_resolution` reads."""
+    return {
+        "version": 2,
+        "tags": [list(t) for t in res.summand_tags],
+        "augmentation": res.augmentation.matrix.to_str_rows(),
+        "diffs": [d.matrix.to_str_rows() for d in res.diffs],
+        "periodicity": list(res.periodicity) if res.periodicity else None,
+    }
+
+
+def _decode_resolution(data, m, n_max):
+    """Rebuild a stored resolution of m to depth n_max, checking all of it.
+
+    The levels are rebuilt from the summand tags; the maps must be A-linear,
+    exact, minimal (every kernel inside the radical) and of the requested
+    depth; syzygy dimensions and stabilization are read off the kernels, and
+    a periodicity witness is re-tested.  Raises on any defect.
+    """
+    a, f = m.algebra, m.field
+    if data["version"] != 2:
+        raise ValueError("unknown resolution entry version")
+    tags = [tuple(t) for t in data["tags"]]
+    vertices = range(len(a.basic.idempotent_coords))
+    if not tags or any(type(v) is not int or v not in vertices for t in tags for v in t):
+        raise ValueError("bad summand tags")
+    levels = [direct_sum([vertex_projective(a, v)[0] for v in t]) if t else zero_module(a)
+              for t in tags]
+    if len(data["diffs"]) != len(levels) - 1:
+        raise ValueError("level and differential counts disagree")
+    maps = [ModuleMap(p, q, Matrix.from_str_rows(f, rows, ncols=q.dim))
+            for p, q, rows in zip(levels, [m] + levels, [data["augmentation"]] + data["diffs"])]
+    syzygies = []
+    for p, out in zip(levels, maps):
+        ker = kernel_basis(out.matrix.transpose()).transpose()
+        if ker.nrows and not ker.mul(top_of(p)[0]).is_zero():
+            raise ValueError("resolution is not minimal")
+        syzygies.append(ker)
+    stabilized = syzygies[-1].nrows == 0
+    depth = len(levels) - 1
+    if depth > n_max or (depth < n_max and not stabilized) or \
+            any(k.nrows == 0 for k in syzygies[:-1]):
+        raise ValueError("resolution depth does not match the request")
+    periodicity = tuple(data["periodicity"]) if data["periodicity"] else None
+    if periodicity is not None:
+        i, j = periodicity
+        if not 1 <= i < j <= len(syzygies) or syzygies[j - 1].nrows > _PERIODICITY_DIM_CAP or \
+                not iso_test(*(submodule_from_rows(levels[k - 1], syzygies[k - 1])[0]
+                               for k in (i, j))):
+            raise ValueError("periodicity witness fails")
+    res = ProjectiveResolution(
+        module=m, modules=levels, diffs=maps[1:], augmentation=maps[0],
+        summand_tags=tags, stabilized=stabilized, minimal=True,
+        periodicity=periodicity,
+        syzygy_dims=[k.nrows for k in (syzygies[:-1] if stabilized else syzygies)],
+    )
+    _assert_resolution_exact(res)
     return res
 
 
@@ -382,48 +502,29 @@ def hom_complex(x, y):
         dims[n] = off
     diffs = {}
     for n in range(lo, hi):
-        rows = []
-        src = components.get(n, [])
-        tgt = components.get(n + 1, [])
-        tgt_index = {p: (maps, off, size) for p, maps, off, size in tgt}
         total = dims.get(n + 1, 0)
-        sign = f.coerce(-1) if n % 2 else f.one()
-        neg_sign = f.neg(sign)
-        for p, maps, off, size in src:
-            for mp in maps:
-                row = [f.zero()] * total
-                # component at p: compose with d_Y
-                dy = y.diff_matrix(p + n)
-                if dy.ncols and p in tgt_index:
-                    img = mp.matrix.mul(dy)
-                    tmaps, toff, tsize = tgt_index[p]
-                    coords = _coords_in_hom_basis(bases[(n + 1, p)], img, f)
-                    for t, c in enumerate(coords):
-                        row[toff + t] = f.add(row[toff + t], c)
-                # component at p-1: (-1)^{n+1} f o d_X
-                dx = x.diff_matrix(p - 1)
-                if dx.nrows and (p - 1) in tgt_index:
-                    img = dx.mul(mp.matrix)
-                    coords = _coords_in_hom_basis(bases[(n + 1, p - 1)], img, f)
-                    tmaps, toff, tsize = tgt_index[p - 1]
-                    for t, c in enumerate(coords):
-                        row[toff + t] = f.add(row[toff + t], f.mul(neg_sign, c))
-                rows.append(row)
-        diffs[n] = Matrix(f, rows, ncols=total) if rows else \
-            Matrix(f, [], ncols=total)
-        if dims.get(n, 0) == 0:
-            diffs[n] = Matrix.zeros(f, 0, total)
+        tgt_off = {p: off for p, _, off, _ in components.get(n + 1, [])}
+        neg_sign = f.neg(f.coerce(-1) if n % 2 else f.one())
+        rows = []
+        for p, maps, off, size in components.get(n, []):
+            block = [[f.zero()] * total for _ in maps]
+            # component at p: compose with d_Y
+            dy = y.diff_matrix(p + n)
+            if dy.ncols and p in tgt_off:
+                coords = hom_coords(bases[(n + 1, p)], [mp.matrix.mul(dy) for mp in maps])
+                for row, c in zip(block, coords.rows):
+                    row[tgt_off[p]:tgt_off[p] + len(c)] = c
+            # component at p-1: (-1)^{n+1} f o d_X
+            dx = x.diff_matrix(p - 1)
+            if dx.nrows and (p - 1) in tgt_off:
+                coords = hom_coords(bases[(n + 1, p - 1)], [dx.mul(mp.matrix) for mp in maps])
+                toff = tgt_off[p - 1]
+                for row, c in zip(block, coords.rows):
+                    row[toff:toff + len(c)] = [f.mul(neg_sign, v) for v in c]
+            rows.extend(block)
+        diffs[n] = Matrix(f, rows, ncols=total) if rows else Matrix.zeros(f, 0, total)
     vsc = VectorSpaceComplex(f, dims, diffs)
     return HomComplexData(vsc, components, x, y)
-
-
-def _coords_in_hom_basis(basis, mat, f):
-    row = Matrix(f, [[mat.entry(i, j) for i in range(mat.nrows) for j in range(mat.ncols)]],
-                 ncols=mat.nrows * mat.ncols)
-    coords = express_in_row_basis(basis, row)
-    if coords is None:
-        raise ValueError("hom image not in hom space")
-    return list(coords.rows[0])
 
 
 def is_exceptional(x, window=None):
@@ -544,12 +645,12 @@ class HorseshoeData:
     split_retracts: list   # block retracts P_n -> P'_n
 
 
-def horseshoe(ses, n_max, cache=None):
+def horseshoe(ses, n_max):
     """Simultaneous resolution of a short exact sequence (degreewise split)."""
     ses.validate()
     f = ses.mid.field
-    res_sub = projective_resolution(ses.sub, n_max, cache=cache)
-    res_quot = projective_resolution(ses.quot, n_max, cache=cache)
+    res_sub = projective_resolution(ses.sub, n_max)
+    res_quot = projective_resolution(ses.quot, n_max)
     # pad both resolutions with zero levels up to n_max so blocks line up
     sub_mods = _padded(res_sub, n_max)
     quot_mods = _padded(res_quot, n_max)
@@ -566,12 +667,12 @@ def horseshoe(ses, n_max, cache=None):
         Pq = quot_mods[n]
         P = direct_sum([Ps, Pq])
         mid_mods.append(P)
-        inc = _block_matrix(f, Ps.dim, Pq.dim, left=True)
-        prj = _block_matrix(f, Ps.dim, Pq.dim, left=False)
+        inc = _summand_rows(f, Ps.dim, Pq.dim, first=True)
+        sec = _summand_rows(f, Ps.dim, Pq.dim, first=False)
         incl_mats.append(inc)
-        proj_mats.append(prj)
-        sections.append(_block_section(f, Ps.dim, Pq.dim))
-        retracts.append(_block_retract(f, Ps.dim, Pq.dim))
+        proj_mats.append(sec.transpose())
+        sections.append(sec)
+        retracts.append(inc.transpose())
         if n == 0:
             s_aug = res_sub.augmentation.matrix if Ps.dim else Matrix(f, [], ncols=ses.sub.dim)
             q_aug = res_quot.augmentation.matrix if Pq.dim else Matrix(f, [], ncols=ses.quot.dim)
@@ -645,40 +746,11 @@ def _padded_resolution(res, n_max):
     )
 
 
-def _block_matrix(f, ds, dq, left):
-    if left:
-        rows = []
-        for i in range(ds):
-            row = [f.zero()] * (ds + dq)
-            row[i] = f.one()
-            rows.append(row)
-        return Matrix(f, rows, ncols=ds + dq)
-    rows = []
-    for i in range(ds + dq):
-        row = [f.zero()] * dq
-        if i >= ds:
-            row[i - ds] = f.one()
-        rows.append(row)
-    return Matrix(f, rows, ncols=dq)
-
-
-def _block_section(f, ds, dq):
-    rows = []
-    for i in range(dq):
-        row = [f.zero()] * (ds + dq)
-        row[ds + i] = f.one()
-        rows.append(row)
-    return Matrix(f, rows, ncols=ds + dq)
-
-
-def _block_retract(f, ds, dq):
-    rows = []
-    for i in range(ds + dq):
-        row = [f.zero()] * ds
-        if i < ds:
-            row[i] = f.one()
-        rows.append(row)
-    return Matrix(f, rows, ncols=ds)
+def _summand_rows(f, ds, dq, first):
+    """The rows [I 0] (first summand) or [0 I] of k^ds (+) k^dq: the block
+    inclusion or section; their transposes are the retract and projection."""
+    n, off = (ds, 0) if first else (dq, ds)
+    return Matrix(f, [unit_vector(f, ds + dq, off + i) for i in range(n)], ncols=ds + dq)
 
 
 def _horseshoe_tau(Pq, target, proj_prev, d_q, prev_map, f):
@@ -751,13 +823,11 @@ def dualize_perfect(x):
                                             _validate=False)
             continue
         d = x.diff_matrix(n)
-        rows = []
-        for t in range(src_dual.dim):
-            # t-th basis map g: X^{n+1} -> A; precompose with d
-            gmat = _unvec(bases[n + 1].rows[t], x.module(n + 1).dim, a.dim, f)
-            comp = d.mul(gmat)
-            rows.append(_coords_in_hom_basis(bases[n], comp, f))
-        diffs[-(n + 1)] = ModuleMap(src_dual, tgt_dual, Matrix(f, rows, ncols=tgt_dual.dim),
+        src_dim = x.module(n + 1).dim
+        # precompose each basis map g: X^{n+1} -> A with d
+        comps = [d.mul(_unvec(bases[n + 1].rows[t], src_dim, a.dim, f))
+                 for t in range(src_dual.dim)]
+        diffs[-(n + 1)] = ModuleMap(src_dual, tgt_dual, hom_coords(bases[n], comps),
                                     _validate=False)
     return BoundedComplex(aop, mods, diffs, _validate=False)
 

@@ -41,6 +41,10 @@ class InputNotExact(RecollabError):
     """A short exact sequence failed its exactness precondition."""
 
 
+class NotInHomSpace(RecollabError):
+    """A matrix that should be a module map lies outside the hom space."""
+
+
 class DepthMismatch(RecollabError):
     """Resolutions passed to a comparison lift have incompatible depths."""
 

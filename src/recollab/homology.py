@@ -32,7 +32,6 @@ from .errors import (
 from .exactfield import (
     QQ,
     Matrix,
-    express_in_row_basis,
     linear_combination,
     rank,
     solve,
@@ -43,6 +42,7 @@ from .modules import (
     ModuleMap,
     RightModule,
     as_bimodule,
+    hom_coords,
     hom_space,
     hom_vec_basis,
     regular_bimodule,
@@ -146,7 +146,7 @@ def _tensor_complex(res, t, n_max):
     return VectorSpaceComplex(t.field, dims, diffs), projs
 
 
-def tor(m, n, n_max, resolve="left", cache=None, with_bases=False):
+def tor(m, n, n_max, resolve="left", with_bases=False):
     """Tor_i^B(m, n) for i <= n_max; m a right B-module, n a left B-module.
 
     resolve="left" resolves m; resolve="right" resolves n over B^op.  Both
@@ -159,8 +159,8 @@ def tor(m, n, n_max, resolve="left", cache=None, with_bases=False):
     if resolve == "right":
         # Tor^B_i(M, N) = Tor^{B^op}_i(N, M) via the swapped bimodules
         return tor(n_bim.swap_sides(), m_bim.swap_sides(), n_max,
-                   resolve="left", cache=cache, with_bases=with_bases)
-    res = projective_resolution(m_bim.restrict_right(), n_max + 1, cache=cache)
+                   resolve="left", with_bases=with_bases)
+    res = projective_resolution(m_bim.restrict_right(), n_max + 1)
     cx, _ = _tensor_complex(res, n_bim, n_max + 1)
     entries = []
     bases = {}
@@ -209,15 +209,7 @@ class ExtData:
         row = [f.zero()] * total
         for p, maps, off, size in comps:
             basis = hom_vec_basis(maps, maps[0].source.dim, maps[0].target.dim, f)
-            vec = Matrix(f, [[cls.cocycle.matrix.entry(i, j)
-                              for i in range(cls.cocycle.matrix.nrows)
-                              for j in range(cls.cocycle.matrix.ncols)]],
-                         ncols=basis.ncols)
-            coords = express_in_row_basis(basis, vec)
-            if coords is None:
-                raise ValueError("cocycle outside hom space")
-            for t in range(size):
-                row[off + t] = coords.entry(0, t)
+            row[off:off + size] = hom_coords(basis, [cls.cocycle.matrix]).rows[0]
         return self.hom.complex.coords_on_cohomology(
             nlev, Matrix(f, [row], ncols=total))
 
@@ -230,13 +222,13 @@ class ExtClass:
     cocycle: ModuleMap
 
 
-def ext(m, n, n_max, cache=None, with_bases=False):
+def ext(m, n, n_max, with_bases=False):
     """Ext^i_B(m, n) for i <= n_max, via a minimal resolution of m."""
     m_mod = m.restrict_right() if isinstance(m, Bimodule) else m
     n_mod = n.restrict_right() if isinstance(n, Bimodule) else n
     if m_mod.algebra != n_mod.algebra:
         raise AlgebraMismatch("ext: algebra mismatch")
-    res = projective_resolution(m_mod, n_max + 1, cache=cache)
+    res = projective_resolution(m_mod, n_max + 1)
     hc = hom_complex(res.to_complex(), BoundedComplex.concentrated(n_mod))
     entries = []
     bases = {}
@@ -247,7 +239,7 @@ def ext(m, n, n_max, cache=None, with_bases=False):
     return ExtData(GradedDims(tuple(entries), bases), res, n_mod, hc)
 
 
-def yoneda_product(x, y, n_max=None, cache=None):
+def yoneda_product(x, y, n_max=None):
     """Composition product Ext^p(M, N) x Ext^q(N, L) -> Ext^{p+q}(M, L).
 
     x has target N and y lives over N: the product is "x followed by y".
@@ -302,26 +294,26 @@ def yoneda_product(x, y, n_max=None, cache=None):
 # --------------------------------------------------------------------------
 
 
-def hochschild_homology(a, n_max, cache=None, with_bases=False):
+def hochschild_homology(a, n_max, with_bases=False):
     """HH_n(A) = Tor_n over A^op (x) A of (A, A)."""
     if a.is_zero_algebra:
         return GradedDims(tuple((i, 0) for i in range(n_max + 1)))
     env = enveloping(a)
     m = regular_bimodule(a).as_right_module_over(env)
     t = regular_as_left_env_module(a, env)
-    return tor(m, t, n_max, cache=cache, with_bases=with_bases)
+    return tor(m, t, n_max, with_bases=with_bases)
 
 
-def hochschild_cohomology(a, n_max, cache=None, with_bases=False):
+def hochschild_cohomology(a, n_max, with_bases=False):
     """HH^n(A) = Ext^n over A^op (x) A of (A, A)."""
     if a.is_zero_algebra:
         return GradedDims(tuple((i, 0) for i in range(n_max + 1)))
     env = enveloping(a)
     m = regular_bimodule(a).as_right_module_over(env)
-    return ext(m, m, n_max, cache=cache, with_bases=with_bases).graded
+    return ext(m, m, n_max, with_bases=with_bases).graded
 
 
-def hochschild_dimension(a, cutoff, cache=None):
+def hochschild_dimension(a, cutoff):
     """pd of A over A^op (x) A: Finite(d) if the minimal resolution stabilises
     at depth d <= cutoff, else AtLeast(cutoff+1) (with a periodicity witness
     when a syzygy repeats, which certifies infinite dimension)."""
@@ -329,13 +321,13 @@ def hochschild_dimension(a, cutoff, cache=None):
         return PdVerdict("finite", 0)
     env = enveloping(a)
     m = regular_bimodule(a).as_right_module_over(env)
-    res = projective_resolution(m, cutoff, cache=cache)
+    res = projective_resolution(m, cutoff)
     if res.stabilized:
         return PdVerdict("finite", res.projective_dimension())
     return PdVerdict("at_least", cutoff + 1, periodic=res.periodicity)
 
 
-def global_dimension(a, cutoff, cache=None):
+def global_dimension(a, cutoff):
     """Max over simple modules of their projective dimension, within cutoff."""
     if a.is_zero_algebra:
         return PdVerdict("finite", 0)
@@ -345,7 +337,7 @@ def global_dimension(a, cutoff, cache=None):
     worst = 0
     periodic = None
     for s in simple_modules(a):
-        res = projective_resolution(s, cutoff, cache=cache)
+        res = projective_resolution(s, cutoff)
         if res.stabilized:
             worst = max(worst, res.projective_dimension())
         else:
@@ -634,7 +626,7 @@ def _verify_ses_of_complexes(sub_cx, mid_cx, quot_cx, incs, prjs, degrees):
             raise InputNotExact(f"dimensions do not add at degree {n}")
 
 
-def les_from_ses(ses, t, variance, n_max, cache=None, labels=None):
+def les_from_ses(ses, t, variance, n_max, labels=None):
     """Long exact sequence of a short exact sequence under a fixed module.
 
     variance: "tensor" (- (x) T, homological), "hom_covariant" (Hom(T, -)),
@@ -643,17 +635,17 @@ def les_from_ses(ses, t, variance, n_max, cache=None, labels=None):
     """
     ses.validate()
     if variance == "tensor":
-        return _les_tensor(ses, t, n_max, cache, labels)
+        return _les_tensor(ses, t, n_max, labels)
     if variance == "hom_covariant":
-        return _les_cov(ses, t, n_max, cache, labels)
+        return _les_cov(ses, t, n_max, labels)
     if variance == "hom_contravariant":
-        return _les_contra(ses, t, n_max, cache, labels)
+        return _les_contra(ses, t, n_max, labels)
     raise ValueError(f"unknown variance {variance!r}")
 
 
-def _les_tensor(ses, t, n_max, cache, labels):
+def _les_tensor(ses, t, n_max, labels):
     labels = labels or ("Tor(sub)", "Tor(mid)", "Tor(quot)")
-    hs = horseshoe(ses, n_max + 1, cache=cache)
+    hs = horseshoe(ses, n_max + 1)
     t_bim = t if isinstance(t, Bimodule) else as_bimodule(t)
     sub_cx, _ = _tensor_complex(hs.res_sub, t_bim, n_max + 1)
     mid_cx, _ = _tensor_complex(hs.res_mid, t_bim, n_max + 1)
@@ -699,32 +691,19 @@ def _hom_into_complex(res, t_mod, n_max):
         bases.append(maps)
         dims[n] = len(maps)
     for n in range(n_max + 1):
-        if dims[n] == 0:
-            diffs[n] = Matrix.zeros(f, 0, dims[n + 1])
+        if dims[n] == 0 or dims[n + 1] == 0:
+            diffs[n] = Matrix.zeros(f, dims[n], dims[n + 1])
             continue
-        rows = []
-        d = res.diffs[n].matrix if n + 1 <= res.depth else None
-        tgt_maps = bases[n + 1]
-        tgt_basis = hom_vec_basis(tgt_maps,
-                                  res.modules[n + 1].dim if n + 1 <= res.depth else 0,
-                                  t_mod.dim, f) if tgt_maps else None
-        for mp in bases[n]:
-            if d is None or tgt_basis is None:
-                rows.append([f.zero()] * dims[n + 1])
-                continue
-            comp = d.mul(mp.matrix)
-            vec = Matrix(f, [[comp.entry(i, j) for i in range(comp.nrows)
-                              for j in range(comp.ncols)]], ncols=tgt_basis.ncols)
-            coords = express_in_row_basis(tgt_basis, vec)
-            rows.append(list(coords.rows[0]))
-        diffs[n] = Matrix(f, rows, ncols=dims[n + 1])
+        d = res.diffs[n].matrix
+        tgt_basis = hom_vec_basis(bases[n + 1], res.modules[n + 1].dim, t_mod.dim, f)
+        diffs[n] = hom_coords(tgt_basis, [d.mul(mp.matrix) for mp in bases[n]])
     return VectorSpaceComplex(f, dims, diffs), bases
 
 
-def _les_contra(ses, t, n_max, cache, labels):
+def _les_contra(ses, t, n_max, labels):
     labels = labels or ("Ext(quot,T)", "Ext(mid,T)", "Ext(sub,T)")
     t_mod = t.restrict_right() if isinstance(t, Bimodule) else t
-    hs = horseshoe(ses, n_max + 1, cache=cache)
+    hs = horseshoe(ses, n_max + 1)
     f = t_mod.field
     quot_cx, quot_b = _hom_into_complex(hs.res_quot, t_mod, n_max)
     mid_cx, mid_b = _hom_into_complex(hs.res_mid, t_mod, n_max)
@@ -750,22 +729,14 @@ def _precompose_matrix(level_map, src_maps, tgt_maps, t_mod, f):
         return Matrix.zeros(f, 0, len(tgt_maps))
     if not tgt_maps:
         return Matrix.zeros(f, len(src_maps), 0)
-    tgt_dim = tgt_maps[0].source.dim
-    tgt_basis = hom_vec_basis(tgt_maps, tgt_dim, t_mod.dim, f)
-    rows = []
-    for g in src_maps:
-        comp = level_map.mul(g.matrix)
-        vec = Matrix(f, [[comp.entry(i, j) for i in range(comp.nrows)
-                          for j in range(comp.ncols)]], ncols=tgt_basis.ncols)
-        coords = express_in_row_basis(tgt_basis, vec)
-        rows.append(list(coords.rows[0]))
-    return Matrix(f, rows, ncols=len(tgt_maps))
+    tgt_basis = hom_vec_basis(tgt_maps, tgt_maps[0].source.dim, t_mod.dim, f)
+    return hom_coords(tgt_basis, [level_map.mul(g.matrix) for g in src_maps])
 
 
-def _les_cov(ses, t, n_max, cache, labels):
+def _les_cov(ses, t, n_max, labels):
     labels = labels or ("Ext(T,sub)", "Ext(T,mid)", "Ext(T,quot)")
     t_mod = t.restrict_right() if isinstance(t, Bimodule) else t
-    res_t = projective_resolution(t_mod, n_max + 1, cache=cache)
+    res_t = projective_resolution(t_mod, n_max + 1)
     f = t_mod.field
     sub_cx, sub_b = _hom_into_complex(res_t, ses.sub, n_max)
     mid_cx, mid_b = _hom_into_complex(res_t, ses.mid, n_max)
@@ -789,13 +760,5 @@ def _postcompose_matrix(post, src_maps, tgt_maps, tgt_module, f):
         return Matrix.zeros(f, 0, len(tgt_maps))
     if not tgt_maps:
         return Matrix.zeros(f, len(src_maps), 0)
-    src_dim = tgt_maps[0].source.dim
-    tgt_basis = hom_vec_basis(tgt_maps, src_dim, tgt_module.dim, f)
-    rows = []
-    for g in src_maps:
-        comp = g.matrix.mul(post)
-        vec = Matrix(f, [[comp.entry(i, j) for i in range(comp.nrows)
-                          for j in range(comp.ncols)]], ncols=tgt_basis.ncols)
-        coords = express_in_row_basis(tgt_basis, vec)
-        rows.append(list(coords.rows[0]))
-    return Matrix(f, rows, ncols=len(tgt_maps))
+    tgt_basis = hom_vec_basis(tgt_maps, tgt_maps[0].source.dim, tgt_module.dim, f)
+    return hom_coords(tgt_basis, [g.matrix.mul(post) for g in src_maps])

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import Algebra, Idempotent, ideal_and_quotient, corner, radical
-from .errors import AlgebraMismatch, DimensionMismatch, Inconclusive
+from .errors import AlgebraMismatch, DimensionMismatch, Inconclusive, NotInHomSpace
 from .exactfield import (
     QQ,
     Matrix,
@@ -30,6 +30,7 @@ from .exactfield import (
     quotient_map,
     rank,
     row_space_basis,
+    rref,
     solve,
     sylvester_rows,
     unit_vector,
@@ -54,18 +55,20 @@ class RightModule:
             self._validate()
 
     def _validate(self):
+        """rho(1) = id and rho(g b) = rho(g) rho(b) for every algebra generator
+        g and basis element b: by induction on words in the generators, rho is
+        then multiplicative on all of A, at |generators| * dim A products."""
         a = self.algebra
         if self.dim == 0:
             return
         f, d = self.field, self.dim
         if linear_combination(a.unit, self.action, f, d, d) != Matrix.identity(f, d):
             raise ValueError("rho(1) != id")
-        for i in range(a.dim):
-            for j in range(a.dim):
-                lhs = self.action[i].mul(self.action[j])
-                rhs = linear_combination(a.struct[i][j], self.action, f, d, d)
-                if lhs != rhs:
-                    raise ValueError(f"action incompatibility at basis pair ({i},{j})")
+        for g in a.generators():
+            rho_g = linear_combination(g, self.action, f, d, d)
+            for j, gb in enumerate(a.left_mult_matrix(g).rows):
+                if rho_g.mul(self.action[j]) != linear_combination(gb, self.action, f, d, d):
+                    raise ValueError(f"action incompatibility at generator {g}, basis {j}")
 
     def is_zero(self):
         return self.dim == 0
@@ -289,10 +292,22 @@ def hom_space(m, n):
 
 def hom_vec_basis(maps, dm, dn, field):
     """The hom basis flattened to rows (for coordinate computations)."""
-    rows = []
-    for mp in maps:
-        rows.append([mp.matrix.entry(i, j) for i in range(dm) for j in range(dn)])
-    return Matrix(field, rows, ncols=dm * dn)
+    return Matrix(field, [[x for row in mp.matrix.rows for x in row] for mp in maps],
+                  ncols=dm * dn)
+
+
+def hom_coords(basis, mats):
+    """Coordinates of the matrices `mats` in a hom basis flattened by
+    hom_vec_basis, solved as one batch: a len(mats) x basis.nrows Matrix."""
+    f = basis.field
+    if not mats:
+        return Matrix(f, [], ncols=basis.nrows)
+    vecs = Matrix(f, [[x for row in mat.rows for x in row] for mat in mats],
+                  ncols=basis.ncols)
+    coords = express_in_row_basis(basis, vecs)
+    if coords is None:
+        raise NotInHomSpace("a map is not in the span of the hom basis")
+    return coords
 
 
 @dataclass
@@ -372,24 +387,11 @@ def hom_module(u, m):
     f = u.field
     du, dm = u.dim, mbim.dim
     basis = hom_vec_basis(maps, du, dm, f)
-
-    def express(mat):
-        row = Matrix(f, [[mat.entry(i, j) for i in range(du) for j in range(dm)]],
-                     ncols=du * dm)
-        coords = express_in_row_basis(basis, row)
-        if coords is None:
-            raise ValueError("hom space not closed under action")
-        return coords.rows[0]
-
-    lam = []
-    for c in range(mbim.left_algebra.dim):
-        lc = mbim.left_action_matrices[c]
-        lam.append(Matrix(f, [express(mp.matrix.mul(lc)) for mp in maps], ncols=h))
-    rho = []
-    for b in range(u.left_algebra.dim):
-        lb = u.left_action_matrices[b]
-        rho.append(Matrix(f, [express(lb.mul(mp.matrix)) for mp in maps], ncols=h))
-    return Bimodule(mbim.left_algebra, u.left_algebra, h, tuple(lam), tuple(rho))
+    lam = tuple(hom_coords(basis, [mp.matrix.mul(lc) for mp in maps])
+                for lc in mbim.left_action_matrices)
+    rho = tuple(hom_coords(basis, [lb.mul(mp.matrix) for mp in maps])
+                for lb in u.left_action_matrices)
+    return Bimodule(mbim.left_algebra, u.left_algebra, h, lam, rho)
 
 
 # --------------------------------------------------------------------------
@@ -406,17 +408,24 @@ class KernelCokernel:
 
 
 def submodule_from_rows(m, rows_matrix):
-    """The submodule spanned by the given rows, with induced action."""
-    basis = row_space_basis(rows_matrix)
-    k = basis.nrows
+    """The submodule spanned by the given rows, with induced action.
+
+    Its basis is the RREF of the rows, so a vector in their span has its
+    coordinates at the pivot columns; each image is checked to be that
+    combination of the basis.  That check is the whole proof that the
+    induced action is a module structure (m's action restricted to an
+    invariant subspace), so it is not validated again.
+    """
+    R, pivots = rref(rows_matrix)
+    basis = R.take_rows(range(len(pivots)))
     acts = []
-    for i in range(m.algebra.dim):
-        img = basis.mul(m.action[i])
-        coords = express_in_row_basis(basis, img)
-        if coords is None:
+    for act in m.action:
+        img = basis.mul(act)
+        coords = img.submatrix(range(img.nrows), pivots)
+        if coords.mul(basis) != img:
             raise ValueError("rows do not span a submodule")
         acts.append(coords)
-    sub = RightModule(m.algebra, k, acts)
+    sub = RightModule(m.algebra, basis.nrows, acts, _validate=False)
     incl = ModuleMap(sub, m, basis, _validate=False)
     return sub, incl
 
@@ -512,24 +521,16 @@ def direct_sum(mods):
     return RightModule(a, total, acts, _validate=False)
 
 
-_VERTEX_PROJ_CACHE = {}
-
-
 def vertex_projective(a, v_index):
-    """e_v A as a right module, with its subspace basis inside A (cached)."""
-    key = (a, v_index)
-    if key in _VERTEX_PROJ_CACHE:
-        return _VERTEX_PROJ_CACHE[key]
-    ev = a.basic.idempotent_coords[v_index]
-    span = [a.multiply(ev, unit_vector(a.field, a.dim, i)) for i in range(a.dim)]
-    basis = row_space_basis(Matrix(a.field, span, ncols=a.dim))
-    acts = []
-    for i in range(a.dim):
-        img = basis.mul(a.basis_right_mats()[i])
-        acts.append(express_in_row_basis(basis, img))
-    mod = RightModule(a, basis.nrows, acts)
-    _VERTEX_PROJ_CACHE[key] = (mod, basis)
-    return mod, basis
+    """e_v A as a right module, with its subspace basis inside A (kept on the
+    algebra instance, whose basic structure names the idempotents)."""
+    if v_index not in a._vertex_projectives:
+        ev = a.basic.idempotent_coords[v_index]
+        regular = RightModule(a, a.dim, a.basis_right_mats(), _validate=False)
+        mod, incl = submodule_from_rows(regular, a.left_mult_matrix(ev))
+        mod._validate()    # the regular action was not validated
+        a._vertex_projectives[v_index] = (mod, incl.matrix)
+    return a._vertex_projectives[v_index]
 
 
 @dataclass
@@ -554,26 +555,18 @@ def projective_cover(m):
         z = zero_module(a)
         return ProjectiveCover(z, ModuleMap(z, m, Matrix(f, [], ncols=m.dim),
                                             _validate=False), (), ())
-    chosen = []       # (generator row in M, vertex index)
-    top_rows = []     # images in the top M / M rad of the chosen generators
-    cur_rank = 0
-    for v_idx in range(len(a.basic.idempotent_coords)):
-        ev = a.basic.idempotent_coords[v_idx]
+    # the lifts y_t * e_v in scan order; the greedy choice of those that raise
+    # the rank of their images in the top M / M rad is the pivot set
+    cands = []
+    for v_idx, ev in enumerate(a.basic.idempotent_coords):
         act = linear_combination(ev, m.action, f, m.dim, m.dim)
-        for t in free:
-            cand = act.row(t)  # lift y_t * e_v
-            trial = top_rows + [combine_rows(proj, enumerate(cand))]
-            rk = rank(Matrix(f, trial, ncols=rtop))
-            if rk > cur_rank:
-                top_rows = trial
-                cur_rank = rk
-                chosen.append((tuple(cand), v_idx))
-                if cur_rank == rtop:
-                    break
-        if cur_rank == rtop:
-            break
-    if cur_rank != rtop:
+        cands.extend((act.row(t), v_idx) for t in free)
+    tops = Matrix.from_cols(f, [combine_rows(proj, enumerate(c)) for c, _ in cands],
+                            nrows=rtop)
+    pivots = rref(tops)[1]
+    if len(pivots) != rtop:
         raise ValueError("top not covered by idempotent weight spaces")
+    chosen = [(tuple(cands[j][0]), cands[j][1]) for j in pivots]
     summands = []
     offsets = []
     blocks = []

@@ -157,7 +157,7 @@ def _quotient_sided_bimodules(a, cb):
     return y, y_left
 
 
-def check_stratifying(a, e, n_max, cache=None):
+def check_stratifying(a, e, n_max):
     """Both stratifying conditions for AeA, plus the perfectness of the ideal.
 
     The multiplication isomorphism is decided exactly (finite check); the Tor
@@ -180,7 +180,7 @@ def check_stratifying(a, e, n_max, cache=None):
     mu = Matrix(f, rows, ncols=cb.aea.dim)
     mult_rank = rank(mu)
     mult_iso = (tp.bimodule.dim == cb.aea.dim) and (mult_rank == cb.aea.dim)
-    tor_g = tor(cb.ae, cb.ea, n_max, cache=cache)
+    tor_g = tor(cb.ae, cb.ea, n_max)
     tor_dims = {n: tor_g.dim(n) for n in range(1, n_max + 1)}
     tor_vanishing = {n: (d == 0) for n, d in tor_dims.items()}
     failing = tuple(sorted(n for n, ok in tor_vanishing.items() if not ok))
@@ -188,7 +188,7 @@ def check_stratifying(a, e, n_max, cache=None):
     if quot_mod.dim == 0:
         perfect = Perfectness("verified", PdVerdict("finite", 0))
     else:
-        res = projective_resolution(quot_mod, n_max, cache=cache)
+        res = projective_resolution(quot_mod, n_max)
         if res.stabilized:
             perfect = Perfectness("verified", PdVerdict("finite", res.projective_dimension()))
         else:
@@ -209,9 +209,9 @@ def check_stratifying(a, e, n_max, cache=None):
     return report, cb
 
 
-def from_idempotent(a, e, n_max=6, cache=None, run_battery=True):
+def from_idempotent(a, e, n_max=6, run_battery=True):
     """The recollement data attached to a stratifying idempotent, certified."""
-    report, cb = check_stratifying(a, e, n_max, cache=cache)
+    report, cb = check_stratifying(a, e, n_max)
     if not report.stratifying:
         bits = []
         if not report.mult_iso:
@@ -226,19 +226,19 @@ def from_idempotent(a, e, n_max=6, cache=None, run_battery=True):
         perfect=report.perfect_ideal, canon=cb,
         stratifying_report=report, certificate=None, y_left=y_left,
     )
-    r.certificate = _certify(r, n_max, cache=cache) if run_battery else \
+    r.certificate = _certify(r, n_max) if run_battery else \
         CertificationReport([], [], [], [], True)
     return r
 
 
-def from_triangular(a1, a2, m, n_max=6, cache=None, run_battery=True):
+def from_triangular(a1, a2, m, n_max=6, run_battery=True):
     """Perfect recollement of the triangular matrix algebra [[A1,0],[M,A2]].
 
     Builds the algebra, runs from_idempotent at e = diag(0, 1_{A2}), verifies
     that the stratifying ideal is projective and that perfectness is Verified.
     """
     alg, e1, e2 = triangular(a1, a2, m)
-    r = from_idempotent(alg, e2, n_max=n_max, cache=cache, run_battery=run_battery)
+    r = from_idempotent(alg, e2, n_max=n_max, run_battery=run_battery)
     from .modules import is_projective
     if not is_projective(r.canon.aea.restrict_right()):
         raise CertificationFailed("triangular stratifying ideal is not projective")
@@ -279,35 +279,34 @@ def i_lower_module(r, m):
     return RightModule(a, m.dim, acts)
 
 
-def eval_functor(r, name, m, n_max=6, cache=None, with_bases=False):
+def eval_functor(r, name, m, n_max=6, with_bases=False):
     """Cohomology dimensions of the derived image of a module under one of the
     six recollement functors (upper indexing: tensor functors live in degrees
     <= 0, Hom functors in degrees >= 0); representative bases on request."""
     if name == "i^*":
         _expect(m, r.a)
-        g = tor(as_bimodule(m), r.y, n_max, cache=cache, with_bases=with_bases)
+        g = tor(as_bimodule(m), r.y, n_max, with_bases=with_bases)
         return _negate_degrees(g)
     if name == "i_*":
         _expect(m, r.a1)
-        g = tor(as_bimodule(m), _restriction_bimodule(r), n_max, cache=cache,
-                with_bases=with_bases)
+        g = tor(as_bimodule(m), _restriction_bimodule(r), n_max, with_bases=with_bases)
         return _negate_degrees(g)
     if name == "i^!":
         _expect(m, r.a)
         if r.y_left.dim == 0:
             return GradedDims(tuple((n, 0) for n in range(n_max + 1)))
-        return ext(r.y_left, m, n_max, cache=cache, with_bases=with_bases).graded
+        return ext(r.y_left, m, n_max, with_bases=with_bases).graded
     if name == "j_!":
         _expect(m, r.a2)
-        g = tor(as_bimodule(m), r.y2, n_max, cache=cache, with_bases=with_bases)
+        g = tor(as_bimodule(m), r.y2, n_max, with_bases=with_bases)
         return _negate_degrees(g)
     if name == "j^!" or name == "j^*":
         _expect(m, r.a)
-        g = tor(as_bimodule(m), r.canon.ae, n_max, cache=cache, with_bases=with_bases)
+        g = tor(as_bimodule(m), r.canon.ae, n_max, with_bases=with_bases)
         return _negate_degrees(g)
     if name == "j_*":
         _expect(m, r.a2)
-        return ext(r.canon.ae, m, n_max, cache=cache, with_bases=with_bases).graded
+        return ext(r.canon.ae, m, n_max, with_bases=with_bases).graded
     raise ValueError(f"unknown functor {name!r}; expected one of {FUNCTOR_NAMES}")
 
 
@@ -345,7 +344,7 @@ def _tensor_with_map(m, src_bim, tgt_bim, bim_map_rows):
                                       tp_tgt.projection, right=bim_map_rows)
 
 
-def _certify(r, n_max, cache=None):
+def _certify(r, n_max):
     a = r.a
     f = a.field
     cb = r.canon
@@ -358,7 +357,7 @@ def _certify(r, n_max, cache=None):
     # R3 instances: j^! i_* = 0 in every degree, on the A1-side battery
     for label, n1 in _battery_modules(r.a1):
         restricted = i_lower_module(r, n1)
-        g = tor(as_bimodule(restricted), cb.ae, n_max, cache=cache)
+        g = tor(as_bimodule(restricted), cb.ae, n_max)
         zero = all(d == 0 for _, d in g.entries)
         r3.append({"module": label, "all_zero": zero})
         ok = ok and zero
@@ -367,10 +366,10 @@ def _certify(r, n_max, cache=None):
     # the relevant Tor groups vanish
     regular = regular_bimodule(a)
     for label, m in _battery_modules(a):
-        g_ideal = tor(as_bimodule(m), cb.aea, n_max, cache=cache)
-        g_mid = tor(as_bimodule(m), regular, n_max, cache=cache)
-        g_quot = tor(as_bimodule(m), cb.quotient, n_max, cache=cache)
-        res_m = projective_resolution(m, n_max + 1, cache=cache)
+        g_ideal = tor(as_bimodule(m), cb.aea, n_max)
+        g_mid = tor(as_bimodule(m), regular, n_max)
+        g_quot = tor(as_bimodule(m), cb.quotient, n_max)
+        res_m = projective_resolution(m, n_max + 1)
         bounded = res_m.stabilized
         entry = {"module": label, "bounded": bounded}
         if bounded:
@@ -444,7 +443,7 @@ def _certify(r, n_max, cache=None):
 # --------------------------------------------------------------------------
 
 
-def tensor_transfer(b, r, n_max=6, cache=None):
+def tensor_transfer(b, r, n_max=6):
     """Recollement of B (x) A with idempotent 1_B (x) e, re-certified from
     scratch; the tensor theorem predicts success, the engine verifies it."""
     if r.e is None:
@@ -454,7 +453,7 @@ def tensor_transfer(b, r, n_max=6, cache=None):
     ec = tensor_coords(b.field, b.unit, r.e.coords, r.a.dim)
     try:
         new_e = Idempotent(big, ec, label=f"1⊗{r.e.label or 'e'}")
-        out = from_idempotent(big, new_e, n_max=n_max, cache=cache)
+        out = from_idempotent(big, new_e, n_max=n_max)
     except (NotStratifying, CertificationFailed) as exc:
         raise TransferFailed(f"tensor transfer failed re-certification: {exc}",
                              certificate=getattr(exc, "report", None)) from exc
@@ -466,7 +465,7 @@ def tensor_transfer(b, r, n_max=6, cache=None):
     return out
 
 
-def opposite_transfer(r, n_max=6, cache=None):
+def opposite_transfer(r, n_max=6):
     """Perfect recollement of A^op with the sides swapped (A2^op, A1^op).
 
     For the triangular flavor the swap is realized exactly: the opposite of
@@ -482,7 +481,7 @@ def opposite_transfer(r, n_max=6, cache=None):
     if r.flavor == "triangular":
         a1, a2, m = r.triangular_parts
         return from_triangular(opposite(a2), opposite(a1), m.swap_sides(),
-                               n_max=n_max, cache=cache)
+                               n_max=n_max)
     aop = opposite(r.a)
     f = aop.field
     comp = tuple(f.sub(u, c) for u, c in zip(r.a.unit, r.e.coords))
@@ -490,7 +489,7 @@ def opposite_transfer(r, n_max=6, cache=None):
         return _degenerate_swap(r, aop, n_max)
     try:
         fid = Idempotent(aop, comp, label="1-e")
-        out = from_idempotent(aop, fid, n_max=n_max, cache=cache)
+        out = from_idempotent(aop, fid, n_max=n_max)
     except (NotStratifying, CertificationFailed) as exc:
         raise TransferFailed(
             "opposite transfer via the complementary idempotent failed: "

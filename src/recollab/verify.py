@@ -29,7 +29,7 @@ from .homology import (
     les_from_ses,
     regular_as_left_env_module,
 )
-from .modules import ModuleMap, iso_test
+from .modules import ModuleMap, hom_coords, hom_vec_basis, iso_test
 
 
 def _canonical_env_ses(r):
@@ -71,18 +71,18 @@ class KellerReport:
         }
 
 
-def keller_homology(r, n_max=6, cache=None):
+def keller_homology(r, n_max=6):
     """The homology long exact sequence of the canonical bimodule sequence,
     with endpoint identifications against HH of the two sides, and degreewise
     Hochschild-homology additivity when the recollement is perfect."""
     if r.canon is None:
-        return _keller_degenerate(r, n_max, cache)
+        return _keller_degenerate(r, n_max)
     ses, env = _canonical_env_ses(r)
     t = regular_as_left_env_module(r.a, env)
-    les = les_from_ses(ses, t, "tensor", n_max, cache=cache,
+    les = les_from_ses(ses, t, "tensor", n_max,
                        labels=("Tor(AeA,A)", "HH(A)", "Tor(A/AeA,A)"))
-    hh_a2 = hochschild_homology(r.a2, n_max, cache=cache)
-    hh_a1 = hochschild_homology(r.a1, n_max, cache=cache)
+    hh_a2 = hochschild_homology(r.a2, n_max)
+    hh_a1 = hochschild_homology(r.a1, n_max)
     col = {lab: {} for lab in ("Tor(AeA,A)", "HH(A)", "Tor(A/AeA,A)")}
     for term in les.terms:
         col[term.label][-term.degree] = term.dim
@@ -107,11 +107,11 @@ def keller_homology(r, n_max=6, cache=None):
     return KellerReport(les, id2, id1, additivity, r.perfect.status, les.exact, ok)
 
 
-def _keller_degenerate(r, n_max, cache):
+def _keller_degenerate(r, n_max):
     """e with zero corner side (the swapped degenerate): HH(A) ~ HH(A1)."""
-    hh_a = hochschild_homology(r.a, n_max, cache=cache)
-    hh_a1 = hochschild_homology(r.a1, n_max, cache=cache)
-    hh_a2 = hochschild_homology(r.a2, n_max, cache=cache)
+    hh_a = hochschild_homology(r.a, n_max)
+    hh_a1 = hochschild_homology(r.a1, n_max)
+    hh_a2 = hochschild_homology(r.a2, n_max)
     additivity = []
     ok = True
     for n in range(n_max + 1):
@@ -151,13 +151,13 @@ class CohomologyLesReport:
 class _HomGrid:
     """Hom complexes Hom(P_U, V) for U, V in {X=AeA, Y=A, Z=A/AeA} over A^e."""
 
-    def __init__(self, r, n_max, cache=None):
+    def __init__(self, r, n_max):
         self.r = r
         self.n_max = n_max
         ses, env = _canonical_env_ses(r)
         self.ses = ses
         self.env = env
-        self.hs = horseshoe(ses, n_max + 1, cache=cache)
+        self.hs = horseshoe(ses, n_max + 1)
         self.res = {"X": self.hs.res_sub, "Y": self.hs.res_mid, "Z": self.hs.res_quot}
         self.mods = {"X": ses.sub, "Y": ses.mid, "Z": ses.quot}
         self._cx = {}
@@ -200,7 +200,7 @@ def _invert(mat):
     return solve_matrix(mat, ident)
 
 
-def cohomology_les(r, n_max=4, cache=None):
+def cohomology_les(r, n_max=4):
     """The three long exact sequences on Hochschild cohomologies.
 
     All three are realized from the bimodule sequence 0 -> AeA -> A -> A/AeA
@@ -208,7 +208,7 @@ def cohomology_les(r, n_max=4, cache=None):
     through the quasi-isomorphisms that the orthogonality Ext(AeA, A/AeA) = 0
     provides; phi_n, psi_n and phibar_n are returned as explicit matrices and
     exactness of every joint is a rank identity."""
-    grid = _HomGrid(r, n_max, cache=cache)
+    grid = _HomGrid(r, n_max)
     hs = grid.hs
     f = r.a.field
     incl_mat = r.canon.inclusion
@@ -337,8 +337,8 @@ def cohomology_les(r, n_max=4, cache=None):
 
     # endpoint identifications by dimension, computed over the sides' own
     # enveloping algebras
-    hh_a1 = hochschild_cohomology(r.a1, n_max, cache=cache)
-    hh_a2 = hochschild_cohomology(r.a2, n_max, cache=cache)
+    hh_a1 = hochschild_cohomology(r.a1, n_max)
+    hh_a2 = hochschild_cohomology(r.a2, n_max)
     id_q = []
     id_c = []
     for n in degrees:
@@ -366,18 +366,10 @@ def _compose_hom_map(grid, hs, incl_mat, n):
         return Matrix.zeros(f, 0, len(tgt_maps))
     if not tgt_maps:
         return Matrix.zeros(f, len(src_maps), 0)
-    from .modules import hom_vec_basis
     tgt_basis = hom_vec_basis(tgt_maps, tgt_maps[0].source.dim,
                               grid.mods["Y"].dim, f)
-    from .exactfield import express_in_row_basis
-    rows = []
-    for g in src_maps:
-        comp = hs.proj_mats[n].mul(g.matrix).mul(incl_mat)
-        vec = Matrix(f, [[comp.entry(i, j) for i in range(comp.nrows)
-                          for j in range(comp.ncols)]], ncols=tgt_basis.ncols)
-        coords = express_in_row_basis(tgt_basis, vec)
-        rows.append(list(coords.rows[0]))
-    return Matrix(f, rows, ncols=len(tgt_maps))
+    return hom_coords(tgt_basis, [hs.proj_mats[n].mul(g.matrix).mul(incl_mat)
+                                  for g in src_maps])
 
 
 def _snake_delta(sub_cx, mid_cx, quot_cx, incs, prjs, n, n_next):
@@ -427,23 +419,23 @@ def _equivalence_verdict(va, v1, v2):
     return "ConsistentVacuous", "cutoff too small to decide the pattern"
 
 
-def smoothness_equivalence(r, cutoff=8, cache=None):
+def smoothness_equivalence(r, cutoff=8):
     """Hochschild dimensions of A, A1, A2 within the cutoff, with the verdict
     of the smoothness-transfer theorem instance."""
-    va = hochschild_dimension(r.a, cutoff, cache=cache)
-    v1 = hochschild_dimension(r.a1, cutoff, cache=cache)
-    v2 = hochschild_dimension(r.a2, cutoff, cache=cache)
+    va = hochschild_dimension(r.a, cutoff)
+    v1 = hochschild_dimension(r.a1, cutoff)
+    v2 = hochschild_dimension(r.a2, cutoff)
     verdict, detail = _equivalence_verdict(va, v1, v2)
     return EquivalenceReport("hochschild_dimension", va.label(), v1.label(),
                              v2.label(), verdict, detail)
 
 
-def gldim_equivalence(r, cutoff=8, cache=None):
+def gldim_equivalence(r, cutoff=8):
     """Global dimensions of A, A1, A2 within the cutoff, with the verdict of
     the finite-global-dimension transfer theorem instance."""
-    va = global_dimension(r.a, cutoff, cache=cache)
-    v1 = global_dimension(r.a1, cutoff, cache=cache)
-    v2 = global_dimension(r.a2, cutoff, cache=cache)
+    va = global_dimension(r.a, cutoff)
+    v1 = global_dimension(r.a1, cutoff)
+    v2 = global_dimension(r.a2, cutoff)
     verdict, detail = _equivalence_verdict(va, v1, v2)
     return EquivalenceReport("global_dimension", va.label(), v1.label(),
                              v2.label(), verdict, detail)

@@ -244,6 +244,63 @@ def test_truncated_cache_entry_is_a_miss(tmp_path, capsys):
     assert sorted(cache_dir.iterdir()) == entries
 
 
+def test_tampered_cache_entry_is_rejected_and_rewritten(tmp_path, capsys):
+    # a still-decodable entry whose first differential was zeroed used to
+    # change HH^0(a2) from 1 to 2 and HH^1 from 0 to 1, with exit 0
+    path = _write(tmp_path, _doc("a2"))
+    cache_dir = tmp_path / "cache"
+    argv = ["hochschild", path, "--max-degree", "3", "--cache-dir", str(cache_dir)]
+    assert main(argv) == EXIT_OK
+    cold = capsys.readouterr().out
+    originals = {}
+    for entry in cache_dir.glob("res_*.json"):
+        data = json.loads(entry.read_text(encoding="utf-8"))
+        if data["diffs"]:
+            originals[entry] = entry.read_bytes()
+            data["diffs"][0] = [["0"] * len(row) for row in data["diffs"][0]]
+            entry.write_text(json.dumps(data), encoding="utf-8")
+    assert originals
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == cold
+    for entry, whole in originals.items():
+        assert entry.read_bytes() == whole
+
+
+def _structure_constants_doc(name):
+    """The same algebra as a structure_constants document; over Q its basic
+    structure is then discovered, not read from the quiver."""
+    alg = algebra_from_doc(_doc(name))
+    ts = alg.field.to_str
+    return {"kind": "structure_constants", "field": "Q", "dim": alg.dim,
+            "table": [[[ts(x) for x in alg.struct[i][j]] for j in range(alg.dim)]
+                      for i in range(alg.dim)],
+            "unit": [ts(x) for x in alg.unit]}
+
+
+def test_quiver_and_structure_constants_docs_share_a_cache_dir(tmp_path, capsys):
+    # equal tables and content hashes, opposite idempotent orders: their
+    # resolutions must be stored apart, and neither may read the other's
+    docs = {"quiver": _doc("a2"), "table": _structure_constants_doc("a2")}
+    algs = [algebra_from_doc(doc) for doc in docs.values()]
+    assert algs[0].content_hash() == algs[1].content_hash()
+    assert algs[0].basic.idempotent_coords != algs[1].basic.idempotent_coords
+    cache_dir = tmp_path / "cache"
+    plain = {}
+    for name, doc in docs.items():
+        path = _write(tmp_path, doc, f"{name}.json")
+        argv = ["verify", path, "--idempotent", "[1,0,0]", "--max-degree", "3",
+                "--cutoff", "4"]
+        assert main(argv) == EXIT_OK
+        plain[name] = (argv, capsys.readouterr().out)
+    stored = []
+    for _ in range(2):
+        for name, (argv, expected) in plain.items():
+            assert main(argv + ["--cache-dir", str(cache_dir)]) == EXIT_OK
+            assert capsys.readouterr().out == expected, name
+            stored.append(len(list(cache_dir.iterdir())))
+    assert stored[0] < stored[1] == stored[2] == stored[3]
+
+
 def test_usage_error_exit_1():
     assert main(["stratify"]) == EXIT_USAGE
 

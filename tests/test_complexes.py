@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
-from recollab.algebra import enveloping
+from recollab import complexes
+from recollab.algebra import Algebra, discover_basic, enveloping
 from recollab.complexes import (
     BoundedComplex,
     ShortExactSequence,
@@ -11,6 +14,7 @@ from recollab.complexes import (
     is_exceptional,
     lift_map,
     projective_resolution,
+    resolution_store,
 )
 from recollab.errors import DepthMismatch, InputNotExact, NotDegreewiseProjective
 from recollab.exactfield import QQ, Matrix, rank
@@ -19,6 +23,7 @@ from recollab.fixtures import (
     dual_numbers,
     ground_field,
     kronecker_algebra,
+    non_stratifying_algebra,
     vertex_idempotent,
 )
 from recollab.modules import (
@@ -302,3 +307,163 @@ def test_shift_preserves_cohomology():
     x = res.to_complex()
     y = x.shift(1)
     assert y.cohomology_module(-1).dim == x.cohomology_module(0).dim
+
+
+# --------------------------------------------------------------------------
+# The resolution store.
+# --------------------------------------------------------------------------
+
+
+class _DictDisk:
+    """A disk cache kept in a dict, holding entries as JSON text."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def get(self, key):
+        text = self.entries.get(key)
+        return None if text is None else json.loads(text)
+
+    def put(self, key, data):
+        self.entries[key] = json.dumps(data)
+
+
+def _same_resolution(r, s):
+    return (r.modules == s.modules and r.summand_tags == s.summand_tags
+            and [d.matrix for d in r.diffs] == [d.matrix for d in s.diffs]
+            and r.augmentation.matrix == s.augmentation.matrix
+            and (r.stabilized, r.periodicity, r.syzygy_dims)
+            == (s.stabilized, s.periodicity, s.syzygy_dims))
+
+
+def test_memo_hit_is_rebound_to_the_callers_module():
+    a = a2_path_algebra()
+    m1, m2 = simple_modules(a)[0], simple_modules(a)[0]
+    with resolution_store() as store:
+        r1 = projective_resolution(m1, 3)
+        r2 = projective_resolution(m2, 3)
+    assert len(store.memo) == 1
+    assert r1.module is m1 and r1.augmentation.target is m1
+    assert r2.module is m2 and r2.augmentation.target is m2
+    assert _same_resolution(r1, r2)
+
+
+def test_store_scope_is_restored_after_the_block():
+    outer = complexes._store
+    with resolution_store() as inner:
+        assert complexes._store is inner and inner is not outer
+    assert complexes._store is outer
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_one_table_with_two_idempotent_orders(first):
+    # equal algebras (Algebra.__eq__ reads the table) whose basic structures
+    # list the vertices in opposite orders: covers of one must never use the
+    # vertex projectives of the other
+    a = a2_path_algebra()
+    b = discover_basic(Algebra(a.field, a.struct, a.unit))
+    assert a == b and a.basic.idempotent_coords != b.basic.idempotent_coords
+    assert a.structure_hash() != b.structure_hash()
+    order = (a, b) if first == 0 else (b, a)
+    with resolution_store() as store:
+        for alg in order:
+            res = projective_resolution(regular_module(alg), 3)
+            assert res.stabilized and res.projective_dimension() == 0
+    assert len(store.memo) == 2
+
+
+def test_disk_entry_is_rebuilt_and_used(monkeypatch):
+    s = simple_modules(dual_numbers())[0]
+    disk = _DictDisk()
+    with resolution_store(disk):
+        cold = projective_resolution(s, 4)
+    assert len(disk.entries) == 1 and cold.periodicity is not None
+
+    def refuse(m, n_max):
+        raise AssertionError("a valid disk entry was recomputed")
+
+    monkeypatch.setattr(complexes, "_resolve", refuse)
+    with resolution_store(disk) as store:
+        warm = projective_resolution(s, 4)
+    assert store.rejected == 0
+    assert warm.module is s and _same_resolution(cold, warm)
+
+
+def _zero_first_diff(d):
+    d["diffs"][0] = [["0"] * len(row) for row in d["diffs"][0]]
+
+
+def _drop_last_level(d):
+    d["tags"].pop()
+    d["diffs"].pop()
+
+
+def _swap_first_tag(d):
+    d["tags"][0] = [1 - v for v in d["tags"][0]]
+
+
+def _false_witness(d):
+    d["periodicity"] = [1, 2]
+
+
+def _garbage(d):
+    d["diffs"] = "not a matrix"
+
+
+# Each of the next three passes every check but one.
+
+
+def _nonlinear_entry(d):
+    # caught only by the A-linearity check
+    d["diffs"][1][1][1] = "1"
+
+
+def _split_summand(d):
+    # level 0 is e_0 A alone: add e_0 A to levels 0 and 1 with the identity
+    # between them; still exact and A-linear, caught only as not minimal
+    k = len(d["augmentation"])
+    d["tags"][0].append(0)
+    d["tags"][1].append(0)
+    d["augmentation"] += [["0"] * len(d["augmentation"][0]) for _ in range(k)]
+    d["diffs"][0] = [row + ["0"] * k for row in d["diffs"][0]] + \
+        [["0"] * k + ["1" if i == j else "0" for j in range(k)] for i in range(k)]
+    d["diffs"][1] = [row + ["0"] * k for row in d["diffs"][1]]
+
+
+def _identity_last_diff(d):
+    # over the dual numbers every level is A: d o d != 0, caught only by the
+    # exactness check
+    last = d["diffs"][-1]
+    d["diffs"][-1] = [["1" if i == j else "0" for j in range(len(last[0]))]
+                      for i in range(len(last))]
+
+
+def _ns_simple():
+    # a resolution of depth 2, tags [(0,), (1,), (0,)], syzygies of dims 1, 2
+    return simple_modules(non_stratifying_algebra())[0], 2
+
+
+def _dual_simple():
+    return simple_modules(dual_numbers())[0], 3
+
+
+@pytest.mark.parametrize("tamper, case", [
+    (_zero_first_diff, _ns_simple), (_drop_last_level, _ns_simple),
+    (_swap_first_tag, _ns_simple), (_false_witness, _ns_simple),
+    (_garbage, _ns_simple), (_nonlinear_entry, _ns_simple),
+    (_split_summand, _ns_simple), (_identity_last_diff, _dual_simple),
+])
+def test_tampered_disk_entry_is_rejected_and_rewritten(tamper, case):
+    m, n_max = case()
+    disk = _DictDisk()
+    with resolution_store(disk):
+        cold = projective_resolution(m, n_max)
+    (key, text), = disk.entries.items()
+    data = json.loads(text)
+    tamper(data)
+    disk.entries[key] = json.dumps(data)
+    with resolution_store(disk) as store:
+        warm = projective_resolution(m, n_max)
+    assert store.rejected == 1
+    assert _same_resolution(cold, warm)
+    assert disk.entries[key] == text

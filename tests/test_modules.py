@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from recollab.algebra import Idempotent, enveloping
-from recollab.errors import AlgebraMismatch
+from recollab.errors import AlgebraMismatch, NotInHomSpace
 from recollab.exactfield import QQ, GF, Matrix, rank
 from recollab.fixtures import (
     a2_path_algebra,
@@ -21,8 +21,10 @@ from recollab.modules import (
     canonical_bimodules,
     direct_sum,
     free_cover,
+    hom_coords,
     hom_module,
     hom_space,
+    hom_vec_basis,
     is_projective,
     iso_test,
     kernel_cokernel,
@@ -300,3 +302,24 @@ def test_direct_sum_dims():
     s1, s2 = simple_modules(a)
     d = direct_sum([s1, s2, regular_module(a)])
     assert d.dim == 5
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_hom_coords_solves_a_batch_and_names_a_map_outside_the_span(field):
+    a = kronecker_algebra(field)
+    m = regular_module(a)
+    maps = hom_space(m, m)
+    basis = hom_vec_basis(maps, m.dim, m.dim, field)
+    two = field.coerce(2)
+    mats = [mp.matrix for mp in reversed(maps)] + [maps[0].matrix.scale(two)]
+    coords = hom_coords(basis, mats)
+    h = len(maps)
+    expected = [[field.one() if j == h - 1 - i else field.zero() for j in range(h)]
+                for i in range(h)] + [[two] + [field.zero()] * (h - 1)]
+    assert coords == Matrix(field, expected, ncols=h)
+    assert hom_coords(basis, []) == Matrix(field, [], ncols=h)
+    # the identity on k^dim A is a module map; a matrix unit that is not one
+    outside = Matrix(field, [[field.one() if (i, j) == (0, 1) else field.zero()
+                              for j in range(m.dim)] for i in range(m.dim)])
+    with pytest.raises(NotInHomSpace):
+        hom_coords(basis, [Matrix.identity(field, m.dim), outside])
