@@ -270,9 +270,6 @@ class Idempotent:
         if a.multiply(coords, coords) != coords:
             raise ValueError("e*e != e")
 
-    def is_unit(self):
-        return self.coords == self.algebra.unit
-
 
 # --------------------------------------------------------------------------
 # Quiver presentations.
@@ -376,10 +373,6 @@ class _Reducer:
 
     def _path_lookup(self, source, labels):
         return self.index.get((source, labels))
-
-    def _compose(self, left_labels, right_labels, right_source):
-        # right traversed first, then left
-        return right_source, right_labels + left_labels
 
     def _relation_rows(self):
         f = self.field

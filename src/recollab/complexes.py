@@ -195,9 +195,6 @@ class BoundedComplex:
                  for n, d in self.diffs.items()}
         return BoundedComplex(self.algebra, mods, diffs, _validate=False)
 
-    def is_degreewise_projective(self):
-        return all(is_projective(m) for m in self.modules.values())
-
     @staticmethod
     def concentrated(m, degree=0):
         return BoundedComplex(m.algebra, {degree: m}, {})

@@ -1,22 +1,28 @@
 """Exact scalar arithmetic and dense/sparse matrix kernels.
 
-Two fields are supported: the rationals (elements are ``fractions.Fraction``)
-and prime fields F_p (elements are ints reduced to ``0..p-1``).  A field tag
-is a :class:`Field` instance; scalars themselves are plain Python values, so
-there is no per-element wrapper object.
+Two fields are supported: the rationals and prime fields F_p (elements are
+ints reduced to ``0..p-1``).  A field tag is a :class:`Field` instance;
+scalars themselves are plain Python values, so there is no per-element
+wrapper object.  A rational scalar is canonical: a Python ``int`` when it is
+integral and a ``fractions.Fraction`` (denominator > 1) only when it is not.
+``str``, ``==`` and ``hash`` agree between ``n`` and ``Fraction(n)``, so
+callers compare scalars with ``==``, never by type.
 
 Every operation is exact and deterministic.  Gaussian elimination always
 pivots on the leftmost nonzero column of the topmost unreduced row, so the
 reduced row echelon form, kernel bases and solve outputs are reproducible
-bit for bit.  Rational elimination clears denominators and runs on Python
-integers (cross-multiplication with per-row gcd normalisation), which is
-both exact and much faster than Fraction arithmetic in the inner loop.
+bit for bit.  Rational elimination is fraction-free: it clears denominators
+once, runs forward elimination and back substitution on Python integers
+(cross-multiplication with per-row gcd normalisation, after Bareiss) and
+divides each pivot row by its pivot only at the end.  Products of integer
+matrices run in numpy (int64, or ``object`` when int64 could overflow).
 """
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -70,9 +76,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a):
         return a == self.zero()
 
@@ -86,32 +89,39 @@ class Field:
         return self.name
 
 
+def _canon(x):
+    """An int or a Fraction as a canonical rational: an int when integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField(Field):
     name = "Q"
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
+        if type(x) is int:
             return x
+        if isinstance(x, Fraction):
+            return _canon(x)
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _canon(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return a + b
+        return _canon(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canon(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canon(a * b)
 
     def neg(self, a):
         return -a
@@ -119,7 +129,7 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return _canon(Fraction(1) / a)
 
     def is_zero(self, a):
         return a == 0
@@ -128,7 +138,7 @@ class RationalField(Field):
         return str(a)
 
     def parse(self, s):
-        return Fraction(s)
+        return _canon(Fraction(s))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -236,7 +246,8 @@ class Matrix:
 
     def __init__(self, field, rows, ncols=None):
         self.field = field
-        rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
+        coerce = field.coerce
+        rows = tuple(tuple(map(coerce, r)) for r in rows)
         self.rows = rows
         self.nrows = len(rows)
         if rows:
@@ -251,6 +262,18 @@ class Matrix:
         self._rref_cache = None
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, field, rows, ncols):
+        """A matrix on `rows`, a tuple of equal-length tuples of canonical
+        scalars of `field`, taken as they are (no coercion, no checks)."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m._rref_cache = None
+        return m
 
     @staticmethod
     def zeros(field, nrows, ncols):
@@ -275,10 +298,6 @@ class Matrix:
     @staticmethod
     def row_vector(field, entries):
         return Matrix(field, [list(entries)], ncols=len(entries))
-
-    @staticmethod
-    def col_vector(field, entries):
-        return Matrix(field, [[x] for x in entries], ncols=1)
 
     # -- basic structure ---------------------------------------------------
 
@@ -306,40 +325,31 @@ class Matrix:
         zero = self.field.is_zero
         return all(zero(x) for r in self.rows for x in r)
 
-    def is_identity(self):
-        if self.nrows != self.ncols:
-            return False
-        f = self.field
-        return all(r[j] == (f.one() if i == j else f.zero())
-                   for i, r in enumerate(self.rows) for j in range(self.ncols))
-
     def transpose(self):
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)], ncols=self.nrows)
+        rows = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
+        return Matrix._of(self.field, rows, self.nrows)
 
     def hstack(self, other):
         if other.nrows != self.nrows:
             raise DimensionMismatch("hstack needs equal row counts")
         check_same_field(self.field, other.field)
-        if self.nrows == 0:
-            return Matrix(self.field, [], ncols=self.ncols + other.ncols)
-        return Matrix(self.field, [self.rows[i] + other.rows[i] for i in range(self.nrows)])
+        return Matrix._of(self.field, tuple(a + b for a, b in zip(self.rows, other.rows)),
+                          self.ncols + other.ncols)
 
     def vstack(self, other):
         if other.ncols != self.ncols:
             raise DimensionMismatch("vstack needs equal col counts")
         check_same_field(self.field, other.field)
-        return Matrix(self.field, self.rows + other.rows, ncols=self.ncols)
+        return Matrix._of(self.field, self.rows + other.rows, self.ncols)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(self.field, [[self.rows[i][j] for j in col_idx] for i in row_idx],
-                      ncols=len(col_idx))
+        rows = self.rows
+        return Matrix._of(self.field, tuple(tuple(rows[i][j] for j in col_idx) for i in row_idx),
+                          len(col_idx))
 
     def take_rows(self, idx):
-        return Matrix(self.field, [self.rows[i] for i in idx], ncols=self.ncols)
-
-    def map_entries(self, fn):
-        return Matrix(self.field, [[fn(x) for x in r] for r in self.rows], ncols=self.ncols)
+        rows = self.rows
+        return Matrix._of(self.field, tuple(rows[i] for i in idx), self.ncols)
 
     def scale(self, c):
         c = self.field.coerce(c)
@@ -384,20 +394,10 @@ class Matrix:
         fast = _matmul_fast(self, other)
         if fast is not None:
             return fast
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero()
+        # exact sums of products, reduced into the field by the constructor
         bt = other.transpose().rows
-        out = []
-        for ra in self.rows:
-            out_row = []
-            for cb in bt:
-                acc = zero
-                for a, b in zip(ra, cb):
-                    if a != zero and b != zero:
-                        acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(f, out, ncols=other.ncols)
+        return Matrix(self.field, [[sum(a * b for a, b in zip(ra, cb) if a and b) for cb in bt]
+                                   for ra in self.rows], ncols=other.ncols)
 
     def __matmul__(self, other):
         return self.mul(other)
@@ -423,32 +423,25 @@ class Matrix:
 
 
 def _matmul_fast(a, b):
-    """int64 numpy matmul when all entries are small integers; None otherwise."""
-    try:
-        if a.field == QQ:
-            if any(x.denominator != 1 for r in a.rows for x in r):
-                return None
-            if any(x.denominator != 1 for r in b.rows for x in r):
-                return None
-            na = np.array([[int(x) for x in r] for r in a.rows], dtype=object)
-            nb = np.array([[int(x) for x in r] for r in b.rows], dtype=object)
-            ma = max((abs(int(x)) for r in a.rows for x in r), default=0)
-            mb = max((abs(int(x)) for r in b.rows for x in r), default=0)
-            if ma * mb * max(a.ncols, 1) < _INT64_SAFE:
-                prod = na.astype(np.int64) @ nb.astype(np.int64)
-            else:
-                prod = na @ nb
-            return Matrix(QQ, [[Fraction(int(x)) for x in row] for row in prod.tolist()],
-                          ncols=b.ncols)
+    """numpy matmul when all entries are ints; None when some entry is a Fraction.
+
+    Over Q the product runs in int64 when |a| * |b| * inner dimension stays
+    below 2^62, and on Python ints (`object` arrays) otherwise.
+    """
+    if a.field == QQ:
+        ea, eb = chain.from_iterable(a.rows), chain.from_iterable(b.rows)
+        if not {*map(type, ea), *map(type, eb)} <= {int}:
+            return None
+        ma = max(map(abs, chain.from_iterable(a.rows)))
+        mb = max(map(abs, chain.from_iterable(b.rows)))
+        dtype = np.int64 if max(ma, 1) * max(mb, 1) * a.ncols < _INT64_SAFE else object
+        prod = np.array(a.rows, dtype=dtype) @ np.array(b.rows, dtype=dtype)
+    else:
         p = a.field.p
-        if (p - 1) * (p - 1) * max(a.ncols, 1) < _INT64_SAFE:
-            na = np.array(a.rows, dtype=np.int64)
-            nb = np.array(b.rows, dtype=np.int64)
-            prod = (na @ nb) % p
-            return Matrix(a.field, prod.tolist(), ncols=b.ncols)
-    except (OverflowError, ValueError):
-        return None
-    return None
+        if (p - 1) * (p - 1) * a.ncols >= _INT64_SAFE:
+            return None
+        prod = (np.array(a.rows, dtype=np.int64) @ np.array(b.rows, dtype=np.int64)) % p
+    return Matrix._of(a.field, tuple(map(tuple, prod.tolist())), b.ncols)
 
 
 # --------------------------------------------------------------------------
@@ -489,27 +482,20 @@ def _rref_prime(rows, ncols, p):
     return rows, pivots
 
 
-def _igcd_row(row):
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return 1
-    return g
-
-
 def _rref_rational(rows, ncols):
-    # Clear denominators per row, forward-eliminate on integers, then
-    # renormalise the surviving pivot rows into the exact rational RREF.
+    # Fraction-free: clear each row's denominators, eliminate forwards and
+    # back on integers (each combination cross-multiplies by the reduced
+    # pivot and entry, then divides out the row's gcd), and divide each pivot
+    # row by its pivot only at the end.  The pivot rule is the one above, so
+    # the result is the same RREF as exact rational elimination.
     irows = []
     for r in rows:
-        den = lcm(*(x.denominator for x in r))
-        ir = [int(x * den) for x in r]
-        g = _igcd_row(ir)
-        if g > 1:
-            ir = [x // g for x in ir]
-        irows.append(ir)
+        if {*map(type, r)} <= {int}:
+            ir = list(r)
+        else:
+            den = lcm(*(x.denominator for x in r))
+            ir = [x.numerator * (den // x.denominator) for x in r]
+        irows.append(_primitive(ir))
     pivots = []
     pr = 0
     nrows = len(irows)
@@ -522,35 +508,43 @@ def _rref_rational(rows, ncols):
         if sel is None:
             continue
         irows[pr], irows[sel] = irows[sel], irows[pr]
-        prow = irows[pr]
-        pv = prow[pc]
         for i in range(pr + 1, nrows):
-            c = irows[i][pc]
-            if c:
-                ri = irows[i]
-                new = [x * pv - y * c for x, y in zip(ri, prow)]
-                g = _igcd_row(new)
-                if g > 1:
-                    new = [x // g for x in new]
-                irows[i] = new
+            if irows[i][pc]:
+                irows[i] = _eliminate(irows[i], irows[pr], pc)
         pivots.append(pc)
         pr += 1
         if pr == nrows:
             break
-    # Back substitution in exact rationals on the <= rank pivot rows.
     rank = len(pivots)
-    frows = [[Fraction(x) for x in irows[i]] for i in range(rank)]
-    for k in range(rank - 1, -1, -1):
+    for k in range(rank - 1, 0, -1):
         pc = pivots[k]
-        pv = frows[k][pc]
-        frows[k] = [x / pv for x in frows[k]]
         for i in range(k):
-            c = frows[i][pc]
-            if c:
-                frows[i] = [x - c * y for x, y in zip(frows[i], frows[k])]
-    zero_row = [Fraction(0)] * ncols
-    out = frows + [list(zero_row) for _ in range(nrows - rank)]
-    return out, pivots
+            if irows[i][pc]:
+                irows[i] = _eliminate(irows[i], irows[k], pc)
+    out = []
+    for k, pc in enumerate(pivots):
+        row, pv = irows[k], irows[k][pc]
+        if pv == 1:
+            out.append(tuple(row))
+        else:
+            out.append(tuple(x // pv if x % pv == 0 else Fraction(x, pv) for x in row))
+    out.extend([(0,) * ncols] * (nrows - rank))
+    return tuple(out), pivots
+
+
+def _eliminate(row, prow, pc):
+    """row * (p/g) - prow * (c/g) with p = prow[pc], c = row[pc], g = gcd(p, c),
+    divided by its gcd: the primitive integer row with a 0 at pc."""
+    pv, c = prow[pc], row[pc]
+    g = gcd(pv, c)
+    a, b = pv // g, c // g
+    return _primitive([x * a - y * b for x, y in zip(row, prow)])
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rref(m):
@@ -558,14 +552,15 @@ def rref(m):
     if m._rref_cache is not None:
         return m._rref_cache
     if m.nrows == 0 or m.ncols == 0:
-        res = (Matrix(m.field, [list(r) for r in m.rows], ncols=m.ncols), ())
+        res = (Matrix._of(m.field, m.rows, m.ncols), ())
         m._rref_cache = res
         return res
     if m.field == QQ:
         rows, pivots = _rref_rational(m.rows, m.ncols)
     else:
         rows, pivots = _rref_prime(m.rows, m.ncols, m.field.p)
-    res = (Matrix(m.field, rows, ncols=m.ncols), tuple(pivots))
+        rows = tuple(map(tuple, rows))
+    res = (Matrix._of(m.field, rows, m.ncols), tuple(pivots))
     m._rref_cache = res
     return res
 

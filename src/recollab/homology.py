@@ -359,8 +359,11 @@ def _int_columns(cols, f):
         return cols
     out = []
     for col in cols:
+        if {*map(type, col.values())} <= {int}:
+            out.append(col)
+            continue
         den = lcm(*(v.denominator for v in col.values()))
-        out.append({r: int(v * den) for r, v in col.items()})
+        out.append({r: v.numerator * (den // v.denominator) for r, v in col.items()})
     return out
 
 
@@ -381,6 +384,12 @@ def bar_oracle(a, n_max, budget=20000):
             raise BudgetExceeded(
                 f"bar term dimension {d ** (n + 1)} exceeds budget {budget}")
     tab = a._sparse_table()
+    # factors[m]: the (u, v, c) with c the coefficient of b_m in b_u b_v, in
+    # (u, v)-lexicographic then table order
+    factors = {}
+    for (u, v), ent in sorted(tab.items()):
+        for mkey, c in ent:
+            factors.setdefault(mkey, []).append((u, v, c))
 
     def chain_diff_columns(n):
         # d_n: C_n -> C_{n-1}, one sparse column per basis tuple
@@ -449,16 +458,8 @@ def bar_oracle(a, n_max, budget=20000):
             # terms 1..n: f(a_1, ..., a_t a_{t+1}, ..., a_{n+1})
             for t in range(1, n + 1):
                 sign = f.coerce(-1 if t % 2 == 1 else 1)
-                jt = J[t - 1]
-                for u in range(d):
-                    for v in range(d):
-                        ent = tab.get((u, v))
-                        if not ent:
-                            continue
-                        for mkey, c in ent:
-                            if mkey == jt:
-                                tup = J[:t - 1] + [u, v] + J[t:]
-                                add(tup, k, f.mul(sign, c))
+                for u, v, c in factors.get(J[t - 1], ()):
+                    add(J[:t - 1] + [u, v] + J[t:], k, f.mul(sign, c))
             # last term: f(a_1..a_n) . a_{n+1}
             sign = f.coerce(-1 if (n + 1) % 2 == 1 else 1)
             for w in range(d):
@@ -515,12 +516,6 @@ class LesReport:
     maps: list               # maps[i]: terms[i] -> terms[i+1]
     joints: list
     exact: bool
-
-    def summary(self):
-        parts = []
-        for t in self.terms:
-            parts.append(f"{t.label}[{t.degree}]={t.dim}")
-        return " -> ".join(parts)
 
 
 def _snake_les(sub_cx, mid_cx, quot_cx, incs, prjs, degrees, labels,

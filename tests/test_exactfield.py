@@ -300,3 +300,158 @@ def test_linear_combination_and_unit_vector(field):
     assert linear_combination([field.zero()] * 3, mats, field, 2, 3) == \
         Matrix.zeros(field, 2, 3)
     assert unit_vector(field, 3, 1) == (field.zero(), field.one(), field.zero())
+
+
+# --------------------------------------------------------------------------
+# Randomised oracle: rref, rank, kernel_basis, solve and solve_matrix against
+# sympy's DomainMatrix, over Q and over F_7, on the same 1000 shapes.
+# --------------------------------------------------------------------------
+
+ORACLE_SHAPES = 250     # per kind of entries; four kinds
+BIG = 2**31
+
+
+def _oracle_rows(rng, kind, nr, nc):
+    """Rational entries of one kind: small ints, fractions, all-int rows mixed
+    with fraction rows, or ints and fractions of 2^31 and more."""
+    def small():
+        return rng.choice((0, 0, 0, 1, -1, rng.randrange(-3, 4)))
+
+    # denominators prime to 7, so that every case also lives over F_7
+    def frac():
+        return Fraction(rng.randrange(-4, 5), rng.randrange(1, 7))
+
+    big_fracs = rng.random() < 0.5     # else all ints, for matmul's object path
+
+    def big():
+        x = rng.choice((0, 1, -1, BIG + rng.randrange(2**40), -(BIG * rng.randrange(1, 2**20))))
+        return Fraction(x, 2 ** rng.randrange(1, 40)) if big_fracs and rng.random() < 0.2 else x
+
+    rows = []
+    for _ in range(nr):
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            rows.append([small() for _ in range(nc)])
+        elif kind == "big":
+            rows.append([big() for _ in range(nc)])
+        else:
+            rows.append([frac() if rng.random() < 0.6 else small() for _ in range(nc)])
+    if nr > 1 and rng.random() < 0.5:    # a dependent row, so ranks drop
+        c = rng.choice((2, -1, Fraction(1, 3)))
+        rows[-1] = [c * x + y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+def _oracle_cases(kind, seed):
+    rng = random.Random(seed)
+    for _ in range(ORACLE_SHAPES):
+        nr, nc = rng.randrange(1, 8), rng.randrange(1, 9)
+        yield rng, _oracle_rows(rng, kind, nr, nc)
+
+
+def _sympy(field):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import GF as SGF, QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    dom = SQQ if field == QQ else SGF(field.p)
+
+    def to_dm(rows, nc):
+        ents = [[dom(x.numerator, x.denominator) if field == QQ else dom(field.coerce(x))
+                 for x in r] for r in rows]
+        return DomainMatrix(ents, (len(rows), nc), dom)
+
+    def back(x):
+        return Fraction(int(x.numerator), int(x.denominator)) if field == QQ \
+            else int(x) % field.p
+    return to_dm, back
+
+
+def _is_canonical(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _assert_canonical(*mats):
+    for m in mats:
+        rows = m.rows if isinstance(m, Matrix) else (m,)
+        assert all(_is_canonical(x) for r in rows for x in r), rows
+
+
+F7 = GF(7)
+
+
+@pytest.mark.parametrize("kind", ["int", "frac", "mixed", "big"])
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_kernels_match_sympy(field, kind):
+    to_dm, back = _sympy(field)
+    seed = {"int": 1, "frac": 2, "mixed": 3, "big": 4}[kind]
+    for rng, rows in _oracle_cases(kind, seed):
+        nr, nc = len(rows), len(rows[0])
+        m = Matrix(field, rows)
+        dm = to_dm(m.rows, nc)
+        R_s, piv_s = dm.rref()
+        R, piv = rref(m)
+        assert piv == tuple(piv_s)
+        assert R.rows == tuple(tuple(back(x) for x in r) for r in R_s.to_list())
+        assert rank(m) == dm.rank() == len(piv)
+        # sympy's null space basis, scaled to 1 at its free column
+        free = [j for j in range(nc) if j not in piv]
+        K = kernel_basis(m)
+        assert K.transpose().rows == tuple(tuple(back(x / r[j]) for x in r)
+                                           for r, j in zip(dm.nullspace().to_list(), free))
+        # solve: a consistent rhs (m x0) and a random one
+        x0 = [field.coerce(rng.randrange(-3, 4)) for _ in range(nc)]
+        for b in (m.mul(Matrix.from_cols(field, [x0])).col(0),
+                  [field.coerce(rng.randrange(-3, 4)) for _ in range(nr)]):
+            x = solve(m, b)
+            aug = to_dm([list(r) + [bi] for r, bi in zip(m.rows, b)], nc + 1)
+            if aug.rank() > dm.rank():
+                assert x is None
+                continue
+            assert m.mul(Matrix.from_cols(field, [x])).col(0) == tuple(b)
+            assert all(x[j] == 0 for j in free)
+            _assert_canonical(x)
+        B = Matrix(field, [[rng.randrange(-3, 4) for _ in range(2)] for _ in range(nc)])
+        X = solve_matrix(m, m.mul(B))
+        assert m.mul(X) == m.mul(B)
+        assert X.submatrix(free, range(2)).is_zero()
+        _assert_canonical(R, K, X)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_matmul_matches_sympy_on_both_numpy_paths(field):
+    to_dm, back = _sympy(field)
+    rng = random.Random(8)
+    for kind in ("int", "frac", "big"):
+        for _, rows in _oracle_cases(kind, 10 + len(kind)):
+            a = Matrix(field, rows)
+            b = Matrix(field, _oracle_rows(rng, kind, a.ncols, rng.randrange(1, 6)))
+            expected = (to_dm(a.rows, a.ncols) * to_dm(b.rows, b.ncols)).to_list()
+            prod = a.mul(b)
+            assert prod.rows == tuple(tuple(back(x) for x in r) for r in expected)
+            _assert_canonical(prod)
+
+
+def test_rational_scalars_are_canonical():
+    assert type(QQ.coerce(Fraction(4, 2))) is int and QQ.coerce(Fraction(4, 2)) == 2
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+    assert type(QQ.parse("6/3")) is int and type(QQ.parse("-1/2")) is Fraction
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    half = Fraction(1, 2)
+    for op in (QQ.add, QQ.sub, QQ.mul):
+        assert _is_canonical(op(half, half)) and _is_canonical(op(half, 3))
+    assert type(QQ.add(half, half)) is int
+    # str, == and hash agree between n and Fraction(n)
+    for n in (0, 1, -7, 2**70):
+        assert str(n) == str(Fraction(n)) and n == Fraction(n)
+        assert hash(n) == hash(Fraction(n))
+
+
+def test_combinations_and_products_return_canonical_scalars():
+    half = Fraction(1, 2)
+    mats = [Matrix(QQ, [[half, 1], [0, Fraction(3, 2)]]), Matrix(QQ, [[half, 2], [1, half]])]
+    lc = linear_combination([2, 1], mats, QQ, 2, 2)
+    assert lc == Matrix(QQ, [[Fraction(3, 2), 4], [1, Fraction(7, 2)]])
+    _assert_canonical(lc, mats[0].mul(mats[1]), mats[0].mul(Matrix(QQ, [[2, 0], [0, 2]])))
+    assert type(mats[0].mul(Matrix(QQ, [[2, 0], [0, 2]])).entry(0, 0)) is int
