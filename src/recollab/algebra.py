@@ -94,11 +94,10 @@ class Algebra:
 
     def _sparse_table(self):
         if self._mult_sparse is None:
-            zero = self.field.is_zero
             tab = {}
             for i in range(self.dim):
                 for j in range(self.dim):
-                    ent = tuple((k, c) for k, c in enumerate(self.struct[i][j]) if not zero(c))
+                    ent = tuple((k, c) for k, c in enumerate(self.struct[i][j]) if c)
                     if ent:
                         tab[(i, j)] = ent
             self._mult_sparse = tab
@@ -106,30 +105,28 @@ class Algebra:
 
     def multiply(self, x, y):
         """Coordinates of (sum x_i b_i) * (sum y_j b_j)."""
-        f = self.field
-        zero = f.zero()
-        out = [zero] * self.dim
+        out = [0] * self.dim
         tab = self._sparse_table()
-        xi = [(i, c) for i, c in enumerate(x) if not f.is_zero(c)]
-        yj = [(j, c) for j, c in enumerate(y) if not f.is_zero(c)]
+        xi = [(i, c) for i, c in enumerate(x) if c]
+        yj = [(j, c) for j, c in enumerate(y) if c]
         for i, a in xi:
             for j, b in yj:
                 ent = tab.get((i, j))
                 if ent:
-                    ab = f.mul(a, b)
+                    ab = a * b
                     for k, c in ent:
-                        out[k] = f.add(out[k], f.mul(ab, c))
-        return tuple(out)
+                        out[k] += ab * c
+        return tuple(map(self.field.coerce, out))
 
     def left_mult_matrix(self, x):
         """Matrix of v |-> coords(x * v) acting on row vectors."""
         f, n = self.field, self.dim
-        return Matrix(f, [self.multiply(x, unit_vector(f, n, i)) for i in range(n)], ncols=n)
+        return Matrix(f, [self.multiply(x, unit_vector(n, i)) for i in range(n)], ncols=n)
 
     def right_mult_matrix(self, x):
         """Matrix of v |-> coords(v * x) acting on row vectors."""
         f, n = self.field, self.dim
-        return Matrix(f, [self.multiply(unit_vector(f, n, i), x) for i in range(n)], ncols=n)
+        return Matrix(f, [self.multiply(unit_vector(n, i), x) for i in range(n)], ncols=n)
 
     def basis_left_mats(self):
         if self._left_mats is None:
@@ -148,7 +145,7 @@ class Algebra:
     def generators(self):
         if self.basic is not None and self.basic.generator_coords:
             return self.basic.generator_coords
-        return tuple(unit_vector(self.field, self.dim, i) for i in range(self.dim))
+        return tuple(unit_vector(self.dim, i) for i in range(self.dim))
 
     def is_commutative(self):
         return all(self.struct[i][j] == self.struct[j][i]
@@ -180,16 +177,15 @@ class Algebra:
         if self._hashes is None:
             h = hashlib.sha256()
             h.update(field_tag_str(self.field).encode())
-            ts = self.field.to_str
-            h.update(("|" + ",".join(ts(x) for x in self.unit)).encode())
+            h.update(("|" + ",".join(map(str, self.unit))).encode())
             for i in range(self.dim):
                 for j in range(self.dim):
-                    h.update(("|" + ",".join(ts(x) for x in self.struct[i][j])).encode())
+                    h.update(("|" + ",".join(map(str, self.struct[i][j]))).encode())
             content = h.hexdigest()
             b = self.basic
             if b is not None:
                 for part in (b.idempotent_coords, b.radical_rows.rows, b.generator_coords):
-                    h.update(("#" + ";".join(",".join(ts(x) for x in v)
+                    h.update(("#" + ";".join(",".join(map(str, v))
                                              for v in part)).encode())
             self._hashes = (content, h.hexdigest())
         return self._hashes
@@ -197,54 +193,35 @@ class Algebra:
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
-        f = self.field
         # unit law on every basis vector
         for i in range(self.dim):
-            v = unit_vector(f, self.dim, i)
+            v = unit_vector(self.dim, i)
             if self.multiply(self.unit, v) != v or self.multiply(v, self.unit) != v:
                 raise ValueError(f"unit law fails on basis element {i}")
-        if self.dim <= _ASSOC_EINSUM_CAP and self._assoc_einsum():
-            self.associativity_checked = True
-            return
-        if self.dim <= 12:
-            tab = self._sparse_table()
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    bij = self.struct[i][j]
-                    for l in range(self.dim):
-                        lhs = self.multiply(bij, unit_vector(f, self.dim, l))
-                        rhs = self.multiply(unit_vector(f, self.dim, i), self.struct[j][l])
-                        if lhs != rhs:
-                            raise ValueError(f"associativity fails at ({i},{j},{l})")
+        if self.dim <= _ASSOC_EINSUM_CAP:
+            self._check_associative()
             self.associativity_checked = True
 
-    def _assoc_einsum(self):
-        f = self.field
-        try:
-            if f == QQ:
-                den = lcm(*(x.denominator for row in self.struct for entry in row
-                            for x in entry))
-                # associativity is invariant under global scaling of the table
-                C = np.array([[[int(x * den) for x in self.struct[i][j]]
-                               for j in range(self.dim)]
-                              for i in range(self.dim)], dtype=np.int64)
-                mx = int(np.max(np.abs(C))) if C.size else 0
-                if mx * mx * max(self.dim, 1) >= 2**62:
-                    return False
-            else:
-                C = np.array([[[int(x) for x in self.struct[i][j]] for j in range(self.dim)]
-                              for i in range(self.dim)], dtype=np.int64)
-        except (OverflowError, ValueError):
-            return False
+    def _check_associative(self):
+        """Raise unless (b_i b_j) b_l = b_i (b_j b_l) for all i, j, l.
+
+        The table is checked in integers: over Q scaled by the common
+        denominator (a global scale does not change associativity), over F_p
+        compared mod p.  Each product sums dim terms of size at most max|c|^2,
+        so the einsum runs in int64 below 2^62 and on Python ints otherwise.
+        """
+        f, n = self.field, self.dim
+        flat = [x for row in self.struct for entry in row for x in entry]
+        den = lcm(*(x.denominator for x in flat))
+        ints = [x.numerator * (den // x.denominator) for x in flat]
+        mx = max(map(abs, ints), default=0)
+        C = np.array(ints, dtype=np.int64 if mx * mx * n < 2**62 else object).reshape(n, n, n)
         lhs = np.einsum("ijm,mlk->ijlk", C, C)
         rhs = np.einsum("jlm,imk->ijlk", C, C)
-        if f == QQ:
-            ok = np.array_equal(lhs, rhs)
-        else:
-            ok = np.array_equal(lhs % f.p, rhs % f.p)
-        if not ok:
+        if f != QQ:
+            lhs, rhs = lhs % f.p, rhs % f.p
+        if not np.array_equal(lhs, rhs):
             raise ValueError("associativity fails")
-        return True
 
 
 def zero_algebra(field):
@@ -265,7 +242,7 @@ class Idempotent:
         a = self.algebra
         coords = tuple(a.field.coerce(x) for x in self.coords)
         object.__setattr__(self, "coords", coords)
-        if all(a.field.is_zero(x) for x in coords):
+        if not any(coords):
             raise ValueError("idempotent must be nonzero")
         if a.multiply(coords, coords) != coords:
             raise ValueError("e*e != e")
@@ -385,7 +362,7 @@ class _Reducer:
                     total_min = len(p) + len(qpath) + min(len(path) for _, path in rel)
                     if total_min > self.max_len:
                         continue
-                    row = [f.zero()] * n
+                    row = [0] * n
                     nonzero = False
                     ok = True
                     for coeff, mid in rel:
@@ -410,7 +387,7 @@ class _Reducer:
                             if idx is None:
                                 valid = False
                             else:
-                                row[idx] = f.add(row[idx], f.coerce(coeff))
+                                row[idx] += f.coerce(coeff)
                                 nonzero = True
                         if not valid:
                             continue
@@ -473,11 +450,10 @@ def from_quiver(q, field_tag, degree_bound=32, path_budget=20000):
     pos = {(p.source, p.labels): i for i, p in enumerate(survivors)}
     n = len(survivors)
     f = field
-    zero = f.zero()
 
     def reduce_to_basis(source, labels):
         raw = red.reduce_path(source, labels)
-        out = [zero] * n
+        out = [0] * n
         for j, c in raw.items():
             p = red.paths[j]
             out[pos[(p.source, p.labels)]] = c
@@ -488,24 +464,22 @@ def from_quiver(q, field_tag, degree_bound=32, path_budget=20000):
         row = []
         for qq_ in survivors:     # right factor (applied first)
             if p.source != qq_.target:
-                row.append(tuple([zero] * n))
+                row.append((0,) * n)
             else:
                 row.append(reduce_to_basis(qq_.source, qq_.labels + p.labels))
         struct.append(tuple(row))
 
     labels = [p.display() for p in survivors]
-    unit = [zero] * n
+    unit = [0] * n
     vert_coords = {}
     for v in q.vertices:
         i = pos[(v, ())]
-        u = [zero] * n
-        u[i] = f.one()
-        vert_coords[v] = tuple(u)
-        unit[i] = f.one()
-    rad_rows = Matrix(f, [unit_vector(f, n, i) for i, p in enumerate(survivors) if len(p) >= 1],
+        vert_coords[v] = unit_vector(n, i)
+        unit[i] = 1
+    rad_rows = Matrix(f, [unit_vector(n, i) for i, p in enumerate(survivors) if len(p) >= 1],
                       ncols=n)
     gens = tuple(vert_coords[v] for v in q.vertices) + tuple(
-        unit_vector(f, n, pos[(s, (l,))]) for (s, t, l) in q.arrows if (s, (l,)) in pos)
+        unit_vector(n, pos[(s, (l,))]) for (s, t, l) in q.arrows if (s, (l,)) in pos)
     basic = BasicStructure(
         idempotent_coords=tuple(vert_coords[v] for v in q.vertices),
         idempotent_labels=tuple(q.vertices),
@@ -540,7 +514,6 @@ def tensor(a, b):
     f = a.field
     da, db = a.dim, b.dim
     n = da * db
-    zero = f.zero()
     taba = a._sparse_table()
     tabb = b._sparse_table()
     struct = [[None] * n for _ in range(n)]
@@ -548,21 +521,16 @@ def tensor(a, b):
         for j in range(db):
             for k in range(da):
                 for l in range(db):
-                    row = [zero] * n
+                    row = [0] * n
                     ea = taba.get((i, k))
                     eb = tabb.get((j, l))
                     if ea and eb:
                         for m, cm in ea:
                             for r, cr in eb:
-                                row[m * db + r] = f.mul(cm, cr)
+                                row[m * db + r] = cm * cr
                     struct[i * db + j][k * db + l] = tuple(row)
     struct = tuple(tuple(r) for r in struct)
-    unit = [zero] * n
-    for i, ua in enumerate(a.unit):
-        if not f.is_zero(ua):
-            for j, ub in enumerate(b.unit):
-                if not f.is_zero(ub):
-                    unit[i * db + j] = f.mul(ua, ub)
+    unit = tensor_coords(f, a.unit, b.unit, db)
     labels = tuple(f"{la}⊗{lb}" for la in a.basis_labels for lb in b.basis_labels)
     basic = None
     if a.basic is not None and b.basic is not None:
@@ -575,15 +543,15 @@ def tensor(a, b):
         rad = []
         for rrow in a.basic.radical_rows.rows:
             for j in range(db):
-                rad.append(tensor_coords(f, rrow, unit_vector(f, db, j), db))
+                rad.append(tensor_coords(f, rrow, unit_vector(db, j), db))
         for i in range(da):
             for rrow in b.basic.radical_rows.rows:
-                rad.append(tensor_coords(f, unit_vector(f, da, i), rrow, db))
+                rad.append(tensor_coords(f, unit_vector(da, i), rrow, db))
         rad_rows = row_space_basis(Matrix(f, rad, ncols=n))
         gens = tuple(tensor_coords(f, g, b.unit, db) for g in a.generators()) + \
             tuple(tensor_coords(f, a.unit, g, db) for g in b.generators())
         basic = BasicStructure(tuple(idem), tuple(ilab), rad_rows, gens)
-    out = Algebra(f, struct, tuple(unit), labels=labels, basic=basic, _validate=False)
+    out = Algebra(f, struct, unit, labels=labels, basic=basic, _validate=False)
     if a.associativity_checked and b.associativity_checked:
         out.associativity_checked = True
     elif n <= _ASSOC_EINSUM_CAP:
@@ -593,13 +561,13 @@ def tensor(a, b):
 
 def tensor_coords(f, x, y, db):
     """Coordinates of x (x) y in the lexicographic basis b_i (x) c_j (db = len(y))."""
-    out = [f.zero()] * (len(x) * db)
+    out = [0] * (len(x) * db)
     for i, xi in enumerate(x):
-        if not f.is_zero(xi):
+        if xi:
             for j, yj in enumerate(y):
-                if not f.is_zero(yj):
-                    out[i * db + j] = f.mul(xi, yj)
-    return tuple(out)
+                if yj:
+                    out[i * db + j] = xi * yj
+    return tuple(map(f.coerce, out))
 
 
 def enveloping(a):
@@ -619,17 +587,16 @@ def triangular(a1, a2, m):
         raise ValueError("triangular needs an A2-A1-bimodule (left a2, right a1)")
     d1, dm, d2 = a1.dim, m.dim, a2.dim
     n = d1 + dm + d2
-    zero = f.zero()
 
     def pad(block, vec):
-        out = [zero] * n
+        out = [0] * n
         off = {0: 0, 1: d1, 2: d1 + dm}[block]
         for i, x in enumerate(vec):
             out[off + i] = x
         return tuple(out)
 
     rows = []
-    zrow = tuple([zero] * n)
+    zrow = (0,) * n
     for i in range(n):
         row = []
         for j in range(n):
@@ -652,7 +619,7 @@ def triangular(a1, a2, m):
                 else:
                     row.append(zrow)
         rows.append(tuple(row))
-    unit = [zero] * n
+    unit = [0] * n
     for i, x in enumerate(a1.unit):
         unit[i] = x
     for i, x in enumerate(a2.unit):
@@ -667,11 +634,11 @@ def triangular(a1, a2, m):
         ilab = tuple(f"L:{l}" for l in a1.basic.idempotent_labels) + \
             tuple(f"R:{l}" for l in a2.basic.idempotent_labels)
         rad = [pad(0, r) for r in a1.basic.radical_rows.rows]
-        rad += [pad(1, unit_vector(f, dm, i)) for i in range(dm)]
+        rad += [pad(1, unit_vector(dm, i)) for i in range(dm)]
         rad += [pad(2, r) for r in a2.basic.radical_rows.rows]
         gens = tuple(pad(0, g) for g in a1.generators()) + \
             tuple(pad(2, g) for g in a2.generators()) + \
-            tuple(pad(1, unit_vector(f, dm, i)) for i in range(dm))
+            tuple(pad(1, unit_vector(dm, i)) for i in range(dm))
         basic = BasicStructure(idem, ilab, row_space_basis(Matrix(f, rad, ncols=n)), gens)
     alg = Algebra(f, rows, tuple(unit), labels=labels, basic=basic)
     e1 = Idempotent(alg, pad(0, a1.unit), label="diag(1,0)")
@@ -691,7 +658,7 @@ def corner(a, e, with_embedding=False):
     ec = e.coords if isinstance(e, Idempotent) else tuple(f.coerce(x) for x in e)
     span = []
     for i in range(a.dim):
-        span.append(a.multiply(a.multiply(ec, unit_vector(a.field, a.dim, i)), ec))
+        span.append(a.multiply(a.multiply(ec, unit_vector(a.dim, i)), ec))
     basis = row_space_basis(Matrix(f, span, ncols=a.dim))
     n = basis.nrows
     struct = []
@@ -712,8 +679,8 @@ def corner(a, e, with_embedding=False):
 
 
 def _corner_label(a, row):
-    nz = [(i, c) for i, c in enumerate(row) if not a.field.is_zero(c)]
-    if len(nz) == 1 and nz[0][1] == a.field.one():
+    nz = [(i, c) for i, c in enumerate(row) if c]
+    if len(nz) == 1 and nz[0][1] == 1:
         return a.basis_labels[nz[0][0]]
     return "(" + "+".join(a.basis_labels[i] for i, _ in nz) + ")"
 
@@ -731,7 +698,7 @@ def _corner_basic(a, ec, basis, f):
     # e must be an exact sum of a subset of the known orthogonal primitive
     # idempotents; then e*e_i is e_i (inside) or 0 (outside).
     chosen = []
-    zero_vec = tuple(f.zero() for _ in range(a.dim))
+    zero_vec = (0,) * a.dim
     for idx, iv in enumerate(a.basic.idempotent_coords):
         prod = a.multiply(ec, iv)
         if prod == iv:
@@ -750,10 +717,10 @@ def _corner_basic(a, ec, basis, f):
     rad = []
     for r in a.basic.radical_rows.rows:
         v = a.multiply(a.multiply(ec, r), ec)
-        if not all(f.is_zero(x) for x in v):
+        if any(v):
             rad.append(_express_row(basis, v, f))
     rad_rows = row_space_basis(Matrix(f, rad, ncols=basis.nrows))
-    gens = tuple(unit_vector(f, basis.nrows, i) for i in range(basis.nrows))
+    gens = tuple(unit_vector(basis.nrows, i) for i in range(basis.nrows))
     return BasicStructure(tuple(idem), tuple(ilab), rad_rows, gens)
 
 
@@ -772,9 +739,9 @@ def ideal_and_quotient(a, e):
     ec = e.coords if isinstance(e, Idempotent) else tuple(f.coerce(x) for x in e)
     span = []
     for i in range(a.dim):
-        bie = a.multiply(unit_vector(a.field, a.dim, i), ec)
+        bie = a.multiply(unit_vector(a.dim, i), ec)
         for j in range(a.dim):
-            span.append(a.multiply(bie, unit_vector(a.field, a.dim, j)))
+            span.append(a.multiply(bie, unit_vector(a.dim, j)))
     ideal = Matrix(f, span, ncols=a.dim)
     proj, free = quotient_map(ideal)
     ideal_rows = row_space_basis(ideal)
@@ -792,7 +759,7 @@ def ideal_and_quotient(a, e):
         ilab = []
         for iv, il in zip(a.basic.idempotent_coords, a.basic.idempotent_labels):
             pv = tuple(combine_rows(proj, enumerate(iv)))
-            if any(not f.is_zero(x) for x in pv):
+            if any(pv):
                 idem.append(pv)
                 ilab.append(il)
         rad_rows = row_space_basis(Matrix(f, [combine_rows(proj, enumerate(r))
@@ -842,24 +809,11 @@ def radical(a):
 
 
 def _radical_trace(a):
-    f = a.field
-    traces = []
-    for k in range(a.dim):
-        t = f.zero()
-        for i in range(a.dim):
-            t = f.add(t, a.struct[k][i][i])
-        traces.append(t)
-    rows = []
-    for i in range(a.dim):
-        row = []
-        for j in range(a.dim):
-            t = f.zero()
-            for k, c in enumerate(a.struct[i][j]):
-                if not f.is_zero(c):
-                    t = f.add(t, f.mul(c, traces[k]))
-            row.append(t)
-        rows.append(row)
-    gram = Matrix(f, rows, ncols=a.dim)
+    n = a.dim
+    traces = [sum(a.struct[k][i][i] for i in range(n)) for k in range(n)]
+    rows = [[sum(c * t for c, t in zip(a.struct[i][j], traces) if c) for j in range(n)]
+            for i in range(n)]
+    gram = Matrix(a.field, rows, ncols=n)
     return kernel_basis(gram.transpose()).transpose()
 
 
@@ -887,10 +841,10 @@ def discover_basic(a):
     # lift each idempotent along the section, then Newton + orthogonalise
     lifted = []
     for ev in idem_bar:
-        x = [f.zero()] * a.dim
+        x = [0] * a.dim
         for t, j in enumerate(lift_cols):
             x[j] = ev[t]
-        one_minus = tuple(f.sub(u, s) for u, s in zip(a.unit, _sum_vecs(f, lifted, a.dim)))
+        one_minus = tuple(u - s for u, s in zip(a.unit, _sum_vecs(f, lifted, a.dim)))
         x = a.multiply(a.multiply(one_minus, tuple(x)), one_minus)
         x = _newton_idempotent(a, tuple(x))
         lifted.append(x)
@@ -898,17 +852,17 @@ def discover_basic(a):
     if total != a.unit:
         raise NotSplitBasic("lifted idempotents do not sum to 1")
     basic = BasicStructure(tuple(lifted), tuple(f"p{i}" for i in range(len(lifted))),
-                           rad, tuple(unit_vector(a.field, a.dim, i) for i in range(a.dim)))
+                           rad, tuple(unit_vector(a.dim, i) for i in range(a.dim)))
     out = Algebra(f, a.struct, a.unit, labels=a.basis_labels, basic=basic, _validate=False)
     out.associativity_checked = a.associativity_checked
     return out
 
 
 def _sum_vecs(f, vecs, n):
-    out = [f.zero()] * n
+    out = [0] * n
     for v in vecs:
-        out = [f.add(x, y) for x, y in zip(out, v)]
-    return tuple(out)
+        out = [x + y for x, y in zip(out, v)]
+    return tuple(map(f.coerce, out))
 
 
 def _quotient_by_ideal(a, ideal_rows):
@@ -941,9 +895,9 @@ def _split_commutative_semisimple(quot):
                     g = e
                     for mu in roots:
                         if mu != lam:
-                            scale = f.inv(f.sub(lam, mu))
-                            diff = tuple(f.sub(a_, f.mul(mu, b_)) for a_, b_ in zip(y, e))
-                            g = quot.multiply(g, tuple(f.mul(scale, x) for x in diff))
+                            scale = f.inv(lam - mu)
+                            g = quot.multiply(g, tuple(scale * (a_ - mu * b_)
+                                                       for a_, b_ in zip(y, e)))
                     blocks.append(g)
                 found = True
                 break
@@ -954,7 +908,7 @@ def _split_commutative_semisimple(quot):
 
 
 def _corner_span(quot, e):
-    span = [quot.multiply(e, unit_vector(quot.field, quot.dim, i)) for i in range(quot.dim)]
+    span = [quot.multiply(e, unit_vector(quot.dim, i)) for i in range(quot.dim)]
     return row_space_basis(Matrix(quot.field, span, ncols=quot.dim))
 
 
@@ -972,14 +926,14 @@ def _rational_eigenvalues(quot, y, e, sub):
     coeffs = None
     for j in range(ker.ncols):
         colv = ker.col(j)
-        deg = max(i for i, c in enumerate(colv) if not f.is_zero(c))
+        deg = max(i for i, c in enumerate(colv) if c)
         if coeffs is None or deg < coeffs[0]:
             coeffs = (deg, colv)
     if coeffs is None:
         return []
     _, poly = coeffs
     poly = list(poly)
-    while poly and f.is_zero(poly[-1]):
+    while poly and not poly[-1]:
         poly.pop()
     if not poly:
         return []
@@ -1022,5 +976,5 @@ def _newton_idempotent(a, x):
         if sq == x:
             return x
         cube = a.multiply(sq, x)
-        x = tuple(f.sub(f.mul(f.coerce(3), s), f.mul(f.coerce(2), c)) for s, c in zip(sq, cube))
+        x = tuple(f.coerce(3 * s - 2 * c) for s, c in zip(sq, cube))
     raise NotSplitBasic("idempotent lifting did not converge")

@@ -147,9 +147,9 @@ def algebra_from_doc(doc):
         table = doc["table"]
         if len(table) != dim:
             raise ParseError("table size != dim")
-        struct = [[tuple(field.parse(str(x)) for x in table[i][j])
+        struct = [[tuple(field.coerce(str(x)) for x in table[i][j])
                    for j in range(dim)] for i in range(dim)]
-        unit = tuple(field.parse(str(x)) for x in doc["unit"])
+        unit = tuple(field.coerce(str(x)) for x in doc["unit"])
         alg = Algebra(field, struct, unit, labels=doc.get("labels"))
         if field == QQ:
             try:
@@ -198,7 +198,7 @@ def _bimodule_from_doc(spec, a2, a1):
     def mats(rows_list, count):
         out = []
         for mat in rows_list:
-            rows = [[f.parse(str(x)) for x in row] for row in mat]
+            rows = [[f.coerce(str(x)) for x in row] for row in mat]
             out.append(Matrix(f, rows, ncols=dim))
         if len(out) != count:
             raise ParseError("bimodule action count mismatch")
@@ -215,7 +215,7 @@ def parse_idempotent(alg, spec):
         raise ParseError("an idempotent spec is required")
     f = alg.field
     if isinstance(spec, list):
-        coords = tuple(f.parse(str(x)) for x in spec)
+        coords = tuple(f.coerce(str(x)) for x in spec)
         return Idempotent(alg, coords, label="explicit")
     if isinstance(spec, str) and spec.startswith("e:"):
         if alg.basic is None:
@@ -227,8 +227,7 @@ def parse_idempotent(alg, spec):
             if name not in table:
                 raise ParseError(f"unknown vertex {name!r}; have {sorted(table)}")
             v = table[name]
-            total = v if total is None else tuple(f.add(x, y)
-                                                  for x, y in zip(total, v))
+            total = v if total is None else tuple(x + y for x, y in zip(total, v))
         return Idempotent(alg, total, label=spec)
     if isinstance(spec, str):
         try:

@@ -189,8 +189,7 @@ class BoundedComplex:
         """X[k], with degrees lowered by k (X[k]^n = X^{n+k}); no sign bookkeeping
         is needed at the level of dimension computations used here."""
         mods = {n - k: m for n, m in self.modules.items()}
-        f = self.algebra.field
-        sgn = f.coerce(-1) if k % 2 else f.one()
+        sgn = -1 if k % 2 else 1
         diffs = {n - k: ModuleMap(d.source, d.target, d.matrix.scale(sgn), _validate=False)
                  for n, d in self.diffs.items()}
         return BoundedComplex(self.algebra, mods, diffs, _validate=False)
@@ -404,7 +403,7 @@ def _decode_resolution(data, m, n_max):
               for t in tags]
     if len(data["diffs"]) != len(levels) - 1:
         raise ValueError("level and differential counts disagree")
-    maps = [ModuleMap(p, q, Matrix.from_str_rows(f, rows, ncols=q.dim))
+    maps = [ModuleMap(p, q, Matrix(f, rows, ncols=q.dim))
             for p, q, rows in zip(levels, [m] + levels, [data["augmentation"]] + data["diffs"])]
     syzygies = []
     for p, out in zip(levels, maps):
@@ -501,10 +500,10 @@ def hom_complex(x, y):
     for n in range(lo, hi):
         total = dims.get(n + 1, 0)
         tgt_off = {p: off for p, _, off, _ in components.get(n + 1, [])}
-        neg_sign = f.neg(f.coerce(-1) if n % 2 else f.one())
+        sign = 1 if n % 2 else -1      # (-1)^{n+1}
         rows = []
         for p, maps, off, size in components.get(n, []):
-            block = [[f.zero()] * total for _ in maps]
+            block = [[0] * total for _ in maps]
             # component at p: compose with d_Y
             dy = y.diff_matrix(p + n)
             if dy.ncols and p in tgt_off:
@@ -517,7 +516,7 @@ def hom_complex(x, y):
                 coords = hom_coords(bases[(n + 1, p - 1)], [dx.mul(mp.matrix) for mp in maps])
                 toff = tgt_off[p - 1]
                 for row, c in zip(block, coords.rows):
-                    row[toff:toff + len(c)] = [f.mul(neg_sign, v) for v in c]
+                    row[toff:toff + len(c)] = [sign * v for v in c]
             rows.extend(block)
         diffs[n] = Matrix(f, rows, ncols=total) if rows else Matrix.zeros(f, 0, total)
     vsc = VectorSpaceComplex(f, dims, diffs)
@@ -747,7 +746,7 @@ def _summand_rows(f, ds, dq, first):
     """The rows [I 0] (first summand) or [0 I] of k^ds (+) k^dq: the block
     inclusion or section; their transposes are the retract and projection."""
     n, off = (ds, 0) if first else (dq, ds)
-    return Matrix(f, [unit_vector(f, ds + dq, off + i) for i in range(n)], ncols=ds + dq)
+    return Matrix(f, [unit_vector(ds + dq, off + i) for i in range(n)], ncols=ds + dq)
 
 
 def _horseshoe_tau(Pq, target, proj_prev, d_q, prev_map, f):
@@ -769,7 +768,7 @@ def _horseshoe_tau(Pq, target, proj_prev, d_q, prev_map, f):
         cols.append(col)
     sys_mat = Matrix.from_cols(f, cols, nrows=nr1 + nr2)
     rhs = [d_q.entry(i, j) for i in range(d_q.nrows) for j in range(d_q.ncols)]
-    rhs += [f.zero()] * nr2
+    rhs += [0] * nr2
     from .exactfield import solve
     sol = solve(sys_mat, rhs)
     if sol is None:

@@ -2,11 +2,18 @@
 
 Two fields are supported: the rationals and prime fields F_p (elements are
 ints reduced to ``0..p-1``).  A field tag is a :class:`Field` instance;
-scalars themselves are plain Python values, so there is no per-element
+scalars themselves are plain Python numbers, so there is no per-element
 wrapper object.  A rational scalar is canonical: a Python ``int`` when it is
 integral and a ``fractions.Fraction`` (denominator > 1) only when it is not.
 ``str``, ``==`` and ``hash`` agree between ``n`` and ``Fraction(n)``, so
 callers compare scalars with ``==``, never by type.
+
+The scalar rule: combine scalars with Python's ``+ - *``, then reduce the
+result once with ``field.coerce`` where it is stored (a ``Matrix`` entry, a
+structure constant, a returned coordinate tuple).  ``field.inv`` is the only
+other scalar operation.  Canonical scalars print with ``str`` and are zero
+exactly when falsy; an unreduced F_p sum is neither, so test and print only
+what has been coerced.
 
 Every operation is exact and deterministic.  Gaussian elimination always
 pivots on the leftmost nonzero column of the topmost unreduced row, so the
@@ -48,42 +55,11 @@ def _is_prime(n):
 
 
 class Field:
-    """Field tag plus exact scalar operations."""
+    """A field tag.  Scalars are plain Python numbers: they combine with
+    Python's operators and are reduced by the field's `coerce` where they are
+    stored; `inv` is the one operation the operators do not give."""
 
     name = "?"
-
-    def coerce(self, x):
-        raise NotImplementedError
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def is_zero(self, a):
-        return a == self.zero()
-
-    def to_str(self, a):
-        raise NotImplementedError
-
-    def parse(self, s):
-        raise NotImplementedError
 
     def __repr__(self):
         return self.name
@@ -108,37 +84,10 @@ class RationalField(Field):
             return _canon(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into Q")
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return _canon(a + b)
-
-    def sub(self, a, b):
-        return _canon(a - b)
-
-    def mul(self, a, b):
-        return _canon(a * b)
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return _canon(Fraction(1) / a)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def to_str(self, a):
-        return str(a)
-
-    def parse(self, s):
-        return _canon(Fraction(s))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -166,38 +115,11 @@ class PrimeField(Field):
             return self.coerce(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def to_str(self, a):
-        return str(a % self.p)
-
-    def parse(self, s):
-        return self.coerce(Fraction(s))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -277,13 +199,11 @@ class Matrix:
 
     @staticmethod
     def zeros(field, nrows, ncols):
-        z = field.zero()
-        return Matrix(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return Matrix._of(field, ((0,) * ncols,) * nrows, ncols)
 
     @staticmethod
     def identity(field, n):
-        z, o = field.zero(), field.one()
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)], ncols=n)
+        return Matrix._of(field, tuple(unit_vector(n, i) for i in range(n)), n)
 
     @staticmethod
     def from_cols(field, cols, nrows=None):
@@ -322,8 +242,7 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def is_zero(self):
-        zero = self.field.is_zero
-        return all(zero(x) for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def transpose(self):
         rows = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
@@ -353,26 +272,22 @@ class Matrix:
 
     def scale(self, c):
         c = self.field.coerce(c)
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(c, x) for x in r] for r in self.rows], ncols=self.ncols)
+        return Matrix(self.field, [[c * x for x in r] for r in self.rows], ncols=self.ncols)
 
     def add(self, other):
         self._check_shape(other)
-        add = self.field.add
         return Matrix(self.field,
-                      [[add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+                      [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
                       ncols=self.ncols)
 
     def sub(self, other):
         self._check_shape(other)
-        sub = self.field.sub
         return Matrix(self.field,
-                      [[sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+                      [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
                       ncols=self.ncols)
 
     def neg(self):
-        neg = self.field.neg
-        return Matrix(self.field, [[neg(x) for x in r] for r in self.rows], ncols=self.ncols)
+        return Matrix(self.field, [[-x for x in r] for r in self.rows], ncols=self.ncols)
 
     def _check_shape(self, other):
         check_same_field(self.field, other.field)
@@ -405,20 +320,14 @@ class Matrix:
     # -- serialisation -----------------------------------------------------
 
     def to_str_rows(self):
-        ts = self.field.to_str
-        return [[ts(x) for x in r] for r in self.rows]
-
-    @staticmethod
-    def from_str_rows(field, rows, ncols=None):
-        return Matrix(field, [[field.parse(x) for x in r] for r in rows], ncols=ncols)
+        return [[str(x) for x in r] for r in self.rows]
 
     def content_hash(self):
         h = hashlib.sha256()
         h.update(field_tag_str(self.field).encode())
         h.update(f":{self.nrows}x{self.ncols}:".encode())
-        ts = self.field.to_str
         for r in self.rows:
-            h.update((",".join(ts(x) for x in r) + ";").encode())
+            h.update((",".join(map(str, r)) + ";").encode())
         return h.hexdigest()
 
 
@@ -597,10 +506,10 @@ def quotient_map(m):
     free = [j for j in range(n) if j not in pivset]
     rows = [None] * n
     for t, j in enumerate(free):
-        rows[j] = unit_vector(f, len(free), t)
+        rows[j] = unit_vector(len(free), t)
     for i, pc in enumerate(pivots):
         r = R.rows[i]
-        rows[pc] = [f.neg(r[j]) for j in free]
+        rows[pc] = [-r[j] for j in free]
     return Matrix(f, rows, ncols=len(free)), free
 
 
@@ -617,7 +526,7 @@ def solve(m, b):
     R, pivots = rref(aug)
     if m.ncols in pivots:
         return None
-    x = [f.zero()] * m.ncols
+    x = [0] * m.ncols
     for i, pc in enumerate(pivots):
         x[pc] = R.rows[i][m.ncols]
     return tuple(x)
@@ -634,7 +543,7 @@ def solve_matrix(m, B):
         return None
     cols = []
     for j in range(B.ncols):
-        x = [f.zero()] * m.ncols
+        x = [0] * m.ncols
         for i, pc in enumerate(pivots):
             x[pc] = R.rows[i][m.ncols + j]
         cols.append(x)
@@ -681,10 +590,10 @@ def express_in_row_basis(basis, vectors):
     return sol.transpose()
 
 
-def unit_vector(field, n, i):
-    """The i-th standard basis vector of k^n, as a tuple."""
-    z, o = field.zero(), field.one()
-    return tuple(o if k == i else z for k in range(n))
+def unit_vector(n, i):
+    """The i-th standard basis vector of k^n, as a tuple (canonical in every
+    field)."""
+    return tuple(1 if k == i else 0 for k in range(n))
 
 
 def combine_rows(m, terms):
@@ -717,7 +626,7 @@ def linear_combination(coeffs, mats, field, nrows, ncols):
     return Matrix(field, acc, ncols=ncols)
 
 
-def sylvester_rows(pairs, field):
+def sylvester_rows(pairs):
     """Stacked rows of kron(A, I_nB) - kron(I_nA, B), one block per (A, B).
 
     An nA x nB matrix X, flattened row-major, is in the kernel of the block
@@ -726,9 +635,9 @@ def sylvester_rows(pairs, field):
     row (x, y) has A[x][x2] at x2 * nB + y and -B[y][y2] at x * nB + y2.
     Hom_A(M, N) is the kernel for the pairs (g_M, g_N^T); the balancing
     relations x.g (x) y - x (x) g.y of M (x)_B N are the rows for the pairs
-    (rho_M(g), lambda_N(g)).
+    (rho_M(g), lambda_N(g)).  Entries are differences of the blocks'
+    entries, not yet reduced into the field: `Matrix` coerces them.
     """
-    sub, zero = field.sub, field.zero()
     rows = []
     for a, b in pairs:
         na, nb = a.nrows, b.nrows
@@ -738,11 +647,11 @@ def sylvester_rows(pairs, field):
         for x in range(na):
             off = x * nb
             for y in range(nb):
-                row = [zero] * n
+                row = [0] * n
                 for k, v in a_nz[x]:
                     row[k + y] = v
                 for l, v in b_nz[y]:
-                    row[off + l] = sub(row[off + l], v)
+                    row[off + l] -= v
                 rows.append(row)
     return rows
 

@@ -10,7 +10,7 @@ and a designed instance whose idempotent ideal is NOT stratifying.
 from __future__ import annotations
 
 from .algebra import Idempotent, QuiverPresentation, from_quiver, triangular
-from .exactfield import QQ, Matrix
+from .exactfield import QQ, Matrix, unit_vector
 from .modules import Bimodule
 
 
@@ -80,8 +80,7 @@ def augmentation_bimodule(a2, a1):
         stack = Matrix(f, [list(ev)] + [list(r) for r in rad.rows], ncols=alg.dim)
         mats = []
         for i in range(alg.dim):
-            x = alg.multiply(alg.multiply(ev, tuple(
-                f.one() if k == i else f.zero() for k in range(alg.dim))), ev)
+            x = alg.multiply(alg.multiply(ev, unit_vector(alg.dim, i)), ev)
             coords = solve(stack.transpose(), x)
             mats.append(Matrix(f, [[coords[0]]], ncols=1))
         return tuple(mats)

@@ -206,10 +206,9 @@ class ExtData:
         comps = self.hom.components.get(nlev, [])
         f = self.target.field
         total = self.hom.complex.dim(nlev)
-        row = [f.zero()] * total
+        row = [0] * total
         for p, maps, off, size in comps:
-            basis = hom_vec_basis(maps, maps[0].source.dim, maps[0].target.dim, f)
-            row[off:off + size] = hom_coords(basis, [cls.cocycle.matrix]).rows[0]
+            row[off:off + size] = _hom_map_matrix([cls.cocycle.matrix], maps, f).rows[0]
         return self.hom.complex.coords_on_cohomology(
             nlev, Matrix(f, [row], ncols=total))
 
@@ -412,8 +411,7 @@ def bar_oracle(a, n_max, budget=20000):
                         rcode = 0
                         for v in merged:
                             rcode = rcode * d + v
-                        col[rcode] = col.get(rcode, f.zero())
-                        col[rcode] = f.add(col[rcode], f.mul(f.coerce(sign), c))
+                        col[rcode] = col.get(rcode, 0) + sign * c
             ent = tab.get((idx[n], idx[0]))
             if ent:
                 sign = 1 if n % 2 == 0 else -1
@@ -422,9 +420,8 @@ def bar_oracle(a, n_max, budget=20000):
                     rcode = 0
                     for v in merged:
                         rcode = rcode * d + v
-                    col[rcode] = col.get(rcode, f.zero())
-                    col[rcode] = f.add(col[rcode], f.mul(f.coerce(sign), c))
-            cols.append({r: v for r, v in col.items() if not f.is_zero(v)})
+                    col[rcode] = col.get(rcode, 0) + sign * c
+            cols.append({r: v for r, v in col.items() if v})
         return cols
 
     def cochain_diff_columns(n):
@@ -446,8 +443,7 @@ def bar_oracle(a, n_max, budget=20000):
                 for v in tup:
                     rcode = rcode * d + v
                 rcode = rcode * d + out
-                cur = col.get(rcode, f.zero())
-                col[rcode] = f.add(cur, coeff)
+                col[rcode] = col.get(rcode, 0) + coeff
 
             # term 0: a_1 . f(a_2..a_{n+1})
             for i in range(d):
@@ -457,17 +453,17 @@ def bar_oracle(a, n_max, budget=20000):
                         add([i] + J, mkey, c)
             # terms 1..n: f(a_1, ..., a_t a_{t+1}, ..., a_{n+1})
             for t in range(1, n + 1):
-                sign = f.coerce(-1 if t % 2 == 1 else 1)
+                sign = -1 if t % 2 == 1 else 1
                 for u, v, c in factors.get(J[t - 1], ()):
-                    add(J[:t - 1] + [u, v] + J[t:], k, f.mul(sign, c))
+                    add(J[:t - 1] + [u, v] + J[t:], k, sign * c)
             # last term: f(a_1..a_n) . a_{n+1}
-            sign = f.coerce(-1 if (n + 1) % 2 == 1 else 1)
+            sign = -1 if (n + 1) % 2 == 1 else 1
             for w in range(d):
                 ent = tab.get((k, w))
                 if ent:
                     for mkey, c in ent:
-                        add(J + [w], mkey, f.mul(sign, c))
-            cols.append({r: v for r, v in col.items() if not f.is_zero(v)})
+                        add(J + [w], mkey, sign * c)
+            cols.append({r: v for r, v in col.items() if v})
         return cols
 
     chain_ranks = {}
@@ -690,9 +686,17 @@ def _hom_into_complex(res, t_mod, n_max):
             diffs[n] = Matrix.zeros(f, dims[n], dims[n + 1])
             continue
         d = res.diffs[n].matrix
-        tgt_basis = hom_vec_basis(bases[n + 1], res.modules[n + 1].dim, t_mod.dim, f)
-        diffs[n] = hom_coords(tgt_basis, [d.mul(mp.matrix) for mp in bases[n]])
+        diffs[n] = _hom_map_matrix([d.mul(mp.matrix) for mp in bases[n]], bases[n + 1], f)
     return VectorSpaceComplex(f, dims, diffs), bases
+
+
+def _hom_map_matrix(images, tgt_maps, f):
+    """The matrix of a map between Hom spaces: row i holds the coordinates of
+    images[i], the image of the i-th source basis map, in the basis tgt_maps."""
+    if not images or not tgt_maps:
+        return Matrix.zeros(f, len(images), len(tgt_maps))
+    tgt = tgt_maps[0]
+    return hom_coords(hom_vec_basis(tgt_maps, tgt.source.dim, tgt.target.dim, f), images)
 
 
 def _les_contra(ses, t, n_max, labels):
@@ -708,24 +712,17 @@ def _les_contra(ses, t, n_max, labels):
     prjs = {}
     secs = {}
     for n in range(n_max + 2):
-        incs[n] = _precompose_matrix(hs.proj_mats[n], quot_b[n], mid_b[n], t_mod, f)
-        prjs[n] = _precompose_matrix(hs.incl_mats[n], mid_b[n], sub_b[n], t_mod, f)
-        secs[n] = _precompose_matrix(hs.split_retracts[n], sub_b[n], mid_b[n], t_mod, f)
+        incs[n] = _hom_map_matrix([hs.proj_mats[n].mul(g.matrix) for g in quot_b[n]],
+                                  mid_b[n], f)
+        prjs[n] = _hom_map_matrix([hs.incl_mats[n].mul(g.matrix) for g in mid_b[n]],
+                                  sub_b[n], f)
+        secs[n] = _hom_map_matrix([hs.split_retracts[n].mul(g.matrix) for g in sub_b[n]],
+                                  mid_b[n], f)
     degrees = list(range(n_max + 2))
     _verify_ses_of_complexes(quot_cx, mid_cx, sub_cx, incs, prjs, degrees)
     terms, maps = _snake_les(quot_cx, mid_cx, sub_cx, incs, prjs,
                              list(range(n_max + 1)), labels, sections=secs)
     return _assemble_report(terms, maps, closed_start=True, closed_end=False)
-
-
-def _precompose_matrix(level_map, src_maps, tgt_maps, t_mod, f):
-    """Hom(X, T) -> Hom(Y, T): g |-> (level_map then g) expressed in bases."""
-    if not src_maps:
-        return Matrix.zeros(f, 0, len(tgt_maps))
-    if not tgt_maps:
-        return Matrix.zeros(f, len(src_maps), 0)
-    tgt_basis = hom_vec_basis(tgt_maps, tgt_maps[0].source.dim, t_mod.dim, f)
-    return hom_coords(tgt_basis, [level_map.mul(g.matrix) for g in src_maps])
 
 
 def _les_cov(ses, t, n_max, labels):
@@ -739,21 +736,12 @@ def _les_cov(ses, t, n_max, labels):
     incs = {}
     prjs = {}
     for n in range(n_max + 2):
-        incs[n] = _postcompose_matrix(ses.inclusion.matrix, sub_b[n], mid_b[n],
-                                      ses.mid, f)
-        prjs[n] = _postcompose_matrix(ses.projection.matrix, mid_b[n], quot_b[n],
-                                      ses.quot, f)
+        incs[n] = _hom_map_matrix([g.matrix.mul(ses.inclusion.matrix) for g in sub_b[n]],
+                                  mid_b[n], f)
+        prjs[n] = _hom_map_matrix([g.matrix.mul(ses.projection.matrix) for g in mid_b[n]],
+                                  quot_b[n], f)
     degrees = list(range(n_max + 2))
     _verify_ses_of_complexes(sub_cx, mid_cx, quot_cx, incs, prjs, degrees)
     terms, maps = _snake_les(sub_cx, mid_cx, quot_cx, incs, prjs,
                              list(range(n_max + 1)), labels, sections=None)
     return _assemble_report(terms, maps, closed_start=True, closed_end=False)
-
-
-def _postcompose_matrix(post, src_maps, tgt_maps, tgt_module, f):
-    if not src_maps:
-        return Matrix.zeros(f, 0, len(tgt_maps))
-    if not tgt_maps:
-        return Matrix.zeros(f, len(src_maps), 0)
-    tgt_basis = hom_vec_basis(tgt_maps, tgt_maps[0].source.dim, tgt_module.dim, f)
-    return hom_coords(tgt_basis, [g.matrix.mul(post) for g in src_maps])

@@ -175,11 +175,18 @@ class Bimodule:
         self.restrict_right()
         # left action is a right module over the opposite algebra
         self.left_as_op_module()
-        # the two actions commute
-        for lm in self.left_action_matrices:
-            for rm in self.right_action_matrices:
+        # the two actions commute: both are multiplicative, so the matrices
+        # commuting with one action form a subalgebra, and generator pairs
+        # suffice
+        f, d = self.field, self.dim
+        rights = [(h, linear_combination(h, self.right_action_matrices, f, d, d))
+                  for h in self.right_algebra.generators()]
+        for g in self.left_algebra.generators():
+            lm = linear_combination(g, self.left_action_matrices, f, d, d)
+            for h, rm in rights:
                 if lm.mul(rm) != rm.mul(lm):
-                    raise ValueError("left and right actions do not commute")
+                    raise ValueError(f"left and right actions do not commute at "
+                                     f"generators {g}, {h}")
 
     def restrict_right(self):
         """Forget the left action: a right module over the right algebra."""
@@ -246,7 +253,7 @@ def trivial_algebra(field):
     """The ground field as a one-dimensional algebra (for one-sided modules)."""
     key = field
     if key not in _TRIVIAL_CACHE:
-        _TRIVIAL_CACHE[key] = Algebra(field, [[(field.one(),)]], (field.one(),), labels=("1",))
+        _TRIVIAL_CACHE[key] = Algebra(field, [[(1,)]], (1,), labels=("1",))
     return _TRIVIAL_CACHE[key]
 
 
@@ -280,8 +287,7 @@ def hom_space(m, n):
     pairs = [(linear_combination(g, m.action, f, dm, dm),
               linear_combination(g, n.action, f, dn, dn).transpose())
              for g in m.algebra.generators()]
-    rows = sylvester_rows(pairs, f)
-    ker = kernel_basis(Matrix(f, rows, ncols=dm * dn))
+    ker = kernel_basis(Matrix(f, sylvester_rows(pairs), ncols=dm * dn))
     out = []
     for j in range(ker.ncols):
         colv = ker.col(j)
@@ -342,7 +348,7 @@ def tensor_over(m, n, _validate=True):
     pairs = [(linear_combination(g, m.right_action_matrices, f, dm, dm),
               linear_combination(g, n.left_action_matrices, f, dn, dn))
              for g in B.generators()]
-    projection, free = quotient_map(Matrix(f, sylvester_rows(pairs, f), ncols=N))
+    projection, free = quotient_map(Matrix(f, sylvester_rows(pairs), ncols=N))
     sections = tuple(free)
     lam = tuple(tensor_map(sections, dn, projection, left=mat)
                 for mat in m.left_action_matrices)
@@ -511,7 +517,7 @@ def direct_sum(mods):
         off = 0
         for m in mods:
             for rr in range(m.dim):
-                row = [f.zero()] * total
+                row = [0] * total
                 src = m.action[i].row(rr)
                 for j, v in enumerate(src):
                     row[off + j] = v
@@ -636,12 +642,8 @@ def iso_test(m, n, cap=200_000):
     if h == 0:
         return IsoResult(False)
     f = m.field
-    if f == QQ:
-        side = d + 1
-        values = [f.coerce(t) for t in range(side)]
-    else:
-        side = min(f.p, d + 1)
-        values = [f.coerce(t) for t in range(side)]
+    side = d + 1 if f == QQ else min(f.p, d + 1)
+    values = range(side)
     total = side ** h
     mats = [mp.matrix for mp in maps]
     count = 0
@@ -709,7 +711,7 @@ def canonical_bimodules(a, e):
             rho.append(express_in_row_basis(rows, img))
         return Bimodule(left_alg, right_alg, rows.nrows, tuple(lam), tuple(rho))
 
-    basis_elems = [unit_vector(f, a.dim, i) for i in range(a.dim)]
+    basis_elems = [unit_vector(a.dim, i) for i in range(a.dim)]
     corner_elems = [emb.rows[i] for i in range(emb.nrows)]
 
     ae_rows = row_space_basis(a.right_mult_matrix(ec))
@@ -760,7 +762,7 @@ def simple_modules(a):
         stack = Matrix(f, [list(ev)] + [list(r) for r in rad.rows], ncols=a.dim)
         acts = []
         for i in range(a.dim):
-            x = a.multiply(a.multiply(ev, unit_vector(f, a.dim, i)), ev)
+            x = a.multiply(a.multiply(ev, unit_vector(a.dim, i)), ev)
             coords = solve(stack.transpose(), x)
             if coords is None:
                 raise ValueError("simple action not defined")

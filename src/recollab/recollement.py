@@ -484,8 +484,8 @@ def opposite_transfer(r, n_max=6):
                                n_max=n_max)
     aop = opposite(r.a)
     f = aop.field
-    comp = tuple(f.sub(u, c) for u, c in zip(r.a.unit, r.e.coords))
-    if all(f.is_zero(c) for c in comp):
+    comp = tuple(f.coerce(u - c) for u, c in zip(r.a.unit, r.e.coords))
+    if not any(comp):
         return _degenerate_swap(r, aop, n_max)
     try:
         fid = Idempotent(aop, comp, label="1-e")

@@ -19,9 +19,9 @@ from .homology import (
     LesReport,
     LesTerm,
     _assemble_report,
+    _connecting,
     _hom_into_complex,
-    _postcompose_matrix,
-    _precompose_matrix,
+    _hom_map_matrix,
     hochschild_cohomology,
     hochschild_dimension,
     hochschild_homology,
@@ -29,7 +29,7 @@ from .homology import (
     les_from_ses,
     regular_as_left_env_module,
 )
-from .modules import ModuleMap, hom_coords, hom_vec_basis, iso_test
+from .modules import ModuleMap, iso_test
 
 
 def _canonical_env_ses(r):
@@ -172,22 +172,18 @@ class _HomGrid:
         """Hom(P_u, v1) -> Hom(P_u, v2) by postcomposition with mat per degree."""
         _, b1 = self.cx(u, v1)
         _, b2 = self.cx(u, v2)
-        out = {}
-        for n in range(self.n_max + 2):
-            out[n] = _postcompose_matrix(mat, b1[n], b2[n], self.mods[v2],
-                                         self.mods[v2].field)
-        return out
+        f = self.mods[v2].field
+        return {n: _hom_map_matrix([g.matrix.mul(mat) for g in b1[n]], b2[n], f)
+                for n in range(self.n_max + 2)}
 
     def precompose(self, u1, u2, v, level_mats):
         """Hom(P_{u2}, v) -> Hom(P_{u1}, v) by precomposition with the chain map
         P_{u1} -> P_{u2} (level_mats[n])."""
         _, b2 = self.cx(u2, v)
         _, b1 = self.cx(u1, v)
-        out = {}
-        for n in range(self.n_max + 2):
-            out[n] = _precompose_matrix(level_mats[n], b2[n], b1[n], self.mods[v],
-                                        self.mods[v].field)
-        return out
+        f = self.mods[v].field
+        return {n: _hom_map_matrix([level_mats[n].mul(g.matrix) for g in b2[n]], b1[n], f)
+                for n in range(self.n_max + 2)}
 
 
 def _invert(mat):
@@ -262,8 +258,8 @@ def cohomology_les(r, n_max=4):
         maps1.append(yx_cx.map_on_cohomology(yy_cx, post_u_yx_yy, n))
         maps1.append(phi[n])
         if n + 1 in degrees:
-            delta = _snake_delta(yx_cx, yy_cx, yz_cx, post_u_yx_yy, post_v_yy_yz,
-                                 n, n + 1)
+            delta = _connecting(yx_cx, yy_cx, yz_cx, post_u_yx_yy, post_v_yy_yz,
+                                n, n + 1, None)
             maps1.append(v_iso[n][0].mul(delta))
     seq1 = _assemble_report(terms1, maps1, closed_start=True, closed_end=False)
 
@@ -292,15 +288,19 @@ def cohomology_les(r, n_max=4):
         maps2.append(zy_cx.map_on_cohomology(yy_cx, pre_pi_zy_yy, n))
         maps2.append(psi[n])
         if n + 1 in degrees:
-            delta = _snake_delta(zy_cx, yy_cx, xy_cx, pre_pi_zy_yy, pre_u_yy_xy,
-                                 n, n + 1)
+            delta = _connecting(zy_cx, yy_cx, xy_cx, pre_pi_zy_yy, pre_u_yy_xy,
+                                n, n + 1, None)
             maps2.append(u_iso[n][0].mul(delta))
     seq2 = _assemble_report(terms2, maps2, closed_start=True, closed_end=False)
 
     # ---- sequence (3): mixed, with the pair map and a two-component connecting
-    lam = {}
-    for n in all_degrees:
-        lam[n] = _compose_hom_map(grid, hs, incl_mat, n)
+    # Ext^n(Z, X) -> Ext^n(Y, Y): precompose the projection chain map and
+    # postcompose the inclusion of bimodules
+    _, bzx = grid.cx("Z", "X")
+    _, byy = grid.cx("Y", "Y")
+    lam = {n: _hom_map_matrix([hs.proj_mats[n].mul(g.matrix).mul(incl_mat) for g in bzx[n]],
+                              byy[n], f)
+           for n in all_degrees}
     post_u_zx_zy = grid.postcompose("Z", "X", "Y", incl_mat)
     post_v_zy_zz = grid.postcompose("Z", "Y", "Z", proj_mat)
     pre_pi_zx_yx = grid.precompose("Y", "Z", "X", hs.proj_mats)
@@ -308,11 +308,11 @@ def cohomology_les(r, n_max=4):
 
     def delta_c(n):
         # contravariant Hom(-, X) snake: Ext^n(X,X) -> Ext^{n+1}(Z,X)
-        return _snake_delta(zx_cx, yx_cx, xx_cx, pre_pi_zx_yx, pre_u_yx_xx, n, n + 1)
+        return _connecting(zx_cx, yx_cx, xx_cx, pre_pi_zx_yx, pre_u_yx_xx, n, n + 1, None)
 
     def delta_d(n):
         # covariant Hom(Z, -) snake: Ext^n(Z,Z) -> Ext^{n+1}(Z,X)
-        return _snake_delta(zx_cx, zy_cx, zz_cx, post_u_zx_zy, post_v_zy_zz, n, n + 1)
+        return _connecting(zx_cx, zy_cx, zz_cx, post_u_zx_zy, post_v_zy_zz, n, n + 1, None)
 
     # The two-component connecting map is (delta_contra, +delta_cov) under the
     # sign conventions of this engine's snake chase (pinned on instances whose
@@ -352,29 +352,6 @@ def cohomology_les(r, n_max=4):
     ok = ok and seq1.exact and seq2.exact and seq3.exact
     return CohomologyLesReport(seq1, seq2, seq3, phi, psi, phibar, orth,
                                id_q, id_c, mixed_sign, ok)
-
-
-def _compose_hom_map(grid, hs, incl_mat, n):
-    """Ext^n(Z, X) -> Ext^n(Y, Y): precompose the projection chain map and
-    postcompose the inclusion of bimodules."""
-    _, bzx = grid.cx("Z", "X")
-    _, byy = grid.cx("Y", "Y")
-    f = grid.mods["Y"].field
-    src_maps = bzx[n]
-    tgt_maps = byy[n]
-    if not src_maps:
-        return Matrix.zeros(f, 0, len(tgt_maps))
-    if not tgt_maps:
-        return Matrix.zeros(f, len(src_maps), 0)
-    tgt_basis = hom_vec_basis(tgt_maps, tgt_maps[0].source.dim,
-                              grid.mods["Y"].dim, f)
-    return hom_coords(tgt_basis, [hs.proj_mats[n].mul(g.matrix).mul(incl_mat)
-                                  for g in src_maps])
-
-
-def _snake_delta(sub_cx, mid_cx, quot_cx, incs, prjs, n, n_next):
-    from .homology import _connecting
-    return _connecting(sub_cx, mid_cx, quot_cx, incs, prjs, n, n_next, None)
 
 
 # --------------------------------------------------------------------------

@@ -248,11 +248,11 @@ def test_criterion_7_structural_invariants():
         rows = []
         for i in range(alg.dim):
             for j in range(alg.dim):
-                bi = tuple(f.one() if t == i else f.zero() for t in range(alg.dim))
-                bj = tuple(f.one() if t == j else f.zero() for t in range(alg.dim))
+                bi = tuple(1 if t == i else 0 for t in range(alg.dim))
+                bj = tuple(1 if t == j else 0 for t in range(alg.dim))
                 ij = alg.multiply(bi, bj)
                 ji = alg.multiply(bj, bi)
-                rows.append([f.sub(x, y) for x, y in zip(ij, ji)])
+                rows.append([x - y for x, y in zip(ij, ji)])
         comm = row_space_basis(Matrix(f, rows, ncols=alg.dim))
         ok = ok and hochschild_homology(alg, 0).dim(0) == alg.dim - comm.nrows
     # R3 instances on the standard battery come from the stored certificates

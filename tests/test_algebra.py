@@ -179,9 +179,9 @@ def test_triangular_k_k_k_is_a2():
                            _bimodule_over_fields(QQ, 1))
     assert a.dim == 3
     one = tuple(a.unit)
-    s = tuple(a.field.add(x, y) for x, y in zip(e1.coords, e2.coords))
+    s = tuple(x + y for x, y in zip(e1.coords, e2.coords))
     assert s == one
-    assert a.multiply(e1.coords, e2.coords) == tuple(a.field.zero() for _ in range(3))
+    assert a.multiply(e1.coords, e2.coords) == (0,) * 3
 
 
 def test_triangular_kronecker_dim_4():
@@ -324,9 +324,9 @@ def test_radical_is_nilpotent_ideal():
                 for v in rows:
                     nxt.append(list(alg.multiply(tuple(u), tuple(v))))
             power = nxt
-            if all(all(alg.field.is_zero(x) for x in row) for row in power):
+            if not any(map(any, power)):
                 break
-        assert all(all(alg.field.is_zero(x) for x in row) for row in power)
+        assert not any(map(any, power))
 
 
 # -- discovery over Q --------------------------------------------------------
@@ -338,7 +338,7 @@ def test_discover_basic_on_bare_a2():
     full = discover_basic(bare)
     assert len(full.basic.idempotent_coords) == 2
     s = full.basic.idempotent_coords
-    tot = tuple(a.field.add(x, y) for x, y in zip(s[0], s[1]))
+    tot = tuple(x + y for x, y in zip(s[0], s[1]))
     assert tot == a.unit
     for ev in s:
         assert full.multiply(ev, ev) == ev
@@ -356,6 +356,38 @@ def test_discover_basic_on_product_field():
 def test_unit_validation():
     with pytest.raises(ValueError):
         Algebra(QQ, [[(0,)]], (1,))  # 1*1 = 0 breaks the unit law
+
+
+def _table(n, products):
+    """Structure constants with unit b0 and b_i b_j = c b_k for (i, j, k, c)
+    in `products`; every other product of non-unit basis vectors is 0."""
+    struct = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        struct[0][i][i] = struct[i][0][i] = 1
+    for i, j, k, c in products:
+        struct[i][j][k] = c
+    return struct
+
+
+def test_associativity_is_checked_past_the_int64_bound_over_q():
+    # dim 13 with a constant of 2^31: max|c|^2 * dim overflows int64
+    unit = (1,) + (0,) * 12
+    # (b1 b1) b1 = 2^31 b2 b1 = 0 but b1 (b1 b1) = 2^31 b1 b2 = 2^31 b3
+    with pytest.raises(ValueError, match="associativity fails"):
+        Algebra(QQ, _table(13, [(1, 1, 2, 2**31), (1, 2, 3, 1)]), unit)
+    # without b1 b2 = b3 the table is associative, and checked
+    assert Algebra(QQ, _table(13, [(1, 1, 2, 2**31)]), unit).associativity_checked
+
+
+def test_associativity_is_exact_over_a_large_prime():
+    # k[x]/(x^3 - 1) in the basis 1, 5x, 9x^2: entries near p = 2^32 - 5, whose
+    # squares overflow int64
+    f = GF(4294967291)
+    struct = _table(3, [(1, 1, 2, f.coerce("25/9")), (1, 2, 0, 45), (2, 1, 0, 45),
+                        (2, 2, 1, f.coerce("81/5"))])
+    a = Algebra(f, struct, (1, 0, 0))
+    assert a.associativity_checked
+    assert a.multiply((0, 1, 0), a.multiply((0, 1, 0), (0, 1, 0))) == (125, 0, 0)
 
 
 def test_idempotent_validation():

@@ -270,11 +270,10 @@ def _structure_constants_doc(name):
     """The same algebra as a structure_constants document; over Q its basic
     structure is then discovered, not read from the quiver."""
     alg = algebra_from_doc(_doc(name))
-    ts = alg.field.to_str
     return {"kind": "structure_constants", "field": "Q", "dim": alg.dim,
-            "table": [[[ts(x) for x in alg.struct[i][j]] for j in range(alg.dim)]
+            "table": [[[str(x) for x in alg.struct[i][j]] for j in range(alg.dim)]
                       for i in range(alg.dim)],
-            "unit": [ts(x) for x in alg.unit]}
+            "unit": [str(x) for x in alg.unit]}
 
 
 def test_quiver_and_structure_constants_docs_share_a_cache_dir(tmp_path, capsys):

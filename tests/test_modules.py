@@ -305,6 +305,19 @@ def test_direct_sum_dims():
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
+def test_bimodule_rejects_actions_that_do_not_commute(field):
+    a = dual_numbers(field)        # basis 1, x
+    ident = Matrix.identity(field, 2)
+    n = Matrix(field, [[0, 3], [0, 0]])
+    # x acting by the square-zero n on either side is a bimodule ...
+    Bimodule(a, a, 2, (ident, n), (ident, n))
+    # ... and each action alone stays a module with n^T on the left, but n and
+    # n^T do not commute; the check names the generators that fail
+    with pytest.raises(ValueError, match=r"do not commute at generators \(0, 1\), \(0, 1\)"):
+        Bimodule(a, a, 2, (ident, n.transpose()), (ident, n))
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
 def test_hom_coords_solves_a_batch_and_names_a_map_outside_the_span(field):
     a = kronecker_algebra(field)
     m = regular_module(a)
@@ -314,12 +327,12 @@ def test_hom_coords_solves_a_batch_and_names_a_map_outside_the_span(field):
     mats = [mp.matrix for mp in reversed(maps)] + [maps[0].matrix.scale(two)]
     coords = hom_coords(basis, mats)
     h = len(maps)
-    expected = [[field.one() if j == h - 1 - i else field.zero() for j in range(h)]
-                for i in range(h)] + [[two] + [field.zero()] * (h - 1)]
+    expected = [[1 if j == h - 1 - i else 0 for j in range(h)]
+                for i in range(h)] + [[two] + [0] * (h - 1)]
     assert coords == Matrix(field, expected, ncols=h)
     assert hom_coords(basis, []) == Matrix(field, [], ncols=h)
     # the identity on k^dim A is a module map; a matrix unit that is not one
-    outside = Matrix(field, [[field.one() if (i, j) == (0, 1) else field.zero()
+    outside = Matrix(field, [[1 if (i, j) == (0, 1) else 0
                               for j in range(m.dim)] for i in range(m.dim)])
     with pytest.raises(NotInHomSpace):
         hom_coords(basis, [Matrix.identity(field, m.dim), outside])
