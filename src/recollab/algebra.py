@@ -36,17 +36,14 @@ from .exactfield import (
     Matrix,
     check_same_field,
     combine_rows,
+    express_in_row_basis,
     field_tag_str,
     kernel_basis,
     parse_field,
     quotient_map,
     row_space_basis,
-    solve,
     unit_vector,
 )
-
-_ASSOC_EINSUM_CAP = 48
-
 
 @dataclass(frozen=True)
 class BasicStructure:
@@ -198,9 +195,8 @@ class Algebra:
             v = unit_vector(self.dim, i)
             if self.multiply(self.unit, v) != v or self.multiply(v, self.unit) != v:
                 raise ValueError(f"unit law fails on basis element {i}")
-        if self.dim <= _ASSOC_EINSUM_CAP:
-            self._check_associative()
-            self.associativity_checked = True
+        self._check_associative()
+        self.associativity_checked = True
 
     def _check_associative(self):
         """Raise unless (b_i b_j) b_l = b_i (b_j b_l) for all i, j, l.
@@ -208,7 +204,8 @@ class Algebra:
         The table is checked in integers: over Q scaled by the common
         denominator (a global scale does not change associativity), over F_p
         compared mod p.  Each product sums dim terms of size at most max|c|^2,
-        so the einsum runs in int64 below 2^62 and on Python ints otherwise.
+        so the products run in int64 below 2^62 and on Python ints otherwise.
+        One slice per i keeps the working memory at dim^3 entries.
         """
         f, n = self.field, self.dim
         flat = [x for row in self.struct for entry in row for x in entry]
@@ -216,12 +213,15 @@ class Algebra:
         ints = [x.numerator * (den // x.denominator) for x in flat]
         mx = max(map(abs, ints), default=0)
         C = np.array(ints, dtype=np.int64 if mx * mx * n < 2**62 else object).reshape(n, n, n)
-        lhs = np.einsum("ijm,mlk->ijlk", C, C)
-        rhs = np.einsum("jlm,imk->ijlk", C, C)
-        if f != QQ:
-            lhs, rhs = lhs % f.p, rhs % f.p
-        if not np.array_equal(lhs, rhs):
-            raise ValueError("associativity fails")
+        left, right = C.reshape(n, n * n), C.reshape(n * n, n)
+        for i in range(n):
+            # [j, (l, k)]: ((b_i b_j) b_l)_k and (b_i (b_j b_l))_k
+            lhs = C[i] @ left
+            rhs = (right @ C[i]).reshape(n, n * n)
+            if f != QQ:
+                lhs, rhs = lhs % f.p, rhs % f.p
+            if not np.array_equal(lhs, rhs):
+                raise ValueError("associativity fails")
 
 
 def zero_algebra(field):
@@ -552,10 +552,7 @@ def tensor(a, b):
             tuple(tensor_coords(f, a.unit, g, db) for g in b.generators())
         basic = BasicStructure(tuple(idem), tuple(ilab), rad_rows, gens)
     out = Algebra(f, struct, unit, labels=labels, basic=basic, _validate=False)
-    if a.associativity_checked and b.associativity_checked:
-        out.associativity_checked = True
-    elif n <= _ASSOC_EINSUM_CAP:
-        out._validate()
+    out.associativity_checked = a.associativity_checked and b.associativity_checked
     return out
 
 
@@ -661,15 +658,10 @@ def corner(a, e, with_embedding=False):
         span.append(a.multiply(a.multiply(ec, unit_vector(a.dim, i)), ec))
     basis = row_space_basis(Matrix(f, span, ncols=a.dim))
     n = basis.nrows
-    struct = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = a.multiply(basis.rows[i], basis.rows[j])
-            coords = _express_row(basis, prod, f)
-            row.append(coords)
-        struct.append(tuple(row))
-    unit = _express_row(basis, ec, f)
+    # the products b_i b_j (row-major) and then e, in the corner basis
+    coords = _in_basis(basis, [a.multiply(x, y) for x in basis.rows for y in basis.rows] + [ec])
+    struct = [coords[i * n:(i + 1) * n] for i in range(n)]
+    unit = coords[-1]
     labels = tuple(_corner_label(a, basis.rows[i]) for i in range(n))
     basic = _corner_basic(a, ec, basis, f)
     out = Algebra(f, struct, unit, labels=labels, basic=basic)
@@ -685,11 +677,12 @@ def _corner_label(a, row):
     return "(" + "+".join(a.basis_labels[i] for i, _ in nz) + ")"
 
 
-def _express_row(basis, vec, f):
-    sol = solve(basis.transpose(), vec)
-    if sol is None:
+def _in_basis(basis, vecs):
+    """Coordinates of each of `vecs` in the rows of `basis`, one batch."""
+    coords = express_in_row_basis(basis, Matrix(basis.field, vecs, ncols=basis.ncols))
+    if coords is None:
         raise ValueError("vector not in subspace")
-    return tuple(sol)
+    return coords.rows
 
 
 def _corner_basic(a, ec, basis, f):
@@ -708,20 +701,14 @@ def _corner_basic(a, ec, basis, f):
     acc = _sum_vecs(f, [a.basic.idempotent_coords[i] for i in chosen], a.dim)
     if acc != ec:
         return None
-    idem = []
-    ilab = []
-    for idx in chosen:
-        iv = a.basic.idempotent_coords[idx]
-        idem.append(_express_row(basis, iv, f))
-        ilab.append(a.basic.idempotent_labels[idx])
-    rad = []
-    for r in a.basic.radical_rows.rows:
-        v = a.multiply(a.multiply(ec, r), ec)
-        if any(v):
-            rad.append(_express_row(basis, v, f))
-    rad_rows = row_space_basis(Matrix(f, rad, ncols=basis.nrows))
+    ilab = tuple(a.basic.idempotent_labels[idx] for idx in chosen)
+    rad = [v for v in (a.multiply(a.multiply(ec, r), ec) for r in a.basic.radical_rows.rows)
+           if any(v)]
+    # the chosen idempotents, then e rad e, in the corner basis
+    coords = _in_basis(basis, [a.basic.idempotent_coords[idx] for idx in chosen] + rad)
+    rad_rows = row_space_basis(Matrix(f, coords[len(chosen):], ncols=basis.nrows))
     gens = tuple(unit_vector(basis.nrows, i) for i in range(basis.nrows))
-    return BasicStructure(tuple(idem), tuple(ilab), rad_rows, gens)
+    return BasicStructure(coords[:len(chosen)], ilab, rad_rows, gens)
 
 
 @dataclass

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from .algebra import (
@@ -44,6 +45,7 @@ from .complexes import resolution_store
 from .errors import (
     BudgetExceeded,
     CertificationFailed,
+    DimensionMismatch,
     InvalidRelation,
     NotFiniteDimensional,
     NotStratifying,
@@ -71,6 +73,16 @@ EXIT_BUDGET = 4
 
 class ParseError(RecollabError):
     pass
+
+
+@contextmanager
+def _building(what):
+    """Errors raised while building `what` from a document are parse errors:
+    the document, not the engine, is at fault."""
+    try:
+        yield
+    except (ArithmeticError, LookupError, TypeError, ValueError, DimensionMismatch) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -132,25 +144,27 @@ def algebra_from_doc(doc):
     kind = doc["kind"]
     if kind == "quiver":
         field = parse_field(doc["field"])
-        q = QuiverPresentation(
-            tuple(doc["vertices"]),
-            tuple((a["source"], a["target"], a["label"])
-                  for a in doc.get("arrows", [])),
-            tuple(tuple((term.get("coeff", 1), tuple(term["path"]))
-                        for term in rel)
-                  for rel in doc.get("relations", [])),
-        )
+        with _building("quiver"):
+            q = QuiverPresentation(
+                tuple(doc["vertices"]),
+                tuple((a["source"], a["target"], a["label"])
+                      for a in doc.get("arrows", [])),
+                tuple(tuple((term.get("coeff", 1), tuple(term["path"]))
+                            for term in rel)
+                      for rel in doc.get("relations", [])),
+            )
         return from_quiver(q, field, degree_bound=doc.get("degree_bound", 32))
     if kind == "structure_constants":
         field = parse_field(doc["field"])
-        dim = doc["dim"]
-        table = doc["table"]
-        if len(table) != dim:
-            raise ParseError("table size != dim")
-        struct = [[tuple(field.coerce(str(x)) for x in table[i][j])
-                   for j in range(dim)] for i in range(dim)]
-        unit = tuple(field.coerce(str(x)) for x in doc["unit"])
-        alg = Algebra(field, struct, unit, labels=doc.get("labels"))
+        with _building("structure_constants"):
+            dim = doc["dim"]
+            table = doc["table"]
+            if len(table) != dim:
+                raise ParseError("table size != dim")
+            struct = [[tuple(field.coerce(str(x)) for x in table[i][j])
+                       for j in range(dim)] for i in range(dim)]
+            unit = tuple(field.coerce(str(x)) for x in doc["unit"])
+            alg = Algebra(field, struct, unit, labels=doc.get("labels"))
         if field == QQ:
             try:
                 alg = discover_basic(alg)
@@ -193,7 +207,6 @@ def _bimodule_from_doc(spec, a2, a1):
     if spec is None:
         raise ParseError("triangular construction needs a bimodule spec")
     f = a2.field
-    dim = spec["dim"]
 
     def mats(rows_list, count):
         out = []
@@ -204,9 +217,11 @@ def _bimodule_from_doc(spec, a2, a1):
             raise ParseError("bimodule action count mismatch")
         return tuple(out)
 
-    return Bimodule(a2, a1, dim,
-                    mats(spec["left_action"], a2.dim),
-                    mats(spec["right_action"], a1.dim))
+    with _building("bimodule"):
+        dim = spec["dim"]
+        return Bimodule(a2, a1, dim,
+                        mats(spec["left_action"], a2.dim),
+                        mats(spec["right_action"], a1.dim))
 
 
 def parse_idempotent(alg, spec):
@@ -215,8 +230,8 @@ def parse_idempotent(alg, spec):
         raise ParseError("an idempotent spec is required")
     f = alg.field
     if isinstance(spec, list):
-        coords = tuple(f.coerce(str(x)) for x in spec)
-        return Idempotent(alg, coords, label="explicit")
+        with _building("idempotent"):
+            return Idempotent(alg, tuple(f.coerce(str(x)) for x in spec), label="explicit")
     if isinstance(spec, str) and spec.startswith("e:"):
         if alg.basic is None:
             raise ParseError("vertex idempotents need a quiver-presented algebra")
@@ -228,7 +243,8 @@ def parse_idempotent(alg, spec):
                 raise ParseError(f"unknown vertex {name!r}; have {sorted(table)}")
             v = table[name]
             total = v if total is None else tuple(x + y for x, y in zip(total, v))
-        return Idempotent(alg, total, label=spec)
+        with _building("idempotent"):
+            return Idempotent(alg, total, label=spec)
     if isinstance(spec, str):
         try:
             data = json.loads(spec)

@@ -27,6 +27,7 @@ from .exactfield import (
     kernel_basis,
     linear_combination,
     rank,
+    rref,
     row_space_basis,
     unit_vector,
 )
@@ -105,17 +106,10 @@ class VectorSpaceComplex:
             Matrix(f, [], ncols=dn)
         if bound.ncols != dn:
             bound = Matrix(f, [], ncols=dn)
-        rep_rows = []
-        cur = bound
-        cur_rank = bound.nrows
-        for i in range(cycles.nrows):
-            row = Matrix(f, [list(cycles.rows[i])], ncols=dn)
-            trial = cur.vstack(row)
-            if rank(trial) > cur_rank:
-                rep_rows.append(list(cycles.rows[i]))
-                cur = trial
-                cur_rank += 1
-        reps = Matrix(f, rep_rows, ncols=dn)
+        # the kept cycles are the pivot columns past the (independent) boundary
+        # rows in one RREF of [bound; cycles]^T
+        pivots = rref(bound.vstack(cycles).transpose())[1] if cycles.nrows else ()
+        reps = cycles.take_rows([j - bound.nrows for j in pivots if j >= bound.nrows])
         res = (cycles, bound, reps.nrows, reps)
         self._h_cache[n] = res
         return res
@@ -463,14 +457,35 @@ class HomComplexData:
     components: dict     # n -> list of (p, maps, offset, size); map: X^p -> Y^{p+n}
     source: BoundedComplex
     target: BoundedComplex
+    bases: dict          # (n, p) -> the component's maps flattened to rows
 
     def cohomology_dim(self, n):
         return self.complex.cohomology_dim(n)
 
+    def coords(self, n, p, mats):
+        """Coordinates of maps X^p -> Y^{p+n} in the basis of the degree-n
+        term, one row per map (zero outside the component at p)."""
+        f = self.source.algebra.field
+        comps = self.components.get(n, [])
+        total = sum(size for _, _, _, size in comps)
+        for q, _, off, size in comps:
+            if q == p and mats:
+                c = hom_coords(self.bases[(n, p)], mats)
+                if size == total:
+                    return c
+                return Matrix(f, [(0,) * off + r + (0,) * (total - off - size)
+                                  for r in c.rows], ncols=total)
+        return Matrix.zeros(f, len(mats), total)
+
 
 def hom_complex(x, y):
     """Total Hom complex; its n-th cohomology is Hom_{D(A)}(x, y[n]) when x is
-    degreewise projective and both complexes are bounded."""
+    degreewise projective and both complexes are bounded.
+
+    The differential is D f = (-1)^n f d_Y + d_X f on a degree-n map f, so
+    Hom(P_*, T) out of a resolution into a module carries the unsigned maps
+    g |-> d g, and each induced map between such complexes is a plain
+    composition."""
     if isinstance(y, RightModule):
         y = BoundedComplex.concentrated(y)
     if x.algebra != y.algebra:
@@ -496,37 +511,29 @@ def hom_complex(x, y):
                 off += len(maps)
         components[n] = comps
         dims[n] = off
+    hc = HomComplexData(None, components, x, y, bases)
     diffs = {}
     for n in range(lo, hi):
-        total = dims.get(n + 1, 0)
-        tgt_off = {p: off for p, _, off, _ in components.get(n + 1, [])}
-        sign = 1 if n % 2 else -1      # (-1)^{n+1}
+        tgt = {p for p, _, _, _ in components.get(n + 1, [])}
         rows = []
-        for p, maps, off, size in components.get(n, []):
-            block = [[0] * total for _ in maps]
-            # component at p: compose with d_Y
+        for p, maps, _, _ in components.get(n, []):
+            block = Matrix.zeros(f, len(maps), dims.get(n + 1, 0))
             dy = y.diff_matrix(p + n)
-            if dy.ncols and p in tgt_off:
-                coords = hom_coords(bases[(n + 1, p)], [mp.matrix.mul(dy) for mp in maps])
-                for row, c in zip(block, coords.rows):
-                    row[tgt_off[p]:tgt_off[p] + len(c)] = c
-            # component at p-1: (-1)^{n+1} f o d_X
+            if dy.ncols and p in tgt:
+                part = hc.coords(n + 1, p, [mp.matrix.mul(dy) for mp in maps])
+                block = block.add(part if n % 2 == 0 else part.neg())
             dx = x.diff_matrix(p - 1)
-            if dx.nrows and (p - 1) in tgt_off:
-                coords = hom_coords(bases[(n + 1, p - 1)], [dx.mul(mp.matrix) for mp in maps])
-                toff = tgt_off[p - 1]
-                for row, c in zip(block, coords.rows):
-                    row[toff:toff + len(c)] = [sign * v for v in c]
-            rows.extend(block)
-        diffs[n] = Matrix(f, rows, ncols=total) if rows else Matrix.zeros(f, 0, total)
-    vsc = VectorSpaceComplex(f, dims, diffs)
-    return HomComplexData(vsc, components, x, y)
+            if dx.nrows and p - 1 in tgt:
+                block = block.add(hc.coords(n + 1, p - 1, [dx.mul(mp.matrix) for mp in maps]))
+            rows.extend(block.rows)
+        diffs[n] = Matrix(f, rows, ncols=dims.get(n + 1, 0))
+    hc.complex = VectorSpaceComplex(f, dims, diffs)
+    return hc
 
 
-def is_exceptional(x, window=None):
-    """Hom_{D(A)}(x, x[n]) = 0 for all n != 0; complete within the amplitude
-    forced by boundedness (the window parameter is accepted for interface
-    compatibility; the amplitude bound already makes the check exhaustive)."""
+def is_exceptional(x):
+    """Hom_{D(A)}(x, x[n]) = 0 for all n != 0; complete, because both
+    complexes are bounded and so is the amplitude of the Hom complex."""
     hc = hom_complex(x, x)
     for n in hc.complex.degrees():
         if n != 0 and hc.complex.cohomology_dim(n) != 0:
@@ -563,45 +570,46 @@ def lift_map(fmap, rm, rn):
             rn = _padded_resolution(rn, target)
         if rm.depth != rn.depth:
             raise DepthMismatch(f"{rm.depth} != {rn.depth}")
-    levels = []
-    prev = None
-    for n in range(rm.depth + 1):
-        src = rm.modules[n]
-        tgt = rn.modules[n]
-        if n == 0:
-            rhs = rm.augmentation.matrix.mul(fmap.matrix)
-            post = rn.augmentation.matrix
-        else:
-            rhs = rm.diffs[n - 1].matrix.mul(prev.matrix)
-            post = rn.diffs[n - 1].matrix
-        sol = _solve_through(src, tgt, post, rhs)
-        lvl = ModuleMap(src, tgt, sol, _validate=False)
-        levels.append(lvl)
-        prev = lvl
+    levels = _lift(rm, rn, rm.augmentation.matrix.mul(fmap.matrix), 0, rm.depth)
     return ChainMap(rm, rn, fmap, levels)
 
 
-def _solve_through(src, tgt, post, rhs):
-    """Deterministic F in Hom(src, tgt) with F @ post = rhs."""
+def _lift(rm, rn, top, shift, depth):
+    """Levels F_i: P^m_{shift+i} -> P^n_i, i = 0..depth, of a chain map over
+    top: P^m_shift -> N (F_0 @ aug_n = top, F_i @ d^n_i = d^m_{shift+i} @ F_{i-1})."""
+    levels = []
+    for i in range(depth + 1):
+        src, tgt = rm.modules[shift + i], rn.modules[i]
+        if i == 0:
+            post, rhs = rn.augmentation.matrix, top
+        else:
+            post = rn.diffs[i - 1].matrix
+            rhs = rm.diffs[shift + i - 1].matrix.mul(levels[-1].matrix)
+        levels.append(ModuleMap(src, tgt, _solve_through(src, tgt, [(post, rhs)]),
+                                _validate=False))
+    return levels
+
+
+def _solve_through(src, tgt, constraints):
+    """Deterministic F in Hom(src, tgt) with F @ post = rhs for every
+    (post, rhs) in `constraints`, solved as one stacked system."""
     f = src.field
     if src.dim == 0 or tgt.dim == 0:
         return Matrix.zeros(f, src.dim, tgt.dim)
     maps = hom_space(src, tgt)
     if not maps:
-        if rhs.is_zero():
+        if all(rhs.is_zero() for _, rhs in constraints):
             return Matrix.zeros(f, src.dim, tgt.dim)
         raise ValueError("no module maps available for lift")
-    cols = []
-    for mp in maps:
-        comp = mp.matrix.mul(post)
-        cols.append([comp.entry(i, j) for i in range(comp.nrows) for j in range(comp.ncols)])
-    sys_mat = Matrix.from_cols(f, cols, nrows=rhs.nrows * rhs.ncols)
-    target_vec = [rhs.entry(i, j) for i in range(rhs.nrows) for j in range(rhs.ncols)]
-    from .exactfield import solve
-    colsol = solve(sys_mat, target_vec)
-    if colsol is None:
+    # one row per basis map: its composites with each post, flattened in order
+    sys_rows = Matrix(f, [[x for post, _ in constraints for row in mp.matrix.mul(post).rows
+                           for x in row] for mp in maps])
+    target = Matrix(f, [[x for _, rhs in constraints for row in rhs.rows for x in row]],
+                    ncols=sys_rows.ncols)
+    coeffs = express_in_row_basis(sys_rows, target)
+    if coeffs is None:
         raise ValueError("comparison lift system inconsistent")
-    return linear_combination(colsol, [mp.matrix for mp in maps], f, src.dim, tgt.dim)
+    return linear_combination(coeffs.rows[0], [mp.matrix for mp in maps], f, src.dim, tgt.dim)
 
 
 @dataclass
@@ -673,8 +681,8 @@ def horseshoe(ses, n_max):
             s_aug = res_sub.augmentation.matrix if Ps.dim else Matrix(f, [], ncols=ses.sub.dim)
             q_aug = res_quot.augmentation.matrix if Pq.dim else Matrix(f, [], ncols=ses.quot.dim)
             top = s_aug.mul(ses.inclusion.matrix) if Ps.dim else Matrix(f, [], ncols=ses.mid.dim)
-            sigma = _solve_through(Pq, ses.mid, ses.projection.matrix, q_aug) if Pq.dim else \
-                Matrix(f, [], ncols=ses.mid.dim)
+            sigma = _solve_through(Pq, ses.mid, [(ses.projection.matrix, q_aug)]) if Pq.dim \
+                else Matrix(f, [], ncols=ses.mid.dim)
             mat = Matrix(f, list(top.rows) + list(sigma.rows), ncols=ses.mid.dim)
             aug_mid = ModuleMap(P, ses.mid, mat, _validate=False)
         else:
@@ -684,8 +692,9 @@ def horseshoe(ses, n_max):
                 Matrix(f, [], ncols=mid_mods[n - 1].dim)
             if Pq.dim:
                 # tau: P''_n -> P_{n-1} with tau @ proj = d_q and tau @ prev_map = 0
-                tau = _horseshoe_tau(Pq, mid_mods[n - 1], proj_mats[n - 1], d_q,
-                                     prev_map, f)
+                zero = Matrix.zeros(f, Pq.dim, prev_map.ncols)
+                tau = _solve_through(Pq, mid_mods[n - 1],
+                                     [(proj_mats[n - 1], d_q), (prev_map, zero)])
             else:
                 tau = Matrix(f, [], ncols=mid_mods[n - 1].dim)
             mat = Matrix(f, list(top.rows) + list(tau.rows), ncols=mid_mods[n - 1].dim)
@@ -747,33 +756,6 @@ def _summand_rows(f, ds, dq, first):
     inclusion or section; their transposes are the retract and projection."""
     n, off = (ds, 0) if first else (dq, ds)
     return Matrix(f, [unit_vector(ds + dq, off + i) for i in range(n)], ncols=ds + dq)
-
-
-def _horseshoe_tau(Pq, target, proj_prev, d_q, prev_map, f):
-    """tau: P''_n -> P_{n-1} with tau @ proj_{n-1} = d''_n and tau landing in
-    the kernel of the previous map (tau @ prev_map = 0)."""
-    maps = hom_space(Pq, target)
-    if not maps:
-        if d_q.is_zero():
-            return Matrix.zeros(f, Pq.dim, target.dim)
-        raise ValueError("horseshoe lift failed: empty hom space")
-    cols = []
-    nr1 = d_q.nrows * d_q.ncols
-    nr2 = Pq.dim * prev_map.ncols
-    for mp in maps:
-        c1 = mp.matrix.mul(proj_prev)
-        c2 = mp.matrix.mul(prev_map)
-        col = [c1.entry(i, j) for i in range(c1.nrows) for j in range(c1.ncols)]
-        col += [c2.entry(i, j) for i in range(c2.nrows) for j in range(c2.ncols)]
-        cols.append(col)
-    sys_mat = Matrix.from_cols(f, cols, nrows=nr1 + nr2)
-    rhs = [d_q.entry(i, j) for i in range(d_q.nrows) for j in range(d_q.ncols)]
-    rhs += [0] * nr2
-    from .exactfield import solve
-    sol = solve(sys_mat, rhs)
-    if sol is None:
-        raise ValueError("horseshoe tau system inconsistent")
-    return linear_combination(sol, [mp.matrix for mp in maps], f, Pq.dim, target.dim)
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,8 @@ and a designed instance whose idempotent ideal is NOT stratifying.
 from __future__ import annotations
 
 from .algebra import Idempotent, QuiverPresentation, from_quiver, triangular
-from .exactfield import QQ, Matrix, unit_vector
-from .modules import Bimodule
+from .exactfield import QQ, Matrix
+from .modules import Bimodule, simple_modules
 
 
 def ground_field(field=QQ):
@@ -68,24 +68,7 @@ def augmentation_bimodule(a2, a1):
     algebra acts through its first primitive idempotent character, the right
     algebra likewise (arrows act by zero).
     """
-    f = a2.field
-    one = Matrix.identity(f, 1)
-    zero = Matrix.zeros(f, 1, 1)
-
-    def char_mats(alg):
-        # character: coefficient of the first primitive idempotent mod radical
-        from .exactfield import solve
-        ev = alg.basic.idempotent_coords[0]
-        rad = alg.basic.radical_rows
-        stack = Matrix(f, [list(ev)] + [list(r) for r in rad.rows], ncols=alg.dim)
-        mats = []
-        for i in range(alg.dim):
-            x = alg.multiply(alg.multiply(ev, unit_vector(alg.dim, i)), ev)
-            coords = solve(stack.transpose(), x)
-            mats.append(Matrix(f, [[coords[0]]], ncols=1))
-        return tuple(mats)
-
-    return Bimodule(a2, a1, 1, char_mats(a2), char_mats(a1))
+    return Bimodule(a2, a1, 1, simple_modules(a2)[0].action, simple_modules(a1)[0].action)
 
 
 def triangular_a2(field=QQ):

@@ -19,6 +19,8 @@ from .complexes import (
     HomComplexData,
     ProjectiveResolution,
     VectorSpaceComplex,
+    _lift,
+    _padded_resolution,
     hom_complex,
     horseshoe,
     projective_resolution,
@@ -32,9 +34,9 @@ from .errors import (
 from .exactfield import (
     QQ,
     Matrix,
+    express_in_row_basis,
     linear_combination,
     rank,
-    solve,
     sparse_rank,
 )
 from .modules import (
@@ -42,9 +44,6 @@ from .modules import (
     ModuleMap,
     RightModule,
     as_bimodule,
-    hom_coords,
-    hom_space,
-    hom_vec_basis,
     regular_bimodule,
     simple_modules,
     tensor_map,
@@ -203,14 +202,8 @@ class ExtData:
     def class_coords(self, cls):
         """Coordinates of an ExtClass in the canonical cohomology basis."""
         nlev = cls.degree
-        comps = self.hom.components.get(nlev, [])
-        f = self.target.field
-        total = self.hom.complex.dim(nlev)
-        row = [0] * total
-        for p, maps, off, size in comps:
-            row[off:off + size] = _hom_map_matrix([cls.cocycle.matrix], maps, f).rows[0]
         return self.hom.complex.coords_on_cohomology(
-            nlev, Matrix(f, [row], ncols=total))
+            nlev, self.hom.coords(nlev, -nlev, [cls.cocycle.matrix]))
 
 
 @dataclass
@@ -238,7 +231,7 @@ def ext(m, n, n_max, with_bases=False):
     return ExtData(GradedDims(tuple(entries), bases), res, n_mod, hc)
 
 
-def yoneda_product(x, y, n_max=None):
+def yoneda_product(x, y):
     """Composition product Ext^p(M, N) x Ext^q(N, L) -> Ext^{p+q}(M, L).
 
     x has target N and y lives over N: the product is "x followed by y".
@@ -250,7 +243,6 @@ def yoneda_product(x, y, n_max=None):
     needed = p + q
     if res_m.depth < needed:
         if res_m.stabilized:
-            from .complexes import _padded_resolution
             res_m = _padded_resolution(res_m, needed)
         else:
             raise DepthInsufficient(f"resolution depth {res_m.depth} < {needed}")
@@ -258,30 +250,7 @@ def yoneda_product(x, y, n_max=None):
     if res_n.depth < q:
         raise DepthInsufficient(f"target resolution depth {res_n.depth} < {q}")
     # lift the cocycle of x to a chain map shifted by p
-    f = x.target.field
-    levels = []
-    prev = None
-    for i in range(q + 1):
-        src = res_m.modules[p + i] if p + i <= res_m.depth else None
-        if src is None or src.dim == 0:
-            src = src or zero_module(res_m.module.algebra)
-            levels.append(ModuleMap(src, res_n.modules[i],
-                                    Matrix.zeros(f, src.dim, res_n.modules[i].dim),
-                                    _validate=False))
-            prev = levels[-1]
-            continue
-        tgt = res_n.modules[i]
-        if i == 0:
-            rhs = x.cocycle.matrix
-            post = res_n.augmentation.matrix
-        else:
-            rhs = res_m.diffs[p + i - 1].matrix.mul(prev.matrix)
-            post = res_n.diffs[i - 1].matrix
-        from .complexes import _solve_through
-        sol = _solve_through(src, tgt, post, rhs)
-        lvl = ModuleMap(src, tgt, sol, _validate=False)
-        levels.append(lvl)
-        prev = lvl
+    levels = _lift(res_m, res_n, x.cocycle.matrix, p, q)
     comp = levels[q].matrix.mul(y.cocycle.matrix)
     src = levels[q].source
     return ExtClass(p + q, res_m, y.target,
@@ -548,25 +517,16 @@ def _connecting(sub_cx, mid_cx, quot_cx, incs, prjs, n, n_next, sections):
     h_next = sub_cx.cohomology(n_next)[2]
     if hq == 0:
         return Matrix.zeros(f, 0, h_next)
-    prj = prjs.get(n)
-    inc_next = incs.get(n_next)
-    rows = []
-    for r in range(reps.nrows):
-        z = Matrix.row_vector(f, reps.rows[r])
-        if sections is not None and sections.get(n) is not None:
-            lift = z.mul(sections[n])
-        else:
-            sol = solve(prj.transpose(), reps.rows[r])
-            if sol is None:
-                raise ValueError("snake: projection not surjective on a cycle")
-            lift = Matrix.row_vector(f, sol)
-        db = lift.mul(mid_cx.diff(n))
-        pulled = solve(inc_next.transpose(), db.row(0))
-        if pulled is None:
-            raise ValueError("snake: boundary not in the subcomplex")
-        rows.append(list(pulled))
-    pulled_mat = Matrix(f, rows, ncols=sub_cx.dim(n_next))
-    return sub_cx.coords_on_cohomology(n_next, pulled_mat)
+    if sections is not None and sections.get(n) is not None:
+        lifts = reps.mul(sections[n])
+    else:
+        lifts = express_in_row_basis(prjs.get(n), reps)
+        if lifts is None:
+            raise ValueError("snake: projection not surjective on a cycle")
+    pulled = express_in_row_basis(incs.get(n_next), lifts.mul(mid_cx.diff(n)))
+    if pulled is None:
+        raise ValueError("snake: boundary not in the subcomplex")
+    return sub_cx.coords_on_cohomology(n_next, pulled)
 
 
 def _assemble_report(terms, maps, closed_start=False, closed_end=False):
@@ -670,56 +630,56 @@ def _induced_on_tensor(res_a, res_b, block_mat, t_bim, n):
     return tensor_map(ta.section_indices, t_bim.dim, tb.projection, left=block_mat)
 
 
-def _hom_into_complex(res, t_mod, n_max):
-    """Hom(P_*, T) as a cochain complex in degrees 0..n_max+1, plus bases."""
-    f = t_mod.field
-    dims = {}
-    diffs = {}
-    bases = []
-    for n in range(n_max + 2):
-        src = res.modules[n] if n <= res.depth else zero_module(res.module.algebra)
-        maps = hom_space(src, t_mod) if src.dim else []
-        bases.append(maps)
-        dims[n] = len(maps)
-    for n in range(n_max + 1):
-        if dims[n] == 0 or dims[n + 1] == 0:
-            diffs[n] = Matrix.zeros(f, dims[n], dims[n + 1])
-            continue
-        d = res.diffs[n].matrix
-        diffs[n] = _hom_map_matrix([d.mul(mp.matrix) for mp in bases[n]], bases[n + 1], f)
-    return VectorSpaceComplex(f, dims, diffs), bases
+class HomGrid:
+    """Hom complexes Hom(P_u, V) out of named resolutions into named modules,
+    each built once, and the maps between them induced by composition."""
 
+    def __init__(self, resolutions, modules, n_max):
+        self.res = resolutions
+        self.mods = modules
+        self.n_max = n_max
+        self._hom = {}
 
-def _hom_map_matrix(images, tgt_maps, f):
-    """The matrix of a map between Hom spaces: row i holds the coordinates of
-    images[i], the image of the i-th source basis map, in the basis tgt_maps."""
-    if not images or not tgt_maps:
-        return Matrix.zeros(f, len(images), len(tgt_maps))
-    tgt = tgt_maps[0]
-    return hom_coords(hom_vec_basis(tgt_maps, tgt.source.dim, tgt.target.dim, f), images)
+    def hom(self, u, v):
+        """Hom(P_u, V) as a HomComplexData; its degree n is Hom(P_n, V)."""
+        key = (u, v)
+        if key not in self._hom:
+            self._hom[key] = hom_complex(self.res[u].to_complex(), self.mods[v])
+        return self._hom[key]
+
+    def cx(self, u, v):
+        """Hom(P_u, V) as a VectorSpaceComplex."""
+        return self.hom(u, v).complex
+
+    def induced(self, src, tgt, pre=None, post=None):
+        """Hom(P_u, V) -> Hom(P_u', V') in degrees 0..n_max+1, for src = (u, V)
+        and tgt = (u', V'): g |-> pre[n] g post, with pre[n]: P_u',n -> P_u,n
+        the levels of a chain map and post: V -> V' a module map (either
+        omitted when it is the identity)."""
+        a, b = self.hom(*src), self.hom(*tgt)
+        out = {}
+        for n in range(self.n_max + 2):
+            images = [g.matrix for _, maps, _, _ in a.components.get(n, []) for g in maps]
+            if pre is not None:
+                images = [pre[n].mul(g) for g in images]
+            if post is not None:
+                images = [g.mul(post) for g in images]
+            out[n] = b.coords(n, -n, images)
+        return out
 
 
 def _les_contra(ses, t, n_max, labels):
     labels = labels or ("Ext(quot,T)", "Ext(mid,T)", "Ext(sub,T)")
     t_mod = t.restrict_right() if isinstance(t, Bimodule) else t
     hs = horseshoe(ses, n_max + 1)
-    f = t_mod.field
-    quot_cx, quot_b = _hom_into_complex(hs.res_quot, t_mod, n_max)
-    mid_cx, mid_b = _hom_into_complex(hs.res_mid, t_mod, n_max)
-    sub_cx, sub_b = _hom_into_complex(hs.res_sub, t_mod, n_max)
+    grid = HomGrid({"sub": hs.res_sub, "mid": hs.res_mid, "quot": hs.res_quot},
+                   {"T": t_mod}, n_max)
     # contravariant: Hom(P'', T) -> Hom(P, T) -> Hom(P', T) via precomposition
-    incs = {}
-    prjs = {}
-    secs = {}
-    for n in range(n_max + 2):
-        incs[n] = _hom_map_matrix([hs.proj_mats[n].mul(g.matrix) for g in quot_b[n]],
-                                  mid_b[n], f)
-        prjs[n] = _hom_map_matrix([hs.incl_mats[n].mul(g.matrix) for g in mid_b[n]],
-                                  sub_b[n], f)
-        secs[n] = _hom_map_matrix([hs.split_retracts[n].mul(g.matrix) for g in sub_b[n]],
-                                  mid_b[n], f)
-    degrees = list(range(n_max + 2))
-    _verify_ses_of_complexes(quot_cx, mid_cx, sub_cx, incs, prjs, degrees)
+    incs = grid.induced(("quot", "T"), ("mid", "T"), pre=hs.proj_mats)
+    prjs = grid.induced(("mid", "T"), ("sub", "T"), pre=hs.incl_mats)
+    secs = grid.induced(("sub", "T"), ("mid", "T"), pre=hs.split_retracts)
+    quot_cx, mid_cx, sub_cx = (grid.cx(u, "T") for u in ("quot", "mid", "sub"))
+    _verify_ses_of_complexes(quot_cx, mid_cx, sub_cx, incs, prjs, list(range(n_max + 2)))
     terms, maps = _snake_les(quot_cx, mid_cx, sub_cx, incs, prjs,
                              list(range(n_max + 1)), labels, sections=secs)
     return _assemble_report(terms, maps, closed_start=True, closed_end=False)
@@ -728,20 +688,12 @@ def _les_contra(ses, t, n_max, labels):
 def _les_cov(ses, t, n_max, labels):
     labels = labels or ("Ext(T,sub)", "Ext(T,mid)", "Ext(T,quot)")
     t_mod = t.restrict_right() if isinstance(t, Bimodule) else t
-    res_t = projective_resolution(t_mod, n_max + 1)
-    f = t_mod.field
-    sub_cx, sub_b = _hom_into_complex(res_t, ses.sub, n_max)
-    mid_cx, mid_b = _hom_into_complex(res_t, ses.mid, n_max)
-    quot_cx, quot_b = _hom_into_complex(res_t, ses.quot, n_max)
-    incs = {}
-    prjs = {}
-    for n in range(n_max + 2):
-        incs[n] = _hom_map_matrix([g.matrix.mul(ses.inclusion.matrix) for g in sub_b[n]],
-                                  mid_b[n], f)
-        prjs[n] = _hom_map_matrix([g.matrix.mul(ses.projection.matrix) for g in mid_b[n]],
-                                  quot_b[n], f)
-    degrees = list(range(n_max + 2))
-    _verify_ses_of_complexes(sub_cx, mid_cx, quot_cx, incs, prjs, degrees)
+    grid = HomGrid({"T": projective_resolution(t_mod, n_max + 1)},
+                   {"sub": ses.sub, "mid": ses.mid, "quot": ses.quot}, n_max)
+    incs = grid.induced(("T", "sub"), ("T", "mid"), post=ses.inclusion.matrix)
+    prjs = grid.induced(("T", "mid"), ("T", "quot"), post=ses.projection.matrix)
+    sub_cx, mid_cx, quot_cx = (grid.cx("T", v) for v in ("sub", "mid", "quot"))
+    _verify_ses_of_complexes(sub_cx, mid_cx, quot_cx, incs, prjs, list(range(n_max + 2)))
     terms, maps = _snake_les(sub_cx, mid_cx, quot_cx, incs, prjs,
                              list(range(n_max + 1)), labels, sections=None)
     return _assemble_report(terms, maps, closed_start=True, closed_end=False)

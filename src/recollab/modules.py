@@ -31,7 +31,6 @@ from .exactfield import (
     rank,
     row_space_basis,
     rref,
-    solve,
     sylvester_rows,
     unit_vector,
 )
@@ -758,14 +757,13 @@ def simple_modules(a):
     f = a.field
     rad = radical(a)
     out = []
-    for t, ev in enumerate(a.basic.idempotent_coords):
+    for ev in a.basic.idempotent_coords:
         stack = Matrix(f, [list(ev)] + [list(r) for r in rad.rows], ncols=a.dim)
-        acts = []
-        for i in range(a.dim):
-            x = a.multiply(a.multiply(ev, unit_vector(a.dim, i)), ev)
-            coords = solve(stack.transpose(), x)
-            if coords is None:
-                raise ValueError("simple action not defined")
-            acts.append(Matrix(f, [[coords[0]]], ncols=1))
-        out.append(RightModule(a, 1, acts))
+        # b acts on the simple at ev by the coefficient of ev in e b e mod rad
+        ebe = Matrix(f, [a.multiply(a.multiply(ev, unit_vector(a.dim, i)), ev)
+                         for i in range(a.dim)], ncols=a.dim)
+        coords = express_in_row_basis(stack, ebe)
+        if coords is None:
+            raise ValueError("simple action not defined")
+        out.append(RightModule(a, 1, [Matrix(f, [[c[0]]], ncols=1) for c in coords.rows]))
     return out

@@ -30,7 +30,7 @@ from .errors import (
     NotStratifying,
     TransferFailed,
 )
-from .exactfield import Matrix, linear_combination, rank, solve
+from .exactfield import Matrix, express_in_row_basis, linear_combination, rank
 from .homology import GradedDims, PdVerdict, ext, tor
 from .modules import (
     Bimodule,
@@ -168,16 +168,13 @@ def check_stratifying(a, e, n_max):
     f = a.field
     # multiplication map Ae (x)_{eAe} eA -> AeA on the chosen quotient basis
     tp = tensor_over(cb.ae, cb.ea)
-    rows = []
     dn = cb.ea.dim
-    for idx in tp.section_indices:
-        x, y = divmod(idx, dn)
-        prod = a.multiply(cb.ae_rows.rows[x], cb.ea_rows.rows[y])
-        coords = solve(cb.aea_rows.transpose(), prod)
-        if coords is None:
-            raise CertificationFailed("product of Ae and eA left the ideal AeA")
-        rows.append(list(coords))
-    mu = Matrix(f, rows, ncols=cb.aea.dim)
+    prods = [a.multiply(cb.ae_rows.rows[x], cb.ea_rows.rows[y])
+             for x, y in (divmod(idx, dn) for idx in tp.section_indices)]
+    mu = express_in_row_basis(cb.aea_rows, Matrix(f, prods, ncols=a.dim)) if prods else \
+        Matrix(f, [], ncols=cb.aea.dim)
+    if mu is None:
+        raise CertificationFailed("product of Ae and eA left the ideal AeA")
     mult_rank = rank(mu)
     mult_iso = (tp.bimodule.dim == cb.aea.dim) and (mult_rank == cb.aea.dim)
     tor_g = tor(cb.ae, cb.ea, n_max)

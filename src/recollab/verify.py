@@ -19,9 +19,8 @@ from .homology import (
     LesReport,
     LesTerm,
     _assemble_report,
+    HomGrid,
     _connecting,
-    _hom_into_complex,
-    _hom_map_matrix,
     hochschild_cohomology,
     hochschild_dimension,
     hochschild_homology,
@@ -148,44 +147,6 @@ class CohomologyLesReport:
                 "mixed": self.seq_mixed}
 
 
-class _HomGrid:
-    """Hom complexes Hom(P_U, V) for U, V in {X=AeA, Y=A, Z=A/AeA} over A^e."""
-
-    def __init__(self, r, n_max):
-        self.r = r
-        self.n_max = n_max
-        ses, env = _canonical_env_ses(r)
-        self.ses = ses
-        self.env = env
-        self.hs = horseshoe(ses, n_max + 1)
-        self.res = {"X": self.hs.res_sub, "Y": self.hs.res_mid, "Z": self.hs.res_quot}
-        self.mods = {"X": ses.sub, "Y": ses.mid, "Z": ses.quot}
-        self._cx = {}
-
-    def cx(self, u, v):
-        key = (u, v)
-        if key not in self._cx:
-            self._cx[key] = _hom_into_complex(self.res[u], self.mods[v], self.n_max)
-        return self._cx[key]
-
-    def postcompose(self, u, v1, v2, mat):
-        """Hom(P_u, v1) -> Hom(P_u, v2) by postcomposition with mat per degree."""
-        _, b1 = self.cx(u, v1)
-        _, b2 = self.cx(u, v2)
-        f = self.mods[v2].field
-        return {n: _hom_map_matrix([g.matrix.mul(mat) for g in b1[n]], b2[n], f)
-                for n in range(self.n_max + 2)}
-
-    def precompose(self, u1, u2, v, level_mats):
-        """Hom(P_{u2}, v) -> Hom(P_{u1}, v) by precomposition with the chain map
-        P_{u1} -> P_{u2} (level_mats[n])."""
-        _, b2 = self.cx(u2, v)
-        _, b1 = self.cx(u1, v)
-        f = self.mods[v].field
-        return {n: _hom_map_matrix([level_mats[n].mul(g.matrix) for g in b2[n]], b1[n], f)
-                for n in range(self.n_max + 2)}
-
-
 def _invert(mat):
     """Inverse of a square invertible matrix (None if singular)."""
     if mat.nrows != mat.ncols:
@@ -204,19 +165,20 @@ def cohomology_les(r, n_max=4):
     through the quasi-isomorphisms that the orthogonality Ext(AeA, A/AeA) = 0
     provides; phi_n, psi_n and phibar_n are returned as explicit matrices and
     exactness of every joint is a rank identity."""
-    grid = _HomGrid(r, n_max)
-    hs = grid.hs
-    f = r.a.field
+    ses, _ = _canonical_env_ses(r)
+    hs = horseshoe(ses, n_max + 1)
+    # X = AeA, Y = A, Z = A/AeA over A^e
+    grid = HomGrid({"X": hs.res_sub, "Y": hs.res_mid, "Z": hs.res_quot},
+                   {"X": ses.sub, "Y": ses.mid, "Z": ses.quot}, n_max)
     incl_mat = r.canon.inclusion
     proj_mat = r.canon.projection
     degrees = list(range(n_max + 1))
-    all_degrees = list(range(n_max + 2))
 
     ok = True
     # orthogonality: Ext^n(X, Z) = 0 (the hypothesis of the three-triangle lemma)
-    xz_cx, _ = grid.cx("X", "Z")
+    xz_cx = grid.cx("X", "Z")
     orth = []
-    for n in all_degrees[:-1]:
+    for n in degrees:
         d = xz_cx.cohomology_dim(n)
         orth.append({"degree": n, "dim": d, "zero": d == 0})
         ok = ok and d == 0
@@ -225,18 +187,18 @@ def cohomology_les(r, n_max=4):
             "Ext(AeA, A/AeA) does not vanish; the stratifying hypothesis failed")
 
     # ---- sequence (1): covariant Hom(Y, -) with third column moved to Ext(Z,Z)
-    yx_cx, _ = grid.cx("Y", "X")
-    yy_cx, _ = grid.cx("Y", "Y")
-    yz_cx, _ = grid.cx("Y", "Z")
-    zz_cx, _ = grid.cx("Z", "Z")
-    xx_cx, _ = grid.cx("X", "X")
-    xy_cx, _ = grid.cx("X", "Y")
-    zx_cx, _ = grid.cx("Z", "X")
-    zy_cx, _ = grid.cx("Z", "Y")
+    yx_cx = grid.cx("Y", "X")
+    yy_cx = grid.cx("Y", "Y")
+    yz_cx = grid.cx("Y", "Z")
+    zz_cx = grid.cx("Z", "Z")
+    xx_cx = grid.cx("X", "X")
+    xy_cx = grid.cx("X", "Y")
+    zx_cx = grid.cx("Z", "X")
+    zy_cx = grid.cx("Z", "Y")
 
-    post_u_yx_yy = grid.postcompose("Y", "X", "Y", incl_mat)
-    post_v_yy_yz = grid.postcompose("Y", "Y", "Z", proj_mat)
-    vstar = grid.precompose("Y", "Z", "Z", hs.proj_mats)   # Hom(P_Z,Z)->Hom(P_Y,Z)
+    post_u_yx_yy = grid.induced(("Y", "X"), ("Y", "Y"), post=incl_mat)
+    post_v_yy_yz = grid.induced(("Y", "Y"), ("Y", "Z"), post=proj_mat)
+    vstar = grid.induced(("Z", "Z"), ("Y", "Z"), pre=hs.proj_mats)
 
     phi = {}
     v_iso = {}
@@ -264,9 +226,9 @@ def cohomology_les(r, n_max=4):
     seq1 = _assemble_report(terms1, maps1, closed_start=True, closed_end=False)
 
     # ---- sequence (2): contravariant Hom(-, Y) with third column moved to Ext(X,X)
-    pre_pi_zy_yy = grid.precompose("Y", "Z", "Y", hs.proj_mats)
-    pre_u_yy_xy = grid.precompose("X", "Y", "Y", hs.incl_mats)
-    ustar = grid.postcompose("X", "X", "Y", incl_mat)      # Hom(P_X,X)->Hom(P_X,Y)
+    pre_pi_zy_yy = grid.induced(("Z", "Y"), ("Y", "Y"), pre=hs.proj_mats)
+    pre_u_yy_xy = grid.induced(("Y", "Y"), ("X", "Y"), pre=hs.incl_mats)
+    ustar = grid.induced(("X", "X"), ("X", "Y"), post=incl_mat)
 
     psi = {}
     u_iso = {}
@@ -296,15 +258,11 @@ def cohomology_les(r, n_max=4):
     # ---- sequence (3): mixed, with the pair map and a two-component connecting
     # Ext^n(Z, X) -> Ext^n(Y, Y): precompose the projection chain map and
     # postcompose the inclusion of bimodules
-    _, bzx = grid.cx("Z", "X")
-    _, byy = grid.cx("Y", "Y")
-    lam = {n: _hom_map_matrix([hs.proj_mats[n].mul(g.matrix).mul(incl_mat) for g in bzx[n]],
-                              byy[n], f)
-           for n in all_degrees}
-    post_u_zx_zy = grid.postcompose("Z", "X", "Y", incl_mat)
-    post_v_zy_zz = grid.postcompose("Z", "Y", "Z", proj_mat)
-    pre_pi_zx_yx = grid.precompose("Y", "Z", "X", hs.proj_mats)
-    pre_u_yx_xx = grid.precompose("X", "Y", "X", hs.incl_mats)
+    lam = grid.induced(("Z", "X"), ("Y", "Y"), pre=hs.proj_mats, post=incl_mat)
+    post_u_zx_zy = grid.induced(("Z", "X"), ("Z", "Y"), post=incl_mat)
+    post_v_zy_zz = grid.induced(("Z", "Y"), ("Z", "Z"), post=proj_mat)
+    pre_pi_zx_yx = grid.induced(("Z", "X"), ("Y", "X"), pre=hs.proj_mats)
+    pre_u_yx_xx = grid.induced(("Y", "X"), ("X", "X"), pre=hs.incl_mats)
 
     def delta_c(n):
         # contravariant Hom(-, X) snake: Ext^n(X,X) -> Ext^{n+1}(Z,X)

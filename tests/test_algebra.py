@@ -379,6 +379,13 @@ def test_associativity_is_checked_past_the_int64_bound_over_q():
     assert Algebra(QQ, _table(13, [(1, 1, 2, 2**31)]), unit).associativity_checked
 
 
+def test_associativity_is_checked_at_every_dimension():
+    # dim 49: (b1 b1) b1 = b2 b1 = b3 but b1 (b1 b1) = b1 b2 = 0
+    unit = (1,) + (0,) * 48
+    with pytest.raises(ValueError, match="associativity fails"):
+        Algebra(QQ, _table(49, [(1, 1, 2, 1), (2, 1, 3, 1)]), unit)
+
+
 def test_associativity_is_exact_over_a_large_prime():
     # k[x]/(x^3 - 1) in the basis 1, 5x, 9x^2: entries near p = 2^32 - 5, whose
     # squares overflow int64

@@ -344,3 +344,36 @@ def test_quotient_of_whole_ideal_exit_2(tmp_path, capsys):
     path = _write(tmp_path, doc)
     assert main(["define", path]) == EXIT_PRECONDITION
     capsys.readouterr()
+
+
+_ONE_VERTEX = {"kind": "quiver", "field": "Q", "vertices": ["1"]}
+MALFORMED = {
+    # b0 b1 = b1, so (0, 1) fixes b1 but not b0: not a unit
+    "unit_not_a_unit": (
+        ["define"], {"kind": "structure_constants", "field": "Q", "dim": 2,
+                     "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
+                     "unit": ["0", "1"]}, None),
+    "bimodule_unit_acts_by_2": (
+        ["define"], {"kind": "construction", "op": "triangular",
+                     "args": [_ONE_VERTEX, _ONE_VERTEX],
+                     "bimodule": {"dim": 1, "left_action": [[["2"]]],
+                                  "right_action": [[["1"]]]}}, None),
+    "ragged_table": (
+        ["define"], {"kind": "structure_constants", "field": "Q", "dim": 2,
+                     "table": [[["1", "0"]], [["0", "1"], ["0", "0"]]],
+                     "unit": ["1", "0"]}, None),
+    "arrow_to_unknown_vertex": (
+        ["define"], dict(_ONE_VERTEX, arrows=[{"source": "1", "target": "9", "label": "a"}]),
+        None),
+    "idempotent_not_idempotent": (["stratify"], None, "[1,1,1]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_is_a_one_line_parse_error(name, tmp_path, capsys):
+    cmd, doc, idem = MALFORMED[name]
+    path = _write(tmp_path, doc) if doc is not None else str(DOCS / "a2.json")
+    argv = cmd + [path] + (["--idempotent", idem] if idem else [])
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1, err

@@ -1,10 +1,12 @@
 """Golden digests of the CLI reports on the shipped documents.
 
-Each of `define`, `stratify`, `verify` and `hochschild --oracle` runs on every
-`demos/docs/*.json`; the exit code and the SHA-256 of the report printed to
-stdout must equal the entry in `golden_reports.json`.  The digests pin the
-report bytes, so any change to an emitted number, its formatting or its order
-fails here.  Regenerate them (only for an intended report change) with
+Each of `define`, `stratify`, `verify` (with and without `--with-matrices`,
+which adds every LES matrix, connecting maps included) and
+`hochschild --oracle` runs on every `demos/docs/*.json`; the exit code and
+the SHA-256 of the report printed to stdout must equal the entry in
+`golden_reports.json`.  The digests pin the report bytes, so any change to an
+emitted number, its sign, its formatting or its order fails here.
+Regenerate them (only for an intended report change) with
 
     PYTHONPATH=src python tests/test_golden_reports.py > tests/golden_reports.json
 """
@@ -43,6 +45,9 @@ def _commands():
         yield f"stratify:{name}", ["stratify", path, "--idempotent", idem]
         yield f"verify:{name}", ["verify", path, "--idempotent", idem,
                                  "--max-degree", "3", "--cutoff", "6"]
+        yield f"verify:{name}:matrices", ["verify", path, "--idempotent", idem,
+                                          "--max-degree", "3", "--cutoff", "6",
+                                          "--with-matrices"]
         yield f"hochschild:{name}", ["hochschild", path, "--max-degree", "3", "--oracle"]
 
 
