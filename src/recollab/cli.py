@@ -548,9 +548,9 @@ def build_parser():
     h = sub.add_parser("hochschild", help="Hochschild homology and cohomology")
     common(h, degrees=True)
     h.add_argument("--oracle", action="store_true",
-                   help="cross-check against the truncated bar complex")
+                   help="cross-check against the truncated normalised bar complex")
     h.add_argument("--budget", type=int, default=20000,
-                   help="per-term dimension budget for the bar oracle")
+                   help="bar oracle budget on the unnormalised term dim A^(n+1)")
     h.set_defaults(func=cmd_hochschild)
     return p
 

@@ -670,6 +670,7 @@ def sparse_rank(columns, field):
 
 
 def _sparse_rank_int(columns):
+    # each column is reduced in place against the pivots, which are primitive
     pivots = {}
     rk = 0
     for col in columns:
@@ -680,27 +681,28 @@ def _sparse_rank_int(columns):
             if piv is None:
                 g = gcd(*col.values())
                 if g > 1:
-                    col = {r: c // g for r, c in col.items()}
+                    for r in col:
+                        col[r] //= g
                 pivots[lead] = col
                 rk += 1
                 break
             a, b = piv[lead], col[lead]
             g = gcd(a, b)
             ma, mb = a // g, b // g
-            new = {}
-            for r, c in col.items():
-                new[r] = c * ma
+            if ma != 1:
+                for r in col:
+                    col[r] *= ma
             for r, c in piv.items():
-                val = new.get(r, 0) - c * mb
+                val = col.get(r, 0) - c * mb
                 if val:
-                    new[r] = val
-                elif r in new:
-                    del new[r]
-            col = new
+                    col[r] = val
+                else:
+                    del col[r]
     return rk
 
 
 def _sparse_rank_prime(columns, p):
+    # each column is reduced in place against the pivots, which are monic
     pivots = {}
     rk = 0
     for col in columns:
@@ -710,16 +712,16 @@ def _sparse_rank_prime(columns, p):
             piv = pivots.get(lead)
             if piv is None:
                 inv = pow(col[lead], p - 2, p)
-                pivots[lead] = {r: (c * inv) % p for r, c in col.items()}
+                for r in col:
+                    col[r] = col[r] * inv % p
+                pivots[lead] = col
                 rk += 1
                 break
             b = col[lead]
-            new = dict(col)
             for r, c in piv.items():
-                val = (new.get(r, 0) - c * b) % p
+                val = (col.get(r, 0) - c * b) % p
                 if val:
-                    new[r] = val
-                elif r in new:
-                    del new[r]
-            col = new
+                    col[r] = val
+                else:
+                    del col[r]
     return rk

@@ -1,9 +1,9 @@
 """Tor, Ext, Hochschild (co)homology, long exact sequences, Yoneda products.
 
 Hochschild homology of A is Tor over A^op (x) A of (A, A); cohomology is Ext
-over the same ring.  The truncated bar complex provides an independent oracle
-for both (it shares the exact linear algebra kernels but none of the
-resolution machinery).  Long exact sequences are produced at the chain level
+over the same ring.  The truncated normalised bar complex provides an
+independent oracle for both (it shares the exact linear algebra kernels but
+none of the resolution machinery).  Long exact sequences are produced at the chain level
 with explicit connecting homomorphisms via the horseshoe and a snake chase,
 so exactness of every joint is a rank computation, not a trusted theorem.
 """
@@ -11,6 +11,7 @@ so exactness of every joint is a rank computation, not a trusted theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import lcm
 
 from .algebra import enveloping
@@ -336,11 +337,14 @@ def _int_columns(cols, f):
 
 
 def bar_oracle(a, n_max, budget=20000):
-    """HH_* and HH^* from the truncated bar complex, independent of the
-    resolution machinery.
+    """HH_* and HH^* from the truncated normalised bar complex, independent
+    of the resolution machinery.
 
-    Chains: C_n = A^{(x)(n+1)} with the standard cyclic Hochschild boundary.
-    Cochains: C^n = Hom_k(A^{(x)n}, A) with the Hochschild codifferential.
+    With Abar = A / k.1, chains C_n = A (x) Abar^{(x)n} carry the cyclic
+    Hochschild boundary and cochains C^n = Hom_k(Abar^{(x)n}, A) the
+    Hochschild codifferential (Loday, Cyclic Homology, 1.1.14-1.1.15).  The
+    budget bounds the unnormalised term: BudgetExceeded if d^(n+1) > budget
+    for some n <= n_max + 1, d = dim A.
     """
     d = a.dim
     f = a.field
@@ -352,83 +356,74 @@ def bar_oracle(a, n_max, budget=20000):
             raise BudgetExceeded(
                 f"bar term dimension {d ** (n + 1)} exceeds budget {budget}")
     tab = a._sparse_table()
-    # factors[m]: the (u, v, c) with c the coefficient of b_m in b_u b_v, in
-    # (u, v)-lexicographic then table order
-    factors = {}
-    for (u, v), ent in sorted(tab.items()):
-        for mkey, c in ent:
-            factors.setdefault(mkey, []).append((u, v, c))
+    # Abar's r-th basis vector is b_rep[r], x projects to x - (x_j0 / u_j0) u;
+    # ptab: products of representatives projected to Abar; factors[m]: the
+    # (x, y, c) with c the m-th coefficient of ptab[x, y], (x, y) ascending
+    u = a.unit
+    j0 = next(j for j, x in enumerate(u) if x)
+    rep = [j for j in range(d) if j != j0]
+    e, s = d - 1, f.inv(u[j0])
+    ptab, factors = {}, {}
+    for x, y in product(range(e), repeat=2):
+        coef = dict(tab.get((rep[x], rep[y]), ()))
+        lam = coef.get(j0, 0) * s
+        proj = [(m, f.coerce(coef.get(j, 0) - lam * u[j])) for m, j in enumerate(rep)]
+        ptab[x, y] = [(m, c) for m, c in proj if c]
+        for m, c in ptab[x, y]:
+            factors.setdefault(m, []).append((x, y, c))
+
+    def encode(lead, digits):
+        for v in digits:
+            lead = lead * e + v
+        return lead
 
     def chain_diff_columns(n):
-        # d_n: C_n -> C_{n-1}, one sparse column per basis tuple
+        # d_n: C_n -> C_{n-1}; a_0 (x) .. (x) a_n is row encode(a_0, a_1..a_n)
         cols = []
-        shape = [d] * (n + 1)
-        idx = [0] * (n + 1)
-        total = d ** (n + 1)
-        for code in range(total):
-            rem = code
-            for pos in range(n, -1, -1):
-                idx[pos] = rem % d
-                rem //= d
+        for idx in product(range(d), *[range(e)] * n):
             col = {}
             for t in range(n):
-                ent = tab.get((idx[t], idx[t + 1]))
+                # a_0 a_1 lands in A, the inner products in Abar
+                ent = tab.get((idx[0], rep[idx[1]])) if t == 0 else ptab.get((idx[t], idx[t + 1]))
                 if ent:
                     sign = 1 if t % 2 == 0 else -1
                     for k, c in ent:
-                        merged = idx[:t] + [k] + idx[t + 2:]
-                        rcode = 0
-                        for v in merged:
-                            rcode = rcode * d + v
+                        rcode = encode(0, idx[:t] + (k,) + idx[t + 2:])
                         col[rcode] = col.get(rcode, 0) + sign * c
-            ent = tab.get((idx[n], idx[0]))
+            ent = tab.get((rep[idx[n]], idx[0]))
             if ent:
                 sign = 1 if n % 2 == 0 else -1
                 for k, c in ent:
-                    merged = [k] + idx[1:n]
-                    rcode = 0
-                    for v in merged:
-                        rcode = rcode * d + v
+                    rcode = encode(k, idx[1:n])
                     col[rcode] = col.get(rcode, 0) + sign * c
             cols.append({r: v for r, v in col.items() if v})
         return cols
 
     def cochain_diff_columns(n):
-        # delta^n: C^n -> C^{n+1}; C^n basis: (input tuple J, output k)
+        # delta^n: C^n -> C^{n+1}; C^n basis: (input tuple J over Abar, output k)
         cols = []
-        total_in = d ** n
-        for code in range(total_in * d):
-            jcode, k = divmod(code, d)
-            J = []
-            rem = jcode
-            for _ in range(n):
-                J.append(rem % d)
-                rem //= d
-            J.reverse()
+        for *J, k in product(*[range(e)] * n, range(d)):
             col = {}
 
             def add(tup, out, coeff):
-                rcode = 0
-                for v in tup:
-                    rcode = rcode * d + v
-                rcode = rcode * d + out
+                rcode = encode(0, tup) * d + out
                 col[rcode] = col.get(rcode, 0) + coeff
 
             # term 0: a_1 . f(a_2..a_{n+1})
-            for i in range(d):
-                ent = tab.get((i, k))
+            for i in range(e):
+                ent = tab.get((rep[i], k))
                 if ent:
                     for mkey, c in ent:
                         add([i] + J, mkey, c)
             # terms 1..n: f(a_1, ..., a_t a_{t+1}, ..., a_{n+1})
             for t in range(1, n + 1):
                 sign = -1 if t % 2 == 1 else 1
-                for u, v, c in factors.get(J[t - 1], ()):
-                    add(J[:t - 1] + [u, v] + J[t:], k, sign * c)
+                for x, y, c in factors.get(J[t - 1], ()):
+                    add(J[:t - 1] + [x, y] + J[t:], k, sign * c)
             # last term: f(a_1..a_n) . a_{n+1}
             sign = -1 if (n + 1) % 2 == 1 else 1
-            for w in range(d):
-                ent = tab.get((k, w))
+            for w in range(e):
+                ent = tab.get((k, rep[w]))
                 if ent:
                     for mkey, c in ent:
                         add(J + [w], mkey, sign * c)
@@ -440,7 +435,7 @@ def bar_oracle(a, n_max, budget=20000):
         chain_ranks[n] = sparse_rank(_int_columns(chain_diff_columns(n), f), f)
     hh = []
     for n in range(n_max + 1):
-        dim_cn = d ** (n + 1)
+        dim_cn = d * e ** n
         hh.append((n, dim_cn - chain_ranks.get(n, 0) - chain_ranks.get(n + 1, 0)))
 
     cochain_ranks = {}
@@ -448,7 +443,7 @@ def bar_oracle(a, n_max, budget=20000):
         cochain_ranks[n] = sparse_rank(_int_columns(cochain_diff_columns(n), f), f)
     hhc = []
     for n in range(n_max + 1):
-        dim_cn = d ** (n + 1)   # d^n inputs x d outputs
+        dim_cn = e ** n * d   # e^n inputs x d outputs
         hhc.append((n, dim_cn - cochain_ranks.get(n, 0) - cochain_ranks.get(n - 1, 0)))
     return GradedDims(tuple(hh)), GradedDims(tuple(hhc))
 

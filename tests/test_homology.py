@@ -1,18 +1,25 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 
-from recollab.algebra import enveloping
+from recollab.algebra import Algebra, enveloping
+from recollab.cli import algebra_from_doc
 from recollab.complexes import ShortExactSequence, projective_resolution
 from recollab.errors import BudgetExceeded, DepthInsufficient
-from recollab.exactfield import GF, QQ, Matrix, rank
+from recollab.exactfield import GF, QQ, Matrix, express_in_row_basis, rank, sparse_rank
 from recollab.fixtures import (
     a2_path_algebra,
     dual_numbers,
     ground_field,
     kronecker_algebra,
+    non_stratifying_algebra,
     one_point_extension_of_dual_numbers,
     vertex_idempotent,
 )
 from recollab.homology import (
+    _int_columns,
     bar_oracle,
     ext,
     global_dimension,
@@ -232,6 +239,133 @@ def test_bar_oracle_budget():
     k = kronecker_algebra()
     with pytest.raises(BudgetExceeded):
         bar_oracle(k, 4, budget=100)
+    # the gate is the unnormalised d^(n+1) for n <= n_max + 1, not d (d-1)^n
+    for n in (1, 2):
+        bar_oracle(k, n, budget=k.dim ** (n + 2))
+        with pytest.raises(BudgetExceeded):
+            bar_oracle(k, n, budget=k.dim ** (n + 2) - 1)
+
+
+def _unnormalised_bar_dims(a, n_max):
+    """HH_* and HH^* entries from the unnormalised complexes C_n = A^{(x)(n+1)}
+    and C^n = Hom_k(A^{(x)n}, A): the reference the normalised oracle must
+    reproduce."""
+    d, f = a.dim, a.field
+    tab = a._sparse_table()
+    factors = {}
+    for (u, v), ent in sorted(tab.items()):
+        for mkey, c in ent:
+            factors.setdefault(mkey, []).append((u, v, c))
+
+    def encode(tup):
+        rcode = 0
+        for v in tup:
+            rcode = rcode * d + v
+        return rcode
+
+    def decode(code, n):
+        idx = []
+        for _ in range(n):
+            code, v = divmod(code, d)
+            idx.append(v)
+        return idx[::-1]
+
+    def chain_diff_columns(n):
+        cols = []
+        for code in range(d ** (n + 1)):
+            idx = decode(code, n + 1)
+            col = {}
+            for t in range(n):
+                sign = 1 if t % 2 == 0 else -1
+                for k, c in tab.get((idx[t], idx[t + 1]), ()):
+                    r = encode(idx[:t] + [k] + idx[t + 2:])
+                    col[r] = col.get(r, 0) + sign * c
+            sign = 1 if n % 2 == 0 else -1
+            for k, c in tab.get((idx[n], idx[0]), ()):
+                r = encode([k] + idx[1:n])
+                col[r] = col.get(r, 0) + sign * c
+            cols.append({r: v for r, v in col.items() if v})
+        return cols
+
+    def cochain_diff_columns(n):
+        cols = []
+        for code in range(d ** n * d):
+            jcode, k = divmod(code, d)
+            J = decode(jcode, n)
+            col = {}
+
+            def add(tup, out, coeff):
+                r = encode(tup) * d + out
+                col[r] = col.get(r, 0) + coeff
+
+            for i in range(d):
+                for mkey, c in tab.get((i, k), ()):
+                    add([i] + J, mkey, c)
+            for t in range(1, n + 1):
+                sign = -1 if t % 2 == 1 else 1
+                for u, v, c in factors.get(J[t - 1], ()):
+                    add(J[:t - 1] + [u, v] + J[t:], k, sign * c)
+            sign = -1 if (n + 1) % 2 == 1 else 1
+            for w in range(d):
+                for mkey, c in tab.get((k, w), ()):
+                    add(J + [w], mkey, sign * c)
+            cols.append({r: v for r, v in col.items() if v})
+        return cols
+
+    def rk(cols):
+        return sparse_rank(_int_columns(cols, f), f)
+
+    ch = {n: rk(chain_diff_columns(n)) for n in range(1, n_max + 2)}
+    co = {n: rk(cochain_diff_columns(n)) for n in range(n_max + 1)}
+    hh = tuple((n, d ** (n + 1) - ch.get(n, 0) - ch[n + 1]) for n in range(n_max + 1))
+    hhc = tuple((n, d ** (n + 1) - co[n] - co.get(n - 1, 0)) for n in range(n_max + 1))
+    return hh, hhc
+
+
+def _base_change(a, rng):
+    """`a` in the basis given by the rows of a random invertible P (a scaled
+    diagonal plus dim - 1 off-diagonal entries, so the table stays sparse);
+    over Q, P is redrawn until the unit is no basis vector, its first nonzero
+    coordinate is fractional and some constant is not integral."""
+    f, d = a.field, a.dim
+    while True:
+        rows = [[rng.choice((1, 2, -3)) if i == j else 0 for j in range(d)] for i in range(d)]
+        for _ in range(d - 1):
+            i, j = rng.sample(range(d), 2)
+            rows[i][j] = rng.choice((1, -1, 2))
+        p = Matrix(f, rows)
+        if rank(p) < d:
+            continue
+        prods = Matrix(f, [a.multiply(p.rows[i], p.rows[j]) for i in range(d) for j in range(d)])
+        struct = express_in_row_basis(p, prods).rows
+        unit = express_in_row_basis(p, Matrix(f, [a.unit])).rows[0]
+        b = Algebra(f, [[struct[i * d + j] for j in range(d)] for i in range(d)], unit)
+        if f != QQ:
+            return b
+        lead = next(x for x in b.unit if x)
+        if (sum(map(bool, b.unit)) > 1 and not isinstance(lead, int)
+                and any(not isinstance(x, int) for r in b.struct for c in r for x in c)):
+            return b
+
+
+DOCS = sorted((Path(__file__).resolve().parents[1] / "demos" / "docs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", DOCS, ids=[p.stem for p in DOCS])
+def test_bar_oracle_normalised_matches_unnormalised_docs(path):
+    a = algebra_from_doc(json.loads(path.read_text(encoding="utf-8")))
+    hh, hhc = bar_oracle(a, 3)
+    assert (hh.entries, hhc.entries) == _unnormalised_bar_dims(a, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("make", [kronecker_algebra, a2_path_algebra, non_stratifying_algebra,
+                                  lambda f: one_point_extension_of_dual_numbers(f)[0]],
+                         ids=["kronecker", "a2", "non_stratifying", "t2"])
+def test_bar_oracle_normalised_matches_unnormalised_base_changes(make, field):
+    b = _base_change(make(field), random.Random(7))
+    hh, hhc = bar_oracle(b, 3)
+    assert (hh.entries, hhc.entries) == _unnormalised_bar_dims(b, 3)
 
 
 # -- dimensions ---------------------------------------------------------------------
