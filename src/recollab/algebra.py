@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -38,6 +39,7 @@ from .exactfield import (
     combine_rows,
     express_in_row_basis,
     field_tag_str,
+    integer_array,
     kernel_basis,
     parse_field,
     quotient_map,
@@ -78,7 +80,11 @@ class Algebra:
         self._left_mats = None
         self._right_mats = None
         self._hashes = None
-        self._vertex_projectives = {}
+        self._ints = None
+        self._opposite = None
+        self._enveloping = None
+        # modules over this algebra that modules.py builds once per instance
+        self._modules = {}
         self.associativity_checked = False
         if _validate and dim:
             self._validate()
@@ -187,6 +193,30 @@ class Algebra:
             self._hashes = (content, h.hexdigest())
         return self._hashes
 
+    def _int_tables(self):
+        """(unit, gens, prods, s, m): the unit (dim,), the generators (g, dim)
+        and the products g b_j of each generator with each basis element
+        (g, dim, dim) as integer arrays, all three scaled by s (over Q, the
+        square of the common denominator of unit, generators and table), with
+        m >= s and every |entry|.  Built once; the module checks read them."""
+        if self._ints is None:
+            n, gens, p = self.dim, self.generators(), getattr(self.field, "p", None)
+            # only the table rows b_i with i in some generator's support
+            support = sorted({i for g in gens for i, c in enumerate(g) if c})
+            flat = [x for i in support for entry in self.struct[i] for x in entry]
+            arr, den = integer_array(self.field, chain(self.unit, *gens, flat),
+                                     lambda m: n * m * m)
+            k = len(gens)
+            unit, gen = arr[:n] * den, arr[n:n + k * n].reshape(k, n)
+            rows = arr[n + k * n:].reshape(len(support), n * n)
+            prods = (gen[:, support] @ rows).reshape(k, n, n)
+            if p is not None:
+                prods %= p
+            tables = (unit, gen * den, prods)
+            m = max([den * den] + [int(abs(t).max(initial=0)) for t in tables])
+            self._ints = (*tables, den * den, m)
+        return self._ints
+
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
@@ -201,18 +231,14 @@ class Algebra:
     def _check_associative(self):
         """Raise unless (b_i b_j) b_l = b_i (b_j b_l) for all i, j, l.
 
-        The table is checked in integers: over Q scaled by the common
-        denominator (a global scale does not change associativity), over F_p
-        compared mod p.  Each product sums dim terms of size at most max|c|^2,
-        so the products run in int64 below 2^62 and on Python ints otherwise.
+        The table is checked in integers (`integer_array`: over Q scaled by
+        the common denominator, which scales both sides alike, over F_p
+        compared mod p).  Each product sums dim terms of size at most max|c|^2.
         One slice per i keeps the working memory at dim^3 entries.
         """
         f, n = self.field, self.dim
         flat = [x for row in self.struct for entry in row for x in entry]
-        den = lcm(*(x.denominator for x in flat))
-        ints = [x.numerator * (den // x.denominator) for x in flat]
-        mx = max(map(abs, ints), default=0)
-        C = np.array(ints, dtype=np.int64 if mx * mx * n < 2**62 else object).reshape(n, n, n)
+        C = integer_array(f, flat, lambda m: m * m * n)[0].reshape(n, n, n)
         left, right = C.reshape(n, n * n), C.reshape(n * n, n)
         for i in range(n):
             # [j, (l, k)]: ((b_i b_j) b_l)_k and (b_i (b_j b_l))_k
@@ -497,7 +523,10 @@ def from_quiver(q, field_tag, degree_bound=32, path_budget=20000):
 
 
 def opposite(a):
-    """Same space, transposed multiplication table; an involution."""
+    """Same space, transposed multiplication table; an involution, built once
+    per instance (opposite(opposite(a)) is a)."""
+    if a._opposite is not None:
+        return a._opposite
     struct = tuple(tuple(a.struct[j][i] for j in range(a.dim)) for i in range(a.dim))
     basic = None
     if a.basic is not None:
@@ -505,6 +534,7 @@ def opposite(a):
                                a.basic.radical_rows, a.basic.generator_coords)
     out = Algebra(a.field, struct, a.unit, labels=a.basis_labels, basic=basic, _validate=False)
     out.associativity_checked = a.associativity_checked
+    a._opposite, out._opposite = out, a
     return out
 
 
@@ -568,8 +598,11 @@ def tensor_coords(f, x, y, db):
 
 
 def enveloping(a):
-    """A^op tensor A; A-A-bimodules are right modules over this algebra."""
-    return tensor(opposite(a), a)
+    """A^op tensor A; A-A-bimodules are right modules over this algebra.
+    Built once per instance."""
+    if a._enveloping is None:
+        a._enveloping = tensor(opposite(a), a)
+    return a._enveloping
 
 
 def triangular(a1, a2, m):

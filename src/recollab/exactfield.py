@@ -37,6 +37,7 @@ import numpy as np
 from .errors import DimensionMismatch, FieldMismatch
 
 _INT64_SAFE = 2**62
+_INT = {int}
 
 
 def _is_prime(n):
@@ -161,6 +162,25 @@ def check_same_field(*fields):
     return first
 
 
+def _canonical_rows(field, rows):
+    """`rows` as a tuple of tuples of canonical scalars of `field`.
+
+    Exact ints are canonical over Q as they are and over F_p once in 0..p-1;
+    an all-int row is otherwise reduced by one `% p` map, and only a row
+    holding another type (Fraction, bool, str) goes through `coerce`.
+    """
+    rows = tuple(map(tuple, rows))
+    p = getattr(field, "p", None)
+    flat = chain.from_iterable
+    if {*map(type, flat(rows))} <= _INT:
+        if p is None or 0 <= min(flat(rows), default=0) and max(flat(rows), default=0) < p:
+            return rows
+        return tuple(tuple(map(p.__rmod__, r)) for r in rows)
+    coerce = field.coerce
+    return tuple((r if p is None else tuple(map(p.__rmod__, r)))
+                 if {*map(type, r)} <= _INT else tuple(map(coerce, r)) for r in rows)
+
+
 class Matrix:
     """Immutable exact matrix over a fixed field (row-major tuples)."""
 
@@ -168,9 +188,7 @@ class Matrix:
 
     def __init__(self, field, rows, ncols=None):
         self.field = field
-        coerce = field.coerce
-        rows = tuple(tuple(map(coerce, r)) for r in rows)
-        self.rows = rows
+        self.rows = rows = _canonical_rows(field, rows)
         self.nrows = len(rows)
         if rows:
             self.ncols = len(rows[0])
@@ -339,7 +357,7 @@ def _matmul_fast(a, b):
     """
     if a.field == QQ:
         ea, eb = chain.from_iterable(a.rows), chain.from_iterable(b.rows)
-        if not {*map(type, ea), *map(type, eb)} <= {int}:
+        if not {*map(type, ea), *map(type, eb)} <= _INT:
             return None
         ma = max(map(abs, chain.from_iterable(a.rows)))
         mb = max(map(abs, chain.from_iterable(b.rows)))
@@ -351,6 +369,27 @@ def _matmul_fast(a, b):
             return None
         prod = (np.array(a.rows, dtype=np.int64) @ np.array(b.rows, dtype=np.int64)) % p
     return Matrix._of(a.field, tuple(map(tuple, prod.tolist())), b.ncols)
+
+
+def integer_array(field, values, bound):
+    """(array, den): the canonical scalars `values` of `field` as one flat
+    integer numpy array, for checking polynomial identities in integers.
+
+    Over Q the values are multiplied by their common denominator den (the
+    caller scales each side of an identity to the same degree in den); over
+    F_p they are the residues, den = 1, and the caller compares mod p.
+    `bound(m)` must bound every integer the caller's products make from
+    numbers of size at most m; m is the largest |entry| and den.  The array
+    is int64 when that bound is below 2^62 and holds Python ints (`object`)
+    otherwise, so the products are exact either way.
+    """
+    values = list(values)
+    den = 1
+    if field == QQ and not {*map(type, values)} <= _INT:
+        den = lcm(*(x.denominator for x in values))
+        values = [x.numerator * (den // x.denominator) for x in values]
+    m = max(max(map(abs, values), default=0), den)
+    return np.array(values, dtype=np.int64 if bound(m) < _INT64_SAFE else object), den
 
 
 # --------------------------------------------------------------------------

@@ -372,29 +372,43 @@ def bar_oracle(a, n_max, budget=20000):
         for m, c in ptab[x, y]:
             factors.setdefault(m, []).append((x, y, c))
 
-    def encode(lead, digits):
+    # a tuple of digits v_1..v_m is row sum_i v_i e^(m-i) (the first digit
+    # may be an A index, up to d - 1); the prefix and suffix codes of a
+    # column's tuple give each row code of its boundary in O(1)
+    pw = [e ** i for i in range(n_max + 2)]
+
+    def codes(digits):
+        # pre[t] codes digits[:t], suf[t] codes digits[t:]
+        pre, suf = [0], [0]
         for v in digits:
-            lead = lead * e + v
-        return lead
+            pre.append(pre[-1] * e + v)
+        for i, v in enumerate(reversed(digits)):
+            suf.append(v * pw[i] + suf[-1])
+        return pre, suf[::-1]
 
     def chain_diff_columns(n):
-        # d_n: C_n -> C_{n-1}; a_0 (x) .. (x) a_n is row encode(a_0, a_1..a_n)
+        # d_n: C_n -> C_{n-1}; a_0 (x) .. (x) a_n is row (a_0, a_1, .., a_n)
         cols = []
         for idx in product(range(d), *[range(e)] * n):
+            pre, suf = codes(idx)
             col = {}
             for t in range(n):
                 # a_0 a_1 lands in A, the inner products in Abar
                 ent = tab.get((idx[0], rep[idx[1]])) if t == 0 else ptab.get((idx[t], idx[t + 1]))
                 if ent:
                     sign = 1 if t % 2 == 0 else -1
+                    # row (a_0, .., a_t a_{t+1}, .., a_n)
+                    base = pre[t] * pw[n - t] + suf[t + 2]
                     for k, c in ent:
-                        rcode = encode(0, idx[:t] + (k,) + idx[t + 2:])
+                        rcode = base + k * pw[n - 1 - t]
                         col[rcode] = col.get(rcode, 0) + sign * c
             ent = tab.get((rep[idx[n]], idx[0]))
             if ent:
                 sign = 1 if n % 2 == 0 else -1
+                # row (a_n a_0, a_1, .., a_{n-1})
+                base = pre[n] - idx[0] * pw[n - 1]
                 for k, c in ent:
-                    rcode = encode(k, idx[1:n])
+                    rcode = base + k * pw[n - 1]
                     col[rcode] = col.get(rcode, 0) + sign * c
             cols.append({r: v for r, v in col.items() if v})
         return cols
@@ -403,10 +417,12 @@ def bar_oracle(a, n_max, budget=20000):
         # delta^n: C^n -> C^{n+1}; C^n basis: (input tuple J over Abar, output k)
         cols = []
         for *J, k in product(*[range(e)] * n, range(d)):
+            pre, suf = codes(J)
             col = {}
 
-            def add(tup, out, coeff):
-                rcode = encode(0, tup) * d + out
+            def add(code, out, coeff):
+                # code: the input tuple's row code
+                rcode = code * d + out
                 col[rcode] = col.get(rcode, 0) + coeff
 
             # term 0: a_1 . f(a_2..a_{n+1})
@@ -414,19 +430,20 @@ def bar_oracle(a, n_max, budget=20000):
                 ent = tab.get((rep[i], k))
                 if ent:
                     for mkey, c in ent:
-                        add([i] + J, mkey, c)
+                        add(i * pw[n] + pre[n], mkey, c)
             # terms 1..n: f(a_1, ..., a_t a_{t+1}, ..., a_{n+1})
             for t in range(1, n + 1):
                 sign = -1 if t % 2 == 1 else 1
+                base = pre[t - 1] * pw[n - t + 2] + suf[t]
                 for x, y, c in factors.get(J[t - 1], ()):
-                    add(J[:t - 1] + [x, y] + J[t:], k, sign * c)
+                    add(base + x * pw[n - t + 1] + y * pw[n - t], k, sign * c)
             # last term: f(a_1..a_n) . a_{n+1}
             sign = -1 if (n + 1) % 2 == 1 else 1
             for w in range(e):
                 ent = tab.get((k, rep[w]))
                 if ent:
                     for mkey, c in ent:
-                        add(J + [w], mkey, sign * c)
+                        add(pre[n] * e + w, mkey, sign * c)
             cols.append({r: v for r, v in col.items() if v})
         return cols
 

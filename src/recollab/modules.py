@@ -7,8 +7,11 @@ A B-A-bimodule therefore is the same thing as a right module over
 B^op (x) A via (b^op (x) a) |-> lam(b) @ rho(a), which is how bimodules are
 fed to the resolution machinery.
 
-The action-compatibility invariants are asserted at construction for every
-module; silent convention drift is the classic bug in this business.
+The action-compatibility invariants are asserted once per object, when a
+module, map or bimodule is built (or first restricted, for a bimodule built
+unchecked); silent convention drift is the classic bug in this business.
+Each check is complete and runs as a few integer numpy products over the
+stacked action matrices (see `exactfield.integer_array`).
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .algebra import Algebra, Idempotent, ideal_and_quotient, corner, radical
 from .errors import AlgebraMismatch, DimensionMismatch, Inconclusive, NotInHomSpace
@@ -25,6 +31,7 @@ from .exactfield import (
     check_same_field,
     combine_rows,
     express_in_row_basis,
+    integer_array,
     kernel_basis,
     linear_combination,
     quotient_map,
@@ -34,6 +41,33 @@ from .exactfield import (
     sylvester_rows,
     unit_vector,
 )
+
+
+# entries of the largest integer array one check builds at a time: the
+# products for all generators at once unless that passes this size
+_CHUNK = 2**20
+
+
+def _stacked(field, groups, bound):
+    """(arrays, scale): each group, a (count, rows, cols) shape and that many
+    matrices, as one integer array of that shape; all arrays share one scale
+    (`integer_array`)."""
+    arr, scale = integer_array(field, chain.from_iterable(
+        chain.from_iterable(m.rows) for _, mats in groups for m in mats), bound)
+    cuts = np.cumsum([np.prod(shape) for shape, _ in groups])[:-1]
+    return [a.reshape(shape) for a, (shape, _) in zip(np.split(arr, cuts), groups)], scale
+
+
+def _combine(coeffs, mats):
+    """sum_i c_i mats[i] for each coefficient vector c (the last axis of
+    `coeffs`), for a stack of matrices `mats`."""
+    out = coeffs @ mats.reshape(len(mats), int(np.prod(mats.shape[1:])))
+    return out.reshape(coeffs.shape[:-1] + mats.shape[1:])
+
+
+def _nonzero(arr, p):
+    """Where an integer array is nonzero in the field (mod p over F_p)."""
+    return (arr if p is None else arr % p) != 0
 
 
 class RightModule:
@@ -56,18 +90,32 @@ class RightModule:
     def _validate(self):
         """rho(1) = id and rho(g b) = rho(g) rho(b) for every algebra generator
         g and basis element b: by induction on words in the generators, rho is
-        then multiplicative on all of A, at |generators| * dim A products."""
-        a = self.algebra
-        if self.dim == 0:
+        then multiplicative on all of A, at |generators| * dim A products.
+
+        In integers: with the action scaled by r and the algebra's tables by
+        s, rho(g) rho(b_j) is scaled by s r^2 and sum_k (g b_j)_k rho(b_k) by
+        s r, so the second is multiplied by r before comparing.
+        """
+        a, d, n = self.algebra, self.dim, self.algebra.dim
+        if d == 0:
             return
-        f, d = self.field, self.dim
-        if linear_combination(a.unit, self.action, f, d, d) != Matrix.identity(f, d):
+        unit, gens, prods, s, ma = a._int_tables()
+        (R,), r = _stacked(self.field, [((n, d, d), self.action)],
+                           lambda m: n * d * max(m, ma) ** 3)
+        p = getattr(self.field, "p", None)
+        one = _combine(unit, R)
+        if _nonzero(one - s * r * np.eye(d, dtype=one.dtype), p).any():
             raise ValueError("rho(1) != id")
-        for g in a.generators():
-            rho_g = linear_combination(g, self.action, f, d, d)
-            for j, gb in enumerate(a.left_mult_matrix(g).rows):
-                if rho_g.mul(self.action[j]) != linear_combination(gb, self.action, f, d, d):
-                    raise ValueError(f"action incompatibility at generator {g}, basis {j}")
+        rho = _combine(gens, R)[:, None]
+        step = max(1, _CHUNK // (n * d * d))
+        for g0 in range(0, len(gens), step):
+            part = slice(g0, g0 + step)
+            bad = _nonzero(rho[part] @ R - r * _combine(prods[part], R), p)
+            hits = np.argwhere(bad.reshape(-1, n, d * d).any(axis=2))
+            if len(hits):
+                g, j = hits[0]
+                raise ValueError(f"action incompatibility at generator "
+                                 f"{a.generators()[g0 + g]}, basis {j}")
 
     def is_zero(self):
         return self.dim == 0
@@ -126,12 +174,18 @@ class ModuleMap:
             self._validate()
 
     def _validate(self):
-        src, tgt, f = self.source, self.target, self.source.field
-        for g in src.algebra.generators():
-            lhs = linear_combination(g, src.action, f, src.dim, src.dim).mul(self.matrix)
-            rhs = self.matrix.mul(linear_combination(g, tgt.action, f, tgt.dim, tgt.dim))
-            if lhs != rhs:
-                raise ValueError("matrix does not intertwine the actions")
+        """rho_src(g) F = F rho_tgt(g) for every generator g, in integers:
+        both actions and F share one scale, so both sides scale alike."""
+        src, tgt, a = self.source, self.target, self.source.algebra
+        n, ds, dt = a.dim, src.dim, tgt.dim
+        _, gens, _, _, ma = a._int_tables()
+        (S, T, (F,)), _ = _stacked(
+            src.field, [((n, ds, ds), src.action), ((n, dt, dt), tgt.action),
+                        ((1, ds, dt), (self.matrix,))],
+            lambda m: n * max(ds, dt) * max(m, ma) ** 3)
+        diff = _combine(gens, S) @ F - F @ _combine(gens, T)
+        if _nonzero(diff, getattr(src.field, "p", None)).any():
+            raise ValueError("matrix does not intertwine the actions")
 
     def compose(self, other):
         """self followed by other."""
@@ -163,7 +217,7 @@ class Bimodule:
             raise DimensionMismatch("left action count")
         if len(self.right_action_matrices) != right_algebra.dim:
             raise DimensionMismatch("right action count")
-        self._env_module = None
+        self._env_module = self._right = self._left_op = None
         if _validate:
             self._validate()
 
@@ -176,25 +230,39 @@ class Bimodule:
         self.left_as_op_module()
         # the two actions commute: both are multiplicative, so the matrices
         # commuting with one action form a subalgebra, and generator pairs
-        # suffice
-        f, d = self.field, self.dim
-        rights = [(h, linear_combination(h, self.right_action_matrices, f, d, d))
-                  for h in self.right_algebra.generators()]
-        for g in self.left_algebra.generators():
-            lm = linear_combination(g, self.left_action_matrices, f, d, d)
-            for h, rm in rights:
-                if lm.mul(rm) != rm.mul(lm):
-                    raise ValueError(f"left and right actions do not commute at "
-                                     f"generators {g}, {h}")
+        # suffice; in integers both actions share one scale
+        B, A, d = self.left_algebra, self.right_algebra, self.dim
+        (_, gl, _, _, mb), (_, gr, _, _, ma) = B._int_tables(), A._int_tables()
+        (L, R), _ = _stacked(
+            self.field, [((B.dim, d, d), self.left_action_matrices),
+                         ((A.dim, d, d), self.right_action_matrices)],
+            lambda m: d * B.dim * A.dim * max(m, mb, ma) ** 4)
+        lm, rm = _combine(gl, L)[:, None], _combine(gr, R)
+        step = max(1, _CHUNK // (len(gr) * d * d))
+        for g0 in range(0, len(gl), step):
+            part = lm[g0:g0 + step]
+            bad = _nonzero(part @ rm - rm @ part, getattr(self.field, "p", None))
+            hits = np.argwhere(bad.reshape(-1, len(gr), d * d).any(axis=2))
+            if len(hits):
+                g, h = hits[0]
+                raise ValueError(f"left and right actions do not commute at generators "
+                                 f"{B.generators()[g0 + g]}, {A.generators()[h]}")
 
     def restrict_right(self):
-        """Forget the left action: a right module over the right algebra."""
-        return RightModule(self.right_algebra, self.dim, self.right_action_matrices)
+        """Forget the left action: a right module over the right algebra,
+        built and checked once."""
+        if self._right is None:
+            self._right = RightModule(self.right_algebra, self.dim, self.right_action_matrices)
+        return self._right
 
     def left_as_op_module(self):
-        """The left B-action viewed as a right module over B^op."""
+        """The left B-action viewed as a right module over B^op, built and
+        checked once."""
         from .algebra import opposite
-        return RightModule(opposite(self.left_algebra), self.dim, self.left_action_matrices)
+        if self._left_op is None:
+            self._left_op = RightModule(opposite(self.left_algebra), self.dim,
+                                        self.left_action_matrices)
+        return self._left_op
 
     def as_right_module_over(self, env):
         """Right module over B^op (x) A (basis b_i^op (x) a_j, lexicographic)."""
@@ -266,8 +334,11 @@ def as_bimodule(m):
 
 
 def regular_bimodule(a):
-    """A as an A-A-bimodule."""
-    return Bimodule(a, a, a.dim, a.basis_left_mats(), a.basis_right_mats())
+    """A as an A-A-bimodule, built and checked once per algebra instance."""
+    if "regular" not in a._modules:
+        a._modules["regular"] = Bimodule(a, a, a.dim, a.basis_left_mats(),
+                                         a.basis_right_mats())
+    return a._modules["regular"]
 
 
 # --------------------------------------------------------------------------
@@ -529,13 +600,13 @@ def direct_sum(mods):
 def vertex_projective(a, v_index):
     """e_v A as a right module, with its subspace basis inside A (kept on the
     algebra instance, whose basic structure names the idempotents)."""
-    if v_index not in a._vertex_projectives:
+    if v_index not in a._modules:
         ev = a.basic.idempotent_coords[v_index]
         regular = RightModule(a, a.dim, a.basis_right_mats(), _validate=False)
         mod, incl = submodule_from_rows(regular, a.left_mult_matrix(ev))
         mod._validate()    # the regular action was not validated
-        a._vertex_projectives[v_index] = (mod, incl.matrix)
-    return a._vertex_projectives[v_index]
+        a._modules[v_index] = (mod, incl.matrix)
+    return a._modules[v_index]
 
 
 @dataclass

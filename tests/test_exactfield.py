@@ -452,6 +452,31 @@ def test_rational_scalars_are_canonical():
         assert hash(n) == hash(Fraction(n))
 
 
+@pytest.mark.parametrize("field", [QQ, F7, GF(2**31 - 1)], ids=["Q", "F7", "F31bit"])
+def test_matrix_rows_of_every_scalar_type_are_reduced(field):
+    """Matrix takes exact-int rows as they are over Q and reduces them by
+    `% p` over F_p; rows of bool, Fraction or str go through `coerce`, alone
+    or mixed with int rows, and the result is the same as coercing each
+    entry."""
+    third = Fraction(1, 3)
+    rows = [[True, False, True], [Fraction(4, 2), third, -third], ["6/3", "-1/2", "7"],
+            [10, -3, 2**70], [0, 1, 6], [True, 2, third], ["2", 5, Fraction(9, 3)]]
+    for pick in ([0], [1], [2], [3], [4], [3, 4], [0, 3], [1, 4], [2, 3], [5], [6],
+                 list(range(len(rows)))):
+        sub = [rows[i] for i in pick]
+        m = Matrix(field, sub)
+        assert m.rows == tuple(tuple(map(field.coerce, r)) for r in sub)
+        assert Matrix(field, (iter(r) for r in sub)) == m
+        _assert_canonical(field, m)
+    # a canonical int row is kept as the same tuple over Q
+    row = (0, -5, 2**70)
+    assert Matrix(QQ, [row]).rows[0] is row
+    with pytest.raises(DimensionMismatch):
+        Matrix(field, [[1, 2], [Fraction(1, 2)]])
+    with pytest.raises(TypeError):
+        Matrix(field, [[1, 2.5]])
+
+
 def test_combinations_and_products_return_canonical_scalars():
     half = Fraction(1, 2)
     mats = [Matrix(QQ, [[half, 1], [0, Fraction(3, 2)]]), Matrix(QQ, [[half, 2], [1, half]])]

@@ -1,18 +1,30 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from recollab.algebra import Idempotent, enveloping
+from recollab import modules
+from recollab.algebra import Idempotent, enveloping, opposite
 from recollab.errors import AlgebraMismatch, NotInHomSpace
-from recollab.exactfield import QQ, GF, Matrix, rank
+from recollab.exactfield import (
+    QQ,
+    GF,
+    Matrix,
+    linear_combination,
+    rank,
+    solve_matrix,
+)
 from recollab.fixtures import (
     a2_path_algebra,
     dual_numbers,
     ground_field,
     kronecker_algebra,
+    non_stratifying_algebra,
     one_point_extension_of_dual_numbers,
     vertex_idempotent,
 )
+from test_homology import _base_change
 from recollab.modules import (
     Bimodule,
     ModuleMap,
@@ -336,3 +348,185 @@ def test_hom_coords_solves_a_batch_and_names_a_map_outside_the_span(field):
                               for j in range(m.dim)] for i in range(m.dim)])
     with pytest.raises(NotInHomSpace):
         hom_coords(basis, [Matrix.identity(field, m.dim), outside])
+
+
+# -- construction checks against the Python-loop transcription -----------------
+
+
+def _ref_module(alg, d, action):
+    """The message of the Python-loop RightModule check, or None: the
+    reference the integer check must reproduce."""
+    f = alg.field
+    if d == 0:
+        return None
+    if linear_combination(alg.unit, action, f, d, d) != Matrix.identity(f, d):
+        return "rho(1) != id"
+    for g in alg.generators():
+        rho_g = linear_combination(g, action, f, d, d)
+        for j, gb in enumerate(alg.left_mult_matrix(g).rows):
+            if rho_g.mul(action[j]) != linear_combination(gb, action, f, d, d):
+                return f"action incompatibility at generator {g}, basis {j}"
+    return None
+
+
+def _ref_map(src, tgt, mat):
+    f = src.field
+    for g in src.algebra.generators():
+        lhs = linear_combination(g, src.action, f, src.dim, src.dim).mul(mat)
+        rhs = mat.mul(linear_combination(g, tgt.action, f, tgt.dim, tgt.dim))
+        if lhs != rhs:
+            return "matrix does not intertwine the actions"
+    return None
+
+
+def _ref_bimodule(left, right, d, lam, rho):
+    if d == 0:
+        return None
+    msg = _ref_module(right, d, rho) or _ref_module(opposite(left), d, lam)
+    if msg:
+        return msg
+    f = left.field
+    rights = [(h, linear_combination(h, rho, f, d, d)) for h in right.generators()]
+    for g in left.generators():
+        lm = linear_combination(g, lam, f, d, d)
+        for h, rm in rights:
+            if lm.mul(rm) != rm.mul(lm):
+                return f"left and right actions do not commute at generators {g}, {h}"
+    return None
+
+
+def _message(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+P31 = GF(2**31 - 1)
+CHECK_CASES = [(QQ, "small"), (QQ, "big"), (F5, "small"), (P31, "small")]
+
+
+def _conjugator(f, d, rng, kind):
+    """(P, P^-1) for a random invertible d x d P; "big" entries pass 2^31,
+    so over Q the conjugated actions need the checks' object path."""
+    while True:
+        top = 2**40 if kind == "big" else 3
+        p = Matrix(f, [[rng.randint(-top, top) if rng.random() < 0.6 or i == j else 0
+                        for j in range(d)] for i in range(d)])
+        inv = solve_matrix(p, Matrix.identity(f, d))
+        if inv is not None:
+            return p, inv
+
+
+def _perturbed(mats, f, rng):
+    """A copy of the matrices with one entry moved by a nonzero amount."""
+    mats = list(mats)
+    i = rng.randrange(len(mats))
+    x, y = rng.randrange(mats[i].nrows), rng.randrange(mats[i].ncols)
+    rows = [list(r) for r in mats[i].rows]
+    rows[x][y] += rng.choice((1, -1, 2, Fraction(1, 3) if f == QQ else 3))
+    mats[i] = Matrix(f, rows)
+    return mats
+
+
+def _check_algebras(f, rng):
+    algs = [kronecker_algebra(f), a2_path_algebra(f), non_stratifying_algebra(f),
+            one_point_extension_of_dual_numbers(f)[0], dual_numbers(f)]
+    # a base change has no basic structure (every basis vector generates) and,
+    # over Q, a fractional unit and table
+    return algs + [_base_change(kronecker_algebra(f), rng)]
+
+
+@pytest.fixture
+def dtypes(monkeypatch):
+    """The dtypes of the integer arrays the module checks build."""
+    seen = set()
+
+    def spy(*args):
+        arr, den = real(*args)
+        seen.add(arr.dtype)
+        return arr, den
+    real = modules.integer_array
+    monkeypatch.setattr(modules, "integer_array", spy)
+    return seen
+
+
+@pytest.mark.parametrize("field,kind", CHECK_CASES, ids=["Q", "Qbig", "F5", "F31bit"])
+def test_module_and_map_checks_match_reference(field, kind, dtypes):
+    rng = random.Random(11)
+    cases = 0
+    for alg in _check_algebras(field, rng):
+        reg = modules.RightModule(alg, alg.dim, alg.basis_right_mats())
+        mods = [reg, modules.direct_sum([reg, reg])]
+        if alg.basic is not None:
+            mods += modules.simple_modules(alg)
+        for m in mods:
+            p, pinv = _conjugator(field, m.dim, rng, kind)
+            acts = [p.mul(a).mul(pinv) for a in m.action]
+            assert _ref_module(alg, m.dim, acts) is None
+            conj = modules.RightModule(alg, m.dim, acts)
+            for _ in range(6):
+                bad = _perturbed(acts, field, rng)
+                want = _ref_module(alg, m.dim, bad)
+                assert _message(lambda: modules.RightModule(alg, m.dim, bad)) == want
+                cases += want is not None
+            # maps: a random combination of Hom(M, M') and perturbations of it
+            maps = modules.hom_space(m, conj)
+            coeffs = [rng.randint(-2, 2) for _ in maps]
+            mat = linear_combination(coeffs, [mp.matrix for mp in maps], field,
+                                     m.dim, m.dim)
+            for mat2 in [mat] + [_perturbed([mat], field, rng)[0] for _ in range(3)]:
+                want = _ref_map(m, conj, mat2)
+                assert _message(lambda: modules.ModuleMap(m, conj, mat2)) == want
+                cases += want is not None
+    # the zero action is multiplicative; only the unit law rejects it
+    a = kronecker_algebra(field)
+    zero = [Matrix.zeros(field, 2, 2)] * a.dim
+    assert _message(lambda: modules.RightModule(a, 2, zero)) == "rho(1) != id"
+    assert cases > 40
+    want = {np.dtype(object)} if kind == "big" or field == P31 else {np.dtype(np.int64)}
+    assert want <= dtypes
+
+
+@pytest.mark.parametrize("field,kind", CHECK_CASES, ids=["Q", "Qbig", "F5", "F31bit"])
+def test_bimodule_check_matches_reference(field, kind):
+    rng = random.Random(12)
+    cases = 0
+    for alg in _check_algebras(field, rng):
+        bims = [modules.regular_bimodule(alg)]
+        if alg.basic is not None and len(alg.basic.idempotent_coords) > 1:
+            cb = modules.canonical_bimodules(alg, Idempotent(alg, alg.basic.idempotent_coords[0]))
+            bims += [b for b in (cb.ae, cb.ea) if b.dim]
+        for b in bims:
+            left, right, d = b.left_algebra, b.right_algebra, b.dim
+            p, pinv = _conjugator(field, d, rng, kind)
+            q, qinv = _conjugator(field, d, rng, kind)
+            lam = [p.mul(x).mul(pinv) for x in b.left_action_matrices]
+            rho = [p.mul(x).mul(pinv) for x in b.right_action_matrices]
+            # each action alone is a module; conjugated apart they rarely commute
+            rho_q = [q.mul(x).mul(qinv) for x in b.right_action_matrices]
+            trials = [(lam, rho), (lam, rho_q)]
+            trials += [(_perturbed(lam, field, rng), rho) for _ in range(3)]
+            trials += [(lam, _perturbed(rho, field, rng)) for _ in range(3)]
+            for lam2, rho2 in trials:
+                want = _ref_bimodule(left, right, d, lam2, rho2)
+                got = _message(lambda: modules.Bimodule(left, right, d, lam2, rho2))
+                assert got == want
+                cases += want is not None
+    assert cases > 20
+
+
+def test_bimodule_restrictions_are_built_once_and_checked_on_first_use():
+    a = kronecker_algebra()
+    b = modules.regular_bimodule(a)
+    assert b is modules.regular_bimodule(a)
+    assert enveloping(a) is enveloping(a)
+    assert b.restrict_right() is b.restrict_right()
+    assert b.left_as_op_module() is b.left_as_op_module()
+    broken = list(b.right_action_matrices)
+    broken[0] = Matrix.zeros(QQ, a.dim, a.dim)
+    unchecked = modules.Bimodule(a, a, a.dim, b.left_action_matrices, broken,
+                                 _validate=False)
+    with pytest.raises(ValueError, match="rho"):
+        unchecked.restrict_right()
