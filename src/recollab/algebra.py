@@ -35,6 +35,7 @@ from .exactfield import (
     QQ,
     Field,
     Matrix,
+    _canonical_rows,
     check_same_field,
     combine_rows,
     express_in_row_basis,
@@ -64,12 +65,11 @@ class Algebra:
         self.field = field
         dim = len(struct)
         self.dim = dim
-        coerce = field.coerce
-        self.struct = tuple(
-            tuple(tuple(coerce(x) for x in struct[i][j]) for j in range(dim))
-            for i in range(dim)
-        )
-        self.unit = tuple(coerce(x) for x in unit)
+        # exact ints are taken as they are (reduced mod p over F_p), other
+        # entries coerced, as `Matrix` does its rows
+        self.struct = tuple(_canonical_rows(field, (struct[i][j] for j in range(dim)))
+                            for i in range(dim))
+        self.unit = _canonical_rows(field, (unit,))[0]
         if len(self.unit) != dim:
             raise ValueError("unit coordinate length != dim")
         self.basis_labels = tuple(labels) if labels else tuple(f"b{i}" for i in range(dim))

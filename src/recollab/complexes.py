@@ -43,10 +43,10 @@ from .modules import (
     is_projective,
     iso_test,
     projective_cover,
+    projective_module,
     regular_bimodule,
     submodule_from_rows,
     top_of,
-    vertex_projective,
     zero_module,
 )
 
@@ -393,8 +393,7 @@ def _decode_resolution(data, m, n_max):
     vertices = range(len(a.basic.idempotent_coords))
     if not tags or any(type(v) is not int or v not in vertices for t in tags for v in t):
         raise ValueError("bad summand tags")
-    levels = [direct_sum([vertex_projective(a, v)[0] for v in t]) if t else zero_module(a)
-              for t in tags]
+    levels = [projective_module(a, t) for t in tags]
     if len(data["diffs"]) != len(levels) - 1:
         raise ValueError("level and differential counts disagree")
     maps = [ModuleMap(p, q, Matrix(f, rows, ncols=q.dim))
@@ -666,10 +665,16 @@ def horseshoe(ses, n_max):
     retracts = []
     aug_mid = None
     prev_map = None
+    # P_n = P'_n (+) P''_n, tagged when all three share one basic structure
+    a = ses.mid.algebra
+    mid_tags = [tuple(v for r in (res_sub, res_quot) if n < len(r.summand_tags)
+                      for v in r.summand_tags[n]) for n in range(n_max + 1)]
+    tagged = all(r.module.algebra.structure_hash() == a.structure_hash()
+                 for r in (res_sub, res_quot))
     for n in range(n_max + 1):
         Ps = sub_mods[n]
         Pq = quot_mods[n]
-        P = direct_sum([Ps, Pq])
+        P = projective_module(a, mid_tags[n]) if tagged else direct_sum([Ps, Pq])
         mid_mods.append(P)
         inc = _summand_rows(f, Ps.dim, Pq.dim, first=True)
         sec = _summand_rows(f, Ps.dim, Pq.dim, first=False)
@@ -702,9 +707,7 @@ def horseshoe(ses, n_max):
         prev_map = mat
     res_mid = ProjectiveResolution(
         module=ses.mid, modules=mid_mods, diffs=mid_diffs, augmentation=aug_mid,
-        summand_tags=[tuple(res_sub.summand_tags[n] if n < len(res_sub.summand_tags) else ()) +
-                      tuple(res_quot.summand_tags[n] if n < len(res_quot.summand_tags) else ())
-                      for n in range(len(mid_mods))],
+        summand_tags=mid_tags,
         stabilized=res_sub.stabilized and res_quot.stabilized,
         minimal=False,
     )

@@ -126,24 +126,22 @@ def regular_as_left_env_module(a, env=None):
 def _tensor_complex(res, t, n_max):
     """P_* (x)_B T for a resolution of a right B-module and a left B-module t.
 
-    Returns (VectorSpaceComplex in degrees -n, list of projections per level).
+    Returns (VectorSpaceComplex in degrees -n, the TensorProduct per level).
     """
     dims = {}
     diffs = {}
-    projs = []
     level_data = []
     for nlev in range(min(res.depth, n_max) + 1):
         tp = tensor_over(as_bimodule(res.modules[nlev]), t, _validate=False)
         level_data.append(tp)
         dims[-nlev] = tp.bimodule.dim
-        projs.append(tp.projection)
     for nlev in range(1, len(level_data)):
         diffs[-nlev] = tensor_map(level_data[nlev].section_indices, t.dim,
                                   level_data[nlev - 1].projection,
                                   left=res.diffs[nlev - 1].matrix)
     for n in range(len(level_data), n_max + 2):
         dims[-n] = 0
-    return VectorSpaceComplex(t.field, dims, diffs), projs
+    return VectorSpaceComplex(t.field, dims, diffs), level_data
 
 
 def tor(m, n, n_max, resolve="left", with_bases=False):
@@ -610,17 +608,17 @@ def _les_tensor(ses, t, n_max, labels):
     labels = labels or ("Tor(sub)", "Tor(mid)", "Tor(quot)")
     hs = horseshoe(ses, n_max + 1)
     t_bim = t if isinstance(t, Bimodule) else as_bimodule(t)
-    sub_cx, _ = _tensor_complex(hs.res_sub, t_bim, n_max + 1)
-    mid_cx, _ = _tensor_complex(hs.res_mid, t_bim, n_max + 1)
-    quot_cx, _ = _tensor_complex(hs.res_quot, t_bim, n_max + 1)
-    incs = {}
-    prjs = {}
-    secs = {}
-    for n in range(n_max + 2):
-        incs[-n] = _induced_on_tensor(hs.res_sub, hs.res_mid, hs.incl_mats[n], t_bim, n)
-        prjs[-n] = _induced_on_tensor(hs.res_mid, hs.res_quot, hs.proj_mats[n], t_bim, n)
-        secs[-n] = _induced_on_tensor(hs.res_quot, hs.res_mid, hs.split_sections[n],
-                                      t_bim, n)
+    (sub_cx, sub_tp), (mid_cx, mid_tp), (quot_cx, quot_tp) = (
+        _tensor_complex(r, t_bim, n_max + 1) for r in (hs.res_sub, hs.res_mid, hs.res_quot))
+
+    def induced(src, tgt, block_mats):
+        """The level maps P^src_n -> P^tgt_n on the tensored quotients."""
+        return {-n: tensor_map(src[n].section_indices, t_bim.dim, tgt[n].projection,
+                               left=block_mats[n]) for n in range(n_max + 2)}
+
+    incs = induced(sub_tp, mid_tp, hs.incl_mats)
+    prjs = induced(mid_tp, quot_tp, hs.proj_mats)
+    secs = induced(quot_tp, mid_tp, hs.split_sections)
     degrees = [-n for n in range(n_max + 2)]
     _verify_ses_of_complexes(sub_cx, mid_cx, quot_cx, incs, prjs, degrees)
     # report Tor_{n_max} first, down to Tor_0; connecting maps go from
@@ -629,17 +627,6 @@ def _les_tensor(ses, t, n_max, labels):
     terms, maps = _snake_les(sub_cx, mid_cx, quot_cx, incs, prjs,
                              degrees_desc, labels, sections=secs)
     return _assemble_report(terms, maps, closed_start=False, closed_end=True)
-
-
-def _induced_on_tensor(res_a, res_b, block_mat, t_bim, n):
-    """Matrix induced by a level map P^a_n -> P^b_n on the tensored quotients."""
-    ta = tensor_over(as_bimodule(res_a.modules[n] if n <= res_a.depth else
-                                 zero_module(res_a.module.algebra)), t_bim,
-                     _validate=False)
-    tb = tensor_over(as_bimodule(res_b.modules[n] if n <= res_b.depth else
-                                 zero_module(res_b.module.algebra)), t_bim,
-                     _validate=False)
-    return tensor_map(ta.section_indices, t_bim.dim, tb.projection, left=block_mat)
 
 
 class HomGrid:

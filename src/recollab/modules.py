@@ -73,6 +73,9 @@ def _nonzero(arr, p):
 class RightModule:
     """Right module over a fixed algebra, given by one matrix per basis element."""
 
+    # the vertex of each summand e_v A, set only by `projective_module`
+    summand_tags = None
+
     def __init__(self, algebra, dim, action, _validate=True):
         self.algebra = algebra
         self.dim = dim
@@ -140,8 +143,8 @@ class RightModule:
 
 
 def zero_module(algebra):
-    return RightModule(algebra, 0, tuple(Matrix(algebra.field, [], ncols=0)
-                                         for _ in range(algebra.dim)), _validate=False)
+    return RightModule(algebra, 0, (Matrix._of(algebra.field, (), 0),) * algebra.dim,
+                       _validate=False)
 
 
 def regular_module(a):
@@ -250,7 +253,7 @@ class Bimodule:
 
     def restrict_right(self):
         """Forget the left action: a right module over the right algebra,
-        built and checked once."""
+        built and checked once (the wrapped module itself for `as_bimodule`)."""
         if self._right is None:
             self._right = RightModule(self.right_algebra, self.dim, self.right_action_matrices)
         return self._right
@@ -330,7 +333,9 @@ def as_bimodule(m):
         return m
     triv = trivial_algebra(m.field)
     ident = Matrix.identity(m.field, m.dim)
-    return Bimodule(triv, m.algebra, m.dim, (ident,), m.action, _validate=False)
+    bim = Bimodule(triv, m.algebra, m.dim, (ident,), m.action, _validate=False)
+    bim._right = m
+    return bim
 
 
 def regular_bimodule(a):
@@ -346,24 +351,56 @@ def regular_bimodule(a):
 # --------------------------------------------------------------------------
 
 
+def _yoneda_basis(p, act, dn):
+    """(rows, pivots): the basis `kernel_basis` would give a subspace of
+    k^(dim p * dn), p a `projective_module`, and each row's last nonzero column.
+
+    The block (x, y), x in a summand e_v A, is spanned by the rows of
+    [act(x_0) | act(x_1) | ...], x_i the basis `vertex_projective` keeps.  A
+    kernel basis vector is 1 at its own free column, its last nonzero one, and
+    0 at the others: read right to left, the basis is in RREF.  So each block
+    is reduced with its columns reversed (once per vertex) and read back, its
+    rows in order of their last nonzero column.
+    """
+    a, f, total = p.algebra, p.field, p.dim * dn
+    blocks = {}
+    rows, pivots, off = [], [], 0
+    for v in p.summand_tags:
+        xs = vertex_projective(a, v)[1].rows
+        if v not in blocks:
+            mats = [act(x).rows for x in xs]
+            span = Matrix._of(f, tuple(tuple(chain.from_iterable(m[j] for m in mats))[::-1]
+                                       for j in range(dn)), len(xs) * dn)
+            R, piv = rref(span)
+            blocks[v] = [(R.rows[i][::-1], len(xs) * dn - 1 - piv[i])
+                         for i in reversed(range(len(piv)))]
+        start = off * dn
+        for r, k in blocks[v]:
+            rows.append((0,) * start + r + (0,) * (total - start - len(r)))
+            pivots.append(start + k)
+        off += len(xs)
+    return rows, pivots
+
+
 def hom_space(m, n):
-    """Deterministic basis of Hom_A(m, n) as a list of ModuleMaps."""
+    """Deterministic basis of Hom_A(m, n) as a list of ModuleMaps: the kernel
+    of rho_m(g) F = F rho_n(g) over the generators g, or out of a
+    `projective_module` the same basis read off by Yoneda, Hom(e_v A, n) = n e_v."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom_space needs one algebra")
     f = m.field
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return []
-    pairs = [(linear_combination(g, m.action, f, dm, dm),
-              linear_combination(g, n.action, f, dn, dn).transpose())
-             for g in m.algebra.generators()]
-    ker = kernel_basis(Matrix(f, sylvester_rows(pairs), ncols=dm * dn))
-    out = []
-    for j in range(ker.ncols):
-        colv = ker.col(j)
-        mat = Matrix(f, [colv[i * dn:(i + 1) * dn] for i in range(dm)], ncols=dn)
-        out.append(ModuleMap(m, n, mat, _validate=False))
-    return out
+    if m.summand_tags is not None:
+        vecs, _ = _yoneda_basis(m, lambda x: linear_combination(x, n.action, f, dn, dn), dn)
+    else:
+        pairs = [(linear_combination(g, m.action, f, dm, dm),
+                  linear_combination(g, n.action, f, dn, dn).transpose())
+                 for g in m.algebra.generators()]
+        vecs = kernel_basis(Matrix(f, sylvester_rows(pairs), ncols=dm * dn)).transpose().rows
+    return [ModuleMap(m, n, Matrix._of(f, tuple(v[i * dn:(i + 1) * dn] for i in range(dm)), dn),
+                      _validate=False) for v in vecs]
 
 
 def hom_vec_basis(maps, dm, dn, field):
@@ -399,7 +436,9 @@ def tensor_over(m, n, _validate=True):
     """Tensor product over the middle algebra: (C-B-bim) (x)_B (B-A-bim) -> C-A-bim.
 
     Computed as the vector-space tensor product modulo the balancing relations
-    (x.b (x) y - x (x) b.y), with the induced outer actions.
+    (x.b (x) y - x (x) b.y), with the induced outer actions.  When m wraps a
+    `projective_module`, the relations are read off by Yoneda instead of
+    solved for (`_yoneda_basis`); the result is the same.
     """
     m = as_bimodule(m)
     n = as_bimodule(n)
@@ -415,10 +454,16 @@ def tensor_over(m, n, _validate=True):
                        tuple(Matrix(f, [], ncols=0) for _ in range(n.right_algebra.dim)),
                        _validate=False)
         return TensorProduct(bim, Matrix(f, [[] for _ in range(N)], ncols=0), ())
-    pairs = [(linear_combination(g, m.right_action_matrices, f, dm, dm),
-              linear_combination(g, n.left_action_matrices, f, dn, dn))
-             for g in B.generators()]
-    projection, free = quotient_map(Matrix(f, sylvester_rows(pairs), ncols=N))
+    if m._right is not None and m._right.summand_tags is not None:
+        # e_v B (x)_B n = e_v n: the relations are the kernel of x (x) y |-> x y
+        vecs, free = _yoneda_basis(m._right, lambda x: linear_combination(
+            x, n.left_action_matrices, f, dn, dn).transpose(), dn)
+        projection = Matrix._of(f, tuple(vecs), N).transpose()
+    else:
+        pairs = [(linear_combination(g, m.right_action_matrices, f, dm, dm),
+                  linear_combination(g, n.left_action_matrices, f, dn, dn))
+                 for g in B.generators()]
+        projection, free = quotient_map(Matrix(f, sylvester_rows(pairs), ncols=N))
     sections = tuple(free)
     lam = tuple(tensor_map(sections, dn, projection, left=mat)
                 for mat in m.left_action_matrices)
@@ -609,6 +654,18 @@ def vertex_projective(a, v_index):
     return a._modules[v_index]
 
 
+def projective_module(a, tags):
+    """The direct sum of the vertex projectives e_v A for v in `tags`, in
+    order, with `summand_tags` recording them (the zero module for no tags).
+    Only this constructor sets the tags, which let `hom_space` and
+    `tensor_over` read maps out of the module by Yoneda."""
+    if not tags:
+        return zero_module(a)
+    p = direct_sum([vertex_projective(a, v)[0] for v in tags])
+    p.summand_tags = tuple(tags)
+    return p
+
+
 @dataclass
 class ProjectiveCover:
     module: RightModule          # the cover P = (+) e_v A
@@ -643,30 +700,19 @@ def projective_cover(m):
     if len(pivots) != rtop:
         raise ValueError("top not covered by idempotent weight spaces")
     chosen = [(tuple(cands[j][0]), cands[j][1]) for j in pivots]
-    summands = []
-    offsets = []
-    blocks = []
-    bases = []
-    off = 0
-    for gen, v_idx in chosen:
-        mod, basis = vertex_projective(a, v_idx)
-        summands.append(v_idx)
-        offsets.append(off)
-        blocks.append(mod)
-        bases.append(basis)
-        off += mod.dim
-    P = direct_sum(blocks)
+    summands = tuple(v_idx for _, v_idx in chosen)
+    P = projective_module(a, summands)
     rows = []
-    for (gen, v_idx), basis in zip(chosen, bases):
-        for rr in range(basis.nrows):
-            w = basis.rows[rr]           # an element e_v x of A
+    offsets = []
+    for gen, v_idx in chosen:
+        offsets.append(len(rows))
+        for w in vertex_projective(a, v_idx)[1].rows:    # an element e_v x of A
             act = linear_combination(w, m.action, f, m.dim, m.dim)
             rows.append(combine_rows(act, enumerate(gen)))
     surj = ModuleMap(P, m, Matrix(f, rows, ncols=m.dim), _validate=False)
     if rank(surj.matrix) != m.dim:
         raise ValueError("projective cover failed to surject")
-    P_cover = ProjectiveCover(P, surj, tuple(summands), tuple(offsets))
-    return P_cover
+    return ProjectiveCover(P, surj, summands, tuple(offsets))
 
 
 def is_projective(m):

@@ -403,3 +403,25 @@ def test_idempotent_validation():
         Idempotent(a, (0, 0, 1))  # the arrow is not idempotent
     with pytest.raises(ValueError):
         Idempotent(a, (0, 0, 0))
+
+
+@pytest.mark.parametrize("field", [QQ, F5, GF(2**31 - 1)])
+def test_structure_constants_are_stored_as_coerce_would_store_them(field):
+    # tables (not checked as algebras) of ints in and out of 0..p-1, of
+    # Fractions, bools and strings: the table, unit and both hashes are
+    # those of coercing each constant one at a time
+    kinds = [
+        ([[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0)),
+        ([[(6, -5), (0, 2**40)], [(0, -11), (0, 0)]], (6, -5)),
+        ([[(Fraction(2, 2), 0), (0, Fraction(3, 7))], [(0, Fraction(3)), (0, 0)]], (True, 0)),
+        ([[("1", 0), (0, "-2/3")], [(0, "-2"), (0, 0)]], ("1", False)),
+    ]
+    for struct, unit in kinds:
+        a = Algebra(field, struct, unit, _validate=False)
+        want = tuple(tuple(tuple(map(field.coerce, c)) for c in row) for row in struct)
+        assert a.struct == want and a.unit == tuple(map(field.coerce, unit))
+        assert all(type(x) is type(y) for r, w in zip(a.struct, want)
+                   for c, d in zip(r, w) for x, y in zip(c, d))
+        ref = Algebra(field, want, tuple(map(field.coerce, unit)), _validate=False)
+        assert a.content_hash() == ref.content_hash()
+        assert a.structure_hash() == ref.structure_hash()

@@ -223,6 +223,31 @@ def test_horseshoe_middle_is_resolution():
             hs.res_quot.diffs[n - 1].matrix)
 
 
+def test_horseshoe_middle_levels_are_tagged_only_over_one_basic_structure():
+    """P_n is the direct sum of P'_n and P''_n.  It is a tagged
+    projective_module when sub, mid and quot share one basic structure; a sub
+    over the same table with its idempotents listed in the other order (an
+    equal algebra) keeps the plain direct sum, whose blocks the tags of the
+    middle term's algebra would not describe."""
+    from recollab.algebra import BasicStructure
+    from recollab.modules import RightModule
+    a = a2_path_algebra()
+    ses = _simple_ses(a)
+    b = a.basic
+    flipped = Algebra(a.field, a.struct, a.unit, labels=a.basis_labels, basic=BasicStructure(
+        b.idempotent_coords[::-1], b.idempotent_labels[::-1], b.radical_rows,
+        b.generator_coords))
+    sub = RightModule(flipped, ses.sub.dim, ses.sub.action)
+    other = ShortExactSequence(sub, ses.mid, ses.quot, ModuleMap(
+        sub, ses.mid, ses.inclusion.matrix), ses.projection)
+    for s, tagged in ((ses, True), (other, False)):
+        hs = horseshoe(s, 3)
+        for n, p in enumerate(hs.res_mid.modules):
+            assert p == direct_sum([hs.res_sub.modules[n], hs.res_quot.modules[n]])
+            if p.dim:
+                assert (p.summand_tags is not None) == tagged
+
+
 def test_horseshoe_rejects_non_exact():
     a = a2_path_algebra()
     s1, s2 = simple_modules(a)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from recollab import modules
-from recollab.algebra import Idempotent, enveloping, opposite
+from recollab.algebra import Idempotent, discover_basic, enveloping, opposite
+from recollab.cli import algebra_from_doc
+from recollab.complexes import projective_resolution
 from recollab.errors import AlgebraMismatch, NotInHomSpace
 from recollab.exactfield import (
     QQ,
@@ -24,6 +27,7 @@ from recollab.fixtures import (
     one_point_extension_of_dual_numbers,
     vertex_idempotent,
 )
+from recollab.homology import regular_as_left_env_module
 from test_homology import _base_change
 from recollab.modules import (
     Bimodule,
@@ -41,10 +45,12 @@ from recollab.modules import (
     iso_test,
     kernel_cokernel,
     projective_cover,
+    projective_module,
     regular_bimodule,
     regular_module,
     simple_modules,
     tensor_over,
+    vertex_projective,
     zero_module,
 )
 
@@ -530,3 +536,84 @@ def test_bimodule_restrictions_are_built_once_and_checked_on_first_use():
                                  _validate=False)
     with pytest.raises(ValueError, match="rho"):
         unchecked.restrict_right()
+
+
+# -- Hom and (x) out of a projective_module: Yoneda against Sylvester -----------
+
+
+def _doc_over(doc, tag):
+    """The same algebra document with every field tag replaced by `tag`."""
+    out = dict(doc)
+    if "field" in out:
+        out["field"] = tag
+    if "args" in out:
+        out["args"] = [_doc_over(sub, tag) for sub in out["args"]]
+    return out
+
+
+def _yoneda_cases():
+    from test_homology import DOCS
+    cases = []
+    for path in DOCS:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        cases.append(pytest.param(lambda doc=doc: algebra_from_doc(doc), id=path.stem))
+        if doc.get("field", "Q") == "Q" and "f5" not in path.stem:
+            cases.append(pytest.param(lambda doc=doc: algebra_from_doc(_doc_over(doc, "Fp:5")),
+                                      id=path.stem + "@F5"))
+    for make, seed in ((kronecker_algebra, 7), (non_stratifying_algebra, 8)):
+        cases.append(pytest.param(
+            lambda make=make, seed=seed: discover_basic(_base_change(make(), random.Random(seed))),
+            id=f"{make.__name__}~{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("make", _yoneda_cases())
+def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch):
+    """Every level of the resolutions of the simples, of A and (over A^e) of
+    A as a bimodule is a tagged projective_module; Hom and (x) out of it
+    must equal, bit for bit and in order, those out of an untagged copy of
+    the same module, which go through the Sylvester systems."""
+    yoneda = []
+    real = modules._yoneda_basis
+    monkeypatch.setattr(modules, "_yoneda_basis",
+                        lambda *args: yoneda.append(1) or real(*args))
+    a = make()
+    env = enveloping(a)
+    simples, reg = simple_modules(a), regular_module(a)
+    a_env = regular_bimodule(a).as_right_module_over(env)
+    plan = [(s, simples + [reg], regular_bimodule(a), 3) for s in simples]
+    plan += [(reg, simples, regular_bimodule(a), 1),
+             (a_env, [a_env], regular_as_left_env_module(a, env), 2)]
+    compared = 0
+    for m, targets, left, depth in plan:
+        res = projective_resolution(m, depth)
+        for p in res.modules:
+            if p.dim == 0:
+                continue
+            assert p.summand_tags is not None
+            plain = RightModule(p.algebra, p.dim, p.action, _validate=False)
+            assert plain == p and plain.summand_tags is None
+            for n in targets + [m] + res.modules:
+                fast, slow = hom_space(p, n), hom_space(plain, n)
+                assert [x.matrix for x in fast] == [x.matrix for x in slow]
+            fast, slow = tensor_over(as_bimodule(p), left), tensor_over(as_bimodule(plain), left)
+            assert fast.projection == slow.projection
+            assert fast.section_indices == slow.section_indices
+            assert fast.bimodule.left_action_matrices == slow.bimodule.left_action_matrices
+            assert fast.bimodule.right_action_matrices == slow.bimodule.right_action_matrices
+            compared += 1
+    assert compared >= 4 and len(yoneda) >= compared
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_projective_module_is_the_tagged_sum_of_vertex_projectives(field):
+    for a in (kronecker_algebra(field), non_stratifying_algebra(field)):
+        vertices = range(len(a.basic.idempotent_coords))
+        for tags in [(v,) for v in vertices] + [tuple(vertices), (1, 0, 1, 1)]:
+            p = projective_module(a, tags)
+            plain = direct_sum([vertex_projective(a, v)[0] for v in tags])
+            assert p == plain and p.summand_tags == tags
+            assert plain.summand_tags is None
+            assert as_bimodule(p).restrict_right() is p
+        assert projective_module(a, ()) == zero_module(a)
+        assert projective_cover(simple_modules(a)[0]).module.summand_tags == (0,)
