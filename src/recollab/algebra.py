@@ -42,6 +42,7 @@ from .exactfield import (
     field_tag_str,
     integer_array,
     kernel_basis,
+    linear_combination,
     parse_field,
     quotient_map,
     row_space_basis,
@@ -122,27 +123,30 @@ class Algebra:
         return tuple(map(self.field.coerce, out))
 
     def left_mult_matrix(self, x):
-        """Matrix of v |-> coords(x * v) acting on row vectors."""
-        f, n = self.field, self.dim
-        return Matrix(f, [self.multiply(x, unit_vector(n, i)) for i in range(n)], ncols=n)
+        """Matrix of v |-> coords(x * v) acting on row vectors: the sum of
+        x_k times the matrix of b_k, whose row i is struct[k][i]."""
+        return self._mult_matrix(x, self.basis_left_mats())
 
     def right_mult_matrix(self, x):
-        """Matrix of v |-> coords(v * x) acting on row vectors."""
-        f, n = self.field, self.dim
-        return Matrix(f, [self.multiply(unit_vector(n, i), x) for i in range(n)], ncols=n)
+        """Matrix of v |-> coords(v * x) acting on row vectors: the sum of
+        x_k times the matrix whose row i is struct[i][k]."""
+        return self._mult_matrix(x, self.basis_right_mats())
+
+    def _mult_matrix(self, x, mats):
+        support = [k for k, c in enumerate(x) if c]
+        if len(support) == 1 and x[support[0]] == 1:
+            return mats[support[0]]
+        return linear_combination(x, mats, self.field, self.dim, self.dim)
 
     def basis_left_mats(self):
         if self._left_mats is None:
-            self._left_mats = tuple(
-                Matrix(self.field, [self.struct[i][k] for k in range(self.dim)], ncols=self.dim)
-                for i in range(self.dim))
+            self._left_mats = tuple(Matrix._of(self.field, row, self.dim) for row in self.struct)
         return self._left_mats
 
     def basis_right_mats(self):
         if self._right_mats is None:
-            self._right_mats = tuple(
-                Matrix(self.field, [self.struct[k][j] for k in range(self.dim)], ncols=self.dim)
-                for j in range(self.dim))
+            self._right_mats = tuple(Matrix._of(self.field, col, self.dim)
+                                     for col in zip(*self.struct))
         return self._right_mats
 
     def generators(self):

@@ -19,6 +19,7 @@ numerical output; the cache directory is safe to delete wholesale.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -509,7 +510,9 @@ def cmd_hochschild(args):
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    # parse_args leaves the parser unchanged, so one serves every call
     p = argparse.ArgumentParser(
         prog="recollab",
         description="Exact verification of recollement and Hochschild "

@@ -11,8 +11,9 @@ so exactness of every joint is a rank computation, not a trusted theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from math import lcm
+from itertools import islice, product
+
+import numpy as np
 
 from .algebra import enveloping
 from .complexes import (
@@ -33,9 +34,9 @@ from .errors import (
     InputNotExact,
 )
 from .exactfield import (
-    QQ,
     Matrix,
     express_in_row_basis,
+    integer_array,
     linear_combination,
     rank,
     sparse_rank,
@@ -320,18 +321,107 @@ def global_dimension(a, cutoff):
 # --------------------------------------------------------------------------
 
 
-def _int_columns(cols, f):
-    """Clear denominators columnwise (rank is unchanged by column scaling)."""
-    if f != QQ:
-        return cols
-    out = []
-    for col in cols:
-        if {*map(type, col.values())} <= {int}:
-            out.append(col)
-            continue
-        den = lcm(*(v.denominator for v in col.values()))
-        out.append({r: v.numerator * (den // v.denominator) for r, v in col.items()})
-    return out
+def _bar_tables(a, n_max):
+    """(d, e, p, left, right, pbar), read once per oracle call: with
+    Abar = A / k.1 of dim e = d - 1, the products A (x) Abar -> A as arrays
+    (i, r, k, value), Abar (x) A -> A as (r, j, k, value) and the projected
+    Abar (x) Abar -> Abar as (x, y, m, value).  The values are integers
+    (`integer_array`: over Q scaled by one common denominator, which leaves
+    each rank unchanged), at most n_max + 2 of them summed per entry of a
+    differential; p is the characteristic, None over Q."""
+    d, f, u = a.dim, a.field, a.unit
+    tab = a._sparse_table()
+    # Abar's r-th basis vector is the class of b_rep[r]; x projects to
+    # x - (x_j0 / u_j0) u
+    j0 = next(j for j, x in enumerate(u) if x)
+    rep = [j for j in range(d) if j != j0]
+    s = f.inv(u[j0])
+    mu = [(i, j, k, c) for (i, j), ent in tab.items() for k, c in ent]
+    pmu = []
+    for x, y in product(range(d - 1), repeat=2):
+        coef = dict(tab.get((rep[x], rep[y]), ()))
+        lam = coef.get(j0, 0) * s
+        for m, j in enumerate(rep):
+            c = f.coerce(coef.get(j, 0) - lam * u[j])
+            if c:
+                pmu.append((x, y, m, c))
+    vals = integer_array(f, [t[3] for t in mu + pmu], lambda m: (n_max + 2) * m)[0]
+    (i, j, k), pbar = (np.array([t[:3] for t in ts], dtype=np.int64).reshape(-1, 3).T
+                       for ts in (mu, pmu))
+    bar = np.full(d, -1)
+    bar[rep] = np.arange(d - 1)
+    v = vals[:len(mu)]
+    left, right = bar[j] >= 0, bar[i] >= 0
+    return (d, d - 1, getattr(f, "p", None),
+            (i[left], bar[j[left]], k[left], v[left]),
+            (bar[i[right]], j[right], k[right], v[right]),
+            (*pbar, vals[len(mu):]))
+
+
+def _bar_term(cols, rows, vals, free):
+    """One term I (x) T (x) I of a differential as (col, row, value) arrays:
+    the table's entries, at column codes `cols` and row codes `rows`,
+    broadcast over each free index (size, column stride, row stride)."""
+    for size, cs, rs in free:
+        idx = np.arange(size)
+        cols = (cols[:, None] + idx * cs).ravel()
+        rows = (rows[:, None] + idx * rs).ravel()
+        vals = np.repeat(vals, size)
+    return cols, rows, vals
+
+
+def _bar_columns(terms, ncols, nrows, p):
+    """The sum of `terms` as sparse columns {row: int}, in column order,
+    reduced mod p when p is given and without zero entries."""
+    cols, rows, vals = (np.concatenate(part) for part in zip(*terms))
+    key = cols * nrows + rows
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    key, vals = key[start], np.add.reduceat(vals, start)
+    if p is not None:
+        vals = vals % p
+    keep = vals != 0
+    cols, rows = np.divmod(key[keep], nrows)
+    entries = zip(rows.tolist(), vals[keep].tolist())
+    return [dict(islice(entries, size)) for size in np.bincount(cols, minlength=ncols).tolist()]
+
+
+def _bar_chain_columns(tables, n):
+    """Columns of b_n: C_n -> C_{n-1}, n >= 1.  The basis vector
+    a_0 (x) .. (x) a_n of C_n = A (x) Abar^{(x)n} has code
+    a_0 e^n + a_1 e^(n-1) + .. + a_n."""
+    d, e, p, (li, lr, lk, lv), (rr, rj, rk, rv), (px, py, pm, pv) = tables
+    w = e ** (n - 1)
+    # a_0 a_1 lands in A
+    terms = [_bar_term((li * e + lr) * w, lk * w, lv, [(w, 1, 1)])]
+    # a_t a_{t+1} in Abar, after a prefix of t digits and before n - t - 1
+    for t in range(1, n):
+        w = e ** (n - t - 1)
+        terms.append(_bar_term((px * e + py) * w, pm * w, (-1) ** t * pv,
+                               [(d * e ** (t - 1), e ** (n - t + 1), e ** (n - t)), (w, 1, 1)]))
+    # a_n a_0 (x) a_1 .. a_{n-1}: the middle digits keep their order
+    w = e ** (n - 1)
+    terms.append(_bar_term(rj * e ** n + rr, rk * w, (-1) ** n * rv, [(w, e, 1)]))
+    return _bar_columns(terms, d * e ** n, d * w, p)
+
+
+def _bar_cochain_columns(tables, n):
+    """Columns of delta^n: C^n -> C^{n+1}, n >= 0.  The basis vector of
+    C^n = Hom_k(Abar^{(x)n}, A) sending a_1 (x) .. (x) a_n to b_k has code
+    (a_1 e^(n-1) + .. + a_n) d + k."""
+    d, e, p, (li, lr, lk, lv), (rr, rj, rk, rv), (px, py, pm, pv) = tables
+    w = e ** n
+    # a_1 . f(a_2, .., a_{n+1})
+    terms = [_bar_term(rj, rr * w * d + rk, rv, [(w, d, d)])]
+    # f(.., a_t a_{t+1}, ..): t - 1 digits before, n - t digits and k after
+    for t in range(1, n + 1):
+        w = e ** (n - t) * d
+        terms.append(_bar_term(pm * w, (px * e + py) * w, (-1) ** t * pv,
+                               [(e ** (t - 1), e * w, e * e * w), (w, 1, 1)]))
+    # f(a_1, .., a_n) . a_{n+1}
+    terms.append(_bar_term(li, lr * d + lk, (-1) ** (n + 1) * lv, [(e ** n, d, e * d)]))
+    return _bar_columns(terms, e ** n * d, e ** (n + 1) * d, p)
 
 
 def bar_oracle(a, n_max, budget=20000):
@@ -353,114 +443,14 @@ def bar_oracle(a, n_max, budget=20000):
         if d ** (n + 1) > budget:
             raise BudgetExceeded(
                 f"bar term dimension {d ** (n + 1)} exceeds budget {budget}")
-    tab = a._sparse_table()
-    # Abar's r-th basis vector is b_rep[r], x projects to x - (x_j0 / u_j0) u;
-    # ptab: products of representatives projected to Abar; factors[m]: the
-    # (x, y, c) with c the m-th coefficient of ptab[x, y], (x, y) ascending
-    u = a.unit
-    j0 = next(j for j, x in enumerate(u) if x)
-    rep = [j for j in range(d) if j != j0]
-    e, s = d - 1, f.inv(u[j0])
-    ptab, factors = {}, {}
-    for x, y in product(range(e), repeat=2):
-        coef = dict(tab.get((rep[x], rep[y]), ()))
-        lam = coef.get(j0, 0) * s
-        proj = [(m, f.coerce(coef.get(j, 0) - lam * u[j])) for m, j in enumerate(rep)]
-        ptab[x, y] = [(m, c) for m, c in proj if c]
-        for m, c in ptab[x, y]:
-            factors.setdefault(m, []).append((x, y, c))
-
-    # a tuple of digits v_1..v_m is row sum_i v_i e^(m-i) (the first digit
-    # may be an A index, up to d - 1); the prefix and suffix codes of a
-    # column's tuple give each row code of its boundary in O(1)
-    pw = [e ** i for i in range(n_max + 2)]
-
-    def codes(digits):
-        # pre[t] codes digits[:t], suf[t] codes digits[t:]
-        pre, suf = [0], [0]
-        for v in digits:
-            pre.append(pre[-1] * e + v)
-        for i, v in enumerate(reversed(digits)):
-            suf.append(v * pw[i] + suf[-1])
-        return pre, suf[::-1]
-
-    def chain_diff_columns(n):
-        # d_n: C_n -> C_{n-1}; a_0 (x) .. (x) a_n is row (a_0, a_1, .., a_n)
-        cols = []
-        for idx in product(range(d), *[range(e)] * n):
-            pre, suf = codes(idx)
-            col = {}
-            for t in range(n):
-                # a_0 a_1 lands in A, the inner products in Abar
-                ent = tab.get((idx[0], rep[idx[1]])) if t == 0 else ptab.get((idx[t], idx[t + 1]))
-                if ent:
-                    sign = 1 if t % 2 == 0 else -1
-                    # row (a_0, .., a_t a_{t+1}, .., a_n)
-                    base = pre[t] * pw[n - t] + suf[t + 2]
-                    for k, c in ent:
-                        rcode = base + k * pw[n - 1 - t]
-                        col[rcode] = col.get(rcode, 0) + sign * c
-            ent = tab.get((rep[idx[n]], idx[0]))
-            if ent:
-                sign = 1 if n % 2 == 0 else -1
-                # row (a_n a_0, a_1, .., a_{n-1})
-                base = pre[n] - idx[0] * pw[n - 1]
-                for k, c in ent:
-                    rcode = base + k * pw[n - 1]
-                    col[rcode] = col.get(rcode, 0) + sign * c
-            cols.append({r: v for r, v in col.items() if v})
-        return cols
-
-    def cochain_diff_columns(n):
-        # delta^n: C^n -> C^{n+1}; C^n basis: (input tuple J over Abar, output k)
-        cols = []
-        for *J, k in product(*[range(e)] * n, range(d)):
-            pre, suf = codes(J)
-            col = {}
-
-            def add(code, out, coeff):
-                # code: the input tuple's row code
-                rcode = code * d + out
-                col[rcode] = col.get(rcode, 0) + coeff
-
-            # term 0: a_1 . f(a_2..a_{n+1})
-            for i in range(e):
-                ent = tab.get((rep[i], k))
-                if ent:
-                    for mkey, c in ent:
-                        add(i * pw[n] + pre[n], mkey, c)
-            # terms 1..n: f(a_1, ..., a_t a_{t+1}, ..., a_{n+1})
-            for t in range(1, n + 1):
-                sign = -1 if t % 2 == 1 else 1
-                base = pre[t - 1] * pw[n - t + 2] + suf[t]
-                for x, y, c in factors.get(J[t - 1], ()):
-                    add(base + x * pw[n - t + 1] + y * pw[n - t], k, sign * c)
-            # last term: f(a_1..a_n) . a_{n+1}
-            sign = -1 if (n + 1) % 2 == 1 else 1
-            for w in range(e):
-                ent = tab.get((k, rep[w]))
-                if ent:
-                    for mkey, c in ent:
-                        add(pre[n] * e + w, mkey, sign * c)
-            cols.append({r: v for r, v in col.items() if v})
-        return cols
-
-    chain_ranks = {}
-    for n in range(1, n_max + 2):
-        chain_ranks[n] = sparse_rank(_int_columns(chain_diff_columns(n), f), f)
-    hh = []
-    for n in range(n_max + 1):
-        dim_cn = d * e ** n
-        hh.append((n, dim_cn - chain_ranks.get(n, 0) - chain_ranks.get(n + 1, 0)))
-
-    cochain_ranks = {}
-    for n in range(0, n_max + 1):
-        cochain_ranks[n] = sparse_rank(_int_columns(cochain_diff_columns(n), f), f)
-    hhc = []
-    for n in range(n_max + 1):
-        dim_cn = e ** n * d   # e^n inputs x d outputs
-        hhc.append((n, dim_cn - cochain_ranks.get(n, 0) - cochain_ranks.get(n - 1, 0)))
-    return GradedDims(tuple(hh)), GradedDims(tuple(hhc))
+    tables = _bar_tables(a, n_max)
+    e = d - 1
+    ch = {n: sparse_rank(_bar_chain_columns(tables, n), f) for n in range(1, n_max + 2)}
+    co = {n: sparse_rank(_bar_cochain_columns(tables, n), f) for n in range(n_max + 1)}
+    # C_n = A (x) Abar^{(x)n} and C^n = Hom_k(Abar^{(x)n}, A) both have dim d e^n
+    hh = tuple((n, d * e ** n - ch.get(n, 0) - ch[n + 1]) for n in range(n_max + 1))
+    hhc = tuple((n, d * e ** n - co[n] - co.get(n - 1, 0)) for n in range(n_max + 1))
+    return GradedDims(hh), GradedDims(hhc)
 
 
 # --------------------------------------------------------------------------

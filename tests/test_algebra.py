@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,9 @@ from recollab.errors import (
     NotFiniteDimensional,
     UnsupportedField,
 )
-from recollab.exactfield import GF, QQ, Matrix, rank
+from recollab.cli import algebra_from_doc
+from recollab.exactfield import GF, QQ, Matrix, rank, unit_vector
+from test_homology import DOCS, _base_change, _doc_over
 
 F5 = GF(5)
 
@@ -425,3 +429,36 @@ def test_structure_constants_are_stored_as_coerce_would_store_them(field):
         ref = Algebra(field, want, tuple(map(field.coerce, unit)), _validate=False)
         assert a.content_hash() == ref.content_hash()
         assert a.structure_hash() == ref.structure_hash()
+
+
+def _mult_cases():
+    cases = []
+    for path in DOCS:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        cases.append(pytest.param(lambda doc=doc: algebra_from_doc(doc), id=path.stem))
+        if doc.get("field", "Q") == "Q":
+            cases.append(pytest.param(lambda doc=doc: algebra_from_doc(_doc_over(doc, "Fp:5")),
+                                      id=path.stem + "@F5"))
+    cases.append(pytest.param(lambda: enveloping(kronecker()), id="kronecker^e"))
+    cases.append(pytest.param(lambda: _base_change(kronecker(), random.Random(7)),
+                              id="kronecker~Q"))
+    return cases
+
+
+@pytest.mark.parametrize("make", _mult_cases())
+def test_mult_matrices_are_the_products_with_basis_vectors(make):
+    a = make()
+    f, n = a.field, a.dim
+    rng = random.Random(3)
+    basis = [unit_vector(n, i) for i in range(n)]
+    xs = basis + [a.unit, tuple(0 for _ in range(n))]
+    xs += [tuple(f.coerce(rng.choice((0, 1, -2, Fraction(3, 4)) if f == QQ else (0, 1, 3)))
+                 for _ in range(n)) for _ in range(3)]
+    for x in xs:
+        left, right = a.left_mult_matrix(x), a.right_mult_matrix(x)
+        want_left = tuple(a.multiply(x, b) for b in basis)
+        want_right = tuple(a.multiply(b, x) for b in basis)
+        assert (left.rows, left.ncols) == (want_left, n)
+        assert (right.rows, right.ncols) == (want_right, n)
+        assert all(type(u) is type(v) for got, want in ((left, want_left), (right, want_right))
+                   for r, w in zip(got.rows, want) for u, v in zip(r, w))

@@ -304,6 +304,33 @@ def test_usage_error_exit_1():
     assert main(["stratify"]) == EXIT_USAGE
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    from recollab.cli import build_parser
+    a2 = _write(tmp_path, _doc("a2"), "a2.json")
+    kron = _write(tmp_path, _doc("kronecker"), "kron.json")
+    calls = [["define", a2],
+             ["stratify", kron, "--idempotent", "e:1", "--max-degree", "2"],
+             ["hochschild", a2, "--max-degree", "2", "--oracle"],
+             ["stratify", a2],
+             ["verify", a2, "--idempotent", "e:2", "--suite", "smoothness",
+              "--max-degree", "2", "--cutoff", "3"],
+             ["bogus"],
+             ["define", kron]]
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [c for c, _, _ in fresh] == [EXIT_OK] * 3 + [EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_OK]
+    assert build_parser() is build_parser()
+    assert [run(argv) for argv in calls] == fresh
+
+
 def test_falsified_exit_3_plumbing(tmp_path, capsys, monkeypatch):
     # honest fixtures cannot falsify a theorem, so exercise the exit-code
     # contract by stubbing one verifier to report FALSIFIED

@@ -1,5 +1,8 @@
 import json
 import random
+from fractions import Fraction
+from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -18,8 +21,11 @@ from recollab.fixtures import (
     one_point_extension_of_dual_numbers,
     vertex_idempotent,
 )
+from recollab import homology
 from recollab.homology import (
-    _int_columns,
+    _bar_chain_columns,
+    _bar_cochain_columns,
+    _bar_tables,
     bar_oracle,
     ext,
     global_dimension,
@@ -246,6 +252,20 @@ def test_bar_oracle_budget():
             bar_oracle(k, n, budget=k.dim ** (n + 2) - 1)
 
 
+def _int_columns(cols, f):
+    """Clear denominators columnwise (rank is unchanged by column scaling)."""
+    if f != QQ:
+        return cols
+    out = []
+    for col in cols:
+        if {*map(type, col.values())} <= {int}:
+            out.append(col)
+            continue
+        den = lcm(*(v.denominator for v in col.values()))
+        out.append({r: v.numerator * (den // v.denominator) for r, v in col.items()})
+    return out
+
+
 def _unnormalised_bar_dims(a, n_max):
     """HH_* and HH^* entries from the unnormalised complexes C_n = A^{(x)(n+1)}
     and C^n = Hom_k(A^{(x)n}, A): the reference the normalised oracle must
@@ -366,6 +386,166 @@ def test_bar_oracle_normalised_matches_unnormalised_base_changes(make, field):
     b = _base_change(make(field), random.Random(7))
     hh, hhc = bar_oracle(b, 3)
     assert (hh.entries, hhc.entries) == _unnormalised_bar_dims(b, 3)
+
+
+def _reference_bar_columns(a):
+    """(chain, cochain): n -> the columns of b_n and delta^n built one
+    column at a time, the reference for the numpy builder."""
+    d, f = a.dim, a.field
+    tab = a._sparse_table()
+    u = a.unit
+    j0 = next(j for j, x in enumerate(u) if x)
+    rep = [j for j in range(d) if j != j0]
+    e, s = d - 1, f.inv(u[j0])
+    ptab, factors = {}, {}
+    for x, y in product(range(e), repeat=2):
+        coef = dict(tab.get((rep[x], rep[y]), ()))
+        lam = coef.get(j0, 0) * s
+        proj = [(m, f.coerce(coef.get(j, 0) - lam * u[j])) for m, j in enumerate(rep)]
+        ptab[x, y] = [(m, c) for m, c in proj if c]
+        for m, c in ptab[x, y]:
+            factors.setdefault(m, []).append((x, y, c))
+    pw = [e ** i for i in range(8)]
+
+    def codes(digits):
+        pre, suf = [0], [0]
+        for v in digits:
+            pre.append(pre[-1] * e + v)
+        for i, v in enumerate(reversed(digits)):
+            suf.append(v * pw[i] + suf[-1])
+        return pre, suf[::-1]
+
+    def chain_diff_columns(n):
+        cols = []
+        for idx in product(range(d), *[range(e)] * n):
+            pre, suf = codes(idx)
+            col = {}
+            for t in range(n):
+                ent = tab.get((idx[0], rep[idx[1]])) if t == 0 else ptab.get((idx[t], idx[t + 1]))
+                if ent:
+                    sign = 1 if t % 2 == 0 else -1
+                    base = pre[t] * pw[n - t] + suf[t + 2]
+                    for k, c in ent:
+                        rcode = base + k * pw[n - 1 - t]
+                        col[rcode] = col.get(rcode, 0) + sign * c
+            ent = tab.get((rep[idx[n]], idx[0]))
+            if ent:
+                sign = 1 if n % 2 == 0 else -1
+                base = pre[n] - idx[0] * pw[n - 1]
+                for k, c in ent:
+                    rcode = base + k * pw[n - 1]
+                    col[rcode] = col.get(rcode, 0) + sign * c
+            cols.append({r: v for r, v in col.items() if v})
+        return cols
+
+    def cochain_diff_columns(n):
+        cols = []
+        for *J, k in product(*[range(e)] * n, range(d)):
+            pre, suf = codes(J)
+            col = {}
+
+            def add(code, out, coeff):
+                rcode = code * d + out
+                col[rcode] = col.get(rcode, 0) + coeff
+
+            for i in range(e):
+                for mkey, c in tab.get((rep[i], k), ()):
+                    add(i * pw[n] + pre[n], mkey, c)
+            for t in range(1, n + 1):
+                sign = -1 if t % 2 == 1 else 1
+                base = pre[t - 1] * pw[n - t + 2] + suf[t]
+                for x, y, c in factors.get(J[t - 1], ()):
+                    add(base + x * pw[n - t + 1] + y * pw[n - t], k, sign * c)
+            sign = -1 if (n + 1) % 2 == 1 else 1
+            for w in range(e):
+                for mkey, c in tab.get((k, rep[w]), ()):
+                    add(pre[n] * e + w, mkey, sign * c)
+            cols.append({r: v for r, v in col.items() if v})
+        return cols
+
+    return chain_diff_columns, cochain_diff_columns
+
+
+def _doc_over(doc, tag):
+    """The same algebra document with every field tag replaced by `tag`."""
+    out = dict(doc)
+    if "field" in out:
+        out["field"] = tag
+    if "args" in out:
+        out["args"] = [_doc_over(sub, tag) for sub in out["args"]]
+    return out
+
+
+def _builder_cases():
+    cases = []
+    for path in DOCS:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        cases.append(pytest.param(lambda doc=doc: algebra_from_doc(doc), id=path.stem))
+        if doc.get("field", "Q") == "Q":
+            cases.append(pytest.param(lambda doc=doc: algebra_from_doc(_doc_over(doc, "Fp:5")),
+                                      id=path.stem + "@F5"))
+    cases += [pytest.param(ground_field, id="ground_field"),
+              pytest.param(dual_numbers, id="dual_numbers")]
+    makes = {"kronecker": kronecker_algebra, "a2": a2_path_algebra,
+             "non_stratifying": non_stratifying_algebra,
+             "t2": lambda f: one_point_extension_of_dual_numbers(f)[0]}
+    for (name, make), (tag, field) in product(makes.items(), (("Q", QQ), ("F5", F5))):
+        cases.append(pytest.param(
+            lambda make=make, field=field: _base_change(make(field), random.Random(7)),
+            id=f"{name}~{tag}"))
+    return cases
+
+
+def _assert_builder_matches_reference(a, n_max=4):
+    """The numpy columns of b_n (1 <= n <= n_max + 1) and delta^n
+    (0 <= n <= n_max) are the reference's: reduced mod p over F_p, and over
+    Q all scaled by one positive integer (1 when the table is integral)."""
+    f = a.field
+    chain, cochain = _reference_bar_columns(a)
+    tables = _bar_tables(a, n_max)
+    pairs = [(_bar_chain_columns(tables, n), chain(n)) for n in range(1, n_max + 2)]
+    pairs += [(_bar_cochain_columns(tables, n), cochain(n)) for n in range(n_max + 1)]
+    scale = None
+    for new, ref in pairs:
+        if f == QQ:
+            scale = scale or next((Fraction(v) / col[r] for got, col in zip(new, ref)
+                                   for r, v in got.items() if r in col), None)
+            assert scale is None or (scale.denominator == 1 and scale > 0)
+            ref = [{r: v * (scale or 1) for r, v in col.items()} for col in ref]
+        else:
+            ref = [{r: v % f.p for r, v in col.items() if v % f.p} for col in ref]
+        assert new == ref
+        assert all(type(v) is int for col in new for v in col.values())
+    if all(type(x) is int for r in a.struct for c in r for x in c):
+        assert scale in (None, 1)
+
+
+@pytest.mark.parametrize("make", _builder_cases())
+def test_bar_builder_matches_column_reference(make):
+    _assert_builder_matches_reference(make())
+
+
+def test_bar_builder_is_exact_past_the_int64_bound(monkeypatch):
+    # k[y]/(y^3) in the basis 1, y, y^2 / 2^60: sums of the constant 2^60
+    # over n_max + 2 terms need Python ints
+    big = 2 ** 60
+    struct = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        struct[0][i][i] = struct[i][0][i] = 1
+    struct[1][1][2] = big
+    a = Algebra(QQ, struct, (1, 0, 0))
+    seen = []
+
+    def spy(*args):
+        arr, den = real(*args)
+        seen.append(arr.dtype)
+        return arr, den
+    real = homology.integer_array
+    monkeypatch.setattr(homology, "integer_array", spy)
+    _assert_builder_matches_reference(a)
+    assert seen == [object]
+    hh, hhc = bar_oracle(a, 3)
+    assert (hh.entries, hhc.entries) == _unnormalised_bar_dims(a, 3)
 
 
 # -- dimensions ---------------------------------------------------------------------

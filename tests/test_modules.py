@@ -28,7 +28,7 @@ from recollab.fixtures import (
     vertex_idempotent,
 )
 from recollab.homology import regular_as_left_env_module
-from test_homology import _base_change
+from test_homology import _base_change, _doc_over
 from recollab.modules import (
     Bimodule,
     ModuleMap,
@@ -539,16 +539,6 @@ def test_bimodule_restrictions_are_built_once_and_checked_on_first_use():
 
 
 # -- Hom and (x) out of a projective_module: Yoneda against Sylvester -----------
-
-
-def _doc_over(doc, tag):
-    """The same algebra document with every field tag replaced by `tag`."""
-    out = dict(doc)
-    if "field" in out:
-        out["field"] = tag
-    if "args" in out:
-        out["args"] = [_doc_over(sub, tag) for sub in out["args"]]
-    return out
 
 
 def _yoneda_cases():
