@@ -49,6 +49,7 @@ from .errors import (
     DimensionMismatch,
     InvalidRelation,
     NotFiniteDimensional,
+    NotSplitBasic,
     NotStratifying,
     QuotientIsZero,
     RecollabError,
@@ -111,7 +112,8 @@ def validate_algebra_doc(doc):
         fieldtag = doc.get("field")
         if not isinstance(fieldtag, str):
             raise ParseError("missing field tag")
-        parse_field(fieldtag)
+        with _building("field"):
+            parse_field(fieldtag)
     if kind == "quiver":
         if not isinstance(doc.get("vertices"), list) or not doc["vertices"]:
             raise ParseError("quiver needs a nonempty vertex list")
@@ -551,9 +553,10 @@ def build_parser():
     h = sub.add_parser("hochschild", help="Hochschild homology and cohomology")
     common(h, degrees=True)
     h.add_argument("--oracle", action="store_true",
-                   help="cross-check against the truncated normalised bar complex")
+                   help="cross-check against the normalised bar complex relative to "
+                        "the vertex idempotents (Gerstenhaber-Schack, Cibils)")
     h.add_argument("--budget", type=int, default=20000,
-                   help="bar oracle budget on the unnormalised term dim A^(n+1)")
+                   help="bar oracle budget, still on the unnormalised term dim A^(n+1)")
     h.set_defaults(func=cmd_hochschild)
     return p
 
@@ -568,24 +571,18 @@ def main(argv=None):
     try:
         with resolution_store(ResolutionCache(root) if root else None):
             return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NotFiniteDimensional, InvalidRelation) as exc:
+    except (ParseError, NotFiniteDimensional, InvalidRelation) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (NotStratifying,) as exc:
+    except (NotStratifying, NotSplitBasic, UnsupportedField, QuotientIsZero) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CertificationFailed as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
-    except (UnsupportedField, QuotientIsZero) as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

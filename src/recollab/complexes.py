@@ -11,13 +11,14 @@ as a periodicity witness.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 
 from .errors import (
     AlgebraMismatch,
     DepthMismatch,
     DimensionMismatch,
+    Inconclusive,
     InputNotExact,
     RecollabError,
 )
@@ -350,10 +351,11 @@ def _resolve(m, n_max):
             break
         syz, incl = submodule_from_rows(cover.module, ker_rows)
         if periodicity is None and syz.dim <= _PERIODICITY_DIM_CAP:
-            for i, (old, _) in enumerate(syzygies):
-                if old.dim == syz.dim and old.dim > 0 and iso_test(old, syz):
-                    periodicity = (i + 1, len(syzygies) + 1)
-                    break
+            with suppress(Inconclusive):  # no witness then: the verdict stays AtLeast
+                for i, (old, _) in enumerate(syzygies):
+                    if old.dim == syz.dim and old.dim > 0 and iso_test(old, syz):
+                        periodicity = (i + 1, len(syzygies) + 1)
+                        break
         syzygies.append((syz, incl))
         syzygy_dims.append(syz.dim)
         cur = syz

@@ -11,11 +11,11 @@ so exactness of every joint is a rank computation, not a trusted theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import islice
 
 import numpy as np
 
-from .algebra import enveloping
+from .algebra import discover_basic, enveloping
 from .complexes import (
     BoundedComplex,
     HomComplexData,
@@ -63,10 +63,7 @@ class GradedDims:
     bases: dict = field(default_factory=dict)
 
     def dim(self, n):
-        for d, v in self.entries:
-            if d == n:
-                return v
-        return 0
+        return dict(self.entries).get(n, 0)
 
     def degrees(self):
         return [d for d, _ in self.entries]
@@ -112,16 +109,9 @@ def regular_as_left_env_module(a, env=None):
     """A as a left module over A^op (x) A: (b^op (x) c) . x = c x b."""
     if env is None:
         env = enveloping(a)
-    f = a.field
-    L = a.basis_left_mats()
-    R = a.basis_right_mats()
-    lam = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lam.append(L[j].mul(R[i]))
-    triv = trivial_algebra(f)
-    ident = Matrix.identity(f, a.dim)
-    return Bimodule(env, triv, a.dim, tuple(lam), (ident,))
+    L, R = a.basis_left_mats(), a.basis_right_mats()
+    lam = tuple(L[j].mul(R[i]) for i in range(a.dim) for j in range(a.dim))
+    return Bimodule(env, trivial_algebra(a.field), a.dim, lam, (Matrix.identity(a.field, a.dim),))
 
 
 def _tensor_complex(res, t, n_max):
@@ -161,13 +151,9 @@ def tor(m, n, n_max, resolve="left", with_bases=False):
                    resolve="left", with_bases=with_bases)
     res = projective_resolution(m_bim.restrict_right(), n_max + 1)
     cx, _ = _tensor_complex(res, n_bim, n_max + 1)
-    entries = []
-    bases = {}
-    for i in range(n_max + 1):
-        entries.append((i, cx.cohomology_dim(-i)))
-        if with_bases:
-            bases[i] = cx.cohomology(-i)[3]
-    return GradedDims(tuple(entries), bases)
+    entries = tuple((i, cx.cohomology_dim(-i)) for i in range(n_max + 1))
+    bases = {i: cx.cohomology(-i)[3] for i in range(n_max + 1)} if with_bases else {}
+    return GradedDims(entries, bases)
 
 
 @dataclass
@@ -181,7 +167,6 @@ class ExtData:
 
     def cocycle_basis(self, nlev):
         """Representative cocycles of Ext^n as ModuleMaps P_n -> target."""
-        comps = self.hom.components.get(nlev, [])
         reps = self.hom.complex.cohomology(nlev)[3]
         out = []
         for r in range(reps.nrows):
@@ -222,13 +207,9 @@ def ext(m, n, n_max, with_bases=False):
         raise AlgebraMismatch("ext: algebra mismatch")
     res = projective_resolution(m_mod, n_max + 1)
     hc = hom_complex(res.to_complex(), BoundedComplex.concentrated(n_mod))
-    entries = []
-    bases = {}
-    for i in range(n_max + 1):
-        entries.append((i, hc.complex.cohomology_dim(i)))
-        if with_bases:
-            bases[i] = hc.complex.cohomology(i)[3]
-    return ExtData(GradedDims(tuple(entries), bases), res, n_mod, hc)
+    entries = tuple((i, hc.complex.cohomology_dim(i)) for i in range(n_max + 1))
+    bases = {i: hc.complex.cohomology(i)[3] for i in range(n_max + 1)} if with_bases else {}
+    return ExtData(GradedDims(entries, bases), res, n_mod, hc)
 
 
 def yoneda_product(x, y):
@@ -300,19 +281,13 @@ def global_dimension(a, cutoff):
     if a.is_zero_algebra:
         return PdVerdict("finite", 0)
     if a.basic is None:
-        from .algebra import discover_basic
         a = discover_basic(a)
     worst = 0
-    periodic = None
     for s in simple_modules(a):
         res = projective_resolution(s, cutoff)
-        if res.stabilized:
-            worst = max(worst, res.projective_dimension())
-        else:
-            if res.periodicity is not None and periodic is None:
-                periodic = res.periodicity
-            return PdVerdict("at_least", cutoff + 1,
-                             periodic=res.periodicity or periodic)
+        if not res.stabilized:
+            return PdVerdict("at_least", cutoff + 1, periodic=res.periodicity)
+        worst = max(worst, res.projective_dimension())
     return PdVerdict("finite", worst)
 
 
@@ -321,135 +296,154 @@ def global_dimension(a, cutoff):
 # --------------------------------------------------------------------------
 
 
-def _bar_tables(a, n_max):
-    """(d, e, p, left, right, pbar), read once per oracle call: with
-    Abar = A / k.1 of dim e = d - 1, the products A (x) Abar -> A as arrays
-    (i, r, k, value), Abar (x) A -> A as (r, j, k, value) and the projected
-    Abar (x) Abar -> Abar as (x, y, m, value).  The values are integers
-    (`integer_array`: over Q scaled by one common denominator, which leaves
-    each rank unchanged), at most n_max + 2 of them summed per entry of a
-    differential; p is the characteristic, None over Q."""
-    d, f, u = a.dim, a.field, a.unit
-    tab = a._sparse_table()
-    # Abar's r-th basis vector is the class of b_rep[r]; x projects to
-    # x - (x_j0 / u_j0) u
-    j0 = next(j for j, x in enumerate(u) if x)
-    rep = [j for j in range(d) if j != j0]
-    s = f.inv(u[j0])
-    mu = [(i, j, k, c) for (i, j), ent in tab.items() for k, c in ent]
-    pmu = []
-    for x, y in product(range(d - 1), repeat=2):
-        coef = dict(tab.get((rep[x], rep[y]), ()))
-        lam = coef.get(j0, 0) * s
-        for m, j in enumerate(rep):
-            c = f.coerce(coef.get(j, 0) - lam * u[j])
-            if c:
-                pmu.append((x, y, m, c))
-    vals = integer_array(f, [t[3] for t in mu + pmu], lambda m: (n_max + 2) * m)[0]
-    (i, j, k), pbar = (np.array([t[:3] for t in ts], dtype=np.int64).reshape(-1, 3).T
-                       for ts in (mu, pmu))
-    bar = np.full(d, -1)
-    bar[rep] = np.arange(d - 1)
-    v = vals[:len(mu)]
-    left, right = bar[j] >= 0, bar[i] >= 0
-    return (d, d - 1, getattr(f, "p", None),
-            (i[left], bar[j[left]], k[left], v[left]),
-            (bar[i[right]], j[right], k[right], v[right]),
-            (*pbar, vals[len(mu):]))
+def _bar_blocks(a):
+    """(E, left, right): E = kQ0 as (pivot, idempotent) pairs when the vertex
+    idempotents are basis vectors, e_u b_k e_v = b_k for exactly one vertex
+    pair (u, v) = (left[k], right[k]) and every product respects these
+    blocks; otherwise E = k.1 as [(j0, unit)], j0 the unit's first nonzero
+    coordinate, and one block."""
+    d, tab = a.dim, a._sparse_table()
+    idem = a.basic.idempotent_coords if a.basic is not None else ()
+    piv = [v.index(1) for v in idem if sum(map(bool, v)) == 1 and 1 in v]
+    left = [[u for u, i in enumerate(piv) if tab.get((i, k)) == ((k, 1),)] for k in range(d)]
+    right = [[u for u, i in enumerate(piv) if tab.get((k, i)) == ((k, 1),)] for k in range(d)]
+    if piv and len(piv) == len(idem) and all(len(s) == 1 for s in left + right):
+        (left,), (right,) = zip(*left), zip(*right)
+        if all(right[i] == left[j] and (left[k], right[k]) == (left[i], right[j])
+               for (i, j), ent in tab.items() for k, _ in ent):
+            return list(zip(piv, idem)), left, right
+    return [(next(j for j, x in enumerate(a.unit) if x), a.unit)], (0,) * d, (0,) * d
 
 
-def _bar_term(cols, rows, vals, free):
-    """One term I (x) T (x) I of a differential as (col, row, value) arrays:
-    the table's entries, at column codes `cols` and row codes `rows`,
-    broadcast over each free index (size, column stride, row stride)."""
-    for size, cs, rs in free:
-        idx = np.arange(size)
-        cols = (cols[:, None] + idx * cs).ravel()
-        rows = (rows[:, None] + idx * rs).ravel()
-        vals = np.repeat(vals, size)
-    return cols, rows, vals
+def _expand(keys, start):
+    """(i, j): each position i of `keys` with each entry j of a table sorted
+    by key, start[q] <= j < start[q + 1] for the entries of key q."""
+    lo = start[keys]
+    cnt = start[keys + 1] - lo
+    i = np.arange(len(keys)).repeat(cnt)
+    return i, np.arange(len(i)) - (cnt.cumsum() - cnt - lo).repeat(cnt)
 
 
-def _bar_columns(terms, ncols, nrows, p):
-    """The sum of `terms` as sparse columns {row: int}, in column order,
-    reduced mod p when p is given and without zero entries."""
-    cols, rows, vals = (np.concatenate(part) for part in zip(*terms))
-    key = cols * nrows + rows
-    order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
-    start = np.flatnonzero(np.diff(key, prepend=-1))
-    key, vals = key[start], np.add.reduceat(vals, start)
-    if p is not None:
-        vals = vals % p
-    keep = vals != 0
-    cols, rows = np.divmod(key[keep], nrows)
-    entries = zip(rows.tolist(), vals[keep].tolist())
-    return [dict(islice(entries, size)) for size in np.bincount(cols, minlength=ncols).tolist()]
+class _BarComplex:
+    """The normalised bar complex relative to E (`_bar_blocks`) in degrees up
+    to n_max + 1, Abar = A / E spanned by the basis vectors off E's pivots.
+    C_n has the basis a_0 (x) .. (x) a_n of composable tuples closed
+    cyclically; C^n the maps a_1 (x) .. (x) a_n |-> a_{n+1}, a_{n+1} in the
+    block from the left vertex of a_1 to the right vertex of a_n (C^0 is the
+    sum of the e_u A e_u).  A tuple's code has its basis indices as digits in
+    base d = dim A; `chains[n]`, `cochains[n]` hold the sorted codes."""
 
+    def __init__(self, a, n_max):
+        d, f, tab = a.dim, a.field, a._sparse_table()
+        E, left, right = _bar_blocks(a)
+        self.d, self.p, piv = d, getattr(f, "p", None), dict(E)
+        # the products in A, and in Abar: minus, for each (pivot, vector) of E,
+        # the pivot coordinate over the vector's times the vector
+        mu = [(i, j, k, c) for (i, j), ent in tab.items() for k, c in ent]
+        pmu = []
+        for (i, j), ent in tab.items():
+            if i not in piv and j not in piv:
+                coef = dict(ent)
+                for pv, vec in E:
+                    lam = coef.get(pv, 0) * f.inv(vec[pv])
+                    coef = {m: coef.get(m, 0) - lam * vec[m] for m in range(d)} if lam else coef
+                pmu += [(i, j, m, f.coerce(c)) for m, c in sorted(coef.items())
+                        if m not in piv and f.coerce(c)]
+        vals = integer_array(f, [t[3] for t in mu + pmu], lambda m: (n_max + 2) * m)[0]
+        # entries (key, p, q, value index), sorted: chain faces read a_t a_{t+1} at
+        # a_t d + a_{t+1} in A (t = 0, n) or at d^2 + a_t d + a_{t+1} in Abar; cochain
+        # faces read a_1 a_{n+1} at a_{n+1}, a_t's factors at d + a_t and
+        # a_{n+1} a_{n+2} at 2d + a_{n+1}
+        chain, cochain = [], []
+        for s, (i, j, k, _) in enumerate(mu):
+            chain.append((i * d + j, k, 0, s))
+            cochain += [(j, i, k, s)] * (i not in piv) + [(2 * d + i, j, k, s)] * (j not in piv)
+        for s, (i, j, m, _) in enumerate(pmu, len(mu)):
+            chain.append((d * d + i * d + j, m, 0, s))
+            cochain.append((d + m, i, j, s))
+        self.tables = []
+        for entries in (chain, cochain):
+            key, p, q, s = np.array(sorted(entries), np.int64).reshape(-1, 4).T
+            self.tables.append((p, q, vals[s], np.searchsorted(key, np.arange(3 * d * d + 1))))
+        # composable tuples of Abar vectors level by level (code, left vertex of
+        # the first, right vertex of the last)
+        lv, rv = np.array(left), np.array(right)
+        rep, diag = np.array([j for j in range(d) if j not in piv], np.int64), (lv == rv).nonzero()[0]
+        code, first, last, self.chains, self.cochains = rep, lv[rep], rv[rep], [diag], [diag]
+        for n in range(1, n_max + 2):
+            a0, t = ((lv[:, None] == last) & (rv[:, None] == first)).nonzero()
+            self.chains.append(a0 * d ** n + code[t])
+            t, k = ((first[:, None] == lv) & (last[:, None] == rv)).nonzero()
+            self.cochains.append(code[t] * d + k)
+            t, x = (last[:, None] == lv[rep]).nonzero()
+            code, first, last = code[t] * d + rep[x], first[t], rv[rep[x]]
 
-def _bar_chain_columns(tables, n):
-    """Columns of b_n: C_n -> C_{n-1}, n >= 1.  The basis vector
-    a_0 (x) .. (x) a_n of C_n = A (x) Abar^{(x)n} has code
-    a_0 e^n + a_1 e^(n-1) + .. + a_n."""
-    d, e, p, (li, lr, lk, lv), (rr, rj, rk, rv), (px, py, pm, pv) = tables
-    w = e ** (n - 1)
-    # a_0 a_1 lands in A
-    terms = [_bar_term((li * e + lr) * w, lk * w, lv, [(w, 1, 1)])]
-    # a_t a_{t+1} in Abar, after a prefix of t digits and before n - t - 1
-    for t in range(1, n):
-        w = e ** (n - t - 1)
-        terms.append(_bar_term((px * e + py) * w, pm * w, (-1) ** t * pv,
-                               [(d * e ** (t - 1), e ** (n - t + 1), e ** (n - t)), (w, 1, 1)]))
-    # a_n a_0 (x) a_1 .. a_{n-1}: the middle digits keep their order
-    w = e ** (n - 1)
-    terms.append(_bar_term(rj * e ** n + rr, rk * w, (-1) ** n * rv, [(w, e, 1)]))
-    return _bar_columns(terms, d * e ** n, d * w, p)
-
-
-def _bar_cochain_columns(tables, n):
-    """Columns of delta^n: C^n -> C^{n+1}, n >= 0.  The basis vector of
-    C^n = Hom_k(Abar^{(x)n}, A) sending a_1 (x) .. (x) a_n to b_k has code
-    (a_1 e^(n-1) + .. + a_n) d + k."""
-    d, e, p, (li, lr, lk, lv), (rr, rj, rk, rv), (px, py, pm, pv) = tables
-    w = e ** n
-    # a_1 . f(a_2, .., a_{n+1})
-    terms = [_bar_term(rj, rr * w * d + rk, rv, [(w, d, d)])]
-    # f(.., a_t a_{t+1}, ..): t - 1 digits before, n - t digits and k after
-    for t in range(1, n + 1):
-        w = e ** (n - t) * d
-        terms.append(_bar_term(pm * w, (px * e + py) * w, (-1) ** t * pv,
-                               [(e ** (t - 1), e * w, e * e * w), (w, 1, 1)]))
-    # f(a_1, .., a_n) . a_{n+1}
-    terms.append(_bar_term(li, lr * d + lk, (-1) ** (n + 1) * lv, [(e ** n, d, e * d)]))
-    return _bar_columns(terms, e ** n * d, e ** (n + 1) * d, p)
+    def columns(self, n, cochain=False):
+        """Columns of b_n: C_n -> C_{n-1} (n >= 1) or of delta^n: C^n -> C^{n+1}
+        as {row: int}, reduced mod p over F_p and without zeros.  Face t, of
+        sign (-1)^t, reads the entries at key kw . digits + off, digits those
+        of a column's code, and puts (p, q, value) at rw . digits + g p + h q."""
+        d = self.d
+        if cochain:
+            cols, rows, (p, q, vals, start) = self.cochains[n], self.cochains[n + 1], self.tables[1]
+            w, last = [d ** (n + 1 - s) for s in range(n + 2)], [0] * n + [1]
+            faces = [(last, w[1:n + 1] + [0], 0, w[0], w[n + 1])]
+            faces += [([0] * (t - 1) + [1] + [0] * (n + 1 - t), w[:t - 1] + [0] + w[t + 1:],
+                       d, w[t - 1], w[t]) for t in range(1, n + 1)]
+            faces.append((last, w[:n] + [0], 2 * d, w[n], w[n + 1]))
+        else:
+            cols, rows, (p, q, vals, start) = self.chains[n], self.chains[n - 1], self.tables[0]
+            w = [d ** (n - 1 - s) for s in range(n)]
+            faces = [([0] * t + [d, 1] + [0] * (n - 1 - t), w[:t] + [0, 0] + w[t + 1:],
+                      d * d if t else 0, w[t], 0) for t in range(n)]
+            faces.append(([1] + [0] * (n - 1) + [d], [0] + w[1:] + [0], 0, w[0], 0))
+        if not len(cols) or not len(rows):
+            return [{} for _ in cols]
+        m = np.array([kw + rw + [off, g, h, (-1) ** t]
+                      for t, (kw, rw, off, g, h) in enumerate(faces)], np.int64)
+        # key and row weights of face t in columns 2t and 2t + 1
+        kr = (cols[:, None] // d ** np.arange(n, -1, -1) % d) @ m[:, :2 * n + 2].reshape(-1, n + 1).T
+        off, g, h, sign = m[:, 2 * n + 2:].T
+        c, j = _expand((kr[:, ::2] + off).ravel(), start)
+        c, t = np.divmod(c, len(faces))
+        key = c * len(rows) + np.searchsorted(rows, kr[:, 1::2][c, t] + p[j] * g[t] + q[j] * h[t])
+        # sum the entries of each (column, row) by one sort
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], (sign[t] * vals[j])[order]
+        runs = np.concatenate((key[:1] >= 0, key[1:] != key[:-1])).nonzero()[0]
+        key, vals = key[runs], np.add.reduceat(vals, runs)
+        vals = vals % self.p if self.p is not None else vals
+        c, r = np.divmod(key[vals != 0], len(rows))
+        entries = zip(r.tolist(), vals[vals != 0].tolist())
+        return [dict(islice(entries, size)) for size in np.bincount(c, minlength=len(cols)).tolist()]
 
 
 def bar_oracle(a, n_max, budget=20000):
-    """HH_* and HH^* from the truncated normalised bar complex, independent
-    of the resolution machinery.
+    """HH_* and HH^* from the truncated normalised bar complex relative to
+    E = kQ0, independent of the resolution machinery.
 
-    With Abar = A / k.1, chains C_n = A (x) Abar^{(x)n} carry the cyclic
-    Hochschild boundary and cochains C^n = Hom_k(Abar^{(x)n}, A) the
-    Hochschild codifferential (Loday, Cyclic Homology, 1.1.14-1.1.15).  The
-    budget bounds the unnormalised term: BudgetExceeded if d^(n+1) > budget
-    for some n <= n_max + 1, d = dim A.
+    E, spanned by the vertex idempotents, is separable, so with Abar = A / E
+    C_n = A (x)_{E^e} Abar^{(x)_E n} with the cyclic Hochschild boundary and
+    C^n = Hom_{E^e}(Abar^{(x)_E n}, A) with the Hochschild codifferential
+    compute HH (Gerstenhaber-Schack, J. Pure Appl. Algebra 43 (1986); Cibils,
+    Tensor Hochschild homology and cohomology (2000)); in a Peirce basis only
+    composable tuples survive.  Without one, E = k.1 (Loday, Cyclic Homology,
+    1.1.14-1.1.15).  The budget bounds the unnormalised term: BudgetExceeded
+    if d^(n+1) > budget, or >= 2^62, for some n <= n_max + 1, d = dim A.
     """
-    d = a.dim
-    f = a.field
+    d, f = a.dim, a.field
     if d == 0:
         z = tuple((i, 0) for i in range(n_max + 1))
         return GradedDims(z), GradedDims(z)
+    limit = min(budget, 2 ** 62 - 1)   # so that every tuple code is an int64
     for n in range(n_max + 2):
-        if d ** (n + 1) > budget:
-            raise BudgetExceeded(
-                f"bar term dimension {d ** (n + 1)} exceeds budget {budget}")
-    tables = _bar_tables(a, n_max)
-    e = d - 1
-    ch = {n: sparse_rank(_bar_chain_columns(tables, n), f) for n in range(1, n_max + 2)}
-    co = {n: sparse_rank(_bar_cochain_columns(tables, n), f) for n in range(n_max + 1)}
-    # C_n = A (x) Abar^{(x)n} and C^n = Hom_k(Abar^{(x)n}, A) both have dim d e^n
-    hh = tuple((n, d * e ** n - ch.get(n, 0) - ch[n + 1]) for n in range(n_max + 1))
-    hhc = tuple((n, d * e ** n - co[n] - co.get(n - 1, 0)) for n in range(n_max + 1))
+        if d ** (n + 1) > limit:
+            raise BudgetExceeded(f"bar term dimension {d ** (n + 1)} exceeds budget {limit}")
+    bar = _BarComplex(a, n_max)
+    ch = {n: sparse_rank(bar.columns(n), f) for n in range(1, n_max + 2)}
+    co = {n: sparse_rank(bar.columns(n, cochain=True), f) for n in range(n_max + 1)}
+    hh = tuple((n, len(bar.chains[n]) - ch.get(n, 0) - ch[n + 1]) for n in range(n_max + 1))
+    hhc = tuple((n, len(bar.cochains[n]) - co[n] - co.get(n - 1, 0)) for n in range(n_max + 1))
     return GradedDims(hh), GradedDims(hhc)
 
 
@@ -491,7 +485,6 @@ def _snake_les(sub_cx, mid_cx, quot_cx, incs, prjs, degrees, labels,
     lifts a quotient cycle through the (provided or solved) section, applies
     the middle differential, and pulls back along the inclusion.
     """
-    f = mid_cx.field
     terms = []
     maps = []
     for pos, n in enumerate(degrees):

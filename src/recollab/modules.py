@@ -738,14 +738,19 @@ class IsoResult:
         return self.verdict
 
 
+def _top_dims(m):
+    proj = top_of(m)[0]
+    return [rank(linear_combination(e, m.action, m.field, m.dim, m.dim).mul(proj))
+            for e in m.algebra.basic.idempotent_coords]
+
+
 def iso_test(m, n, cap=200_000):
     """Decide whether two modules over one algebra are isomorphic.
 
-    Enumerates a deterministic evaluation grid for the determinant polynomial
-    on the Hom space (complete for grids of side dim+1 over Q or over F_p with
-    p > dim; full small-field enumeration otherwise).  Raises Inconclusive
-    only when the grid is cut off by the evaluation cap.
-    """
+    Different dimensions or tops mean "no"; otherwise a deterministic grid
+    of the determinant polynomial on the Hom space decides (complete for side
+    dim+1 over Q or over F_p with p > dim; full small-field enumeration
+    otherwise).  Raises Inconclusive only when the grid hits the cap."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("iso_test needs one algebra")
     if m.dim != n.dim:
@@ -753,6 +758,9 @@ def iso_test(m, n, cap=200_000):
     d = m.dim
     if d == 0:
         return IsoResult(True, Matrix(m.field, [], ncols=0))
+    # isomorphic modules have isomorphic tops: compare dim (M / M rad) e_v
+    if m.algebra.basic is not None and _top_dims(m) != _top_dims(n):
+        return IsoResult(False)
     maps = hom_space(m, n)
     h = len(maps)
     if h == 0:

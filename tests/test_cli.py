@@ -393,6 +393,8 @@ MALFORMED = {
         ["define"], dict(_ONE_VERTEX, arrows=[{"source": "1", "target": "9", "label": "a"}]),
         None),
     "idempotent_not_idempotent": (["stratify"], None, "[1,1,1]"),
+    # the tag of F_5 is "Fp:5"
+    "unknown_field_tag": (["define"], dict(_ONE_VERTEX, field="F5"), None),
 }
 
 
@@ -404,3 +406,34 @@ def test_malformed_input_is_a_one_line_parse_error(name, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and err.count("\n") == 1, err
+
+
+def test_not_split_basic_is_a_failed_precondition(tmp_path, capsys):
+    # Q(i) = Q[x]/(x^2 + 1) has no basic structure to stratify by
+    path = _write(tmp_path, {"kind": "structure_constants", "field": "Q", "dim": 2,
+                             "table": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], "unit": [1, 0]})
+    for argv in (["stratify", path, "--idempotent", "[1,0]"], ["hochschild", path]):
+        assert main(argv) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed: ") and err.count("\n") == 1, err
+
+
+def test_hochschild_cyc2_3_resolution_and_oracle_agree(tmp_path, capsys):
+    # 1 <-> 2 modulo all paths of length 3: self-injective Nakayama, where a
+    # periodicity search once compared syzygies with different tops by grid
+    doc = {"kind": "quiver", "field": "Q", "vertices": ["1", "2"],
+           "arrows": [{"label": "a1", "source": "1", "target": "2"},
+                      {"label": "a2", "source": "2", "target": "1"}],
+           "relations": [[{"coeff": 1, "path": ["a1", "a2", "a1"]}],
+                         [{"coeff": 1, "path": ["a2", "a1", "a2"]}]]}
+    path = _write(tmp_path, doc)
+    # the gate still measures the unnormalised term: 6^8 at degree 6
+    argv = ["hochschild", path, "--max-degree", "6", "--oracle"]
+    assert main(argv) == EXIT_BUDGET
+    capsys.readouterr()
+    assert main(argv + ["--budget", str(6 ** 8)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    dims = {str(n): v for n, v in enumerate([3, 1, 1, 1, 1, 1, 1])}
+    assert report["hh"] == report["hh_cohomology"] == dims
+    assert report["oracle"]["hh"] == report["oracle"]["hh_cohomology"] == dims
+    assert all(report["oracle"]["agreement"].values())

@@ -16,7 +16,7 @@ from recollab.complexes import (
     projective_resolution,
     resolution_store,
 )
-from recollab.errors import DepthMismatch, InputNotExact, NotDegreewiseProjective
+from recollab.errors import DepthMismatch, Inconclusive, InputNotExact, NotDegreewiseProjective
 from recollab.exactfield import QQ, Matrix, rank
 from recollab.fixtures import (
     a2_path_algebra,
@@ -51,6 +51,16 @@ def test_resolution_of_simple_over_dual_numbers_never_stabilizes():
     assert not res.stabilized
     assert res.syzygy_dims == [1] * 7
     assert res.periodicity is not None
+
+
+def test_inconclusive_periodicity_search_leaves_no_witness(monkeypatch):
+    def inconclusive(m, n):
+        raise Inconclusive("grid cap reached")
+    monkeypatch.setattr(complexes, "iso_test", inconclusive)
+    with resolution_store():
+        res = projective_resolution(simple_modules(dual_numbers())[0], 6)
+    assert not res.stabilized and res.syzygy_dims == [1] * 7
+    assert res.periodicity is None
 
 
 def test_resolution_simple_at_source_of_a2_depth_1():

@@ -2,7 +2,9 @@
 
 Each of `define`, `stratify`, `verify` (with and without `--with-matrices`,
 which adds every LES matrix, connecting maps included) and
-`hochschild --oracle` runs on every `demos/docs/*.json`; the exit code and
+`hochschild --oracle` runs on every `demos/docs/*.json`, and
+`hochschild --oracle --budget 78125` on four documents at the highest degree
+that budget admits; the exit code and
 the SHA-256 of the report printed to stdout must equal the entry in
 `golden_reports.json`.  The digests pin the report bytes, so any change to an
 emitted number, its sign, its formatting or its order fails here.
@@ -37,6 +39,9 @@ IDEMPOTENTS = {
     "t2_one_point_extension": "e:R:1",
 }
 
+# The degree at which `hochschild --oracle --budget 78125` runs on each.
+ORACLE_DEGREES = {"kronecker": 5, "kronecker_f5": 6, "a2": 7, "non_stratifying": 4}
+
 
 def _commands():
     for name, idem in IDEMPOTENTS.items():
@@ -49,6 +54,10 @@ def _commands():
                                           "--max-degree", "3", "--cutoff", "6",
                                           "--with-matrices"]
         yield f"hochschild:{name}", ["hochschild", path, "--max-degree", "3", "--oracle"]
+    for name, degree in ORACLE_DEGREES.items():
+        yield f"hochschild:{name}:deg{degree}", [
+            "hochschild", str(DOCS / f"{name}.json"), "--max-degree", str(degree),
+            "--oracle", "--budget", "78125"]
 
 
 def _digest(argv):

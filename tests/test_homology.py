@@ -1,17 +1,20 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import lcm
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from recollab.algebra import Algebra, enveloping
 from recollab.cli import algebra_from_doc
 from recollab.complexes import ShortExactSequence, projective_resolution
 from recollab.errors import BudgetExceeded, DepthInsufficient
-from recollab.exactfield import GF, QQ, Matrix, express_in_row_basis, rank, sparse_rank
+from recollab.exactfield import (
+    GF, QQ, Matrix, express_in_row_basis, integer_array, rank, sparse_rank,
+)
 from recollab.fixtures import (
     a2_path_algebra,
     dual_numbers,
@@ -23,9 +26,8 @@ from recollab.fixtures import (
 )
 from recollab import homology
 from recollab.homology import (
-    _bar_chain_columns,
-    _bar_cochain_columns,
-    _bar_tables,
+    _BarComplex,
+    _bar_blocks,
     bar_oracle,
     ext,
     global_dimension,
@@ -476,37 +478,193 @@ def _doc_over(doc, tag):
     return out
 
 
+def _cyclic_doc(n, length, field="Q"):
+    """kZ_n / J^length: the cyclic quiver 1 -> 2 -> .. -> n -> 1 modulo every
+    path of that length, as a quiver document."""
+    vs = [str(i + 1) for i in range(n)]
+    arrows = [{"label": f"a{i + 1}", "source": vs[i], "target": vs[(i + 1) % n]}
+              for i in range(n)]
+    rels = [[{"coeff": 1, "path": [f"a{(s + t) % n + 1}" for t in range(length)]}]
+            for s in range(n)]
+    return {"kind": "quiver", "field": field, "vertices": vs, "arrows": arrows,
+            "relations": rels}
+
+
+def _linear_doc(n, field="Q"):
+    """The path algebra of the linear quiver 1 -> 2 -> .. -> n."""
+    vs = [str(i + 1) for i in range(n)]
+    return {"kind": "quiver", "field": field, "vertices": vs,
+            "arrows": [{"label": f"a{i + 1}", "source": vs[i], "target": vs[i + 1]}
+                       for i in range(n - 1)]}
+
+
+# Q(i) = Q[x]/(x^2 + 1) by structure constants: not split, so it has no
+# basic structure.
+QI_DOC = {"kind": "structure_constants", "field": "Q", "dim": 2,
+          "table": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], "unit": [1, 0]}
+
+
+def _absolute_bar_tables(a, n_max):
+    """(d, e, p, left, right, pbar) of the reference numpy builder over k.1: with
+    Abar = A / k.1 of dim e = d - 1, the products A (x) Abar -> A as arrays
+    (i, r, k, value), Abar (x) A -> A as (r, j, k, value) and the projected
+    Abar (x) Abar -> Abar as (x, y, m, value).  The values are integers
+    (`integer_array`: over Q scaled by one common denominator, which leaves
+    each rank unchanged), at most n_max + 2 of them summed per entry of a
+    differential; p is the characteristic, None over Q."""
+    d, f, u = a.dim, a.field, a.unit
+    tab = a._sparse_table()
+    # Abar's r-th basis vector is the class of b_rep[r]; x projects to
+    # x - (x_j0 / u_j0) u
+    j0 = next(j for j, x in enumerate(u) if x)
+    rep = [j for j in range(d) if j != j0]
+    s = f.inv(u[j0])
+    mu = [(i, j, k, c) for (i, j), ent in tab.items() for k, c in ent]
+    pmu = []
+    for x, y in product(range(d - 1), repeat=2):
+        coef = dict(tab.get((rep[x], rep[y]), ()))
+        lam = coef.get(j0, 0) * s
+        for m, j in enumerate(rep):
+            c = f.coerce(coef.get(j, 0) - lam * u[j])
+            if c:
+                pmu.append((x, y, m, c))
+    vals = integer_array(f, [t[3] for t in mu + pmu], lambda m: (n_max + 2) * m)[0]
+    (i, j, k), pbar = (np.array([t[:3] for t in ts], dtype=np.int64).reshape(-1, 3).T
+                       for ts in (mu, pmu))
+    bar = np.full(d, -1)
+    bar[rep] = np.arange(d - 1)
+    v = vals[:len(mu)]
+    left, right = bar[j] >= 0, bar[i] >= 0
+    return (d, d - 1, getattr(f, "p", None),
+            (i[left], bar[j[left]], k[left], v[left]),
+            (bar[i[right]], j[right], k[right], v[right]),
+            (*pbar, vals[len(mu):]))
+
+
+def _absolute_bar_term(cols, rows, vals, free):
+    """One term I (x) T (x) I of a differential as (col, row, value) arrays:
+    the table's entries, at column codes `cols` and row codes `rows`,
+    broadcast over each free index (size, column stride, row stride)."""
+    for size, cs, rs in free:
+        idx = np.arange(size)
+        cols = (cols[:, None] + idx * cs).ravel()
+        rows = (rows[:, None] + idx * rs).ravel()
+        vals = np.repeat(vals, size)
+    return cols, rows, vals
+
+
+def _absolute_bar_columns(terms, ncols, nrows, p):
+    """The sum of `terms` as sparse columns {row: int}, in column order,
+    reduced mod p when p is given and without zero entries."""
+    cols, rows, vals = (np.concatenate(part) for part in zip(*terms))
+    key = cols * nrows + rows
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    key, vals = key[start], np.add.reduceat(vals, start)
+    if p is not None:
+        vals = vals % p
+    keep = vals != 0
+    cols, rows = np.divmod(key[keep], nrows)
+    entries = zip(rows.tolist(), vals[keep].tolist())
+    return [dict(islice(entries, size)) for size in np.bincount(cols, minlength=ncols).tolist()]
+
+
+def _absolute_chain_columns(tables, n):
+    """Columns of b_n: C_n -> C_{n-1}, n >= 1.  The basis vector
+    a_0 (x) .. (x) a_n of C_n = A (x) Abar^{(x)n} has code
+    a_0 e^n + a_1 e^(n-1) + .. + a_n."""
+    d, e, p, (li, lr, lk, lv), (rr, rj, rk, rv), (px, py, pm, pv) = tables
+    w = e ** (n - 1)
+    # a_0 a_1 lands in A
+    terms = [_absolute_bar_term((li * e + lr) * w, lk * w, lv, [(w, 1, 1)])]
+    # a_t a_{t+1} in Abar, after a prefix of t digits and before n - t - 1
+    for t in range(1, n):
+        w = e ** (n - t - 1)
+        terms.append(_absolute_bar_term((px * e + py) * w, pm * w, (-1) ** t * pv,
+                               [(d * e ** (t - 1), e ** (n - t + 1), e ** (n - t)), (w, 1, 1)]))
+    # a_n a_0 (x) a_1 .. a_{n-1}: the middle digits keep their order
+    w = e ** (n - 1)
+    terms.append(_absolute_bar_term(rj * e ** n + rr, rk * w, (-1) ** n * rv, [(w, e, 1)]))
+    return _absolute_bar_columns(terms, d * e ** n, d * w, p)
+
+
+def _absolute_cochain_columns(tables, n):
+    """Columns of delta^n: C^n -> C^{n+1}, n >= 0.  The basis vector of
+    C^n = Hom_k(Abar^{(x)n}, A) sending a_1 (x) .. (x) a_n to b_k has code
+    (a_1 e^(n-1) + .. + a_n) d + k."""
+    d, e, p, (li, lr, lk, lv), (rr, rj, rk, rv), (px, py, pm, pv) = tables
+    w = e ** n
+    # a_1 . f(a_2, .., a_{n+1})
+    terms = [_absolute_bar_term(rj, rr * w * d + rk, rv, [(w, d, d)])]
+    # f(.., a_t a_{t+1}, ..): t - 1 digits before, n - t digits and k after
+    for t in range(1, n + 1):
+        w = e ** (n - t) * d
+        terms.append(_absolute_bar_term(pm * w, (px * e + py) * w, (-1) ** t * pv,
+                               [(e ** (t - 1), e * w, e * e * w), (w, 1, 1)]))
+    # f(a_1, .., a_n) . a_{n+1}
+    terms.append(_absolute_bar_term(li, lr * d + lk, (-1) ** (n + 1) * lv, [(e ** n, d, e * d)]))
+    return _absolute_bar_columns(terms, e ** n * d, e ** (n + 1) * d, p)
+
+
+def _absolute_bar_dims(a, n_max):
+    """HH_* and HH^* entries from the reference numpy builder's complexes
+    A (x) Abar^{(x)n} and Hom_k(Abar^{(x)n}, A), Abar = A / k.1."""
+    d, f = a.dim, a.field
+    tables = _absolute_bar_tables(a, n_max)
+    ch = {n: sparse_rank(_absolute_chain_columns(tables, n), f) for n in range(1, n_max + 2)}
+    co = {n: sparse_rank(_absolute_cochain_columns(tables, n), f) for n in range(n_max + 1)}
+    e = d - 1
+    hh = tuple((n, d * e ** n - ch.get(n, 0) - ch[n + 1]) for n in range(n_max + 1))
+    hhc = tuple((n, d * e ** n - co[n] - co.get(n - 1, 0)) for n in range(n_max + 1))
+    return hh, hhc
+
+
 def _builder_cases():
+    """(make, vertices): vertices is True when the oracle must run over
+    E = kQ0 spanned by the basic structure's idempotents, False when it must
+    fall back to E = k.1."""
     cases = []
     for path in DOCS:
         doc = json.loads(path.read_text(encoding="utf-8"))
-        cases.append(pytest.param(lambda doc=doc: algebra_from_doc(doc), id=path.stem))
+        cases.append(pytest.param(lambda doc=doc: algebra_from_doc(doc), True, id=path.stem))
         if doc.get("field", "Q") == "Q":
             cases.append(pytest.param(lambda doc=doc: algebra_from_doc(_doc_over(doc, "Fp:5")),
-                                      id=path.stem + "@F5"))
-    cases += [pytest.param(ground_field, id="ground_field"),
-              pytest.param(dual_numbers, id="dual_numbers")]
+                                      True, id=path.stem + "@F5"))
+    cases += [pytest.param(ground_field, True, id="ground_field"),
+              pytest.param(dual_numbers, True, id="dual_numbers"),
+              pytest.param(lambda: algebra_from_doc(QI_DOC), False, id="Q(i)")]
     makes = {"kronecker": kronecker_algebra, "a2": a2_path_algebra,
              "non_stratifying": non_stratifying_algebra,
              "t2": lambda f: one_point_extension_of_dual_numbers(f)[0]}
     for (name, make), (tag, field) in product(makes.items(), (("Q", QQ), ("F5", F5))):
         cases.append(pytest.param(
             lambda make=make, field=field: _base_change(make(field), random.Random(7)),
-            id=f"{name}~{tag}"))
+            False, id=f"{name}~{tag}"))
     return cases
 
 
 def _assert_builder_matches_reference(a, n_max=4):
-    """The numpy columns of b_n (1 <= n <= n_max + 1) and delta^n
-    (0 <= n <= n_max) are the reference's: reduced mod p over F_p, and over
-    Q all scaled by one positive integer (1 when the table is integral)."""
+    """With one block (E = k.1), the columns of b_n (1 <= n <= n_max + 1) and
+    delta^n (0 <= n <= n_max) are exactly the reference numpy builder's, and
+    the column-at-a-time reference's reduced mod p over F_p and over Q all
+    scaled by one positive integer (1 when the table is integral).  With
+    more blocks, the dimensions are the reference's."""
     f = a.field
+    if len(_bar_blocks(a)[0]) > 1:
+        hh, hhc = bar_oracle(a, n_max, budget=10 ** 9)
+        assert (hh.entries, hhc.entries) == _absolute_bar_dims(a, n_max)
+        return
+    bar = _BarComplex(a, n_max)
     chain, cochain = _reference_bar_columns(a)
-    tables = _bar_tables(a, n_max)
-    pairs = [(_bar_chain_columns(tables, n), chain(n)) for n in range(1, n_max + 2)]
-    pairs += [(_bar_cochain_columns(tables, n), cochain(n)) for n in range(n_max + 1)]
+    tables = _absolute_bar_tables(a, n_max)
+    triples = [(bar.columns(n), _absolute_chain_columns(tables, n), chain(n))
+               for n in range(1, n_max + 2)]
+    triples += [(bar.columns(n, cochain=True), _absolute_cochain_columns(tables, n), cochain(n))
+                for n in range(n_max + 1)]
     scale = None
-    for new, ref in pairs:
+    for new, numpy_ref, ref in triples:
+        assert new == numpy_ref
         if f == QQ:
             scale = scale or next((Fraction(v) / col[r] for got, col in zip(new, ref)
                                    for r, v in got.items() if r in col), None)
@@ -520,9 +678,13 @@ def _assert_builder_matches_reference(a, n_max=4):
         assert scale in (None, 1)
 
 
-@pytest.mark.parametrize("make", _builder_cases())
-def test_bar_builder_matches_column_reference(make):
-    _assert_builder_matches_reference(make())
+@pytest.mark.parametrize("make,vertices", _builder_cases())
+def test_bar_builder_matches_column_reference(make, vertices):
+    a = make()
+    E = [vec for _, vec in _bar_blocks(a)[0]]
+    assert E == (list(a.basic.idempotent_coords) if vertices else [a.unit])
+    assert vertices or a.basic is None
+    _assert_builder_matches_reference(a)
 
 
 def test_bar_builder_is_exact_past_the_int64_bound(monkeypatch):
@@ -546,6 +708,51 @@ def test_bar_builder_is_exact_past_the_int64_bound(monkeypatch):
     assert seen == [object]
     hh, hhc = bar_oracle(a, 3)
     assert (hh.entries, hhc.entries) == _unnormalised_bar_dims(a, 3)
+
+
+def _relative_cases():
+    cases = []
+    for path in DOCS:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        cases.append(pytest.param(doc, 3, id=path.stem))
+        if doc.get("field", "Q") == "Q":
+            cases.append(pytest.param(_doc_over(doc, "Fp:5"), 3, id=path.stem + "@F5"))
+    return cases + [pytest.param(_cyclic_doc(2, 3), 3, id="cyc2_3"),
+                    pytest.param(_cyclic_doc(2, 2), 4, id="kZ2/J2")]
+
+
+@pytest.mark.parametrize("doc,n_max", _relative_cases())
+def test_bar_oracle_over_vertices_matches_references(doc, n_max):
+    """E = kQ0 gives the dimensions of both complexes over k.1."""
+    a = algebra_from_doc(doc)
+    assert [vec for _, vec in _bar_blocks(a)[0]] == list(a.basic.idempotent_coords)
+    hh, hhc = bar_oracle(a, n_max, budget=10 ** 9)
+    assert (hh.entries, hhc.entries) == _absolute_bar_dims(a, n_max)
+    assert (hh.entries, hhc.entries) == _unnormalised_bar_dims(a, n_max)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:5"])
+@pytest.mark.parametrize("n", [5, 8])
+def test_bar_oracle_linear_quiver_happel(n, field):
+    # Happel: for a tree quiver HH^0 = 1 and HH^{>=1} = 0; HH_0 = |Q_0|, HH_{>=1} = 0
+    a = algebra_from_doc(_linear_doc(n, field))
+    hh, hhc = bar_oracle(a, 4, budget=10 ** 12)
+    assert hh.entries == ((0, n),) + tuple((i, 0) for i in range(1, 5))
+    assert hhc.entries == ((0, 1),) + tuple((i, 0) for i in range(1, 5))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bar_oracle_radical_square_zero_cycles(n):
+    # kZ_n/J^2 to degree 2n + 1: the oracle agrees with the resolution path;
+    # over Q, HH^i is 1 when i is 0 or 1 modulo n (n even) or 2n (n odd), and
+    # 0 otherwise (Cibils 1998)
+    a = algebra_from_doc(_cyclic_doc(n, 2))
+    top = 2 * n + 1
+    hh, hhc = bar_oracle(a, top, budget=10 ** 12)
+    assert hh.entries == hochschild_homology(a, top).entries
+    assert hhc.entries == hochschild_cohomology(a, top).entries
+    period = n if n % 2 == 0 else 2 * n
+    assert hhc.entries == tuple((i, int(i % period < 2)) for i in range(top + 1))
 
 
 # -- dimensions ---------------------------------------------------------------------

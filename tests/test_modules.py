@@ -9,7 +9,7 @@ from recollab import modules
 from recollab.algebra import Idempotent, discover_basic, enveloping, opposite
 from recollab.cli import algebra_from_doc
 from recollab.complexes import projective_resolution
-from recollab.errors import AlgebraMismatch, NotInHomSpace
+from recollab.errors import AlgebraMismatch, Inconclusive, NotInHomSpace
 from recollab.exactfield import (
     QQ,
     GF,
@@ -289,6 +289,22 @@ def test_iso_test_distinct_simples_false():
 def test_iso_test_dim_mismatch():
     a = a2_path_algebra()
     assert not iso_test(simple_modules(a)[0], regular_module(a))
+
+
+def test_iso_test_separates_tops_without_the_grid():
+    # e_vA (dim 3, top S_v) and S_v + S_w + S_w have one dimension and a
+    # nonzero Hom space but different tops: "not isomorphic" without
+    # evaluating a single grid point (cap 0)
+    a = kronecker_algebra()
+    proj = max((vertex_projective(a, v)[0] for v in range(2)), key=lambda m: m.dim)
+    top = next(s for s in simple_modules(a) if hom_space(proj, s))
+    other = next(s for s in simple_modules(a) if s is not top)
+    semi = direct_sum([top, other, other])
+    assert proj.dim == semi.dim == 3 and hom_space(proj, semi)
+    for m, n in ((proj, semi), (semi, proj)):
+        assert not iso_test(m, n, cap=0)
+    with pytest.raises(Inconclusive):
+        iso_test(proj, proj, cap=0)
 
 
 def test_iso_test_over_f5():
