@@ -582,7 +582,8 @@ def _absolute_chain_columns(tables, n):
     for t in range(1, n):
         w = e ** (n - t - 1)
         terms.append(_absolute_bar_term((px * e + py) * w, pm * w, (-1) ** t * pv,
-                               [(d * e ** (t - 1), e ** (n - t + 1), e ** (n - t)), (w, 1, 1)]))
+                                        [(d * e ** (t - 1), e ** (n - t + 1), e ** (n - t)),
+                                         (w, 1, 1)]))
     # a_n a_0 (x) a_1 .. a_{n-1}: the middle digits keep their order
     w = e ** (n - 1)
     terms.append(_absolute_bar_term(rj * e ** n + rr, rk * w, (-1) ** n * rv, [(w, e, 1)]))
@@ -601,7 +602,7 @@ def _absolute_cochain_columns(tables, n):
     for t in range(1, n + 1):
         w = e ** (n - t) * d
         terms.append(_absolute_bar_term(pm * w, (px * e + py) * w, (-1) ** t * pv,
-                               [(e ** (t - 1), e * w, e * e * w), (w, 1, 1)]))
+                                        [(e ** (t - 1), e * w, e * e * w), (w, 1, 1)]))
     # f(a_1, .., a_n) . a_{n+1}
     terms.append(_absolute_bar_term(li, lr * d + lk, (-1) ** (n + 1) * lv, [(e ** n, d, e * d)]))
     return _absolute_bar_columns(terms, e ** n * d, e ** (n + 1) * d, p)
