@@ -84,6 +84,8 @@ class Algebra:
         self._ints = None
         self._opposite = None
         self._enveloping = None
+        # (B, C) for a tensor product B (x) C built by `tensor`
+        self._factors = None
         # modules over this algebra that modules.py builds once per instance
         self._modules = {}
         self.associativity_checked = False
@@ -176,7 +178,12 @@ class Algebra:
     def structure_hash(self):
         """content_hash extended by the basic structure (idempotent, radical
         and generator coordinates): one table can carry several, and
-        projective covers read it."""
+        projective covers read it.  A tensor product's is derived from its
+        factors', which fix its table and basic structure, so its table is
+        never formatted."""
+        if self._factors is not None:
+            keys = "|".join(x.structure_hash() for x in self._factors)
+            return hashlib.sha256(f"tensor|{keys}".encode()).hexdigest()
         return self._content_hashes()[1]
 
     def _content_hashes(self):
@@ -587,6 +594,7 @@ def tensor(a, b):
         basic = BasicStructure(tuple(idem), tuple(ilab), rad_rows, gens)
     out = Algebra(f, struct, unit, labels=labels, basic=basic, _validate=False)
     out.associativity_checked = a.associativity_checked and b.associativity_checked
+    out._factors = (a, b)
     return out
 
 

@@ -665,6 +665,13 @@ def linear_combination(coeffs, mats, field, nrows, ncols):
     return Matrix(field, acc, ncols=ncols)
 
 
+def kron(a, b):
+    """The Kronecker product: row s nrows(b) + t is a[s] (x) b[t], with
+    a[s][m] b[t][r] at column m ncols(b) + r."""
+    return Matrix(a.field, [[x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows],
+                  ncols=a.ncols * b.ncols)
+
+
 def sylvester_rows(pairs):
     """Stacked rows of kron(A, I_nB) - kron(I_nA, B), one block per (A, B).
 

@@ -105,13 +105,15 @@ class PdVerdict:
 # --------------------------------------------------------------------------
 
 
-def regular_as_left_env_module(a, env=None):
-    """A as a left module over A^op (x) A: (b^op (x) c) . x = c x b."""
-    if env is None:
-        env = enveloping(a)
-    L, R = a.basis_left_mats(), a.basis_right_mats()
-    lam = tuple(L[j].mul(R[i]) for i in range(a.dim) for j in range(a.dim))
-    return Bimodule(env, trivial_algebra(a.field), a.dim, lam, (Matrix.identity(a.field, a.dim),))
+def regular_as_left_env_module(a):
+    """A as a left module over A^op (x) A: (b^op (x) c) . x = c x b.  Built
+    and checked once per algebra instance."""
+    if "left_env" not in a._modules:
+        L, R = a.basis_left_mats(), a.basis_right_mats()
+        lam = tuple(L[j].mul(R[i]) for i in range(a.dim) for j in range(a.dim))
+        a._modules["left_env"] = Bimodule(enveloping(a), trivial_algebra(a.field), a.dim, lam,
+                                          (Matrix.identity(a.field, a.dim),))
+    return a._modules["left_env"]
 
 
 def _tensor_complex(res, t, n_max):
@@ -249,8 +251,7 @@ def hochschild_homology(a, n_max, with_bases=False):
         return GradedDims(tuple((i, 0) for i in range(n_max + 1)))
     env = enveloping(a)
     m = regular_bimodule(a).as_right_module_over(env)
-    t = regular_as_left_env_module(a, env)
-    return tor(m, t, n_max, with_bases=with_bases)
+    return tor(m, regular_as_left_env_module(a), n_max, with_bases=with_bases)
 
 
 def hochschild_cohomology(a, n_max, with_bases=False):
@@ -371,12 +372,13 @@ class _BarComplex:
         rep, diag = np.array([j for j in range(d) if j not in piv], np.int64), (lv == rv).nonzero()[0]
         code, first, last, self.chains, self.cochains = rep, lv[rep], rv[rep], [diag], [diag]
         for n in range(1, n_max + 2):
+            if n > 1:    # extend the tuples by one vector
+                t, x = (last[:, None] == lv[rep]).nonzero()
+                code, first, last = code[t] * d + rep[x], first[t], rv[rep[x]]
             a0, t = ((lv[:, None] == last) & (rv[:, None] == first)).nonzero()
             self.chains.append(a0 * d ** n + code[t])
             t, k = ((first[:, None] == lv) & (last[:, None] == rv)).nonzero()
             self.cochains.append(code[t] * d + k)
-            t, x = (last[:, None] == lv[rep]).nonzero()
-            code, first, last = code[t] * d + rep[x], first[t], rv[rep[x]]
 
     def columns(self, n, cochain=False):
         """Columns of b_n: C_n -> C_{n-1} (n >= 1) or of delta^n: C^n -> C^{n+1}

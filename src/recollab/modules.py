@@ -33,6 +33,7 @@ from .exactfield import (
     express_in_row_basis,
     integer_array,
     kernel_basis,
+    kron,
     linear_combination,
     quotient_map,
     rank,
@@ -75,6 +76,7 @@ class RightModule:
 
     # the vertex of each summand e_v A, set only by `projective_module`
     summand_tags = None
+    _tops = None    # dim (M / M rad) e_v per vertex, set once by `_top_dims`
 
     def __init__(self, algebra, dim, action, _validate=True):
         self.algebra = algebra
@@ -135,7 +137,7 @@ class RightModule:
 
     def content_hash(self):
         h = hashlib.sha256()
-        h.update(self.algebra.content_hash().encode())
+        h.update(self.algebra.structure_hash().encode())
         h.update(f"|mod{self.dim}".encode())
         for m in self.action:
             h.update(m.content_hash().encode())
@@ -644,13 +646,25 @@ def direct_sum(mods):
 
 def vertex_projective(a, v_index):
     """e_v A as a right module, with its subspace basis inside A (kept on the
-    algebra instance, whose basic structure names the idempotents)."""
+    algebra instance, whose basic structure names the idempotents): the RREF
+    of e_v A.  For A = B (x) C from `tensor`, e_v A = e_i B (x) e_j C with
+    v = i n_C + j, and the Kronecker products of the factors' RREF bases and
+    actions are that RREF and its actions."""
     if v_index not in a._modules:
-        ev = a.basic.idempotent_coords[v_index]
-        regular = RightModule(a, a.dim, a.basis_right_mats(), _validate=False)
-        mod, incl = submodule_from_rows(regular, a.left_mult_matrix(ev))
-        mod._validate()    # the regular action was not validated
-        a._modules[v_index] = (mod, incl.matrix)
+        if a._factors is not None:
+            b, c = a._factors
+            i, j = divmod(v_index, len(c.basic.idempotent_coords))
+            (mb, ib), (mc, ic) = vertex_projective(b, i), vertex_projective(c, j)
+            mod = RightModule(a, mb.dim * mc.dim, [kron(x, y) for x in mb.action
+                                                   for y in mc.action], _validate=False)
+            basis = kron(ib, ic)
+        else:
+            regular = RightModule(a, a.dim, a.basis_right_mats(), _validate=False)
+            mod, incl = submodule_from_rows(
+                regular, a.left_mult_matrix(a.basic.idempotent_coords[v_index]))
+            basis = incl.matrix
+        mod._validate()    # neither the regular action nor the products were checked
+        a._modules[v_index] = (mod, basis)
     return a._modules[v_index]
 
 
@@ -739,9 +753,11 @@ class IsoResult:
 
 
 def _top_dims(m):
-    proj = top_of(m)[0]
-    return [rank(linear_combination(e, m.action, m.field, m.dim, m.dim).mul(proj))
-            for e in m.algebra.basic.idempotent_coords]
+    if m._tops is None:
+        proj = top_of(m)[0]
+        m._tops = [rank(linear_combination(e, m.action, m.field, m.dim, m.dim).mul(proj))
+                   for e in m.algebra.basic.idempotent_coords]
+    return m._tops
 
 
 def iso_test(m, n, cap=200_000):

@@ -37,11 +37,8 @@ def _canonical_env_ses(r):
     aea = cb.aea.as_right_module_over(env)
     reg = cb.regular.as_right_module_over(env)
     quo = cb.quotient.as_right_module_over(env)
-    ses = ShortExactSequence(
-        aea, reg, quo,
-        ModuleMap(aea, reg, cb.inclusion),
-        ModuleMap(reg, quo, cb.projection))
-    return ses, env
+    return ShortExactSequence(aea, reg, quo, ModuleMap(aea, reg, cb.inclusion),
+                              ModuleMap(reg, quo, cb.projection))
 
 
 # --------------------------------------------------------------------------
@@ -76,9 +73,7 @@ def keller_homology(r, n_max=6):
     Hochschild-homology additivity when the recollement is perfect."""
     if r.canon is None:
         return _keller_degenerate(r, n_max)
-    ses, env = _canonical_env_ses(r)
-    t = regular_as_left_env_module(r.a, env)
-    les = les_from_ses(ses, t, "tensor", n_max,
+    les = les_from_ses(_canonical_env_ses(r), regular_as_left_env_module(r.a), "tensor", n_max,
                        labels=("Tor(AeA,A)", "HH(A)", "Tor(A/AeA,A)"))
     hh_a2 = hochschild_homology(r.a2, n_max)
     hh_a1 = hochschild_homology(r.a1, n_max)
@@ -165,7 +160,7 @@ def cohomology_les(r, n_max=4):
     through the quasi-isomorphisms that the orthogonality Ext(AeA, A/AeA) = 0
     provides; phi_n, psi_n and phibar_n are returned as explicit matrices and
     exactness of every joint is a rank identity."""
-    ses, _ = _canonical_env_ses(r)
+    ses = _canonical_env_ses(r)
     hs = horseshoe(ses, n_max + 1)
     # X = AeA, Y = A, Z = A/AeA over A^e
     grid = HomGrid({"X": hs.res_sub, "Y": hs.res_mid, "Z": hs.res_quot},

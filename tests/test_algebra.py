@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -148,6 +149,24 @@ def test_tensor_associative_up_to_relabeling():
     # lexicographic flattening makes the structure constants literally equal
     assert left.struct == right.struct
     assert left.unit == right.unit
+
+
+def test_tensor_structure_hash_is_derived_from_the_factors():
+    # the key of B (x) C is the sha256 of its factors' keys, so it follows the
+    # order in which a factor lists its idempotents; the content hash formats
+    # the table, as for an algebra built from that table directly
+    a, c = a2_path(), dual_numbers()
+    b = discover_basic(Algebra(a.field, a.struct, a.unit))
+    assert a == b and a.basic.idempotent_coords != b.basic.idempotent_coords
+    for make in (lambda x: tensor(x, c), lambda x: tensor(c, x), enveloping):
+        ta, tb = make(a), make(b)
+        assert ta.content_hash() == tb.content_hash()
+        assert ta.structure_hash() != tb.structure_hash()
+        direct = Algebra(ta.field, ta.struct, ta.unit, basic=ta.basic, _validate=False)
+        assert ta.content_hash() == direct.content_hash()
+    key = f"tensor|{a.structure_hash()}|{c.structure_hash()}"
+    assert tensor(a, c).structure_hash() == hashlib.sha256(key.encode()).hexdigest()
+    assert tensor(a2_path(), dual_numbers()).structure_hash() == tensor(a, c).structure_hash()
 
 
 def a2_path_algebra_small():

@@ -167,6 +167,23 @@ def test_cmd_hochschild_budget_exit_4(tmp_path, capsys):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.scale
+def test_cmd_hochschild_linear_a5_resolution_path_and_oracle(tmp_path, capsys):
+    # linear A_5 (dim 15, A^e of dim 225) to degree 3: Happel's HH^0 = 1,
+    # HH_0 = |Q_0| and 0 above, and the bar oracle agrees in every degree at
+    # the budget 15^5 that its gate measures for degree 4
+    from test_homology import _linear_doc
+    path = _write(tmp_path, _linear_doc(5))
+    code = main(["hochschild", path, "--max-degree", "3", "--oracle", "--budget", "759375"])
+    assert code == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["hh"] == {"0": 5, "1": 0, "2": 0, "3": 0}
+    assert out["hh_cohomology"] == {"0": 1, "1": 0, "2": 0, "3": 0}
+    assert out["oracle"]["hh"] == out["hh"]
+    assert out["oracle"]["hh_cohomology"] == out["hh_cohomology"]
+    assert all(out["oracle"]["agreement"].values())
+
+
 def _validate_against_schema(report):
     """Match the report against the published run_report schema by its
     schema-constant branch and check that branch's required keys."""

@@ -108,7 +108,7 @@ def test_tor_balanced_both_sides():
     # hochschild instance: both sides of Tor over the enveloping algebra
     env = enveloping(a)
     m = regular_bimodule(a).as_right_module_over(env)
-    t_env = regular_as_left_env_module(a, env)
+    t_env = regular_as_left_env_module(a)
     assert tor(m, t_env, 3, resolve="left").entries == \
         tor(m, t_env, 3, resolve="right").entries
 
@@ -742,6 +742,27 @@ def test_bar_oracle_linear_quiver_happel(n, field):
     assert hhc.entries == ((0, 1),) + tuple((i, 0) for i in range(1, 5))
 
 
+def test_hochschild_linear_quiver_happel_resolution_path():
+    # Happel: the path algebra of a tree quiver has HH^0 = 1 and HH^{>=1} = 0;
+    # on linear A_4 the resolutions run over the 100-dim A^e, whose vertex
+    # projectives are Kronecker products of A's
+    a = algebra_from_doc(_linear_doc(4))
+    assert hochschild_cohomology(a, 3).entries == ((0, 1), (1, 0), (2, 0), (3, 0))
+    assert hochschild_homology(a, 3).entries == ((0, 4), (1, 0), (2, 0), (3, 0))
+
+
+def test_regular_left_env_module_is_built_and_checked_once(monkeypatch):
+    checked = []
+    real = Bimodule._validate
+    monkeypatch.setattr(Bimodule, "_validate", lambda self: checked.append(self) or real(self))
+    a = kronecker_algebra()
+    t = regular_as_left_env_module(a)
+    hochschild_homology(a, 2)
+    assert regular_as_left_env_module(a) is t
+    assert t.left_algebra is enveloping(a)
+    assert sum(b is t for b in checked) == 1
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bar_oracle_radical_square_zero_cycles(n):
     # kZ_n/J^2 to degree 2n + 1: the oracle agrees with the resolution path;
@@ -824,7 +845,7 @@ def test_les_contravariant_canonical_a2():
 def test_les_tensor_recovers_keller_instance():
     a = a2_path_algebra()
     ses, env, cb = _canonical_env_ses(a, vertex_idempotent(a, "2"))
-    t = regular_as_left_env_module(a, env)
+    t = regular_as_left_env_module(a)
     rep = les_from_ses(ses, t, "tensor", 4)
     assert rep.exact
     # the middle column computes HH_n(A)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from recollab import modules
-from recollab.algebra import Idempotent, discover_basic, enveloping, opposite
+from recollab.algebra import Idempotent, discover_basic, enveloping, opposite, tensor
 from recollab.cli import algebra_from_doc
 from recollab.complexes import projective_resolution
 from recollab.errors import AlgebraMismatch, Inconclusive, NotInHomSpace
@@ -589,7 +589,7 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch):
     a_env = regular_bimodule(a).as_right_module_over(env)
     plan = [(s, simples + [reg], regular_bimodule(a), 3) for s in simples]
     plan += [(reg, simples, regular_bimodule(a), 1),
-             (a_env, [a_env], regular_as_left_env_module(a, env), 2)]
+             (a_env, [a_env], regular_as_left_env_module(a), 2)]
     compared = 0
     for m, targets, left, depth in plan:
         res = projective_resolution(m, depth)
@@ -623,3 +623,86 @@ def test_projective_module_is_the_tagged_sum_of_vertex_projectives(field):
             assert as_bimodule(p).restrict_right() is p
         assert projective_module(a, ()) == zero_module(a)
         assert projective_cover(simple_modules(a)[0]).module.summand_tags == (0,)
+
+
+# -- vertex projectives of tensor products: Kronecker against the cut ---------------
+
+
+def _cut_vertex_projective(a, v):
+    """e_v A cut out of the regular module by its RREF (`submodule_from_rows`),
+    as `vertex_projective` builds it for an algebra that is not a tensor
+    product, and built it for every algebra before."""
+    regular = RightModule(a, a.dim, a.basis_right_mats(), _validate=False)
+    mod, incl = modules.submodule_from_rows(
+        regular, a.left_mult_matrix(a.basic.idempotent_coords[v]))
+    mod._validate()
+    return mod, incl.matrix
+
+
+def _kron_cases():
+    from test_homology import DOCS
+    cases = []
+    for path in DOCS:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        cases.append(pytest.param(lambda doc=doc: algebra_from_doc(doc), id=path.stem))
+        if doc.get("field", "Q") == "Q" and "f5" not in path.stem:
+            cases.append(pytest.param(lambda doc=doc: algebra_from_doc(_doc_over(doc, "Fp:5")),
+                                      id=path.stem + "@F5"))
+    makes = (kronecker_algebra, a2_path_algebra, non_stratifying_algebra,
+             lambda: one_point_extension_of_dual_numbers()[0])
+    for k, make in enumerate(makes):
+        cases.append(pytest.param(
+            lambda make=make, k=k: discover_basic(_base_change(make(), random.Random(7 + k))),
+            id=f"base_change_{k}"))
+    cases.append(pytest.param(dual_numbers, id="dual_numbers"))
+    return cases
+
+
+def _same_entries(x, y):
+    return x == y and all(type(s) is type(t) for r, w in zip(x.rows, y.rows)
+                          for s, t in zip(r, w))
+
+
+@pytest.mark.parametrize("make", _kron_cases())
+def test_tensor_vertex_projectives_are_kronecker_products_of_the_cut(make, monkeypatch):
+    """A^e, A (x) kA_2 (the B (x) A of the tensor transfers) and kA_2 (x) A:
+    every vertex projective equals, entry for entry and with the same scalar
+    types, the one cut out of the regular module; none of them is cut, and
+    each is checked once."""
+    a = make()
+    a2 = a2_path_algebra(a.field)
+    cut, checked = [], []
+    real_cut, real_check = modules.submodule_from_rows, RightModule._validate
+    monkeypatch.setattr(modules, "submodule_from_rows",
+                        lambda m, rows: cut.append(m.algebra) or real_cut(m, rows))
+    monkeypatch.setattr(RightModule, "_validate",
+                        lambda self: checked.append(self) or real_check(self))
+    for t in (enveloping(a), tensor(a, a2), tensor(a2, a)):
+        vertices = range(len(t.basic.idempotent_coords))
+        built = [vertex_projective(t, v) for v in vertices]
+        assert not any(alg is t for alg in cut)
+        for v, (mod, basis) in zip(vertices, built):
+            assert vertex_projective(t, v)[0] is mod
+            assert sum(m is mod for m in checked) == 1
+            ref_mod, ref_basis = _cut_vertex_projective(t, v)
+            assert _same_entries(basis, ref_basis)
+            assert mod == ref_mod
+            assert all(_same_entries(x, y) for x, y in zip(mod.action, ref_mod.action))
+
+
+def test_iso_test_computes_each_top_once(monkeypatch):
+    a = kronecker_algebra()
+    calls = []
+    real = modules.top_of
+    monkeypatch.setattr(modules, "top_of", lambda m: calls.append(m) or real(m))
+    p, q = sorted((vertex_projective(a, v)[0] for v in range(2)), key=lambda m: -m.dim)
+    simples = simple_modules(a)
+    top = next(x for x in simples if hom_space(p, x))
+    other = next(x for x in simples if x is not top)
+    s = direct_sum([top, other, other])
+    pairs = [(p, p), (p, s), (s, p), (p, s)]
+    verdicts = [bool(iso_test(m, n)) for m, n in pairs]
+    assert verdicts == [True, False, False, False]
+    assert sorted(map(id, calls)) == sorted({id(p), id(s)})
+    # a copy of a module has its own top, computed once
+    assert iso_test(q, RightModule(a, q.dim, q.action)) and len(calls) == 4
