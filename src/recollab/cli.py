@@ -47,6 +47,7 @@ from .errors import (
     BudgetExceeded,
     CertificationFailed,
     DimensionMismatch,
+    Inconclusive,
     InvalidRelation,
     NotFiniteDimensional,
     NotSplitBasic,
@@ -576,6 +577,9 @@ def main(argv=None):
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except Inconclusive as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (NotStratifying, NotSplitBasic, UnsupportedField, QuotientIsZero) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)

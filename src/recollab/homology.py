@@ -45,6 +45,7 @@ from .modules import (
     Bimodule,
     ModuleMap,
     RightModule,
+    _once,
     as_bimodule,
     regular_bimodule,
     simple_modules,
@@ -108,12 +109,11 @@ class PdVerdict:
 def regular_as_left_env_module(a):
     """A as a left module over A^op (x) A: (b^op (x) c) . x = c x b.  Built
     and checked once per algebra instance."""
-    if "left_env" not in a._modules:
-        L, R = a.basis_left_mats(), a.basis_right_mats()
-        lam = tuple(L[j].mul(R[i]) for i in range(a.dim) for j in range(a.dim))
-        a._modules["left_env"] = Bimodule(enveloping(a), trivial_algebra(a.field), a.dim, lam,
-                                          (Matrix.identity(a.field, a.dim),))
-    return a._modules["left_env"]
+    L, R = a.basis_left_mats(), a.basis_right_mats()
+    return _once(a._modules, "left_env", lambda: Bimodule(
+        enveloping(a), trivial_algebra(a.field), a.dim,
+        tuple(L[j].mul(R[i]) for i in range(a.dim) for j in range(a.dim)),
+        (Matrix.identity(a.field, a.dim),)))
 
 
 def _tensor_complex(res, t, n_max):

@@ -12,6 +12,12 @@ module, map or bimodule is built (or first restricted, for a bimodule built
 unchecked); silent convention drift is the classic bug in this business.
 Each check is complete and runs as a few integer numpy products over the
 stacked action matrices (see `exactfield.integer_array`).
+
+Built once per algebra instance (`_once` on `Algebra._modules`): vertex
+projectives, tagged `projective_module`s, simples, regular module and bimodule.
+Kept on a module: its `as_bimodule` wrapper, hash, tops and Hom out of it; on
+a bimodule, (x) out of it.  Hom and (x) are keyed by the second argument's id,
+an entry keeps that argument (so the id is never reused), nothing is global.
 """
 
 from __future__ import annotations
@@ -71,17 +77,25 @@ def _nonzero(arr, p):
     return (arr if p is None else arr % p) != 0
 
 
+def _once(store, key, build):
+    """store[key], from `build()` on the first request: the memo behind
+    everything built once per algebra instance, module or bimodule."""
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
 class RightModule:
     """Right module over a fixed algebra, given by one matrix per basis element."""
 
     # the vertex of each summand e_v A, set only by `projective_module`
     summand_tags = None
-    _tops = None    # dim (M / M rad) e_v per vertex, set once by `_top_dims`
 
     def __init__(self, algebra, dim, action, _validate=True):
         self.algebra = algebra
         self.dim = dim
         self.field = algebra.field
+        self._memo = {}
         action = tuple(action)
         if len(action) != algebra.dim:
             raise DimensionMismatch("need one action matrix per algebra basis element")
@@ -136,12 +150,10 @@ class RightModule:
         return f"RightModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
 
     def content_hash(self):
-        h = hashlib.sha256()
-        h.update(self.algebra.structure_hash().encode())
-        h.update(f"|mod{self.dim}".encode())
-        for m in self.action:
-            h.update(m.content_hash().encode())
-        return h.hexdigest()
+        """sha256 of the algebra's structure hash and the actions, once."""
+        return _once(self._memo, "hash", lambda: hashlib.sha256("".join(
+            [self.algebra.structure_hash(), f"|mod{self.dim}"]
+            + [m.content_hash() for m in self.action]).encode()).hexdigest())
 
 
 def zero_module(algebra):
@@ -150,8 +162,9 @@ def zero_module(algebra):
 
 
 def regular_module(a):
-    """A as a right module over itself."""
-    return RightModule(a, a.dim, a.basis_right_mats())
+    """A as a right module over itself, built and checked once per instance."""
+    return _once(a._modules, "regular_module",
+                 lambda: RightModule(a, a.dim, a.basis_right_mats()))
 
 
 def dual_module(m):
@@ -222,7 +235,7 @@ class Bimodule:
             raise DimensionMismatch("left action count")
         if len(self.right_action_matrices) != right_algebra.dim:
             raise DimensionMismatch("right action count")
-        self._env_module = self._right = self._left_op = None
+        self._memo = {}
         if _validate:
             self._validate()
 
@@ -256,35 +269,23 @@ class Bimodule:
     def restrict_right(self):
         """Forget the left action: a right module over the right algebra,
         built and checked once (the wrapped module itself for `as_bimodule`)."""
-        if self._right is None:
-            self._right = RightModule(self.right_algebra, self.dim, self.right_action_matrices)
-        return self._right
+        return _once(self._memo, "right", lambda: RightModule(
+            self.right_algebra, self.dim, self.right_action_matrices))
 
     def left_as_op_module(self):
         """The left B-action viewed as a right module over B^op, built and
         checked once."""
         from .algebra import opposite
-        if self._left_op is None:
-            self._left_op = RightModule(opposite(self.left_algebra), self.dim,
-                                        self.left_action_matrices)
-        return self._left_op
+        return _once(self._memo, "left_op", lambda: RightModule(
+            opposite(self.left_algebra), self.dim, self.left_action_matrices))
 
     def as_right_module_over(self, env):
-        """Right module over B^op (x) A (basis b_i^op (x) a_j, lexicographic)."""
-        if self._env_module is not None and self._env_module[0] == env:
-            return self._env_module[1]
-        db = self.left_algebra.dim
-        da = self.right_algebra.dim
-        if env.dim != db * da:
+        """Right module over B^op (x) A (basis b_i^op (x) a_j, lexicographic),
+        built and checked once per instance of env."""
+        if env.dim != self.left_algebra.dim * self.right_algebra.dim:
             raise AlgebraMismatch("enveloping algebra dimension mismatch")
-        mats = []
-        for i in range(db):
-            li = self.left_action_matrices[i]
-            for j in range(da):
-                mats.append(li.mul(self.right_action_matrices[j]))
-        rm = RightModule(env, self.dim, mats)
-        self._env_module = (env, rm)
-        return rm
+        return _once(self._memo, ("env", id(env)), lambda: (env, RightModule(env, self.dim, [
+            x.mul(y) for x in self.left_action_matrices for y in self.right_action_matrices])))[1]
 
     def swap_sides(self):
         """The same space as an A^op-B^op-bimodule (for opposite transfers)."""
@@ -323,29 +324,28 @@ _TRIVIAL_CACHE = {}
 
 def trivial_algebra(field):
     """The ground field as a one-dimensional algebra (for one-sided modules)."""
-    key = field
-    if key not in _TRIVIAL_CACHE:
-        _TRIVIAL_CACHE[key] = Algebra(field, [[(1,)]], (1,), labels=("1",))
-    return _TRIVIAL_CACHE[key]
+    return _once(_TRIVIAL_CACHE, field,
+                 lambda: Algebra(field, [[(1,)]], (1,), labels=("1",)))
 
 
 def as_bimodule(m):
-    """Lift a right A-module to a k-A-bimodule (trivial left action)."""
+    """Lift a right A-module to a k-A-bimodule (trivial left action), one
+    wrapper per module."""
     if isinstance(m, Bimodule):
         return m
-    triv = trivial_algebra(m.field)
-    ident = Matrix.identity(m.field, m.dim)
-    bim = Bimodule(triv, m.algebra, m.dim, (ident,), m.action, _validate=False)
-    bim._right = m
-    return bim
+
+    def build():
+        bim = Bimodule(trivial_algebra(m.field), m.algebra, m.dim,
+                       (Matrix.identity(m.field, m.dim),), m.action, _validate=False)
+        bim._memo["right"] = m
+        return bim
+    return _once(m._memo, "bimodule", build)
 
 
 def regular_bimodule(a):
     """A as an A-A-bimodule, built and checked once per algebra instance."""
-    if "regular" not in a._modules:
-        a._modules["regular"] = Bimodule(a, a, a.dim, a.basis_left_mats(),
-                                         a.basis_right_mats())
-    return a._modules["regular"]
+    return _once(a._modules, "regular", lambda: Bimodule(
+        a, a, a.dim, a.basis_left_mats(), a.basis_right_mats()))
 
 
 # --------------------------------------------------------------------------
@@ -387,13 +387,18 @@ def _yoneda_basis(p, act, dn):
 def hom_space(m, n):
     """Deterministic basis of Hom_A(m, n) as a list of ModuleMaps: the kernel
     of rho_m(g) F = F rho_n(g) over the generators g, or out of a
-    `projective_module` the same basis read off by Yoneda, Hom(e_v A, n) = n e_v."""
+    `projective_module` the same basis read off by Yoneda, Hom(e_v A, n) = n e_v.
+    Computed once per pair of objects (kept on m); each call gets a new list."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom_space needs one algebra")
+    return list(_once(m._memo, ("hom", id(n)), lambda: (n, _hom_basis(m, n)))[1])
+
+
+def _hom_basis(m, n):
     f = m.field
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
-        return []
+        return ()
     if m.summand_tags is not None:
         vecs, _ = _yoneda_basis(m, lambda x: linear_combination(x, n.action, f, dn, dn), dn)
     else:
@@ -401,8 +406,8 @@ def hom_space(m, n):
                   linear_combination(g, n.action, f, dn, dn).transpose())
                  for g in m.algebra.generators()]
         vecs = kernel_basis(Matrix(f, sylvester_rows(pairs), ncols=dm * dn)).transpose().rows
-    return [ModuleMap(m, n, Matrix._of(f, tuple(v[i * dn:(i + 1) * dn] for i in range(dm)), dn),
-                      _validate=False) for v in vecs]
+    return tuple(ModuleMap(m, n, Matrix._of(f, tuple(v[i * dn:(i + 1) * dn] for i in range(dm)),
+                                            dn), _validate=False) for v in vecs)
 
 
 def hom_vec_basis(maps, dm, dn, field):
@@ -440,12 +445,22 @@ def tensor_over(m, n, _validate=True):
     Computed as the vector-space tensor product modulo the balancing relations
     (x.b (x) y - x (x) b.y), with the induced outer actions.  When m wraps a
     `projective_module`, the relations are read off by Yoneda instead of
-    solved for (`_yoneda_basis`); the result is the same.
+    solved for (`_yoneda_basis`); the result is the same.  Computed once per
+    pair of objects (kept on m); a product first built unchecked is checked
+    when a later call asks for the check.
     """
     m = as_bimodule(m)
     n = as_bimodule(n)
     if m.right_algebra != n.left_algebra:
         raise AlgebraMismatch("tensor_over: middle algebra mismatch")
+    entry = _once(m._memo, ("tensor", id(n)), lambda: [n, _tensor(m, n), False])
+    if _validate and not entry[2]:
+        entry[1].bimodule._validate()
+        entry[2] = True
+    return entry[1]
+
+
+def _tensor(m, n):
     f = m.field
     B = m.right_algebra
     dm, dn = m.dim, n.dim
@@ -456,9 +471,10 @@ def tensor_over(m, n, _validate=True):
                        tuple(Matrix(f, [], ncols=0) for _ in range(n.right_algebra.dim)),
                        _validate=False)
         return TensorProduct(bim, Matrix(f, [[] for _ in range(N)], ncols=0), ())
-    if m._right is not None and m._right.summand_tags is not None:
+    p = m._memo.get("right")
+    if p is not None and p.summand_tags is not None:
         # e_v B (x)_B n = e_v n: the relations are the kernel of x (x) y |-> x y
-        vecs, free = _yoneda_basis(m._right, lambda x: linear_combination(
+        vecs, free = _yoneda_basis(p, lambda x: linear_combination(
             x, n.left_action_matrices, f, dn, dn).transpose(), dn)
         projection = Matrix._of(f, tuple(vecs), N).transpose()
     else:
@@ -471,7 +487,7 @@ def tensor_over(m, n, _validate=True):
                 for mat in m.left_action_matrices)
     rho = tuple(tensor_map(sections, dn, projection, right=mat)
                 for mat in n.right_action_matrices)
-    bim = Bimodule(m.left_algebra, n.right_algebra, len(free), lam, rho, _validate=_validate)
+    bim = Bimodule(m.left_algebra, n.right_algebra, len(free), lam, rho, _validate=False)
     return TensorProduct(bim, projection, sections)
 
 
@@ -650,7 +666,7 @@ def vertex_projective(a, v_index):
     of e_v A.  For A = B (x) C from `tensor`, e_v A = e_i B (x) e_j C with
     v = i n_C + j, and the Kronecker products of the factors' RREF bases and
     actions are that RREF and its actions."""
-    if v_index not in a._modules:
+    def build():
         if a._factors is not None:
             b, c = a._factors
             i, j = divmod(v_index, len(c.basic.idempotent_coords))
@@ -664,20 +680,23 @@ def vertex_projective(a, v_index):
                 regular, a.left_mult_matrix(a.basic.idempotent_coords[v_index]))
             basis = incl.matrix
         mod._validate()    # neither the regular action nor the products were checked
-        a._modules[v_index] = (mod, basis)
-    return a._modules[v_index]
+        return mod, basis
+    return _once(a._modules, v_index, build)
 
 
 def projective_module(a, tags):
     """The direct sum of the vertex projectives e_v A for v in `tags`, in
-    order, with `summand_tags` recording them (the zero module for no tags).
-    Only this constructor sets the tags, which let `hom_space` and
-    `tensor_over` read maps out of the module by Yoneda."""
-    if not tags:
-        return zero_module(a)
-    p = direct_sum([vertex_projective(a, v)[0] for v in tags])
-    p.summand_tags = tuple(tags)
-    return p
+    order, with `summand_tags` recording them (the zero module for no tags),
+    built once per tag tuple and algebra instance.  Only this constructor
+    sets the tags, which let `hom_space` and `tensor_over` read maps out of
+    the module by Yoneda."""
+    def build():
+        if not tags:
+            return zero_module(a)
+        p = direct_sum([vertex_projective(a, v)[0] for v in tags])
+        p.summand_tags = tuple(tags)
+        return p
+    return _once(a._modules, ("projective", tuple(tags)), build)
 
 
 @dataclass
@@ -753,11 +772,12 @@ class IsoResult:
 
 
 def _top_dims(m):
-    if m._tops is None:
+    """dim (M / M rad) e_v per vertex, once per module."""
+    def build():
         proj = top_of(m)[0]
-        m._tops = [rank(linear_combination(e, m.action, m.field, m.dim, m.dim).mul(proj))
-                   for e in m.algebra.basic.idempotent_coords]
-    return m._tops
+        return [rank(linear_combination(e, m.action, m.field, m.dim, m.dim).mul(proj))
+                for e in m.algebra.basic.idempotent_coords]
+    return _once(m._memo, "tops", build)
 
 
 def iso_test(m, n, cap=200_000):
@@ -838,7 +858,6 @@ def canonical_bimodules(a, e):
         eAe = discover_basic(eAe)
     L = a.basis_left_mats()
     R = a.basis_right_mats()
-    regular = Bimodule(a, a, a.dim, L, R, _validate=False)
 
     def sub_bimodule(rows, left_alg, right_alg, left_elems, right_elems):
         lam = []
@@ -881,7 +900,7 @@ def canonical_bimodules(a, e):
         algebra=a, idempotent=e,
         corner_algebra=eAe, corner_embedding=emb,
         quotient_algebra=quot_alg, quotient_projection=proj,
-        regular=regular, ae=ae, ea=ea, aea=aea, quotient=quotient,
+        regular=regular_bimodule(a), ae=ae, ea=ea, aea=aea, quotient=quotient,
         ae_rows=ae_rows, ea_rows=ea_rows, aea_rows=iq.ideal_rows,
         inclusion=iq.ideal_rows, projection=proj,
         section_cols=iq.section_cols,
@@ -890,11 +909,16 @@ def canonical_bimodules(a, e):
 
 
 def simple_modules(a):
-    """The simple right modules, one per primitive idempotent (split basic case)."""
+    """The simple right modules, one per primitive idempotent (split basic
+    case), built once per algebra instance; each call gets a new list."""
     if a.basic is None:
         from .errors import UnsupportedField
         raise UnsupportedField("simples need the basic structure "
                                "(quiver presentation or discovery over Q)")
+    return list(_once(a._modules, "simples", lambda: tuple(_simples(a))))
+
+
+def _simples(a):
     f = a.field
     rad = radical(a)
     out = []

@@ -352,8 +352,8 @@ def _certify(r, n_max):
     ok = True
 
     # R3 instances: j^! i_* = 0 in every degree, on the A1-side battery
-    for label, n1 in _battery_modules(r.a1):
-        restricted = i_lower_module(r, n1)
+    a1_batt = [(label, n1, i_lower_module(r, n1)) for label, n1 in _battery_modules(r.a1)]
+    for label, _, restricted in a1_batt:
         g = tor(as_bimodule(restricted), cb.ae, n_max)
         zero = all(d == 0 for _, d in g.entries)
         r3.append({"module": label, "all_zero": zero})
@@ -394,35 +394,33 @@ def _certify(r, n_max):
             flat.append({"module": label, "exact": exact_mid})
             ok = ok and exact_mid
 
-    # module-level adjunction dimension checks (R1 shadow)
-    a1_batt = _battery_modules(r.a1)
-    a2_batt = _battery_modules(r.a2)
-    a_batt = _battery_modules(a)
-    for la, m in a_batt[:2]:
+    # module-level adjunction dimension checks (R1 shadow), with each battery
+    # module's functor images built once
+    a2_batt = [(lb, n2, tensor_over(as_bimodule(n2), cb.ea).bimodule.restrict_right(),
+                hom_module(cb.ae, n2).restrict_right())
+               for lb, n2 in _battery_modules(r.a2)[:2]]
+    for la, m in _battery_modules(a)[:2]:
         j_shriek_m = tensor_over(as_bimodule(m), cb.ae).bimodule.restrict_right()
-        for lb, n2 in a2_batt[:2]:
-            lhs = len(hom_space(tensor_over(as_bimodule(n2), cb.ea)
-                                .bimodule.restrict_right(), m))
+        for lb, n2, j_lower_n2, j_star_n2 in a2_batt:
+            lhs = len(hom_space(j_lower_n2, m))
             rhs = len(hom_space(n2, j_shriek_m))
             adj.append({"pair": "(j_!, j^!)", "modules": (lb, la),
                         "lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
             ok = ok and lhs == rhs
-            j_star_n2 = hom_module(cb.ae, n2).restrict_right()
             lhs2 = len(hom_space(j_shriek_m, n2))
             rhs2 = len(hom_space(m, j_star_n2))
             adj.append({"pair": "(j^!, j_*)", "modules": (la, lb),
                         "lhs": lhs2, "rhs": rhs2, "equal": lhs2 == rhs2})
             ok = ok and lhs2 == rhs2
-        for lb, n1 in a1_batt[:2]:
-            i_low = i_lower_module(r, n1)
-            lhs = len(hom_space(tensor_over(as_bimodule(m), r.y)
-                                .bimodule.restrict_right(), n1))
+        i_upper_m = tensor_over(as_bimodule(m), r.y).bimodule.restrict_right()
+        i_shriek_m = hom_module(r.y_left, m).restrict_right() if r.y_left.dim else None
+        for lb, n1, i_low in a1_batt[:2]:
+            lhs = len(hom_space(i_upper_m, n1))
             rhs = len(hom_space(m, i_low))
             adj.append({"pair": "(i^*, i_*)", "modules": (la, lb),
                         "lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
             ok = ok and lhs == rhs
-            if r.y_left.dim:
-                i_shriek_m = hom_module(r.y_left, m).restrict_right()
+            if i_shriek_m is not None:
                 lhs2 = len(hom_space(i_low, m))
                 rhs2 = len(hom_space(n1, i_shriek_m))
                 adj.append({"pair": "(i_!, i^!)", "modules": (lb, la),

@@ -368,6 +368,24 @@ def test_falsified_exit_3_plumbing(tmp_path, capsys, monkeypatch):
     assert out["falsified"] is True
 
 
+def test_inconclusive_is_a_resource_limit_exit_4(tmp_path, capsys, monkeypatch):
+    # a search cap reached deep in the engine (here: stubbed into the
+    # Hochschild cohomology call) is exit 4 with one line, no traceback
+    import recollab.cli as cli_mod
+    from recollab.errors import Inconclusive
+
+    def capped(*args, **kwargs):
+        raise Inconclusive("iso_test grid cap 200000 reached (371293 points needed)")
+
+    monkeypatch.setattr(cli_mod, "hochschild_cohomology", capped)
+    path = _write(tmp_path, _doc("a2"))
+    assert main(["hochschild", path, "--max-degree", "2"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource limit: iso_test grid cap 200000 reached "
+                            "(371293 points needed)\n")
+
+
 def test_not_finite_dimensional_exit_1(tmp_path, capsys):
     doc = {
         "kind": "quiver", "field": "Q", "vertices": ["1"],

@@ -578,7 +578,10 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch):
     """Every level of the resolutions of the simples, of A and (over A^e) of
     A as a bimodule is a tagged projective_module; Hom and (x) out of it
     must equal, bit for bit and in order, those out of an untagged copy of
-    the same module, which go through the Sylvester systems."""
+    the same module, which go through the Sylvester systems.  A new tagged
+    copy of the level for each call, with nothing memoised on it, shows that
+    every one of these Hom spaces and (x) goes through `_yoneda_basis`; the
+    (memoised) answers out of the level itself must be the same."""
     yoneda = []
     real = modules._yoneda_basis
     monkeypatch.setattr(modules, "_yoneda_basis",
@@ -597,18 +600,31 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch):
             if p.dim == 0:
                 continue
             assert p.summand_tags is not None
+
+            def fresh():
+                copy = RightModule(p.algebra, p.dim, p.action, _validate=False)
+                copy.summand_tags = p.summand_tags
+                return copy
             plain = RightModule(p.algebra, p.dim, p.action, _validate=False)
             assert plain == p and plain.summand_tags is None
             for n in targets + [m] + res.modules:
-                fast, slow = hom_space(p, n), hom_space(plain, n)
-                assert [x.matrix for x in fast] == [x.matrix for x in slow]
-            fast, slow = tensor_over(as_bimodule(p), left), tensor_over(as_bimodule(plain), left)
-            assert fast.projection == slow.projection
-            assert fast.section_indices == slow.section_indices
-            assert fast.bimodule.left_action_matrices == slow.bimodule.left_action_matrices
-            assert fast.bimodule.right_action_matrices == slow.bimodule.right_action_matrices
+                before = len(yoneda)
+                fast = hom_space(fresh(), n)
+                assert len(yoneda) == before + (n.dim > 0)
+                for other in (hom_space(plain, n), hom_space(p, n)):
+                    assert [x.matrix for x in fast] == [x.matrix for x in other]
+            before = len(yoneda)
+            fast = tensor_over(as_bimodule(fresh()), left)
+            assert len(yoneda) == before + 1
+            for other in (tensor_over(as_bimodule(plain), left),
+                          tensor_over(as_bimodule(p), left)):
+                assert fast.projection == other.projection
+                assert fast.section_indices == other.section_indices
+                assert fast.bimodule.left_action_matrices == other.bimodule.left_action_matrices
+                assert fast.bimodule.right_action_matrices == \
+                    other.bimodule.right_action_matrices
             compared += 1
-    assert compared >= 4 and len(yoneda) >= compared
+    assert compared >= 4
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -706,3 +722,119 @@ def test_iso_test_computes_each_top_once(monkeypatch):
     assert sorted(map(id, calls)) == sorted({id(p), id(s)})
     # a copy of a module has its own top, computed once
     assert iso_test(q, RightModule(a, q.dim, q.action)) and len(calls) == 4
+
+
+# -- things built once, and Hom and (x) memoised on their arguments -------------
+
+
+def test_interned_constructors_return_the_same_object():
+    a = kronecker_algebra()
+    assert regular_module(a) is regular_module(a)
+    assert regular_bimodule(a) is regular_bimodule(a)
+    assert all(x is y for x, y in zip(simple_modules(a), simple_modules(a)))
+    for tags in [(0,), (1, 0, 1), ()]:
+        assert projective_module(a, tags) is projective_module(a, list(tags))
+    assert projective_module(a, (0, 1)) is not projective_module(a, (1, 0))
+    s = simple_modules(a)[0]
+    assert as_bimodule(s) is as_bimodule(s) and as_bimodule(s).restrict_right() is s
+    cb = canonical_bimodules(a, Idempotent(a, a.basic.idempotent_coords[0]))
+    assert cb.regular is regular_bimodule(a)
+    p = projective_module(a, (0, 1))
+    assert tensor_over(p, regular_bimodule(a)) is tensor_over(as_bimodule(p), regular_bimodule(a))
+    maps = hom_space(p, s)
+    assert maps and all(x is y for x, y in zip(maps, hom_space(p, s)))
+    # a second algebra instance with the same content builds its own
+    b = kronecker_algebra()
+    assert regular_module(b) == regular_module(a) and regular_module(b) is not regular_module(a)
+
+
+def test_memoised_lists_are_new_on_every_call():
+    a = kronecker_algebra()
+    simples = simple_modules(a)
+    want = list(simples)
+    simples.clear()
+    assert simple_modules(a) == want and len(want) == 2
+    p = projective_module(a, (0, 1))
+    maps = hom_space(p, want[0])
+    got = [mp.matrix for mp in maps]
+    maps.append(maps[0])
+    maps.reverse()
+    assert [mp.matrix for mp in hom_space(p, want[0])] == got
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_tensor_memo_checks_a_product_first_built_unchecked(field, monkeypatch):
+    a = dual_numbers(field)        # basis 1, x
+    ident = Matrix.identity(field, 2)
+    n = Matrix(field, [[0, 3], [0, 0]])
+    # each action alone is a module, but n and n^T do not commute, and
+    # M (x)_A A = M keeps both actions
+    bad = Bimodule(a, a, 2, (ident, n.transpose()), (ident, n), _validate=False)
+    reg = regular_bimodule(a)
+    unchecked = tensor_over(bad, reg, _validate=False)
+    assert unchecked.bimodule.dim == 2
+    for _ in range(2):
+        with pytest.raises(ValueError, match="do not commute"):
+            tensor_over(bad, reg)
+    assert tensor_over(bad, reg, _validate=False) is unchecked
+    # a sound product is checked once, on the first call that asks
+    checked = []
+    real = Bimodule._validate
+    monkeypatch.setattr(Bimodule, "_validate", lambda self: checked.append(self) or real(self))
+    good = Bimodule(a, a, 2, (ident, n), (ident, n))
+    tp = tensor_over(good, reg, _validate=False)
+    assert checked == [good]
+    assert tensor_over(good, reg) is tp and tensor_over(good, reg) is tp
+    assert checked == [good, tp.bimodule]
+
+
+def test_module_content_hash_is_formatted_once_with_the_same_bytes(monkeypatch):
+    # digests of the version that formatted the hash on every call
+    want = {(None, "p01"): "b06dc2f79ca8e37e394aba6b5d85006f7124e1fa424bf1eef56333bbb3398ee4",
+            (None, "s1"): "308e34b8fbcfa12e6bc245ce4b7d9802840f756ab405aa5e2e1823f68decab0a",
+            (5, "p01"): "4f147504267312f92733003ee1e4a41391eb5ecc6fe396c03884a096a906f396",
+            (5, "s1"): "1f99b59351ca519101e3ca7618cc78a29ea491ad9cef16b6916536ce44c66c09"}
+    formatted = []
+    real = Matrix.content_hash
+    monkeypatch.setattr(Matrix, "content_hash", lambda self: formatted.append(1) or real(self))
+    for p in (None, 5):
+        a = kronecker_algebra() if p is None else kronecker_algebra(GF(p))
+        for name, m in (("p01", projective_module(a, (0, 1))), ("s1", simple_modules(a)[1])):
+            before = len(formatted)
+            assert m.content_hash() == want[(p, name)] == m.content_hash()
+            assert len(formatted) - before == a.dim
+
+
+@pytest.mark.parametrize("make", _yoneda_cases())
+def test_memo_hits_equal_fresh_computations_on_copies(make):
+    """Hom and (x) answered from the memo equal, entry for entry, those
+    computed afresh on content-equal copies over a second instance of the
+    algebra, which share no memo with the originals."""
+    a, b = make(), make()
+    mods = simple_modules(a) + [regular_module(a)]
+    mods += [p for m in list(mods) for p in projective_resolution(m, 2).modules if p.dim]
+    mods = list({id(m): m for m in mods}.values())
+
+    def copy(m):
+        out = RightModule(b, m.dim, m.action, _validate=False)
+        out.summand_tags = m.summand_tags
+        return out
+
+    for m in mods:
+        for n in mods:
+            first = hom_space(m, n)
+            hit = hom_space(m, n)
+            assert hit is not first and all(x is y for x, y in zip(hit, first))
+            fresh = hom_space(copy(m), copy(n))
+            assert len(hit) == len(fresh)
+            assert all(_same_entries(x.matrix, y.matrix) for x, y in zip(hit, fresh))
+        first = tensor_over(m, regular_bimodule(a))
+        hit = tensor_over(m, regular_bimodule(a))
+        fresh = tensor_over(copy(m), regular_bimodule(b))
+        assert hit is first
+        assert _same_entries(hit.projection, fresh.projection)
+        assert hit.section_indices == fresh.section_indices
+        x, y = hit.bimodule, fresh.bimodule
+        assert all(_same_entries(u, v) for u, v in zip(
+            x.left_action_matrices + x.right_action_matrices,
+            y.left_action_matrices + y.right_action_matrices))
