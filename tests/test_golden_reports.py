@@ -4,7 +4,9 @@ Each of `define`, `stratify`, `verify` (with and without `--with-matrices`,
 which adds every LES matrix, connecting maps included) and
 `hochschild --oracle` runs on every `demos/docs/*.json`, and
 `hochschild --oracle --budget 78125` on four documents at the highest degree
-that budget admits; the exit code and
+that budget admits; `stratify` and `verify --with-matrices` also run at every
+other vertex idempotent and at the sum of all vertices (e = 1, whose quotient
+A/AeA is the zero algebra).  The exit code and
 the SHA-256 of the report printed to stdout must equal the entry in
 `golden_reports.json`.  The digests pin the report bytes, so any change to an
 emitted number, its sign, its formatting or its order fails here.
@@ -39,6 +41,16 @@ IDEMPOTENTS = {
     "t2_one_point_extension": "e:R:1",
 }
 
+# The other idempotents each document is cut at: every other vertex and the
+# sum of all vertices.  The one-vertex documents are already cut at e = 1.
+OTHER_IDEMPOTENTS = {
+    "a2": ["e:1", "e:1+2"],
+    "kronecker": ["e:1", "e:1+2"],
+    "kronecker_f5": ["e:1", "e:1+2"],
+    "non_stratifying": ["e:1", "e:1+2"],
+    "t2_one_point_extension": ["e:L:1", "e:L:1+R:1"],
+}
+
 # The degree at which `hochschild --oracle --budget 78125` runs on each.
 ORACLE_DEGREES = {"kronecker": 5, "kronecker_f5": 6, "a2": 7, "non_stratifying": 4}
 
@@ -54,6 +66,13 @@ def _commands():
                                           "--max-degree", "3", "--cutoff", "6",
                                           "--with-matrices"]
         yield f"hochschild:{name}", ["hochschild", path, "--max-degree", "3", "--oracle"]
+    for name, idems in OTHER_IDEMPOTENTS.items():
+        path = str(DOCS / f"{name}.json")
+        for idem in idems:
+            yield f"stratify:{name}@{idem}", ["stratify", path, "--idempotent", idem]
+            yield f"verify:{name}@{idem}:matrices", [
+                "verify", path, "--idempotent", idem, "--max-degree", "3",
+                "--cutoff", "6", "--with-matrices"]
     for name, degree in ORACLE_DEGREES.items():
         yield f"hochschild:{name}:deg{degree}", [
             "hochschild", str(DOCS / f"{name}.json"), "--max-degree", str(degree),
