@@ -284,6 +284,16 @@ class Idempotent:
         if a.multiply(coords, coords) != coords:
             raise ValueError("e*e != e")
 
+    @classmethod
+    def zero(cls, algebra, label="0"):
+        """The zero idempotent, which the constructor refuses: it cuts A into
+        the sides (A, 0), the opposite of e = 1."""
+        e = object.__new__(cls)
+        for name, value in (("algebra", algebra), ("coords", (0,) * algebra.dim),
+                            ("label", label)):
+            object.__setattr__(e, name, value)
+        return e
+
 
 # --------------------------------------------------------------------------
 # Quiver presentations.

@@ -99,17 +99,11 @@ class VectorSpaceComplex:
         so reps extend the boundary basis to a basis of the cycles."""
         if n in self._h_cache:
             return self._h_cache[n]
-        f = self.field
-        dn = self.dim(n)
-        cycles = kernel_basis(self.diff(n).transpose()).transpose() if dn else \
-            Matrix(f, [], ncols=0)
-        bound = row_space_basis(self.diff(n - 1)) if self.dim(n - 1) else \
-            Matrix(f, [], ncols=dn)
-        if bound.ncols != dn:
-            bound = Matrix(f, [], ncols=dn)
+        cycles = kernel_basis(self.diff(n).transpose()).transpose()
+        bound = row_space_basis(self.diff(n - 1))
         # the kept cycles are the pivot columns past the (independent) boundary
         # rows in one RREF of [bound; cycles]^T
-        pivots = rref(bound.vstack(cycles).transpose())[1] if cycles.nrows else ()
+        pivots = rref(bound.vstack(cycles).transpose())[1]
         reps = cycles.take_rows([j - bound.nrows for j in pivots if j >= bound.nrows])
         res = (cycles, bound, reps.nrows, reps)
         self._h_cache[n] = res
@@ -181,8 +175,8 @@ class BoundedComplex:
         return sorted(self.modules)
 
     def shift(self, k):
-        """X[k], with degrees lowered by k (X[k]^n = X^{n+k}); no sign bookkeeping
-        is needed at the level of dimension computations used here."""
+        """X[k], with degrees lowered by k (X[k]^n = X^{n+k}) and every
+        differential multiplied by (-1)^k."""
         mods = {n - k: m for n, m in self.modules.items()}
         sgn = -1 if k % 2 else 1
         diffs = {n - k: ModuleMap(d.source, d.target, d.matrix.scale(sgn), _validate=False)
@@ -196,19 +190,10 @@ class BoundedComplex:
     def cohomology_module(self, n):
         """H^n as a module (kernel of d^n modulo image of d^{n-1})."""
         from .modules import quotient_by_rows
-        xn = self.module(n)
-        dmat = self.diff_matrix(n)
-        ker_rows = kernel_basis(dmat.transpose()).transpose()
-        sub, incl = submodule_from_rows(xn, ker_rows) if ker_rows.nrows else \
-            (zero_module(self.algebra), None)
-        if sub.dim == 0:
-            return sub
-        prev = self.diff_matrix(n - 1)
-        img = row_space_basis(prev) if prev.nrows else Matrix(self.algebra.field, [], ncols=xn.dim)
-        img_in_sub = express_in_row_basis(incl.matrix, img) if img.nrows else \
-            Matrix(self.algebra.field, [], ncols=sub.dim)
-        quot, _ = quotient_by_rows(sub, img_in_sub)
-        return quot
+        ker_rows = kernel_basis(self.diff_matrix(n).transpose()).transpose()
+        sub, incl = submodule_from_rows(self.module(n), ker_rows)
+        img = row_space_basis(self.diff_matrix(n - 1))
+        return quotient_by_rows(sub, express_in_row_basis(incl.matrix, img))[0]
 
 
 # --------------------------------------------------------------------------
@@ -432,9 +417,8 @@ def _assert_resolution_exact(res):
     """Exactness at every computed joint: image = kernel as subspaces."""
     if not res.modules:
         return
-    if res.module.dim:
-        if rank(res.augmentation.matrix) != res.module.dim:
-            raise ValueError("augmentation not surjective")
+    if rank(res.augmentation.matrix) != res.module.dim:
+        raise ValueError("augmentation not surjective")
     for n in range(1, len(res.modules)):
         d = res.diffs[n - 1].matrix
         upstream = res.augmentation.matrix if n == 1 else res.diffs[n - 2].matrix
@@ -503,8 +487,6 @@ def hom_complex(x, y):
         for p in range(x.lo, x.hi + 1):
             xm = x.module(p)
             ym = y.module(p + n)
-            if xm.dim == 0 or ym.dim == 0:
-                continue
             maps = hom_space(xm, ym)
             if maps:
                 comps.append((p, maps, off, len(maps)))
@@ -519,12 +501,12 @@ def hom_complex(x, y):
         rows = []
         for p, maps, _, _ in components.get(n, []):
             block = Matrix.zeros(f, len(maps), dims.get(n + 1, 0))
-            dy = y.diff_matrix(p + n)
-            if dy.ncols and p in tgt:
+            if p in tgt:
+                dy = y.diff_matrix(p + n)
                 part = hc.coords(n + 1, p, [mp.matrix.mul(dy) for mp in maps])
                 block = block.add(part if n % 2 == 0 else part.neg())
-            dx = x.diff_matrix(p - 1)
-            if dx.nrows and p - 1 in tgt:
+            if p - 1 in tgt:
+                dx = x.diff_matrix(p - 1)
                 block = block.add(hc.coords(n + 1, p - 1, [dx.mul(mp.matrix) for mp in maps]))
             rows.extend(block.rows)
         diffs[n] = Matrix(f, rows, ncols=dims.get(n + 1, 0))
@@ -595,8 +577,6 @@ def _solve_through(src, tgt, constraints):
     """Deterministic F in Hom(src, tgt) with F @ post = rhs for every
     (post, rhs) in `constraints`, solved as one stacked system."""
     f = src.field
-    if src.dim == 0 or tgt.dim == 0:
-        return Matrix.zeros(f, src.dim, tgt.dim)
     maps = hom_space(src, tgt)
     if not maps:
         if all(rhs.is_zero() for _, rhs in constraints):
@@ -654,11 +634,9 @@ def horseshoe(ses, n_max):
     """Simultaneous resolution of a short exact sequence (degreewise split)."""
     ses.validate()
     f = ses.mid.field
-    res_sub = projective_resolution(ses.sub, n_max)
-    res_quot = projective_resolution(ses.quot, n_max)
-    # pad both resolutions with zero levels up to n_max so blocks line up
-    sub_mods = _padded(res_sub, n_max)
-    quot_mods = _padded(res_quot, n_max)
+    # both resolutions padded with zero levels up to n_max so blocks line up
+    res_sub = _padded_resolution(projective_resolution(ses.sub, n_max), n_max)
+    res_quot = _padded_resolution(projective_resolution(ses.quot, n_max), n_max)
     mid_mods = []
     mid_diffs = []
     incl_mats = []
@@ -669,13 +647,12 @@ def horseshoe(ses, n_max):
     prev_map = None
     # P_n = P'_n (+) P''_n, tagged when all three share one basic structure
     a = ses.mid.algebra
-    mid_tags = [tuple(v for r in (res_sub, res_quot) if n < len(r.summand_tags)
-                      for v in r.summand_tags[n]) for n in range(n_max + 1)]
+    mid_tags = [ts + tq for ts, tq in zip(res_sub.summand_tags, res_quot.summand_tags)]
     tagged = all(r.module.algebra.structure_hash() == a.structure_hash()
                  for r in (res_sub, res_quot))
     for n in range(n_max + 1):
-        Ps = sub_mods[n]
-        Pq = quot_mods[n]
+        Ps = res_sub.modules[n]
+        Pq = res_quot.modules[n]
         P = projective_module(a, mid_tags[n]) if tagged else direct_sum([Ps, Pq])
         mid_mods.append(P)
         inc = _summand_rows(f, Ps.dim, Pq.dim, first=True)
@@ -685,26 +662,19 @@ def horseshoe(ses, n_max):
         sections.append(sec)
         retracts.append(inc.transpose())
         if n == 0:
-            s_aug = res_sub.augmentation.matrix if Ps.dim else Matrix(f, [], ncols=ses.sub.dim)
-            q_aug = res_quot.augmentation.matrix if Pq.dim else Matrix(f, [], ncols=ses.quot.dim)
-            top = s_aug.mul(ses.inclusion.matrix) if Ps.dim else Matrix(f, [], ncols=ses.mid.dim)
-            sigma = _solve_through(Pq, ses.mid, [(ses.projection.matrix, q_aug)]) if Pq.dim \
-                else Matrix(f, [], ncols=ses.mid.dim)
-            mat = Matrix(f, list(top.rows) + list(sigma.rows), ncols=ses.mid.dim)
+            top = res_sub.augmentation.matrix.mul(ses.inclusion.matrix)
+            sigma = _solve_through(Pq, ses.mid, [(ses.projection.matrix,
+                                                  res_quot.augmentation.matrix)])
+            mat = top.vstack(sigma)
             aug_mid = ModuleMap(P, ses.mid, mat, _validate=False)
         else:
-            d_s = _level_diff(res_sub, n)
-            d_q = _level_diff(res_quot, n)
-            top = d_s.mul(incl_mats[n - 1]) if Ps.dim else \
-                Matrix(f, [], ncols=mid_mods[n - 1].dim)
-            if Pq.dim:
-                # tau: P''_n -> P_{n-1} with tau @ proj = d_q and tau @ prev_map = 0
-                zero = Matrix.zeros(f, Pq.dim, prev_map.ncols)
-                tau = _solve_through(Pq, mid_mods[n - 1],
-                                     [(proj_mats[n - 1], d_q), (prev_map, zero)])
-            else:
-                tau = Matrix(f, [], ncols=mid_mods[n - 1].dim)
-            mat = Matrix(f, list(top.rows) + list(tau.rows), ncols=mid_mods[n - 1].dim)
+            top = res_sub.diffs[n - 1].matrix.mul(incl_mats[n - 1])
+            # tau: P''_n -> P_{n-1} with tau @ proj = d_q and tau @ prev_map = 0
+            zero = Matrix.zeros(f, Pq.dim, prev_map.ncols)
+            tau = _solve_through(Pq, mid_mods[n - 1],
+                                 [(proj_mats[n - 1], res_quot.diffs[n - 1].matrix),
+                                  (prev_map, zero)])
+            mat = top.vstack(tau)
             mid_diffs.append(ModuleMap(P, mid_mods[n - 1], mat, _validate=False))
         prev_map = mat
     res_mid = ProjectiveResolution(
@@ -714,26 +684,8 @@ def horseshoe(ses, n_max):
         minimal=False,
     )
     _assert_resolution_exact(res_mid)
-    return HorseshoeData(ses, _padded_resolution(res_sub, n_max),
-                         res_mid, _padded_resolution(res_quot, n_max),
+    return HorseshoeData(ses, res_sub, res_mid, res_quot,
                          incl_mats, proj_mats, sections, retracts)
-
-
-def _level_diff(res, n):
-    if n <= res.depth and n >= 1:
-        return res.diffs[n - 1].matrix
-    prev_dim = res.modules[n - 1].dim if n - 1 <= res.depth else 0
-    return Matrix(res.module.field, [], ncols=prev_dim)
-
-
-def _padded(res, n_max):
-    out = []
-    for n in range(n_max + 1):
-        if n <= res.depth:
-            out.append(res.modules[n])
-        else:
-            out.append(zero_module(res.module.algebra))
-    return out
 
 
 def _padded_resolution(res, n_max):
@@ -743,8 +695,8 @@ def _padded_resolution(res, n_max):
     f = a.field
     mods = list(res.modules)
     diffs = list(res.diffs)
+    z = zero_module(a)
     while len(mods) - 1 < n_max:
-        z = zero_module(a)
         prev = mods[-1]
         mods.append(z)
         diffs.append(ModuleMap(z, prev, Matrix(f, [], ncols=prev.dim), _validate=False))
@@ -797,14 +749,7 @@ def dualize_perfect(x):
     for n in x.degrees():
         if (n + 1) not in x.modules:
             continue
-        src_dual = mods.get(-(n + 1))
-        tgt_dual = mods.get(-n)
-        if src_dual is None or tgt_dual is None or src_dual.dim == 0 or tgt_dual.dim == 0:
-            if src_dual is not None and tgt_dual is not None:
-                diffs[-(n + 1)] = ModuleMap(src_dual, tgt_dual,
-                                            Matrix.zeros(f, src_dual.dim, tgt_dual.dim),
-                                            _validate=False)
-            continue
+        src_dual, tgt_dual = mods[-(n + 1)], mods[-n]
         d = x.diff_matrix(n)
         src_dim = x.module(n + 1).dim
         # precompose each basis map g: X^{n+1} -> A with d

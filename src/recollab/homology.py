@@ -10,7 +10,7 @@ so exactness of every joint is a rank computation, not a trusted theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -58,10 +58,9 @@ from .modules import (
 
 @dataclass
 class GradedDims:
-    """Dimensions per degree, optionally with representative bases."""
+    """Dimensions per degree."""
 
     entries: tuple                       # ((degree, dim), ...)
-    bases: dict = field(default_factory=dict)
 
     def dim(self, n):
         return dict(self.entries).get(n, 0)
@@ -137,7 +136,7 @@ def _tensor_complex(res, t, n_max):
     return VectorSpaceComplex(t.field, dims, diffs), level_data
 
 
-def tor(m, n, n_max, resolve="left", with_bases=False):
+def tor(m, n, n_max, resolve="left"):
     """Tor_i^B(m, n) for i <= n_max; m a right B-module, n a left B-module.
 
     resolve="left" resolves m; resolve="right" resolves n over B^op.  Both
@@ -149,13 +148,10 @@ def tor(m, n, n_max, resolve="left", with_bases=False):
         raise AlgebraMismatch("tor: middle algebra mismatch")
     if resolve == "right":
         # Tor^B_i(M, N) = Tor^{B^op}_i(N, M) via the swapped bimodules
-        return tor(n_bim.swap_sides(), m_bim.swap_sides(), n_max,
-                   resolve="left", with_bases=with_bases)
+        return tor(n_bim.swap_sides(), m_bim.swap_sides(), n_max, resolve="left")
     res = projective_resolution(m_bim.restrict_right(), n_max + 1)
     cx, _ = _tensor_complex(res, n_bim, n_max + 1)
-    entries = tuple((i, cx.cohomology_dim(-i)) for i in range(n_max + 1))
-    bases = {i: cx.cohomology(-i)[3] for i in range(n_max + 1)} if with_bases else {}
-    return GradedDims(entries, bases)
+    return GradedDims(tuple((i, cx.cohomology_dim(-i)) for i in range(n_max + 1)))
 
 
 @dataclass
@@ -201,7 +197,7 @@ class ExtClass:
     cocycle: ModuleMap
 
 
-def ext(m, n, n_max, with_bases=False):
+def ext(m, n, n_max):
     """Ext^i_B(m, n) for i <= n_max, via a minimal resolution of m."""
     m_mod = m.restrict_right() if isinstance(m, Bimodule) else m
     n_mod = n.restrict_right() if isinstance(n, Bimodule) else n
@@ -210,8 +206,7 @@ def ext(m, n, n_max, with_bases=False):
     res = projective_resolution(m_mod, n_max + 1)
     hc = hom_complex(res.to_complex(), BoundedComplex.concentrated(n_mod))
     entries = tuple((i, hc.complex.cohomology_dim(i)) for i in range(n_max + 1))
-    bases = {i: hc.complex.cohomology(i)[3] for i in range(n_max + 1)} if with_bases else {}
-    return ExtData(GradedDims(entries, bases), res, n_mod, hc)
+    return ExtData(GradedDims(entries), res, n_mod, hc)
 
 
 def yoneda_product(x, y):
@@ -245,30 +240,24 @@ def yoneda_product(x, y):
 # --------------------------------------------------------------------------
 
 
-def hochschild_homology(a, n_max, with_bases=False):
+def hochschild_homology(a, n_max):
     """HH_n(A) = Tor_n over A^op (x) A of (A, A)."""
-    if a.is_zero_algebra:
-        return GradedDims(tuple((i, 0) for i in range(n_max + 1)))
     env = enveloping(a)
     m = regular_bimodule(a).as_right_module_over(env)
-    return tor(m, regular_as_left_env_module(a), n_max, with_bases=with_bases)
+    return tor(m, regular_as_left_env_module(a), n_max)
 
 
-def hochschild_cohomology(a, n_max, with_bases=False):
+def hochschild_cohomology(a, n_max):
     """HH^n(A) = Ext^n over A^op (x) A of (A, A)."""
-    if a.is_zero_algebra:
-        return GradedDims(tuple((i, 0) for i in range(n_max + 1)))
     env = enveloping(a)
     m = regular_bimodule(a).as_right_module_over(env)
-    return ext(m, m, n_max, with_bases=with_bases).graded
+    return ext(m, m, n_max).graded
 
 
 def hochschild_dimension(a, cutoff):
     """pd of A over A^op (x) A: Finite(d) if the minimal resolution stabilises
     at depth d <= cutoff, else AtLeast(cutoff+1) (with a periodicity witness
     when a syzygy repeats, which certifies infinite dimension)."""
-    if a.is_zero_algebra:
-        return PdVerdict("finite", 0)
     env = enveloping(a)
     m = regular_bimodule(a).as_right_module_over(env)
     res = projective_resolution(m, cutoff)
@@ -279,8 +268,6 @@ def hochschild_dimension(a, cutoff):
 
 def global_dimension(a, cutoff):
     """Max over simple modules of their projective dimension, within cutoff."""
-    if a.is_zero_algebra:
-        return PdVerdict("finite", 0)
     if a.basic is None:
         a = discover_basic(a)
     worst = 0

@@ -157,8 +157,9 @@ class RightModule:
 
 
 def zero_module(algebra):
-    return RightModule(algebra, 0, (Matrix._of(algebra.field, (), 0),) * algebra.dim,
-                       _validate=False)
+    """The zero module, one per algebra instance."""
+    return _once(algebra._modules, "zero", lambda: RightModule(
+        algebra, 0, (Matrix._of(algebra.field, (), 0),) * algebra.dim, _validate=False))
 
 
 def regular_module(a):
@@ -419,10 +420,7 @@ def hom_vec_basis(maps, dm, dn, field):
 def hom_coords(basis, mats):
     """Coordinates of the matrices `mats` in a hom basis flattened by
     hom_vec_basis, solved as one batch: a len(mats) x basis.nrows Matrix."""
-    f = basis.field
-    if not mats:
-        return Matrix(f, [], ncols=basis.nrows)
-    vecs = Matrix(f, [[x for row in mat.rows for x in row] for mat in mats],
+    vecs = Matrix(basis.field, [[x for row in mat.rows for x in row] for mat in mats],
                   ncols=basis.ncols)
     coords = express_in_row_basis(basis, vecs)
     if coords is None:
@@ -586,9 +584,7 @@ def kernel_cokernel(fmap):
     m, n = fmap.source, fmap.target
     ker_cols = kernel_basis(fmap.matrix.transpose())
     ker_rows = ker_cols.transpose()
-    kernel, incl = submodule_from_rows(m, ker_rows) if ker_rows.nrows else (
-        zero_module(m.algebra), ModuleMap(zero_module(m.algebra), m,
-                                          Matrix(m.field, [], ncols=m.dim), _validate=False))
+    kernel, incl = submodule_from_rows(m, ker_rows)
     image_rows = fmap.matrix
     coker, proj = quotient_by_rows(n, image_rows)
     return KernelCokernel(kernel, coker, incl, proj)
@@ -717,10 +713,6 @@ def projective_cover(m):
     f = m.field
     proj, free = top_of(m)
     rtop = len(free)
-    if rtop == 0:
-        z = zero_module(a)
-        return ProjectiveCover(z, ModuleMap(z, m, Matrix(f, [], ncols=m.dim),
-                                            _validate=False), (), ())
     # the lifts y_t * e_v in scan order; the greedy choice of those that raise
     # the rank of their images in the top M / M rad is the pivot set
     cands = []
@@ -882,20 +874,14 @@ def canonical_bimodules(a, e):
     quot_alg = iq.quotient
     nq = quot_alg.dim
     proj = iq.projection
-    if nq:
-        # row t of L[i] is b_i b_t and of R[i] is b_t b_i: act on the class
-        # represented by b_t, then project
-        sec = iq.section_cols
-        lam_q = tuple(Matrix(f, [combine_rows(proj, enumerate(mat.rows[t])) for t in sec],
-                             ncols=nq) for mat in L)
-        rho_q = tuple(Matrix(f, [combine_rows(proj, enumerate(mat.rows[t])) for t in sec],
-                             ncols=nq) for mat in R)
-        quotient = Bimodule(a, a, nq, lam_q, rho_q, _validate=False)
-    else:
-        quotient = Bimodule(a, a, 0,
-                            tuple(Matrix(f, [], ncols=0) for _ in range(a.dim)),
-                            tuple(Matrix(f, [], ncols=0) for _ in range(a.dim)),
-                            _validate=False)
+    # row t of L[i] is b_i b_t and of R[i] is b_t b_i: act on the class
+    # represented by b_t, then project
+    sec = iq.section_cols
+    lam_q = tuple(Matrix(f, [combine_rows(proj, enumerate(mat.rows[t])) for t in sec],
+                         ncols=nq) for mat in L)
+    rho_q = tuple(Matrix(f, [combine_rows(proj, enumerate(mat.rows[t])) for t in sec],
+                         ncols=nq) for mat in R)
+    quotient = Bimodule(a, a, nq, lam_q, rho_q, _validate=False)
     return CanonicalBimodules(
         algebra=a, idempotent=e,
         corner_algebra=eAe, corner_embedding=emb,

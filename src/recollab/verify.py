@@ -71,8 +71,6 @@ def keller_homology(r, n_max=6):
     """The homology long exact sequence of the canonical bimodule sequence,
     with endpoint identifications against HH of the two sides, and degreewise
     Hochschild-homology additivity when the recollement is perfect."""
-    if r.canon is None:
-        return _keller_degenerate(r, n_max)
     les = les_from_ses(_canonical_env_ses(r), regular_as_left_env_module(r.a), "tensor", n_max,
                        labels=("Tor(AeA,A)", "HH(A)", "Tor(A/AeA,A)"))
     hh_a2 = hochschild_homology(r.a2, n_max)
@@ -99,22 +97,6 @@ def keller_homology(r, n_max=6):
                                "match": lhs == rhs})
             ok = ok and lhs == rhs
     return KellerReport(les, id2, id1, additivity, r.perfect.status, les.exact, ok)
-
-
-def _keller_degenerate(r, n_max):
-    """e with zero corner side (the swapped degenerate): HH(A) ~ HH(A1)."""
-    hh_a = hochschild_homology(r.a, n_max)
-    hh_a1 = hochschild_homology(r.a1, n_max)
-    hh_a2 = hochschild_homology(r.a2, n_max)
-    additivity = []
-    ok = True
-    for n in range(n_max + 1):
-        match = hh_a.dim(n) == hh_a1.dim(n) + hh_a2.dim(n)
-        additivity.append({"degree": n, "hh_mid": hh_a.dim(n),
-                           "hh_sum": hh_a1.dim(n) + hh_a2.dim(n), "match": match})
-        ok = ok and match
-    les = LesReport([], [], [], True)
-    return KellerReport(les, [], [], additivity, r.perfect.status, True, ok)
 
 
 # --------------------------------------------------------------------------
@@ -146,8 +128,6 @@ def _invert(mat):
     """Inverse of a square invertible matrix (None if singular)."""
     if mat.nrows != mat.ncols:
         return None
-    if mat.nrows == 0:
-        return mat
     ident = Matrix.identity(mat.field, mat.nrows)
     return solve_matrix(mat, ident)
 

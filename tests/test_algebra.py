@@ -426,6 +426,7 @@ def test_idempotent_validation():
         Idempotent(a, (0, 0, 1))  # the arrow is not idempotent
     with pytest.raises(ValueError):
         Idempotent(a, (0, 0, 0))
+    assert Idempotent.zero(a).coords == (0, 0, 0)
 
 
 @pytest.mark.parametrize("field", [QQ, F5, GF(2**31 - 1)])

@@ -203,15 +203,42 @@ def _simple_ses(a):
     return ShortExactSequence(kc.kernel, pc.module, s2, kc.inclusion, pc.surjection)
 
 
-def test_horseshoe_trivial_sub():
+@pytest.mark.parametrize("zero_side", ["sub", "quot"])
+def test_horseshoe_trivial_sub(zero_side):
+    # 0 -> 0 -> S -> S -> 0 and 0 -> S -> S -> 0 -> 0: the middle resolution
+    # is the other side's, and the zero side is padded with zero levels
     a = a2_path_algebra()
+    f = a.field
     s1 = simple_modules(a)[0]
     z = zero_module(a)
-    ses = ShortExactSequence(z, s1, s1,
-                             ModuleMap(z, s1, Matrix(a.field, [], ncols=1), _validate=False),
-                             ModuleMap(s1, s1, Matrix.identity(a.field, 1)))
+    ident = ModuleMap(s1, s1, Matrix.identity(f, 1))
+    if zero_side == "sub":
+        ses = ShortExactSequence(z, s1, s1, ModuleMap(z, s1, Matrix(f, [], ncols=1)), ident)
+    else:
+        ses = ShortExactSequence(s1, s1, z, ident, ModuleMap(s1, z, Matrix(f, [[]], ncols=0)))
     hs = horseshoe(ses, 3)
-    assert hs.res_mid.modules[0].dim == hs.res_quot.modules[0].dim
+    zero_res, other = (hs.res_sub, hs.res_quot) if zero_side == "sub" else \
+        (hs.res_quot, hs.res_sub)
+    assert [p.dim for p in zero_res.modules] == [0] * 4
+    assert [p.dim for p in hs.res_mid.modules] == \
+        [p.dim for p in other.modules] + [0] * (4 - len(other.modules))
+    assert [d.matrix for d in hs.res_mid.diffs[:other.depth]] == \
+        [d.matrix for d in other.diffs]
+    assert hs.res_mid.augmentation.matrix == other.augmentation.matrix
+
+
+def test_cohomology_module_with_zero_terms():
+    # 0 -> S -> 0 with zero terms on both sides, and the resolution of S
+    a = a2_path_algebra()
+    f = a.field
+    s, z = simple_modules(a)[0], zero_module(a)
+    x = BoundedComplex(a, {-1: z, 0: s, 1: z},
+                       {-1: ModuleMap(z, s, Matrix(f, [], ncols=1)),
+                        0: ModuleMap(s, z, Matrix(f, [[]], ncols=0))})
+    assert [x.cohomology_module(n).dim for n in range(-2, 3)] == [0, 0, 1, 0, 0]
+    y = projective_resolution(s, 3).to_complex()
+    assert [y.cohomology_module(n).dim for n in range(-3, 2)] == [0, 0, 0, 1, 0]
+    assert iso_test(y.cohomology_module(0), s)
 
 
 def test_horseshoe_middle_is_resolution():

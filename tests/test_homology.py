@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recollab.algebra import Algebra, enveloping
+from recollab.algebra import Algebra, enveloping, zero_algebra
 from recollab.cli import algebra_from_doc
 from recollab.complexes import ShortExactSequence, projective_resolution
 from recollab.errors import BudgetExceeded, DepthInsufficient
@@ -241,6 +241,18 @@ def test_bar_oracle_agrees_a2():
     hh, hhc = bar_oracle(a, 4)
     assert hh.entries == hochschild_homology(a, 4).entries
     assert hhc.entries == hochschild_cohomology(a, 4).entries
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_zero_algebra_has_zero_hochschild_groups(field):
+    z = zero_algebra(field)
+    zeros = {n: 0 for n in range(4)}
+    hh, hhc = bar_oracle(z, 3)
+    assert hh.as_dict() == hhc.as_dict() == zeros
+    assert hochschild_homology(z, 3).as_dict() == zeros
+    assert hochschild_cohomology(z, 3).as_dict() == zeros
+    assert hochschild_dimension(z, 4).label() == "Finite(0)"
+    assert global_dimension(z, 4).label() == "Finite(0)"
 
 
 def test_bar_oracle_budget():

@@ -734,6 +734,7 @@ def test_interned_constructors_return_the_same_object():
     assert all(x is y for x, y in zip(simple_modules(a), simple_modules(a)))
     for tags in [(0,), (1, 0, 1), ()]:
         assert projective_module(a, tags) is projective_module(a, list(tags))
+    assert zero_module(a) is zero_module(a) is projective_module(a, ())
     assert projective_module(a, (0, 1)) is not projective_module(a, (1, 0))
     s = simple_modules(a)[0]
     assert as_bimodule(s) is as_bimodule(s) and as_bimodule(s).restrict_right() is s

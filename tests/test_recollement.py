@@ -213,6 +213,37 @@ def test_opposite_transfer_commutative_product():
     assert out.a1.dim == r.a2.dim and out.a2.dim == r.a1.dim
 
 
+@pytest.mark.parametrize("make,dim", [(a2_path_algebra, 3), (dual_numbers, 2),
+                                      (kronecker_algebra, 4)])
+def test_opposite_transfer_of_the_unit_idempotent(make, dim):
+    # e = 1 has the sides (0, A); the swap is A^op cut at its zero idempotent,
+    # with the sides (A^op, 0), and every functor and verifier runs on it
+    from recollab.verify import cohomology_les, keller_homology
+    a = make()
+    o = opposite_transfer(from_idempotent(a, Idempotent(a, a.unit), 3), 3)
+    assert (o.a1.dim, o.a.dim, o.a2.dim) == (dim, dim, 0)
+    assert not any(o.e.coords)
+    assert o.stratifying_report.as_dict() == {
+        "mult_tensor_dim": 0, "ideal_dim": 0, "mult_rank": 0, "mult_iso": True,
+        "tor_dims": {str(n): 0 for n in range(1, 4)},
+        "tor_vanishing": {str(n): True for n in range(1, 4)},
+        "stratifying": True, "perfect_ideal": {"status": "verified", "pd": "Finite(0)"},
+        "checked_to_degree": 3, "failing_tor_degrees": []}
+    tensor_side = {n: 0 for n in range(-3, 1)}
+    hom_side = {n: 0 for n in range(4)}
+    want = {"i^*": (o.a, {**tensor_side, 0: dim}), "i_*": (o.a1, {**tensor_side, 0: dim}),
+            "i^!": (o.a, {**hom_side, 0: dim}), "j_!": (o.a2, tensor_side),
+            "j^!": (o.a, tensor_side), "j_*": (o.a2, hom_side)}
+    for name, (alg, dims) in want.items():
+        assert eval_functor(o, name, regular_module(alg), 3).as_dict() == dims, name
+    assert cohomology_les(o, 3).ok
+    keller = keller_homology(o, 3)
+    assert keller.ok and keller.les.terms
+    assert [row["tor_dim"] for row in keller.side2_identification] == [0] * 4
+    with pytest.raises(TransferFailed):
+        tensor_transfer(ground_field(), o, 3)
+
+
 def test_opposite_transfer_requires_perfect():
     a = a2_path_algebra()
     r = from_idempotent(a, vertex_idempotent(a, "2"), 3)
