@@ -695,8 +695,8 @@ def _padded_resolution(res, n_max):
     f = a.field
     mods = list(res.modules)
     diffs = list(res.diffs)
-    z = zero_module(a)
     while len(mods) - 1 < n_max:
+        z = zero_module(a)
         prev = mods[-1]
         mods.append(z)
         diffs.append(ModuleMap(z, prev, Matrix(f, [], ncols=prev.dim), _validate=False))

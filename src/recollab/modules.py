@@ -14,7 +14,8 @@ Each check is complete and runs as a few integer numpy products over the
 stacked action matrices (see `exactfield.integer_array`).
 
 Built once per algebra instance (`_once` on `Algebra._modules`): vertex
-projectives, tagged `projective_module`s, simples, regular module and bimodule.
+projectives, tagged `projective_module`s, simples, regular module and bimodule,
+the zero module.
 Kept on a module: its `as_bimodule` wrapper, hash, tops and Hom out of it; on
 a bimodule, (x) out of it.  Hom and (x) are keyed by the second argument's id,
 an entry keeps that argument (so the id is never reused), nothing is global.

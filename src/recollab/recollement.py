@@ -440,9 +440,10 @@ def opposite_transfer(r, n_max=6):
     [[A1,0],[M,A2]] is the triangular algebra [[A2^op,0],[M',A1^op]], whose
     defining idempotent is the complementary diagonal idempotent.  For the
     idempotent flavor the complementary idempotent 1-e is attempted in A^op
-    and the result re-certified; when the sides cannot be matched this way the
-    swap is not realizable by module-shaped defining bimodules and the
-    transfer reports failure explicitly.
+    and the result re-certified (for e = 1 it is the zero idempotent, whose
+    recollement has the sides (A^op, 0)); when the sides cannot be matched
+    this way the swap is not realizable by module-shaped defining bimodules
+    and the transfer reports failure explicitly.
     """
     if r.perfect.status != "verified":
         raise NotPerfect(f"opposite transfer needs Verified, got {r.perfect.status}")
@@ -453,7 +454,6 @@ def opposite_transfer(r, n_max=6):
     aop = opposite(r.a)
     comp = tuple(aop.field.coerce(u - c) for u, c in zip(r.a.unit, r.e.coords))
     try:
-        # for e = 1 the complement is zero: its recollement has the sides (A^op, 0)
         fid = Idempotent(aop, comp, label="1-e") if any(comp) else Idempotent.zero(aop, "1-e")
         out = from_idempotent(aop, fid, n_max=n_max)
     except (NotStratifying, CertificationFailed) as exc:
@@ -469,4 +469,3 @@ def opposite_transfer(r, n_max=6):
     if out.perfect.status != "verified":
         raise TransferFailed(f"opposite recollement not perfect: {out.perfect.status}")
     return out
-
