@@ -99,6 +99,12 @@ class VectorSpaceComplex:
         so reps extend the boundary basis to a basis of the cycles."""
         if n in self._h_cache:
             return self._h_cache[n]
+        if not self.dim(n):
+            # a zero term has no cohomology; Tor and Ext ask for every degree
+            # up to n_max, most of them past the end of a resolution
+            empty = Matrix(self.field, [], ncols=0)
+            self._h_cache[n] = (empty, empty, 0, empty)
+            return self._h_cache[n]
         cycles = kernel_basis(self.diff(n).transpose()).transpose()
         bound = row_space_basis(self.diff(n - 1))
         # the kept cycles are the pivot columns past the (independent) boundary
@@ -484,7 +490,8 @@ def hom_complex(x, y):
     for n in range(lo, hi + 1):
         comps = []
         off = 0
-        for p in range(x.lo, x.hi + 1):
+        # X^p and Y^{p+n} are both terms of their complexes
+        for p in range(max(x.lo, y.lo - n), min(x.hi, y.hi - n) + 1):
             xm = x.module(p)
             ym = y.module(p + n)
             maps = hom_space(xm, ym)
