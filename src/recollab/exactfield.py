@@ -632,7 +632,7 @@ def express_in_row_basis(basis, vectors):
 def unit_vector(n, i):
     """The i-th standard basis vector of k^n, as a tuple (canonical in every
     field)."""
-    return tuple(1 if k == i else 0 for k in range(n))
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
 def combine_rows(m, terms):

@@ -10,21 +10,25 @@ fed to the resolution machinery.
 The action-compatibility invariants are asserted once per object, when a
 module, map or bimodule is built (or first restricted, for a bimodule built
 unchecked); silent convention drift is the classic bug in this business.
-Each check is complete and runs as a few integer numpy products over the
-stacked action matrices (see `exactfield.integer_array`).
+Each check is complete: one `exactfield.integer_array` conversion of every
+matrix it reads, cut into flat blocks by slicing, then one or two integer
+numpy products per slice of at most `_CHUNK` entries and one `.any()`; the
+failing generator or basis element is located only once a check has failed.
 
 Built once per algebra instance (`_once` on `Algebra._modules`): vertex
 projectives, tagged `projective_module`s, simples, regular module and bimodule,
 the zero module.
-Kept on a module: its `as_bimodule` wrapper, hash, tops and Hom out of it; on
-a bimodule, (x) out of it.  Hom and (x) are keyed by the second argument's id,
-an entry keeps that argument (so the id is never reused), nothing is global.
+Kept on a module: its `as_bimodule` wrapper, hash, top, top dimensions and
+Hom out of it; on a bimodule, (x) out of it.  Hom and (x) are keyed by the
+second argument's id, an entry keeps that argument (so the id is never
+reused), nothing is global.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -56,21 +60,19 @@ from .exactfield import (
 _CHUNK = 2**20
 
 
-def _stacked(field, groups, bound):
-    """(arrays, scale): each group, a (count, rows, cols) shape and that many
-    matrices, as one integer array of that shape; all arrays share one scale
-    (`integer_array`)."""
+def _blocks(field, groups, bound):
+    """(blocks, scale): each group (rows, cols, matrices) as one (rows, cols)
+    integer array of the matrices' entries in order, such as (count,
+    entries per matrix) for a stack; one `integer_array` call converts all
+    groups, so the blocks share its scale."""
     arr, scale = integer_array(field, chain.from_iterable(
-        chain.from_iterable(m.rows) for _, mats in groups for m in mats), bound)
-    cuts = np.cumsum([np.prod(shape) for shape, _ in groups])[:-1]
-    return [a.reshape(shape) for a, (shape, _) in zip(np.split(arr, cuts), groups)], scale
-
-
-def _combine(coeffs, mats):
-    """sum_i c_i mats[i] for each coefficient vector c (the last axis of
-    `coeffs`), for a stack of matrices `mats`."""
-    out = coeffs @ mats.reshape(len(mats), int(np.prod(mats.shape[1:])))
-    return out.reshape(coeffs.shape[:-1] + mats.shape[1:])
+        chain.from_iterable(m.rows) for *_, mats in groups for m in mats), bound)
+    blocks, at = [], 0
+    for shape in (g[:2] for g in groups):
+        size = math.prod(shape)
+        blocks.append(arr[at:at + size].reshape(shape))
+        at += size
+    return blocks, scale
 
 
 def _nonzero(arr, p):
@@ -120,20 +122,21 @@ class RightModule:
         if d == 0:
             return
         unit, gens, prods, s, ma = a._int_tables()
-        (R,), r = _stacked(self.field, [((n, d, d), self.action)],
-                           lambda m: n * d * max(m, ma) ** 3)
+        (R,), r = _blocks(self.field, [(n, d * d, self.action)],
+                          lambda m: n * d * max(m, ma) ** 3)
         p = getattr(self.field, "p", None)
-        one = _combine(unit, R)
-        if _nonzero(one - s * r * np.eye(d, dtype=one.dtype), p).any():
+        one = unit @ R
+        one[::d + 1] -= s * r
+        if _nonzero(one, p).any():
             raise ValueError("rho(1) != id")
-        rho = _combine(gens, R)[:, None]
+        k, square = len(gens), R.reshape(n, d, d)
+        rho = (gens @ R).reshape(k, 1, d, d)
         step = max(1, _CHUNK // (n * d * d))
-        for g0 in range(0, len(gens), step):
-            part = slice(g0, g0 + step)
-            bad = _nonzero(rho[part] @ R - r * _combine(prods[part], R), p)
-            hits = np.argwhere(bad.reshape(-1, n, d * d).any(axis=2))
-            if len(hits):
-                g, j = hits[0]
+        for g0 in range(0, k, step):
+            lhs = (rho[g0:g0 + step] @ square).reshape(-1, n, d * d)
+            bad = _nonzero(lhs - r * (prods[g0:g0 + step] @ R), p)
+            if bad.any():
+                g, j = np.argwhere(bad.any(axis=2))[0]
                 raise ValueError(f"action incompatibility at generator "
                                  f"{a.generators()[g0 + g]}, basis {j}")
 
@@ -199,11 +202,13 @@ class ModuleMap:
         src, tgt, a = self.source, self.target, self.source.algebra
         n, ds, dt = a.dim, src.dim, tgt.dim
         _, gens, _, _, ma = a._int_tables()
-        (S, T, (F,)), _ = _stacked(
-            src.field, [((n, ds, ds), src.action), ((n, dt, dt), tgt.action),
-                        ((1, ds, dt), (self.matrix,))],
+        (S, T, F), _ = _blocks(
+            src.field, [(n, ds * ds, src.action), (n, dt * dt, tgt.action),
+                        (ds, dt, (self.matrix,))],
             lambda m: n * max(ds, dt) * max(m, ma) ** 3)
-        diff = _combine(gens, S) @ F - F @ _combine(gens, T)
+        k = len(gens)
+        diff = ((gens @ S).reshape(k, ds, ds) @ F
+                - F @ (gens @ T).reshape(k, dt, dt))
         if _nonzero(diff, getattr(src.field, "p", None)).any():
             raise ValueError("matrix does not intertwine the actions")
 
@@ -253,18 +258,18 @@ class Bimodule:
         # suffice; in integers both actions share one scale
         B, A, d = self.left_algebra, self.right_algebra, self.dim
         (_, gl, _, _, mb), (_, gr, _, _, ma) = B._int_tables(), A._int_tables()
-        (L, R), _ = _stacked(
-            self.field, [((B.dim, d, d), self.left_action_matrices),
-                         ((A.dim, d, d), self.right_action_matrices)],
+        (L, R), _ = _blocks(
+            self.field, [(B.dim, d * d, self.left_action_matrices),
+                         (A.dim, d * d, self.right_action_matrices)],
             lambda m: d * B.dim * A.dim * max(m, mb, ma) ** 4)
-        lm, rm = _combine(gl, L)[:, None], _combine(gr, R)
-        step = max(1, _CHUNK // (len(gr) * d * d))
-        for g0 in range(0, len(gl), step):
+        kl, kr, p = len(gl), len(gr), getattr(self.field, "p", None)
+        lm, rm = (gl @ L).reshape(kl, 1, d, d), (gr @ R).reshape(kr, d, d)
+        step = max(1, _CHUNK // (kr * d * d))
+        for g0 in range(0, kl, step):
             part = lm[g0:g0 + step]
-            bad = _nonzero(part @ rm - rm @ part, getattr(self.field, "p", None))
-            hits = np.argwhere(bad.reshape(-1, len(gr), d * d).any(axis=2))
-            if len(hits):
-                g, h = hits[0]
+            bad = _nonzero(part @ rm - rm @ part, p)
+            if bad.any():
+                g, h = np.argwhere(bad.reshape(-1, kr, d * d).any(axis=2))[0]
                 raise ValueError(f"left and right actions do not commute at generators "
                                  f"{B.generators()[g0 + g]}, {A.generators()[h]}")
 
@@ -310,15 +315,6 @@ class Bimodule:
 
     def __repr__(self):
         return (f"Bimodule({self.left_algebra.dim}|{self.dim}|{self.right_algebra.dim})")
-
-    def content_hash(self):
-        h = hashlib.sha256()
-        h.update(self.left_algebra.content_hash().encode())
-        h.update(self.right_algebra.content_hash().encode())
-        h.update(f"|bim{self.dim}".encode())
-        for m in self.left_action_matrices + self.right_action_matrices:
-            h.update(m.content_hash().encode())
-        return h.hexdigest()
 
 
 _TRIVIAL_CACHE = {}
@@ -592,11 +588,15 @@ def kernel_cokernel(fmap):
 
 
 def top_of(m):
-    """(projection M -> M / M rad, free coordinate indices lifting the top)."""
-    rows = []
-    for r in radical(m.algebra).rows:
-        rows.extend(linear_combination(r, m.action, m.field, m.dim, m.dim).rows)
-    return quotient_map(Matrix(m.field, rows, ncols=m.dim))
+    """(projection M -> M / M rad, free coordinate indices lifting the top),
+    once per module."""
+    def build():
+        rows = []
+        for r in radical(m.algebra).rows:
+            rows.extend(linear_combination(r, m.action, m.field, m.dim, m.dim).rows)
+        proj, free = quotient_map(Matrix(m.field, rows, ncols=m.dim))
+        return proj, tuple(free)
+    return _once(m._memo, "top", build)
 
 
 @dataclass
@@ -768,8 +768,8 @@ def _top_dims(m):
     """dim (M / M rad) e_v per vertex, once per module."""
     def build():
         proj = top_of(m)[0]
-        return [rank(linear_combination(e, m.action, m.field, m.dim, m.dim).mul(proj))
-                for e in m.algebra.basic.idempotent_coords]
+        return tuple(rank(linear_combination(e, m.action, m.field, m.dim, m.dim).mul(proj))
+                     for e in m.algebra.basic.idempotent_coords)
     return _once(m._memo, "tops", build)
 
 

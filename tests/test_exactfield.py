@@ -302,6 +302,15 @@ def test_linear_combination_and_unit_vector(field):
     assert unit_vector(3, 1) == (0, 1, 0)
 
 
+def test_unit_vector_matches_the_generator_form():
+    for n in range(7):
+        for i in range(n):
+            v = unit_vector(n, i)
+            assert type(v) is tuple
+            assert v == tuple(1 if k == i else 0 for k in range(n))
+            assert all(type(x) is int for x in v)
+
+
 # --------------------------------------------------------------------------
 # Randomised oracle: rref, rank, kernel_basis, solve and solve_matrix against
 # sympy's DomainMatrix, over Q and over F_7, on the same 1000 shapes.

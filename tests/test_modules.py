@@ -502,6 +502,12 @@ def test_module_and_map_checks_match_reference(field, kind, dtypes):
                 want = _ref_map(m, conj, mat2)
                 assert _message(lambda: modules.ModuleMap(m, conj, mat2)) == want
                 cases += want is not None
+            # a zero-dimensional source or target: every matrix is a module map
+            zero = modules.zero_module(alg)
+            for src, tgt in [(zero, conj), (m, zero), (zero, zero)]:
+                mat0 = Matrix.zeros(field, src.dim, tgt.dim)
+                assert _ref_map(src, tgt, mat0) is None
+                assert _message(lambda: modules.ModuleMap(src, tgt, mat0)) is None
     # the zero action is multiplicative; only the unit law rejects it
     a = kronecker_algebra(field)
     zero = [Matrix.zeros(field, 2, 2)] * a.dim
@@ -537,6 +543,22 @@ def test_bimodule_check_matches_reference(field, kind):
                 assert got == want
                 cases += want is not None
     assert cases > 20
+
+
+# with one generator per slice, every check takes its multi-slice path and
+# names a failure by the slice's offset
+@pytest.mark.parametrize("field,kind", CHECK_CASES, ids=["Q", "Qbig", "F5", "F31bit"])
+def test_module_and_map_checks_match_reference_one_generator_per_slice(
+        field, kind, dtypes, monkeypatch):
+    monkeypatch.setattr(modules, "_CHUNK", 1)
+    test_module_and_map_checks_match_reference(field, kind, dtypes)
+
+
+@pytest.mark.parametrize("field,kind", CHECK_CASES, ids=["Q", "Qbig", "F5", "F31bit"])
+def test_bimodule_check_matches_reference_one_generator_per_slice(
+        field, kind, monkeypatch):
+    monkeypatch.setattr(modules, "_CHUNK", 1)
+    test_bimodule_check_matches_reference(field, kind)
 
 
 def test_bimodule_restrictions_are_built_once_and_checked_on_first_use():
