@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -68,10 +67,9 @@ def _blocks(field, groups, bound):
     arr, scale = integer_array(field, chain.from_iterable(
         chain.from_iterable(m.rows) for *_, mats in groups for m in mats), bound)
     blocks, at = [], 0
-    for shape in (g[:2] for g in groups):
-        size = math.prod(shape)
-        blocks.append(arr[at:at + size].reshape(shape))
-        at += size
+    for rows, cols, _ in groups:
+        blocks.append(arr[at:at + rows * cols].reshape(rows, cols))
+        at += rows * cols
     return blocks, scale
 
 
