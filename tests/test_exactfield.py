@@ -300,15 +300,11 @@ def test_linear_combination_and_unit_vector(field):
     assert linear_combination(coeffs, mats, field, 2, 3) == expected
     assert linear_combination([0] * 3, mats, field, 2, 3) == Matrix.zeros(field, 2, 3)
     assert unit_vector(3, 1) == (0, 1, 0)
-
-
-def test_unit_vector_matches_the_generator_form():
     for n in range(7):
         for i in range(n):
             v = unit_vector(n, i)
-            assert type(v) is tuple
             assert v == tuple(1 if k == i else 0 for k in range(n))
-            assert all(type(x) is int for x in v)
+            assert type(v) is tuple and {*map(type, v)} == {int}
 
 
 # --------------------------------------------------------------------------
