@@ -654,14 +654,17 @@ def combine_rows(m, terms):
 
 
 def linear_combination(coeffs, mats, field, nrows, ncols):
-    """sum c * M over zip(coeffs, mats), an nrows x ncols matrix."""
+    """sum c * M over zip(coeffs, mats), an nrows x ncols matrix: mats[j]
+    itself when coeffs is the j-th unit vector (a `Matrix` is immutable)."""
+    terms = [(c, mat) for c, mat in zip(coeffs, mats) if c]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
     acc = [[0] * ncols for _ in range(nrows)]
-    for c, mat in zip(coeffs, mats):
-        if c:
-            for arow, mrow in zip(acc, mat.rows):
-                for t, x in enumerate(mrow):
-                    if x:
-                        arow[t] += c * x
+    for c, mat in terms:
+        for arow, mrow in zip(acc, mat.rows):
+            for t, x in enumerate(mrow):
+                if x:
+                    arow[t] += c * x
     return Matrix(field, acc, ncols=ncols)
 
 

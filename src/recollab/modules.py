@@ -7,9 +7,10 @@ A B-A-bimodule therefore is the same thing as a right module over
 B^op (x) A via (b^op (x) a) |-> lam(b) @ rho(a), which is how bimodules are
 fed to the resolution machinery.
 
-The action-compatibility invariants are asserted once per object, when a
-module, map or bimodule is built (or first restricted, for a bimodule built
-unchecked); silent convention drift is the classic bug in this business.
+The action-compatibility invariants are asserted when a module, map or
+bimodule is built (or first restricted, for a bimodule built unchecked):
+once per object for a map, once per representative (below) for a module or
+bimodule; silent convention drift is the classic bug in this business.
 Each check is complete: one `exactfield.integer_array` conversion of every
 matrix it reads, cut into flat blocks by slicing, then one or two integer
 numpy products per slice of at most `_CHUNK` entries and one `.any()`; the
@@ -21,13 +22,19 @@ the zero module.
 Kept on a module: its `as_bimodule` wrapper, hash, top, top dimensions and
 Hom out of it; on a bimodule, (x) out of it.  Hom and (x) are keyed by the
 second argument's id, an entry keeps that argument (so the id is never
-reused), nothing is global.
+reused), nothing is global.  Per content: the representative of a module or
+bimodule (`_rep`) is the first live object over the same algebra instance
+(same pair, for a bimodule) with equal actions, entry for entry, found in a
+weak table on the (right) algebra.  Equal content over one instance gives
+the same bits, so the law check, Hom (rebound to the asking pair) and (x)
+run once per representative.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import weakref
 from dataclasses import dataclass
 from itertools import chain
 
@@ -86,6 +93,30 @@ def _once(store, key, build):
     return store[key]
 
 
+def _rep(x):
+    """The representative of a module or bimodule x: the first live object
+    over the same algebra instance (for a bimodule, the same pair) with equal
+    actions, entry for entry.  The table is weak and kept on the (right)
+    algebra; x keeps its representative in its memo, never itself."""
+    memo = x._memo
+    if "rep" not in memo:
+        if isinstance(x, Bimodule):
+            alg, key = x.right_algebra, (
+                id(x.left_algebra), x.dim, tuple(m.rows for m in x.left_action_matrices),
+                tuple(m.rows for m in x.right_action_matrices))
+        else:
+            alg, key = x.algebra, (x.dim, tuple(m.rows for m in x.action))
+        rep = _once(alg._modules, "reps", weakref.WeakValueDictionary).setdefault(key, x)
+        memo["rep"] = None if rep is x else rep
+    return memo["rep"] or x
+
+
+def _checked(x):
+    """Check x's laws once per representative: they hold for x iff they hold
+    for it.  A failing check stores nothing, so it raises every time."""
+    _once(_rep(x)._memo, "checked", x._validate)
+
+
 class RightModule:
     """Right module over a fixed algebra, given by one matrix per basis element."""
 
@@ -105,7 +136,7 @@ class RightModule:
                 raise DimensionMismatch("action matrix shape != module dim")
         self.action = action
         if _validate:
-            self._validate()
+            _checked(self)
 
     def _validate(self):
         """rho(1) = id and rho(g b) = rho(g) rho(b) for every algebra generator
@@ -242,7 +273,7 @@ class Bimodule:
             raise DimensionMismatch("right action count")
         self._memo = {}
         if _validate:
-            self._validate()
+            _checked(self)
 
     def _validate(self):
         if self.dim == 0:
@@ -384,10 +415,17 @@ def hom_space(m, n):
     """Deterministic basis of Hom_A(m, n) as a list of ModuleMaps: the kernel
     of rho_m(g) F = F rho_n(g) over the generators g, or out of a
     `projective_module` the same basis read off by Yoneda, Hom(e_v A, n) = n e_v.
-    Computed once per pair of objects (kept on m); each call gets a new list."""
+    Computed once per pair of representatives and kept on m for the pair of
+    objects; each call gets a new list."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom_space needs one algebra")
-    return list(_once(m._memo, ("hom", id(n)), lambda: (n, _hom_basis(m, n)))[1])
+
+    def build():
+        rm, rn = _rep(m), _rep(n)
+        if rm is m and rn is n:
+            return _hom_basis(m, n)
+        return tuple(ModuleMap(m, n, mp.matrix, _validate=False) for mp in hom_space(rm, rn))
+    return list(_once(m._memo, ("hom", id(n)), lambda: (n, build()))[1])
 
 
 def _hom_basis(m, n):
@@ -439,18 +477,16 @@ def tensor_over(m, n, _validate=True):
     (x.b (x) y - x (x) b.y), with the induced outer actions.  When m wraps a
     `projective_module`, the relations are read off by Yoneda instead of
     solved for (`_yoneda_basis`); the result is the same.  Computed once per
-    pair of objects (kept on m); a product first built unchecked is checked
-    when a later call asks for the check.
+    pair of representatives (kept on m's); a product first built unchecked is
+    checked when a later call asks for the check.
     """
-    m = as_bimodule(m)
-    n = as_bimodule(n)
+    m, n = _rep(as_bimodule(m)), _rep(as_bimodule(n))
     if m.right_algebra != n.left_algebra:
         raise AlgebraMismatch("tensor_over: middle algebra mismatch")
-    entry = _once(m._memo, ("tensor", id(n)), lambda: [n, _tensor(m, n), False])
-    if _validate and not entry[2]:
-        entry[1].bimodule._validate()
-        entry[2] = True
-    return entry[1]
+    tp = _once(m._memo, ("tensor", id(n)), lambda: (n, _tensor(m, n)))[1]
+    if _validate:
+        _checked(tp.bimodule)
+    return tp
 
 
 def _tensor(m, n):
@@ -674,7 +710,7 @@ def vertex_projective(a, v_index):
             mod, incl = submodule_from_rows(
                 regular, a.left_mult_matrix(a.basic.idempotent_coords[v_index]))
             basis = incl.matrix
-        mod._validate()    # neither the regular action nor the products were checked
+        _checked(mod)    # neither the regular action nor the products were checked
         return mod, basis
     return _once(a._modules, v_index, build)
 
@@ -783,8 +819,8 @@ def iso_test(m, n, cap=200_000):
     if m.dim != n.dim:
         return IsoResult(False)
     d = m.dim
-    if d == 0:
-        return IsoResult(True, Matrix(m.field, [], ncols=0))
+    if d == 0 or _rep(m) is _rep(n):
+        return IsoResult(True, Matrix.identity(m.field, d))
     # isomorphic modules have isomorphic tops: compare dim (M / M rad) e_v
     if m.algebra.basic is not None and _top_dims(m) != _top_dims(n):
         return IsoResult(False)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -299,6 +300,15 @@ def test_linear_combination_and_unit_vector(field):
     expected = mats[0].scale(coeffs[0]).add(mats[2].scale(coeffs[2]))
     assert linear_combination(coeffs, mats, field, 2, 3) == expected
     assert linear_combination([0] * 3, mats, field, 2, 3) == Matrix.zeros(field, 2, 3)
+    # a unit vector gives the matrix itself, and every combination the sum
+    for j in range(3):
+        assert linear_combination(unit_vector(3, j), mats, field, 2, 3) is mats[j]
+    for combo in itertools.product([0, 1, 2, -1, Fraction(1, 2)], repeat=3):
+        coeffs = [field.coerce(c) for c in combo]
+        want = Matrix.zeros(field, 2, 3)
+        for c, m in zip(coeffs, mats):
+            want = want.add(m.scale(c))
+        assert linear_combination(coeffs, mats, field, 2, 3) == want
     assert unit_vector(3, 1) == (0, 1, 0)
     for n in range(7):
         for i in range(n):

@@ -1,5 +1,8 @@
+import gc
+import itertools
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -303,8 +306,12 @@ def test_iso_test_separates_tops_without_the_grid():
     assert proj.dim == semi.dim == 3 and hom_space(proj, semi)
     for m, n in ((proj, semi), (semi, proj)):
         assert not iso_test(m, n, cap=0)
+    # an isomorphic module in another basis needs the grid
+    g, g_inv = (Matrix(QQ, [[1, t, 0], [0, 1, 0], [0, 0, 1]]) for t in (1, -1))
+    moved = RightModule(a, 3, [g.mul(x).mul(g_inv) for x in proj.action])
+    assert moved != proj
     with pytest.raises(Inconclusive):
-        iso_test(proj, proj, cap=0)
+        iso_test(proj, moved, cap=0)
 
 
 def test_iso_test_over_f5():
@@ -600,10 +607,11 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch):
     """Every level of the resolutions of the simples, of A and (over A^e) of
     A as a bimodule is a tagged projective_module; Hom and (x) out of it
     must equal, bit for bit and in order, those out of an untagged copy of
-    the same module, which go through the Sylvester systems.  A new tagged
-    copy of the level for each call, with nothing memoised on it, shows that
-    every one of these Hom spaces and (x) goes through `_yoneda_basis`; the
-    (memoised) answers out of the level itself must be the same."""
+    the same module, which go through the Sylvester systems.  The builders
+    `_hom_basis` and `_tensor` memoise nothing, so calling them on the level
+    shows that every one of these Hom spaces and (x) goes through
+    `_yoneda_basis` exactly once, and on the copy that Sylvester does not;
+    the memoised answers out of the level and the copy must be the same."""
     yoneda = []
     real = modules._yoneda_basis
     monkeypatch.setattr(modules, "_yoneda_basis",
@@ -622,23 +630,22 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch):
             if p.dim == 0:
                 continue
             assert p.summand_tags is not None
-
-            def fresh():
-                copy = RightModule(p.algebra, p.dim, p.action, _validate=False)
-                copy.summand_tags = p.summand_tags
-                return copy
             plain = RightModule(p.algebra, p.dim, p.action, _validate=False)
             assert plain == p and plain.summand_tags is None
             for n in targets + [m] + res.modules:
                 before = len(yoneda)
-                fast = hom_space(fresh(), n)
+                fast = modules._hom_basis(p, n)
                 assert len(yoneda) == before + (n.dim > 0)
-                for other in (hom_space(plain, n), hom_space(p, n)):
+                slow = modules._hom_basis(plain, n)
+                assert len(yoneda) == before + (n.dim > 0)
+                for other in (slow, hom_space(plain, n), hom_space(p, n)):
                     assert [x.matrix for x in fast] == [x.matrix for x in other]
             before = len(yoneda)
-            fast = tensor_over(as_bimodule(fresh()), left)
+            fast = modules._tensor(as_bimodule(p), left)
             assert len(yoneda) == before + 1
-            for other in (tensor_over(as_bimodule(plain), left),
+            slow = modules._tensor(as_bimodule(plain), left)
+            assert len(yoneda) == before + 1
+            for other in (slow, tensor_over(as_bimodule(plain), left),
                           tensor_over(as_bimodule(p), left)):
                 assert fast.projection == other.projection
                 assert fast.section_indices == other.section_indices
@@ -742,8 +749,11 @@ def test_iso_test_computes_each_top_once(monkeypatch):
     verdicts = [bool(iso_test(m, n)) for m, n in pairs]
     assert verdicts == [True, False, False, False]
     assert sorted(map(id, calls)) == sorted({id(p), id(s)})
-    # a copy of a module has its own top, computed once
-    assert iso_test(q, RightModule(a, q.dim, q.action)) and len(calls) == 4
+    # a content-equal copy needs no top; a copy over a second instance of
+    # the algebra has its own top, computed once
+    assert iso_test(q, RightModule(a, q.dim, q.action)) and len(calls) == 2
+    copy = RightModule(kronecker_algebra(), q.dim, q.action)
+    assert iso_test(q, copy) and iso_test(copy, q) and len(calls) == 4
 
 
 # -- things built once, and Hom and (x) memoised on their arguments -------------
@@ -805,10 +815,15 @@ def test_tensor_memo_checks_a_product_first_built_unchecked(field, monkeypatch):
     real = Bimodule._validate
     monkeypatch.setattr(Bimodule, "_validate", lambda self: checked.append(self) or real(self))
     good = Bimodule(a, a, 2, (ident, n), (ident, n))
-    tp = tensor_over(good, reg, _validate=False)
-    assert checked == [good]
-    assert tensor_over(good, reg) is tp and tensor_over(good, reg) is tp
-    assert checked == [good, tp.bimodule]
+    zero = Matrix.zeros(field, 2, 2)
+    flat = Bimodule(a, a, 2, (ident, zero), (ident, zero))    # k^2, x acting by 0
+    tp = tensor_over(flat, flat, _validate=False)             # k^4, equal to no other
+    assert checked == [good, flat] and tp.bimodule.dim == 4
+    assert tensor_over(flat, flat) is tp and tensor_over(flat, flat) is tp
+    assert checked == [good, flat, tp.bimodule]
+    # M (x)_A A equals M, which was checked when it was built
+    assert tensor_over(good, reg).bimodule == good
+    assert checked == [good, flat, tp.bimodule]
 
 
 def test_module_content_hash_is_formatted_once_with_the_same_bytes(monkeypatch):
@@ -861,3 +876,123 @@ def test_memo_hits_equal_fresh_computations_on_copies(make):
         assert all(_same_entries(u, v) for u, v in zip(
             x.left_action_matrices + x.right_action_matrices,
             y.left_action_matrices + y.right_action_matrices))
+
+
+# -- Hom, (x) and law checks once per content -----------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_content_equal_copies_share_hom_tensor_and_check(field, monkeypatch):
+    """Copies with equal actions over one algebra instance, sharing their
+    matrices or not, cost one Hom basis, one tensor product and one law check
+    between them; copies over a second instance of the algebra cost their own."""
+    hom, tens, checks = [], [], []
+    real_hom, real_tensor, real_check = modules._hom_basis, modules._tensor, RightModule._validate
+    monkeypatch.setattr(modules, "_hom_basis", lambda m, n: hom.append(1) or real_hom(m, n))
+    monkeypatch.setattr(modules, "_tensor", lambda m, n: tens.append(1) or real_tensor(m, n))
+    monkeypatch.setattr(RightModule, "_validate",
+                        lambda self: checks.append(self) or real_check(self))
+    for a in (kronecker_algebra(field), kronecker_algebra(field)):
+        acts = direct_sum(simple_modules(a)).action
+        reg = regular_bimodule(a)
+        before = len(checks)
+        mods = [RightModule(a, 2, acts), RightModule(a, 2, acts), RightModule(
+            a, 2, [Matrix(field, [list(r) for r in m.rows]) for m in acts])]
+        assert checks[before:] == [mods[0]]
+        assert mods[2].action[1].rows[0] is not acts[1].rows[0]
+        before = len(hom)
+        bases = [(x, y, hom_space(x, y)) for x, y in itertools.product(mods, mods)]
+        assert len(hom) == before + 1
+        want = [mp.matrix for mp in bases[0][2]]
+        assert len(want) == 2
+        for x, y, maps in bases:
+            assert [mp.matrix for mp in maps] == want
+            assert all(mp.source is x and mp.target is y for mp in maps)
+        before = len(tens)
+        prods = [tensor_over(x, reg) for x in mods]
+        assert len(tens) == before + 1 and all(tp is prods[0] for tp in prods)
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_a_module_that_fails_its_check_raises_on_every_construction(field):
+    """A failed check stores nothing on the representative, here an unchecked
+    copy kept alive, so every checked copy raises again."""
+    a = dual_numbers(field)        # basis 1, x with x^2 = 0
+    ident = Matrix.identity(field, 2)
+    kept = RightModule(a, 2, (ident, ident), _validate=False)    # rho(x)^2 != 0
+    assert hom_space(kept, kept)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="incompatibility"):
+            RightModule(a, 2, (ident, ident))
+    n = Matrix(field, [[0, 1], [0, 0]])
+    bad = Bimodule(a, a, 2, (ident, n.transpose()), (ident, n), _validate=False)
+    tensor_over(bad, regular_bimodule(a), _validate=False)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="do not commute"):
+            Bimodule(a, a, 2, (ident, n.transpose()), (ident, n))
+
+
+def test_a_request_leaves_nothing_in_the_representative_tables(tmp_path, capsys, monkeypatch):
+    """The tables are weak: after a command and a collection, no module or
+    bimodule of the request is alive, also none that was kept in a table of
+    the process-wide ground-field algebra."""
+    from recollab.cli import main
+    from test_cli import _doc, _write
+
+    def is_global(alg):
+        return any(alg is t or alg is t._opposite for t in modules._TRIVIAL_CACHE.values())
+
+    def algebras(x):
+        return ((x.left_algebra, x.right_algebra) if isinstance(x, Bimodule)
+                else (x.algebra,))
+
+    seen, in_global_table = [], []
+    real = modules._rep
+
+    def spy(x):
+        seen.append(weakref.ref(x))
+        if is_global(algebras(x)[-1]) and not all(map(is_global, algebras(x))):
+            in_global_table.append(1)
+        return real(x)
+    def foreign_in_global_tables():
+        return sum(not all(map(is_global, algebras(x)))
+                   for t in list(modules._TRIVIAL_CACHE.values()) for alg in (t, t._opposite)
+                   if alg is not None for x in alg._modules.get("reps", {}).values())
+
+    monkeypatch.setattr(modules, "_rep", spy)
+    gc.collect()
+    before = foreign_in_global_tables()
+    path = _write(tmp_path, _doc("a2"))
+    assert main(["verify", path, "--idempotent", "e:2", "--max-degree", "3",
+                 "--cutoff", "4"]) == 0
+    capsys.readouterr()
+    assert in_global_table and len(seen) > 100
+    gc.collect()
+    alive = [x for x in (r() for r in seen) if x is not None]
+    assert all(all(map(is_global, algebras(x))) for x in alive)
+    assert foreign_in_global_tables() <= before
+    # a module keeps its representative, never itself: no reference cycle
+    s = simple_modules(kronecker_algebra())[0]
+    gc.disable()
+    try:
+        for algebra in (s.algebra, kronecker_algebra()):
+            m = RightModule(algebra, s.dim, s.action)
+            assert (modules._rep(m) is s) == (algebra is s.algebra)
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_iso_test_identity_witness_has_full_rank(field):
+    """Content-equal modules over one instance are isomorphic by the
+    identity, found before the tops and the grid (cap 0)."""
+    a = kronecker_algebra(field)
+    for m in simple_modules(a) + [regular_module(a), zero_module(a)]:
+        copy = RightModule(a, m.dim, m.action)
+        res = iso_test(m, copy, cap=0)
+        assert res and res.witness == Matrix.identity(field, m.dim)
+        assert rank(res.witness) == m.dim
+        ModuleMap(m, copy, res.witness)
