@@ -533,9 +533,7 @@ def from_quiver(q, field_tag, degree_bound=32, path_budget=20000):
         radical_rows=rad_rows,
         generator_coords=gens,
     )
-    alg = Algebra(f, struct, tuple(unit), labels=labels, basic=basic)
-    alg.quiver = q
-    return alg
+    return Algebra(f, struct, tuple(unit), labels=labels, basic=basic)
 
 
 # --------------------------------------------------------------------------

@@ -308,20 +308,6 @@ class ResolutionCache:
 # --------------------------------------------------------------------------
 
 
-def _les_to_json(rep, with_matrices=False):
-    out = {
-        "terms": [{"label": t.label, "degree": t.degree, "dim": t.dim}
-                  for t in rep.terms],
-        "joints": [{"index": j.index, "exact": j.exact, "assessed": j.assessed,
-                    "rank_in": j.rank_in, "rank_out": j.rank_out,
-                    "composite_zero": j.composite_zero} for j in rep.joints],
-        "exact": rep.exact,
-    }
-    if with_matrices:
-        out["maps"] = [m.to_str_rows() for m in rep.maps]
-    return out
-
-
 def _report_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -418,43 +404,12 @@ def cmd_verify(args):
         }
         _emit(args, payload)
         return EXIT_PRECONDITION
-    falsified = False
-    suites_out = {}
-    for suite in SUITES:
-        if suite not in wanted:
-            continue
-        if suite == "keller":
-            rep = keller_homology(r, args.max_degree)
-            suites_out["keller"] = {
-                "les": _les_to_json(rep.les, args.with_matrices),
-                "identification_eAe": rep.side2_identification,
-                "identification_quotient": rep.side1_identification,
-                "additivity": rep.additivity,
-                "perfect_status": rep.perfect_status,
-                "ok": rep.ok,
-            }
-            falsified = falsified or not rep.ok
-        elif suite == "cohomology":
-            rep = cohomology_les(r, args.max_degree)
-            suites_out["cohomology"] = {
-                "covariant": _les_to_json(rep.seq_covariant, args.with_matrices),
-                "contravariant": _les_to_json(rep.seq_contravariant,
-                                              args.with_matrices),
-                "mixed": _les_to_json(rep.seq_mixed, args.with_matrices),
-                "orthogonality": rep.orthogonality,
-                "identification_quotient": rep.identification_quotient,
-                "identification_corner": rep.identification_corner,
-                "ok": rep.ok,
-            }
-            falsified = falsified or not rep.ok
-        elif suite == "smoothness":
-            rep = smoothness_equivalence(r, cutoff=args.cutoff)
-            suites_out["smoothness"] = rep.as_dict()
-            falsified = falsified or rep.verdict == "FALSIFIED"
-        elif suite == "gldim":
-            rep = gldim_equivalence(r, cutoff=args.cutoff)
-            suites_out["gldim"] = rep.as_dict()
-            falsified = falsified or rep.verdict == "FALSIFIED"
+    run = {"keller": lambda: keller_homology(r, args.max_degree),
+           "cohomology": lambda: cohomology_les(r, args.max_degree),
+           "smoothness": lambda: smoothness_equivalence(r, cutoff=args.cutoff),
+           "gldim": lambda: gldim_equivalence(r, cutoff=args.cutoff)}
+    reports = {suite: run[suite]() for suite in SUITES if suite in wanted}
+    falsified = not all(rep.ok for rep in reports.values())
     payload = {
         "schema": "recollab.verify.v1",
         "input_sha256": _doc_hash(doc),
@@ -467,7 +422,8 @@ def cmd_verify(args):
         "perfect": {"status": r.perfect.status, "pd": r.perfect.pd.label()},
         "degenerate_quotient": r.is_degenerate_quotient,
         "certificate_ok": r.certificate.ok,
-        "suites": suites_out,
+        "suites": {suite: rep.as_dict(args.with_matrices)
+                   for suite, rep in reports.items()},
         "falsified": falsified,
     }
     if args.timings:
@@ -513,6 +469,14 @@ def cmd_hochschild(args):
 # --------------------------------------------------------------------------
 
 
+def _degree(text):
+    """A degree bound from the command line: an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 @functools.cache
 def build_parser():
     # parse_args leaves the parser unchanged, so one serves every call
@@ -531,7 +495,7 @@ def build_parser():
             sp.add_argument("--idempotent", required=True,
                             help='e.g. "e:2", "e:1+3", or "[0,1,0]"')
         if degrees:
-            sp.add_argument("--max-degree", type=int, default=6)
+            sp.add_argument("--max-degree", type=_degree, default=6)
 
     d = sub.add_parser("define", help="parse a file and summarize the algebra")
     common(d)
@@ -544,7 +508,7 @@ def build_parser():
     v = sub.add_parser("verify", help="run theorem-instance verifier suites")
     common(v, idempotent=True, degrees=True)
     v.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    v.add_argument("--cutoff", type=int, default=8)
+    v.add_argument("--cutoff", type=_degree, default=8)
     v.add_argument("--with-matrices", action="store_true",
                    help="embed LES matrices in the report")
     v.add_argument("--timings", action="store_true",
@@ -587,6 +551,10 @@ def main(argv=None):
     except CertificationFailed as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
+    except OSError as exc:
+        # an unwritable --report, --cache-dir or RECOLLAB_CACHE_DIR
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -124,7 +124,7 @@ def _tensor_complex(res, t, n_max):
     diffs = {}
     level_data = []
     for nlev in range(min(res.depth, n_max) + 1):
-        tp = tensor_over(as_bimodule(res.modules[nlev]), t, _validate=False)
+        tp = tensor_over(res.modules[nlev], t, _validate=False)
         level_data.append(tp)
         dims[-nlev] = tp.bimodule.dim
     for nlev in range(1, len(level_data)):
@@ -143,7 +143,7 @@ def tor(m, n, n_max, resolve="left"):
     give the same dimensions (balancedness), which the test suite asserts.
     """
     m_bim = as_bimodule(m)
-    n_bim = n if isinstance(n, Bimodule) else as_bimodule(n)
+    n_bim = as_bimodule(n)
     if m_bim.right_algebra != n_bim.left_algebra:
         raise AlgebraMismatch("tor: middle algebra mismatch")
     if resolve == "right":
@@ -465,35 +465,49 @@ class LesReport:
     joints: list
     exact: bool
 
+    def as_dict(self, with_matrices=False):
+        out = {
+            "terms": [{"label": t.label, "degree": t.degree, "dim": t.dim}
+                      for t in self.terms],
+            "joints": [{"index": j.index, "exact": j.exact, "assessed": j.assessed,
+                        "rank_in": j.rank_in, "rank_out": j.rank_out,
+                        "composite_zero": j.composite_zero} for j in self.joints],
+            "exact": self.exact,
+        }
+        if with_matrices:
+            out["maps"] = [m.to_str_rows() for m in self.maps]
+        return out
 
-def _snake_les(sub_cx, mid_cx, quot_cx, incs, prjs, degrees, labels,
-               sections=None):
-    """LES of cohomology of a degreewise-exact SES of vector-space complexes.
+
+def _snake_les(cxs, incs, prjs, degrees, labels, sections=None, moved=None,
+               closed_end=False):
+    """LES of cohomology of a degreewise-exact SES of vector-space complexes
+    cxs = (sub, mid, quot), assessed joint by joint.
 
     incs/prjs: dicts degree -> matrices of the chain maps.  The connecting map
     lifts a quotient cycle through the (provided or solved) section, applies
-    the middle differential, and pulls back along the inclusion.
+    the middle differential, and pulls back along the inclusion.  moved maps n
+    to (T_n, T_n^-1), T_n an isomorphism from the reported third column onto
+    H^n(quot): the map into that column is followed by T_n^-1 and the
+    connecting map out of it is preceded by T_n.
     """
+    sub_cx, mid_cx, quot_cx = cxs
     terms = []
     maps = []
     for pos, n in enumerate(degrees):
-        hs = sub_cx.cohomology(n)
-        hm = mid_cx.cohomology(n)
-        hq = quot_cx.cohomology(n)
-        terms.append(LesTerm(labels[0], n, hs[2]))
-        terms.append(LesTerm(labels[1], n, hm[2]))
-        terms.append(LesTerm(labels[2], n, hq[2]))
+        terms += [LesTerm(label, n, cx.cohomology(n)[2]) for label, cx in zip(labels, cxs)]
         maps.append(sub_cx.map_on_cohomology(mid_cx, incs, n))
-        maps.append(mid_cx.map_on_cohomology(quot_cx, prjs, n))
-        nxt = degrees[pos + 1] if pos + 1 < len(degrees) else None
-        if nxt is not None:
-            maps.append(_connecting(sub_cx, mid_cx, quot_cx, incs, prjs,
-                                    n, nxt, sections))
-    return terms, maps
+        prj = mid_cx.map_on_cohomology(quot_cx, prjs, n)
+        maps.append(prj.mul(moved[n][1]) if moved else prj)
+        if pos + 1 < len(degrees):
+            delta = _connecting(cxs, incs, prjs, n, degrees[pos + 1], sections)
+            maps.append(moved[n][0].mul(delta) if moved else delta)
+    return _assemble_report(terms, maps, closed_end)
 
 
-def _connecting(sub_cx, mid_cx, quot_cx, incs, prjs, n, n_next, sections):
+def _connecting(cxs, incs, prjs, n, n_next, sections):
     """delta: H^n(quot) -> H^{n_next}(sub) by the snake chase."""
+    sub_cx, mid_cx, quot_cx = cxs
     f = mid_cx.field
     _, _, hq, reps = quot_cx.cohomology(n)
     h_next = sub_cx.cohomology(n_next)[2]
@@ -511,22 +525,19 @@ def _connecting(sub_cx, mid_cx, quot_cx, incs, prjs, n, n_next, sections):
     return sub_cx.coords_on_cohomology(n_next, pulled)
 
 
-def _assemble_report(terms, maps, closed_start=False, closed_end=False):
+def _assemble_report(terms, maps, closed_end=False):
     """Per-joint exactness: composite zero and rank(in) + rank(out) = dim.
 
-    closed_start/closed_end declare that the sequence is genuinely bounded by
-    zero there (so the missing map is the zero map, and the joint is still
-    assessable); otherwise the boundary joint is marked unassessed (window
-    truncation)."""
+    A sequence is genuinely bounded by zero at one end (so the missing map
+    there is the zero map, and the joint is still assessable): at its end
+    when closed_end, else at its start.  The joint at the other end is marked
+    unassessed (window truncation)."""
     joints = []
     all_ok = True
     for i, t in enumerate(terms):
         incoming = maps[i - 1] if i >= 1 else None
         outgoing = maps[i] if i < len(maps) else None
-        if incoming is None and not closed_start:
-            joints.append(LesJoint(i, True, 0, 0, True, False))
-            continue
-        if outgoing is None and not closed_end:
+        if (incoming is None and closed_end) or (outgoing is None and not closed_end):
             joints.append(LesJoint(i, True, 0, 0, True, False))
             continue
         ri = rank(incoming) if incoming is not None else 0
@@ -579,7 +590,7 @@ def les_from_ses(ses, t, variance, n_max, labels=None):
 def _les_tensor(ses, t, n_max, labels):
     labels = labels or ("Tor(sub)", "Tor(mid)", "Tor(quot)")
     hs = horseshoe(ses, n_max + 1)
-    t_bim = t if isinstance(t, Bimodule) else as_bimodule(t)
+    t_bim = as_bimodule(t)
     (sub_cx, sub_tp), (mid_cx, mid_tp), (quot_cx, quot_tp) = (
         _tensor_complex(r, t_bim, n_max + 1) for r in (hs.res_sub, hs.res_mid, hs.res_quot))
 
@@ -596,9 +607,8 @@ def _les_tensor(ses, t, n_max, labels):
     # report Tor_{n_max} first, down to Tor_0; connecting maps go from
     # Tor_n(quot) to Tor_{n-1}(sub), i.e. from degree -n to -(n-1)
     degrees_desc = [-n for n in range(n_max, -1, -1)]
-    terms, maps = _snake_les(sub_cx, mid_cx, quot_cx, incs, prjs,
-                             degrees_desc, labels, sections=secs)
-    return _assemble_report(terms, maps, closed_start=False, closed_end=True)
+    return _snake_les((sub_cx, mid_cx, quot_cx), incs, prjs, degrees_desc, labels,
+                      sections=secs, closed_end=True)
 
 
 class HomGrid:
@@ -651,9 +661,8 @@ def _les_contra(ses, t, n_max, labels):
     secs = grid.induced(("sub", "T"), ("mid", "T"), pre=hs.split_retracts)
     quot_cx, mid_cx, sub_cx = (grid.cx(u, "T") for u in ("quot", "mid", "sub"))
     _verify_ses_of_complexes(quot_cx, mid_cx, sub_cx, incs, prjs, list(range(n_max + 2)))
-    terms, maps = _snake_les(quot_cx, mid_cx, sub_cx, incs, prjs,
-                             list(range(n_max + 1)), labels, sections=secs)
-    return _assemble_report(terms, maps, closed_start=True, closed_end=False)
+    return _snake_les((quot_cx, mid_cx, sub_cx), incs, prjs, list(range(n_max + 1)),
+                      labels, sections=secs)
 
 
 def _les_cov(ses, t, n_max, labels):
@@ -665,6 +674,5 @@ def _les_cov(ses, t, n_max, labels):
     prjs = grid.induced(("T", "mid"), ("T", "quot"), post=ses.projection.matrix)
     sub_cx, mid_cx, quot_cx = (grid.cx("T", v) for v in ("sub", "mid", "quot"))
     _verify_ses_of_complexes(sub_cx, mid_cx, quot_cx, incs, prjs, list(range(n_max + 2)))
-    terms, maps = _snake_les(sub_cx, mid_cx, quot_cx, incs, prjs,
-                             list(range(n_max + 1)), labels, sections=None)
-    return _assemble_report(terms, maps, closed_start=True, closed_end=False)
+    return _snake_les((sub_cx, mid_cx, quot_cx), incs, prjs, list(range(n_max + 1)),
+                      labels)

@@ -546,8 +546,8 @@ def hom_module(u, m):
     is a bimodule.  Returns a Bimodule over (C, B), with C trivial when M is a
     plain right module.
     """
-    u = u if isinstance(u, Bimodule) else as_bimodule(u)
-    mbim = m if isinstance(m, Bimodule) else as_bimodule(m)
+    u = as_bimodule(u)
+    mbim = as_bimodule(m)
     if u.right_algebra != mbim.right_algebra:
         raise AlgebraMismatch("hom_module: right algebras differ")
     maps = hom_space(u.restrict_right(), mbim.restrict_right())
@@ -735,7 +735,6 @@ class ProjectiveCover:
     module: RightModule          # the cover P = (+) e_v A
     surjection: ModuleMap        # P -> m
     summands: tuple              # vertex index per summand
-    offsets: tuple               # starting coordinate of each summand inside P
 
 
 def projective_cover(m):
@@ -763,16 +762,14 @@ def projective_cover(m):
     summands = tuple(v_idx for _, v_idx in chosen)
     P = projective_module(a, summands)
     rows = []
-    offsets = []
     for gen, v_idx in chosen:
-        offsets.append(len(rows))
         for w in vertex_projective(a, v_idx)[1].rows:    # an element e_v x of A
             act = linear_combination(w, m.action, f, m.dim, m.dim)
             rows.append(combine_rows(act, enumerate(gen)))
     surj = ModuleMap(P, m, Matrix(f, rows, ncols=m.dim), _validate=False)
     if rank(surj.matrix) != m.dim:
         raise ValueError("projective cover failed to surject")
-    return ProjectiveCover(P, surj, summands, tuple(offsets))
+    return ProjectiveCover(P, surj, summands)
 
 
 def is_projective(m):

@@ -21,6 +21,7 @@ from .homology import (
     _assemble_report,
     HomGrid,
     _connecting,
+    _snake_les,
     hochschild_cohomology,
     hochschild_dimension,
     hochschild_homology,
@@ -56,15 +57,22 @@ class KellerReport:
     exact: bool
     ok: bool
 
-    def as_dict(self):
+    def as_dict(self, with_matrices=False):
         return {
-            "les_exact": self.exact,
+            "les": self.les.as_dict(with_matrices),
             "identification_eAe": self.side2_identification,
             "identification_quotient": self.side1_identification,
             "additivity": self.additivity,
             "perfect_status": self.perfect_status,
             "ok": self.ok,
         }
+
+
+def _identify(dim, hh, n_max, key):
+    """Per degree n <= n_max: dim(n), reported under key, against HH_n or
+    HH^n of a side."""
+    return [{"degree": n, key: dim(n), "hh_dim": hh.dim(n), "match": dim(n) == hh.dim(n)}
+            for n in range(n_max + 1)]
 
 
 def keller_homology(r, n_max=6):
@@ -75,27 +83,17 @@ def keller_homology(r, n_max=6):
                        labels=("Tor(AeA,A)", "HH(A)", "Tor(A/AeA,A)"))
     hh_a2 = hochschild_homology(r.a2, n_max)
     hh_a1 = hochschild_homology(r.a1, n_max)
-    col = {lab: {} for lab in ("Tor(AeA,A)", "HH(A)", "Tor(A/AeA,A)")}
-    for term in les.terms:
-        col[term.label][-term.degree] = term.dim
-    id2 = []
-    id1 = []
+    col = {(term.label, -term.degree): term.dim for term in les.terms}
+    id2 = _identify(lambda n: col["Tor(AeA,A)", n], hh_a2, n_max, "tor_dim")
+    id1 = _identify(lambda n: col["Tor(A/AeA,A)", n], hh_a1, n_max, "tor_dim")
     additivity = []
-    ok = les.exact
-    for n in range(n_max + 1):
-        m2 = col["Tor(AeA,A)"].get(n, 0) == hh_a2.dim(n)
-        m1 = col["Tor(A/AeA,A)"].get(n, 0) == hh_a1.dim(n)
-        id2.append({"degree": n, "tor_dim": col["Tor(AeA,A)"].get(n, 0),
-                    "hh_dim": hh_a2.dim(n), "match": m2})
-        id1.append({"degree": n, "tor_dim": col["Tor(A/AeA,A)"].get(n, 0),
-                    "hh_dim": hh_a1.dim(n), "match": m1})
-        ok = ok and m1 and m2
-        if r.perfect.status == "verified":
-            lhs = col["HH(A)"].get(n, 0)
+    if r.perfect.status == "verified":
+        for n in range(n_max + 1):
+            lhs = col["HH(A)", n]
             rhs = hh_a1.dim(n) + hh_a2.dim(n)
             additivity.append({"degree": n, "hh_mid": lhs, "hh_sum": rhs,
                                "match": lhs == rhs})
-            ok = ok and lhs == rhs
+    ok = les.exact and all(row["match"] for row in id2 + id1 + additivity)
     return KellerReport(les, id2, id1, additivity, r.perfect.status, les.exact, ok)
 
 
@@ -115,13 +113,18 @@ class CohomologyLesReport:
     orthogonality: list            # Ext^n(AeA, A/AeA) = 0 checks
     identification_quotient: list  # Ext(Z,Z) vs HH(A/AeA) dims
     identification_corner: list    # Ext(X,X) vs HH(eAe) dims
-    mixed_sign: int
     ok: bool
 
-    def reports(self):
-        return {"covariant": self.seq_covariant,
-                "contravariant": self.seq_contravariant,
-                "mixed": self.seq_mixed}
+    def as_dict(self, with_matrices=False):
+        return {
+            "covariant": self.seq_covariant.as_dict(with_matrices),
+            "contravariant": self.seq_contravariant.as_dict(with_matrices),
+            "mixed": self.seq_mixed.as_dict(with_matrices),
+            "orthogonality": self.orthogonality,
+            "identification_quotient": self.identification_quotient,
+            "identification_corner": self.identification_corner,
+            "ok": self.ok,
+        }
 
 
 def _invert(mat):
@@ -132,103 +135,71 @@ def _invert(mat):
     return solve_matrix(mat, ident)
 
 
+def _transport(src_cx, tgt_cx, induced, degrees, what):
+    """{n: (T_n, T_n^-1)}, T_n: H^n(src) -> H^n(tgt) the map on cohomology of
+    the chain map `induced`; what = (src, tgt) names the two Ext groups."""
+    out = {}
+    for n in degrees:
+        t = src_cx.map_on_cohomology(tgt_cx, induced, n)
+        t_inv = _invert(t)
+        if t_inv is None:
+            raise CertificationFailed(
+                f"transport Ext^{n}({what[0]}) -> Ext^{n}({what[1]}) is not invertible")
+        out[n] = (t, t_inv)
+    return out
+
+
 def cohomology_les(r, n_max=4):
     """The three long exact sequences on Hochschild cohomologies.
 
     All three are realized from the bimodule sequence 0 -> AeA -> A -> A/AeA
-    -> 0 over A^e.  The comparison maps transport the Hom-complex columns
-    through the quasi-isomorphisms that the orthogonality Ext(AeA, A/AeA) = 0
-    provides; phi_n, psi_n and phibar_n are returned as explicit matrices and
-    exactness of every joint is a rank identity."""
+    -> 0 over A^e, with X = AeA, Y = A and Z = A/AeA, as snakes of Hom
+    complexes between their resolutions and themselves.  The orthogonality
+    Ext(X, Z) = 0 makes Ext(Z, Z) -> Ext(Y, Z) and Ext(X, X) -> Ext(X, Y)
+    invertible; the covariant snake of Hom(Y, -) and the contravariant snake
+    of Hom(-, Y) report their third columns moved through these inverses, as
+    HH(A/AeA) and HH(eAe).  The mixed sequence pairs the two: its map phibar
+    is (psi, phi) and its connecting map stacks the connecting maps of the
+    snakes of Hom(-, X) and Hom(Z, -).  phi_n, psi_n and phibar_n are
+    returned as explicit matrices, and exactness of every joint is a rank
+    identity."""
     ses = _canonical_env_ses(r)
     hs = horseshoe(ses, n_max + 1)
-    # X = AeA, Y = A, Z = A/AeA over A^e
     grid = HomGrid({"X": hs.res_sub, "Y": hs.res_mid, "Z": hs.res_quot},
                    {"X": ses.sub, "Y": ses.mid, "Z": ses.quot}, n_max)
     incl_mat = r.canon.inclusion
     proj_mat = r.canon.projection
     degrees = list(range(n_max + 1))
 
-    ok = True
     # orthogonality: Ext^n(X, Z) = 0 (the hypothesis of the three-triangle lemma)
     xz_cx = grid.cx("X", "Z")
     orth = []
     for n in degrees:
         d = xz_cx.cohomology_dim(n)
         orth.append({"degree": n, "dim": d, "zero": d == 0})
-        ok = ok and d == 0
-    if not ok:
+    if not all(row["zero"] for row in orth):
         raise CertificationFailed(
             "Ext(AeA, A/AeA) does not vanish; the stratifying hypothesis failed")
+    yx_cx, yy_cx, yz_cx, zz_cx, xx_cx, xy_cx, zx_cx, zy_cx = (
+        grid.cx(u, v) for u, v in ("YX", "YY", "YZ", "ZZ", "XX", "XY", "ZX", "ZY"))
 
     # ---- sequence (1): covariant Hom(Y, -) with third column moved to Ext(Z,Z)
-    yx_cx = grid.cx("Y", "X")
-    yy_cx = grid.cx("Y", "Y")
-    yz_cx = grid.cx("Y", "Z")
-    zz_cx = grid.cx("Z", "Z")
-    xx_cx = grid.cx("X", "X")
-    xy_cx = grid.cx("X", "Y")
-    zx_cx = grid.cx("Z", "X")
-    zy_cx = grid.cx("Z", "Y")
-
     post_u_yx_yy = grid.induced(("Y", "X"), ("Y", "Y"), post=incl_mat)
     post_v_yy_yz = grid.induced(("Y", "Y"), ("Y", "Z"), post=proj_mat)
     vstar = grid.induced(("Z", "Z"), ("Y", "Z"), pre=hs.proj_mats)
-
-    phi = {}
-    v_iso = {}
-    for n in degrees:
-        V = zz_cx.map_on_cohomology(yz_cx, vstar, n)
-        Vinv = _invert(V)
-        if Vinv is None:
-            raise CertificationFailed(
-                f"transport Ext^{n}(Z,Z) -> Ext^{n}(Y,Z) is not invertible")
-        v_iso[n] = (V, Vinv)
-        M = yy_cx.map_on_cohomology(yz_cx, post_v_yy_yz, n)
-        phi[n] = M.mul(Vinv)
-    terms1 = []
-    maps1 = []
-    for n in degrees:
-        terms1.append(LesTerm("Ext(A,AeA)", n, yx_cx.cohomology_dim(n)))
-        terms1.append(LesTerm("HH(A)", n, yy_cx.cohomology_dim(n)))
-        terms1.append(LesTerm("HH(A/AeA)", n, zz_cx.cohomology_dim(n)))
-        maps1.append(yx_cx.map_on_cohomology(yy_cx, post_u_yx_yy, n))
-        maps1.append(phi[n])
-        if n + 1 in degrees:
-            delta = _connecting(yx_cx, yy_cx, yz_cx, post_u_yx_yy, post_v_yy_yz,
-                                n, n + 1, None)
-            maps1.append(v_iso[n][0].mul(delta))
-    seq1 = _assemble_report(terms1, maps1, closed_start=True, closed_end=False)
+    seq1 = _snake_les((yx_cx, yy_cx, yz_cx), post_u_yx_yy, post_v_yy_yz, degrees,
+                      ("Ext(A,AeA)", "HH(A)", "HH(A/AeA)"),
+                      moved=_transport(zz_cx, yz_cx, vstar, degrees, ("Z,Z", "Y,Z")))
+    phi = dict(zip(degrees, seq1.maps[1::3]))
 
     # ---- sequence (2): contravariant Hom(-, Y) with third column moved to Ext(X,X)
     pre_pi_zy_yy = grid.induced(("Z", "Y"), ("Y", "Y"), pre=hs.proj_mats)
     pre_u_yy_xy = grid.induced(("Y", "Y"), ("X", "Y"), pre=hs.incl_mats)
     ustar = grid.induced(("X", "X"), ("X", "Y"), post=incl_mat)
-
-    psi = {}
-    u_iso = {}
-    for n in degrees:
-        U = xx_cx.map_on_cohomology(xy_cx, ustar, n)
-        Uinv = _invert(U)
-        if Uinv is None:
-            raise CertificationFailed(
-                f"transport Ext^{n}(X,X) -> Ext^{n}(X,Y) is not invertible")
-        u_iso[n] = (U, Uinv)
-        M = yy_cx.map_on_cohomology(xy_cx, pre_u_yy_xy, n)
-        psi[n] = M.mul(Uinv)
-    terms2 = []
-    maps2 = []
-    for n in degrees:
-        terms2.append(LesTerm("Ext(A/AeA,A)", n, zy_cx.cohomology_dim(n)))
-        terms2.append(LesTerm("HH(A)", n, yy_cx.cohomology_dim(n)))
-        terms2.append(LesTerm("HH(eAe)", n, xx_cx.cohomology_dim(n)))
-        maps2.append(zy_cx.map_on_cohomology(yy_cx, pre_pi_zy_yy, n))
-        maps2.append(psi[n])
-        if n + 1 in degrees:
-            delta = _connecting(zy_cx, yy_cx, xy_cx, pre_pi_zy_yy, pre_u_yy_xy,
-                                n, n + 1, None)
-            maps2.append(u_iso[n][0].mul(delta))
-    seq2 = _assemble_report(terms2, maps2, closed_start=True, closed_end=False)
+    seq2 = _snake_les((zy_cx, yy_cx, xy_cx), pre_pi_zy_yy, pre_u_yy_xy, degrees,
+                      ("Ext(A/AeA,A)", "HH(A)", "HH(eAe)"),
+                      moved=_transport(xx_cx, xy_cx, ustar, degrees, ("X,X", "X,Y")))
+    psi = dict(zip(degrees, seq2.maps[1::3]))
 
     # ---- sequence (3): mixed, with the pair map and a two-component connecting
     # Ext^n(Z, X) -> Ext^n(Y, Y): precompose the projection chain map and
@@ -239,18 +210,11 @@ def cohomology_les(r, n_max=4):
     pre_pi_zx_yx = grid.induced(("Z", "X"), ("Y", "X"), pre=hs.proj_mats)
     pre_u_yx_xx = grid.induced(("Y", "X"), ("X", "X"), pre=hs.incl_mats)
 
-    def delta_c(n):
-        # contravariant Hom(-, X) snake: Ext^n(X,X) -> Ext^{n+1}(Z,X)
-        return _connecting(zx_cx, yx_cx, xx_cx, pre_pi_zx_yx, pre_u_yx_xx, n, n + 1, None)
-
-    def delta_d(n):
-        # covariant Hom(Z, -) snake: Ext^n(Z,Z) -> Ext^{n+1}(Z,X)
-        return _connecting(zx_cx, zy_cx, zz_cx, post_u_zx_zy, post_v_zy_zz, n, n + 1, None)
-
     # The two-component connecting map is (delta_contra, +delta_cov) under the
     # sign conventions of this engine's snake chase (pinned on instances whose
-    # exactness determines it; a failure here is a genuine falsifier).
-    mixed_sign = 1
+    # exactness determines it; a failure here is a genuine falsifier):
+    # delta_contra is the snake of Hom(-, X), Ext^n(X,X) -> Ext^{n+1}(Z,X), and
+    # delta_cov that of Hom(Z, -), Ext^n(Z,Z) -> Ext^{n+1}(Z,X).
     terms3 = []
     maps3 = []
     phibar = {}
@@ -265,26 +229,20 @@ def cohomology_les(r, n_max=4):
         phibar[n] = pb
         maps3.append(pb)
         if n + 1 in degrees:
-            maps3.append(delta_c(n).vstack(delta_d(n)))
-    seq3 = _assemble_report(terms3, maps3, closed_start=True, closed_end=False)
+            delta_c = _connecting((zx_cx, yx_cx, xx_cx), pre_pi_zx_yx, pre_u_yx_xx,
+                                  n, n + 1, None)
+            delta_d = _connecting((zx_cx, zy_cx, zz_cx), post_u_zx_zy, post_v_zy_zz,
+                                  n, n + 1, None)
+            maps3.append(delta_c.vstack(delta_d))
+    seq3 = _assemble_report(terms3, maps3)
 
     # endpoint identifications by dimension, computed over the sides' own
     # enveloping algebras
-    hh_a1 = hochschild_cohomology(r.a1, n_max)
-    hh_a2 = hochschild_cohomology(r.a2, n_max)
-    id_q = []
-    id_c = []
-    for n in degrees:
-        mq = zz_cx.cohomology_dim(n) == hh_a1.dim(n)
-        mc = xx_cx.cohomology_dim(n) == hh_a2.dim(n)
-        id_q.append({"degree": n, "ext_dim": zz_cx.cohomology_dim(n),
-                     "hh_dim": hh_a1.dim(n), "match": mq})
-        id_c.append({"degree": n, "ext_dim": xx_cx.cohomology_dim(n),
-                     "hh_dim": hh_a2.dim(n), "match": mc})
-        ok = ok and mq and mc
-    ok = ok and seq1.exact and seq2.exact and seq3.exact
-    return CohomologyLesReport(seq1, seq2, seq3, phi, psi, phibar, orth,
-                               id_q, id_c, mixed_sign, ok)
+    id_q = _identify(zz_cx.cohomology_dim, hochschild_cohomology(r.a1, n_max), n_max, "ext_dim")
+    id_c = _identify(xx_cx.cohomology_dim, hochschild_cohomology(r.a2, n_max), n_max, "ext_dim")
+    ok = (seq1.exact and seq2.exact and seq3.exact
+          and all(row["match"] for row in id_q + id_c))
+    return CohomologyLesReport(seq1, seq2, seq3, phi, psi, phibar, orth, id_q, id_c, ok)
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +259,13 @@ class EquivalenceReport:
     verdict: str        # Consistent | ConsistentVacuous | FALSIFIED
     detail: str = ""
 
-    def as_dict(self):
+    @property
+    def ok(self):
+        return self.verdict != "FALSIFIED"
+
+    def as_dict(self, with_matrices=False):
+        """The report as JSON data (with_matrices is accepted for the common
+        signature of the suite reports; there are no matrices)."""
         return {"invariant": self.invariant, "A": self.mid, "A1": self.side1,
                 "A2": self.side2, "verdict": self.verdict, "detail": self.detail}
 
@@ -329,26 +293,24 @@ def _equivalence_verdict(va, v1, v2):
     return "ConsistentVacuous", "cutoff too small to decide the pattern"
 
 
+def _equivalence(invariant, dimension, r, cutoff):
+    """dimension(-, cutoff) of A, A1 and A2, with the verdict of the transfer
+    theorem instance for that invariant."""
+    va, v1, v2 = (dimension(x, cutoff) for x in (r.a, r.a1, r.a2))
+    verdict, detail = _equivalence_verdict(va, v1, v2)
+    return EquivalenceReport(invariant, va.label(), v1.label(), v2.label(), verdict, detail)
+
+
 def smoothness_equivalence(r, cutoff=8):
     """Hochschild dimensions of A, A1, A2 within the cutoff, with the verdict
     of the smoothness-transfer theorem instance."""
-    va = hochschild_dimension(r.a, cutoff)
-    v1 = hochschild_dimension(r.a1, cutoff)
-    v2 = hochschild_dimension(r.a2, cutoff)
-    verdict, detail = _equivalence_verdict(va, v1, v2)
-    return EquivalenceReport("hochschild_dimension", va.label(), v1.label(),
-                             v2.label(), verdict, detail)
+    return _equivalence("hochschild_dimension", hochschild_dimension, r, cutoff)
 
 
 def gldim_equivalence(r, cutoff=8):
     """Global dimensions of A, A1, A2 within the cutoff, with the verdict of
     the finite-global-dimension transfer theorem instance."""
-    va = global_dimension(r.a, cutoff)
-    v1 = global_dimension(r.a1, cutoff)
-    v2 = global_dimension(r.a2, cutoff)
-    verdict, detail = _equivalence_verdict(va, v1, v2)
-    return EquivalenceReport("global_dimension", va.label(), v1.label(),
-                             v2.label(), verdict, detail)
+    return _equivalence("global_dimension", global_dimension, r, cutoff)
 
 
 # --------------------------------------------------------------------------
@@ -361,9 +323,6 @@ class DualityReport:
     dims_match: list
     h0_iso: bool
     ok: bool
-
-    def as_dict(self):
-        return {"dims_match": self.dims_match, "h0_iso": self.h0_iso, "ok": self.ok}
 
 
 def duality_roundtrip(x):

@@ -472,3 +472,42 @@ def test_hochschild_cyc2_3_resolution_and_oracle_agree(tmp_path, capsys):
     assert report["hh"] == report["hh_cohomology"] == dims
     assert report["oracle"]["hh"] == report["oracle"]["hh_cohomology"] == dims
     assert all(report["oracle"]["agreement"].values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--idempotent", "e:2", "--max-degree", "-1"],
+    ["verify", "--idempotent", "e:2", "--cutoff", "-1"],
+    ["hochschild", "--max-degree", "-1"],
+    ["stratify", "--idempotent", "e:2", "--max-degree", "-1"],
+])
+def test_negative_degrees_are_usage_errors(argv, capsys):
+    assert main(argv[:1] + [str(DOCS / "a2.json")] + argv[1:]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and "must be >= 0, got -1" in out.err
+
+
+def test_unwritable_paths_are_one_line_usage_errors(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("RECOLLAB_CACHE_DIR", raising=False)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    a2 = str(DOCS / "a2.json")
+    for argv, env in ((["define", a2, "--report", str(blocker / "out.json")], None),
+                      (["define", a2, "--cache-dir", str(blocker / "sub")], None),
+                      (["define", a2], str(blocker))):
+        if env is not None:
+            monkeypatch.setenv("RECOLLAB_CACHE_DIR", env)
+        assert main(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == "", argv
+        assert out.err.startswith("usage error: ") and out.err.count("\n") == 1, out.err
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker", "kronecker_f5"])
+def test_verify_at_max_degree_0(name, capsys):
+    # a battery module of projective dimension 1 is not bounded within the
+    # degree-0 Tor window, so R4 does not test it against Tor_1
+    code = main(["verify", str(DOCS / f"{name}.json"), "--idempotent", "e:2",
+                 "--max-degree", "0", "--cutoff", "2"])
+    assert code == EXIT_OK, capsys.readouterr().err
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificate_ok"] is True and out["falsified"] is False

@@ -2,6 +2,7 @@ import pytest
 
 from recollab.algebra import Idempotent, opposite
 from recollab.errors import NotPerfect, NotStratifying, TransferFailed
+from recollab.exactfield import GF, QQ
 from recollab.fixtures import (
     a2_path_algebra,
     dual_numbers,
@@ -277,3 +278,16 @@ def test_euler_characteristic_battery_present():
     assert any(c.get("euler_zero") for c in r.certificate.r4_euler_checks)
     assert all(c["all_zero"] for c in r.certificate.r3_checks)
     assert all(c["equal"] for c in r.certificate.adjunction_checks)
+
+
+@pytest.mark.parametrize("builder, field", [
+    (a2_path_algebra, QQ), (kronecker_algebra, QQ), (kronecker_algebra, GF(5))])
+def test_certified_at_max_degree_0(builder, field):
+    # R4 calls a module bounded only when Tor_0..Tor_{n_max} cover its whole
+    # resolution, so the Euler sum and the flat-SES test see every Tor group
+    alg = builder(field)
+    r = from_idempotent(alg, vertex_idempotent(alg, "2"), 0)
+    assert r.certificate.ok
+    for entry in r.certificate.r4_euler_checks:
+        assert entry.get("euler_zero", True), entry
+    assert all(c["exact"] for c in r.certificate.flat_ses_checks)

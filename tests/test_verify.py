@@ -2,6 +2,8 @@ import pytest
 
 from recollab.algebra import Idempotent
 from recollab.complexes import BoundedComplex, projective_resolution
+from recollab.errors import CertificationFailed
+from recollab.exactfield import Matrix
 from recollab.fixtures import (
     a2_path_algebra,
     augmentation_bimodule,
@@ -185,3 +187,27 @@ def test_duality_roundtrip_shifted():
     x = BoundedComplex.concentrated(regular_module(a)).shift(2)
     rep = duality_roundtrip(x)
     assert rep.ok
+
+
+@pytest.mark.parametrize("call, message", [
+    (0, "transport Ext^0(Z,Z) -> Ext^0(Y,Z) is not invertible"),
+    (4, "transport Ext^0(X,X) -> Ext^0(X,Y) is not invertible"),
+])
+def test_cohomology_les_singular_transport_is_falsified(monkeypatch, call, message):
+    # at n_max = 3 sequence (1) inverts T_0..T_3 first, then sequence (2)
+    # its own; the call-th one is made singular (its H^0 is one-dimensional)
+    import recollab.verify as verify_mod
+    real, calls = verify_mod._invert, []
+
+    def invert(mat):
+        calls.append(mat)
+        if len(calls) == call + 1:
+            assert mat.nrows == mat.ncols == 1
+            mat = Matrix.zeros(mat.field, 1, 1)
+        return real(mat)
+
+    monkeypatch.setattr(verify_mod, "_invert", invert)
+    with pytest.raises(CertificationFailed) as exc:
+        cohomology_les(_r_a2(), 3)
+    assert str(exc.value) == message
+    assert len(calls) == call + 1
