@@ -469,8 +469,8 @@ def cmd_hochschild(args):
 # --------------------------------------------------------------------------
 
 
-def _degree(text):
-    """A degree bound from the command line: an integer >= 0."""
+def _nonnegative(text):
+    """A degree bound or budget from the command line: an integer >= 0."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
@@ -495,7 +495,7 @@ def build_parser():
             sp.add_argument("--idempotent", required=True,
                             help='e.g. "e:2", "e:1+3", or "[0,1,0]"')
         if degrees:
-            sp.add_argument("--max-degree", type=_degree, default=6)
+            sp.add_argument("--max-degree", type=_nonnegative, default=6)
 
     d = sub.add_parser("define", help="parse a file and summarize the algebra")
     common(d)
@@ -508,7 +508,7 @@ def build_parser():
     v = sub.add_parser("verify", help="run theorem-instance verifier suites")
     common(v, idempotent=True, degrees=True)
     v.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    v.add_argument("--cutoff", type=_degree, default=8)
+    v.add_argument("--cutoff", type=_nonnegative, default=8)
     v.add_argument("--with-matrices", action="store_true",
                    help="embed LES matrices in the report")
     v.add_argument("--timings", action="store_true",
@@ -520,7 +520,7 @@ def build_parser():
     h.add_argument("--oracle", action="store_true",
                    help="cross-check against the normalised bar complex relative to "
                         "the vertex idempotents (Gerstenhaber-Schack, Cibils)")
-    h.add_argument("--budget", type=int, default=20000,
+    h.add_argument("--budget", type=_nonnegative, default=20000,
                    help="bar oracle budget, still on the unnormalised term dim A^(n+1)")
     h.set_defaults(func=cmd_hochschild)
     return p

@@ -45,6 +45,7 @@ from .modules import (
     Bimodule,
     ModuleMap,
     RightModule,
+    _certified,
     _once,
     as_bimodule,
     regular_bimodule,
@@ -107,12 +108,13 @@ class PdVerdict:
 
 def regular_as_left_env_module(a):
     """A as a left module over A^op (x) A: (b^op (x) c) . x = c x b.  Built
-    and checked once per algebra instance."""
+    once per algebra instance and certified by the regular bimodule's check:
+    its action is that bimodule's two actions read through the Kronecker table."""
     L, R = a.basis_left_mats(), a.basis_right_mats()
-    return _once(a._modules, "left_env", lambda: Bimodule(
+    return _once(a._modules, "left_env", lambda: _certified(Bimodule(
         enveloping(a), trivial_algebra(a.field), a.dim,
         tuple(L[j].mul(R[i]) for i in range(a.dim) for j in range(a.dim)),
-        (Matrix.identity(a.field, a.dim),)))
+        (Matrix.identity(a.field, a.dim),), _validate=False), regular_bimodule(a)))
 
 
 def _tensor_complex(res, t, n_max):

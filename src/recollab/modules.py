@@ -10,7 +10,10 @@ fed to the resolution machinery.
 The action-compatibility invariants are asserted when a module, map or
 bimodule is built (or first restricted, for a bimodule built unchecked):
 once per object for a map, once per representative (below) for a module or
-bimodule; silent convention drift is the classic bug in this business.
+bimodule; silent convention drift is the classic bug in this business.  A
+module may instead be certified (`_certified`) by the checks that imply its
+laws: a vertex projective of B (x) C by its factors', a bimodule's module
+over `enveloping` by the bimodule's; in `homology`, A over A^e likewise.
 Each check is complete: one `exactfield.integer_array` conversion of every
 matrix it reads, cut into flat blocks by slicing, then one or two integer
 numpy products per slice of at most `_CHUNK` entries and one `.any()`; the
@@ -40,7 +43,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import Algebra, Idempotent, ideal_and_quotient, corner, radical
+from .algebra import Algebra, Idempotent, ideal_and_quotient, corner, opposite, radical
 from .errors import AlgebraMismatch, DimensionMismatch, Inconclusive, NotInHomSpace
 from .exactfield import (
     QQ,
@@ -115,6 +118,15 @@ def _checked(x):
     """Check x's laws once per representative: they hold for x iff they hold
     for it.  A failing check stores nothing, so it raises every time."""
     _once(_rep(x)._memo, "checked", x._validate)
+
+
+def _certified(x, *by):
+    """x, recorded as checked on its representative once the objects `by`,
+    whose laws imply x's, pass `_checked`; a failing one raises every time."""
+    for y in by:
+        _checked(y)
+    _rep(x)._memo["checked"] = None
+    return x
 
 
 class RightModule:
@@ -205,7 +217,6 @@ def dual_module(m):
     """The k-linear dual Hom_k(M, k) as a right module over the opposite
     algebra ((f.b^op)(x) = f(x.b)); sends projectives to injectives and back,
     which lets Ext be computed from either side without injective resolutions."""
-    from .algebra import opposite
     aop = opposite(m.algebra)
     acts = tuple(mat.transpose() for mat in m.action)
     return RightModule(aop, m.dim, acts)
@@ -311,21 +322,28 @@ class Bimodule:
     def left_as_op_module(self):
         """The left B-action viewed as a right module over B^op, built and
         checked once."""
-        from .algebra import opposite
         return _once(self._memo, "left_op", lambda: RightModule(
             opposite(self.left_algebra), self.dim, self.left_action_matrices))
 
     def as_right_module_over(self, env):
         """Right module over B^op (x) A (basis b_i^op (x) a_j, lexicographic),
-        built and checked once per instance of env."""
+        built once per instance of env.  Over `tensor(opposite(B), A)` of these
+        very instances (`enveloping(A)` for an A-A-bimodule) its laws on the
+        Kronecker table are the bimodule's, which certify it; over any other
+        env it certifies itself, a direct check."""
         if env.dim != self.left_algebra.dim * self.right_algebra.dim:
             raise AlgebraMismatch("enveloping algebra dimension mismatch")
-        return _once(self._memo, ("env", id(env)), lambda: (env, RightModule(env, self.dim, [
-            x.mul(y) for x in self.left_action_matrices for y in self.right_action_matrices])))[1]
+
+        def build():
+            mod = RightModule(env, self.dim, [x.mul(y) for x in self.left_action_matrices
+                                              for y in self.right_action_matrices], _validate=False)
+            bop, a = env._factors or (None, None)
+            own = a is self.right_algebra and bop is opposite(self.left_algebra)
+            return env, _certified(mod, self if own else mod)
+        return _once(self._memo, ("env", id(env)), build)[1]
 
     def swap_sides(self):
         """The same space as an A^op-B^op-bimodule (for opposite transfers)."""
-        from .algebra import opposite
         return Bimodule(opposite(self.right_algebra), opposite(self.left_algebra),
                         self.dim, self.right_action_matrices, self.left_action_matrices,
                         _validate=False)
@@ -696,7 +714,8 @@ def vertex_projective(a, v_index):
     algebra instance, whose basic structure names the idempotents): the RREF
     of e_v A.  For A = B (x) C from `tensor`, e_v A = e_i B (x) e_j C with
     v = i n_C + j, and the Kronecker products of the factors' RREF bases and
-    actions are that RREF and its actions."""
+    actions are that RREF and its actions, certified by the factors' checks:
+    rho_B (x) rho_C is a module law on the Kronecker table if both are."""
     def build():
         if a._factors is not None:
             b, c = a._factors
@@ -704,14 +723,12 @@ def vertex_projective(a, v_index):
             (mb, ib), (mc, ic) = vertex_projective(b, i), vertex_projective(c, j)
             mod = RightModule(a, mb.dim * mc.dim, [kron(x, y) for x in mb.action
                                                    for y in mc.action], _validate=False)
-            basis = kron(ib, ic)
-        else:
-            regular = RightModule(a, a.dim, a.basis_right_mats(), _validate=False)
-            mod, incl = submodule_from_rows(
-                regular, a.left_mult_matrix(a.basic.idempotent_coords[v_index]))
-            basis = incl.matrix
-        _checked(mod)    # neither the regular action nor the products were checked
-        return mod, basis
+            return _certified(mod, mb, mc), kron(ib, ic)
+        regular = RightModule(a, a.dim, a.basis_right_mats(), _validate=False)
+        mod, incl = submodule_from_rows(
+            regular, a.left_mult_matrix(a.basic.idempotent_coords[v_index]))
+        _checked(mod)    # the regular action was not checked
+        return mod, incl.matrix
     return _once(a._modules, v_index, build)
 
 

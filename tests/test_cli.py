@@ -184,6 +184,36 @@ def test_cmd_hochschild_linear_a5_resolution_path_and_oracle(tmp_path, capsys):
     assert all(out["oracle"]["agreement"].values())
 
 
+@pytest.mark.scale
+def test_cmd_hochschild_linear_a5_runs_no_check_over_a_e(tmp_path, capsys, monkeypatch):
+    """The A^e-modules of a `hochschild` request are certified through the
+    checks over A and A^op: no module or bimodule law check runs over A^e
+    (of dimension 225 here) or its opposite, which is never built."""
+    import sys
+    from recollab import algebra, modules
+    from test_homology import _linear_doc
+    envs, checked = [], []
+    real_env = algebra.enveloping
+
+    def spy(a):
+        envs.append(real_env(a))
+        return envs[-1]
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("recollab") and getattr(mod, "enveloping", None) is real_env:
+            monkeypatch.setattr(mod, "enveloping", spy)
+    for cls in (modules.RightModule, modules.Bimodule):
+        monkeypatch.setattr(cls, "_validate", lambda self, real=cls._validate:
+                            checked.append(self) or real(self))
+    path = _write(tmp_path, _linear_doc(5))
+    assert main(["hochschild", path, "--max-degree", "3"]) == EXIT_OK
+    assert envs and all(e.dim == 225 and e._opposite is None for e in envs)
+    assert checked
+    over = [x.algebra for x in checked if isinstance(x, modules.RightModule)]
+    over += [y for x in checked if isinstance(x, modules.Bimodule)
+             for y in (x.left_algebra, x.right_algebra)]
+    assert not any(alg is e for alg in over for e in envs)
+
+
 def _validate_against_schema(report):
     """Match the report against the published run_report schema by its
     schema-constant branch and check that branch's required keys."""
@@ -484,6 +514,16 @@ def test_negative_degrees_are_usage_errors(argv, capsys):
     assert main(argv[:1] + [str(DOCS / "a2.json")] + argv[1:]) == EXIT_USAGE
     out = capsys.readouterr()
     assert out.out == "" and "must be >= 0, got -1" in out.err
+
+
+def test_negative_budget_is_a_usage_error_and_zero_exits_4(capsys):
+    argv = ["hochschild", str(DOCS / "a2.json"), "--max-degree", "2", "--oracle", "--budget"]
+    assert main(argv + ["-5"]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and "must be >= 0, got -5" in out.err
+    assert main(argv + ["0"]) == EXIT_BUDGET
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("budget exceeded: ")
 
 
 def test_unwritable_paths_are_one_line_usage_errors(tmp_path, capsys, monkeypatch):

@@ -712,8 +712,9 @@ def _same_entries(x, y):
 def test_tensor_vertex_projectives_are_kronecker_products_of_the_cut(make, monkeypatch):
     """A^e, A (x) kA_2 (the B (x) A of the tensor transfers) and kA_2 (x) A:
     every vertex projective equals, entry for entry and with the same scalar
-    types, the one cut out of the regular module; none of them is cut, and
-    each is checked once."""
+    types, the one cut out of the regular module; none of them is cut or
+    checked over the tensor product, the factors' vertex projectives that
+    certify it are checked once each, and its own full check passes."""
     a = make()
     a2 = a2_path_algebra(a.field)
     cut, checked = [], []
@@ -726,13 +727,73 @@ def test_tensor_vertex_projectives_are_kronecker_products_of_the_cut(make, monke
         vertices = range(len(t.basic.idempotent_coords))
         built = [vertex_projective(t, v) for v in vertices]
         assert not any(alg is t for alg in cut)
+        assert not any(m.algebra is t for m in checked)
+        b, c = t._factors
         for v, (mod, basis) in zip(vertices, built):
             assert vertex_projective(t, v)[0] is mod
-            assert sum(m is mod for m in checked) == 1
+            i, j = divmod(v, len(c.basic.idempotent_coords))
+            for rep in (modules._rep(vertex_projective(b, i)[0]),
+                        modules._rep(vertex_projective(c, j)[0])):
+                assert sum(m is rep for m in checked) == 1
             ref_mod, ref_basis = _cut_vertex_projective(t, v)
             assert _same_entries(basis, ref_basis)
             assert mod == ref_mod
             assert all(_same_entries(x, y) for x, y in zip(mod.action, ref_mod.action))
+            mod._validate()
+
+
+@pytest.mark.parametrize("make", _kron_cases())
+def test_env_modules_are_certified_by_the_bimodules_they_read(make, monkeypatch):
+    """The regular and canonical bimodules as right A^e-modules, and A as a
+    left A^e-module: no check runs over A^e or its opposite, the bimodule
+    that certifies each is checked once, and each one's own full check
+    passes."""
+    a = make()
+    mods, bims = [], []
+    real_mod, real_bim = RightModule._validate, Bimodule._validate
+    monkeypatch.setattr(RightModule, "_validate", lambda self: mods.append(self) or real_mod(self))
+    monkeypatch.setattr(Bimodule, "_validate", lambda self: bims.append(self) or real_bim(self))
+    env = enveloping(a)
+    cb = canonical_bimodules(a, Idempotent(a, a.basic.idempotent_coords[0]))
+    certified = [(bim.as_right_module_over(env), bim) for bim in (cb.regular, cb.aea, cb.quotient)]
+    certified.append((regular_as_left_env_module(a), regular_bimodule(a)))
+    assert env._opposite is None and not any(m.algebra is env for m in mods)
+    assert not any(b.left_algebra is env for b in bims)
+    for mod, bim in certified:
+        assert sum(b is modules._rep(bim) for b in bims) == 1
+    assert all(bim.as_right_module_over(env) is mod for mod, bim in certified[:3])
+    for mod, _ in certified:
+        mod._validate()
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_env_module_certificates_are_complete(field, monkeypatch):
+    """A bimodule whose actions do not commute, or whose right action is not
+    a module, fails as a module over A^e on every call.  Over a tensor(A^op,
+    A) of a second, equal instance of A the module is checked directly, once;
+    a second tensor(opposite(a), a) of the same instances certifies it."""
+    a = dual_numbers(field)        # basis 1, x with x^2 = 0
+    ident, zero = Matrix.identity(field, 2), Matrix.zeros(field, 2, 2)
+    n = Matrix(field, [[0, 1], [0, 0]])
+    for left, right, message in (((ident, n.transpose()), (ident, n), "do not commute"),
+                                 ((ident, zero), (ident, ident), "incompatibility")):
+        bad = Bimodule(a, a, 2, left, right, _validate=False)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                bad.as_right_module_over(enveloping(a))
+    reg, twin = regular_bimodule(a), dual_numbers(field)
+    other = tensor(opposite(twin), twin)
+    checked = []
+    real = RightModule._validate
+    monkeypatch.setattr(RightModule, "_validate", lambda self: checked.append(self) or real(self))
+    mod = reg.as_right_module_over(other)
+    assert reg.as_right_module_over(other) is mod
+    assert len(checked) == 1 and checked[0] is mod and mod.algebra is other
+    same = tensor(opposite(a), a)
+    assert same is not enveloping(a)
+    assert same._factors[0] is opposite(a) and same._factors[1] is a
+    reg.as_right_module_over(same)
+    assert len(checked) == 1
 
 
 def test_iso_test_computes_each_top_once(monkeypatch):
