@@ -347,9 +347,6 @@ class _Path:
     def __len__(self):
         return len(self.labels)
 
-    def key(self):
-        return (len(self.labels), self.labels, self.source)
-
     def display(self):
         if not self.labels:
             return f"e_{self.source}"

@@ -10,10 +10,14 @@ was falsified (loud, build-stopping), 4 resource/budget exceeded.
 Each command computes a projective resolution once and reuses it for every
 later request with the same content (an in-memory memo, always on).
 --cache-dir, or the RECOLLAB_CACHE_DIR environment variable, also persists
-the resolutions to a directory.  Entries read back from it are rebuilt and
-re-checked (A-linearity, exactness, minimality, depth, periodicity witness)
-and recomputed and rewritten when a check fails, so cache hits never change
-numerical output; the cache directory is safe to delete wholesale.
+the resolutions to a directory.  An entry stores only each level's generator
+picks; a hit replays them through the builder that computes resolutions,
+which checks them (indices in range, covers onto and minimal, the level
+count, exactness) and recomputes the periodicity witness, and an entry that
+fails is recomputed and rewritten.  An entry written by recollab reproduces
+the cold report byte for byte; an edited one that replays changes no
+dimension or verdict, only the bases `--with-matrices` prints.  The cache
+directory is safe to delete wholesale.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .algebra import (
     center,
     corner,
     discover_basic,
+    enveloping,
     from_quiver,
     ideal_and_quotient,
     opposite,
@@ -185,7 +190,7 @@ def algebra_from_doc(doc):
             out = tensor(out, nxt)
         return out
     if op == "enveloping":
-        return tensor(opposite(args[0]), args[0])
+        return enveloping(args[0])
     if op == "triangular":
         if len(args) != 2:
             raise ParseError("triangular needs exactly two diagonal algebras")

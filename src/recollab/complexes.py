@@ -6,7 +6,7 @@ M sits in degrees -N..0 when viewed as a complex.  Resolutions are minimal
 dimension exactly d; a resolution cut off at depth n_max without stabilising
 says only "pd >= n_max + 1".  Syzygy repetition (up to isomorphism, checked
 for small syzygies) certifies infinite projective dimension and is recorded
-as a periodicity witness.
+as a periodicity witness, which is always computed, never read from a cache.
 """
 
 from __future__ import annotations
@@ -220,6 +220,7 @@ class ProjectiveResolution:
     minimal: bool = True
     periodicity: tuple = None          # (i, j): syzygy_i ~ syzygy_j, i < j
     syzygy_dims: list = field(default_factory=list)
+    picks: list = None                 # the covers' (v, t) generator picks per level
 
     @property
     def depth(self):
@@ -261,9 +262,13 @@ class ResolutionStore:
 
     The key covers everything a resolution is computed from: the algebra with
     its basic structure, the module's actions, and the depth.  `disk` is an
-    object with get(key) -> dict or None and put(key, dict); its entries are
-    untrusted, so each is rebuilt and re-checked (`_decode_resolution`), and
-    one that fails is counted in `rejected`, recomputed and rewritten.
+    object with get(key) -> dict or None and put(key, dict).  An entry stores
+    only the choices `_resolve` made, {"version": 3, "levels": [[[v, t], ...],
+    ...]}: the (vertex, row) generator picks of each level's cover.  It is
+    untrusted, so a hit is replayed through `_resolve` itself, which checks
+    the picks (in range, onto, minimal), the level count (depth and
+    stabilisation) and exactness, and recomputes the periodicity witness.
+    An entry that fails is counted in `rejected`, recomputed and rewritten.
     """
 
     def __init__(self, disk=None):
@@ -279,7 +284,7 @@ class ResolutionStore:
             if res is None:
                 res = _resolve(m, n_max)
                 if self.disk is not None:
-                    self.disk.put(key, _encode_resolution(res))
+                    self.disk.put(key, {"version": 3, "levels": res.picks})
             self.memo[key] = res
         if res.module is not m:
             res = replace(res, module=m, augmentation=ModuleMap(
@@ -291,7 +296,9 @@ class ResolutionStore:
         if data is None:
             return None
         try:
-            return _decode_resolution(data, m, n_max)
+            if data["version"] != 3:
+                raise ValueError("unknown resolution entry version")
+            return _resolve(m, n_max, data["levels"])
         except (RecollabError, ArithmeticError, AttributeError, LookupError,
                 TypeError, ValueError):
             # an entry is outside input: malformed or failing a check, it is
@@ -315,20 +322,27 @@ def resolution_store(disk=None):
         _store = outer
 
 
-def _resolve(m, n_max):
+def _resolve(m, n_max, stored=None):
+    """The minimal resolution of m to depth n_max; with `stored`, the
+    per-level picks of an earlier build are replayed instead of searched for,
+    and the result must be a minimal resolution with as many levels."""
     cur = m
     modules = []
     diffs = []
     tags = []
+    picks = []
     aug = None
     syzygies = []
     syzygy_dims = []
     periodicity = None
     stabilized = False
     for level in range(n_max + 1):
-        cover = projective_cover(cur)
+        if stored is not None and len(stored) <= level:
+            raise ValueError("the entry has too few levels")
+        cover = projective_cover(cur, None if stored is None else stored[level])
         modules.append(cover.module)
-        tags.append(cover.summands)
+        tags.append(tuple(v for v, _ in cover.picks))
+        picks.append(cover.picks)
         if level == 0:
             aug = cover.surjection
         else:
@@ -337,6 +351,10 @@ def _resolve(m, n_max):
             mat = cover.surjection.matrix.mul(incl.matrix)
             diffs.append(ModuleMap(cover.module, modules[level - 1], mat, _validate=False))
         ker_rows = kernel_basis(cover.surjection.matrix.transpose()).transpose()
+        if stored is not None and ker_rows.nrows and \
+                not ker_rows.mul(top_of(cover.module)[0]).is_zero():
+            # searched picks are minimal by construction
+            raise ValueError("stored picks give a cover that is not minimal")
         if ker_rows.nrows == 0:
             stabilized = True
             break
@@ -350,70 +368,12 @@ def _resolve(m, n_max):
         syzygies.append((syz, incl))
         syzygy_dims.append(syz.dim)
         cur = syz
+    if stored is not None and len(stored) > len(modules):
+        raise ValueError("the entry has too many levels")
     res = ProjectiveResolution(
         module=m, modules=modules, diffs=diffs, augmentation=aug,
         summand_tags=tags, stabilized=stabilized, minimal=True,
-        periodicity=periodicity, syzygy_dims=syzygy_dims,
-    )
-    _assert_resolution_exact(res)
-    return res
-
-
-def _encode_resolution(res):
-    """A resolution as JSON data: the summand tags and the maps, which is
-    all `_decode_resolution` reads."""
-    return {
-        "version": 2,
-        "tags": [list(t) for t in res.summand_tags],
-        "augmentation": res.augmentation.matrix.to_str_rows(),
-        "diffs": [d.matrix.to_str_rows() for d in res.diffs],
-        "periodicity": list(res.periodicity) if res.periodicity else None,
-    }
-
-
-def _decode_resolution(data, m, n_max):
-    """Rebuild a stored resolution of m to depth n_max, checking all of it.
-
-    The levels are rebuilt from the summand tags; the maps must be A-linear,
-    exact, minimal (every kernel inside the radical) and of the requested
-    depth; syzygy dimensions and stabilization are read off the kernels, and
-    a periodicity witness is re-tested.  Raises on any defect.
-    """
-    a, f = m.algebra, m.field
-    if data["version"] != 2:
-        raise ValueError("unknown resolution entry version")
-    tags = [tuple(t) for t in data["tags"]]
-    vertices = range(len(a.basic.idempotent_coords))
-    if not tags or any(type(v) is not int or v not in vertices for t in tags for v in t):
-        raise ValueError("bad summand tags")
-    levels = [projective_module(a, t) for t in tags]
-    if len(data["diffs"]) != len(levels) - 1:
-        raise ValueError("level and differential counts disagree")
-    maps = [ModuleMap(p, q, Matrix(f, rows, ncols=q.dim))
-            for p, q, rows in zip(levels, [m] + levels, [data["augmentation"]] + data["diffs"])]
-    syzygies = []
-    for p, out in zip(levels, maps):
-        ker = kernel_basis(out.matrix.transpose()).transpose()
-        if ker.nrows and not ker.mul(top_of(p)[0]).is_zero():
-            raise ValueError("resolution is not minimal")
-        syzygies.append(ker)
-    stabilized = syzygies[-1].nrows == 0
-    depth = len(levels) - 1
-    if depth > n_max or (depth < n_max and not stabilized) or \
-            any(k.nrows == 0 for k in syzygies[:-1]):
-        raise ValueError("resolution depth does not match the request")
-    periodicity = tuple(data["periodicity"]) if data["periodicity"] else None
-    if periodicity is not None:
-        i, j = periodicity
-        if not 1 <= i < j <= len(syzygies) or syzygies[j - 1].nrows > _PERIODICITY_DIM_CAP or \
-                not iso_test(*(submodule_from_rows(levels[k - 1], syzygies[k - 1])[0]
-                               for k in (i, j))):
-            raise ValueError("periodicity witness fails")
-    res = ProjectiveResolution(
-        module=m, modules=levels, diffs=maps[1:], augmentation=maps[0],
-        summand_tags=tags, stabilized=stabilized, minimal=True,
-        periodicity=periodicity,
-        syzygy_dims=[k.nrows for k in (syzygies[:-1] if stabilized else syzygies)],
+        periodicity=periodicity, syzygy_dims=syzygy_dims, picks=picks,
     )
     _assert_resolution_exact(res)
     return res

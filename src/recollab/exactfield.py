@@ -332,9 +332,6 @@ class Matrix:
         return Matrix(self.field, [[sum(a * b for a, b in zip(ra, cb) if a and b) for cb in bt]
                                    for ra in self.rows], ncols=other.ncols)
 
-    def __matmul__(self, other):
-        return self.mul(other)
-
     # -- serialisation -----------------------------------------------------
 
     def to_str_rows(self):

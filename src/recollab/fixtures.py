@@ -77,12 +77,6 @@ def triangular_a2(field=QQ):
     return triangular(k1, k2, field_bimodule(k2, k1, 1))
 
 
-def triangular_kronecker(field=QQ):
-    """triangular(k, k, k^2): the (finite) Kronecker shape."""
-    k1, k2 = ground_field(field), ground_field(field)
-    return triangular(k1, k2, field_bimodule(k2, k1, 2))
-
-
 def one_point_extension_of_dual_numbers(field=QQ):
     """triangular(D, k, k): dimension 4, dual-numbers corner on the diagonal."""
     d = dual_numbers(field)

@@ -66,9 +66,6 @@ class GradedDims:
     def dim(self, n):
         return dict(self.entries).get(n, 0)
 
-    def degrees(self):
-        return [d for d, _ in self.entries]
-
     def as_dict(self):
         return {d: v for d, v in self.entries}
 

@@ -181,9 +181,6 @@ class RightModule:
                 raise ValueError(f"action incompatibility at generator "
                                  f"{a.generators()[g0 + g]}, basis {j}")
 
-    def is_zero(self):
-        return self.dim == 0
-
     def __eq__(self, other):
         return (isinstance(other, RightModule) and self.algebra == other.algebra
                 and self.dim == other.dim and self.action == other.action)
@@ -251,16 +248,6 @@ class ModuleMap:
                 - F @ (gens @ T).reshape(k, dt, dt))
         if _nonzero(diff, getattr(src.field, "p", None)).any():
             raise ValueError("matrix does not intertwine the actions")
-
-    def compose(self, other):
-        """self followed by other."""
-        if self.target != other.source:
-            raise AlgebraMismatch("composition mismatch")
-        return ModuleMap(self.source, other.target, self.matrix.mul(other.matrix),
-                         _validate=False)
-
-    def is_zero(self):
-        return self.matrix.is_zero()
 
     def __repr__(self):
         return f"ModuleMap({self.source.dim} -> {self.target.dim})"
@@ -751,42 +738,55 @@ def projective_module(a, tags):
 class ProjectiveCover:
     module: RightModule          # the cover P = (+) e_v A
     surjection: ModuleMap        # P -> m
-    summands: tuple              # vertex index per summand
+    picks: tuple                 # (vertex v, row t of rho(e_v)) per summand
 
 
-def projective_cover(m):
-    """Minimal projective cover built from the primitive idempotent decomposition."""
+def projective_cover(m, picks=None):
+    """Minimal projective cover P = (+) e_v A -> m from the primitive
+    idempotent decomposition.
+
+    Summand v is generated by g = row t of rho(e_v) = y_t e_v, one (v, t) pick
+    per summand.  Without `picks` they are searched for: the y_t e_v, t
+    lifting the top, that raise the rank of their images in M / M rad, in
+    scan order.  Given `picks` (a stored resolution replays them), the search
+    is skipped and every index must be an int in range; minimality of such
+    picks, the kernel inside P rad, is the caller's check.  Either way the
+    surjection x |-> g x on each e_v A is A-linear by construction (Yoneda)
+    and is checked to be onto.
+    """
     from .errors import UnsupportedField
     a = m.algebra
     if a.basic is None:
         raise UnsupportedField("projective covers need the basic structure "
                                "(quiver presentation or discovery over Q)")
     f = m.field
-    proj, free = top_of(m)
-    rtop = len(free)
-    # the lifts y_t * e_v in scan order; the greedy choice of those that raise
-    # the rank of their images in the top M / M rad is the pivot set
-    cands = []
-    for v_idx, ev in enumerate(a.basic.idempotent_coords):
-        act = linear_combination(ev, m.action, f, m.dim, m.dim)
-        cands.extend((act.row(t), v_idx) for t in free)
-    tops = Matrix.from_cols(f, [combine_rows(proj, enumerate(c)) for c, _ in cands],
-                            nrows=rtop)
-    pivots = rref(tops)[1]
-    if len(pivots) != rtop:
-        raise ValueError("top not covered by idempotent weight spaces")
-    chosen = [(tuple(cands[j][0]), cands[j][1]) for j in pivots]
-    summands = tuple(v_idx for _, v_idx in chosen)
-    P = projective_module(a, summands)
+    acts = [linear_combination(ev, m.action, f, m.dim, m.dim)
+            for ev in a.basic.idempotent_coords]
+    if picks is None:
+        proj, free = top_of(m)
+        cands = [(v, t) for v in range(len(acts)) for t in free]
+        tops = Matrix.from_cols(f, [combine_rows(proj, enumerate(acts[v].row(t)))
+                                    for v, t in cands], nrows=len(free))
+        pivots = rref(tops)[1]
+        if len(pivots) != len(free):
+            raise ValueError("top not covered by idempotent weight spaces")
+        picks = tuple(cands[j] for j in pivots)
+    else:
+        picks = tuple((v, t) for v, t in picks)
+        if not all(type(v) is int and type(t) is int and 0 <= v < len(acts)
+                   and 0 <= t < m.dim for v, t in picks):
+            raise ValueError("generator pick out of range")
+    P = projective_module(a, tuple(v for v, _ in picks))
     rows = []
-    for gen, v_idx in chosen:
-        for w in vertex_projective(a, v_idx)[1].rows:    # an element e_v x of A
+    for v, t in picks:
+        gen = acts[v].row(t)
+        for w in vertex_projective(a, v)[1].rows:    # an element e_v x of A
             act = linear_combination(w, m.action, f, m.dim, m.dim)
             rows.append(combine_rows(act, enumerate(gen)))
     surj = ModuleMap(P, m, Matrix(f, rows, ncols=m.dim), _validate=False)
     if rank(surj.matrix) != m.dim:
         raise ValueError("projective cover failed to surject")
-    return ProjectiveCover(P, surj, summands)
+    return ProjectiveCover(P, surj, picks)
 
 
 def is_projective(m):

@@ -123,7 +123,7 @@ class RecollementData:
     stratifying_report: StratifyingReport
     certificate: CertificationReport
     triangular_parts: tuple = None    # (a1, a2, bimodule) for the triangular flavor
-    y_left: Bimodule = None           # A/AeA as an A1-A-bimodule (for i^!)
+    y_left: Bimodule = None           # A/AeA as an A1-A-bimodule (for i_* and i^!)
 
     @property
     def is_degenerate_quotient(self):
@@ -131,7 +131,7 @@ class RecollementData:
 
 
 def _quotient_sided_bimodules(a, cb):
-    """A/AeA as an A-A1-bimodule (y) and as an A1-A-bimodule (for i^!)."""
+    """A/AeA as an A-A1-bimodule (y) and as an A1-A-bimodule (for i_* and i^!)."""
     a1 = cb.quotient_algebra
     nq = a1.dim
     # both one-sided actions kill AeA, so they factor through the quotient
@@ -172,10 +172,9 @@ def check_stratifying(a, e, n_max):
     tor_vanishing = {n: (d == 0) for n, d in tor_dims.items()}
     failing = tuple(sorted(n for n, ok in tor_vanishing.items() if not ok))
     res = projective_resolution(cb.quotient.restrict_right(), n_max)
-    if res.stabilized:
-        perfect = Perfectness("verified", PdVerdict("finite", res.projective_dimension()))
-    else:
-        perfect = Perfectness.from_pd(PdVerdict("at_least", n_max + 1, periodic=res.periodicity))
+    perfect = Perfectness.from_pd(
+        PdVerdict("finite", res.projective_dimension()) if res.stabilized
+        else PdVerdict("at_least", n_max + 1, periodic=res.periodicity))
     report = StratifyingReport(
         mult_tensor_dim=tp.bimodule.dim,
         ideal_dim=cb.aea.dim,
@@ -238,15 +237,6 @@ def from_triangular(a1, a2, m, n_max=6):
 FUNCTOR_NAMES = ("i^*", "i_*", "i^!", "j_!", "j^!", "j_*")
 
 
-def _restriction_bimodule(r):
-    """A1 as an A1-A-bimodule (right action through the projection)."""
-    a, a1 = r.a, r.a1
-    lam = a1.basis_left_mats()
-    proj = r.canon.quotient_projection
-    rho = [a1.right_mult_matrix(proj.row(i)) for i in range(a.dim)]
-    return Bimodule(a1, a, a1.dim, lam, tuple(rho))
-
-
 def i_lower_module(r, m):
     """i_* of a module: restriction along A -> A/AeA, concentrated in degree 0."""
     a = r.a
@@ -265,7 +255,7 @@ def eval_functor(r, name, m, n_max=6):
         return _negate_degrees(tor(m, r.y, n_max))
     if name == "i_*":
         _expect(m, r.a1)
-        return _negate_degrees(tor(m, _restriction_bimodule(r), n_max))
+        return _negate_degrees(tor(m, r.y_left, n_max))
     if name == "i^!":
         _expect(m, r.a)
         return ext(r.y_left, m, n_max).graded

@@ -1,4 +1,5 @@
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from recollab.cli import (
     parse_idempotent,
     validate_algebra_doc,
 )
+from recollab.errors import CertificationFailed
 
 DOCS = Path(__file__).resolve().parent.parent / "demos" / "docs"
 
@@ -96,6 +98,25 @@ def test_cmd_define_dual(tmp_path, capsys):
     assert out["dim"] == 2
 
 
+@pytest.mark.parametrize("op, args, idempotent, dims", [
+    # (dim, centre, radical): A^op keeps all three; a2 (x) k[x]/(x^2) has
+    # centre 1 * 2 and semisimple part k x k; (k[x]/(x^2))^e = k[x,y]/(x^2, y^2);
+    # the corner e_2 A e_2 of the Kronecker algebra and a2 / A e_2 A are k
+    ("opposite", ["a2"], None, (3, 1, 1)),
+    ("tensor", ["a2", "dual_numbers"], None, (6, 2, 4)),
+    ("enveloping", ["dual_numbers"], None, (4, 4, 3)),
+    ("corner", ["kronecker"], "e:2", (1, 1, 0)),
+    ("quotient", ["a2"], "e:2", (1, 1, 0)),
+])
+def test_cmd_define_constructions(op, args, idempotent, dims, tmp_path, capsys):
+    doc = {"kind": "construction", "op": op, "args": [_doc(name) for name in args]}
+    if idempotent:
+        doc["idempotent"] = idempotent
+    assert main(["define", _write(tmp_path, doc)]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert (out["dim"], out["center_dim"], out["radical_dim"]) == dims
+
+
 def test_cmd_define_malformed_relation(tmp_path, capsys):
     doc = _doc("dual_numbers")
     doc["relations"] = [[{"coeff": 1, "path": ["x"]}]]
@@ -158,6 +179,24 @@ def test_cmd_hochschild_with_oracle(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["hh"] == {"0": 2, "1": 1, "2": 1, "3": 1, "4": 1}
     assert all(out["oracle"]["agreement"].values())
+
+
+def test_cmd_hochschild_oracle_disagreement_exit_3(capsys, monkeypatch):
+    # the report is still printed, with the disagreeing degree marked
+    import recollab.cli as cli_mod
+    from recollab.homology import GradedDims
+    bar = cli_mod.bar_oracle
+
+    def off_by_one(alg, n, budget):
+        h, c = bar(alg, n, budget=budget)
+        return GradedDims(tuple((d, v + (d == 2)) for d, v in h.entries)), c
+
+    monkeypatch.setattr(cli_mod, "bar_oracle", off_by_one)
+    code = main(["hochschild", str(DOCS / "dual_numbers.json"), "--max-degree", "3",
+                 "--oracle"])
+    assert code == EXIT_FALSIFIED
+    out = json.loads(capsys.readouterr().out)
+    assert out["oracle"]["agreement"] == {"0": True, "1": True, "2": False, "3": True}
 
 
 def test_cmd_hochschild_budget_exit_4(tmp_path, capsys):
@@ -255,21 +294,79 @@ def test_report_written_to_file(tmp_path, capsys):
     assert data["suites"]["smoothness"]["verdict"] == "Consistent"
 
 
-def test_determinism_and_cache(tmp_path, capsys):
-    path = _write(tmp_path, _doc("a2"))
-    cache_dir = tmp_path / "cache"
-    argv = ["verify", path, "--idempotent", "e:2", "--max-degree", "3",
-            "--cutoff", "4", "--cache-dir", str(cache_dir)]
-    assert main(argv) == EXIT_OK
-    cold = capsys.readouterr().out
-    assert main(argv) == EXIT_OK
-    warm = capsys.readouterr().out
-    assert cold == warm
-    # cache off gives the same bytes
-    assert main(argv[:-2]) == EXIT_OK
-    plain = capsys.readouterr().out
-    assert plain == cold
-    assert any(cache_dir.iterdir())
+class _Lookups:
+    """Counts the disk lookups of every command, hits and misses, and keeps
+    each command's resolution store (whose `rejected` counts the entries
+    that failed their replay)."""
+
+    def __init__(self, monkeypatch):
+        import recollab.cli as cli_mod
+        self.hits = self.misses = 0
+        self.stores = []
+        get, store = cli_mod.ResolutionCache.get, cli_mod.resolution_store
+
+        def counting_get(cache, key):
+            data = get(cache, key)
+            if data is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+            return data
+
+        @contextmanager
+        def keeping_store(disk=None):
+            with store(disk) as st:
+                self.stores.append(st)
+                yield st
+
+        monkeypatch.setattr(cli_mod.ResolutionCache, "get", counting_get)
+        monkeypatch.setattr(cli_mod, "resolution_store", keeping_store)
+
+    def reset(self):
+        self.hits = self.misses = 0
+        self.stores.clear()
+
+    @property
+    def rejected(self):
+        return sum(st.rejected for st in self.stores)
+
+
+def _cold_warm_plain(argv, cache_dir, lookups, capsys):
+    """Runs argv with a cold and then a warm cache_dir, and with no cache;
+    the three must print the same bytes with one exit code, and every warm
+    lookup must be a hit that replays: a replay that always failed would
+    still pass the byte checks, by recomputing.  Returns the exit code."""
+    cache = ["--cache-dir", str(cache_dir)]
+    runs = []
+    for args in (argv + cache, argv + cache, argv):
+        lookups.reset()
+        code = main(args)
+        runs.append((code, capsys.readouterr().out, lookups.hits, lookups.misses,
+                     lookups.rejected))
+    (code, cold, _, stored, _), (_, _, hits, misses, rejected), _ = runs
+    assert runs[1][:2] == runs[2][:2] == (code, cold), argv
+    assert (hits, misses, rejected) == (stored, 0, 0) and stored > 0, argv
+    return code
+
+
+# The idempotent each shipped document is cut at.
+IDEMPOTENTS = {"a2": "e:2", "dual_numbers": "e:1", "dual_numbers_f5": "e:1",
+               "kronecker": "e:2", "kronecker_f5": "e:2", "non_stratifying": "e:2",
+               "t2_one_point_extension": "e:R:1"}
+
+
+def test_determinism_and_cache(tmp_path, capsys, monkeypatch):
+    lookups = _Lookups(monkeypatch)
+    assert sorted(IDEMPOTENTS) == sorted(p.stem for p in DOCS.glob("*.json"))
+    for name, idem in IDEMPOTENTS.items():
+        path = str(DOCS / f"{name}.json")
+        code = _cold_warm_plain(
+            ["verify", path, "--idempotent", idem, "--max-degree", "3", "--cutoff", "4",
+             "--with-matrices"], tmp_path / name / "verify", lookups, capsys)
+        assert code == (EXIT_PRECONDITION if name == "non_stratifying" else EXIT_OK)
+        code = _cold_warm_plain(["hochschild", path, "--max-degree", "3"],
+                                tmp_path / name / "hochschild", lookups, capsys)
+        assert code == EXIT_OK
 
 
 def test_truncated_cache_entry_is_a_miss(tmp_path, capsys):
@@ -291,9 +388,11 @@ def test_truncated_cache_entry_is_a_miss(tmp_path, capsys):
     assert sorted(cache_dir.iterdir()) == entries
 
 
-def test_tampered_cache_entry_is_rejected_and_rewritten(tmp_path, capsys):
-    # a still-decodable entry whose first differential was zeroed used to
-    # change HH^0(a2) from 1 to 2 and HH^1 from 0 to 1, with exit 0
+def test_tampered_cache_entry_is_rejected_and_rewritten(tmp_path, capsys, monkeypatch):
+    # a version-2 entry whose first differential was zeroed once changed
+    # HH^0(a2) from 1 to 2 and HH^1 from 0 to 1, with exit 0; a version-3
+    # entry with a pick given twice replays as a cover that is not minimal
+    lookups = _Lookups(monkeypatch)
     path = _write(tmp_path, _doc("a2"))
     cache_dir = tmp_path / "cache"
     argv = ["hochschild", path, "--max-degree", "3", "--cache-dir", str(cache_dir)]
@@ -302,15 +401,44 @@ def test_tampered_cache_entry_is_rejected_and_rewritten(tmp_path, capsys):
     originals = {}
     for entry in cache_dir.glob("res_*.json"):
         data = json.loads(entry.read_text(encoding="utf-8"))
-        if data["diffs"]:
-            originals[entry] = entry.read_bytes()
-            data["diffs"][0] = [["0"] * len(row) for row in data["diffs"][0]]
-            entry.write_text(json.dumps(data), encoding="utf-8")
+        originals[entry] = entry.read_bytes()
+        data["levels"][0].append(data["levels"][0][0])
+        entry.write_text(json.dumps(data), encoding="utf-8")
     assert originals
+    lookups.reset()
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == cold
+    assert lookups.hits == lookups.rejected == len(originals)
     for entry, whole in originals.items():
         assert entry.read_bytes() == whole
+
+
+def test_replayed_entries_recompute_the_periodicity_witness(tmp_path, capsys, monkeypatch):
+    # version-2 entries stored the witness and trusted it when absent: with
+    # "periodicity": null in the four entries that had one, smoothness and
+    # gldim read "AtLeast(7)" for A and A2 instead of "AtLeast(7, periodic)",
+    # with exit 0; a version-3 entry stores no witness, and a replay finds it
+    from recollab import complexes
+    lookups = _Lookups(monkeypatch)
+    argv = ["verify", str(DOCS / "dual_numbers.json"), "--idempotent", "e:1",
+            "--max-degree", "3", "--cutoff", "6"]
+    cover = complexes.projective_cover
+
+    def replay_only(m, picks=None):
+        if picks is None:
+            raise AssertionError("a valid disk entry was searched again")
+        return cover(m, picks)
+
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == EXIT_OK
+    cold = capsys.readouterr().out
+    suites = json.loads(cold)["suites"]
+    for suite in ("smoothness", "gldim"):
+        assert suites[suite]["A"] == suites[suite]["A2"] == "AtLeast(7, periodic)"
+    monkeypatch.setattr(complexes, "projective_cover", replay_only)
+    lookups.reset()
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out == cold
+    assert lookups.hits > 0 and (lookups.misses, lookups.rejected) == (0, 0)
 
 
 def _structure_constants_doc(name):
@@ -396,6 +524,30 @@ def test_falsified_exit_3_plumbing(tmp_path, capsys, monkeypatch):
     assert code == EXIT_FALSIFIED
     out = json.loads(capsys.readouterr().out)
     assert out["falsified"] is True
+
+
+def test_certification_failure_is_one_falsified_line_exit_3(capsys, monkeypatch):
+    import recollab.cli as cli_mod
+
+    def refuted(*args, **kwargs):
+        raise CertificationFailed("product of Ae and eA left the ideal AeA")
+
+    monkeypatch.setattr(cli_mod, "check_stratifying", refuted)
+    assert main(["stratify", str(DOCS / "a2.json"), "--idempotent", "e:2"]) == EXIT_FALSIFIED
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "FALSIFIED: product of Ae and eA left the ideal AeA\n"
+
+
+def test_verify_timings_adds_only_the_wall_time(capsys):
+    argv = ["verify", str(DOCS / "a2.json"), "--idempotent", "e:2", "--max-degree", "2",
+            "--cutoff", "3"]
+    assert main(argv) == EXIT_OK
+    plain = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--timings"]) == EXIT_OK
+    timed = json.loads(capsys.readouterr().out)
+    assert timed.pop("wall_time_seconds") >= 0
+    assert timed == plain
 
 
 def test_inconclusive_is_a_resource_limit_exit_4(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,6 @@ from recollab.fixtures import (
     one_point_extension_of_dual_numbers,
     product_of_fields,
     triangular_a2,
-    triangular_kronecker,
     vertex_idempotent,
 )
 from recollab.homology import hochschild_homology

@@ -1,7 +1,7 @@
 import pytest
 
 from recollab.algebra import Idempotent
-from recollab.complexes import BoundedComplex, projective_resolution
+from recollab.complexes import BoundedComplex, dualize_perfect, projective_resolution
 from recollab.errors import CertificationFailed
 from recollab.exactfield import Matrix
 from recollab.fixtures import (
@@ -14,7 +14,7 @@ from recollab.fixtures import (
     one_point_extension_of_dual_numbers,
     vertex_idempotent,
 )
-from recollab.modules import canonical_bimodules, regular_module
+from recollab.modules import canonical_bimodules, regular_module, simple_modules
 from recollab.recollement import from_idempotent, from_triangular
 from recollab.verify import (
     cohomology_les,
@@ -180,6 +180,18 @@ def test_duality_roundtrip_two_term():
     res = projective_resolution(cb.quotient.restrict_right(), 3)
     rep = duality_roundtrip(res.to_complex())
     assert rep.ok
+
+
+@pytest.mark.parametrize("alg, dual_h1", [(a2_path_algebra, 1), (kronecker_algebra, 5)])
+def test_duality_roundtrip_through_a_differential(alg, dual_h1):
+    # the simple at vertex 2 has a two-term resolution P_1 -> P_0, so the
+    # dual has one differential, Hom(d, A); its H^1 is Ext^1(S_2, A)
+    res = projective_resolution(simple_modules(alg())[1], 2)
+    assert res.projective_dimension() == 1
+    x = res.to_complex()
+    dx = dualize_perfect(x)
+    assert sorted(dx.diffs) == [0] and dx.cohomology_module(1).dim == dual_h1
+    assert duality_roundtrip(x).ok
 
 
 def test_duality_roundtrip_shifted():
