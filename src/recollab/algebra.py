@@ -1,10 +1,11 @@
 """Finite-dimensional associative unital algebras as structure constants.
 
-An :class:`Algebra` stores the multiplication table c[i][j] = coordinates of
-b_i * b_j, the coordinates of the unit, and (when known) a *basic structure*:
-a complete list of orthogonal primitive idempotents with A/rad split (a
-product of copies of the ground field), plus a basis of the Jacobson radical
-and a small generating set.  Quiver algebras get this for free; tensor
+An :class:`Algebra` stores its multiplication as one sparse table (the
+nonzero coordinates of each nonzero product b_i * b_j), the coordinates of
+the unit, and (when known) a *basic structure*: a complete list of
+orthogonal primitive idempotents with A/rad split (a product of copies of
+the ground field), plus a basis of the Jacobson radical and a small
+generating set.  Quiver algebras get this for free; tensor
 products, opposites, triangular matrix algebras, corners at vertex sums and
 quotients propagate it, and over Q it can be discovered from scratch via the
 trace form and idempotent lifting.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd, lcm
 
 import numpy as np
@@ -60,24 +61,45 @@ class BasicStructure:
 
 
 class Algebra:
-    """Finite-dimensional associative unital algebra over an exact field."""
+    """Finite-dimensional associative unital algebra over an exact field.
+
+    `table` is the only stored form of the multiplication: `table[(i, j)]`
+    lists the coordinates of b_i b_j as ((k, c), ...) pairs, k ascending and
+    c a nonzero canonical scalar, and a key exists only for a nonzero
+    product.  Readers that need dense rows derive them from it."""
 
     def __init__(self, field, struct, unit, labels=None, basic=None, _validate=True):
-        self.field = field
+        """`struct[i][j]` is the dense coordinate vector of b_i b_j; exact
+        ints are taken as they are (reduced mod p over F_p), other entries
+        coerced, as `Matrix` does its rows."""
         dim = len(struct)
-        self.dim = dim
-        # exact ints are taken as they are (reduced mod p over F_p), other
-        # entries coerced, as `Matrix` does its rows
-        self.struct = tuple(_canonical_rows(field, (struct[i][j] for j in range(dim)))
-                            for i in range(dim))
-        self.unit = _canonical_rows(field, (unit,))[0]
-        if len(self.unit) != dim:
+        table = {}
+        for i in range(dim):
+            for j, entry in enumerate(_canonical_rows(field, (struct[i][j] for j in range(dim)))):
+                if len(entry) != dim:
+                    raise ValueError("structure constant length != dim")
+                ent = tuple((k, c) for k, c in enumerate(entry) if c)
+                if ent:
+                    table[(i, j)] = ent
+        self._setup(field, dim, table, _canonical_rows(field, (unit,))[0], labels, basic,
+                    _validate)
+
+    @classmethod
+    def _of(cls, field, dim, table, unit, labels=None, basic=None, _validate=False):
+        """An algebra on `table`, already in the canonical form above, and a
+        tuple of canonical scalars `unit`, both taken as they are."""
+        a = object.__new__(cls)
+        a._setup(field, dim, table, unit, labels, basic, _validate)
+        return a
+
+    def _setup(self, field, dim, table, unit, labels, basic, validate):
+        self.field, self.dim, self.table, self.unit = field, dim, table, unit
+        if len(unit) != dim:
             raise ValueError("unit coordinate length != dim")
         self.basis_labels = tuple(labels) if labels else tuple(f"b{i}" for i in range(dim))
         if len(self.basis_labels) != dim:
             raise ValueError("label count != dim")
         self.basic = basic
-        self._mult_sparse = None
         self._left_mats = None
         self._right_mats = None
         self._hashes = None
@@ -89,7 +111,7 @@ class Algebra:
         # modules over this algebra that modules.py builds once per instance
         self._modules = {}
         self.associativity_checked = False
-        if _validate and dim:
+        if validate and dim:
             self._validate()
 
     # -- core structure ----------------------------------------------------
@@ -98,21 +120,19 @@ class Algebra:
     def is_zero_algebra(self):
         return self.dim == 0
 
-    def _sparse_table(self):
-        if self._mult_sparse is None:
-            tab = {}
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    ent = tuple((k, c) for k, c in enumerate(self.struct[i][j]) if c)
-                    if ent:
-                        tab[(i, j)] = ent
-            self._mult_sparse = tab
-        return self._mult_sparse
+    def _rows(self, keys):
+        """The dense coordinate vector of b_i b_j for each (i, j) in `keys`."""
+        n, tab = self.dim, self.table
+        for key in keys:
+            row = [0] * n
+            for k, c in tab.get(key, ()):
+                row[k] = c
+            yield tuple(row)
 
     def multiply(self, x, y):
         """Coordinates of (sum x_i b_i) * (sum y_j b_j)."""
         out = [0] * self.dim
-        tab = self._sparse_table()
+        tab = self.table
         xi = [(i, c) for i, c in enumerate(x) if c]
         yj = [(j, c) for j, c in enumerate(y) if c]
         for i, a in xi:
@@ -126,29 +146,28 @@ class Algebra:
 
     def left_mult_matrix(self, x):
         """Matrix of v |-> coords(x * v) acting on row vectors: the sum of
-        x_k times the matrix of b_k, whose row i is struct[k][i]."""
-        return self._mult_matrix(x, self.basis_left_mats())
+        x_k times the matrix of b_k, whose row i is the product b_k b_i."""
+        return linear_combination(x, self.basis_left_mats(), self.field, self.dim, self.dim)
 
     def right_mult_matrix(self, x):
         """Matrix of v |-> coords(v * x) acting on row vectors: the sum of
-        x_k times the matrix whose row i is struct[i][k]."""
-        return self._mult_matrix(x, self.basis_right_mats())
-
-    def _mult_matrix(self, x, mats):
-        support = [k for k, c in enumerate(x) if c]
-        if len(support) == 1 and x[support[0]] == 1:
-            return mats[support[0]]
-        return linear_combination(x, mats, self.field, self.dim, self.dim)
+        x_k times the matrix whose row i is the product b_i b_k."""
+        return linear_combination(x, self.basis_right_mats(), self.field, self.dim, self.dim)
 
     def basis_left_mats(self):
         if self._left_mats is None:
-            self._left_mats = tuple(Matrix._of(self.field, row, self.dim) for row in self.struct)
+            n = self.dim
+            self._left_mats = tuple(
+                Matrix._of(self.field, tuple(self._rows((k, i) for i in range(n))), n)
+                for k in range(n))
         return self._left_mats
 
     def basis_right_mats(self):
         if self._right_mats is None:
-            self._right_mats = tuple(Matrix._of(self.field, col, self.dim)
-                                     for col in zip(*self.struct))
+            n = self.dim
+            self._right_mats = tuple(
+                Matrix._of(self.field, tuple(self._rows((i, k) for i in range(n))), n)
+                for k in range(n))
         return self._right_mats
 
     def generators(self):
@@ -157,16 +176,16 @@ class Algebra:
         return tuple(unit_vector(self.dim, i) for i in range(self.dim))
 
     def is_commutative(self):
-        return all(self.struct[i][j] == self.struct[j][i]
-                   for i in range(self.dim) for j in range(i))
+        return all(self.table.get((j, i)) == ent for (i, j), ent in self.table.items())
 
     def __eq__(self, other):
-        return (isinstance(other, Algebra) and self.field == other.field
-                and self.dim == other.dim and self.struct == other.struct
-                and self.unit == other.unit)
+        return self is other or (
+            isinstance(other, Algebra) and self.field == other.field
+            and self.dim == other.dim and self.unit == other.unit
+            and self.table == other.table)
 
     def __hash__(self):
-        return hash((self.field, self.dim, self.unit, self.struct))
+        return hash((self.field, self.dim, self.unit, len(self.table)))
 
     def __repr__(self):
         return f"Algebra({field_tag_str(self.field)}, dim={self.dim})"
@@ -187,14 +206,14 @@ class Algebra:
         return self._content_hashes()[1]
 
     def _content_hashes(self):
-        # an algebra is immutable, so both hashes are formatted once
+        # an algebra is immutable, so both hashes are formatted once; the
+        # table is formatted dense, product by product in row-major order
         if self._hashes is None:
             h = hashlib.sha256()
             h.update(field_tag_str(self.field).encode())
             h.update(("|" + ",".join(map(str, self.unit))).encode())
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    h.update(("|" + ",".join(map(str, self.struct[i][j]))).encode())
+            for row in self._rows(product(range(self.dim), repeat=2)):
+                h.update(("|" + ",".join(map(str, row))).encode())
             content = h.hexdigest()
             b = self.basic
             if b is not None:
@@ -214,7 +233,7 @@ class Algebra:
             n, gens, p = self.dim, self.generators(), getattr(self.field, "p", None)
             # only the table rows b_i with i in some generator's support
             support = sorted({i for g in gens for i, c in enumerate(g) if c})
-            flat = [x for i in support for entry in self.struct[i] for x in entry]
+            flat = chain.from_iterable(self._rows((i, j) for i in support for j in range(n)))
             arr, den = integer_array(self.field, chain(self.unit, *gens, flat),
                                      lambda m: n * m * m)
             k = len(gens)
@@ -242,14 +261,17 @@ class Algebra:
     def _check_associative(self):
         """Raise unless (b_i b_j) b_l = b_i (b_j b_l) for all i, j, l.
 
-        The table is checked in integers (`integer_array`: over Q scaled by
-        the common denominator, which scales both sides alike, over F_p
-        compared mod p).  Each product sums dim terms of size at most max|c|^2.
-        One slice per i keeps the working memory at dim^3 entries.
+        The table's nonzeros are checked in integers (`integer_array`: over Q
+        scaled by the common denominator, which scales both sides alike, over
+        F_p compared mod p), scattered into a dense (dim, dim, dim) array.
+        Each product sums dim terms of size at most max|c|^2.  One slice per
+        i keeps the working memory at dim^3 entries.
         """
         f, n = self.field, self.dim
-        flat = [x for row in self.struct for entry in row for x in entry]
-        C = integer_array(f, flat, lambda m: m * m * n)[0].reshape(n, n, n)
+        at = [((i * n + j) * n + k, c) for (i, j), ent in self.table.items() for k, c in ent]
+        vals = integer_array(f, (c for _, c in at), lambda m: m * m * n)[0]
+        C = np.zeros((n, n, n), vals.dtype)
+        C.flat[[t for t, _ in at]] = vals
         left, right = C.reshape(n, n * n), C.reshape(n * n, n)
         for i in range(n):
             # [j, (l, k)]: ((b_i b_j) b_l)_k and (b_i (b_j b_l))_k
@@ -263,8 +285,7 @@ class Algebra:
 
 def zero_algebra(field):
     """The zero ring, used for degenerate quotients (A = AeA)."""
-    return Algebra(field, (), (), labels=(), basic=BasicStructure((), (), Matrix(field, [], ncols=0), ()),
-                   _validate=False)
+    return Algebra._of(field, 0, {}, (), basic=BasicStructure((), (), Matrix(field, [], ncols=0), ()))
 
 
 @dataclass(frozen=True)
@@ -495,23 +516,15 @@ def from_quiver(q, field_tag, degree_bound=32, path_budget=20000):
     n = len(survivors)
     f = field
 
-    def reduce_to_basis(source, labels):
-        raw = red.reduce_path(source, labels)
-        out = [0] * n
-        for j, c in raw.items():
-            p = red.paths[j]
-            out[pos[(p.source, p.labels)]] = c
-        return tuple(out)
-
-    struct = []
-    for p in survivors:           # left factor
-        row = []
-        for qq_ in survivors:     # right factor (applied first)
-            if p.source != qq_.target:
-                row.append((0,) * n)
-            else:
-                row.append(reduce_to_basis(qq_.source, qq_.labels + p.labels))
-        struct.append(tuple(row))
+    table = {}
+    for x, p in enumerate(survivors):           # left factor
+        for y, qq_ in enumerate(survivors):     # right factor (applied first)
+            if p.source == qq_.target:
+                raw = red.reduce_path(qq_.source, qq_.labels + p.labels)
+                ent = sorted((pos[(red.paths[j].source, red.paths[j].labels)], c)
+                             for j, c in raw.items())
+                if ent:
+                    table[(x, y)] = tuple(ent)
 
     labels = [p.display() for p in survivors]
     unit = [0] * n
@@ -530,7 +543,7 @@ def from_quiver(q, field_tag, degree_bound=32, path_budget=20000):
         radical_rows=rad_rows,
         generator_coords=gens,
     )
-    return Algebra(f, struct, tuple(unit), labels=labels, basic=basic)
+    return Algebra._of(f, n, table, tuple(unit), labels=labels, basic=basic, _validate=True)
 
 
 # --------------------------------------------------------------------------
@@ -543,39 +556,27 @@ def opposite(a):
     per instance (opposite(opposite(a)) is a)."""
     if a._opposite is not None:
         return a._opposite
-    struct = tuple(tuple(a.struct[j][i] for j in range(a.dim)) for i in range(a.dim))
-    basic = None
-    if a.basic is not None:
-        basic = BasicStructure(a.basic.idempotent_coords, a.basic.idempotent_labels,
-                               a.basic.radical_rows, a.basic.generator_coords)
-    out = Algebra(a.field, struct, a.unit, labels=a.basis_labels, basic=basic, _validate=False)
+    table = {(j, i): ent for (i, j), ent in a.table.items()}
+    out = Algebra._of(a.field, a.dim, table, a.unit, labels=a.basis_labels, basic=a.basic)
     out.associativity_checked = a.associativity_checked
     a._opposite, out._opposite = out, a
     return out
 
 
 def tensor(a, b):
-    """Tensor product algebra with lexicographic basis b_i (x) c_j."""
+    """Tensor product algebra with lexicographic basis b_i (x) c_j: the
+    product of b_i (x) c_j and b_k (x) c_l is b_i b_k (x) c_j c_l, so the
+    table pairs each nonzero product of `a` with each of `b`."""
     check_same_field(a.field, b.field)
     f = a.field
     da, db = a.dim, b.dim
     n = da * db
-    taba = a._sparse_table()
-    tabb = b._sparse_table()
-    struct = [[None] * n for _ in range(n)]
-    for i in range(da):
-        for j in range(db):
-            for k in range(da):
-                for l in range(db):
-                    row = [0] * n
-                    ea = taba.get((i, k))
-                    eb = tabb.get((j, l))
-                    if ea and eb:
-                        for m, cm in ea:
-                            for r, cr in eb:
-                                row[m * db + r] = cm * cr
-                    struct[i * db + j][k * db + l] = tuple(row)
-    struct = tuple(tuple(r) for r in struct)
+    coerce, tabb = f.coerce, b.table.items()
+    table = {}
+    for (i, k), ea in a.table.items():
+        for (j, l), eb in tabb:
+            table[(i * db + j, k * db + l)] = tuple(
+                (m * db + r, coerce(cm * cr)) for m, cm in ea for r, cr in eb)
     unit = tensor_coords(f, a.unit, b.unit, db)
     labels = tuple(f"{la}⊗{lb}" for la in a.basis_labels for lb in b.basis_labels)
     basic = None
@@ -597,7 +598,7 @@ def tensor(a, b):
         gens = tuple(tensor_coords(f, g, b.unit, db) for g in a.generators()) + \
             tuple(tensor_coords(f, a.unit, g, db) for g in b.generators())
         basic = BasicStructure(tuple(idem), tuple(ilab), rad_rows, gens)
-    out = Algebra(f, struct, unit, labels=labels, basic=basic, _validate=False)
+    out = Algebra._of(f, n, table, unit, labels=labels, basic=basic)
     out.associativity_checked = a.associativity_checked and b.associativity_checked
     out._factors = (a, b)
     return out
@@ -633,63 +634,44 @@ def triangular(a1, a2, m):
     if m.left_algebra != a2 or m.right_algebra != a1:
         raise ValueError("triangular needs an A2-A1-bimodule (left a2, right a1)")
     d1, dm, d2 = a1.dim, m.dim, a2.dim
-    n = d1 + dm + d2
+    n, o2 = d1 + dm + d2, d1 + dm
 
-    def pad(block, vec):
-        out = [0] * n
-        off = {0: 0, 1: d1, 2: d1 + dm}[block]
-        for i, x in enumerate(vec):
-            out[off + i] = x
-        return tuple(out)
+    def pad(off, vec):
+        return (0,) * off + tuple(vec) + (0,) * (n - off - len(vec))
 
-    rows = []
-    zrow = (0,) * n
-    for i in range(n):
-        row = []
-        for j in range(n):
-            # basis element i times basis element j
-            if i < d1 and j < d1:
-                row.append(pad(0, a1.struct[i][j]))
-            elif i < d1:
-                row.append(zrow)
-            elif i < d1 + dm:
-                if j < d1:  # m * x1 : right action of a1
-                    row.append(pad(1, m.right_action_matrices[j].row(i - d1)))
-                else:
-                    row.append(zrow)
-            else:
-                i2 = i - d1 - dm
-                if d1 <= j < d1 + dm:  # x2 * m : left action of a2
-                    row.append(pad(1, m.left_action_matrices[i2].row(j - d1)))
-                elif j >= d1 + dm:
-                    row.append(pad(2, a2.struct[i2][j - d1 - dm]))
-                else:
-                    row.append(zrow)
-        rows.append(tuple(row))
-    unit = [0] * n
-    for i, x in enumerate(a1.unit):
-        unit[i] = x
-    for i, x in enumerate(a2.unit):
-        unit[d1 + dm + i] = x
+    def at(pairs, off):
+        return tuple((k + off, c) for k, c in pairs if c)
+
+    # the products inside the diagonal algebras, m x1 by the right action of
+    # a1 and x2 m by the left action of a2; every other product is zero
+    table = dict(a1.table)
+    table.update(((i + o2, j + o2), at(ent, o2)) for (i, j), ent in a2.table.items())
+    for x, act in enumerate(m.right_action_matrices):
+        table.update(((d1 + i, x), at(enumerate(row), d1))
+                     for i, row in enumerate(act.rows) if any(row))
+    for x, act in enumerate(m.left_action_matrices):
+        table.update(((o2 + x, d1 + j), at(enumerate(row), d1))
+                     for j, row in enumerate(act.rows) if any(row))
+    unit = a1.unit + (0,) * dm + a2.unit
     labels = tuple(f"L:{x}" for x in a1.basis_labels) + \
         tuple(f"M:m{i}" for i in range(dm)) + \
         tuple(f"R:{x}" for x in a2.basis_labels)
     basic = None
     if a1.basic is not None and a2.basic is not None:
         idem = tuple(pad(0, e) for e in a1.basic.idempotent_coords) + \
-            tuple(pad(2, e) for e in a2.basic.idempotent_coords)
+            tuple(pad(o2, e) for e in a2.basic.idempotent_coords)
         ilab = tuple(f"L:{l}" for l in a1.basic.idempotent_labels) + \
             tuple(f"R:{l}" for l in a2.basic.idempotent_labels)
         rad = [pad(0, r) for r in a1.basic.radical_rows.rows]
-        rad += [pad(1, unit_vector(dm, i)) for i in range(dm)]
-        rad += [pad(2, r) for r in a2.basic.radical_rows.rows]
+        rad += [pad(d1, unit_vector(dm, i)) for i in range(dm)]
+        rad += [pad(o2, r) for r in a2.basic.radical_rows.rows]
         gens = tuple(pad(0, g) for g in a1.generators()) + \
-            tuple(pad(2, g) for g in a2.generators()) + \
-            tuple(pad(1, unit_vector(dm, i)) for i in range(dm))
+            tuple(pad(o2, g) for g in a2.generators()) + \
+            tuple(pad(d1, unit_vector(dm, i)) for i in range(dm))
         basic = BasicStructure(idem, ilab, row_space_basis(Matrix(f, rad, ncols=n)), gens)
-    alg = Algebra(f, rows, tuple(unit), labels=labels, basic=basic)
+    alg = Algebra._of(f, n, table, unit, labels=labels, basic=basic, _validate=True)
     e1 = Idempotent(alg, pad(0, a1.unit), label="diag(1,0)")
-    e2 = Idempotent(alg, pad(2, a2.unit), label="diag(0,1)")
+    e2 = Idempotent(alg, pad(o2, a2.unit), label="diag(0,1)")
     return alg, e1, e2
 
 
@@ -780,16 +762,11 @@ def ideal_and_quotient(a, e):
         for j in range(a.dim):
             span.append(a.multiply(bie, unit_vector(a.dim, j)))
     ideal = Matrix(f, span, ncols=a.dim)
-    proj, free = quotient_map(ideal)
     ideal_rows = row_space_basis(ideal)
+    quot, proj, free = _quotient_by_ideal(a, ideal, "~")
     nq = len(free)
     if nq == 0:
         return IdealQuotient(ideal_rows, zero_algebra(f), proj, (), True)
-    # coordinates in A/AeA of an element of A: reduce modulo AeA through proj
-    struct = tuple(tuple(tuple(combine_rows(proj, enumerate(a.struct[i][j]))) for j in free)
-                   for i in free)
-    unit = tuple(combine_rows(proj, enumerate(a.unit)))
-    labels = tuple(f"{a.basis_labels[j]}~" for j in free)
     basic = None
     if a.basic is not None:
         idem = []
@@ -803,15 +780,16 @@ def ideal_and_quotient(a, e):
                                               for r in a.basic.radical_rows.rows], ncols=nq))
         gens = tuple(tuple(combine_rows(proj, enumerate(g))) for g in a.generators())
         basic = BasicStructure(tuple(idem), tuple(ilab), rad_rows, gens)
-    quot = Algebra(f, struct, unit, labels=labels, basic=basic)
+    quot = Algebra._of(f, nq, quot.table, quot.unit, labels=quot.basis_labels, basic=basic,
+                       _validate=True)
     # the projection must be an algebra map
     for i in range(a.dim):
         for j in range(a.dim):
             lhs = quot.multiply(proj.rows[i], proj.rows[j])
-            rhs = tuple(combine_rows(proj, enumerate(a.struct[i][j])))
+            rhs = tuple(combine_rows(proj, a.table.get((i, j), ())))
             if lhs != rhs:
                 raise ValueError("projection failed to be an algebra map")
-    return IdealQuotient(ideal_rows, quot, proj, tuple(free), False)
+    return IdealQuotient(ideal_rows, quot, proj, free, False)
 
 
 def center(a):
@@ -846,9 +824,10 @@ def radical(a):
 
 
 def _radical_trace(a):
-    n = a.dim
-    traces = [sum(a.struct[k][i][i] for i in range(n)) for k in range(n)]
-    rows = [[sum(c * t for c, t in zip(a.struct[i][j], traces) if c) for j in range(n)]
+    n, tab = a.dim, a.table
+    # the trace of b_k acting on A, then the trace form (b_i, b_j) = tr(b_i b_j)
+    traces = [sum(dict(tab.get((k, i), ())).get(i, 0) for i in range(n)) for k in range(n)]
+    rows = [[sum(c * traces[k] for k, c in tab.get((i, j), ())) for j in range(n)]
             for i in range(n)]
     gram = Matrix(a.field, rows, ncols=n)
     return kernel_basis(gram.transpose()).transpose()
@@ -890,7 +869,7 @@ def discover_basic(a):
         raise NotSplitBasic("lifted idempotents do not sum to 1")
     basic = BasicStructure(tuple(lifted), tuple(f"p{i}" for i in range(len(lifted))),
                            rad, tuple(unit_vector(a.dim, i) for i in range(a.dim)))
-    out = Algebra(f, a.struct, a.unit, labels=a.basis_labels, basic=basic, _validate=False)
+    out = Algebra._of(f, a.dim, a.table, a.unit, labels=a.basis_labels, basic=basic)
     out.associativity_checked = a.associativity_checked
     return out
 
@@ -902,12 +881,15 @@ def _sum_vecs(f, vecs, n):
     return tuple(map(f.coerce, out))
 
 
-def _quotient_by_ideal(a, ideal_rows):
+def _quotient_by_ideal(a, ideal_rows, suffix=""):
+    """(A/I, proj, free) for the two-sided ideal I spanned by `ideal_rows`:
+    the quotient on the basis vectors b_j, j in `free`, off the pivots of I
+    (labelled with `suffix`), unchecked and without a basic structure, and
+    the projection of A onto it."""
     proj, free = quotient_map(ideal_rows)
-    struct = tuple(tuple(tuple(combine_rows(proj, enumerate(a.struct[i][j]))) for j in free)
-                   for i in free)
-    quot = Algebra(a.field, struct, tuple(combine_rows(proj, enumerate(a.unit))),
-                   labels=tuple(a.basis_labels[j] for j in free), _validate=False)
+    struct = [[combine_rows(proj, a.table.get((i, j), ())) for j in free] for i in free]
+    quot = Algebra(a.field, struct, combine_rows(proj, enumerate(a.unit)),
+                   labels=tuple(f"{a.basis_labels[j]}{suffix}" for j in free), _validate=False)
     return quot, proj, tuple(free)
 
 

@@ -26,6 +26,7 @@ import argparse
 import functools
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
@@ -123,13 +124,15 @@ def validate_algebra_doc(doc):
     if kind == "quiver":
         if not isinstance(doc.get("vertices"), list) or not doc["vertices"]:
             raise ParseError("quiver needs a nonempty vertex list")
-        for arr in doc.get("arrows", []):
-            if not all(k in arr for k in ("source", "target", "label")):
-                raise ParseError("arrow needs source/target/label")
-        for rel in doc.get("relations", []):
-            for term in rel:
-                if "path" not in term or len(term["path"]) < 2:
-                    raise ParseError("relation terms need paths of length >= 2")
+        with _building("quiver"):
+            for arr in doc.get("arrows", []):
+                if not all(k in arr for k in ("source", "target", "label")):
+                    raise ParseError("arrow needs source/target/label")
+            for rel in doc.get("relations", []):
+                for term in rel:
+                    if "path" not in term or len(term["path"]) < 2:
+                        raise ParseError("relation terms need paths of length >= 2")
+            operator.index(doc.get("degree_bound", 32))
     elif kind == "structure_constants":
         for key in ("dim", "table", "unit"):
             if key not in doc:
@@ -204,7 +207,6 @@ def algebra_from_doc(doc):
         e = parse_idempotent(args[0], doc.get("idempotent"))
         iq = ideal_and_quotient(args[0], e)
         if iq.ideal_is_whole:
-            from .errors import QuotientIsZero
             raise QuotientIsZero(
                 "AeA = A: the quotient is the zero ring and cannot feed a "
                 "construction that needs a unital algebra")

@@ -14,12 +14,14 @@ from __future__ import annotations
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 
+from .algebra import opposite
 from .errors import (
     AlgebraMismatch,
     DepthMismatch,
     DimensionMismatch,
     Inconclusive,
     InputNotExact,
+    NotDegreewiseProjective,
     RecollabError,
 )
 from .exactfield import (
@@ -45,6 +47,7 @@ from .modules import (
     iso_test,
     projective_cover,
     projective_module,
+    quotient_by_rows,
     regular_bimodule,
     submodule_from_rows,
     top_of,
@@ -195,7 +198,6 @@ class BoundedComplex:
 
     def cohomology_module(self, n):
         """H^n as a module (kernel of d^n modulo image of d^{n-1})."""
-        from .modules import quotient_by_rows
         ker_rows = kernel_basis(self.diff_matrix(n).transpose()).transpose()
         sub, incl = submodule_from_rows(self.module(n), ker_rows)
         img = row_space_basis(self.diff_matrix(n - 1))
@@ -693,9 +695,6 @@ def dualize_perfect(x):
     Returns a bounded complex over A^op in the negated degrees.  Exact on
     projectives, so the double dual has the same cohomology dimensions.
     """
-    from .algebra import opposite
-    from .errors import NotDegreewiseProjective
-
     a = x.algebra
     for n in x.degrees():
         if not is_projective(x.module(n)):

@@ -135,19 +135,15 @@ def _tensor_complex(res, t, n_max):
     return VectorSpaceComplex(t.field, dims, diffs), level_data
 
 
-def tor(m, n, n_max, resolve="left"):
-    """Tor_i^B(m, n) for i <= n_max; m a right B-module, n a left B-module.
-
-    resolve="left" resolves m; resolve="right" resolves n over B^op.  Both
-    give the same dimensions (balancedness), which the test suite asserts.
-    """
+def tor(m, n, n_max):
+    """Tor_i^B(m, n) for i <= n_max; m a right B-module, n a left B-module,
+    from a projective resolution of m.  Tor^B_i(M, N) = Tor^{B^op}_i(N, M),
+    so resolving n over B^op (the swapped bimodules) gives the same
+    dimensions (balancedness), which the test suite asserts."""
     m_bim = as_bimodule(m)
     n_bim = as_bimodule(n)
     if m_bim.right_algebra != n_bim.left_algebra:
         raise AlgebraMismatch("tor: middle algebra mismatch")
-    if resolve == "right":
-        # Tor^B_i(M, N) = Tor^{B^op}_i(N, M) via the swapped bimodules
-        return tor(n_bim.swap_sides(), m_bim.swap_sides(), n_max, resolve="left")
     res = projective_resolution(m_bim.restrict_right(), n_max + 1)
     cx, _ = _tensor_complex(res, n_bim, n_max + 1)
     return GradedDims(tuple((i, cx.cohomology_dim(-i)) for i in range(n_max + 1)))
@@ -289,7 +285,7 @@ def _bar_blocks(a):
     pair (u, v) = (left[k], right[k]) and every product respects these
     blocks; otherwise E = k.1 as [(j0, unit)], j0 the unit's first nonzero
     coordinate, and one block."""
-    d, tab = a.dim, a._sparse_table()
+    d, tab = a.dim, a.table
     idem = a.basic.idempotent_coords if a.basic is not None else ()
     piv = [v.index(1) for v in idem if sum(map(bool, v)) == 1 and 1 in v]
     left = [[u for u, i in enumerate(piv) if tab.get((i, k)) == ((k, 1),)] for k in range(d)]
@@ -321,7 +317,7 @@ class _BarComplex:
     base d = dim A; `chains[n]`, `cochains[n]` hold the sorted codes."""
 
     def __init__(self, a, n_max):
-        d, f, tab = a.dim, a.field, a._sparse_table()
+        d, f, tab = a.dim, a.field, a.table
         E, left, right = _bar_blocks(a)
         self.d, self.p, piv = d, getattr(f, "p", None), dict(E)
         # the products in A, and in Abar: minus, for each (pivot, vector) of E,

@@ -43,8 +43,22 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import Algebra, Idempotent, ideal_and_quotient, corner, opposite, radical
-from .errors import AlgebraMismatch, DimensionMismatch, Inconclusive, NotInHomSpace
+from .algebra import (
+    Algebra,
+    Idempotent,
+    corner,
+    discover_basic,
+    ideal_and_quotient,
+    opposite,
+    radical,
+)
+from .errors import (
+    AlgebraMismatch,
+    DimensionMismatch,
+    Inconclusive,
+    NotInHomSpace,
+    UnsupportedField,
+)
 from .exactfield import (
     QQ,
     Matrix,
@@ -754,7 +768,6 @@ def projective_cover(m, picks=None):
     surjection x |-> g x on each e_v A is A-linear by construction (Yoneda)
     and is checked to be onto.
     """
-    from .errors import UnsupportedField
     a = m.algebra
     if a.basic is None:
         raise UnsupportedField("projective covers need the basic structure "
@@ -895,7 +908,6 @@ def canonical_bimodules(a, e):
     cd = corner(a, e, with_embedding=True)
     eAe, emb = cd.algebra, cd.embedding
     if eAe.basic is None and f == QQ and eAe.dim:
-        from .algebra import discover_basic
         eAe = discover_basic(eAe)
     L = a.basis_left_mats()
     R = a.basis_right_mats()
@@ -947,7 +959,6 @@ def simple_modules(a):
     """The simple right modules, one per primitive idempotent (split basic
     case), built once per algebra instance; each call gets a new list."""
     if a.basic is None:
-        from .errors import UnsupportedField
         raise UnsupportedField("simples need the basic structure "
                                "(quiver presentation or discovery over Q)")
     return list(_once(a._modules, "simples", lambda: tuple(_simples(a))))

@@ -24,6 +24,7 @@ from .algebra import (
 )
 from .complexes import projective_resolution
 from .errors import (
+    AlgebraMismatch,
     CertificationFailed,
     NotPerfect,
     NotStratifying,
@@ -38,6 +39,7 @@ from .modules import (
     canonical_bimodules,
     hom_module,
     hom_space,
+    is_projective,
     regular_bimodule,
     regular_module,
     simple_modules,
@@ -219,7 +221,6 @@ def from_triangular(a1, a2, m, n_max=6):
     """
     alg, e1, e2 = triangular(a1, a2, m)
     r = from_idempotent(alg, e2, n_max=n_max)
-    from .modules import is_projective
     if not is_projective(r.canon.aea.restrict_right()):
         raise CertificationFailed("triangular stratifying ideal is not projective")
     if r.perfect.status != "verified":
@@ -272,7 +273,6 @@ def eval_functor(r, name, m, n_max=6):
 
 
 def _expect(m, alg):
-    from .errors import AlgebraMismatch
     if m.algebra != alg:
         raise AlgebraMismatch("module is over the wrong algebra for this functor")
 

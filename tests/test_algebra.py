@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -28,7 +29,8 @@ from recollab.errors import (
 )
 from recollab.cli import algebra_from_doc
 from recollab.exactfield import GF, QQ, Matrix, rank, unit_vector
-from test_homology import DOCS, _base_change, _doc_over
+from recollab.fixtures import augmentation_bimodule, field_bimodule
+from test_homology import DOCS, _base_change, _dense, _doc_over
 
 F5 = GF(5)
 
@@ -57,7 +59,7 @@ def test_single_vertex_is_ground_field():
     k = ground_field_algebra()
     assert k.dim == 1
     assert k.unit == (Fraction(1),)
-    assert k.struct[0][0] == (Fraction(1),)
+    assert k.table == {(0, 0): ((0, 1),)}
 
 
 def test_a2_quiver_dim_3():
@@ -102,7 +104,7 @@ def test_five_dim_two_cycle_with_relation():
 
 def test_opposite_commutative_is_identity():
     d = dual_numbers()
-    assert opposite(d).struct == d.struct
+    assert opposite(d).table == d.table
 
 
 def test_opposite_involution():
@@ -115,7 +117,7 @@ def test_opposite_transposes_table():
     aop = opposite(a)
     for i in range(3):
         for j in range(3):
-            assert aop.struct[i][j] == a.struct[j][i]
+            assert aop.table.get((i, j)) == a.table.get((j, i))
 
 
 def test_tensor_with_ground_field():
@@ -123,7 +125,7 @@ def test_tensor_with_ground_field():
     k = ground_field_algebra()
     t = tensor(a, k)
     assert t.dim == a.dim
-    assert t.struct == a.struct
+    assert t.table == a.table
 
 
 def test_tensor_dims():
@@ -147,7 +149,7 @@ def test_tensor_associative_up_to_relabeling():
     left = tensor(tensor(a, b), c)
     right = tensor(a, tensor(b, c))
     # lexicographic flattening makes the structure constants literally equal
-    assert left.struct == right.struct
+    assert left.table == right.table
     assert left.unit == right.unit
 
 
@@ -156,13 +158,13 @@ def test_tensor_structure_hash_is_derived_from_the_factors():
     # order in which a factor lists its idempotents; the content hash formats
     # the table, as for an algebra built from that table directly
     a, c = a2_path(), dual_numbers()
-    b = discover_basic(Algebra(a.field, a.struct, a.unit))
+    b = discover_basic(Algebra(a.field, _dense(a), a.unit))
     assert a == b and a.basic.idempotent_coords != b.basic.idempotent_coords
     for make in (lambda x: tensor(x, c), lambda x: tensor(c, x), enveloping):
         ta, tb = make(a), make(b)
         assert ta.content_hash() == tb.content_hash()
         assert ta.structure_hash() != tb.structure_hash()
-        direct = Algebra(ta.field, ta.struct, ta.unit, basic=ta.basic, _validate=False)
+        direct = Algebra(ta.field, _dense(ta), ta.unit, basic=ta.basic, _validate=False)
         assert ta.content_hash() == direct.content_hash()
     key = f"tensor|{a.structure_hash()}|{c.structure_hash()}"
     assert tensor(a, c).structure_hash() == hashlib.sha256(key.encode()).hexdigest()
@@ -176,7 +178,7 @@ def a2_path_algebra_small():
 def test_corner_at_unit_same_structure_constants():
     a = a2_path()
     c = corner(a, Idempotent(a, a.unit))
-    assert c.struct == a.struct
+    assert c.table == a.table
 
 
 def test_enveloping_dual_numbers_commutative():
@@ -211,6 +213,99 @@ def test_triangular_kronecker_dim_4():
     a, e1, e2 = triangular(ground_field_algebra(), ground_field_algebra(),
                            _bimodule_over_fields(QQ, 2))
     assert a.dim == 4
+
+
+# -- the sparse table against the dense builders it replaced -----------------
+
+
+def _assert_table_is(a, want):
+    """`a.table` is in canonical form (a key only for a nonzero product,
+    coordinates ascending, each scalar nonzero) and, expanded, equals the
+    dense table `want` entry for entry, types included."""
+    assert all(ent and all(c for _, c in ent) and [k for k, _ in ent] == sorted({k for k, _ in ent})
+               for ent in a.table.values())
+    got = _dense(a)
+    assert got == want
+    assert [type(x) for r in got for e in r for x in e] == \
+        [type(x) for r in want for e in r for x in e]
+
+
+def _dense_opposite(a):
+    """The reference opposite: the dense table transposed."""
+    s = _dense(a)
+    return tuple(tuple(s[j][i] for j in range(a.dim)) for i in range(a.dim))
+
+
+def _dense_tensor(f, sa, sb):
+    """The reference tensor product of two dense tables, one product per
+    quadruple of basis elements, each entry coerced."""
+    da, db = len(sa), len(sb)
+    n = da * db
+    out = [[None] * n for _ in range(n)]
+    for i, j, k, l in product(range(da), range(db), range(da), range(db)):
+        row = [0] * n
+        for m, cm in enumerate(sa[i][k]):
+            for r, cr in enumerate(sb[j][l]):
+                row[m * db + r] = cm * cr
+        out[i * db + j][k * db + l] = tuple(map(f.coerce, row))
+    return tuple(map(tuple, out))
+
+
+def _dense_triangular(a1, a2, m):
+    """The reference table of [[A1, 0], [M, A2]], padded block by block."""
+    f, (d1, dm, d2) = a1.field, (a1.dim, m.dim, a2.dim)
+    n, s1, s2 = d1 + dm + d2, _dense(a1), _dense(a2)
+
+    def pad(off, vec):
+        return tuple(map(f.coerce, (0,) * off + tuple(vec) + (0,) * (n - off - len(vec))))
+
+    rows = [[(0,) * n] * n for _ in range(n)]
+    for i, j in product(range(n), repeat=2):
+        if i < d1 and j < d1:
+            rows[i][j] = pad(0, s1[i][j])
+        elif d1 <= i < d1 + dm and j < d1:
+            rows[i][j] = pad(d1, m.right_action_matrices[j].row(i - d1))
+        elif i >= d1 + dm and d1 <= j < d1 + dm:
+            rows[i][j] = pad(d1, m.left_action_matrices[i - d1 - dm].row(j - d1))
+        elif i >= d1 + dm and j >= d1 + dm:
+            rows[i][j] = pad(d1 + dm, s2[i - d1 - dm][j - d1 - dm])
+    return tuple(map(tuple, rows))
+
+
+def _table_cases():
+    # the shipped documents and their F_5 copies, and base changes whose
+    # constants multiply to integral Fractions over Q and past p over F_5
+    cases = []
+    for path in DOCS:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        cases.append(pytest.param(lambda doc=doc: algebra_from_doc(doc), id=path.stem))
+        if doc.get("field", "Q") == "Q":
+            cases.append(pytest.param(lambda doc=doc: algebra_from_doc(_doc_over(doc, "Fp:5")),
+                                      id=path.stem + "@F5"))
+    for f in (QQ, F5):
+        cases.append(pytest.param(lambda f=f: _base_change(kronecker(f), random.Random(7)),
+                                  id=f"kronecker~{f}"))
+    return cases
+
+
+@pytest.mark.parametrize("make", _table_cases())
+def test_opposite_tensor_and_enveloping_tables_match_the_dense_builders(make):
+    a = make()
+    f, s, sop = a.field, _dense(a), _dense_opposite(a)
+    _assert_table_is(a, s)
+    _assert_table_is(opposite(a), sop)
+    _assert_table_is(enveloping(a), _dense_tensor(f, sop, s))
+    _assert_table_is(tensor(a, kronecker(f)), _dense_tensor(f, s, _dense(kronecker(f))))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_triangular_tables_match_the_dense_builder(field):
+    k, d = ground_field_algebra(field), dual_numbers(field)
+    for a1, a2, m in ((k, k, field_bimodule(k, k, 1)), (k, k, field_bimodule(k, k, 2)),
+                      (d, k, augmentation_bimodule(k, d))):
+        alg, _, _ = triangular(a1, a2, m)
+        _assert_table_is(alg, _dense_triangular(a1, a2, m))
+        assert alg.associativity_checked
 
 
 # -- corner / ideal+quotient -----------------------------------------------
@@ -305,14 +400,14 @@ def test_radical_a2_is_arrow_ideal():
 def test_radical_trace_form_agrees_with_arrow_ideal():
     from recollab.exactfield import subspace_equal
     a = a2_path()
-    bare = Algebra(a.field, a.struct, a.unit, labels=a.basis_labels)  # no basic tag
+    bare = Algebra(a.field, _dense(a), a.unit, labels=a.basis_labels)  # no basic tag
     tr = radical(bare)
     assert subspace_equal(tr.transpose(), radical(a).transpose())
 
 
 def test_radical_unsupported_over_fp_without_quiver():
     a = a2_path(F5)
-    bare = Algebra(a.field, a.struct, a.unit, labels=a.basis_labels)
+    bare = Algebra(a.field, _dense(a), a.unit, labels=a.basis_labels)
     with pytest.raises(UnsupportedField):
         radical(bare)
 
@@ -357,7 +452,7 @@ def test_radical_is_nilpotent_ideal():
 
 def test_discover_basic_on_bare_a2():
     a = a2_path()
-    bare = Algebra(a.field, a.struct, a.unit, labels=a.basis_labels)
+    bare = Algebra(a.field, _dense(a), a.unit, labels=a.basis_labels)
     full = discover_basic(bare)
     assert len(full.basic.idempotent_coords) == 2
     s = full.basic.idempotent_coords
@@ -443,9 +538,8 @@ def test_structure_constants_are_stored_as_coerce_would_store_them(field):
     for struct, unit in kinds:
         a = Algebra(field, struct, unit, _validate=False)
         want = tuple(tuple(tuple(map(field.coerce, c)) for c in row) for row in struct)
-        assert a.struct == want and a.unit == tuple(map(field.coerce, unit))
-        assert all(type(x) is type(y) for r, w in zip(a.struct, want)
-                   for c, d in zip(r, w) for x, y in zip(c, d))
+        _assert_table_is(a, want)
+        assert a.unit == tuple(map(field.coerce, unit))
         ref = Algebra(field, want, tuple(map(field.coerce, unit)), _validate=False)
         assert a.content_hash() == ref.content_hash()
         assert a.structure_hash() == ref.structure_hash()

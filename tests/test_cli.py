@@ -17,6 +17,7 @@ from recollab.cli import (
     validate_algebra_doc,
 )
 from recollab.errors import CertificationFailed
+from test_homology import _dense, _linear_doc
 
 DOCS = Path(__file__).resolve().parent.parent / "demos" / "docs"
 
@@ -211,7 +212,6 @@ def test_cmd_hochschild_linear_a5_resolution_path_and_oracle(tmp_path, capsys):
     # linear A_5 (dim 15, A^e of dim 225) to degree 3: Happel's HH^0 = 1,
     # HH_0 = |Q_0| and 0 above, and the bar oracle agrees in every degree at
     # the budget 15^5 that its gate measures for degree 4
-    from test_homology import _linear_doc
     path = _write(tmp_path, _linear_doc(5))
     code = main(["hochschild", path, "--max-degree", "3", "--oracle", "--budget", "759375"])
     assert code == EXIT_OK
@@ -224,13 +224,25 @@ def test_cmd_hochschild_linear_a5_resolution_path_and_oracle(tmp_path, capsys):
 
 
 @pytest.mark.scale
+def test_cmd_hochschild_linear_a6_happel(tmp_path, capsys):
+    # linear A_6 (dim 21, A^e of dim 441) to degree 2: Happel's HH^0 = 1 and
+    # HH^1 = HH^2 = 0 for a tree quiver, and HH_0 = |Q_0| with 0 above
+    path = _write(tmp_path, _linear_doc(6))
+    assert main(["hochschild", path, "--max-degree", "2"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["hh_cohomology"] == {"0": 1, "1": 0, "2": 0}
+    assert out["hh"] == {"0": 6, "1": 0, "2": 0}
+
+
+@pytest.mark.scale
 def test_cmd_hochschild_linear_a5_runs_no_check_over_a_e(tmp_path, capsys, monkeypatch):
     """The A^e-modules of a `hochschild` request are certified through the
     checks over A and A^op: no module or bimodule law check runs over A^e
-    (of dimension 225 here) or its opposite, which is never built."""
+    (of dimension 225 here) or its opposite, which is never built, and
+    neither A^e's basis multiplication matrices nor its integer tables are
+    built."""
     import sys
     from recollab import algebra, modules
-    from test_homology import _linear_doc
     envs, checked = [], []
     real_env = algebra.enveloping
 
@@ -246,6 +258,8 @@ def test_cmd_hochschild_linear_a5_runs_no_check_over_a_e(tmp_path, capsys, monke
     path = _write(tmp_path, _linear_doc(5))
     assert main(["hochschild", path, "--max-degree", "3"]) == EXIT_OK
     assert envs and all(e.dim == 225 and e._opposite is None for e in envs)
+    assert all(e._left_mats is None and e._right_mats is None and e._ints is None
+               for e in envs)
     assert checked
     over = [x.algebra for x in checked if isinstance(x, modules.RightModule)]
     over += [y for x in checked if isinstance(x, modules.Bimodule)
@@ -446,8 +460,7 @@ def _structure_constants_doc(name):
     structure is then discovered, not read from the quiver."""
     alg = algebra_from_doc(_doc(name))
     return {"kind": "structure_constants", "field": "Q", "dim": alg.dim,
-            "table": [[[str(x) for x in alg.struct[i][j]] for j in range(alg.dim)]
-                      for i in range(alg.dim)],
+            "table": [[[str(x) for x in entry] for entry in row] for row in _dense(alg)],
             "unit": [str(x) for x in alg.unit]}
 
 
@@ -606,12 +619,21 @@ MALFORMED = {
         ["define"], {"kind": "structure_constants", "field": "Q", "dim": 2,
                      "table": [[["1", "0"]], [["0", "1"], ["0", "0"]]],
                      "unit": ["1", "0"]}, None),
+    # b0 b0 has one coordinate in a 2-dimensional algebra
+    "short_table_entry": (
+        ["define"], {"kind": "structure_constants", "field": "Q", "dim": 2,
+                     "table": [[["1"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
+                     "unit": ["1", "0"]}, None),
     "arrow_to_unknown_vertex": (
         ["define"], dict(_ONE_VERTEX, arrows=[{"source": "1", "target": "9", "label": "a"}]),
         None),
     "idempotent_not_idempotent": (["stratify"], None, "[1,1,1]"),
     # the tag of F_5 is "Fp:5"
     "unknown_field_tag": (["define"], dict(_ONE_VERTEX, field="F5"), None),
+    "arrow_not_an_object": (["define"], dict(_ONE_VERTEX, arrows=[5]), None),
+    "relation_path_not_a_list": (["define"], dict(_ONE_VERTEX, relations=[[{"path": 3}]]), None),
+    "relation_not_a_list": (["define"], dict(_ONE_VERTEX, relations=[5]), None),
+    "degree_bound_not_an_integer": (["define"], dict(_ONE_VERTEX, degree_bound="x"), None),
 }
 
 

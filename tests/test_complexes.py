@@ -35,6 +35,7 @@ from recollab.modules import (
     simple_modules,
     zero_module,
 )
+from test_homology import _dense
 
 
 def test_resolution_of_projective_stabilizes_at_zero():
@@ -269,7 +270,7 @@ def test_horseshoe_middle_levels_are_tagged_only_over_one_basic_structure():
     a = a2_path_algebra()
     ses = _simple_ses(a)
     b = a.basic
-    flipped = Algebra(a.field, a.struct, a.unit, labels=a.basis_labels, basic=BasicStructure(
+    flipped = Algebra(a.field, _dense(a), a.unit, labels=a.basis_labels, basic=BasicStructure(
         b.idempotent_coords[::-1], b.idempotent_labels[::-1], b.radical_rows,
         b.generator_coords))
     sub = RightModule(flipped, ses.sub.dim, ses.sub.action)
@@ -421,7 +422,7 @@ def test_one_table_with_two_idempotent_orders(first):
     # list the vertices in opposite orders: covers of one must never use the
     # vertex projectives of the other
     a = a2_path_algebra()
-    b = discover_basic(Algebra(a.field, a.struct, a.unit))
+    b = discover_basic(Algebra(a.field, _dense(a), a.unit))
     assert a == b and a.basic.idempotent_coords != b.basic.idempotent_coords
     assert a.structure_hash() != b.structure_hash()
     order = (a, b) if first == 0 else (b, a)

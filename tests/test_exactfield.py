@@ -525,7 +525,7 @@ def test_stored_scalars_are_reduced(field):
         return Algebra(field, struct, (1, 0, 0))
 
     st = tensor(truncated(s), truncated(t))
-    _assert_canonical(field, st.unit, *(e for row in st.struct for e in row))
+    _assert_canonical(field, st.unit, *(tuple(c for _, c in ent) for ent in st.table.values()))
     aa = tensor(a, a)
     _assert_canonical(field, aa.unit, aa.basic.radical_rows, *aa.basic.idempotent_coords,
                       *aa.basic.generator_coords)
