@@ -37,9 +37,10 @@ from .exactfield import (
     Field,
     Matrix,
     _canonical_rows,
+    _descend,
+    _restrict,
     check_same_field,
     combine_rows,
-    express_in_row_basis,
     field_tag_str,
     integer_array,
     kernel_basis,
@@ -249,6 +250,13 @@ class Algebra:
 
     # -- validation ----------------------------------------------------------
 
+    def _check(self):
+        """Run the unit and associativity check unless it has passed: the
+        certificate of everything built from A whose laws follow from A's.
+        A failing check records nothing, so it raises every time."""
+        if not self.associativity_checked:
+            self._validate()
+
     def _validate(self):
         # unit law on every basis vector
         for i in range(self.dim):
@@ -338,6 +346,8 @@ class QuiverPresentation:
         object.__setattr__(self, "vertices", tuple(str(v) for v in self.vertices))
         arrows = tuple((str(s), str(t), str(l)) for (s, t, l) in self.arrows)
         object.__setattr__(self, "arrows", arrows)
+        if len(set(self.vertices)) != len(self.vertices):
+            raise ValueError("duplicate vertex labels")
         labels = [l for (_, _, l) in arrows]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate arrow labels")
@@ -675,31 +685,31 @@ def triangular(a1, a2, m):
     return alg, e1, e2
 
 
-@dataclass
-class CornerData:
-    algebra: Algebra
-    embedding: Matrix  # rows: corner basis in A-coordinates
-
-
 def corner(a, e, with_embedding=False):
-    """The corner algebra eAe with unit e."""
-    f = a.field
-    ec = e.coords if isinstance(e, Idempotent) else tuple(f.coerce(x) for x in e)
-    span = []
-    for i in range(a.dim):
-        span.append(a.multiply(a.multiply(ec, unit_vector(a.dim, i)), ec))
-    basis = row_space_basis(Matrix(f, span, ncols=a.dim))
-    n = basis.nrows
-    # the products b_i b_j (row-major) and then e, in the corner basis
-    coords = _in_basis(basis, [a.multiply(x, y) for x in basis.rows for y in basis.rows] + [ec])
-    struct = [coords[i * n:(i + 1) * n] for i in range(n)]
-    unit = coords[-1]
-    labels = tuple(_corner_label(a, basis.rows[i]) for i in range(n))
-    basic = _corner_basic(a, ec, basis, f)
-    out = Algebra(f, struct, unit, labels=labels, basic=basic)
-    if with_embedding:
-        return CornerData(out, basis)
-    return out
+    """The corner algebra eAe with unit e, for an `Idempotent` e (and its
+    basis in A-coordinates, `with_embedding`).  The basis is the RREF of the
+    e b_i e, so an element of eAe, e among them, has its coordinates at the
+    pivots; the table is right multiplication by the basis restricted to eAe
+    (`_restrict`).  Its laws follow from A's and e^2 = e (checked by
+    `Idempotent`), so A is checked once and certifies it."""
+    a._check()
+    f, ec = a.field, e.coords
+    # row i of left_mult_matrix(e) right_mult_matrix(e) is e b_i e
+    basis = row_space_basis(a.left_mult_matrix(ec).mul(a.right_mult_matrix(ec)))
+    _, pivots, rights = _restrict(basis, [a.right_mult_matrix(x) for x in basis.rows])
+    labels = tuple(_corner_label(a, row) for row in basis.rows)
+    out = Algebra._of(f, basis.nrows, _table_of(rights), tuple(ec[p] for p in pivots),
+                      labels=labels, basic=_corner_basic(a, ec, pivots, f))
+    out.associativity_checked = True
+    return (out, basis) if with_embedding else out
+
+
+def _table_of(rights):
+    """The canonical table whose right multiplication by b_j is rights[j]:
+    (i, j) holds the nonzeros of row i of it, keys in row-major order."""
+    n = len(rights)
+    return {(i, j): ent for i in range(n) for j in range(n)
+            if (ent := tuple((k, c) for k, c in enumerate(rights[j].rows[i]) if c))}
 
 
 def _corner_label(a, row):
@@ -709,101 +719,61 @@ def _corner_label(a, row):
     return "(" + "+".join(a.basis_labels[i] for i, _ in nz) + ")"
 
 
-def _in_basis(basis, vecs):
-    """Coordinates of each of `vecs` in the rows of `basis`, one batch."""
-    coords = express_in_row_basis(basis, Matrix(basis.field, vecs, ncols=basis.ncols))
-    if coords is None:
-        raise ValueError("vector not in subspace")
-    return coords.rows
-
-
-def _corner_basic(a, ec, basis, f):
+def _corner_basic(a, ec, pivots, f):
     if a.basic is None:
         return None
     # e must be an exact sum of a subset of the known orthogonal primitive
     # idempotents; then e*e_i is e_i (inside) or 0 (outside).
     chosen = []
-    zero_vec = (0,) * a.dim
     for idx, iv in enumerate(a.basic.idempotent_coords):
         prod = a.multiply(ec, iv)
         if prod == iv:
             chosen.append(idx)
-        elif prod != zero_vec:
+        elif any(prod):
             return None
-    acc = _sum_vecs(f, [a.basic.idempotent_coords[i] for i in chosen], a.dim)
-    if acc != ec:
+    if _sum_vecs(f, [a.basic.idempotent_coords[i] for i in chosen], a.dim) != ec:
         return None
-    ilab = tuple(a.basic.idempotent_labels[idx] for idx in chosen)
     rad = [v for v in (a.multiply(a.multiply(ec, r), ec) for r in a.basic.radical_rows.rows)
            if any(v)]
-    # the chosen idempotents, then e rad e, in the corner basis
-    coords = _in_basis(basis, [a.basic.idempotent_coords[idx] for idx in chosen] + rad)
-    rad_rows = row_space_basis(Matrix(f, coords[len(chosen):], ncols=basis.nrows))
-    gens = tuple(unit_vector(basis.nrows, i) for i in range(basis.nrows))
-    return BasicStructure(coords[:len(chosen)], ilab, rad_rows, gens)
+    # the chosen idempotents, then e rad e, all in eAe: their coordinates
+    # in the corner basis are their entries at its pivots
+    coords = [tuple(v[p] for p in pivots)
+              for v in [a.basic.idempotent_coords[idx] for idx in chosen] + rad]
+    n = len(pivots)
+    return BasicStructure(tuple(coords[:len(chosen)]),
+                          tuple(a.basic.idempotent_labels[idx] for idx in chosen),
+                          row_space_basis(Matrix(f, coords[len(chosen):], ncols=n)),
+                          tuple(unit_vector(n, i) for i in range(n)))
 
 
 @dataclass
 class IdealQuotient:
-    ideal_rows: Matrix      # rows span AeA inside A
+    ideal_rows: Matrix      # rows span the ideal (AeA) inside A
     quotient: Algebra       # A / AeA (may be the zero algebra)
     projection: Matrix      # dim(A) x dim(quotient), an algebra map
     section_cols: tuple     # basis indices of A representing quotient classes
     ideal_is_whole: bool
+    left_action: tuple      # b_i acting on the quotient from the left, i < dim A
+    right_action: tuple     # b_i acting on the quotient from the right
 
 
 def ideal_and_quotient(a, e):
-    """The two-sided ideal AeA, the quotient algebra, and the projection."""
-    f = a.field
-    ec = e.coords if isinstance(e, Idempotent) else tuple(f.coerce(x) for x in e)
-    span = []
-    for i in range(a.dim):
-        bie = a.multiply(unit_vector(a.dim, i), ec)
-        for j in range(a.dim):
-            span.append(a.multiply(bie, unit_vector(a.dim, j)))
-    ideal = Matrix(f, span, ncols=a.dim)
-    ideal_rows = row_space_basis(ideal)
-    quot, proj, free = _quotient_by_ideal(a, ideal, "~")
-    nq = len(free)
-    if nq == 0:
-        return IdealQuotient(ideal_rows, zero_algebra(f), proj, (), True)
-    basic = None
-    if a.basic is not None:
-        idem = []
-        ilab = []
-        for iv, il in zip(a.basic.idempotent_coords, a.basic.idempotent_labels):
-            pv = tuple(combine_rows(proj, enumerate(iv)))
-            if any(pv):
-                idem.append(pv)
-                ilab.append(il)
-        rad_rows = row_space_basis(Matrix(f, [combine_rows(proj, enumerate(r))
-                                              for r in a.basic.radical_rows.rows], ncols=nq))
-        gens = tuple(tuple(combine_rows(proj, enumerate(g))) for g in a.generators())
-        basic = BasicStructure(tuple(idem), tuple(ilab), rad_rows, gens)
-    quot = Algebra._of(f, nq, quot.table, quot.unit, labels=quot.basis_labels, basic=basic,
-                       _validate=True)
-    # the projection must be an algebra map
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = quot.multiply(proj.rows[i], proj.rows[j])
-            rhs = tuple(combine_rows(proj, a.table.get((i, j), ())))
-            if lhs != rhs:
-                raise ValueError("projection failed to be an algebra map")
-    return IdealQuotient(ideal_rows, quot, proj, free, False)
+    """AeA for an `Idempotent` e, the quotient A/AeA, the projection and A's
+    actions on the quotient (`_quotient_by_ideal`), after A's check."""
+    a._check()
+    n = a.dim
+    # row j of left_mult_matrix(b_i e) is b_i e b_j
+    span = [row for i in range(n)
+            for row in a.left_mult_matrix(a.multiply(unit_vector(n, i), e.coords)).rows]
+    return _quotient_by_ideal(a, Matrix(a.field, span, ncols=n), "~")
 
 
 def center(a):
-    """Row basis of the centre {z : z b_i = b_i z for all i}."""
-    if a.dim == 0:
-        return Matrix(a.field, [], ncols=0)
-    stacked = None
-    for i in range(a.dim):
-        L = a.basis_left_mats()[i]
-        Rm = a.basis_right_mats()[i]
-        diff = Rm.sub(L).transpose()
-        stacked = diff if stacked is None else stacked.vstack(diff)
-    ker = kernel_basis(stacked)
-    return ker.transpose()
+    """Row basis of the centre {z : z b_i = b_i z for all i}: the kernel of
+    the columns of every R_i - L_i, stacked once."""
+    cols = [col for L, R in zip(a.basis_left_mats(), a.basis_right_mats())
+            for col in zip(*R.sub(L).rows)]
+    return kernel_basis(Matrix(a.field, cols, ncols=a.dim)).transpose()
 
 
 def radical(a):
@@ -850,7 +820,8 @@ def discover_basic(a):
         raise UnsupportedField("basic-structure discovery requires Q")
     f = a.field
     rad = _radical_trace(a)
-    quot, proj, lift_cols = _quotient_by_ideal(a, rad)
+    iq = _quotient_by_ideal(a, rad)
+    quot, lift_cols = iq.quotient, iq.section_cols
     if not quot.is_commutative():
         raise NotSplitBasic("A/rad is not commutative, hence not split basic")
     idem_bar = _split_commutative_semisimple(quot)
@@ -881,16 +852,33 @@ def _sum_vecs(f, vecs, n):
     return tuple(map(f.coerce, out))
 
 
-def _quotient_by_ideal(a, ideal_rows, suffix=""):
-    """(A/I, proj, free) for the two-sided ideal I spanned by `ideal_rows`:
-    the quotient on the basis vectors b_j, j in `free`, off the pivots of I
-    (labelled with `suffix`), unchecked and without a basic structure, and
-    the projection of A onto it."""
-    proj, free = quotient_map(ideal_rows)
-    struct = [[combine_rows(proj, a.table.get((i, j), ())) for j in free] for i in free]
-    quot = Algebra(a.field, struct, combine_rows(proj, enumerate(a.unit)),
-                   labels=tuple(f"{a.basis_labels[j]}{suffix}" for j in free), _validate=False)
-    return quot, proj, tuple(free)
+def _quotient_by_ideal(a, ideal, suffix=""):
+    """A/I as an `IdealQuotient`, I the span of the rows of `ideal`: A's
+    multiplications descend to it (`_descend`, which checks that I is a
+    two-sided ideal), the classes of the b_j, j free, labelled with `suffix`,
+    its basis.  Its laws follow from A's, so it is as checked as A is."""
+    f, n = a.field, a.dim
+    proj, free, acts = _descend(ideal, a.basis_left_mats() + a.basis_right_mats())
+    lam, rho = tuple(acts[:n]), tuple(acts[n:])
+    ideal_rows = row_space_basis(ideal)
+    if not free:
+        return IdealQuotient(ideal_rows, zero_algebra(f), proj, (), True, lam, rho)
+    basic, b = None, a.basic
+
+    def push(v):
+        return tuple(combine_rows(proj, enumerate(v)))
+    if b is not None:
+        idem = [(pv, il) for iv, il in zip(b.idempotent_coords, b.idempotent_labels)
+                if any(pv := push(iv))]
+        basic = BasicStructure(tuple(pv for pv, _ in idem), tuple(il for _, il in idem),
+                               row_space_basis(Matrix(f, map(push, b.radical_rows.rows),
+                                                      ncols=len(free))),
+                               tuple(map(push, a.generators())))
+    quot = Algebra._of(f, len(free), _table_of([rho[j] for j in free]), push(a.unit),
+                       labels=tuple(f"{a.basis_labels[j]}{suffix}" for j in free),
+                       basic=basic)
+    quot.associativity_checked = a.associativity_checked
+    return IdealQuotient(ideal_rows, quot, proj, tuple(free), False, lam, rho)
 
 
 def _split_commutative_semisimple(quot):
@@ -901,7 +889,7 @@ def _split_commutative_semisimple(quot):
     done = []
     while blocks:
         e = blocks.pop()
-        sub = _corner_span(quot, e)
+        sub = row_space_basis(quot.left_mult_matrix(e))    # the span of the e b_i
         if sub.nrows == 1:
             done.append(e)
             continue
@@ -924,11 +912,6 @@ def _split_commutative_semisimple(quot):
             raise NotSplitBasic("A/rad has a factor not split over Q")
     done.sort()
     return done
-
-
-def _corner_span(quot, e):
-    span = [quot.multiply(e, unit_vector(quot.dim, i)) for i in range(quot.dim)]
-    return row_space_basis(Matrix(quot.field, span, ncols=quot.dim))
 
 
 def _rational_eigenvalues(quot, y, e, sub):

@@ -626,6 +626,41 @@ def express_in_row_basis(basis, vectors):
     return sol.transpose()
 
 
+def _restrict(rows, mats):
+    """(basis, pivots, acts): the RREF basis of span(`rows`), its pivots, and
+    each of `mats` restricted to the span in that basis.  Each image
+    basis @ mat is read at the pivots and checked to be that combination of
+    the basis: the proof that the span is invariant, so the restrictions
+    inherit the laws of `mats`."""
+    R, pivots = rref(rows)
+    basis = R.take_rows(range(len(pivots)))
+    acts = []
+    for mat in mats:
+        img = basis.mul(mat)
+        coords = img.submatrix(range(img.nrows), pivots)
+        if coords.mul(basis) != img:
+            raise ValueError("rows do not span an invariant subspace")
+        acts.append(coords)
+    return basis, pivots, acts
+
+
+def _descend(rows, mats):
+    """(proj, free, acts): the projection onto k^n / span(`rows`) and its free
+    columns (`quotient_map`), and the action each of `mats` induces there,
+    the class of b_t (t free) going to the projection of row t.  The check
+    (basis @ mat) @ proj = 0 on the span's RREF basis proves it invariant, so
+    the induced actions are defined and inherit the laws of `mats`."""
+    proj, free = quotient_map(rows)
+    basis, q = row_space_basis(rows), len(free)
+    acts = []
+    for mat in mats:
+        if not basis.mul(mat).mul(proj).is_zero():
+            raise ValueError("rows do not span an invariant subspace")
+        acts.append(Matrix(rows.field, [combine_rows(proj, enumerate(mat.rows[t]))
+                                        for t in free], ncols=q))
+    return proj, free, acts
+
+
 def unit_vector(n, i):
     """The i-th standard basis vector of k^n, as a tuple (canonical in every
     field)."""

@@ -105,8 +105,8 @@ class PdVerdict:
 
 def regular_as_left_env_module(a):
     """A as a left module over A^op (x) A: (b^op (x) c) . x = c x b.  Built
-    once per algebra instance and certified by the regular bimodule's check:
-    its action is that bimodule's two actions read through the Kronecker table."""
+    once per algebra instance and certified by the regular bimodule: its
+    action is that bimodule's two actions read through the Kronecker table."""
     L, R = a.basis_left_mats(), a.basis_right_mats()
     return _once(a._modules, "left_env", lambda: _certified(Bimodule(
         enveloping(a), trivial_algebra(a.field), a.dim,

@@ -12,12 +12,18 @@ bimodule is built (or first restricted, for a bimodule built unchecked):
 once per object for a map, once per representative (below) for a module or
 bimodule; silent convention drift is the classic bug in this business.  A
 module may instead be certified (`_certified`) by the checks that imply its
-laws: a vertex projective of B (x) C by its factors', a bimodule's module
-over `enveloping` by the bimodule's; in `homology`, A over A^e likewise.
-Each check is complete: one `exactfield.integer_array` conversion of every
-matrix it reads, cut into flat blocks by slicing, then one or two integer
-numpy products per slice of at most `_CHUNK` entries and one `.any()`; the
-failing generator or basis element is located only once a check has failed.
+laws: the regular module and bimodule by A's unit and associativity check;
+a restriction to an invariant subspace or a descent to a quotient
+(`exactfield._restrict`, `_descend`, whose invariance checks prove the laws
+inherited) by what it came from: Ae, eA, AeA and A/AeA by the regular
+bimodule, a quotient module by its module; a bimodule's one-sided modules
+and its module over `enveloping` by the bimodule; a vertex projective of
+B (x) C by its factors'; in `homology`, A over A^e; in `recollement`, A/AeA
+over the quotient algebra by A/AeA.  Each check is complete: one
+`exactfield.integer_array` conversion of every matrix it reads, cut into
+flat blocks by slicing, then one or two integer numpy products per slice of
+at most `_CHUNK` entries and one `.any()`; the failing generator or basis
+element is located only once a check has failed.
 
 Built once per algebra instance (`_once` on `Algebra._modules`): vertex
 projectives, tagged `projective_module`s, simples, regular module and bimodule,
@@ -62,6 +68,8 @@ from .errors import (
 from .exactfield import (
     QQ,
     Matrix,
+    _descend,
+    _restrict,
     check_same_field,
     combine_rows,
     express_in_row_basis,
@@ -71,7 +79,6 @@ from .exactfield import (
     linear_combination,
     quotient_map,
     rank,
-    row_space_basis,
     rref,
     sylvester_rows,
     unit_vector,
@@ -136,11 +143,42 @@ def _checked(x):
 
 def _certified(x, *by):
     """x, recorded as checked on its representative once the objects `by`,
-    whose laws imply x's, pass `_checked`; a failing one raises every time."""
+    whose laws imply x's, pass `_checked` (an algebra, `Algebra._check`); a
+    failing one raises every time."""
     for y in by:
-        _checked(y)
+        if isinstance(y, Algebra):
+            y._check()
+        else:
+            _checked(y)
     _rep(x)._memo["checked"] = None
     return x
+
+
+def _check_action(a, R, r, d):
+    """Raise unless the stack R (`_blocks`: a row of d * d integers per basis
+    element of `a`, scaled by r) is a right action: rho(1) = id and
+    rho(g b) = rho(g) rho(b) for every generator g and basis element b, so
+    by induction on words rho is multiplicative, at |generators| * dim A
+    products.  With the algebra's tables scaled by s, rho(g) rho(b_j) is
+    scaled by s r^2 and sum_k (g b_j)_k rho(b_k) by s r, so the second is
+    multiplied by r before comparing."""
+    n = a.dim
+    unit, gens, prods, s, _ = a._int_tables()
+    p = getattr(a.field, "p", None)
+    one = unit @ R
+    one[::d + 1] -= s * r
+    if _nonzero(one, p).any():
+        raise ValueError("rho(1) != id")
+    k, square = len(gens), R.reshape(n, d, d)
+    rho = (gens @ R).reshape(k, 1, d, d)
+    step = max(1, _CHUNK // (n * d * d))
+    for g0 in range(0, k, step):
+        lhs = (rho[g0:g0 + step] @ square).reshape(-1, n, d * d)
+        bad = _nonzero(lhs - r * (prods[g0:g0 + step] @ R), p)
+        if bad.any():
+            g, j = np.argwhere(bad.any(axis=2))[0]
+            raise ValueError(f"action incompatibility at generator "
+                             f"{a.generators()[g0 + g]}, basis {j}")
 
 
 class RightModule:
@@ -165,35 +203,14 @@ class RightModule:
             _checked(self)
 
     def _validate(self):
-        """rho(1) = id and rho(g b) = rho(g) rho(b) for every algebra generator
-        g and basis element b: by induction on words in the generators, rho is
-        then multiplicative on all of A, at |generators| * dim A products.
-
-        In integers: with the action scaled by r and the algebra's tables by
-        s, rho(g) rho(b_j) is scaled by s r^2 and sum_k (g b_j)_k rho(b_k) by
-        s r, so the second is multiplied by r before comparing.
-        """
+        """The action laws (`_check_action`) on one conversion of the stack."""
         a, d, n = self.algebra, self.dim, self.algebra.dim
         if d == 0:
             return
-        unit, gens, prods, s, ma = a._int_tables()
+        ma = a._int_tables()[4]
         (R,), r = _blocks(self.field, [(n, d * d, self.action)],
                           lambda m: n * d * max(m, ma) ** 3)
-        p = getattr(self.field, "p", None)
-        one = unit @ R
-        one[::d + 1] -= s * r
-        if _nonzero(one, p).any():
-            raise ValueError("rho(1) != id")
-        k, square = len(gens), R.reshape(n, d, d)
-        rho = (gens @ R).reshape(k, 1, d, d)
-        step = max(1, _CHUNK // (n * d * d))
-        for g0 in range(0, k, step):
-            lhs = (rho[g0:g0 + step] @ square).reshape(-1, n, d * d)
-            bad = _nonzero(lhs - r * (prods[g0:g0 + step] @ R), p)
-            if bad.any():
-                g, j = np.argwhere(bad.any(axis=2))[0]
-                raise ValueError(f"action incompatibility at generator "
-                                 f"{a.generators()[g0 + g]}, basis {j}")
+        _check_action(a, R, r, d)
 
     def __eq__(self, other):
         return (isinstance(other, RightModule) and self.algebra == other.algebra
@@ -219,9 +236,9 @@ def zero_module(algebra):
 
 
 def regular_module(a):
-    """A as a right module over itself, built and checked once per instance."""
-    return _once(a._modules, "regular_module",
-                 lambda: RightModule(a, a.dim, a.basis_right_mats()))
+    """A as a right module over itself, built once per instance, certified by A."""
+    return _once(a._modules, "regular_module", lambda: _certified(
+        RightModule(a, a.dim, a.basis_right_mats(), _validate=False), a))
 
 
 def dual_module(m):
@@ -288,21 +305,24 @@ class Bimodule:
             _checked(self)
 
     def _validate(self):
+        """The right action is a module over A, the left one over B^op, and
+        they commute: one conversion of both stacks (`_blocks`) feeds all
+        three checks, and once it has passed, `_side` certifies both sides."""
         if self.dim == 0:
             return
-        # right action is a genuine right module
-        self.restrict_right()
-        # left action is a right module over the opposite algebra
-        self.left_as_op_module()
+        B, A, d = self.left_algebra, self.right_algebra, self.dim
+        bop = opposite(B)
+        (_, gl, _, _, mb), (_, gr, _, _, ma) = B._int_tables(), A._int_tables()
+        mo = bop._int_tables()[4]
+        (L, R), r = _blocks(
+            self.field, [(B.dim, d * d, self.left_action_matrices),
+                         (A.dim, d * d, self.right_action_matrices)],
+            lambda m: d * B.dim * A.dim * max(m, mb, ma, mo) ** 4)
+        _check_action(A, R, r, d)
+        _check_action(bop, L, r, d)
         # the two actions commute: both are multiplicative, so the matrices
         # commuting with one action form a subalgebra, and generator pairs
         # suffice; in integers both actions share one scale
-        B, A, d = self.left_algebra, self.right_algebra, self.dim
-        (_, gl, _, _, mb), (_, gr, _, _, ma) = B._int_tables(), A._int_tables()
-        (L, R), _ = _blocks(
-            self.field, [(B.dim, d * d, self.left_action_matrices),
-                         (A.dim, d * d, self.right_action_matrices)],
-            lambda m: d * B.dim * A.dim * max(m, mb, ma) ** 4)
         kl, kr, p = len(gl), len(gr), getattr(self.field, "p", None)
         lm, rm = (gl @ L).reshape(kl, 1, d, d), (gr @ R).reshape(kr, d, d)
         step = max(1, _CHUNK // (kr * d * d))
@@ -316,15 +336,22 @@ class Bimodule:
 
     def restrict_right(self):
         """Forget the left action: a right module over the right algebra,
-        built and checked once (the wrapped module itself for `as_bimodule`)."""
-        return _once(self._memo, "right", lambda: RightModule(
-            self.right_algebra, self.dim, self.right_action_matrices))
+        built once (the wrapped module itself for `as_bimodule`)."""
+        return self._side("right", self.right_algebra, self.right_action_matrices)
 
     def left_as_op_module(self):
-        """The left B-action viewed as a right module over B^op, built and
-        checked once."""
-        return _once(self._memo, "left_op", lambda: RightModule(
-            opposite(self.left_algebra), self.dim, self.left_action_matrices))
+        """The left B-action viewed as a right module over B^op, built once."""
+        return self._side("left_op", opposite(self.left_algebra), self.left_action_matrices)
+
+    def _side(self, key, alg, mats):
+        """One action as a right module over `alg`: certified by this
+        bimodule once that is checked or certified, else checked itself."""
+        def build():
+            mod = RightModule(alg, self.dim, mats, _validate=False)
+            # both a check and a certificate compute the representative
+            on_record = "rep" in self._memo and "checked" in _rep(self)._memo
+            return _certified(mod, self if on_record else mod)
+        return _once(self._memo, key, build)
 
     def as_right_module_over(self, env):
         """Right module over B^op (x) A (basis b_i^op (x) a_j, lexicographic),
@@ -389,9 +416,9 @@ def as_bimodule(m):
 
 
 def regular_bimodule(a):
-    """A as an A-A-bimodule, built and checked once per algebra instance."""
-    return _once(a._modules, "regular", lambda: Bimodule(
-        a, a, a.dim, a.basis_left_mats(), a.basis_right_mats()))
+    """A as an A-A-bimodule, built once per algebra instance, certified by A."""
+    return _once(a._modules, "regular", lambda: _certified(Bimodule(
+        a, a, a.dim, a.basis_left_mats(), a.basis_right_mats(), _validate=False), a))
 
 
 # --------------------------------------------------------------------------
@@ -595,36 +622,21 @@ class KernelCokernel:
 
 
 def submodule_from_rows(m, rows_matrix):
-    """The submodule spanned by the given rows, with induced action.
-
-    Its basis is the RREF of the rows, so a vector in their span has its
-    coordinates at the pivot columns; each image is checked to be that
-    combination of the basis.  That check is the whole proof that the
-    induced action is a module structure (m's action restricted to an
-    invariant subspace), so it is not validated again.
-    """
-    R, pivots = rref(rows_matrix)
-    basis = R.take_rows(range(len(pivots)))
-    acts = []
-    for act in m.action:
-        img = basis.mul(act)
-        coords = img.submatrix(range(img.nrows), pivots)
-        if coords.mul(basis) != img:
-            raise ValueError("rows do not span a submodule")
-        acts.append(coords)
+    """The submodule spanned by the given rows, on their RREF basis, with m's
+    action restricted to it (`_restrict`, whose invariance check proves the
+    laws when m's hold, so it is not validated again)."""
+    basis, _, acts = _restrict(rows_matrix, m.action)
     sub = RightModule(m.algebra, basis.nrows, acts, _validate=False)
     incl = ModuleMap(sub, m, basis, _validate=False)
     return sub, incl
 
 
 def quotient_by_rows(m, rows_matrix):
-    """The quotient of m by the submodule spanned by the rows."""
-    proj, free = quotient_map(rows_matrix)
-    q = len(free)
-    acts = [Matrix(m.field, [combine_rows(proj, enumerate(act.rows[t])) for t in free],
-                   ncols=q)
-            for act in m.action]
-    quot = RightModule(m.algebra, q, acts)
+    """The quotient of m by the submodule spanned by the rows, with m's
+    action descended to it (`_descend`, which checks that the span is a
+    submodule); certified by m, whose laws imply the quotient's."""
+    proj, free, acts = _descend(rows_matrix, m.action)
+    quot = _certified(RightModule(m.algebra, len(free), acts, _validate=False), m)
     pm = ModuleMap(m, quot, proj, _validate=False)
     return quot, pm
 
@@ -725,11 +737,9 @@ def vertex_projective(a, v_index):
             mod = RightModule(a, mb.dim * mc.dim, [kron(x, y) for x in mb.action
                                                    for y in mc.action], _validate=False)
             return _certified(mod, mb, mc), kron(ib, ic)
-        regular = RightModule(a, a.dim, a.basis_right_mats(), _validate=False)
-        mod, incl = submodule_from_rows(
-            regular, a.left_mult_matrix(a.basic.idempotent_coords[v_index]))
-        _checked(mod)    # the regular action was not checked
-        return mod, incl.matrix
+        basis, _, acts = _restrict(a.left_mult_matrix(a.basic.idempotent_coords[v_index]),
+                                   a.basis_right_mats())
+        return RightModule(a, basis.nrows, acts), basis
     return _once(a._modules, v_index, build)
 
 
@@ -883,9 +893,7 @@ class CanonicalBimodules:
     algebra: Algebra
     idempotent: Idempotent
     corner_algebra: Algebra
-    corner_embedding: Matrix
     quotient_algebra: Algebra
-    quotient_projection: Matrix
     regular: Bimodule            # A as A-A-bimodule
     ae: Bimodule                 # Ae as A-(eAe)-bimodule
     ea: Bimodule                 # eA as (eAe)-A-bimodule
@@ -893,66 +901,41 @@ class CanonicalBimodules:
     quotient: Bimodule           # A/AeA as A-A-bimodule
     ae_rows: Matrix              # basis of Ae inside A
     ea_rows: Matrix
-    aea_rows: Matrix
-    inclusion: Matrix            # AeA -> A on the chosen bases
+    inclusion: Matrix            # AeA -> A on the chosen bases: its basis inside A
     projection: Matrix           # A -> A/AeA on the chosen bases
     section_cols: tuple          # A-basis indices representing quotient classes
     ideal_is_whole: bool
 
 
 def canonical_bimodules(a, e):
-    """A, Ae, eA, AeA and A/AeA with their natural bimodule structures."""
-    f = a.field
-    ec = e.coords
+    """A, Ae, eA, AeA and A/AeA with their natural bimodule structures: the
+    regular bimodule restricted (`_restrict`, eAe acting through its
+    embedding) or descended (`ideal_and_quotient`), and certified by it."""
+    reg = regular_bimodule(a)
     iq = ideal_and_quotient(a, e)
-    cd = corner(a, e, with_embedding=True)
-    eAe, emb = cd.algebra, cd.embedding
-    if eAe.basic is None and f == QQ and eAe.dim:
+    eAe, emb = corner(a, e, with_embedding=True)
+    if eAe.basic is None and a.field == QQ and eAe.dim:
         eAe = discover_basic(eAe)
-    L = a.basis_left_mats()
-    R = a.basis_right_mats()
+    L, R = reg.left_action_matrices, reg.right_action_matrices
+    lc = tuple(a.left_mult_matrix(x) for x in emb.rows)
+    rc = tuple(a.right_mult_matrix(x) for x in emb.rows)
 
-    def sub_bimodule(rows, left_alg, right_alg, left_elems, right_elems):
-        lam = []
-        for x in left_elems:
-            img = rows.mul(a.left_mult_matrix(x))
-            lam.append(express_in_row_basis(rows, img))
-        rho = []
-        for x in right_elems:
-            img = rows.mul(a.right_mult_matrix(x))
-            rho.append(express_in_row_basis(rows, img))
-        return Bimodule(left_alg, right_alg, rows.nrows, tuple(lam), tuple(rho))
+    def cut(span, left, right, lam, rho):
+        basis, _, acts = _restrict(span, lam + rho)
+        k = len(lam)
+        return basis, _certified(Bimodule(left, right, basis.nrows, acts[:k], acts[k:],
+                                          _validate=False), reg)
 
-    basis_elems = [unit_vector(a.dim, i) for i in range(a.dim)]
-    corner_elems = [emb.rows[i] for i in range(emb.nrows)]
-
-    ae_rows = row_space_basis(a.right_mult_matrix(ec))
-    ea_rows = row_space_basis(a.left_mult_matrix(ec))
-    ae = sub_bimodule(ae_rows, a, eAe, basis_elems, corner_elems)
-    ea = sub_bimodule(ea_rows, eAe, a, corner_elems, basis_elems)
-    aea = sub_bimodule(iq.ideal_rows, a, a, basis_elems, basis_elems)
-
-    quot_alg = iq.quotient
-    nq = quot_alg.dim
-    proj = iq.projection
-    # row t of L[i] is b_i b_t and of R[i] is b_t b_i: act on the class
-    # represented by b_t, then project
-    sec = iq.section_cols
-    lam_q = tuple(Matrix(f, [combine_rows(proj, enumerate(mat.rows[t])) for t in sec],
-                         ncols=nq) for mat in L)
-    rho_q = tuple(Matrix(f, [combine_rows(proj, enumerate(mat.rows[t])) for t in sec],
-                         ncols=nq) for mat in R)
-    quotient = Bimodule(a, a, nq, lam_q, rho_q, _validate=False)
+    ae_rows, ae = cut(a.right_mult_matrix(e.coords), a, eAe, L, rc)
+    ea_rows, ea = cut(a.left_mult_matrix(e.coords), eAe, a, lc, R)
+    _, aea = cut(iq.ideal_rows, a, a, L, R)
+    quotient = _certified(Bimodule(a, a, iq.quotient.dim, iq.left_action, iq.right_action,
+                                   _validate=False), reg)
     return CanonicalBimodules(
-        algebra=a, idempotent=e,
-        corner_algebra=eAe, corner_embedding=emb,
-        quotient_algebra=quot_alg, quotient_projection=proj,
-        regular=regular_bimodule(a), ae=ae, ea=ea, aea=aea, quotient=quotient,
-        ae_rows=ae_rows, ea_rows=ea_rows, aea_rows=iq.ideal_rows,
-        inclusion=iq.ideal_rows, projection=proj,
-        section_cols=iq.section_cols,
-        ideal_is_whole=iq.ideal_is_whole,
-    )
+        algebra=a, idempotent=e, corner_algebra=eAe, quotient_algebra=iq.quotient,
+        regular=reg, ae=ae, ea=ea, aea=aea, quotient=quotient,
+        ae_rows=ae_rows, ea_rows=ea_rows, inclusion=iq.ideal_rows, projection=iq.projection,
+        section_cols=iq.section_cols, ideal_is_whole=iq.ideal_is_whole)
 
 
 def simple_modules(a):

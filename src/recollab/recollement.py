@@ -36,6 +36,7 @@ from .modules import (
     Bimodule,
     CanonicalBimodules,
     RightModule,
+    _certified,
     canonical_bimodules,
     hom_module,
     hom_space,
@@ -133,21 +134,15 @@ class RecollementData:
 
 
 def _quotient_sided_bimodules(a, cb):
-    """A/AeA as an A-A1-bimodule (y) and as an A1-A-bimodule (for i_* and i^!)."""
-    a1 = cb.quotient_algebra
-    nq = a1.dim
-    # both one-sided actions kill AeA, so they factor through the quotient
-    # algebra; the t-th class is represented by the recorded A-basis element
-    sec = cb.quotient.right_action_matrices  # indexed by A-basis
-    lam_full = cb.quotient.left_action_matrices
-    rho_a1 = []
-    lam_a1 = []
-    for t in cb.section_cols:
-        rho_a1.append(sec[t])
-        lam_a1.append(lam_full[t])
-    y = Bimodule(a, a1, nq, lam_full, tuple(rho_a1))
-    y_left = Bimodule(a1, a, nq, tuple(lam_a1), sec)
-    return y, y_left
+    """A/AeA as an A-A1-bimodule (y) and as an A1-A-bimodule (for i_* and
+    i^!).  Both one-sided A-actions kill AeA, so they factor through the
+    quotient algebra A1, the t-th class acting as the recorded A-basis element
+    that represents it: certified by the A-A-bimodule A/AeA."""
+    a1, q = cb.quotient_algebra, cb.quotient
+    lam, rho = q.left_action_matrices, q.right_action_matrices
+    y = Bimodule(a, a1, a1.dim, lam, [rho[t] for t in cb.section_cols], _validate=False)
+    y_left = Bimodule(a1, a, a1.dim, [lam[t] for t in cb.section_cols], rho, _validate=False)
+    return _certified(y, q), _certified(y_left, q)
 
 
 def check_stratifying(a, e, n_max):
@@ -164,7 +159,7 @@ def check_stratifying(a, e, n_max):
     dn = cb.ea.dim
     prods = [a.multiply(cb.ae_rows.rows[x], cb.ea_rows.rows[y])
              for x, y in (divmod(idx, dn) for idx in tp.section_indices)]
-    mu = express_in_row_basis(cb.aea_rows, Matrix(f, prods, ncols=a.dim))
+    mu = express_in_row_basis(cb.inclusion, Matrix(f, prods, ncols=a.dim))
     if mu is None:
         raise CertificationFailed("product of Ae and eA left the ideal AeA")
     mult_rank = rank(mu)
@@ -239,12 +234,13 @@ FUNCTOR_NAMES = ("i^*", "i_*", "i^!", "j_!", "j^!", "j_*")
 
 
 def i_lower_module(r, m):
-    """i_* of a module: restriction along A -> A/AeA, concentrated in degree 0."""
+    """i_* of a module: restriction along the algebra map A -> A/AeA,
+    concentrated in degree 0, and certified by the module."""
     a = r.a
-    proj = r.canon.quotient_projection
+    proj = r.canon.projection
     acts = [linear_combination(proj.row(i), m.action, a.field, m.dim, m.dim)
             for i in range(a.dim)]
-    return RightModule(a, m.dim, acts)
+    return _certified(RightModule(a, m.dim, acts, _validate=False), m)
 
 
 def eval_functor(r, name, m, n_max=6):

@@ -634,6 +634,8 @@ MALFORMED = {
     "relation_path_not_a_list": (["define"], dict(_ONE_VERTEX, relations=[[{"path": 3}]]), None),
     "relation_not_a_list": (["define"], dict(_ONE_VERTEX, relations=[5]), None),
     "degree_bound_not_an_integer": (["define"], dict(_ONE_VERTEX, degree_bound="x"), None),
+    "duplicate_vertex": (["define"], dict(_ONE_VERTEX, vertices=["1", "2", "1"]), None),
+    "duplicate_vertex_stratify": (["stratify"], dict(_ONE_VERTEX, vertices=["1", "1"]), "e:1"),
 }
 
 

@@ -776,19 +776,22 @@ def test_hochschild_linear_quiver_happel_resolution_path():
 
 
 def test_regular_left_env_module_is_built_and_checked_once(monkeypatch):
-    """Built once, and checked once through the regular bimodule that
-    certifies it: no check runs over A^e, and its own full check passes."""
+    """Built once, and certified by the regular bimodule, which A's own
+    check (run once, when A is built) certifies: no bimodule check runs over
+    A^e or on the regular bimodule, and the full checks of both pass."""
     checked = []
     real = Bimodule._validate
     monkeypatch.setattr(Bimodule, "_validate", lambda self: checked.append(self) or real(self))
     a = kronecker_algebra()
+    assert a.associativity_checked
     t = regular_as_left_env_module(a)
     hochschild_homology(a, 2)
     assert regular_as_left_env_module(a) is t
     assert t.left_algebra is enveloping(a)
     assert not any(b.left_algebra is enveloping(a) for b in checked)
-    assert sum(b is regular_bimodule(a) for b in checked) == 1
+    assert not any(b is regular_bimodule(a) for b in checked)
     t._validate()
+    regular_bimodule(a)._validate()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

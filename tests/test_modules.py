@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 from recollab import modules
-from recollab.algebra import Idempotent, discover_basic, enveloping, opposite, tensor
+from recollab.algebra import (
+    Algebra,
+    Idempotent,
+    corner,
+    discover_basic,
+    enveloping,
+    ideal_and_quotient,
+    opposite,
+    tensor,
+)
 from recollab.cli import algebra_from_doc
 from recollab.complexes import projective_resolution
 from recollab.errors import AlgebraMismatch, Inconclusive, NotInHomSpace
@@ -746,8 +755,8 @@ def test_tensor_vertex_projectives_are_kronecker_products_of_the_cut(make, monke
 def test_env_modules_are_certified_by_the_bimodules_they_read(make, monkeypatch):
     """The regular and canonical bimodules as right A^e-modules, and A as a
     left A^e-module: no check runs over A^e or its opposite, the bimodule
-    that certifies each is checked once, and each one's own full check
-    passes."""
+    that certifies each is itself certified by A's check and never checked,
+    and the full checks of each module and bimodule pass."""
     a = make()
     mods, bims = [], []
     real_mod, real_bim = RightModule._validate, Bimodule._validate
@@ -759,11 +768,13 @@ def test_env_modules_are_certified_by_the_bimodules_they_read(make, monkeypatch)
     certified.append((regular_as_left_env_module(a), regular_bimodule(a)))
     assert env._opposite is None and not any(m.algebra is env for m in mods)
     assert not any(b.left_algebra is env for b in bims)
+    assert a.associativity_checked
     for mod, bim in certified:
-        assert sum(b is modules._rep(bim) for b in bims) == 1
+        assert not any(b is modules._rep(bim) for b in bims)
     assert all(bim.as_right_module_over(env) is mod for mod, bim in certified[:3])
-    for mod, _ in certified:
+    for mod, bim in certified:
         mod._validate()
+        bim._validate()
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -794,6 +805,59 @@ def test_env_module_certificates_are_complete(field, monkeypatch):
     assert same._factors[0] is opposite(a) and same._factors[1] is a
     reg.as_right_module_over(same)
     assert len(checked) == 1
+
+
+def _broken_algebra(field, law):
+    """Basis e1, e2, x, y: k[x]/x^3 at vertex 1 (x x = y) beside a second
+    vertex, built unchecked.  With law "associativity" also y x = y, so
+    (x x) x != x (x x); with law "unit" the unit is e1, which does not fix
+    e2.  Either way e1 stays idempotent."""
+    struct = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i, j, k in ((0, 0, 0), (1, 1, 1), (0, 2, 2), (2, 0, 2), (0, 3, 3), (3, 0, 3),
+                    (2, 2, 3)) + (((3, 2, 3),) if law == "associativity" else ()):
+        struct[i][j][k] = 1
+    unit = (1, 0, 0, 0) if law == "unit" else (1, 1, 0, 0)
+    return Algebra(field, struct, unit, labels=("e1", "e2", "x", "y"), _validate=False)
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+@pytest.mark.parametrize("law,message", [("associativity", "associativity fails"),
+                                         ("unit", "unit law fails")])
+def test_certificates_by_the_algebra_are_complete(field, law, message):
+    """Everything certified by A's unit and associativity check fails on
+    every call over an algebra whose table breaks one of them: the regular
+    module and bimodule, and the canonical bimodules, the corner and the
+    quotient cut at a vertex idempotent."""
+    a = _broken_algebra(field, law)
+    e = Idempotent(a, (1, 0, 0, 0))
+    for build in (regular_module, regular_bimodule, lambda a: canonical_bimodules(a, e),
+                  lambda a: corner(a, e), lambda a: ideal_and_quotient(a, e)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                build(a)
+    assert not a.associativity_checked and not a._modules
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_restriction_and_descent_check_that_the_span_is_invariant(field):
+    """In A_2 (arrow a from 1 to 2) the span of e2 is not a submodule of A_A
+    (e2 a = a): restricting to it and descending by it fail on every call.
+    The span of e2 and a, e2 A, is one; the quotient by it is certified by
+    A_A and its own full check passes."""
+    a = a2_path_algebra(field)
+    m, e2 = regular_module(a), vertex_idempotent(a, "2").coords
+    not_closed = Matrix(field, [e2], ncols=a.dim)
+    for cut in (modules.submodule_from_rows, modules.quotient_by_rows):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="invariant subspace"):
+                cut(m, not_closed)
+    rows = a.left_mult_matrix(e2)
+    sub, incl = modules.submodule_from_rows(m, rows)
+    quot, proj = modules.quotient_by_rows(m, rows)
+    assert (sub.dim, quot.dim) == (2, 1) and incl.matrix.mul(proj.matrix).is_zero()
+    assert "checked" in modules._rep(quot)._memo
+    sub._validate()
+    quot._validate()
 
 
 def test_iso_test_computes_each_top_once(monkeypatch):

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from recollab.algebra import Idempotent, opposite
+from recollab.algebra import Algebra, Idempotent, opposite
+from recollab.cli import algebra_from_doc, parse_idempotent
 from recollab.errors import NotPerfect, NotStratifying, TransferFailed
 from recollab.exactfield import GF, QQ
 from recollab.fixtures import (
@@ -15,7 +19,14 @@ from recollab.fixtures import (
     vertex_idempotent,
 )
 from recollab.homology import hochschild_homology
-from recollab.modules import regular_module, simple_modules
+from recollab.modules import (
+    Bimodule,
+    RightModule,
+    _rep,
+    regular_bimodule,
+    regular_module,
+    simple_modules,
+)
 from recollab.recollement import (
     check_stratifying,
     eval_functor,
@@ -24,6 +35,7 @@ from recollab.recollement import (
     opposite_transfer,
     tensor_transfer,
 )
+from test_homology import _linear_doc
 
 
 def test_unit_idempotent_trivially_stratifying():
@@ -290,3 +302,59 @@ def test_certified_at_max_degree_0(builder, field):
     for entry in r.certificate.r4_euler_checks:
         assert entry.get("euler_zero", True), entry
     assert all(c["exact"] for c in r.certificate.flat_ses_checks)
+
+
+# each shipped document at the idempotent the benchmark cuts it at
+DOC_IDEMPOTENTS = {"a2": "e:2", "dual_numbers": "e:1", "dual_numbers_f5": "e:1",
+                   "kronecker": "e:2", "kronecker_f5": "e:2", "non_stratifying": "e:2",
+                   "t2_one_point_extension": "e:R:1"}
+DOCS = Path(__file__).resolve().parents[1] / "demos" / "docs"
+
+
+def _spy(monkeypatch, cls):
+    """The objects whose `_validate` runs from now on."""
+    seen, real = [], cls._validate
+    monkeypatch.setattr(cls, "_validate", lambda self: seen.append(self) or real(self))
+    return seen
+
+
+@pytest.mark.parametrize("doc,spec", [
+    *(pytest.param(json.loads((DOCS / f"{name}.json").read_text(encoding="utf-8")), spec,
+                   id=name) for name, spec in DOC_IDEMPOTENTS.items()),
+    pytest.param(_linear_doc(5), "e:1", id="linear_a5")])
+def test_recollement_runs_no_second_law_check(doc, spec, monkeypatch):
+    """`from_idempotent` (`check_stratifying` where e is not stratifying) runs
+    no bimodule check on the regular, canonical or quotient-sided bimodules
+    and no algebra check on the corner or the quotient algebra: A's check
+    certifies them all.  Afterwards each one's own full check passes."""
+    a = algebra_from_doc(doc)
+    e = parse_idempotent(a, spec)
+    bims, algs = _spy(monkeypatch, Bimodule), _spy(monkeypatch, Algebra)
+    try:
+        r = from_idempotent(a, e, 3)
+        cb, sided = r.canon, [r.y, r.y_left]
+    except NotStratifying:
+        cb, sided = check_stratifying(a, e, 3)[1], []
+    assert cb.regular is regular_bimodule(a)
+    certified = [cb.regular, cb.ae, cb.ea, cb.aea, cb.quotient] + sided
+    assert not any(b is x or b is _rep(x) for b in bims for x in certified)
+    assert not any(x is cb.corner_algebra or x is cb.quotient_algebra for x in algs)
+    monkeypatch.undo()
+    for x in certified + [cb.corner_algebra, cb.quotient_algebra]:
+        x._validate()
+
+
+@pytest.mark.scale
+def test_check_stratifying_linear_a12_runs_no_check_on_the_regular_bimodule(monkeypatch):
+    """One `check_stratifying` of linear A_12 (dim 78) at e:1 checks neither
+    the regular bimodule nor its one-sided modules: A's check certifies
+    them.  Defining A_12 still spends seconds in the dense associativity
+    check."""
+    a = algebra_from_doc(_linear_doc(12))
+    bims, mods = _spy(monkeypatch, Bimodule), _spy(monkeypatch, RightModule)
+    report, cb = check_stratifying(a, parse_idempotent(a, "e:1"), 2)
+    assert report.stratifying
+    reg = regular_bimodule(a)
+    assert cb.regular is reg and not any(b is reg or b is _rep(reg) for b in bims)
+    sides = (reg.restrict_right(), reg.left_as_op_module(), regular_module(a))
+    assert not any(m is x or m is _rep(x) for m in mods for x in sides)
