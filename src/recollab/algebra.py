@@ -213,8 +213,10 @@ class Algebra:
             h = hashlib.sha256()
             h.update(field_tag_str(self.field).encode())
             h.update(("|" + ",".join(map(str, self.unit))).encode())
-            for row in self._rows(product(range(self.dim), repeat=2)):
-                h.update(("|" + ",".join(map(str, row))).encode())
+            zero = ("|" + ",".join("0" * self.dim)).encode()
+            for key in product(range(self.dim), repeat=2):
+                h.update(("|" + ",".join(map(str, next(self._rows((key,)))))).encode()
+                         if key in self.table else zero)
             content = h.hexdigest()
             b = self.basic
             if b is not None:
@@ -271,23 +273,34 @@ class Algebra:
 
         The table's nonzeros are checked in integers (`integer_array`: over Q
         scaled by the common denominator, which scales both sides alike, over
-        F_p compared mod p), scattered into a dense (dim, dim, dim) array.
-        Each product sums dim terms of size at most max|c|^2.  One slice per
-        i keeps the working memory at dim^3 entries.
+        F_p compared mod p), scattered into a (dim, dim, dim) array C.  For
+        each i, with J the j where b_i b_j != 0 and M the coordinates those
+        products use, (b_i b_j) b_l is computed on the rows J and the (l, m)
+        some b_k b_l with k in M reaches, b_i (b_j b_l) on the (j, l) whose
+        product uses some k in J and the columns M.  Everything outside these
+        blocks is zero, so comparing their nonzeros, keyed (j n + l) n + m,
+        is the whole check.  Each entry sums at most dim terms of size at most
+        max|c|^2.
         """
         f, n = self.field, self.dim
         at = [((i * n + j) * n + k, c) for (i, j), ent in self.table.items() for k, c in ent]
         vals = integer_array(f, (c for _, c in at), lambda m: m * m * n)[0]
         C = np.zeros((n, n, n), vals.dtype)
         C.flat[[t for t, _ in at]] = vals
-        left, right = C.reshape(n, n * n), C.reshape(n * n, n)
+        left, right, nz = C.reshape(n, n * n), C.reshape(n * n, n), C != 0
+        # reaches[k]: (l, m) with (b_k b_l)_m != 0; uses[k]: (j, l) with (b_j b_l)_k != 0
+        reaches, uses = nz.reshape(n, n * n), nz.reshape(n * n, n).T.copy()
+
+        def nonzeros(x, row_keys, col_keys):
+            x = x if f == QQ else x % f.p
+            return (row_keys[:, None] + col_keys)[x != 0], x[x != 0]
         for i in range(n):
-            # [j, (l, k)]: ((b_i b_j) b_l)_k and (b_i (b_j b_l))_k
-            lhs = C[i] @ left
-            rhs = (right @ C[i]).reshape(n, n * n)
-            if f != QQ:
-                lhs, rhs = lhs % f.p, rhs % f.p
-            if not np.array_equal(lhs, rhs):
+            J, M = np.flatnonzero(nz[i].any(1)), np.flatnonzero(nz[i].any(0))
+            cols, rows = np.flatnonzero(reaches[M].any(0)), np.flatnonzero(uses[J].any(0))
+            block = C[i, J][:, M]
+            lhs = nonzeros(block @ left[M][:, cols], J * n * n, cols)
+            rhs = nonzeros(right[rows][:, J] @ block, rows * n, M)
+            if not all(map(np.array_equal, lhs, rhs)):
                 raise ValueError("associativity fails")
 
 
@@ -351,7 +364,7 @@ class QuiverPresentation:
         labels = [l for (_, _, l) in arrows]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate arrow labels")
-        vs = set(self.vertices)
+        vs, known = set(self.vertices), set(labels)
         for s, t, l in arrows:
             if s not in vs or t not in vs:
                 raise ValueError(f"arrow {l}: unknown vertex")
@@ -362,6 +375,8 @@ class QuiverPresentation:
                 path = tuple(str(x) for x in path)
                 if len(path) < 2:
                     raise InvalidRelation(f"relation term {path} has length < 2")
+                if not set(path) <= known:
+                    raise ValueError(f"relation term {path} names an unknown arrow")
                 terms.append((coeff, path))
             rels.append(tuple(terms))
         object.__setattr__(self, "relations", tuple(rels))
@@ -385,7 +400,6 @@ class _Path:
 
 
 def _enumerate_paths(q, max_len, budget):
-    by_label = {l: (s, t) for (s, t, l) in q.arrows}
     out_arrows = {}
     for s, t, l in q.arrows:
         out_arrows.setdefault(s, []).append((t, l))
@@ -404,7 +418,7 @@ def _enumerate_paths(q, max_len, budget):
                         f"path budget {budget} exceeded at length {d}; "
                         "the arrow ideal does not look nilpotent modulo the relations")
         paths.append(layer)
-    return paths, by_label
+    return paths
 
 
 class _Reducer:
@@ -414,7 +428,7 @@ class _Reducer:
         self.q = q
         self.field = field
         self.max_len = max_len
-        layers, self.arrow_ends = _enumerate_paths(q, max_len, budget)
+        layers = _enumerate_paths(q, max_len, budget)
         self.layers = layers
         ordered = []
         for d in range(max_len, -1, -1):
@@ -423,15 +437,11 @@ class _Reducer:
         self.index = {(p.source, p.labels): i for i, p in enumerate(self.paths)}
         self._build_ideal()
 
-    def _path_lookup(self, source, labels):
-        return self.index.get((source, labels))
-
     def _relation_rows(self):
         f = self.field
         n = len(self.paths)
         rows = []
         for rel in self.q.relations:
-            # determine common source/target of composable products
             for p in self.paths:       # left factor (applied last)
                 for qpath in self.paths:   # right factor (applied first)
                     total_min = len(p) + len(qpath) + min(len(path) for _, path in rel)
@@ -444,28 +454,12 @@ class _Reducer:
                         if len(p) + len(qpath) + len(mid) > self.max_len:
                             ok = False
                             break
-                        # compose qpath, then mid, then p
-                        src, lab = qpath.source, qpath.labels
-                        cur_target = qpath.target
-                        # mid arrows must start where qpath ends
-                        valid = True
-                        for arrow in mid:
-                            s, t = self.arrow_ends[arrow]
-                            if s != cur_target:
-                                valid = False
-                                break
-                            lab = lab + (arrow,)
-                            cur_target = t
-                        if valid and cur_target == p.source:
-                            lab = lab + p.labels
-                            idx = self._path_lookup(src, lab)
-                            if idx is None:
-                                valid = False
-                            else:
-                                row[idx] += f.coerce(coeff)
-                                nonzero = True
-                        if not valid:
-                            continue
+                        # qpath, then mid, then p: a path, if it is one, that ends
+                        # where p does (p may be a vertex)
+                        idx = self.index.get((qpath.source, qpath.labels + mid + p.labels))
+                        if idx is not None and self.paths[idx].target == p.target:
+                            row[idx] += f.coerce(coeff)
+                            nonzero = True
                     if ok and nonzero:
                         rows.append(row)
         return rows
@@ -477,7 +471,7 @@ class _Reducer:
 
     def reduce_path(self, source, labels):
         """Coordinates of a path class over the surviving (non-pivot) paths."""
-        idx = self._path_lookup(source, labels)
+        idx = self.index.get((source, labels))
         if idx is None:
             raise NotFiniteDimensional(
                 f"needed a path of length {len(labels)} beyond the working bound {self.max_len}")
@@ -769,10 +763,10 @@ def ideal_and_quotient(a, e):
 
 
 def center(a):
-    """Row basis of the centre {z : z b_i = b_i z for all i}: the kernel of
-    the columns of every R_i - L_i, stacked once."""
-    cols = [col for L, R in zip(a.basis_left_mats(), a.basis_right_mats())
-            for col in zip(*R.sub(L).rows)]
+    """Row basis of the centre {z : z g = g z for every generator g}: the
+    kernel of the columns of every R_g - L_g, stacked once."""
+    cols = [col for g in a.generators()
+            for col in zip(*a.right_mult_matrix(g).sub(a.left_mult_matrix(g)).rows) if any(col)]
     return kernel_basis(Matrix(a.field, cols, ncols=a.dim)).transpose()
 
 

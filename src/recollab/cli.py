@@ -161,7 +161,7 @@ def algebra_from_doc(doc):
                 tuple(doc["vertices"]),
                 tuple((a["source"], a["target"], a["label"])
                       for a in doc.get("arrows", [])),
-                tuple(tuple((term.get("coeff", 1), tuple(term["path"]))
+                tuple(tuple((field.coerce(term.get("coeff", 1)), tuple(term["path"]))
                             for term in rel)
                       for rel in doc.get("relations", [])),
             )
@@ -185,6 +185,8 @@ def algebra_from_doc(doc):
         return alg
     op = doc["op"]
     args = [algebra_from_doc(sub) for sub in doc["args"]]
+    if any(x.field != args[0].field for x in args):
+        raise ParseError(f"{op}: the arguments are over different fields")
     if op == "opposite":
         return opposite(args[0])
     if op == "tensor":

@@ -728,7 +728,8 @@ def vertex_projective(a, v_index):
     of e_v A.  For A = B (x) C from `tensor`, e_v A = e_i B (x) e_j C with
     v = i n_C + j, and the Kronecker products of the factors' RREF bases and
     actions are that RREF and its actions, certified by the factors' checks:
-    rho_B (x) rho_C is a module law on the Kronecker table if both are."""
+    rho_B (x) rho_C is a module law on the Kronecker table if both are.
+    Otherwise e_v A is restricted from A_A, and A's check certifies it."""
     def build():
         if a._factors is not None:
             b, c = a._factors
@@ -739,7 +740,7 @@ def vertex_projective(a, v_index):
             return _certified(mod, mb, mc), kron(ib, ic)
         basis, _, acts = _restrict(a.left_mult_matrix(a.basic.idempotent_coords[v_index]),
                                    a.basis_right_mats())
-        return RightModule(a, basis.nrows, acts), basis
+        return _certified(RightModule(a, basis.nrows, acts, _validate=False), a), basis
     return _once(a._modules, v_index, build)
 
 

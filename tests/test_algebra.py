@@ -2,9 +2,12 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recollab.algebra import (
     Algebra,
@@ -28,7 +31,7 @@ from recollab.errors import (
     UnsupportedField,
 )
 from recollab.cli import algebra_from_doc
-from recollab.exactfield import GF, QQ, Matrix, rank, unit_vector
+from recollab.exactfield import GF, QQ, Matrix, integer_array, kernel_basis, rank, unit_vector
 from recollab.fixtures import augmentation_bimodule, field_bimodule
 from test_homology import DOCS, _base_change, _dense, _doc_over
 
@@ -379,6 +382,21 @@ def test_center_kronecker_dim_1():
     assert center(kronecker()).nrows == 1
 
 
+@pytest.mark.parametrize("path", DOCS, ids=[p.stem for p in DOCS])
+def test_center_over_the_generators_is_the_commutant_of_every_basis_element(path):
+    """The centre, computed over the generators, is the kernel of every
+    R_i - L_i, for each shipped document, its product with A_2, its opposite,
+    and its corner and quotient at the first vertex."""
+    a = algebra_from_doc(json.loads(path.read_text(encoding="utf-8")))
+    e = Idempotent(a, a.basic.idempotent_coords[0])
+    iq = ideal_and_quotient(a, e)
+    for b in (a, tensor(a, a2_path(a.field)), opposite(a), corner(a, e)) + (
+            () if iq.ideal_is_whole else (iq.quotient,)):
+        cols = [col for L, R in zip(b.basis_left_mats(), b.basis_right_mats())
+                for col in zip(*R.sub(L).rows)]
+        assert center(b) == kernel_basis(Matrix(b.field, cols, ncols=b.dim)).transpose()
+
+
 def test_radical_semisimple_zero():
     assert radical(ground_field_algebra()).nrows == 0
 
@@ -513,6 +531,83 @@ def test_associativity_is_exact_over_a_large_prime():
     a = Algebra(f, struct, (1, 0, 0))
     assert a.associativity_checked
     assert a.multiply((0, 1, 0), a.multiply((0, 1, 0), (0, 1, 0))) == (125, 0, 0)
+
+
+def test_associativity_failure_only_the_right_hand_side_reaches():
+    # b1 b2 = 0, b2 b3 = b4 and b1 b4 = b5: (b1 b2) b3 = 0 but b1 (b2 b3) = b5,
+    # a product no b1 b_j with b1 b_j != 0 leads to
+    table = _table(6, [(2, 3, 4, 1), (1, 4, 5, 1)])
+    assert not _reference_associative(Algebra(QQ, table, (1,) + (0,) * 5, _validate=False))
+    with pytest.raises(ValueError, match="associativity fails"):
+        Algebra(QQ, table, (1,) + (0,) * 5)
+
+
+def _reference_associative(a):
+    """The dense check: the table as a (dim, dim, dim) integer array C, and
+    for every i both sides in full, C[i] @ C.reshape(dim, dim^2) against
+    C.reshape(dim^2, dim) @ C[i], compared mod p over F_p."""
+    f, n = a.field, a.dim
+    at = [((i * n + j) * n + k, c) for (i, j), ent in a.table.items() for k, c in ent]
+    vals = integer_array(f, (c for _, c in at), lambda m: m * m * n)[0]
+    C = np.zeros((n, n, n), vals.dtype)
+    C.flat[[t for t, _ in at]] = vals
+    left, right = C.reshape(n, n * n), C.reshape(n * n, n)
+    for i in range(n):
+        lhs, rhs = C[i] @ left, (right @ C[i]).reshape(n, n * n)
+        if f != QQ:
+            lhs, rhs = lhs % f.p, rhs % f.p
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+@st.composite
+def _random_tables(draw):
+    """A table of dim <= 6 with up to 2 dim entries in -2..2, with b0 a unit
+    first or not: sparse enough to be associative often."""
+    field, n = draw(st.sampled_from([QQ, GF(7)])), draw(st.integers(1, 6))
+    struct = _table(n, []) if draw(st.booleans()) else [[[0] * n for _ in range(n)]
+                                                         for _ in range(n)]
+    index = st.integers(0, n - 1)
+    for i, j, k, c in draw(st.lists(st.tuples(index, index, index, st.integers(-2, 2)),
+                                    max_size=2 * n)):
+        struct[i][j][k] = c
+    return Algebra(field, struct, (1,) + (0,) * (n - 1), _validate=False)
+
+
+@lru_cache(maxsize=None)
+def _shipped(path, tag, seed):
+    """A shipped document's algebra, over the field `tag` (None: its own),
+    in a random basis (`_base_change`) unless `seed` is None."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    a = algebra_from_doc(_doc_over(doc, tag) if tag else doc)
+    return a if seed is None else _base_change(a, random.Random(seed))
+
+
+@st.composite
+def _perturbed_tables(draw):
+    """A shipped document's table, over Q, F_5 or its own field and in its
+    own basis or a random one, with one structure constant moved by -2..2."""
+    path = draw(st.sampled_from(DOCS))
+    tag = None if "f5" in path.stem else draw(st.sampled_from([None, "Fp:5"]))
+    a = _shipped(path, tag, draw(st.sampled_from([None, 0, 1])))
+    struct = [[list(row) for row in rows] for rows in _dense(a)]
+    index = st.integers(0, a.dim - 1)
+    i, j, k = draw(index), draw(index), draw(index)
+    struct[i][j][k] += draw(st.integers(-2, 2))
+    return Algebra(a.field, struct, a.unit, _validate=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_random_tables(), _perturbed_tables()))
+def test_associativity_check_raises_exactly_when_the_dense_check_fails(a):
+    try:
+        a._check_associative()
+    except ValueError as exc:
+        assert str(exc) == "associativity fails"
+        assert not _reference_associative(a)
+    else:
+        assert _reference_associative(a)
 
 
 def test_idempotent_validation():

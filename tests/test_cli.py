@@ -208,6 +208,17 @@ def test_cmd_hochschild_budget_exit_4(tmp_path, capsys):
 
 
 @pytest.mark.scale
+def test_cmd_define_linear_a16(tmp_path, capsys):
+    # linear A_16 (dim 136, 816 nonzero products): the associativity check is
+    # sized to each basis element's nonzero products, so this takes about a
+    # second; the centre is k and the radical is spanned by the 120 paths of
+    # positive length
+    assert main(["define", _write(tmp_path, _linear_doc(16))]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert (out["dim"], out["center_dim"], out["radical_dim"]) == (136, 1, 120)
+
+
+@pytest.mark.scale
 def test_cmd_hochschild_linear_a5_resolution_path_and_oracle(tmp_path, capsys):
     # linear A_5 (dim 15, A^e of dim 225) to degree 3: Happel's HH^0 = 1,
     # HH_0 = |Q_0| and 0 above, and the bar oracle agrees in every degree at
@@ -237,10 +248,10 @@ def test_cmd_hochschild_linear_a6_happel(tmp_path, capsys):
 @pytest.mark.scale
 def test_cmd_hochschild_linear_a5_runs_no_check_over_a_e(tmp_path, capsys, monkeypatch):
     """The A^e-modules of a `hochschild` request are certified through the
-    checks over A and A^op: no module or bimodule law check runs over A^e
-    (of dimension 225 here) or its opposite, which is never built, and
-    neither A^e's basis multiplication matrices nor its integer tables are
-    built."""
+    checks over A and A^op, and A's vertex projectives by A's check: no
+    module or bimodule law check runs at all, over A^e (of dimension 225
+    here), its opposite, which is never built, or A, and neither A^e's basis
+    multiplication matrices nor its integer tables are built."""
     import sys
     from recollab import algebra, modules
     envs, checked = [], []
@@ -260,11 +271,10 @@ def test_cmd_hochschild_linear_a5_runs_no_check_over_a_e(tmp_path, capsys, monke
     assert envs and all(e.dim == 225 and e._opposite is None for e in envs)
     assert all(e._left_mats is None and e._right_mats is None and e._ints is None
                for e in envs)
-    assert checked
-    over = [x.algebra for x in checked if isinstance(x, modules.RightModule)]
-    over += [y for x in checked if isinstance(x, modules.Bimodule)
-             for y in (x.left_algebra, x.right_algebra)]
-    assert not any(alg is e for alg in over for e in envs)
+    assert not checked
+    # the spy sees a check that does run
+    modules.regular_module(envs[0]._factors[1])._validate()
+    assert len(checked) == 1
 
 
 def _validate_against_schema(report):
@@ -637,6 +647,17 @@ MALFORMED = {
     "duplicate_vertex": (["define"], dict(_ONE_VERTEX, vertices=["1", "2", "1"]), None),
     "duplicate_vertex_stratify": (["stratify"], dict(_ONE_VERTEX, vertices=["1", "1"]), "e:1"),
 }
+_LOOP = dict(_ONE_VERTEX, arrows=[{"source": "1", "target": "1", "label": "a"}])
+for cmd in ("define", "hochschild"):
+    MALFORMED.update({
+        f"relation_names_unknown_arrow_{cmd}": (
+            [cmd], dict(_LOOP, relations=[[{"coeff": 1, "path": ["a", "b"]}]]), None),
+        f"relation_coeff_not_a_scalar_{cmd}": (
+            [cmd], dict(_LOOP, relations=[[{"coeff": "x", "path": ["a", "a"]}]]), None),
+        # k (x) F_5: tensor needs both factors over one field
+        f"construction_fields_differ_{cmd}": (
+            [cmd], {"kind": "construction", "op": "tensor",
+                    "args": [_ONE_VERTEX, dict(_ONE_VERTEX, field="Fp:5")]}, None)})
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))

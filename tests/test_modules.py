@@ -11,6 +11,7 @@ import pytest
 from recollab import modules
 from recollab.algebra import (
     Algebra,
+    BasicStructure,
     Idempotent,
     corner,
     discover_basic,
@@ -723,7 +724,8 @@ def test_tensor_vertex_projectives_are_kronecker_products_of_the_cut(make, monke
     every vertex projective equals, entry for entry and with the same scalar
     types, the one cut out of the regular module; none of them is cut or
     checked over the tensor product, the factors' vertex projectives that
-    certify it are checked once each, and its own full check passes."""
+    certify it are certified by their algebras and never checked directly,
+    and the full checks of both pass."""
     a = make()
     a2 = a2_path_algebra(a.field)
     cut, checked = [], []
@@ -741,14 +743,14 @@ def test_tensor_vertex_projectives_are_kronecker_products_of_the_cut(make, monke
         for v, (mod, basis) in zip(vertices, built):
             assert vertex_projective(t, v)[0] is mod
             i, j = divmod(v, len(c.basic.idempotent_coords))
-            for rep in (modules._rep(vertex_projective(b, i)[0]),
-                        modules._rep(vertex_projective(c, j)[0])):
-                assert sum(m is rep for m in checked) == 1
+            factors = (vertex_projective(b, i)[0], vertex_projective(c, j)[0])
+            assert not any(m is modules._rep(x) for x in factors for m in checked)
             ref_mod, ref_basis = _cut_vertex_projective(t, v)
             assert _same_entries(basis, ref_basis)
             assert mod == ref_mod
             assert all(_same_entries(x, y) for x, y in zip(mod.action, ref_mod.action))
-            mod._validate()
+            for x in (mod, *factors):
+                real_check(x)
 
 
 @pytest.mark.parametrize("make", _kron_cases())
@@ -817,7 +819,10 @@ def _broken_algebra(field, law):
                     (2, 2, 3)) + (((3, 2, 3),) if law == "associativity" else ()):
         struct[i][j][k] = 1
     unit = (1, 0, 0, 0) if law == "unit" else (1, 1, 0, 0)
-    return Algebra(field, struct, unit, labels=("e1", "e2", "x", "y"), _validate=False)
+    basic = BasicStructure(((1, 0, 0, 0), (0, 1, 0, 0)), ("1", "2"),
+                           Matrix(field, [(0, 0, 1, 0), (0, 0, 0, 1)]), ())
+    return Algebra(field, struct, unit, labels=("e1", "e2", "x", "y"), basic=basic,
+                   _validate=False)
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -826,11 +831,12 @@ def _broken_algebra(field, law):
 def test_certificates_by_the_algebra_are_complete(field, law, message):
     """Everything certified by A's unit and associativity check fails on
     every call over an algebra whose table breaks one of them: the regular
-    module and bimodule, and the canonical bimodules, the corner and the
-    quotient cut at a vertex idempotent."""
+    module and bimodule, both vertex projectives, and the canonical
+    bimodules, the corner and the quotient cut at a vertex idempotent."""
     a = _broken_algebra(field, law)
     e = Idempotent(a, (1, 0, 0, 0))
-    for build in (regular_module, regular_bimodule, lambda a: canonical_bimodules(a, e),
+    for build in (regular_module, regular_bimodule, lambda a: vertex_projective(a, 0),
+                  lambda a: vertex_projective(a, 1), lambda a: canonical_bimodules(a, e),
                   lambda a: corner(a, e), lambda a: ideal_and_quotient(a, e)):
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
