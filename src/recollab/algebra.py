@@ -44,6 +44,7 @@ from .exactfield import (
     field_tag_str,
     integer_array,
     kernel_basis,
+    kron,
     linear_combination,
     parse_field,
     quotient_map,
@@ -581,42 +582,40 @@ def tensor(a, b):
         for (j, l), eb in tabb:
             table[(i * db + j, k * db + l)] = tuple(
                 (m * db + r, coerce(cm * cr)) for m, cm in ea for r, cr in eb)
-    unit = tensor_coords(f, a.unit, b.unit, db)
+
+    def kr(xs, ys):
+        """The rows x (x) y, x in xs and y in ys, x-major."""
+        return kron(Matrix(f, xs, ncols=da), Matrix(f, ys, ncols=db)).rows
+
+    unit, = kr([a.unit], [b.unit])
     labels = tuple(f"{la}⊗{lb}" for la in a.basis_labels for lb in b.basis_labels)
     basic = None
     if a.basic is not None and b.basic is not None:
-        idem = []
-        ilab = []
-        for ea, la in zip(a.basic.idempotent_coords, a.basic.idempotent_labels):
-            for eb, lb in zip(b.basic.idempotent_coords, b.basic.idempotent_labels):
-                idem.append(tensor_coords(f, ea, eb, db))
-                ilab.append(f"{la}⊗{lb}")
-        rad = []
-        for rrow in a.basic.radical_rows.rows:
-            for j in range(db):
-                rad.append(tensor_coords(f, rrow, unit_vector(db, j), db))
-        for i in range(da):
-            for rrow in b.basic.radical_rows.rows:
-                rad.append(tensor_coords(f, unit_vector(da, i), rrow, db))
-        rad_rows = row_space_basis(Matrix(f, rad, ncols=n))
-        gens = tuple(tensor_coords(f, g, b.unit, db) for g in a.generators()) + \
-            tuple(tensor_coords(f, a.unit, g, db) for g in b.generators())
-        basic = BasicStructure(tuple(idem), tuple(ilab), rad_rows, gens)
+        ba, bb = a.basic, b.basic
+        ilab = tuple(f"{la}⊗{lb}" for la in ba.idempotent_labels for lb in bb.idempotent_labels)
+        # rad(A (x) B) = rad A (x) B + A (x) rad B is the kernel of
+        # kron(pa, pb), pa and pb the projections onto A/rad A and B/rad B
+        # (`quotient_map`, free columns fa and fb).  Row c of the kron is a
+        # unit vector for c in free = fa x fb, and otherwise nonzero only at
+        # the c' in free right of c, so the kernel's RREF has the free columns
+        # `free` and, for each other c, the row e_c minus row c of the kron
+        # read on `free`
+        (pa, fa), (pb, fb) = quotient_map(ba.radical_rows), quotient_map(bb.radical_rows)
+        free = [s * db + t for s in fa for t in fb]
+        kp, fset, rad = kron(pa, pb).rows, set(free), []
+        for c in (c for c in range(n) if c not in fset):
+            row = [0] * n
+            row[c] = 1
+            for col, x in zip(free, kp[c]):
+                row[col] = -x
+            rad.append(row)
+        gens = kr(a.generators(), [b.unit]) + kr([a.unit], b.generators())
+        basic = BasicStructure(kr(ba.idempotent_coords, bb.idempotent_coords), ilab,
+                               Matrix(f, rad, ncols=n), gens)
     out = Algebra._of(f, n, table, unit, labels=labels, basic=basic)
     out.associativity_checked = a.associativity_checked and b.associativity_checked
     out._factors = (a, b)
     return out
-
-
-def tensor_coords(f, x, y, db):
-    """Coordinates of x (x) y in the lexicographic basis b_i (x) c_j (db = len(y))."""
-    out = [0] * (len(x) * db)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    out[i * db + j] = xi * yj
-    return tuple(map(f.coerce, out))
 
 
 def enveloping(a):

@@ -381,20 +381,39 @@ def _resolve(m, n_max, stored=None):
     return res
 
 
+def _joints(dims, maps, closed_start, closed_end):
+    """Exactness of a sequence with maps[i]: term i -> term i + 1 (matrices on
+    row vectors), term by term: (composite_zero, rank_in, rank_out, exact,
+    assessed), exact when the composite through the term is zero and
+    rank in + rank out = dim.  At a closed end the sequence is bounded by
+    zero, so the missing map is the zero map; the term at an open end (a
+    window's cut) is not assessed."""
+    out = []
+    for i, dim in enumerate(dims):
+        incoming = maps[i - 1] if i else None
+        outgoing = maps[i] if i < len(maps) else None
+        if (incoming is None and not closed_start) or (outgoing is None and not closed_end):
+            out.append((True, 0, 0, True, False))
+            continue
+        ri = rank(incoming) if incoming is not None else 0
+        ro = rank(outgoing) if outgoing is not None else 0
+        cz = incoming is None or outgoing is None or incoming.mul(outgoing).is_zero()
+        out.append((cz, ri, ro, cz and ri + ro == dim, True))
+    return out
+
+
 def _assert_resolution_exact(res):
-    """Exactness at every computed joint: image = kernel as subspaces."""
+    """P_N -> ... -> P_0 -> M -> 0 is exact at every term (`_joints`), at
+    P_N too when the resolution stabilised: then d_N is injective."""
     if not res.modules:
         return
-    if rank(res.augmentation.matrix) != res.module.dim:
-        raise ValueError("augmentation not surjective")
-    for n in range(1, len(res.modules)):
-        d = res.diffs[n - 1].matrix
-        upstream = res.augmentation.matrix if n == 1 else res.diffs[n - 2].matrix
-        if not d.mul(upstream).is_zero():
-            raise ValueError(f"d o d != 0 at resolution level {n}")
-        ker_dim = res.modules[n - 1].dim - rank(upstream)
-        if rank(d) != ker_dim:
-            raise ValueError(f"resolution not exact at level {n - 1}")
+    n = res.depth
+    dims = [p.dim for p in reversed(res.modules)] + [res.module.dim]
+    maps = [d.matrix for d in reversed(res.diffs)] + [res.augmentation.matrix]
+    for i, (*_, exact, _) in enumerate(_joints(dims, maps, res.stabilized, True)):
+        if not exact:
+            raise ValueError("augmentation not surjective" if i > n
+                             else f"resolution not exact at level {n - i}")
 
 
 # --------------------------------------------------------------------------
@@ -562,6 +581,16 @@ def _solve_through(src, tgt, constraints):
     return linear_combination(coeffs.rows[0], [mp.matrix for mp in maps], f, src.dim, tgt.dim)
 
 
+def _assert_short_exact(dims, inc, prj, where=""):
+    """Raise InputNotExact unless 0 -> sub -> mid -> quot -> 0, of the
+    dimensions `dims` with the maps inc and prj, is exact (`_joints`)."""
+    fails = ("inclusion not injective", "not exact at the middle term",
+             "projection not surjective")
+    for fail, (*_, exact, _) in zip(fails, _joints(dims, (inc, prj), True, True)):
+        if not exact:
+            raise InputNotExact(fail + where)
+
+
 @dataclass
 class ShortExactSequence:
     sub: RightModule
@@ -575,14 +604,8 @@ class ShortExactSequence:
             raise InputNotExact("inclusion endpoints wrong")
         if self.projection.source != self.mid or self.projection.target != self.quot:
             raise InputNotExact("projection endpoints wrong")
-        if rank(self.inclusion.matrix) != self.sub.dim:
-            raise InputNotExact("inclusion not injective")
-        if rank(self.projection.matrix) != self.quot.dim:
-            raise InputNotExact("projection not surjective")
-        if not self.inclusion.matrix.mul(self.projection.matrix).is_zero():
-            raise InputNotExact("composite not zero")
-        if self.sub.dim + self.quot.dim != self.mid.dim:
-            raise InputNotExact("dimension count fails")
+        _assert_short_exact((self.sub.dim, self.mid.dim, self.quot.dim),
+                            self.inclusion.matrix, self.projection.matrix)
 
 
 @dataclass

@@ -233,10 +233,6 @@ class Matrix:
         return Matrix(field, [[cols[j][i] for j in range(len(cols))] for i in range(nrows)],
                       ncols=len(cols))
 
-    @staticmethod
-    def row_vector(field, entries):
-        return Matrix(field, [list(entries)], ncols=len(entries))
-
     # -- basic structure ---------------------------------------------------
 
     def __eq__(self, other):
@@ -601,14 +597,6 @@ def subspace_equal(u, v):
     if ru != rv:
         return False
     return rank(u.hstack(v)) == ru
-
-
-def subspace_leq(u, v):
-    """True iff colspan(u) is contained in colspan(v)."""
-    check_same_field(u.field, v.field)
-    if u.nrows != v.nrows:
-        raise DimensionMismatch("ambient dimensions differ")
-    return rank(u.hstack(v)) == rank(v)
 
 
 def express_in_row_basis(basis, vectors):

@@ -21,6 +21,8 @@ from .complexes import (
     HomComplexData,
     ProjectiveResolution,
     VectorSpaceComplex,
+    _assert_short_exact,
+    _joints,
     _lift,
     _padded_resolution,
     hom_complex,
@@ -38,7 +40,6 @@ from .exactfield import (
     express_in_row_basis,
     integer_array,
     linear_combination,
-    rank,
     sparse_rank,
 )
 from .modules import (
@@ -91,6 +92,14 @@ class PdVerdict:
     def definitely_infinite(self):
         return self.kind == "at_least" and self.periodic is not None
 
+    @classmethod
+    def of(cls, res, cutoff):
+        """Finite(pd) from a resolution that stabilised within the cutoff,
+        else AtLeast(cutoff + 1) with the resolution's periodicity witness."""
+        if res.stabilized:
+            return cls("finite", res.projective_dimension())
+        return cls("at_least", cutoff + 1, periodic=res.periodicity)
+
     def label(self):
         if self.kind == "finite":
             return f"Finite({self.value})"
@@ -106,12 +115,17 @@ class PdVerdict:
 def regular_as_left_env_module(a):
     """A as a left module over A^op (x) A: (b^op (x) c) . x = c x b.  Built
     once per algebra instance and certified by the regular bimodule: its
-    action is that bimodule's two actions read through the Kronecker table."""
-    L, R = a.basis_left_mats(), a.basis_right_mats()
-    return _once(a._modules, "left_env", lambda: _certified(Bimodule(
-        enveloping(a), trivial_algebra(a.field), a.dim,
-        tuple(L[j].mul(R[i]) for i in range(a.dim) for j in range(a.dim)),
-        (Matrix.identity(a.field, a.dim),), _validate=False), regular_bimodule(a)))
+    action is that bimodule's two actions read through the Kronecker table,
+    the matrices of A as a right A^e-module in the swapped order."""
+    def build():
+        # entry i n + j, L[j] R[i], is entry j n + i of A as a right A^e-module
+        n, env = a.dim, enveloping(a)
+        act = regular_bimodule(a).as_right_module_over(env).action
+        return _certified(Bimodule(env, trivial_algebra(a.field), n,
+                                   tuple(act[j * n + i] for i in range(n) for j in range(n)),
+                                   (Matrix.identity(a.field, n),), _validate=False),
+                          regular_bimodule(a))
+    return _once(a._modules, "left_env", build)
 
 
 def _tensor_complex(res, t, n_max):
@@ -255,10 +269,7 @@ def hochschild_dimension(a, cutoff):
     when a syzygy repeats, which certifies infinite dimension)."""
     env = enveloping(a)
     m = regular_bimodule(a).as_right_module_over(env)
-    res = projective_resolution(m, cutoff)
-    if res.stabilized:
-        return PdVerdict("finite", res.projective_dimension())
-    return PdVerdict("at_least", cutoff + 1, periodic=res.periodicity)
+    return PdVerdict.of(projective_resolution(m, cutoff), cutoff)
 
 
 def global_dimension(a, cutoff):
@@ -267,10 +278,10 @@ def global_dimension(a, cutoff):
         a = discover_basic(a)
     worst = 0
     for s in simple_modules(a):
-        res = projective_resolution(s, cutoff)
-        if not res.stabilized:
-            return PdVerdict("at_least", cutoff + 1, periodic=res.periodicity)
-        worst = max(worst, res.projective_dimension())
+        v = PdVerdict.of(projective_resolution(s, cutoff), cutoff)
+        if not v.finite:
+            return v
+        worst = max(worst, v.value)
     return PdVerdict("finite", worst)
 
 
@@ -521,30 +532,13 @@ def _connecting(cxs, incs, prjs, n, n_next, sections):
 
 
 def _assemble_report(terms, maps, closed_end=False):
-    """Per-joint exactness: composite zero and rank(in) + rank(out) = dim.
-
-    A sequence is genuinely bounded by zero at one end (so the missing map
-    there is the zero map, and the joint is still assessable): at its end
-    when closed_end, else at its start.  The joint at the other end is marked
-    unassessed (window truncation)."""
-    joints = []
-    all_ok = True
-    for i, t in enumerate(terms):
-        incoming = maps[i - 1] if i >= 1 else None
-        outgoing = maps[i] if i < len(maps) else None
-        if (incoming is None and closed_end) or (outgoing is None and not closed_end):
-            joints.append(LesJoint(i, True, 0, 0, True, False))
-            continue
-        ri = rank(incoming) if incoming is not None else 0
-        ro = rank(outgoing) if outgoing is not None else 0
-        cz = True
-        if incoming is not None and outgoing is not None:
-            cz = incoming.mul(outgoing).is_zero()
-        ex = cz and (ri + ro == t.dim)
-        joints.append(LesJoint(i, cz, ri, ro, ex, True))
-        if not ex:
-            all_ok = False
-    return LesReport(terms, maps, joints, all_ok)
+    """Per-joint exactness (`_joints`) of a sequence genuinely bounded by zero
+    at one end, where the missing map is the zero map and the joint is still
+    assessed: at its end when closed_end, else at its start.  The joint at the
+    other end is marked unassessed (window truncation)."""
+    joints = [LesJoint(i, *j) for i, j in enumerate(
+        _joints([t.dim for t in terms], maps, not closed_end, closed_end))]
+    return LesReport(terms, maps, joints, all(j.exact for j in joints))
 
 
 def _verify_ses_of_complexes(sub_cx, mid_cx, quot_cx, incs, prjs, degrees):
@@ -555,14 +549,8 @@ def _verify_ses_of_complexes(sub_cx, mid_cx, quot_cx, incs, prjs, degrees):
             if sub_cx.dim(n) or mid_cx.dim(n) or quot_cx.dim(n):
                 raise InputNotExact(f"missing chain maps at degree {n}")
             continue
-        if rank(inc) != sub_cx.dim(n):
-            raise InputNotExact(f"inclusion not injective at degree {n}")
-        if rank(prj) != quot_cx.dim(n):
-            raise InputNotExact(f"projection not surjective at degree {n}")
-        if not inc.mul(prj).is_zero():
-            raise InputNotExact(f"composite nonzero at degree {n}")
-        if sub_cx.dim(n) + quot_cx.dim(n) != mid_cx.dim(n):
-            raise InputNotExact(f"dimensions do not add at degree {n}")
+        _assert_short_exact((sub_cx.dim(n), mid_cx.dim(n), quot_cx.dim(n)), inc, prj,
+                            f" at degree {n}")
 
 
 def les_from_ses(ses, t, variance, n_max, labels=None):
@@ -570,9 +558,10 @@ def les_from_ses(ses, t, variance, n_max, labels=None):
 
     variance: "tensor" (- (x) T, homological), "hom_covariant" (Hom(T, -)),
     or "hom_contravariant" (Hom(-, T)); connecting maps are computed by an
-    explicit snake chase and exactness is verified joint by joint.
+    explicit snake chase and exactness is verified joint by joint.  The
+    sequence is validated once, by the horseshoe or, for Hom(T, -), which
+    resolves only T, by `_les_cov`.
     """
-    ses.validate()
     if variance == "tensor":
         return _les_tensor(ses, t, n_max, labels)
     if variance == "hom_covariant":
@@ -662,6 +651,7 @@ def _les_contra(ses, t, n_max, labels):
 
 def _les_cov(ses, t, n_max, labels):
     labels = labels or ("Ext(T,sub)", "Ext(T,mid)", "Ext(T,quot)")
+    ses.validate()
     t_mod = t.restrict_right() if isinstance(t, Bimodule) else t
     grid = HomGrid({"T": projective_resolution(t_mod, n_max + 1)},
                    {"sub": ses.sub, "mid": ses.mid, "quot": ses.quot}, n_max)

@@ -19,10 +19,9 @@ from .algebra import (
     Idempotent,
     opposite,
     tensor,
-    tensor_coords,
     triangular,
 )
-from .complexes import projective_resolution
+from .complexes import _joints, projective_resolution
 from .errors import (
     AlgebraMismatch,
     CertificationFailed,
@@ -30,7 +29,7 @@ from .errors import (
     NotStratifying,
     TransferFailed,
 )
-from .exactfield import Matrix, express_in_row_basis, linear_combination, rank
+from .exactfield import Matrix, express_in_row_basis, kron, linear_combination, rank
 from .homology import GradedDims, PdVerdict, ext, tor
 from .modules import (
     Bimodule,
@@ -169,9 +168,7 @@ def check_stratifying(a, e, n_max):
     tor_vanishing = {n: (d == 0) for n, d in tor_dims.items()}
     failing = tuple(sorted(n for n, ok in tor_vanishing.items() if not ok))
     res = projective_resolution(cb.quotient.restrict_right(), n_max)
-    perfect = Perfectness.from_pd(
-        PdVerdict("finite", res.projective_dimension()) if res.stabilized
-        else PdVerdict("at_least", n_max + 1, periodic=res.periodicity))
+    perfect = Perfectness.from_pd(PdVerdict.of(res, n_max))
     report = StratifyingReport(
         mult_tensor_dim=tp.bimodule.dim,
         ideal_dim=cb.aea.dim,
@@ -347,11 +344,8 @@ def _certify(r, n_max):
             tp_i, tp_m, incl_t = _tensor_with_map(m, cb.aea, cb.regular, cb.inclusion)
             _, tp_q, proj_t = _tensor_with_map(m, cb.regular, cb.quotient,
                                                cb.projection)
-            exact_mid = (rank(incl_t) == tp_i.bimodule.dim
-                         and rank(proj_t) == tp_q.bimodule.dim
-                         and incl_t.mul(proj_t).is_zero()
-                         and tp_i.bimodule.dim + tp_q.bimodule.dim
-                         == tp_m.bimodule.dim)
+            dims = (tp_i.bimodule.dim, tp_m.bimodule.dim, tp_q.bimodule.dim)
+            exact_mid = all(ok for *_, ok, _ in _joints(dims, (incl_t, proj_t), True, True))
             flat.append({"module": label, "exact": exact_mid})
             ok = ok and exact_mid
 
@@ -396,7 +390,7 @@ def tensor_transfer(b, r, n_max=6):
         raise TransferFailed("tensor transfer needs a nonzero idempotent")
     big = tensor(b, r.a)
     f = big.field
-    ec = tensor_coords(b.field, b.unit, r.e.coords, r.a.dim)
+    ec = kron(Matrix(f, [b.unit], ncols=b.dim), Matrix(f, [r.e.coords], ncols=r.a.dim)).rows[0]
     try:
         new_e = Idempotent(big, ec, label=f"1⊗{r.e.label or 'e'}")
         out = from_idempotent(big, new_e, n_max=n_max)

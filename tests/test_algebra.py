@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from recollab.algebra import (
     Algebra,
+    BasicStructure,
     Idempotent,
     QuiverPresentation,
     center,
@@ -31,9 +32,19 @@ from recollab.errors import (
     UnsupportedField,
 )
 from recollab.cli import algebra_from_doc
-from recollab.exactfield import GF, QQ, Matrix, integer_array, kernel_basis, rank, unit_vector
+from recollab.exactfield import (
+    GF,
+    QQ,
+    Matrix,
+    express_in_row_basis,
+    integer_array,
+    kernel_basis,
+    rank,
+    row_space_basis,
+    unit_vector,
+)
 from recollab.fixtures import augmentation_bimodule, field_bimodule
-from test_homology import DOCS, _base_change, _dense, _doc_over
+from test_homology import DOCS, _base_change, _dense, _doc_over, _linear_doc
 
 F5 = GF(5)
 
@@ -446,6 +457,78 @@ def test_radical_of_enveloping_algebra_formula():
         r = radical(alg).nrows
         d = alg.dim
         assert radical(env).nrows == 2 * r * d - r * r
+
+
+def _tensor_coords(f, x, y):
+    """The coordinates of x (x) y in the lexicographic basis."""
+    return tuple(f.coerce(s * t) for s in x for t in y)
+
+
+def _reference_tensor_basic(a, b):
+    """The basic structure of A (x) B from spanning rows: the idempotents
+    e (x) e', the radical as the RREF of the rows r (x) b_j and b_i (x) r'
+    (r, r' radical rows) and the generators g (x) 1 and 1 (x) g'."""
+    f, ba, bb = a.field, a.basic, b.basic
+    rad = [_tensor_coords(f, r, unit_vector(b.dim, j))
+           for r in ba.radical_rows.rows for j in range(b.dim)]
+    rad += [_tensor_coords(f, unit_vector(a.dim, i), r)
+            for i in range(a.dim) for r in bb.radical_rows.rows]
+    return BasicStructure(
+        tuple(_tensor_coords(f, x, y) for x in ba.idempotent_coords for y in bb.idempotent_coords),
+        tuple(f"{x}⊗{y}" for x in ba.idempotent_labels for y in bb.idempotent_labels),
+        row_space_basis(Matrix(f, rad, ncols=a.dim * b.dim)),
+        tuple(_tensor_coords(f, g, b.unit) for g in a.generators())
+        + tuple(_tensor_coords(f, a.unit, g) for g in b.generators()))
+
+
+def _rebased(a, rng):
+    """`a` in the basis of the rows of a random invertible P, its basic
+    structure carried along (coordinates x become x P^-1), so its radical
+    rows are neither unit vectors nor reduced."""
+    f, d = a.field, a.dim
+    p = Matrix(f, [[0] * d])
+    while rank(p) < d:
+        p = Matrix(f, [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+
+    def coords(rows):
+        return express_in_row_basis(p, Matrix(f, rows, ncols=d)).rows
+    prods, b = coords([a.multiply(x, y) for x in p.rows for y in p.rows]), a.basic
+    basic = BasicStructure(coords(b.idempotent_coords), b.idempotent_labels,
+                           Matrix(f, coords(b.radical_rows.rows), ncols=d),
+                           coords(b.generator_coords))
+    return Algebra(f, [prods[i * d:(i + 1) * d] for i in range(d)], coords([a.unit])[0],
+                   basic=basic)
+
+
+@st.composite
+def _tensor_factors(draw):
+    """Two shipped documents' algebras over Q or F_5, each in its own basis,
+    in a random one with its basic structure carried along (`_rebased`) or,
+    over Q, in a random one with its basic structure discovered there."""
+    tag = draw(st.sampled_from(["Q", "Fp:5"]))
+    hows = ["own", "carried"] + ["discovered"] * (tag == "Q")
+
+    def factor():
+        path = draw(st.sampled_from([p for p in DOCS if "f5" not in p.stem]))
+        how, seed = draw(st.sampled_from(hows)), draw(st.integers(0, 3))
+        if how == "discovered":
+            return discover_basic(_shipped(path, tag, seed))
+        a = _shipped(path, tag, None)
+        return a if how == "own" else _rebased(a, random.Random(seed))
+    return factor(), factor()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_tensor_factors())
+def test_tensor_basic_structure_is_the_one_from_spanning_rows(factors):
+    a, b = factors
+    assert tensor(a, b).basic == _reference_tensor_basic(a, b)
+
+
+@pytest.mark.scale
+def test_enveloping_basic_structure_of_linear_a8_is_the_one_from_spanning_rows():
+    a = algebra_from_doc(_linear_doc(8))
+    assert enveloping(a).basic == _reference_tensor_basic(opposite(a), a)
 
 
 def test_radical_is_nilpotent_ideal():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -77,6 +78,28 @@ def test_resolution_exactness_assertions_run():
     d = dual_numbers()
     res = projective_resolution(regular_module(d), 4)
     assert res.stabilized and res.depth == 0
+
+
+def test_a_stabilised_resolution_with_a_non_injective_top_is_refused(monkeypatch):
+    # the simple S over k[x]/(x^2) has the resolution ... -> D -> D -> S, each
+    # d_n of rank 1 on P_n = D of dim 2: marked stabilised, d_3 must be injective
+    from recollab.modules import kernel_cokernel, projective_cover
+    s = simple_modules(dual_numbers())[0]
+    res = projective_resolution(s, 3)
+    complexes._assert_resolution_exact(res)
+    with pytest.raises(ValueError, match="resolution not exact at level 3"):
+        complexes._assert_resolution_exact(replace(res, stabilized=True))
+    # the horseshoe of 0 -> S -> D -> S -> 0 is stabilised when both sides
+    # are; marked so, its middle P_3 = D (+) D maps onto a syzygy of dim 2
+    pc = projective_cover(s)
+    kc = kernel_cokernel(pc.surjection)
+    ses = ShortExactSequence(kc.kernel, pc.module, s, kc.inclusion, pc.surjection)
+    assert not horseshoe(ses, 3).res_mid.stabilized
+    real = complexes.projective_resolution
+    monkeypatch.setattr(complexes, "projective_resolution",
+                        lambda m, n: replace(real(m, n), stabilized=True))
+    with pytest.raises(ValueError, match="resolution not exact at level 3"):
+        horseshoe(ses, 3)
 
 
 def test_hereditary_resolutions_stabilize_at_depth_le_1():

@@ -13,6 +13,7 @@ from recollab.exactfield import (
     check_same_field,
     combine_rows,
     kernel_basis,
+    kron,
     linear_combination,
     parse_field,
     quotient_map,
@@ -22,7 +23,6 @@ from recollab.exactfield import (
     solve_matrix,
     sparse_rank,
     subspace_equal,
-    subspace_leq,
     sylvester_rows,
     unit_vector,
 )
@@ -111,13 +111,6 @@ def test_subspace_equal_cases():
     assert not subspace_equal(u, v)
     w = Matrix.from_cols(QQ, [[1, 1], [1, -1]])
     assert subspace_equal(w, Matrix.identity(QQ, 2))
-
-
-def test_subspace_leq():
-    u = Matrix.from_cols(QQ, [[1, 0, 0]])
-    v = Matrix.from_cols(QQ, [[1, 0, 0], [0, 1, 0]])
-    assert subspace_leq(u, v)
-    assert not subspace_leq(v, u)
 
 
 @pytest.mark.parametrize("field,p", [(QQ, None), (F5, 5)])
@@ -289,7 +282,7 @@ def test_quotient_map_properties(field):
                    if field == QQ else field.coerce(rng.randrange(5)) for _ in range(n)]
             expected = _sequential_projection(m, vec)
             assert combine_rows(P, enumerate(vec)) == expected
-            assert list(Matrix.row_vector(field, vec).mul(P).row(0)) == expected
+            assert list(Matrix(field, [vec]).mul(P).row(0)) == expected
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -507,14 +500,14 @@ def test_stored_scalars_are_reduced(field):
     """What the engine stores or returns is reduced into the field even where
     the Python arithmetic behind it is not: over Q, 1/2 * 2 is an integral
     Fraction; over F_5, 4 * 3 is 12."""
-    from recollab.algebra import Algebra, tensor, tensor_coords
+    from recollab.algebra import Algebra, tensor
     from recollab.fixtures import kronecker_algebra
     from recollab.modules import hom_space, regular_bimodule, regular_module, tensor_over
     s, t = (Fraction(1, 2), 2) if field == QQ else (4, 3)
     a = kronecker_algebra(field)
     x, y = (s,) * a.dim, (t,) * a.dim
     _assert_canonical(field, a.multiply(x, y), a.multiply(y, x),
-                      tensor_coords(field, x, y, a.dim))
+                      kron(Matrix(field, [x]), Matrix(field, [y])))
 
     def truncated(c):
         # k[u]/(u^3) in the basis 1, u, u^2 / c, so u * u = c b2

@@ -10,8 +10,13 @@ import pytest
 
 from recollab.algebra import Algebra, enveloping, zero_algebra
 from recollab.cli import algebra_from_doc
-from recollab.complexes import ShortExactSequence, projective_resolution
-from recollab.errors import BudgetExceeded, DepthInsufficient
+from recollab.complexes import (
+    ShortExactSequence,
+    VectorSpaceComplex,
+    _joints,
+    projective_resolution,
+)
+from recollab.errors import BudgetExceeded, DepthInsufficient, InputNotExact
 from recollab.exactfield import (
     GF, QQ, Matrix, express_in_row_basis, integer_array, rank, sparse_rank,
 )
@@ -26,7 +31,10 @@ from recollab.fixtures import (
 )
 from recollab import homology
 from recollab.homology import (
+    LesJoint,
+    LesTerm,
     _BarComplex,
+    _assemble_report,
     _bar_blocks,
     bar_oracle,
     ext,
@@ -792,6 +800,13 @@ def test_regular_left_env_module_is_built_and_checked_once(monkeypatch):
     assert not any(b is regular_bimodule(a) for b in checked)
     t._validate()
     regular_bimodule(a)._validate()
+    # (b_i^op (x) b_j) . x = b_j x b_i: the matrix of A as a right A^e-module
+    # at j n + i, the very object
+    n, L, R = a.dim, a.basis_left_mats(), a.basis_right_mats()
+    right = regular_bimodule(a).as_right_module_over(enveloping(a)).action
+    for i, j in product(range(n), repeat=2):
+        assert t.left_action_matrices[i * n + j] is right[j * n + i]
+        assert right[j * n + i] == L[j].mul(R[i])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -892,6 +907,57 @@ def test_les_covariant_canonical_a2():
     rep = les_from_ses(ses, cb.regular.as_right_module_over(env),
                        "hom_covariant", 4)
     assert rep.exact
+
+
+def test_les_from_ses_validates_each_sequence_once(monkeypatch):
+    # the horseshoe validates for Tor and Hom(-, T), `_les_cov` for Hom(T, -)
+    a = a2_path_algebra()
+    ses, env, cb = _canonical_env_ses(a, vertex_idempotent(a, "2"))
+    calls = []
+    real = ShortExactSequence.validate
+    monkeypatch.setattr(ShortExactSequence, "validate",
+                        lambda self: calls.append(self) or real(self))
+    for variance, t in (("tensor", regular_as_left_env_module(a)),
+                        ("hom_contravariant", cb.regular.as_right_module_over(env)),
+                        ("hom_covariant", cb.regular.as_right_module_over(env))):
+        calls.clear()
+        assert les_from_ses(ses, t, variance, 2).exact
+        assert calls == [ses]
+
+
+def test_ses_of_complexes_is_refused_at_a_middle_degree_that_is_not_exact():
+    # degree 0 is k -> k^2 -> k, exact; at degree 1 the inclusion is
+    # injective and the projection onto, but the composite is not zero
+    # (k -> k^2 -> k) or the dimensions do not add (k -> k^3 -> k)
+    def verify(mid, inc, prj):
+        sub, mid = (VectorSpaceComplex(QQ, {0: d, 1: d1}, {}) for d, d1 in ((1, 1), (2, mid)))
+        homology._verify_ses_of_complexes(
+            sub, mid, sub, {0: Matrix(QQ, [[1, 0]]), 1: Matrix(QQ, inc)},
+            {0: Matrix(QQ, [[0], [1]]), 1: Matrix(QQ, prj)}, [0, 1])
+    verify(2, [[1, 0]], [[0], [1]])
+    for mid, inc, prj in ((2, [[1, 0]], [[1], [0]]), (3, [[1, 0, 0]], [[0], [1], [0]])):
+        with pytest.raises(InputNotExact, match="not exact at the middle term at degree 1"):
+            verify(mid, inc, prj)
+
+
+def test_joints_are_the_report_at_open_and_closed_ends():
+    # k -> k^2 -> k -> k: exact at k^2, the composite through the third term
+    # is not zero; k^2 -> k: not injective at the start, onto at the end.
+    # A joint is (composite_zero, rank_in, rank_out, exact, assessed)
+    cut = (True, 0, 0, True, False)
+    first = ([1, 2, 1, 1], [Matrix(QQ, [[1, 0]]), Matrix(QQ, [[0], [1]]), Matrix(QQ, [[1]])],
+             [(True, 0, 1, True, True), (True, 1, 1, True, True),
+              (False, 1, 1, False, True), (True, 1, 0, True, True)])
+    second = ([2, 1], [Matrix(QQ, [[1], [0]])], [(True, 0, 1, False, True), (True, 1, 0, True, True)])
+    for dims, maps, closed in (first, second):
+        for start, end in product((True, False), repeat=2):
+            want = [closed[0] if start else cut] + closed[1:-1] + [closed[-1] if end else cut]
+            assert _joints(dims, maps, start, end) == want
+            if start != end:
+                terms = [LesTerm("t", i, d) for i, d in enumerate(dims)]
+                rep = _assemble_report(terms, maps, closed_end=end)
+                assert rep.joints == [LesJoint(i, *j) for i, j in enumerate(want)]
+                assert rep.exact == all(j[3] for j in want)
 
 
 # -- yoneda ----------------------------------------------------------------------
