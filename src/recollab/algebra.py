@@ -763,10 +763,17 @@ def ideal_and_quotient(a, e):
 
 def center(a):
     """Row basis of the centre {z : z g = g z for every generator g}: the
-    kernel of the columns of every R_g - L_g, stacked once."""
-    cols = [col for g in a.generators()
-            for col in zip(*a.right_mult_matrix(g).sub(a.left_mult_matrix(g)).rows) if any(col)]
-    return kernel_basis(Matrix(a.field, cols, ncols=a.dim)).transpose()
+    kernel of the rows (g, k) of z |-> (z g - g z)_k, read off the table: c
+    at b_k in b_i b_j adds g_j c at column i and -g_i c at column j."""
+    rows = {}
+    for t, g in enumerate(a.generators()):
+        for (i, j), ent in a.table.items():
+            if g[i] or g[j]:
+                for k, c in ent:
+                    row = rows.setdefault((t, k), [0] * a.dim)
+                    row[i] += g[j] * c
+                    row[j] -= g[i] * c
+    return kernel_basis(Matrix(a.field, rows.values(), ncols=a.dim)).transpose()
 
 
 def radical(a):

@@ -385,6 +385,53 @@ def integer_array(field, values, bound):
     return np.array(values, dtype=np.int64 if bound(m) < _INT64_SAFE else object), den
 
 
+# entries of the largest integer array a check or a stacked construction makes
+_CHUNK = 2**20
+
+
+def _blocks(field, groups, bound):
+    """(blocks, scale): each group (rows, cols, matrices) as one (rows, cols)
+    integer array of the matrices' entries in order, such as (count,
+    entries per matrix) for a stack; one `integer_array` call converts all
+    groups, so the blocks share its scale."""
+    arr, scale = integer_array(field, chain.from_iterable(
+        chain.from_iterable(m.rows) for *_, mats in groups for m in mats), bound)
+    blocks, at = [], 0
+    for rows, cols, _ in groups:
+        blocks.append(arr[at:at + rows * cols].reshape(rows, cols))
+        at += rows * cols
+    return blocks, scale
+
+
+def _nonzero(arr, p):
+    """Where an integer array is nonzero in the field (mod p over F_p)."""
+    return (arr if p is None else arr % p) != 0
+
+
+def _matrices(field, stack, scale):
+    """The integer stack (count, rows, cols), scaled by `scale`, as canonical
+    matrices: residues over F_p, the ints as they are over Q at scale 1, and
+    each x / scale through `coerce` otherwise."""
+    p = getattr(field, "p", None)
+    out = (stack if p is None else stack % p).tolist()
+    if p is None and scale != 1:
+        out = [[[field.coerce(Fraction(x, scale)) for x in r] for r in m] for m in out]
+    return [Matrix._of(field, tuple(map(tuple, m)), stack.shape[2]) for m in out]
+
+
+def _stack_chunks(fixed, mats):
+    """For each run of at most `_CHUNK` entries of the stack `mats` (n x n):
+    the matrices `fixed` and the run's (count, n, n) array, converted
+    together by `_blocks` for products of three of them, and their scale."""
+    f, n = fixed[0].field, fixed[0].ncols
+    step = max(1, _CHUNK // max(1, n * n))
+    for at in range(0, len(mats), step):
+        part = mats[at:at + step]
+        blocks, scale = _blocks(f, [(m.nrows, m.ncols, (m,)) for m in fixed]
+                                + [(len(part) * n, n, part)], lambda m: n * n * m ** 3)
+        yield blocks[:-1], blocks[-1].reshape(len(part), n, n), scale
+
+
 # --------------------------------------------------------------------------
 # Gaussian elimination.
 #
@@ -615,37 +662,36 @@ def express_in_row_basis(basis, vectors):
 
 
 def _restrict(rows, mats):
-    """(basis, pivots, acts): the RREF basis of span(`rows`), its pivots, and
-    each of `mats` restricted to the span in that basis.  Each image
-    basis @ mat is read at the pivots and checked to be that combination of
-    the basis: the proof that the span is invariant, so the restrictions
-    inherit the laws of `mats`."""
+    """(basis, pivots, acts): the RREF basis B of span(`rows`), its pivots,
+    and each of `mats` restricted to the span in that basis.  Per chunk S of
+    the stack (`_stack_chunks`, B and S scaled by den), the images B @ S are
+    read at the pivots and checked to be those combinations of the basis:
+    the proof that the span is invariant, so the restrictions inherit the
+    laws of `mats`."""
     R, pivots = rref(rows)
-    basis = R.take_rows(range(len(pivots)))
+    basis, p = R.take_rows(range(len(pivots))), getattr(rows.field, "p", None)
     acts = []
-    for mat in mats:
-        img = basis.mul(mat)
-        coords = img.submatrix(range(img.nrows), pivots)
-        if coords.mul(basis) != img:
+    for (B,), S, den in _stack_chunks([basis], mats):
+        img = B @ S if p is None else B @ S % p
+        coords = img[:, :, list(pivots)]
+        if _nonzero(coords @ B - den * img, p).any():
             raise ValueError("rows do not span an invariant subspace")
-        acts.append(coords)
+        acts += _matrices(rows.field, coords, den * den)
     return basis, pivots, acts
 
 
 def _descend(rows, mats):
-    """(proj, free, acts): the projection onto k^n / span(`rows`) and its free
-    columns (`quotient_map`), and the action each of `mats` induces there,
-    the class of b_t (t free) going to the projection of row t.  The check
-    (basis @ mat) @ proj = 0 on the span's RREF basis proves it invariant, so
-    the induced actions are defined and inherit the laws of `mats`."""
+    """(proj, free, acts): the projection P onto k^n / span(`rows`) and its
+    free columns (`quotient_map`), and the action each of `mats` induces
+    there, S[:, free] @ P for each chunk S of the stack: defined, and with
+    the laws of `mats`, once (B @ S) @ P = 0 on the span's RREF basis B
+    proves the span invariant."""
     proj, free = quotient_map(rows)
-    basis, q = row_space_basis(rows), len(free)
-    acts = []
-    for mat in mats:
-        if not basis.mul(mat).mul(proj).is_zero():
+    p, acts = getattr(rows.field, "p", None), []
+    for (B, P), S, den in _stack_chunks([row_space_basis(rows), proj], mats):
+        if _nonzero(B @ S @ P, p).any():
             raise ValueError("rows do not span an invariant subspace")
-        acts.append(Matrix(rows.field, [combine_rows(proj, enumerate(mat.rows[t]))
-                                        for t in free], ncols=q))
+        acts += _matrices(rows.field, S[:, free] @ P, den * den)
     return proj, free, acts
 
 

@@ -20,10 +20,11 @@ bimodule, a quotient module by its module; a bimodule's one-sided modules
 and its module over `enveloping` by the bimodule; a vertex projective of
 B (x) C by its factors'; in `homology`, A over A^e; in `recollement`, A/AeA
 over the quotient algebra by A/AeA.  Each check is complete: one
-`exactfield.integer_array` conversion of every matrix it reads, cut into
-flat blocks by slicing, then one or two integer numpy products per slice of
-at most `_CHUNK` entries and one `.any()`; the failing generator or basis
-element is located only once a check has failed.
+`exactfield._blocks` conversion of every matrix it reads, then one or two
+integer numpy products per slice of at most `_CHUNK` entries and one
+`.any()`; the failing generator or basis element is located only once a
+check has failed.  Restriction and descent convert, multiply, check and
+read back each `_CHUNK` of their stack the same way.
 
 Built once per algebra instance (`_once` on `Algebra._modules`): vertex
 projectives, tagged `projective_module`s, simples, regular module and bimodule,
@@ -66,14 +67,17 @@ from .errors import (
     UnsupportedField,
 )
 from .exactfield import (
+    _CHUNK,
     QQ,
     Matrix,
+    _blocks,
     _descend,
+    _matrices,
+    _nonzero,
     _restrict,
     check_same_field,
     combine_rows,
     express_in_row_basis,
-    integer_array,
     kernel_basis,
     kron,
     linear_combination,
@@ -83,30 +87,6 @@ from .exactfield import (
     sylvester_rows,
     unit_vector,
 )
-
-
-# entries of the largest integer array one check builds at a time: the
-# products for all generators at once unless that passes this size
-_CHUNK = 2**20
-
-
-def _blocks(field, groups, bound):
-    """(blocks, scale): each group (rows, cols, matrices) as one (rows, cols)
-    integer array of the matrices' entries in order, such as (count,
-    entries per matrix) for a stack; one `integer_array` call converts all
-    groups, so the blocks share its scale."""
-    arr, scale = integer_array(field, chain.from_iterable(
-        chain.from_iterable(m.rows) for *_, mats in groups for m in mats), bound)
-    blocks, at = [], 0
-    for rows, cols, _ in groups:
-        blocks.append(arr[at:at + rows * cols].reshape(rows, cols))
-        at += rows * cols
-    return blocks, scale
-
-
-def _nonzero(arr, p):
-    """Where an integer array is nonzero in the field (mod p over F_p)."""
-    return (arr if p is None else arr % p) != 0
 
 
 def _once(store, key, build):
@@ -727,7 +707,8 @@ def vertex_projective(a, v_index):
     algebra instance, whose basic structure names the idempotents): the RREF
     of e_v A.  For A = B (x) C from `tensor`, e_v A = e_i B (x) e_j C with
     v = i n_C + j, and the Kronecker products of the factors' RREF bases and
-    actions are that RREF and its actions, certified by the factors' checks:
+    actions (one einsum over both action stacks per `_CHUNK` of the result)
+    are that RREF and its actions, certified by the factors' checks:
     rho_B (x) rho_C is a module law on the Kronecker table if both are.
     Otherwise e_v A is restricted from A_A, and A's check certifies it."""
     def build():
@@ -735,9 +716,15 @@ def vertex_projective(a, v_index):
             b, c = a._factors
             i, j = divmod(v_index, len(c.basic.idempotent_coords))
             (mb, ib), (mc, ic) = vertex_projective(b, i), vertex_projective(c, j)
-            mod = RightModule(a, mb.dim * mc.dim, [kron(x, y) for x in mb.action
-                                                   for y in mc.action], _validate=False)
-            return _certified(mod, mb, mc), kron(ib, ic)
+            (X, Y), r = _blocks(a.field, [(b.dim, mb.dim ** 2, mb.action),
+                                          (c.dim, mc.dim ** 2, mc.action)], lambda m: m * m)
+            db, dc, acts = mb.dim, mc.dim, []
+            step = max(1, _CHUNK // (c.dim * (db * dc) ** 2))
+            for s in range(0, b.dim, step):
+                kr = np.einsum("sij,tkl->stikjl", X[s:s + step].reshape(-1, db, db),
+                               Y.reshape(-1, dc, dc))
+                acts += _matrices(a.field, kr.reshape(-1, db * dc, db * dc), r * r)
+            return _certified(RightModule(a, db * dc, acts, _validate=False), mb, mc), kron(ib, ic)
         basis, _, acts = _restrict(a.left_mult_matrix(a.basic.idempotent_coords[v_index]),
                                    a.basis_right_mats())
         return _certified(RightModule(a, basis.nrows, acts, _validate=False), a), basis

@@ -408,6 +408,35 @@ def test_center_over_the_generators_is_the_commutant_of_every_basis_element(path
         assert center(b) == kernel_basis(Matrix(b.field, cols, ncols=b.dim)).transpose()
 
 
+def _center_from_dense_matrices(a):
+    """The centre from the dense multiplication matrices: the kernel of the
+    columns of every R_g - L_g, g a generator."""
+    cols = [col for g in a.generators()
+            for col in zip(*a.right_mult_matrix(g).sub(a.left_mult_matrix(g)).rows) if any(col)]
+    return kernel_basis(Matrix(a.field, cols, ncols=a.dim)).transpose()
+
+
+def _center_docs():
+    for path in DOCS:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        yield pytest.param(doc, id=path.stem)
+        if doc.get("field", "Q") == "Q" and "f5" not in path.stem:
+            yield pytest.param(_doc_over(doc, "Fp:7"), id=path.stem + "@F7")
+    for n in (3, 6, 9):
+        yield pytest.param(_linear_doc(n), id=f"linear_a{n}")
+
+
+@pytest.mark.parametrize("doc", _center_docs())
+def test_center_from_the_table_matches_the_dense_construction(doc):
+    """The centre read off the table's nonzeros is the same echelon basis as
+    the one from dense R_g - L_g, on each algebra and on a random integer
+    base change of it (every basis element a generator, dense tables with
+    fractions over Q)."""
+    a = algebra_from_doc(doc)
+    for b in (a, _base_change(a, random.Random(5))):
+        assert center(b) == _center_from_dense_matrices(b)
+
+
 def test_radical_semisimple_zero():
     assert radical(ground_field_algebra()).nrows == 0
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -243,6 +244,16 @@ def test_cmd_hochschild_linear_a6_happel(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["hh_cohomology"] == {"0": 1, "1": 0, "2": 0}
     assert out["hh"] == {"0": 6, "1": 0, "2": 0}
+
+
+@pytest.mark.scale
+def test_cmd_hochschild_linear_a8_report_digest(tmp_path, capsys):
+    # linear A_8 (dim 36, A^e of dim 1296) to degree 3, about 15 s: every
+    # syzygy is restricted from a whole action stack at once, and the report
+    # bytes are those of the per-matrix restriction
+    assert main(["hochschild", _write(tmp_path, _linear_doc(8)), "--max-degree", "3"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "40fd84a9b82c74d28ac29157aca094035df744c098e51fc36dd3d9cbc0312518"
 
 
 @pytest.mark.scale

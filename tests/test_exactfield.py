@@ -5,11 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from recollab import exactfield
 from recollab.errors import DimensionMismatch, FieldMismatch
 from recollab.exactfield import (
     GF,
     QQ,
     Matrix,
+    _descend,
+    _restrict,
     check_same_field,
     combine_rows,
     kernel_basis,
@@ -18,6 +21,7 @@ from recollab.exactfield import (
     parse_field,
     quotient_map,
     rank,
+    row_space_basis,
     rref,
     solve,
     solve_matrix,
@@ -530,3 +534,99 @@ def test_stored_scalars_are_reduced(field):
     tp = tensor_over(regular_bimodule(a), regular_bimodule(a))
     _assert_canonical(field, tp.projection, *tp.bimodule.left_action_matrices,
                       *tp.bimodule.right_action_matrices)
+
+
+# -- restriction and descent of whole stacks, against the per-matrix reference --
+
+
+def _restrict_reference(rows, mats):
+    """`_restrict` one matrix at a time through `Matrix.mul`."""
+    R, pivots = rref(rows)
+    basis = R.take_rows(range(len(pivots)))
+    acts = []
+    for mat in mats:
+        img = basis.mul(mat)
+        coords = img.submatrix(range(img.nrows), pivots)
+        if coords.mul(basis) != img:
+            raise ValueError("rows do not span an invariant subspace")
+        acts.append(coords)
+    return basis, pivots, acts
+
+
+def _descend_reference(rows, mats):
+    """`_descend` one matrix at a time: `Matrix.mul` for the check and
+    `combine_rows` for each induced row."""
+    proj, free = quotient_map(rows)
+    basis = row_space_basis(rows)
+    acts = []
+    for mat in mats:
+        if not basis.mul(mat).mul(proj).is_zero():
+            raise ValueError("rows do not span an invariant subspace")
+        acts.append(Matrix(rows.field, [combine_rows(proj, enumerate(mat.rows[t]))
+                                        for t in free], ncols=len(free)))
+    return proj, free, acts
+
+
+def _stack_case(field, rng, n, k, count, top):
+    """(rows, mats): the first k rows of a random invertible P (entries up to
+    `top`) and their sum, and `count` matrices P^-1 M P with M zero above
+    row k and right of column k-1, which keep the span of the rows."""
+    while True:
+        p = Matrix(field, [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)])
+        if rank(p) == n:
+            break
+    pinv = solve_matrix(p, Matrix.identity(field, n))
+    mats = [pinv.mul(Matrix(field, [[0 if i < k <= j else rng.randint(-3, 3)
+                                     for j in range(n)] for i in range(n)])).mul(p)
+            for _ in range(count)]
+    span = list(p.rows[:k])
+    return Matrix(field, span + [[sum(c) for c in zip(*span)]] * bool(span), ncols=n), mats
+
+
+def _same_entries(x, y):
+    return x == y and all(type(s) is type(t) for r, w in zip(x.rows, y.rows)
+                          for s, t in zip(r, w))
+
+
+P31 = GF(2**31 - 1)
+
+
+@pytest.mark.parametrize("chunk", ["whole", "one", "split"])
+@pytest.mark.parametrize("field,top", [(QQ, 3), (QQ, 2**40), (F7, 3), (P31, 3)],
+                         ids=["Q", "Qbig", "F7", "F31bit"])
+def test_stacked_restriction_and_descent_match_the_per_matrix_reference(
+        field, top, chunk, monkeypatch):
+    """`_restrict` and `_descend` equal the per-matrix reference, entry for
+    entry and with the same scalar types, on every span dimension k of k^5:
+    over Q with RREF bases that have non-integral entries, over F_p, with
+    entries that force `object` arrays, and with the stack in one chunk, one
+    matrix per chunk or uneven chunks of two.  A stack whose last matrix
+    moves the span raises, as the reference does."""
+    n, count, rng = 5, 5, random.Random(31)
+    monkeypatch.setattr(exactfield, "_CHUNK",
+                        {"whole": exactfield._CHUNK, "one": 1, "split": 2 * n * n + 1}[chunk])
+    dtypes, fractional = set(), False
+    real = exactfield.integer_array
+
+    def spy(*args):
+        arr, den = real(*args)
+        dtypes.add(arr.dtype)
+        return arr, den
+    monkeypatch.setattr(exactfield, "integer_array", spy)
+    for k in range(n + 1):
+        rows, mats = _stack_case(field, rng, n, k, count, top)
+        fractional |= any(type(x) is Fraction for r in rref(rows)[0].rows for x in r)
+        moved = mats + [Matrix(field, [[rng.randint(-3, 3) for _ in range(n)]
+                                       for _ in range(n)])]
+        for build, ref in ((_restrict, _restrict_reference), (_descend, _descend_reference)):
+            got, want = build(rows, mats), ref(rows, mats)
+            assert got[:2] == want[:2] and len(got[2]) == count
+            assert all(_same_entries(x, y) for x, y in zip(got[2], want[2]))
+            _assert_canonical(field, *got[2])
+            if 0 < k < n:
+                for cut in (build, ref):
+                    with pytest.raises(ValueError, match="invariant subspace"):
+                        cut(rows, moved)
+    assert fractional == (field == QQ)
+    big = top > 3 or field == P31
+    assert (np.dtype(object) in dtypes) == big and (np.dtype(np.int64) in dtypes) != big

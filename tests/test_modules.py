@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from recollab import modules
+from recollab import exactfield, modules
 from recollab.algebra import (
     Algebra,
     BasicStructure,
@@ -27,8 +27,10 @@ from recollab.exactfield import (
     QQ,
     GF,
     Matrix,
+    kron,
     linear_combination,
     rank,
+    rref,
     solve_matrix,
 )
 from recollab.fixtures import (
@@ -479,15 +481,16 @@ def _check_algebras(f, rng):
 
 @pytest.fixture
 def dtypes(monkeypatch):
-    """The dtypes of the integer arrays the module checks build."""
+    """The dtypes of the integer arrays the module checks build (through
+    `exactfield._blocks`)."""
     seen = set()
 
     def spy(*args):
         arr, den = real(*args)
         seen.add(arr.dtype)
         return arr, den
-    real = modules.integer_array
-    monkeypatch.setattr(modules, "integer_array", spy)
+    real = exactfield.integer_array
+    monkeypatch.setattr(exactfield, "integer_array", spy)
     return seen
 
 
@@ -722,7 +725,8 @@ def _same_entries(x, y):
 def test_tensor_vertex_projectives_are_kronecker_products_of_the_cut(make, monkeypatch):
     """A^e, A (x) kA_2 (the B (x) A of the tensor transfers) and kA_2 (x) A:
     every vertex projective equals, entry for entry and with the same scalar
-    types, the one cut out of the regular module; none of them is cut or
+    types, the one cut out of the regular module, and its actions are the
+    pairwise Kronecker products of the factors'; none of them is cut or
     checked over the tensor product, the factors' vertex projectives that
     certify it are certified by their algebras and never checked directly,
     and the full checks of both pass."""
@@ -749,6 +753,8 @@ def test_tensor_vertex_projectives_are_kronecker_products_of_the_cut(make, monke
             assert _same_entries(basis, ref_basis)
             assert mod == ref_mod
             assert all(_same_entries(x, y) for x, y in zip(mod.action, ref_mod.action))
+            pairwise = [kron(x, y) for x in factors[0].action for y in factors[1].action]
+            assert all(_same_entries(x, y) for x, y in zip(mod.action, pairwise))
             for x in (mod, *factors):
                 real_check(x)
 
@@ -862,6 +868,23 @@ def test_restriction_and_descent_check_that_the_span_is_invariant(field):
     quot, proj = modules.quotient_by_rows(m, rows)
     assert (sub.dim, quot.dim) == (2, 1) and incl.matrix.mul(proj.matrix).is_zero()
     assert "checked" in modules._rep(quot)._memo
+    sub._validate()
+    quot._validate()
+    # the same in A_A + A_A on the twisted diagonal {(2x, 3x)}, whose RREF
+    # bases are not integral over Q
+    m2 = modules.direct_sum([m, m])
+
+    def twisted(span):
+        return Matrix(field, [[2 * x for x in r] + [3 * x for x in r] for r in span.rows],
+                      ncols=2 * a.dim)
+    assert (Fraction(3, 2) in rref(twisted(rows))[0].rows[0]) == (field == QQ)
+    for cut in (modules.submodule_from_rows, modules.quotient_by_rows):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="invariant subspace"):
+                cut(m2, twisted(not_closed))
+    sub, incl = modules.submodule_from_rows(m2, twisted(rows))
+    quot, proj = modules.quotient_by_rows(m2, twisted(rows))
+    assert (sub.dim, quot.dim) == (2, 4) and incl.matrix.mul(proj.matrix).is_zero()
     sub._validate()
     quot._validate()
 
