@@ -4,8 +4,9 @@ An :class:`Algebra` stores its multiplication as one sparse table (the
 nonzero coordinates of each nonzero product b_i * b_j), the coordinates of
 the unit, and (when known) a *basic structure*: a complete list of
 orthogonal primitive idempotents with A/rad split (a product of copies of
-the ground field), plus a basis of the Jacobson radical and a small
-generating set.  Quiver algebras get this for free; tensor
+the ground field), plus rows generating the Jacobson radical as a left and
+as a right ideal and a small generating set.  Quiver algebras get this for
+free (the arrows); tensor
 products, opposites, triangular matrix algebras, corners at vertex sums and
 quotients propagate it, and over Q it can be discovered from scratch via the
 trace form and idempotent lifting.
@@ -54,11 +55,13 @@ from .exactfield import (
 
 @dataclass(frozen=True)
 class BasicStructure:
-    """Complete orthogonal primitive idempotents (split case) plus radical."""
+    """Complete orthogonal primitive idempotents (split case), rows that
+    generate rad A as a left and as a right ideal (rad = sum A r = sum r A; a
+    basis qualifies, and `radical` derives one) and algebra generators."""
 
     idempotent_coords: tuple
     idempotent_labels: tuple
-    radical_rows: Matrix
+    radical_generators: Matrix
     generator_coords: tuple
 
 
@@ -106,6 +109,7 @@ class Algebra:
         self._right_mats = None
         self._hashes = None
         self._ints = None
+        self._radical = None
         self._opposite = None
         self._enveloping = None
         # (B, C) for a tensor product B (x) C built by `tensor`
@@ -197,9 +201,10 @@ class Algebra:
         return self._content_hashes()[0]
 
     def structure_hash(self):
-        """content_hash extended by the basic structure (idempotent, radical
-        and generator coordinates): one table can carry several, and
-        projective covers read it.  A tensor product's is derived from its
+        """content_hash extended by the basic structure (the idempotent,
+        radical generator and generator rows): one table can carry several,
+        and projective covers read it.  It keys only the resolution store,
+        and no report carries it.  A tensor product's is derived from its
         factors', which fix its table and basic structure, so its table is
         never formatted."""
         if self._factors is not None:
@@ -221,7 +226,8 @@ class Algebra:
             content = h.hexdigest()
             b = self.basic
             if b is not None:
-                for part in (b.idempotent_coords, b.radical_rows.rows, b.generator_coords):
+                for part in (b.idempotent_coords, b.radical_generators.rows,
+                             b.generator_coords):
                     h.update(("#" + ";".join(",".join(map(str, v))
                                              for v in part)).encode())
             self._hashes = (content, h.hexdigest())
@@ -532,23 +538,13 @@ def from_quiver(q, field_tag, degree_bound=32, path_budget=20000):
                     table[(x, y)] = tuple(ent)
 
     labels = [p.display() for p in survivors]
-    unit = [0] * n
-    vert_coords = {}
-    for v in q.vertices:
-        i = pos[(v, ())]
-        vert_coords[v] = unit_vector(n, i)
-        unit[i] = 1
-    rad_rows = Matrix(f, [unit_vector(n, i) for i, p in enumerate(survivors) if len(p) >= 1],
-                      ncols=n)
-    gens = tuple(vert_coords[v] for v in q.vertices) + tuple(
-        unit_vector(n, pos[(s, (l,))]) for (s, t, l) in q.arrows if (s, (l,)) in pos)
-    basic = BasicStructure(
-        idempotent_coords=tuple(vert_coords[v] for v in q.vertices),
-        idempotent_labels=tuple(q.vertices),
-        radical_rows=rad_rows,
-        generator_coords=gens,
-    )
-    return Algebra._of(f, n, table, tuple(unit), labels=labels, basic=basic, _validate=True)
+    idem = tuple(unit_vector(n, pos[(v, ())]) for v in q.vertices)
+    # every path of length >= 1 is (path) * arrow and arrow * (path), so the
+    # arrows generate the arrow ideal, the radical, from both sides
+    arrows = tuple(unit_vector(n, pos[(s, (l,))]) for (s, t, l) in q.arrows if (s, (l,)) in pos)
+    basic = BasicStructure(idem, tuple(q.vertices), Matrix(f, arrows, ncols=n), idem + arrows)
+    return Algebra._of(f, n, table, tuple(map(sum, zip(*idem))), labels=labels, basic=basic,
+                       _validate=True)
 
 
 # --------------------------------------------------------------------------
@@ -593,25 +589,12 @@ def tensor(a, b):
     if a.basic is not None and b.basic is not None:
         ba, bb = a.basic, b.basic
         ilab = tuple(f"{la}⊗{lb}" for la in ba.idempotent_labels for lb in bb.idempotent_labels)
-        # rad(A (x) B) = rad A (x) B + A (x) rad B is the kernel of
-        # kron(pa, pb), pa and pb the projections onto A/rad A and B/rad B
-        # (`quotient_map`, free columns fa and fb).  Row c of the kron is a
-        # unit vector for c in free = fa x fb, and otherwise nonzero only at
-        # the c' in free right of c, so the kernel's RREF has the free columns
-        # `free` and, for each other c, the row e_c minus row c of the kron
-        # read on `free`
-        (pa, fa), (pb, fb) = quotient_map(ba.radical_rows), quotient_map(bb.radical_rows)
-        free = [s * db + t for s in fa for t in fb]
-        kp, fset, rad = kron(pa, pb).rows, set(free), []
-        for c in (c for c in range(n) if c not in fset):
-            row = [0] * n
-            row[c] = 1
-            for col, x in zip(free, kp[c]):
-                row[col] = -x
-            rad.append(row)
+        # rad(A (x) B) = rad A (x) B + A (x) rad B: (x (x) y)(r (x) 1) =
+        # x r (x) y, so the r (x) 1 and 1 (x) r' generate it from both sides
+        rad = kr(ba.radical_generators.rows, [b.unit]) + kr([a.unit], bb.radical_generators.rows)
         gens = kr(a.generators(), [b.unit]) + kr([a.unit], b.generators())
         basic = BasicStructure(kr(ba.idempotent_coords, bb.idempotent_coords), ilab,
-                               Matrix(f, rad, ncols=n), gens)
+                               Matrix._of(f, rad, n), gens)
     out = Algebra._of(f, n, table, unit, labels=labels, basic=basic)
     out.associativity_checked = a.associativity_checked and b.associativity_checked
     out._factors = (a, b)
@@ -665,13 +648,13 @@ def triangular(a1, a2, m):
             tuple(pad(o2, e) for e in a2.basic.idempotent_coords)
         ilab = tuple(f"L:{l}" for l in a1.basic.idempotent_labels) + \
             tuple(f"R:{l}" for l in a2.basic.idempotent_labels)
-        rad = [pad(0, r) for r in a1.basic.radical_rows.rows]
-        rad += [pad(d1, unit_vector(dm, i)) for i in range(dm)]
-        rad += [pad(o2, r) for r in a2.basic.radical_rows.rows]
+        # rad = rad A1 + M + rad A2: the factors' generators and a basis of M
+        mrows = tuple(pad(d1, unit_vector(dm, i)) for i in range(dm))
+        rad = tuple(pad(0, r) for r in a1.basic.radical_generators.rows) + mrows + \
+            tuple(pad(o2, r) for r in a2.basic.radical_generators.rows)
         gens = tuple(pad(0, g) for g in a1.generators()) + \
-            tuple(pad(o2, g) for g in a2.generators()) + \
-            tuple(pad(d1, unit_vector(dm, i)) for i in range(dm))
-        basic = BasicStructure(idem, ilab, row_space_basis(Matrix(f, rad, ncols=n)), gens)
+            tuple(pad(o2, g) for g in a2.generators()) + mrows
+        basic = BasicStructure(idem, ilab, Matrix._of(f, rad, n), gens)
     alg = Algebra._of(f, n, table, unit, labels=labels, basic=basic, _validate=True)
     e1 = Idempotent(alg, pad(0, a1.unit), label="diag(1,0)")
     e2 = Idempotent(alg, pad(o2, a2.unit), label="diag(0,1)")
@@ -726,16 +709,16 @@ def _corner_basic(a, ec, pivots, f):
             return None
     if _sum_vecs(f, [a.basic.idempotent_coords[i] for i in chosen], a.dim) != ec:
         return None
-    rad = [v for v in (a.multiply(a.multiply(ec, r), ec) for r in a.basic.radical_rows.rows)
-           if any(v)]
-    # the chosen idempotents, then e rad e, all in eAe: their coordinates
-    # in the corner basis are their entries at its pivots
+    # the chosen idempotents, then the e r e, r in a basis of rad A (which
+    # span e rad e = rad eAe), all in eAe: their corner coordinates are their
+    # entries at its pivots
+    rad = [v for v in (a.multiply(a.multiply(ec, r), ec) for r in radical(a).rows) if any(v)]
     coords = [tuple(v[p] for p in pivots)
               for v in [a.basic.idempotent_coords[idx] for idx in chosen] + rad]
     n = len(pivots)
     return BasicStructure(tuple(coords[:len(chosen)]),
                           tuple(a.basic.idempotent_labels[idx] for idx in chosen),
-                          row_space_basis(Matrix(f, coords[len(chosen):], ncols=n)),
+                          Matrix._of(f, tuple(coords[len(chosen):]), n),
                           tuple(unit_vector(n, i) for i in range(n)))
 
 
@@ -777,20 +760,27 @@ def center(a):
 
 
 def radical(a):
-    """Row basis of the Jacobson radical.
-
-    Quiver-presented (and other basic-tagged) algebras answer from the stored
-    arrow-ideal basis over any field; otherwise the characteristic-zero trace
-    form of the regular representation is used.  F_p without a presentation is
-    unsupported.
-    """
+    """RREF row basis of the Jacobson radical: with a basic structure, over
+    any field, the span of the b_i r over its radical generators r (rad =
+    sum A r), derived once per instance; otherwise the characteristic-zero
+    trace form of the regular representation (F_p is unsupported there)."""
     if a.dim == 0:
         return Matrix(a.field, [], ncols=0)
-    if a.basic is not None:
-        return a.basic.radical_rows
-    if a.field != QQ:
-        raise UnsupportedField("radical over F_p needs a quiver presentation")
-    return _radical_trace(a)
+    if a.basic is None:
+        if a.field != QQ:
+            raise UnsupportedField("radical over F_p needs a quiver presentation")
+        return _radical_trace(a)
+    if a._radical is None:
+        # row (t, i) is b_i r_t: c at b_m in b_i b_k adds (r_t)_k c at m
+        rows = {}
+        for t, r in enumerate(a.basic.radical_generators.rows):
+            for (i, k), ent in a.table.items():
+                if r[k]:
+                    row = rows.setdefault((t, i), [0] * a.dim)
+                    for m, c in ent:
+                        row[m] += r[k] * c
+        a._radical = row_space_basis(Matrix(a.field, rows.values(), ncols=a.dim))
+    return a._radical
 
 
 def _radical_trace(a):
@@ -871,8 +861,8 @@ def _quotient_by_ideal(a, ideal, suffix=""):
         idem = [(pv, il) for iv, il in zip(b.idempotent_coords, b.idempotent_labels)
                 if any(pv := push(iv))]
         basic = BasicStructure(tuple(pv for pv, _ in idem), tuple(il for _, il in idem),
-                               row_space_basis(Matrix(f, map(push, b.radical_rows.rows),
-                                                      ncols=len(free))),
+                               Matrix(f, [pv for r in b.radical_generators.rows
+                                          if any(pv := push(r))], ncols=len(free)),
                                tuple(map(push, a.generators())))
     quot = Algebra._of(f, len(free), _table_of([rho[j] for j in free]), push(a.unit),
                        labels=tuple(f"{a.basis_labels[j]}{suffix}" for j in free),

@@ -634,10 +634,13 @@ def kernel_cokernel(fmap):
 
 def top_of(m):
     """(projection M -> M / M rad, free coordinate indices lifting the top),
-    once per module."""
+    once per module.  For rows r with rad = sum A r, M rad = sum M r: the
+    basic structure's radical generators, or without one the radical's
+    basis."""
     def build():
-        rows = []
-        for r in radical(m.algebra).rows:
+        a, rows = m.algebra, []
+        gens = radical(a) if a.basic is None else a.basic.radical_generators
+        for r in gens.rows:
             rows.extend(linear_combination(r, m.action, m.field, m.dim, m.dim).rows)
         proj, free = quotient_map(Matrix(m.field, rows, ncols=m.dim))
         return proj, tuple(free)

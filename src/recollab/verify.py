@@ -33,13 +33,18 @@ from .modules import ModuleMap, iso_test
 
 
 def _canonical_env_ses(r):
-    env = enveloping(r.a)
-    cb = r.canon
-    aea = cb.aea.as_right_module_over(env)
-    reg = cb.regular.as_right_module_over(env)
-    quo = cb.quotient.as_right_module_over(env)
-    return ShortExactSequence(aea, reg, quo, ModuleMap(aea, reg, cb.inclusion),
-                              ModuleMap(reg, quo, cb.projection))
+    """AeA -> A -> A/AeA as modules over A^e.  Each map is checked over A
+    and over A^op: a matrix that intertwines both one-sided actions
+    intertwines every lambda(b) rho(c), so over A^e it is built unchecked."""
+    env, cb = enveloping(r.a), r.canon
+    maps = []
+    for src, tgt, mat in ((cb.aea, cb.regular, cb.inclusion),
+                          (cb.regular, cb.quotient, cb.projection)):
+        ModuleMap(src.restrict_right(), tgt.restrict_right(), mat)
+        ModuleMap(src.left_as_op_module(), tgt.left_as_op_module(), mat)
+        maps.append(ModuleMap(src.as_right_module_over(env), tgt.as_right_module_over(env),
+                              mat, _validate=False))
+    return ShortExactSequence(maps[0].source, maps[0].target, maps[1].target, *maps)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -32,6 +33,7 @@ from recollab.errors import (
     UnsupportedField,
 )
 from recollab.cli import algebra_from_doc
+from recollab.modules import regular_bimodule
 from recollab.exactfield import (
     GF,
     QQ,
@@ -43,7 +45,12 @@ from recollab.exactfield import (
     row_space_basis,
     unit_vector,
 )
-from recollab.fixtures import augmentation_bimodule, field_bimodule
+from recollab.fixtures import (
+    augmentation_bimodule,
+    field_bimodule,
+    one_point_extension_of_dual_numbers,
+    triangular_a2,
+)
 from test_homology import DOCS, _base_change, _dense, _doc_over, _linear_doc
 
 F5 = GF(5)
@@ -496,12 +503,13 @@ def _tensor_coords(f, x, y):
 def _reference_tensor_basic(a, b):
     """The basic structure of A (x) B from spanning rows: the idempotents
     e (x) e', the radical as the RREF of the rows r (x) b_j and b_i (x) r'
-    (r, r' radical rows) and the generators g (x) 1 and 1 (x) g'."""
+    (r, r' rows of the factors' radical bases) and the generators g (x) 1
+    and 1 (x) g'."""
     f, ba, bb = a.field, a.basic, b.basic
     rad = [_tensor_coords(f, r, unit_vector(b.dim, j))
-           for r in ba.radical_rows.rows for j in range(b.dim)]
+           for r in radical(a).rows for j in range(b.dim)]
     rad += [_tensor_coords(f, unit_vector(a.dim, i), r)
-            for i in range(a.dim) for r in bb.radical_rows.rows]
+            for i in range(a.dim) for r in radical(b).rows]
     return BasicStructure(
         tuple(_tensor_coords(f, x, y) for x in ba.idempotent_coords for y in bb.idempotent_coords),
         tuple(f"{x}⊗{y}" for x in ba.idempotent_labels for y in bb.idempotent_labels),
@@ -523,7 +531,7 @@ def _rebased(a, rng):
         return express_in_row_basis(p, Matrix(f, rows, ncols=d)).rows
     prods, b = coords([a.multiply(x, y) for x in p.rows for y in p.rows]), a.basic
     basic = BasicStructure(coords(b.idempotent_coords), b.idempotent_labels,
-                           Matrix(f, coords(b.radical_rows.rows), ncols=d),
+                           Matrix(f, coords(b.radical_generators.rows), ncols=d),
                            coords(b.generator_coords))
     return Algebra(f, [prods[i * d:(i + 1) * d] for i in range(d)], coords([a.unit])[0],
                    basic=basic)
@@ -551,13 +559,97 @@ def _tensor_factors(draw):
 @given(_tensor_factors())
 def test_tensor_basic_structure_is_the_one_from_spanning_rows(factors):
     a, b = factors
-    assert tensor(a, b).basic == _reference_tensor_basic(a, b)
+    t = tensor(a, b)
+    assert replace(t.basic, radical_generators=radical(t)) == _reference_tensor_basic(a, b)
 
 
 @pytest.mark.scale
 def test_enveloping_basic_structure_of_linear_a8_is_the_one_from_spanning_rows():
     a = algebra_from_doc(_linear_doc(8))
-    assert enveloping(a).basic == _reference_tensor_basic(opposite(a), a)
+    env = enveloping(a)
+    assert replace(env.basic, radical_generators=radical(env)) == \
+        _reference_tensor_basic(opposite(a), a)
+
+
+def _radical_spans(a):
+    """The RREFs of sum A r and of sum r A over the stored radical
+    generators r, from products alone."""
+    n, gens = a.dim, a.basic.radical_generators.rows
+    basis = [unit_vector(n, i) for i in range(n)]
+    return tuple(row_space_basis(Matrix(a.field, [prod(b, r) for r in gens for b in basis],
+                                        ncols=n))
+                 for prod in (a.multiply, lambda b, r: a.multiply(r, b)))
+
+
+def _assert_radical(a):
+    """radical(a) is both spans of the generators and is rad A, read without
+    the basic structure: over Q the RREF of the trace form's kernel; over
+    F_p, where the trace form fails, the span is checked to be a nilpotent
+    two-sided ideal of codimension the number of orthogonal idempotents,
+    hence inside rad A and at least as large."""
+    rad, f = radical(a), a.field
+    assert _radical_spans(a) == (rad, rad)
+    if f == QQ:
+        assert rad == row_space_basis(radical(Algebra._of(f, a.dim, a.table, a.unit)))
+        return
+    assert rad.nrows == a.dim - len(a.basic.idempotent_coords)
+    power = rad
+    for _ in range(a.dim):
+        power = row_space_basis(Matrix(f, [a.multiply(x, r) for x in power.rows
+                                           for r in rad.rows], ncols=a.dim))
+    assert power.nrows == 0
+
+
+def _with_cuts(a):
+    """a, its opposite, its enveloping algebra and, at each vertex e, the
+    corner eAe and the quotient A/AeA."""
+    cuts = [f(a, Idempotent(a, e)) for e in a.basic.idempotent_coords
+            for f in (corner, lambda a, e: ideal_and_quotient(a, e).quotient)]
+    return [a, opposite(a), enveloping(a)] + cuts
+
+
+def _radical_cases():
+    cases = []
+    for path in DOCS:
+        for tag in (None, "Fp:7"):
+            cases.append((f"{path.stem}@{tag or 'own'}",
+                          lambda path=path, tag=tag: _with_cuts(_shipped(path, tag, None))))
+        cases.append((f"{path.stem}@rebased", lambda path=path: _with_cuts(
+            _rebased(_shipped(path, None, None), random.Random(1)))))
+        if "f5" not in path.stem:
+            cases.append((f"{path.stem}@discovered", lambda path=path: _with_cuts(
+                discover_basic(_shipped(path, "Q", 2)))))
+    doc = {p.stem: p for p in DOCS}
+    for tag in ("Q", "Fp:7"):
+        pairs = [("a2", "kronecker"), ("dual_numbers", "t2_one_point_extension")]
+        cases += [(f"{x}x{y}@{tag}", lambda x=x, y=y, tag=tag: [
+            tensor(_shipped(doc[x], tag, None), _shipped(doc[y], tag, None))]) for x, y in pairs]
+    for field in (QQ, GF(7)):
+        k, d = ground_field_algebra(field), dual_numbers(field)
+        cases.append((f"triangular@{field}", lambda k=k, d=d, field=field: [
+            triangular(k, k, field_bimodule(k, k, 2))[0], triangular_a2(field)[0],
+            one_point_extension_of_dual_numbers(field)[0],
+            triangular(d, d, regular_bimodule(d))[0]]))
+    return cases
+
+
+_RADICAL_CASES = _radical_cases()
+
+
+@pytest.mark.parametrize("build", [b for _, b in _RADICAL_CASES],
+                         ids=[name for name, _ in _RADICAL_CASES])
+def test_radical_is_derived_from_the_stored_generators(build):
+    for a in build():
+        _assert_radical(a)
+
+
+def test_radical_is_derived_once_per_instance(monkeypatch):
+    import recollab.algebra as alg
+    calls, real = [], alg.row_space_basis
+    monkeypatch.setattr(alg, "row_space_basis", lambda m: calls.append(m) or real(m))
+    a = algebra_from_doc(_doc_over(_linear_doc(3), "Fp:5"))
+    assert radical(a) is radical(a) and len(calls) == 1
+    assert a.basic.radical_generators.nrows == 2 and radical(a).nrows == 3
 
 
 def test_radical_is_nilpotent_ideal():
@@ -590,7 +682,7 @@ def test_discover_basic_on_bare_a2():
     assert tot == a.unit
     for ev in s:
         assert full.multiply(ev, ev) == ev
-    assert full.basic.radical_rows.nrows == 1
+    assert full.basic.radical_generators.nrows == 1
 
 
 def test_discover_basic_on_product_field():
@@ -598,7 +690,7 @@ def test_discover_basic_on_product_field():
     a = Algebra(QQ, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], (1, 1), labels=("u", "v"))
     full = discover_basic(a)
     assert len(full.basic.idempotent_coords) == 2
-    assert full.basic.radical_rows.nrows == 0
+    assert full.basic.radical_generators.nrows == 0
 
 
 def test_unit_validation():

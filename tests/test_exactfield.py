@@ -524,7 +524,7 @@ def test_stored_scalars_are_reduced(field):
     st = tensor(truncated(s), truncated(t))
     _assert_canonical(field, st.unit, *(tuple(c for _, c in ent) for ent in st.table.values()))
     aa = tensor(a, a)
-    _assert_canonical(field, aa.unit, aa.basic.radical_rows, *aa.basic.idempotent_coords,
+    _assert_canonical(field, aa.unit, aa.basic.radical_generators, *aa.basic.idempotent_coords,
                       *aa.basic.generator_coords)
     m = Matrix(field, [[s, t], [0, s]])
     _assert_canonical(field, m.scale(t), m.add(m), m.sub(m.scale(t)), m.neg())

@@ -18,6 +18,7 @@ from recollab.algebra import (
     enveloping,
     ideal_and_quotient,
     opposite,
+    radical,
     tensor,
 )
 from recollab.cli import algebra_from_doc
@@ -29,6 +30,7 @@ from recollab.exactfield import (
     Matrix,
     kron,
     linear_combination,
+    quotient_map,
     rank,
     rref,
     solve_matrix,
@@ -43,7 +45,7 @@ from recollab.fixtures import (
     vertex_idempotent,
 )
 from recollab.homology import regular_as_left_env_module
-from test_homology import _base_change, _doc_over
+from test_homology import DOCS, _base_change, _doc_over
 from recollab.modules import (
     Bimodule,
     ModuleMap,
@@ -887,6 +889,39 @@ def test_restriction_and_descent_check_that_the_span_is_invariant(field):
     assert (sub.dim, quot.dim) == (2, 4) and incl.matrix.mul(proj.matrix).is_zero()
     sub._validate()
     quot._validate()
+
+
+def _top_from_the_radical_basis(m):
+    """M / M rad from the rows M r, r in the RREF basis of rad A."""
+    rows = [row for r in radical(m.algebra).rows
+            for row in linear_combination(r, m.action, m.field, m.dim, m.dim).rows]
+    proj, free = quotient_map(Matrix(m.field, rows, ncols=m.dim))
+    return proj, tuple(free)
+
+
+_TOP_CASES = [(p, how) for p in DOCS for how in ("own", "discovered")
+              if how == "own" or "f5" not in p.stem]
+
+
+@pytest.mark.parametrize("path, how", _TOP_CASES,
+                         ids=[f"{p.stem}-{how}" for p, how in _TOP_CASES])
+def test_top_from_the_radical_generators_is_the_one_from_the_radical_basis(
+        path, how, monkeypatch):
+    """top_of reads M r over the radical generators r only; on regular
+    modules, simples, A as an A^e-module and every syzygy of its resolution
+    it equals the top from the radical's basis (with a discovered basic
+    structure over Q, in a random basis, too)."""
+    from recollab.complexes import _resolve
+    a = algebra_from_doc(json.loads(path.read_text(encoding="utf-8")))
+    if how == "discovered":
+        a = discover_basic(_base_change(a, random.Random(3)))
+    covered, real = [], modules.top_of
+    monkeypatch.setattr(modules, "top_of", lambda m: covered.append(m) or real(m))
+    env_module = regular_bimodule(a).as_right_module_over(enveloping(a))
+    _resolve(env_module, 3)
+    assert covered[0] is env_module and len(covered) > 1
+    for m in [regular_module(a), *simple_modules(a)] + covered:
+        assert real(m) == _top_from_the_radical_basis(m)
 
 
 def test_iso_test_computes_each_top_once(monkeypatch):

@@ -1,6 +1,11 @@
+import json
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
-from recollab.algebra import Idempotent
+from recollab.algebra import Algebra, Idempotent
+from recollab.cli import main
 from recollab.complexes import BoundedComplex, dualize_perfect, projective_resolution
 from recollab.errors import CertificationFailed
 from recollab.exactfield import Matrix
@@ -14,15 +19,18 @@ from recollab.fixtures import (
     one_point_extension_of_dual_numbers,
     vertex_idempotent,
 )
-from recollab.modules import canonical_bimodules, regular_module, simple_modules
+from recollab.modules import ModuleMap, canonical_bimodules, regular_module, simple_modules
 from recollab.recollement import from_idempotent, from_triangular
 from recollab.verify import (
+    _canonical_env_ses,
     cohomology_les,
     duality_roundtrip,
     gldim_equivalence,
     keller_homology,
     smoothness_equivalence,
 )
+from test_golden_reports import DOCS, IDEMPOTENTS
+from test_homology import _linear_doc
 
 
 def _r_a2():
@@ -223,3 +231,55 @@ def test_cohomology_les_singular_transport_is_falsified(monkeypatch, call, messa
         cohomology_les(_r_a2(), 3)
     assert str(exc.value) == message
     assert len(calls) == call + 1
+
+
+def test_verify_builds_no_integer_tables_of_an_enveloping_algebra(tmp_path, capsys, monkeypatch):
+    """`verify --suite all` checks the canonical sequence's maps over A and
+    A^op only: on every shipped document and on linear A_5, no enveloping
+    algebra builds the integer tables a check over it reads."""
+    built, real = [], Algebra._int_tables
+    monkeypatch.setattr(Algebra, "_int_tables", lambda self: built.append(self) or real(self))
+    a5 = tmp_path / "a5.json"
+    a5.write_text(json.dumps(_linear_doc(5)), encoding="utf-8")
+    runs = [(DOCS / f"{name}.json", idem) for name, idem in IDEMPOTENTS.items()] + [(a5, "e:3")]
+    for path, idem in runs:
+        assert main(["verify", str(path), "--idempotent", idem, "--suite", "all",
+                     "--max-degree", "3", "--cutoff", "6"]) in (0, 2)
+        capsys.readouterr()
+    # the spy sees the checks over A and A^op
+    assert built and not [x for x in built if x._factors and x._factors[1]._enveloping is x]
+
+
+def _other_vertex(a, v):
+    return vertex_idempotent(a, "2" if v == "1" else "1").coords
+
+
+@pytest.mark.parametrize("v, side", [("1", "left"), ("2", "right")])
+def test_canonical_env_ses_refuses_an_inclusion_linear_over_one_side_only(v, side):
+    """The inclusion of Ae_vA followed by x -> e_w x (w the other vertex)
+    intertwines the right A-actions, followed by x -> x e_w the left ones;
+    neither is a bimodule map here, and the check over the other side
+    refuses it."""
+    a = a2_path_algebra()
+    r = from_idempotent(a, vertex_idempotent(a, v), 3)
+    cb, w = r.canon, _other_vertex(a, v)
+    bad = cb.inclusion.mul(a.left_mult_matrix(w) if side == "left" else a.right_mult_matrix(w))
+    one_side = (lambda b: b.restrict_right()) if side == "left" else \
+        (lambda b: b.left_as_op_module())
+    ModuleMap(one_side(cb.aea), one_side(cb.regular), bad)
+    with pytest.raises(ValueError, match="does not intertwine"):
+        _canonical_env_ses(SimpleNamespace(a=a, canon=replace(cb, inclusion=bad)))
+
+
+@pytest.mark.parametrize("v", ["1", "2"])
+def test_canonical_env_ses_refuses_a_corrupted_projection(v):
+    """A projection sending e_v, which lies in Ae_vA, to a nonzero class is
+    no map of bimodules, and is refused."""
+    a = a2_path_algebra()
+    e = vertex_idempotent(a, v)
+    r = from_idempotent(a, e, 3)
+    cb, i = r.canon, e.coords.index(1)
+    bad = Matrix(a.field, [(1,) * cb.projection.ncols if t == i else row
+                           for t, row in enumerate(cb.projection.rows)])
+    with pytest.raises(ValueError, match="does not intertwine"):
+        _canonical_env_ses(SimpleNamespace(a=a, canon=replace(cb, projection=bad)))
