@@ -42,6 +42,7 @@ from .exactfield import (
     _restrict,
     check_same_field,
     combine_rows,
+    express_in_row_basis,
     field_tag_str,
     integer_array,
     kernel_basis,
@@ -50,6 +51,7 @@ from .exactfield import (
     parse_field,
     quotient_map,
     row_space_basis,
+    rref,
     unit_vector,
 )
 
@@ -105,11 +107,11 @@ class Algebra:
         if len(self.basis_labels) != dim:
             raise ValueError("label count != dim")
         self.basic = basic
-        self._left_mats = None
-        self._right_mats = None
         self._hashes = None
         self._ints = None
         self._radical = None
+        # the words of `words`, or a function of no arguments that records them
+        self._words = None
         self._opposite = None
         self._enveloping = None
         # (B, C) for a tensor product B (x) C built by `tensor`
@@ -151,35 +153,85 @@ class Algebra:
         return tuple(map(self.field.coerce, out))
 
     def left_mult_matrix(self, x):
-        """Matrix of v |-> coords(x * v) acting on row vectors: the sum of
-        x_k times the matrix of b_k, whose row i is the product b_k b_i."""
-        return linear_combination(x, self.basis_left_mats(), self.field, self.dim, self.dim)
+        """Matrix of v |-> coords(x * v) acting on row vectors: row i is the
+        sum of x_k b_k b_i, read off the table."""
+        return self._mult_matrix(x, 0)
 
     def right_mult_matrix(self, x):
-        """Matrix of v |-> coords(v * x) acting on row vectors: the sum of
-        x_k times the matrix whose row i is the product b_i b_k."""
-        return linear_combination(x, self.basis_right_mats(), self.field, self.dim, self.dim)
+        """Matrix of v |-> coords(v * x) acting on row vectors: row i is the
+        sum of x_k b_i b_k, read off the table."""
+        return self._mult_matrix(x, 1)
 
-    def basis_left_mats(self):
-        if self._left_mats is None:
-            n = self.dim
-            self._left_mats = tuple(
-                Matrix._of(self.field, tuple(self._rows((k, i) for i in range(n))), n)
-                for k in range(n))
-        return self._left_mats
-
-    def basis_right_mats(self):
-        if self._right_mats is None:
-            n = self.dim
-            self._right_mats = tuple(
-                Matrix._of(self.field, tuple(self._rows((i, k) for i in range(n))), n)
-                for k in range(n))
-        return self._right_mats
+    def _mult_matrix(self, x, side):
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for key, ent in self.table.items():
+            if c := x[key[side]]:
+                row = rows[key[1 - side]]
+                for k, v in ent:
+                    row[k] += c * v
+        return Matrix(self.field, rows, ncols=self.dim)
 
     def generators(self):
         if self.basic is not None and self.basic.generator_coords:
             return self.basic.generator_coords
         return tuple(unit_vector(self.dim, i) for i in range(self.dim))
+
+    def words(self):
+        """How each basis element is a combination of words in `generators()`:
+        per basis element the pairs (c, w), b_i = sum c g_w[0] g_w[1] ..., w
+        the generator indices in product order.  Recorded once, on first use,
+        by the constructor that knows them (a quiver path is one word in its
+        arrows, b (x) c is (b (x) 1)(1 (x) c), an opposite reverses its
+        words); otherwise found by `_find_words`, and where the generators
+        are the basis each element is its own word."""
+        if not isinstance(self._words, tuple):
+            self._words = (self._words or self._find_words)()
+        return self._words
+
+    def _find_words(self):
+        """Words by length, each kept when its product is independent of those
+        kept before (the empty word, the unit, last if needed), and every
+        basis element solved for on the kept ones."""
+        n, f, gens = self.dim, self.field, self.generators()
+        kept, level = [], [((t,), g) for t, g in enumerate(gens)]
+        while level and len(kept) < n:
+            cols = Matrix(f, [v for _, v in kept + level], ncols=n).transpose()
+            new = [level[j - len(kept)] for j in rref(cols)[1][len(kept):]]
+            kept += new
+            level = [(w + (t,), self.multiply(v, g)) for w, v in new for t, g in enumerate(gens)]
+        kept += [((), self.unit)] * (len(kept) < n)
+        coords = express_in_row_basis(Matrix(f, [v for _, v in kept], ncols=n),
+                                      Matrix.identity(f, n)) if n else Matrix(f, [], ncols=0)
+        if coords is None:
+            raise ValueError("the generators do not generate the algebra")
+        return tuple(tuple((c, w) for c, (w, _) in zip(row, kept) if c) for row in coords.rows)
+
+    def word_products(self, mats, xs, memo, reverse=False):
+        """For each element x of xs (coordinates), the sum of
+        c P mats[w[0]] mats[w[1]] ... over the terms (c, w) of its basis
+        elements' `words` (read backwards with `reverse`, for an
+        anti-homomorphism): each word one step past a prefix kept in `memo`.
+        P is the identity, and a step a `Matrix.mul`, unless memo[()] holds a
+        few rows P, which each step takes through the next matrix sparsely
+        (`combine_rows`)."""
+        def word(w):
+            if w not in memo:
+                if () in memo:
+                    g = mats[w[-1]]
+                    memo[w] = Matrix(self.field, [combine_rows(g, enumerate(r))
+                                                  for r in word(w[:-1]).rows], ncols=g.ncols)
+                else:
+                    memo[w] = (word(w[:-1]).mul(mats[w[-1]]) if len(w) > 1 else mats[w[0]] if w
+                               else Matrix.identity(self.field, mats[0].nrows))
+            return memo[w]
+        nrows = memo[()].nrows if () in memo else mats[0].nrows
+        words, out = self.words(), []
+        for x in xs:
+            terms = [(c * d, word(w[::-1] if reverse else w))
+                     for i, c in enumerate(x) if c for d, w in words[i]]
+            out.append(linear_combination([c for c, _ in terms], [m for _, m in terms],
+                                          self.field, nrows, mats[0].ncols))
+        return out
 
     def is_commutative(self):
         return all(self.table.get((j, i)) == ent for (i, j), ent in self.table.items())
@@ -541,10 +593,17 @@ def from_quiver(q, field_tag, degree_bound=32, path_budget=20000):
     idem = tuple(unit_vector(n, pos[(v, ())]) for v in q.vertices)
     # every path of length >= 1 is (path) * arrow and arrow * (path), so the
     # arrows generate the arrow ideal, the radical, from both sides
-    arrows = tuple(unit_vector(n, pos[(s, (l,))]) for (s, t, l) in q.arrows if (s, (l,)) in pos)
+    kept = [(s, l) for (s, t, l) in q.arrows if (s, (l,)) in pos]
+    arrows = tuple(unit_vector(n, pos[(s, (l,))]) for s, l in kept)
     basic = BasicStructure(idem, tuple(q.vertices), Matrix(f, arrows, ncols=n), idem + arrows)
-    return Algebra._of(f, n, table, tuple(map(sum, zip(*idem))), labels=labels, basic=basic,
-                       _validate=True)
+    out = Algebra._of(f, n, table, tuple(map(sum, zip(*idem))), labels=labels, basic=basic,
+                      _validate=True)
+    # a path traversing a_1, .., a_k is the product a_k .. a_1, a vertex its idempotent
+    gen = {l: len(idem) + t for t, (_, l) in enumerate(kept)}
+    vertex = {v: t for t, v in enumerate(q.vertices)}
+    out._words = tuple(((1, tuple(gen[l] for l in reversed(p.labels)) or (vertex[p.source],)),)
+                       for p in survivors)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -560,6 +619,7 @@ def opposite(a):
     table = {(j, i): ent for (i, j), ent in a.table.items()}
     out = Algebra._of(a.field, a.dim, table, a.unit, labels=a.basis_labels, basic=a.basic)
     out.associativity_checked = a.associativity_checked
+    out._words = lambda: tuple(tuple((c, w[::-1]) for c, w in ws) for ws in a.words())
     a._opposite, out._opposite = out, a
     return out
 
@@ -598,6 +658,11 @@ def tensor(a, b):
     out = Algebra._of(f, n, table, unit, labels=labels, basic=basic)
     out.associativity_checked = a.associativity_checked and b.associativity_checked
     out._factors = (a, b)
+    if basic is not None:
+        k = len(a.generators())
+        out._words = lambda: tuple(
+            tuple((coerce(c * d), u + tuple(k + t for t in w)) for c, u in wa for d, w in wb)
+            for wa in a.words() for wb in b.words())
     return out
 
 
@@ -632,12 +697,12 @@ def triangular(a1, a2, m):
     # a1 and x2 m by the left action of a2; every other product is zero
     table = dict(a1.table)
     table.update(((i + o2, j + o2), at(ent, o2)) for (i, j), ent in a2.table.items())
-    for x, act in enumerate(m.right_action_matrices):
+    for x in range(d1):
         table.update(((d1 + i, x), at(enumerate(row), d1))
-                     for i, row in enumerate(act.rows) if any(row))
-    for x, act in enumerate(m.left_action_matrices):
+                     for i, row in enumerate(m.basis_action(x).rows) if any(row))
+    for x in range(d2):
         table.update(((o2 + x, d1 + j), at(enumerate(row), d1))
-                     for j, row in enumerate(act.rows) if any(row))
+                     for j, row in enumerate(m.basis_action(x, left=True).rows) if any(row))
     unit = a1.unit + (0,) * dm + a2.unit
     labels = tuple(f"L:{x}" for x in a1.basis_labels) + \
         tuple(f"M:m{i}" for i in range(dm)) + \
@@ -729,8 +794,8 @@ class IdealQuotient:
     projection: Matrix      # dim(A) x dim(quotient), an algebra map
     section_cols: tuple     # basis indices of A representing quotient classes
     ideal_is_whole: bool
-    left_action: tuple      # b_i acting on the quotient from the left, i < dim A
-    right_action: tuple     # b_i acting on the quotient from the right
+    left_action: tuple      # each generator of A acting on the quotient from the left
+    right_action: tuple     # each generator of A acting on the quotient from the right
 
 
 def ideal_and_quotient(a, e):
@@ -843,13 +908,15 @@ def _sum_vecs(f, vecs, n):
 
 
 def _quotient_by_ideal(a, ideal, suffix=""):
-    """A/I as an `IdealQuotient`, I the span of the rows of `ideal`: A's
-    multiplications descend to it (`_descend`, which checks that I is a
-    two-sided ideal), the classes of the b_j, j free, labelled with `suffix`,
-    its basis.  Its laws follow from A's, so it is as checked as A is."""
-    f, n = a.field, a.dim
-    proj, free, acts = _descend(ideal, a.basis_left_mats() + a.basis_right_mats())
-    lam, rho = tuple(acts[:n]), tuple(acts[n:])
+    """A/I as an `IdealQuotient`, I the span of the rows of `ideal`: the
+    multiplications by A's generators descend to it (`_descend`, which checks
+    that I is closed under them, so a two-sided ideal), the classes of the
+    b_j, j free, labelled with `suffix`, its basis, multiplied as A's products
+    pushed to it.  Its laws follow from A's, so it is as checked as A is."""
+    f, gens = a.field, a.generators()
+    proj, free, acts = _descend(ideal, [a.left_mult_matrix(g) for g in gens]
+                                + [a.right_mult_matrix(g) for g in gens])
+    lam, rho = tuple(acts[:len(gens)]), tuple(acts[len(gens):])
     ideal_rows = row_space_basis(ideal)
     if not free:
         return IdealQuotient(ideal_rows, zero_algebra(f), proj, (), True, lam, rho)
@@ -864,10 +931,16 @@ def _quotient_by_ideal(a, ideal, suffix=""):
                                Matrix(f, [pv for r in b.radical_generators.rows
                                           if any(pv := push(r))], ncols=len(free)),
                                tuple(map(push, a.generators())))
-    quot = Algebra._of(f, len(free), _table_of([rho[j] for j in free]), push(a.unit),
+    at = {j: t for t, j in enumerate(free)}
+    table = {(at[i], at[j]): ent for (i, j), prod in a.table.items() if i in at and j in at
+             if (ent := tuple((k, c) for k, c in enumerate(combine_rows(proj, prod)) if c))}
+    quot = Algebra._of(f, len(free), table, push(a.unit),
                        labels=tuple(f"{a.basis_labels[j]}{suffix}" for j in free),
                        basic=basic)
     quot.associativity_checked = a.associativity_checked
+    if basic is not None:
+        # the class of b_j is b_j's combination of words in the generators' classes
+        quot._words = lambda: tuple(a.words()[j] for j in free)
     return IdealQuotient(ideal_rows, quot, proj, tuple(free), False, lam, rho)
 
 

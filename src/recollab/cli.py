@@ -94,6 +94,14 @@ def _building(what):
         raise ParseError(f"{what}: {exc}") from exc
 
 
+def _listed(x, n, what):
+    """x, a document's vector, matrix or row, once it is a list of n entries
+    (of any length for n None): a string is never read character by character."""
+    if not isinstance(x, list) or n is not None and len(x) != n:
+        raise ParseError(f"{what}: expected a list" + (f" of {n} entries" if n is not None else ""))
+    return x
+
+
 # --------------------------------------------------------------------------
 # Algebra documents.
 # --------------------------------------------------------------------------
@@ -125,12 +133,12 @@ def validate_algebra_doc(doc):
         if not isinstance(doc.get("vertices"), list) or not doc["vertices"]:
             raise ParseError("quiver needs a nonempty vertex list")
         with _building("quiver"):
-            for arr in doc.get("arrows", []):
+            for arr in _listed(doc.get("arrows", []), None, "arrows"):
                 if not all(k in arr for k in ("source", "target", "label")):
                     raise ParseError("arrow needs source/target/label")
-            for rel in doc.get("relations", []):
-                for term in rel:
-                    if "path" not in term or len(term["path"]) < 2:
+            for rel in _listed(doc.get("relations", []), None, "relations"):
+                for term in _listed(rel, None, "relation"):
+                    if len(_listed(term["path"], None, "relation path")) < 2:
                         raise ParseError("relation terms need paths of length >= 2")
             operator.index(doc.get("degree_bound", 32))
     elif kind == "structure_constants":
@@ -170,13 +178,13 @@ def algebra_from_doc(doc):
         field = parse_field(doc["field"])
         with _building("structure_constants"):
             dim = doc["dim"]
-            table = doc["table"]
-            if len(table) != dim:
-                raise ParseError("table size != dim")
-            struct = [[tuple(field.coerce(str(x)) for x in table[i][j])
-                       for j in range(dim)] for i in range(dim)]
-            unit = tuple(field.coerce(str(x)) for x in doc["unit"])
-            alg = Algebra(field, struct, unit, labels=doc.get("labels"))
+            struct = [[tuple(field.coerce(str(x)) for x in _listed(entry, dim, "table entry"))
+                       for entry in _listed(row, dim, "table row")]
+                      for row in _listed(doc["table"], dim, "table")]
+            unit = tuple(field.coerce(str(x)) for x in _listed(doc["unit"], dim, "unit"))
+            labels = doc.get("labels")
+            alg = Algebra(field, struct, unit,
+                          labels=labels and _listed(labels, dim, "labels"))
         if field == QQ:
             try:
                 alg = discover_basic(alg)
@@ -222,13 +230,9 @@ def _bimodule_from_doc(spec, a2, a1):
     f = a2.field
 
     def mats(rows_list, count):
-        out = []
-        for mat in rows_list:
-            rows = [[f.coerce(str(x)) for x in row] for row in mat]
-            out.append(Matrix(f, rows, ncols=dim))
-        if len(out) != count:
-            raise ParseError("bimodule action count mismatch")
-        return tuple(out)
+        return tuple(Matrix(f, [[f.coerce(str(x)) for x in _listed(row, dim, "action row")]
+                                for row in _listed(mat, dim, "action matrix")], ncols=dim)
+                     for mat in _listed(rows_list, count, "bimodule action"))
 
     with _building("bimodule"):
         dim = spec["dim"]
@@ -244,7 +248,8 @@ def parse_idempotent(alg, spec):
     f = alg.field
     if isinstance(spec, list):
         with _building("idempotent"):
-            return Idempotent(alg, tuple(f.coerce(str(x)) for x in spec), label="explicit")
+            coords = _listed(spec, alg.dim, "idempotent")
+            return Idempotent(alg, tuple(f.coerce(str(x)) for x in coords), label="explicit")
     if isinstance(spec, str) and spec.startswith("e:"):
         if alg.basic is None:
             raise ParseError("vertex idempotents need a quiver-presented algebra")

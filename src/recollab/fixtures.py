@@ -68,7 +68,8 @@ def augmentation_bimodule(a2, a1):
     algebra acts through its first primitive idempotent character, the right
     algebra likewise (arrows act by zero).
     """
-    return Bimodule(a2, a1, 1, simple_modules(a2)[0].action, simple_modules(a1)[0].action)
+    s2, s1 = simple_modules(a2)[0], simple_modules(a1)[0]
+    return Bimodule(a2, a1, 1, s2._stack(), s1._stack())
 
 
 def triangular_a2(field=QQ):

@@ -48,6 +48,7 @@ from .modules import (
     RightModule,
     _certified,
     _once,
+    _over_tensor,
     as_bimodule,
     regular_bimodule,
     simple_modules,
@@ -114,17 +115,15 @@ class PdVerdict:
 
 def regular_as_left_env_module(a):
     """A as a left module over A^op (x) A: (b^op (x) c) . x = c x b.  Built
-    once per algebra instance and certified by the regular bimodule: its
-    action is that bimodule's two actions read through the Kronecker table,
-    the matrices of A as a right A^e-module in the swapped order."""
+    once per algebra instance and certified by the regular bimodule: b^op (x) 1
+    acts by its right multiplication by b and 1 (x) c by its left one by c,
+    so A^e's generators act by that bimodule's generator matrices, the right
+    ones first (`_over_tensor`)."""
     def build():
-        # entry i n + j, L[j] R[i], is entry j n + i of A as a right A^e-module
-        n, env = a.dim, enveloping(a)
-        act = regular_bimodule(a).as_right_module_over(env).action
-        return _certified(Bimodule(env, trivial_algebra(a.field), n,
-                                   tuple(act[j * n + i] for i in range(n) for j in range(n)),
-                                   (Matrix.identity(a.field, n),), _validate=False),
-                          regular_bimodule(a))
+        env, reg = enveloping(a), regular_bimodule(a)
+        return _certified(Bimodule._of(env, trivial_algebra(a.field), a.dim,
+                                       _over_tensor(env, reg, False, True),
+                                       (Matrix.identity(a.field, a.dim),)), reg)
     return _once(a._modules, "left_env", build)
 
 

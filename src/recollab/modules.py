@@ -7,37 +7,42 @@ A B-A-bimodule therefore is the same thing as a right module over
 B^op (x) A via (b^op (x) a) |-> lam(b) @ rho(a), which is how bimodules are
 fed to the resolution machinery.
 
-The action-compatibility invariants are asserted when a module, map or
-bimodule is built (or first restricted, for a bimodule built unchecked):
-once per object for a map, once per representative (below) for a module or
-bimodule; silent convention drift is the classic bug in this business.  A
-module may instead be certified (`_certified`) by the checks that imply its
-laws: the regular module and bimodule by A's unit and associativity check;
-a restriction to an invariant subspace or a descent to a quotient
+An action is stored as one matrix per element of its algebra's
+`generators()`, as QPA stores a quiver representation: a module's `gens`, a
+bimodule's `left_gens` and `right_gens`.  Restriction, descent, sums, tops,
+Hom and (x), and everything over A^e read these only.  A basis element's
+action is derived from its words (`Algebra.words`) where a reader needs it,
+and kept on the object: a cover's idempotents, `free_cover`, i_*, a
+triangular algebra's table, a law check.  Yoneda's blocks and a cover's
+surjection take vectors along the words instead (`images`).  A per-basis
+stack given to a public constructor is checked in full, then reduced.
+
+The action laws are asserted when a module, map or bimodule is built (or
+first restricted, for a bimodule built unchecked): once per object for a
+map, once per representative (below) for a module or bimodule.  A module
+may instead be certified (`_certified`) by the checks that imply its laws:
+the regular module and bimodule by A's unit and associativity check; a
+restriction to an invariant subspace or a descent to a quotient
 (`exactfield._restrict`, `_descend`, whose invariance checks prove the laws
 inherited) by what it came from: Ae, eA, AeA and A/AeA by the regular
 bimodule, a quotient module by its module; a bimodule's one-sided modules
 and its module over `enveloping` by the bimodule; a vertex projective of
 B (x) C by its factors'; in `homology`, A over A^e; in `recollement`, A/AeA
 over the quotient algebra by A/AeA.  Each check is complete: one
-`exactfield._blocks` conversion of every matrix it reads, then one or two
-integer numpy products per slice of at most `_CHUNK` entries and one
-`.any()`; the failing generator or basis element is located only once a
-check has failed.  Restriction and descent convert, multiply, check and
-read back each `_CHUNK` of their stack the same way.
+`exactfield._blocks` conversion of every matrix it reads, then integer numpy
+products per slice of at most `_CHUNK` entries; the failing generator or
+basis element is located only once a check has failed.
 
 Built once per algebra instance (`_once` on `Algebra._modules`): vertex
 projectives, tagged `projective_module`s, simples, regular module and bimodule,
-the zero module.
-Kept on a module: its `as_bimodule` wrapper, hash, top, top dimensions and
-Hom out of it; on a bimodule, (x) out of it.  Hom and (x) are keyed by the
-second argument's id, an entry keeps that argument (so the id is never
-reused), nothing is global.  Per content: the representative of a module or
-bimodule (`_rep`) is the first live object over the same algebra instance
-(same pair, for a bimodule) with equal actions, entry for entry, found in a
-weak table on the (right) algebra.  Equal content over one instance gives
-the same bits, so the law check, Hom (rebound to the asking pair) and (x)
-run once per representative.
+the zero module.  Kept on a module: its `as_bimodule` wrapper, hash, top,
+top dimensions, derived actions and Hom out of it; on a bimodule, (x) out of
+it.  Hom and (x) are keyed by the second argument's id, an entry keeps that
+argument (so the id is never reused), nothing is global.  Per content: the
+representative of a module or bimodule (`_rep`) is the first live object
+over the same algebra instance (same pair, for a bimodule) with equal
+generator actions, found in a weak table on the (right) algebra, so the law
+check, Hom (rebound to the asking pair) and (x) run once per representative.
 """
 
 from __future__ import annotations
@@ -72,7 +77,6 @@ from .exactfield import (
     Matrix,
     _blocks,
     _descend,
-    _matrices,
     _nonzero,
     _restrict,
     check_same_field,
@@ -100,25 +104,22 @@ def _once(store, key, build):
 def _rep(x):
     """The representative of a module or bimodule x: the first live object
     over the same algebra instance (for a bimodule, the same pair) with equal
-    actions, entry for entry.  The table is weak and kept on the (right)
-    algebra; x keeps its representative in its memo, never itself."""
+    generator actions, entry for entry.  The table is weak and kept on the
+    (right) algebra; x keeps its representative in its memo, never itself."""
     memo = x._memo
     if "rep" not in memo:
-        if isinstance(x, Bimodule):
-            alg, key = x.right_algebra, (
-                id(x.left_algebra), x.dim, tuple(m.rows for m in x.left_action_matrices),
-                tuple(m.rows for m in x.right_action_matrices))
-        else:
-            alg, key = x.algebra, (x.dim, tuple(m.rows for m in x.action))
-        rep = _once(alg._modules, "reps", weakref.WeakValueDictionary).setdefault(key, x)
+        key = (x.dim,) + tuple((id(a), tuple(m.rows for m in gens)) for a, gens in x._sides.values())
+        reps = _once(x._sides[False][0]._modules, "reps", weakref.WeakValueDictionary)
+        rep = reps.setdefault(key, x)
         memo["rep"] = None if rep is x else rep
     return memo["rep"] or x
 
 
 def _checked(x):
-    """Check x's laws once per representative: they hold for x iff they hold
-    for it.  A failing check stores nothing, so it raises every time."""
+    """x, its laws checked once per representative: they hold for x iff they
+    hold for it.  A failing check stores nothing, so it raises every time."""
     _once(_rep(x)._memo, "checked", x._validate)
+    return x
 
 
 def _certified(x, *by):
@@ -134,14 +135,16 @@ def _certified(x, *by):
     return x
 
 
-def _check_action(a, R, r, d):
+def _check_action(a, R, G, r, d):
     """Raise unless the stack R (`_blocks`: a row of d * d integers per basis
-    element of `a`, scaled by r) is a right action: rho(1) = id and
-    rho(g b) = rho(g) rho(b) for every generator g and basis element b, so
-    by induction on words rho is multiplicative, at |generators| * dim A
-    products.  With the algebra's tables scaled by s, rho(g) rho(b_j) is
-    scaled by s r^2 and sum_k (g b_j)_k rho(b_k) by s r, so the second is
-    multiplied by r before comparing."""
+    element of `a`, scaled by r) is a right action whose generators act by G
+    (a row per generator, scaled by r): rho(1) = id, each generator's
+    combination of R is its row of G, and rho(g b) = rho(g) rho(b) for every
+    generator g and basis element b, so by induction on words rho is
+    multiplicative, at |generators| * dim A products.  With the algebra's
+    tables scaled by s, rho(g) rho(b_j) is scaled by s r^2 and
+    sum_k (g b_j)_k rho(b_k) by s r, so the second is multiplied by r before
+    comparing."""
     n = a.dim
     unit, gens, prods, s, _ = a._int_tables()
     p = getattr(a.field, "p", None)
@@ -149,6 +152,8 @@ def _check_action(a, R, r, d):
     one[::d + 1] -= s * r
     if _nonzero(one, p).any():
         raise ValueError("rho(1) != id")
+    if _nonzero(gens @ R - s * G, p).any():
+        raise ValueError("the generators act unlike their words")
     k, square = len(gens), R.reshape(n, d, d)
     rho = (gens @ R).reshape(k, 1, d, d)
     step = max(1, _CHUNK // (n * d * d))
@@ -161,73 +166,138 @@ def _check_action(a, R, r, d):
                              f"{a.generators()[g0 + g]}, basis {j}")
 
 
-class RightModule:
-    """Right module over a fixed algebra, given by one matrix per basis element."""
+def _given(a, stack, d):
+    """(stack, its generators' matrices) for a per-basis action stack from
+    outside, once its count and shapes are right."""
+    stack = tuple(stack)
+    if len(stack) != a.dim or any(m.nrows != d or m.ncols != d for m in stack):
+        raise DimensionMismatch("need one dim x dim action matrix per algebra basis element")
+    return stack, tuple(linear_combination(g, stack, a.field, d, d) for g in a.generators())
+
+
+def _check_given(x, stacks):
+    """Check x, built from per-basis stacks from outside ((left, stack)
+    pairs), on those stacks, taken as its derived actions while `_validate`
+    runs, and record its representative as checked."""
+    x._memo.update({("acts", left): dict(enumerate(stack)) for left, stack in stacks})
+    x._validate()
+    x._memo.clear()
+    _rep(x)._memo["checked"] = None
+
+
+class _Acted:
+    """What modules and bimodules share: each action is stored as one matrix
+    per element of its algebra's `generators()` (`_sides`: left -> (algebra,
+    matrices)), and a basis element's action is derived from its words where
+    a reader needs it."""
+
+    @classmethod
+    def _of(cls, *args):
+        """An object on generator matrices, taken as they are (`_setup`)."""
+        x = object.__new__(cls)
+        x._setup(*args)
+        return x
+
+    def basis_action(self, i, left=False):
+        """The action of basis element i (of the left algebra of a bimodule,
+        with `left`), derived from its words, with the products on the way,
+        in the memo."""
+        alg, gens = self._sides[left]
+        memo = _once(self._memo, ("acts", left), dict)
+        if i not in memo:
+            memo[i] = alg.word_products(gens, [unit_vector(alg.dim, i)], memo, left)[0]
+        return memo[i]
+
+    def action_of(self, x, left=False):
+        """The action of the element with coordinates x: a generator's stored
+        matrix, otherwise the sum of its basis elements' derived actions."""
+        alg, gens = self._sides[left]
+        t = _once(alg._modules, "generator index",
+                  lambda: {g: t for t, g in enumerate(alg.generators())}).get(tuple(x))
+        if t is not None:
+            return gens[t]
+        terms = [(c, self.basis_action(i, left)) for i, c in enumerate(x) if c]
+        return linear_combination([c for c, _ in terms], [m for _, m in terms],
+                                  self.field, self.dim, self.dim)
+
+    def images(self, rows, xs, left=False):
+        """rows rho(x) for each element x of xs (coordinates), and with `left`
+        rows lam(x)^T, a product in the order of x's words: no rho(x) is
+        derived, each word taking the rows one generator matrix further."""
+        alg, gens = self._sides[left]
+        if left:
+            gens = _once(self._memo, "transposed", lambda: [g.transpose() for g in gens])
+        return alg.word_products(gens, xs, {(): rows})
+
+    def _stack(self, left=False):
+        """Every basis element's action: only a law check reads them all."""
+        return [self.basis_action(i, left) for i in range(self._sides[left][0].dim)]
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.dim, self._sides) == (other.dim, other._sides)
+
+    def __hash__(self):
+        return hash((self.dim, tuple(self._sides.values())))
+
+
+class RightModule(_Acted):
+    """Right module over a fixed algebra, stored as `gens`: the matrix of each
+    element of `algebra.generators()`."""
 
     # the vertex of each summand e_v A, set only by `projective_module`
     summand_tags = None
 
     def __init__(self, algebra, dim, action, _validate=True):
-        self.algebra = algebra
-        self.dim = dim
-        self.field = algebra.field
-        self._memo = {}
-        action = tuple(action)
-        if len(action) != algebra.dim:
-            raise DimensionMismatch("need one action matrix per algebra basis element")
-        for m in action:
-            if m.nrows != dim or m.ncols != dim:
-                raise DimensionMismatch("action matrix shape != module dim")
-        self.action = action
+        """`action` holds one matrix per basis element: checked in full (its
+        shapes, and with _validate its laws), then reduced to the generators'."""
+        action, gens = _given(algebra, action, dim)
+        self._setup(algebra, dim, gens)
         if _validate:
-            _checked(self)
+            _check_given(self, [(False, action)])
+
+    def _setup(self, algebra, dim, gens):
+        gens = tuple(gens)
+        self.algebra, self.dim, self.field, self.gens = algebra, dim, algebra.field, gens
+        self._sides, self._memo = {False: (algebra, gens)}, {}
 
     def _validate(self):
-        """The action laws (`_check_action`) on one conversion of the stack."""
+        """The action laws (`_check_action`) on one conversion of the derived
+        stack and the generator matrices."""
         a, d, n = self.algebra, self.dim, self.algebra.dim
         if d == 0:
             return
         ma = a._int_tables()[4]
-        (R,), r = _blocks(self.field, [(n, d * d, self.action)],
-                          lambda m: n * d * max(m, ma) ** 3)
-        _check_action(a, R, r, d)
-
-    def __eq__(self, other):
-        return (isinstance(other, RightModule) and self.algebra == other.algebra
-                and self.dim == other.dim and self.action == other.action)
-
-    def __hash__(self):
-        return hash((self.algebra, self.dim, self.action))
+        (R, G), r = _blocks(self.field, [(n, d * d, self._stack()), (len(self.gens), d * d, self.gens)],
+                            lambda m: n * d * max(m, ma) ** 3)
+        _check_action(a, R, G, r, d)
 
     def __repr__(self):
         return f"RightModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
 
     def content_hash(self):
-        """sha256 of the algebra's structure hash and the actions, once."""
+        """sha256 of the algebra's structure hash and the generator actions, once."""
         return _once(self._memo, "hash", lambda: hashlib.sha256("".join(
             [self.algebra.structure_hash(), f"|mod{self.dim}"]
-            + [m.content_hash() for m in self.action]).encode()).hexdigest())
+            + [m.content_hash() for m in self.gens]).encode()).hexdigest())
 
 
 def zero_module(algebra):
     """The zero module, one per algebra instance."""
-    return _once(algebra._modules, "zero", lambda: RightModule(
-        algebra, 0, (Matrix._of(algebra.field, (), 0),) * algebra.dim, _validate=False))
+    return _once(algebra._modules, "zero", lambda: RightModule._of(
+        algebra, 0, (Matrix._of(algebra.field, (), 0),) * len(algebra.generators())))
 
 
 def regular_module(a):
     """A as a right module over itself, built once per instance, certified by A."""
-    return _once(a._modules, "regular_module", lambda: _certified(
-        RightModule(a, a.dim, a.basis_right_mats(), _validate=False), a))
+    return _once(a._modules, "regular_module", lambda: _certified(RightModule._of(
+        a, a.dim, [a.right_mult_matrix(g) for g in a.generators()]), a))
 
 
 def dual_module(m):
     """The k-linear dual Hom_k(M, k) as a right module over the opposite
     algebra ((f.b^op)(x) = f(x.b)); sends projectives to injectives and back,
     which lets Ext be computed from either side without injective resolutions."""
-    aop = opposite(m.algebra)
-    acts = tuple(mat.transpose() for mat in m.action)
-    return RightModule(aop, m.dim, acts)
+    return _checked(RightModule._of(opposite(m.algebra), m.dim, [x.transpose() for x in m.gens]))
 
 
 class ModuleMap:
@@ -247,16 +317,12 @@ class ModuleMap:
     def _validate(self):
         """rho_src(g) F = F rho_tgt(g) for every generator g, in integers:
         both actions and F share one scale, so both sides scale alike."""
-        src, tgt, a = self.source, self.target, self.source.algebra
-        n, ds, dt = a.dim, src.dim, tgt.dim
-        _, gens, _, _, ma = a._int_tables()
+        src, tgt = self.source, self.target
+        k, ds, dt = len(src.gens), src.dim, tgt.dim
         (S, T, F), _ = _blocks(
-            src.field, [(n, ds * ds, src.action), (n, dt * dt, tgt.action),
-                        (ds, dt, (self.matrix,))],
-            lambda m: n * max(ds, dt) * max(m, ma) ** 3)
-        k = len(gens)
-        diff = ((gens @ S).reshape(k, ds, ds) @ F
-                - F @ (gens @ T).reshape(k, dt, dt))
+            src.field, [(k, ds * ds, src.gens), (k, dt * dt, tgt.gens), (ds, dt, (self.matrix,))],
+            lambda m: max(ds, dt) * m * m)
+        diff = S.reshape(k, ds, ds) @ F - F @ T.reshape(k, dt, dt)
         if _nonzero(diff, getattr(src.field, "p", None)).any():
             raise ValueError("matrix does not intertwine the actions")
 
@@ -264,47 +330,49 @@ class ModuleMap:
         return f"ModuleMap({self.source.dim} -> {self.target.dim})"
 
 
-class Bimodule:
-    """B-A-bimodule: commuting left B-action (anti-hom) and right A-action (hom)."""
+class Bimodule(_Acted):
+    """B-A-bimodule: commuting left B-action (anti-hom) and right A-action
+    (hom), stored as `left_gens` and `right_gens`, the matrices of B's and A's
+    `generators()`."""
 
     def __init__(self, left_algebra, right_algebra, dim, left_action, right_action,
                  _validate=True):
+        """The actions hold one matrix per basis element of each algebra:
+        checked in full (counts and shapes, and with _validate the laws), then
+        reduced to the generators'."""
         check_same_field(left_algebra.field, right_algebra.field)
-        self.left_algebra = left_algebra
-        self.right_algebra = right_algebra
-        self.field = left_algebra.field
-        self.dim = dim
-        self.left_action_matrices = tuple(left_action)
-        self.right_action_matrices = tuple(right_action)
-        if len(self.left_action_matrices) != left_algebra.dim:
-            raise DimensionMismatch("left action count")
-        if len(self.right_action_matrices) != right_algebra.dim:
-            raise DimensionMismatch("right action count")
-        self._memo = {}
+        (left_action, lg), (right_action, rg) = (_given(left_algebra, left_action, dim),
+                                                 _given(right_algebra, right_action, dim))
+        self._setup(left_algebra, right_algebra, dim, lg, rg)
         if _validate:
-            _checked(self)
+            _check_given(self, [(True, left_action), (False, right_action)])
+
+    def _setup(self, left_algebra, right_algebra, dim, left_gens, right_gens):
+        left_gens, right_gens = tuple(left_gens), tuple(right_gens)
+        self.left_algebra, self.right_algebra = left_algebra, right_algebra
+        self.field, self.dim = left_algebra.field, dim
+        self.left_gens, self.right_gens = left_gens, right_gens
+        self._sides = {True: (left_algebra, left_gens), False: (right_algebra, right_gens)}
+        self._memo = {}
 
     def _validate(self):
-        """The right action is a module over A, the left one over B^op, and
-        they commute: one conversion of both stacks (`_blocks`) feeds all
-        three checks, and once it has passed, `_side` certifies both sides."""
+        """The right action is a module over A and the left one over B^op (a
+        module's check of each, sharing this bimodule's derived actions), and
+        they commute; once this has passed, `_side` certifies both sides."""
         if self.dim == 0:
             return
         B, A, d = self.left_algebra, self.right_algebra, self.dim
-        bop = opposite(B)
-        (_, gl, _, _, mb), (_, gr, _, _, ma) = B._int_tables(), A._int_tables()
-        mo = bop._int_tables()[4]
-        (L, R), r = _blocks(
-            self.field, [(B.dim, d * d, self.left_action_matrices),
-                         (A.dim, d * d, self.right_action_matrices)],
-            lambda m: d * B.dim * A.dim * max(m, mb, ma, mo) ** 4)
-        _check_action(A, R, r, d)
-        _check_action(bop, L, r, d)
+        for left, alg in ((False, A), (True, opposite(B))):
+            side = RightModule._of(alg, d, self._sides[left][1])
+            side._memo[("acts", False)] = _once(self._memo, ("acts", left), dict)
+            side._validate()
         # the two actions commute: both are multiplicative, so the matrices
         # commuting with one action form a subalgebra, and generator pairs
         # suffice; in integers both actions share one scale
-        kl, kr, p = len(gl), len(gr), getattr(self.field, "p", None)
-        lm, rm = (gl @ L).reshape(kl, 1, d, d), (gr @ R).reshape(kr, d, d)
+        kl, kr, p = len(self.left_gens), len(self.right_gens), getattr(self.field, "p", None)
+        (lm, rm), _ = _blocks(self.field, [(kl, d * d, self.left_gens),
+                                           (kr, d * d, self.right_gens)], lambda m: d * m * m)
+        lm, rm = lm.reshape(kl, 1, d, d), rm.reshape(kr, d, d)
         step = max(1, _CHUNK // (kr * d * d))
         for g0 in range(0, kl, step):
             part = lm[g0:g0 + step]
@@ -317,17 +385,17 @@ class Bimodule:
     def restrict_right(self):
         """Forget the left action: a right module over the right algebra,
         built once (the wrapped module itself for `as_bimodule`)."""
-        return self._side("right", self.right_algebra, self.right_action_matrices)
+        return self._side("right", self.right_algebra, self.right_gens)
 
     def left_as_op_module(self):
         """The left B-action viewed as a right module over B^op, built once."""
-        return self._side("left_op", opposite(self.left_algebra), self.left_action_matrices)
+        return self._side("left_op", opposite(self.left_algebra), self.left_gens)
 
-    def _side(self, key, alg, mats):
+    def _side(self, key, alg, gens):
         """One action as a right module over `alg`: certified by this
         bimodule once that is checked or certified, else checked itself."""
         def build():
-            mod = RightModule(alg, self.dim, mats, _validate=False)
+            mod = RightModule._of(alg, self.dim, gens)
             # both a check and a certificate compute the representative
             on_record = "rep" in self._memo and "checked" in _rep(self)._memo
             return _certified(mod, self if on_record else mod)
@@ -335,41 +403,43 @@ class Bimodule:
 
     def as_right_module_over(self, env):
         """Right module over B^op (x) A (basis b_i^op (x) a_j, lexicographic),
-        built once per instance of env.  Over `tensor(opposite(B), A)` of these
-        very instances (`enveloping(A)` for an A-A-bimodule) its laws on the
-        Kronecker table are the bimodule's, which certify it; over any other
-        env it certifies itself, a direct check."""
+        built once per instance of env (`_over_tensor`).  Over
+        `tensor(opposite(B), A)` of these very instances (`enveloping(A)` for
+        an A-A-bimodule) its laws on the Kronecker table are the bimodule's,
+        which certify it; over any other env it certifies itself, a direct
+        check."""
         if env.dim != self.left_algebra.dim * self.right_algebra.dim:
             raise AlgebraMismatch("enveloping algebra dimension mismatch")
 
         def build():
-            mod = RightModule(env, self.dim, [x.mul(y) for x in self.left_action_matrices
-                                              for y in self.right_action_matrices], _validate=False)
             bop, a = env._factors or (None, None)
             own = a is self.right_algebra and bop is opposite(self.left_algebra)
+            mod = RightModule._of(env, self.dim, _over_tensor(env, self, True, own))
             return env, _certified(mod, self if own else mod)
         return _once(self._memo, ("env", id(env)), build)[1]
 
     def swap_sides(self):
         """The same space as an A^op-B^op-bimodule (for opposite transfers)."""
-        return Bimodule(opposite(self.right_algebra), opposite(self.left_algebra),
-                        self.dim, self.right_action_matrices, self.left_action_matrices,
-                        _validate=False)
-
-    def __eq__(self, other):
-        return (isinstance(other, Bimodule)
-                and self.left_algebra == other.left_algebra
-                and self.right_algebra == other.right_algebra
-                and self.dim == other.dim
-                and self.left_action_matrices == other.left_action_matrices
-                and self.right_action_matrices == other.right_action_matrices)
-
-    def __hash__(self):
-        return hash((self.left_algebra, self.right_algebra, self.dim,
-                     self.left_action_matrices, self.right_action_matrices))
+        return Bimodule._of(opposite(self.right_algebra), opposite(self.left_algebra),
+                            self.dim, self.right_gens, self.left_gens)
 
     def __repr__(self):
         return (f"Bimodule({self.left_algebra.dim}|{self.dim}|{self.right_algebra.dim})")
+
+
+def _over_tensor(env, x, first, own):
+    """The generator matrices over env = B (x) C of b (x) c |-> s(b) t(c) on
+    the bimodule x, s its `first` side and t the other (its two commuting
+    actions).  With `own` factors and `tensor`'s basic structure, the
+    generators are g (x) 1 and 1 (x) g, which act as the sides' generators;
+    otherwise generator y acts by the sum of y_(i n_C + j) s(b_i) t(c_j)."""
+    if own and env.basic is not None:
+        return x._sides[first][1] + x._sides[not first][1]
+    n = x._sides[not first][0].dim
+    return tuple(linear_combination(
+        [c for c in y if c], [x.basis_action(i // n, first).mul(x.basis_action(i % n, not first))
+                              for i, c in enumerate(y) if c], env.field, x.dim, x.dim)
+        for y in env.generators())
 
 
 _TRIVIAL_CACHE = {}
@@ -388,8 +458,8 @@ def as_bimodule(m):
         return m
 
     def build():
-        bim = Bimodule(trivial_algebra(m.field), m.algebra, m.dim,
-                       (Matrix.identity(m.field, m.dim),), m.action, _validate=False)
+        bim = Bimodule._of(trivial_algebra(m.field), m.algebra, m.dim,
+                           (Matrix.identity(m.field, m.dim),), m.gens)
         bim._memo["right"] = m
         return bim
     return _once(m._memo, "bimodule", build)
@@ -397,8 +467,9 @@ def as_bimodule(m):
 
 def regular_bimodule(a):
     """A as an A-A-bimodule, built once per algebra instance, certified by A."""
-    return _once(a._modules, "regular", lambda: _certified(Bimodule(
-        a, a, a.dim, a.basis_left_mats(), a.basis_right_mats(), _validate=False), a))
+    return _once(a._modules, "regular", lambda: _certified(Bimodule._of(
+        a, a, a.dim, [a.left_mult_matrix(g) for g in a.generators()],
+        regular_module(a).gens), a))
 
 
 # --------------------------------------------------------------------------
@@ -406,31 +477,38 @@ def regular_bimodule(a):
 # --------------------------------------------------------------------------
 
 
-def _yoneda_basis(p, act, dn):
+def _yoneda_basis(p, n, left=False):
     """(rows, pivots): the basis `kernel_basis` would give a subspace of
-    k^(dim p * dn), p a `projective_module`, and each row's last nonzero column.
+    k^(dim p * dim n), p a `projective_module`, and each row's last nonzero
+    column.
 
     The block (x, y), x in a summand e_v A, is spanned by the rows of
-    [act(x_0) | act(x_1) | ...], x_i the basis `vertex_projective` keeps.  A
-    kernel basis vector is 1 at its own free column, its last nonzero one, and
-    0 at the others: read right to left, the basis is in RREF.  So each block
-    is reduced with its columns reversed (once per vertex) and read back, its
-    rows in order of their last nonzero column.
+    [act(x_0) | act(x_1) | ...], x_i the basis `vertex_projective` keeps and
+    act = rho_n, or lam_n^T with `left`; as act(x) = act(e_v) act(x), the
+    rows of V act(x_i) span it too, V the nonzero rows of act(e_v)
+    (`images`).  A kernel basis vector is 1 at its own free column, its last
+    nonzero one, and 0 at the others: read right to left, the basis is in
+    RREF.  So each block is reduced with its columns reversed (once per
+    vertex and n, kept on n) and read back, its rows in order of their last
+    nonzero column.
     """
-    a, f, total = p.algebra, p.field, p.dim * dn
-    blocks = {}
-    rows, pivots, off = [], [], 0
+    a, f, dn = p.algebra, p.field, n.dim
+    total, rows, pivots, off = p.dim * dn, [], [], 0
+
+    def block(v, xs):
+        ev = n.action_of(a.basic.idempotent_coords[v], left)
+        ev = ev.transpose() if left else ev
+        V = ev.take_rows([j for j, r in enumerate(ev.rows) if any(r)])
+        mats = [m.rows for m in n.images(V, xs, left)]
+        span = Matrix._of(f, tuple(tuple(chain.from_iterable(m[j] for m in mats))[::-1]
+                                   for j in range(V.nrows)), len(xs) * dn)
+        R, piv = rref(span)
+        return [(R.rows[i][::-1], len(xs) * dn - 1 - piv[i]) for i in reversed(range(len(piv)))]
     for v in p.summand_tags:
         xs = vertex_projective(a, v)[1].rows
-        if v not in blocks:
-            mats = [act(x).rows for x in xs]
-            span = Matrix._of(f, tuple(tuple(chain.from_iterable(m[j] for m in mats))[::-1]
-                                       for j in range(dn)), len(xs) * dn)
-            R, piv = rref(span)
-            blocks[v] = [(R.rows[i][::-1], len(xs) * dn - 1 - piv[i])
-                         for i in reversed(range(len(piv)))]
         start = off * dn
-        for r, k in blocks[v]:
+        # an entry keeps the algebra, so its id is never reused
+        for r, k in _once(n._memo, ("yoneda", id(a), v, left), lambda: (a, block(v, xs)))[1]:
             rows.append((0,) * start + r + (0,) * (total - start - len(r)))
             pivots.append(start + k)
         off += len(xs)
@@ -460,11 +538,9 @@ def _hom_basis(m, n):
     if dm == 0 or dn == 0:
         return ()
     if m.summand_tags is not None:
-        vecs, _ = _yoneda_basis(m, lambda x: linear_combination(x, n.action, f, dn, dn), dn)
+        vecs, _ = _yoneda_basis(m, n)
     else:
-        pairs = [(linear_combination(g, m.action, f, dm, dm),
-                  linear_combination(g, n.action, f, dn, dn).transpose())
-                 for g in m.algebra.generators()]
+        pairs = [(x, y.transpose()) for x, y in zip(m.gens, n.gens)]
         vecs = kernel_basis(Matrix(f, sylvester_rows(pairs), ncols=dm * dn)).transpose().rows
     return tuple(ModuleMap(m, n, Matrix._of(f, tuple(v[i * dn:(i + 1) * dn] for i in range(dm)),
                                             dn), _validate=False) for v in vecs)
@@ -517,32 +593,25 @@ def tensor_over(m, n, _validate=True):
 
 def _tensor(m, n):
     f = m.field
-    B = m.right_algebra
     dm, dn = m.dim, n.dim
     N = dm * dn
     if N == 0:
-        bim = Bimodule(m.left_algebra, n.right_algebra, 0,
-                       tuple(Matrix(f, [], ncols=0) for _ in range(m.left_algebra.dim)),
-                       tuple(Matrix(f, [], ncols=0) for _ in range(n.right_algebra.dim)),
-                       _validate=False)
+        empty = Matrix(f, [], ncols=0)
+        bim = Bimodule._of(m.left_algebra, n.right_algebra, 0, (empty,) * len(m.left_gens),
+                           (empty,) * len(n.right_gens))
         return TensorProduct(bim, Matrix(f, [[] for _ in range(N)], ncols=0), ())
     p = m._memo.get("right")
     if p is not None and p.summand_tags is not None:
         # e_v B (x)_B n = e_v n: the relations are the kernel of x (x) y |-> x y
-        vecs, free = _yoneda_basis(p, lambda x: linear_combination(
-            x, n.left_action_matrices, f, dn, dn).transpose(), dn)
+        vecs, free = _yoneda_basis(p, n, True)
         projection = Matrix._of(f, tuple(vecs), N).transpose()
     else:
-        pairs = [(linear_combination(g, m.right_action_matrices, f, dm, dm),
-                  linear_combination(g, n.left_action_matrices, f, dn, dn))
-                 for g in B.generators()]
+        pairs = list(zip(m.right_gens, n.left_gens))
         projection, free = quotient_map(Matrix(f, sylvester_rows(pairs), ncols=N))
     sections = tuple(free)
-    lam = tuple(tensor_map(sections, dn, projection, left=mat)
-                for mat in m.left_action_matrices)
-    rho = tuple(tensor_map(sections, dn, projection, right=mat)
-                for mat in n.right_action_matrices)
-    bim = Bimodule(m.left_algebra, n.right_algebra, len(free), lam, rho, _validate=False)
+    lam = tuple(tensor_map(sections, dn, projection, left=mat) for mat in m.left_gens)
+    rho = tuple(tensor_map(sections, dn, projection, right=mat) for mat in n.right_gens)
+    bim = Bimodule._of(m.left_algebra, n.right_algebra, len(free), lam, rho)
     return TensorProduct(bim, projection, sections)
 
 
@@ -582,10 +651,10 @@ def hom_module(u, m):
     du, dm = u.dim, mbim.dim
     basis = hom_vec_basis(maps, du, dm, f)
     lam = tuple(hom_coords(basis, [mp.matrix.mul(lc) for mp in maps])
-                for lc in mbim.left_action_matrices)
+                for lc in mbim.left_gens)
     rho = tuple(hom_coords(basis, [lb.mul(mp.matrix) for mp in maps])
-                for lb in u.left_action_matrices)
-    return Bimodule(mbim.left_algebra, u.left_algebra, h, lam, rho)
+                for lb in u.left_gens)
+    return _checked(Bimodule._of(mbim.left_algebra, u.left_algebra, h, lam, rho))
 
 
 # --------------------------------------------------------------------------
@@ -605,8 +674,8 @@ def submodule_from_rows(m, rows_matrix):
     """The submodule spanned by the given rows, on their RREF basis, with m's
     action restricted to it (`_restrict`, whose invariance check proves the
     laws when m's hold, so it is not validated again)."""
-    basis, _, acts = _restrict(rows_matrix, m.action)
-    sub = RightModule(m.algebra, basis.nrows, acts, _validate=False)
+    basis, _, acts = _restrict(rows_matrix, m.gens)
+    sub = RightModule._of(m.algebra, basis.nrows, acts)
     incl = ModuleMap(sub, m, basis, _validate=False)
     return sub, incl
 
@@ -615,8 +684,8 @@ def quotient_by_rows(m, rows_matrix):
     """The quotient of m by the submodule spanned by the rows, with m's
     action descended to it (`_descend`, which checks that the span is a
     submodule); certified by m, whose laws imply the quotient's."""
-    proj, free, acts = _descend(rows_matrix, m.action)
-    quot = _certified(RightModule(m.algebra, len(free), acts, _validate=False), m)
+    proj, free, acts = _descend(rows_matrix, m.gens)
+    quot = _certified(RightModule._of(m.algebra, len(free), acts), m)
     pm = ModuleMap(m, quot, proj, _validate=False)
     return quot, pm
 
@@ -635,13 +704,14 @@ def kernel_cokernel(fmap):
 def top_of(m):
     """(projection M -> M / M rad, free coordinate indices lifting the top),
     once per module.  For rows r with rad = sum A r, M rad = sum M r: the
-    basic structure's radical generators, or without one the radical's
-    basis."""
+    basic structure's radical generators (for a quiver algebra and a tensor
+    product of two, generators whose matrices are stored), or without one
+    the radical's basis."""
     def build():
         a, rows = m.algebra, []
         gens = radical(a) if a.basic is None else a.basic.radical_generators
         for r in gens.rows:
-            rows.extend(linear_combination(r, m.action, m.field, m.dim, m.dim).rows)
+            rows.extend(m.action_of(r).rows)
         proj, free = quotient_map(Matrix(m.field, rows, ncols=m.dim))
         return proj, tuple(free)
     return _once(m._memo, "top", build)
@@ -671,7 +741,7 @@ def free_cover(m):
         g = free_idx[t]
         for i in range(a.dim):
             # basis element b_i of copy t maps to (lift of top basis vector t) * b_i
-            rows.append([m.action[i].entry(g, j) for j in range(m.dim)])
+            rows.append(m.basis_action(i).rows[g])
     mat = Matrix(m.field, rows, ncols=m.dim)
     if rank(mat) != m.dim:
         raise ValueError("free cover failed to surject")
@@ -688,49 +758,38 @@ def direct_sum(mods):
     for m in mods:
         if m.algebra != a:
             raise AlgebraMismatch("direct sum across algebras")
-    total = sum(m.dim for m in mods)
-    acts = []
-    for i in range(a.dim):
-        rows = []
-        off = 0
+    total, acts = sum(m.dim for m in mods), []
+    for t in range(len(mods[0].gens)):
+        rows, off = [], 0
         for m in mods:
-            for rr in range(m.dim):
-                row = [0] * total
-                src = m.action[i].row(rr)
-                for j, v in enumerate(src):
-                    row[off + j] = v
-                rows.append(row)
+            rows += [(0,) * off + row + (0,) * (total - off - m.dim) for row in m.gens[t].rows]
             off += m.dim
-        acts.append(Matrix(f, rows, ncols=total))
-    return RightModule(a, total, acts, _validate=False)
+        acts.append(Matrix._of(f, tuple(rows), total))
+    return RightModule._of(a, total, acts)
 
 
 def vertex_projective(a, v_index):
     """e_v A as a right module, with its subspace basis inside A (kept on the
     algebra instance, whose basic structure names the idempotents): the RREF
     of e_v A.  For A = B (x) C from `tensor`, e_v A = e_i B (x) e_j C with
-    v = i n_C + j, and the Kronecker products of the factors' RREF bases and
-    actions (one einsum over both action stacks per `_CHUNK` of the result)
-    are that RREF and its actions, certified by the factors' checks:
-    rho_B (x) rho_C is a module law on the Kronecker table if both are.
-    Otherwise e_v A is restricted from A_A, and A's check certifies it."""
+    v = i n_C + j: the Kronecker product of the factors' RREF bases is that
+    RREF, and A's generators g (x) 1 and 1 (x) g' act by kron(X_g, I) and
+    kron(I, Y_g'), X and Y the factors' generator actions, certified by the
+    factors' checks: rho_B (x) rho_C is a module law on the Kronecker table
+    if both are.  Otherwise e_v A is restricted from A_A, and A's check
+    certifies it."""
     def build():
         if a._factors is not None:
             b, c = a._factors
             i, j = divmod(v_index, len(c.basic.idempotent_coords))
             (mb, ib), (mc, ic) = vertex_projective(b, i), vertex_projective(c, j)
-            (X, Y), r = _blocks(a.field, [(b.dim, mb.dim ** 2, mb.action),
-                                          (c.dim, mc.dim ** 2, mc.action)], lambda m: m * m)
-            db, dc, acts = mb.dim, mc.dim, []
-            step = max(1, _CHUNK // (c.dim * (db * dc) ** 2))
-            for s in range(0, b.dim, step):
-                kr = np.einsum("sij,tkl->stikjl", X[s:s + step].reshape(-1, db, db),
-                               Y.reshape(-1, dc, dc))
-                acts += _matrices(a.field, kr.reshape(-1, db * dc, db * dc), r * r)
-            return _certified(RightModule(a, db * dc, acts, _validate=False), mb, mc), kron(ib, ic)
+            eb, ec = Matrix.identity(a.field, mb.dim), Matrix.identity(a.field, mc.dim)
+            acts = [kron(x, ec) for x in mb.gens] + [kron(eb, y) for y in mc.gens]
+            return (_certified(RightModule._of(a, mb.dim * mc.dim, acts), mb, mc),
+                    kron(ib, ic))
         basis, _, acts = _restrict(a.left_mult_matrix(a.basic.idempotent_coords[v_index]),
-                                   a.basis_right_mats())
-        return _certified(RightModule(a, basis.nrows, acts, _validate=False), a), basis
+                                   regular_module(a).gens)
+        return _certified(RightModule._of(a, basis.nrows, acts), a), basis
     return _once(a._modules, v_index, build)
 
 
@@ -766,37 +825,37 @@ def projective_cover(m, picks=None):
     scan order.  Given `picks` (a stored resolution replays them), the search
     is skipped and every index must be an int in range; minimality of such
     picks, the kernel inside P rad, is the caller's check.  Either way the
-    surjection x |-> g x on each e_v A is A-linear by construction (Yoneda)
-    and is checked to be onto.
+    surjection x |-> g x = y_t x on each e_v A is A-linear by construction
+    (Yoneda) and is checked to be onto.  Rows of rho(x) are taken along x's
+    words (`images`), with no rho(x) derived.
     """
     a = m.algebra
     if a.basic is None:
         raise UnsupportedField("projective covers need the basic structure "
                                "(quiver presentation or discovery over Q)")
-    f = m.field
-    acts = [linear_combination(ev, m.action, f, m.dim, m.dim)
-            for ev in a.basic.idempotent_coords]
+    f, idems, ident = m.field, a.basic.idempotent_coords, Matrix.identity(m.field, m.dim)
     if picks is None:
         proj, free = top_of(m)
-        cands = [(v, t) for v in range(len(acts)) for t in free]
-        tops = Matrix.from_cols(f, [combine_rows(proj, enumerate(acts[v].row(t)))
-                                    for v, t in cands], nrows=len(free))
+        cands = [(v, t) for v in range(len(idems)) for t in free]
+        acts = [m.images(ident.take_rows(free), [ev])[0] for ev in idems]
+        tops = Matrix.from_cols(f, [combine_rows(proj, enumerate(acts[v].row(k)))
+                                    for v in range(len(idems)) for k in range(len(free))],
+                                nrows=len(free))
         pivots = rref(tops)[1]
         if len(pivots) != len(free):
             raise ValueError("top not covered by idempotent weight spaces")
         picks = tuple(cands[j] for j in pivots)
     else:
         picks = tuple((v, t) for v, t in picks)
-        if not all(type(v) is int and type(t) is int and 0 <= v < len(acts)
+        if not all(type(v) is int and type(t) is int and 0 <= v < len(idems)
                    and 0 <= t < m.dim for v, t in picks):
             raise ValueError("generator pick out of range")
     P = projective_module(a, tuple(v for v, _ in picks))
     rows = []
     for v, t in picks:
-        gen = acts[v].row(t)
-        for w in vertex_projective(a, v)[1].rows:    # an element e_v x of A
-            act = linear_combination(w, m.action, f, m.dim, m.dim)
-            rows.append(combine_rows(act, enumerate(gen)))
+        # g x = y_t x for the basis elements x = e_v x of e_v A
+        rows += [x.rows[0] for x in m.images(ident.take_rows([t]),
+                                               vertex_projective(a, v)[1].rows)]
     surj = ModuleMap(P, m, Matrix(f, rows, ncols=m.dim), _validate=False)
     if rank(surj.matrix) != m.dim:
         raise ValueError("projective cover failed to surject")
@@ -830,8 +889,7 @@ def _top_dims(m):
     """dim (M / M rad) e_v per vertex, once per module."""
     def build():
         proj = top_of(m)[0]
-        return tuple(rank(linear_combination(e, m.action, m.field, m.dim, m.dim).mul(proj))
-                     for e in m.algebra.basic.idempotent_coords)
+        return tuple(rank(m.action_of(e).mul(proj)) for e in m.algebra.basic.idempotent_coords)
     return _once(m._memo, "tops", build)
 
 
@@ -900,28 +958,29 @@ class CanonicalBimodules:
 
 def canonical_bimodules(a, e):
     """A, Ae, eA, AeA and A/AeA with their natural bimodule structures: the
-    regular bimodule restricted (`_restrict`, eAe acting through its
-    embedding) or descended (`ideal_and_quotient`), and certified by it."""
+    regular bimodule's generator actions restricted (`_restrict`, eAe's
+    generators acting through its embedding) or descended
+    (`ideal_and_quotient`), and certified by it."""
     reg = regular_bimodule(a)
     iq = ideal_and_quotient(a, e)
     eAe, emb = corner(a, e, with_embedding=True)
     if eAe.basic is None and a.field == QQ and eAe.dim:
         eAe = discover_basic(eAe)
-    L, R = reg.left_action_matrices, reg.right_action_matrices
-    lc = tuple(a.left_mult_matrix(x) for x in emb.rows)
-    rc = tuple(a.right_mult_matrix(x) for x in emb.rows)
+    L, R = reg.left_gens, reg.right_gens
+    inside = [combine_rows(emb, enumerate(g)) for g in eAe.generators()]
+    lc = tuple(a.left_mult_matrix(x) for x in inside)
+    rc = tuple(a.right_mult_matrix(x) for x in inside)
 
     def cut(span, left, right, lam, rho):
         basis, _, acts = _restrict(span, lam + rho)
         k = len(lam)
-        return basis, _certified(Bimodule(left, right, basis.nrows, acts[:k], acts[k:],
-                                          _validate=False), reg)
+        return basis, _certified(Bimodule._of(left, right, basis.nrows, acts[:k], acts[k:]), reg)
 
     ae_rows, ae = cut(a.right_mult_matrix(e.coords), a, eAe, L, rc)
     ea_rows, ea = cut(a.left_mult_matrix(e.coords), eAe, a, lc, R)
     _, aea = cut(iq.ideal_rows, a, a, L, R)
-    quotient = _certified(Bimodule(a, a, iq.quotient.dim, iq.left_action, iq.right_action,
-                                   _validate=False), reg)
+    quotient = _certified(Bimodule._of(a, a, iq.quotient.dim, iq.left_action, iq.right_action),
+                          reg)
     return CanonicalBimodules(
         algebra=a, idempotent=e, corner_algebra=eAe, quotient_algebra=iq.quotient,
         regular=reg, ae=ae, ea=ea, aea=aea, quotient=quotient,
@@ -944,11 +1003,12 @@ def _simples(a):
     out = []
     for ev in a.basic.idempotent_coords:
         stack = Matrix(f, [list(ev)] + [list(r) for r in rad.rows], ncols=a.dim)
-        # b acts on the simple at ev by the coefficient of ev in e b e mod rad
-        ebe = Matrix(f, [a.multiply(a.multiply(ev, unit_vector(a.dim, i)), ev)
-                         for i in range(a.dim)], ncols=a.dim)
-        coords = express_in_row_basis(stack, ebe)
+        # g acts on the simple at ev by the coefficient of ev in e g e mod rad
+        ege = Matrix(f, [a.multiply(a.multiply(ev, g), ev) for g in a.generators()],
+                     ncols=a.dim)
+        coords = express_in_row_basis(stack, ege)
         if coords is None:
             raise ValueError("simple action not defined")
-        out.append(RightModule(a, 1, [Matrix(f, [[c[0]]], ncols=1) for c in coords.rows]))
+        out.append(_checked(RightModule._of(a, 1, [Matrix(f, [[c[0]]], ncols=1)
+                                                    for c in coords.rows])))
     return out

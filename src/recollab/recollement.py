@@ -29,7 +29,7 @@ from .errors import (
     NotStratifying,
     TransferFailed,
 )
-from .exactfield import Matrix, express_in_row_basis, kron, linear_combination, rank
+from .exactfield import Matrix, combine_rows, express_in_row_basis, kron, rank
 from .homology import GradedDims, PdVerdict, ext, tor
 from .modules import (
     Bimodule,
@@ -135,12 +135,19 @@ class RecollementData:
 def _quotient_sided_bimodules(a, cb):
     """A/AeA as an A-A1-bimodule (y) and as an A1-A-bimodule (for i_* and
     i^!).  Both one-sided A-actions kill AeA, so they factor through the
-    quotient algebra A1, the t-th class acting as the recorded A-basis element
-    that represents it: certified by the A-A-bimodule A/AeA."""
+    quotient algebra A1, an element acting as its lift along the recorded
+    A-basis elements that represent the classes (a generator of A1, the class
+    of one of A's, as that one's stored matrix): certified by the
+    A-A-bimodule A/AeA."""
     a1, q = cb.quotient_algebra, cb.quotient
-    lam, rho = q.left_action_matrices, q.right_action_matrices
-    y = Bimodule(a, a1, a1.dim, lam, [rho[t] for t in cb.section_cols], _validate=False)
-    y_left = Bimodule(a1, a, a1.dim, [lam[t] for t in cb.section_cols], rho, _validate=False)
+
+    def lifted(x, left=False):
+        lift = [0] * a.dim
+        for t, c in zip(cb.section_cols, x):
+            lift[t] = c
+        return q.action_of(lift, left)
+    y = Bimodule._of(a, a1, a1.dim, q.left_gens, [lifted(g) for g in a1.generators()])
+    y_left = Bimodule._of(a1, a, a1.dim, [lifted(g, True) for g in a1.generators()], q.right_gens)
     return _certified(y, q), _certified(y_left, q)
 
 
@@ -231,13 +238,12 @@ FUNCTOR_NAMES = ("i^*", "i_*", "i^!", "j_!", "j^!", "j_*")
 
 
 def i_lower_module(r, m):
-    """i_* of a module: restriction along the algebra map A -> A/AeA,
-    concentrated in degree 0, and certified by the module."""
-    a = r.a
+    """i_* of a module: restriction along the algebra map A -> A/AeA (each of
+    A's generators acting as its image), concentrated in degree 0, and
+    certified by the module."""
     proj = r.canon.projection
-    acts = [linear_combination(proj.row(i), m.action, a.field, m.dim, m.dim)
-            for i in range(a.dim)]
-    return _certified(RightModule(a, m.dim, acts, _validate=False), m)
+    acts = [m.action_of(combine_rows(proj, enumerate(g))) for g in r.a.generators()]
+    return _certified(RightModule._of(r.a, m.dim, acts), m)
 
 
 def eval_functor(r, name, m, n_max=6):

@@ -33,17 +33,12 @@ from .modules import ModuleMap, iso_test
 
 
 def _canonical_env_ses(r):
-    """AeA -> A -> A/AeA as modules over A^e.  Each map is checked over A
-    and over A^op: a matrix that intertwines both one-sided actions
-    intertwines every lambda(b) rho(c), so over A^e it is built unchecked."""
+    """AeA -> A -> A/AeA as modules over A^e, each map checked there: on the
+    generators g (x) 1 and 1 (x) g, whose matrices the modules store."""
     env, cb = enveloping(r.a), r.canon
-    maps = []
-    for src, tgt, mat in ((cb.aea, cb.regular, cb.inclusion),
-                          (cb.regular, cb.quotient, cb.projection)):
-        ModuleMap(src.restrict_right(), tgt.restrict_right(), mat)
-        ModuleMap(src.left_as_op_module(), tgt.left_as_op_module(), mat)
-        maps.append(ModuleMap(src.as_right_module_over(env), tgt.as_right_module_over(env),
-                              mat, _validate=False))
+    maps = [ModuleMap(src.as_right_module_over(env), tgt.as_right_module_over(env), mat)
+            for src, tgt, mat in ((cb.aea, cb.regular, cb.inclusion),
+                                  (cb.regular, cb.quotient, cb.projection))]
     return ShortExactSequence(maps[0].source, maps[0].target, maps[1].target, *maps)
 
 

@@ -51,7 +51,7 @@ from recollab.fixtures import (
     one_point_extension_of_dual_numbers,
     triangular_a2,
 )
-from test_homology import DOCS, _base_change, _dense, _doc_over, _linear_doc
+from test_homology import DOCS, _base_change, _basis_mats, _dense, _doc_over, _linear_doc
 
 F5 = GF(5)
 
@@ -285,9 +285,9 @@ def _dense_triangular(a1, a2, m):
         if i < d1 and j < d1:
             rows[i][j] = pad(0, s1[i][j])
         elif d1 <= i < d1 + dm and j < d1:
-            rows[i][j] = pad(d1, m.right_action_matrices[j].row(i - d1))
+            rows[i][j] = pad(d1, m.basis_action(j).row(i - d1))
         elif i >= d1 + dm and d1 <= j < d1 + dm:
-            rows[i][j] = pad(d1, m.left_action_matrices[i - d1 - dm].row(j - d1))
+            rows[i][j] = pad(d1, m.basis_action(i - d1 - dm, left=True).row(j - d1))
         elif i >= d1 + dm and j >= d1 + dm:
             rows[i][j] = pad(d1 + dm, s2[i - d1 - dm][j - d1 - dm])
     return tuple(map(tuple, rows))
@@ -410,7 +410,7 @@ def test_center_over_the_generators_is_the_commutant_of_every_basis_element(path
     iq = ideal_and_quotient(a, e)
     for b in (a, tensor(a, a2_path(a.field)), opposite(a), corner(a, e)) + (
             () if iq.ideal_is_whole else (iq.quotient,)):
-        cols = [col for L, R in zip(b.basis_left_mats(), b.basis_right_mats())
+        cols = [col for L, R in zip(*_basis_mats(b))
                 for col in zip(*R.sub(L).rows)]
         assert center(b) == kernel_basis(Matrix(b.field, cols, ncols=b.dim)).transpose()
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -248,12 +249,58 @@ def test_cmd_hochschild_linear_a6_happel(tmp_path, capsys):
 
 @pytest.mark.scale
 def test_cmd_hochschild_linear_a8_report_digest(tmp_path, capsys):
-    # linear A_8 (dim 36, A^e of dim 1296) to degree 3, about 15 s: every
-    # syzygy is restricted from a whole action stack at once, and the report
-    # bytes are those of the per-matrix restriction
+    # linear A_8 (dim 36, A^e of dim 1296) to degree 3, about 1 s: every
+    # syzygy is restricted from its 30 generator matrices, and the report
+    # bytes are those of the per-basis restriction from whole action stacks
     assert main(["hochschild", _write(tmp_path, _linear_doc(8)), "--max-degree", "3"]) == EXIT_OK
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "40fd84a9b82c74d28ac29157aca094035df744c098e51fc36dd3d9cbc0312518"
+
+
+@pytest.mark.scale
+def test_cmd_hochschild_linear_a10_happel(tmp_path, capsys):
+    # linear A_10 (dim 55, A^e of dim 3,025 with 38 generators) to degree 3:
+    # Happel's HH^0 = 1 and 0 above for a tree quiver, HH_0 = |Q_0| and 0 above
+    assert main(["hochschild", _write(tmp_path, _linear_doc(10)), "--max-degree", "3"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["hh"] == {"0": 10, "1": 0, "2": 0, "3": 0}
+    assert out["hh_cohomology"] == {"0": 1, "1": 0, "2": 0, "3": 0}
+
+
+@pytest.mark.parametrize("doc", [_linear_doc(5)] + sorted(DOCS.glob("*.json")),
+                         ids=lambda d: d.stem if isinstance(d, Path) else "linear_a5")
+def test_cmd_hochschild_reads_nothing_per_basis_over_a_e(doc, tmp_path, capsys, monkeypatch):
+    """A `hochschild` request keeps its A^e-modules by A^e's generators: no
+    stack longer than A^e's generator count reaches `_restrict`, `_descend`
+    or `_blocks`, and no module over A^e derives the action of every one of
+    its basis elements, only those its covers and Yoneda's Hom and (x) read."""
+    from recollab import algebra, modules
+    envs, stacks, derived = [], [], {}
+    real_env, real_derive = algebra.enveloping, modules._Acted.basis_action
+
+    def spy(a):
+        envs.append(real_env(a))
+        return envs[-1]
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("recollab") and getattr(mod, "enveloping", None) is real_env:
+            monkeypatch.setattr(mod, "enveloping", spy)
+
+    def derive(self, i, left=False):
+        if any(self._sides[left][0] is e for e in envs):
+            derived.setdefault((id(self), left), (self, set()))[1].add(i)
+        return real_derive(self, i, left)
+    monkeypatch.setattr(modules._Acted, "basis_action", derive)
+    for name in ("_restrict", "_descend"):
+        monkeypatch.setattr(modules, name, lambda rows, mats, real=getattr(modules, name):
+                            stacks.append(len(mats)) or real(rows, mats))
+    monkeypatch.setattr(modules, "_blocks", lambda field, groups, bound, real=modules._blocks:
+                        stacks.extend(len(g[2]) for g in groups) or real(field, groups, bound))
+    path = _write(tmp_path, doc) if isinstance(doc, dict) else str(doc)
+    assert main(["hochschild", path, "--max-degree", "3"]) == EXIT_OK
+    capsys.readouterr()
+    gens = {len(e.generators()) for e in envs}
+    assert len(gens) == 1 and stacks and max(stacks) <= gens.pop()
+    assert all(len(seen) < envs[0].dim for _, seen in derived.values())
 
 
 @pytest.mark.scale
@@ -261,8 +308,8 @@ def test_cmd_hochschild_linear_a5_runs_no_check_over_a_e(tmp_path, capsys, monke
     """The A^e-modules of a `hochschild` request are certified through the
     checks over A and A^op, and A's vertex projectives by A's check: no
     module or bimodule law check runs at all, over A^e (of dimension 225
-    here), its opposite, which is never built, or A, and neither A^e's basis
-    multiplication matrices nor its integer tables are built."""
+    here), its opposite, which is never built, or A, and A^e's integer tables
+    are not built."""
     import sys
     from recollab import algebra, modules
     envs, checked = [], []
@@ -280,8 +327,7 @@ def test_cmd_hochschild_linear_a5_runs_no_check_over_a_e(tmp_path, capsys, monke
     path = _write(tmp_path, _linear_doc(5))
     assert main(["hochschild", path, "--max-degree", "3"]) == EXIT_OK
     assert envs and all(e.dim == 225 and e._opposite is None for e in envs)
-    assert all(e._left_mats is None and e._right_mats is None and e._ints is None
-               for e in envs)
+    assert all(e._ints is None for e in envs)
     assert not checked
     # the spy sees a check that does run
     modules.regular_module(envs[0]._factors[1])._validate()
@@ -657,6 +703,30 @@ MALFORMED = {
     "degree_bound_not_an_integer": (["define"], dict(_ONE_VERTEX, degree_bound="x"), None),
     "duplicate_vertex": (["define"], dict(_ONE_VERTEX, vertices=["1", "2", "1"]), None),
     "duplicate_vertex_stratify": (["stratify"], dict(_ONE_VERTEX, vertices=["1", "1"]), "e:1"),
+    # a right action matrix with two rows on a one-dimensional bimodule
+    "bimodule_matrix_too_tall": (
+        ["define"], {"kind": "construction", "op": "triangular",
+                     "args": [_ONE_VERTEX, _ONE_VERTEX],
+                     "bimodule": {"dim": 1, "left_action": [[["1"]]],
+                                  "right_action": [[["1"], ["1"]]]}}, None),
+    "bimodule_matrix_extra_zero_row": (
+        ["define"], {"kind": "construction", "op": "triangular",
+                     "args": [_ONE_VERTEX, _ONE_VERTEX],
+                     "bimodule": {"dim": 1, "left_action": [[["1"]]],
+                                  "right_action": [[["1"], ["0"]]]}}, None),
+    "bimodule_row_is_a_string": (
+        ["define"], {"kind": "construction", "op": "triangular",
+                     "args": [_ONE_VERTEX, _ONE_VERTEX],
+                     "bimodule": {"dim": 1, "left_action": [["1"]],
+                                  "right_action": [[["1"]]]}}, None),
+    # "10" is not the vector [1, 0]
+    "table_entries_are_strings": (
+        ["define"], {"kind": "structure_constants", "field": "Q", "dim": 2,
+                     "table": [["10", "01"], ["01", "00"]], "unit": ["1", "0"]}, None),
+    "relation_path_is_a_string": (
+        ["define"], dict(_ONE_VERTEX, arrows=[{"source": "1", "target": "1", "label": "a"}],
+                         relations=[[{"path": "aa"}]]), None),
+    "idempotent_too_short": (["stratify"], None, "[1]"),
 }
 _LOOP = dict(_ONE_VERTEX, arrows=[{"source": "1", "target": "1", "label": "a"}])
 for cmd in ("define", "hochschild"):
@@ -679,6 +749,12 @@ def test_malformed_input_is_a_one_line_parse_error(name, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and err.count("\n") == 1, err
+
+
+def test_explicit_idempotent_of_the_wrong_length_names_the_length(capsys):
+    # on the 3-dimensional a2, [1] was read as an element and failed e*e = e
+    assert main(["stratify", str(DOCS / "a2.json"), "--idempotent", "[1]"]) == EXIT_USAGE
+    assert "expected a list of 3 entries" in capsys.readouterr().err
 
 
 def test_not_split_basic_is_a_failed_precondition(tmp_path, capsys):

@@ -296,7 +296,7 @@ def test_horseshoe_middle_levels_are_tagged_only_over_one_basic_structure():
     flipped = Algebra(a.field, _dense(a), a.unit, labels=a.basis_labels, basic=BasicStructure(
         b.idempotent_coords[::-1], b.idempotent_labels[::-1], b.radical_generators,
         b.generator_coords))
-    sub = RightModule(flipped, ses.sub.dim, ses.sub.action)
+    sub = RightModule(flipped, ses.sub.dim, ses.sub._stack())
     other = ShortExactSequence(sub, ses.mid, ses.quot, ModuleMap(
         sub, ses.mid, ses.inclusion.matrix), ses.projection)
     for s, tagged in ((ses, True), (other, False)):

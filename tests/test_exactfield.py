@@ -15,6 +15,7 @@ from recollab.exactfield import (
     _restrict,
     check_same_field,
     combine_rows,
+    field_tag_str,
     kernel_basis,
     kron,
     linear_combination,
@@ -532,8 +533,7 @@ def test_stored_scalars_are_reduced(field):
     reg = regular_module(a)
     _assert_canonical(field, *(mp.matrix for mp in hom_space(reg, reg)))
     tp = tensor_over(regular_bimodule(a), regular_bimodule(a))
-    _assert_canonical(field, tp.projection, *tp.bimodule.left_action_matrices,
-                      *tp.bimodule.right_action_matrices)
+    _assert_canonical(field, tp.projection, *tp.bimodule.left_gens, *tp.bimodule.right_gens)
 
 
 # -- restriction and descent of whole stacks, against the per-matrix reference --
@@ -630,3 +630,19 @@ def test_stacked_restriction_and_descent_match_the_per_matrix_reference(
     assert fractional == (field == QQ)
     big = top > 3 or field == P31
     assert (np.dtype(object) in dtypes) == big and (np.dtype(np.int64) in dtypes) != big
+    # a module is cut and descended on its generator matrices alone; the
+    # action it derives for each basis element is the per-matrix cut of the
+    # whole per-basis stack, here of A_A for linear A_3 by right ideals x A
+    from recollab.algebra import radical
+    from recollab.cli import algebra_from_doc
+    from recollab.modules import quotient_by_rows, regular_module, submodule_from_rows
+    from test_homology import _basis_mats, _linear_doc
+    a = algebra_from_doc(_linear_doc(3, field_tag_str(field)))
+    reg, stack = regular_module(a), _basis_mats(a)[1]
+    for g in a.generators() + radical(a).rows:
+        span = a.left_mult_matrix(g)
+        for cut, ref in ((submodule_from_rows, _restrict_reference),
+                         (quotient_by_rows, _descend_reference)):
+            got = cut(reg, span)[0]._stack()
+            assert len(got) == a.dim
+            assert all(_same_entries(x, y) for x, y in zip(got, ref(span, stack)[2]))

@@ -67,7 +67,7 @@ F5 = GF(5)
 def left_module_from_simple(alg, s):
     """A one-dimensional right module as a left module (commutative actions)."""
     ident = Matrix.identity(alg.field, s.dim)
-    return Bimodule(alg, trivial_algebra(alg.field), s.dim, s.action, (ident,))
+    return Bimodule(alg, trivial_algebra(alg.field), s.dim, s._stack(), (ident,))
 
 
 # -- tor -----------------------------------------------------------------------
@@ -400,6 +400,15 @@ def _dense(a):
         for k, c in ent:
             out[i][j][k] = c
     return tuple(tuple(map(tuple, row)) for row in out)
+
+
+def _basis_mats(a):
+    """(left, right): per basis element b_k, the matrices of x |-> b_k x and
+    x |-> x b_k (rows b_k b_i and b_i b_k), the whole multiplication stacks
+    the regular module and bimodule kept before modules stored generators."""
+    d, n = _dense(a), a.dim
+    return tuple(tuple(Matrix(a.field, [d[k][i] if left else d[i][k] for i in range(n)], ncols=n)
+                       for k in range(n)) for left in (True, False))
 
 
 DOCS = sorted((Path(__file__).resolve().parents[1] / "demos" / "docs").glob("*.json"))
@@ -800,13 +809,14 @@ def test_regular_left_env_module_is_built_and_checked_once(monkeypatch):
     assert not any(b is regular_bimodule(a) for b in checked)
     t._validate()
     regular_bimodule(a)._validate()
-    # (b_i^op (x) b_j) . x = b_j x b_i: the matrix of A as a right A^e-module
-    # at j n + i, the very object
-    n, L, R = a.dim, a.basis_left_mats(), a.basis_right_mats()
-    right = regular_bimodule(a).as_right_module_over(enveloping(a)).action
+    # (b_i^op (x) b_j) . x = b_j x b_i: the action of A as a right A^e-module
+    # at j n + i; A^e's generators act by the regular bimodule's, right first
+    n, (L, R) = a.dim, _basis_mats(a)
+    right = regular_bimodule(a).as_right_module_over(enveloping(a))
+    assert t.left_gens == regular_bimodule(a).right_gens + regular_bimodule(a).left_gens
     for i, j in product(range(n), repeat=2):
-        assert t.left_action_matrices[i * n + j] is right[j * n + i]
-        assert right[j * n + i] == L[j].mul(R[i])
+        assert t.basis_action(i * n + j, left=True) == right.basis_action(j * n + i)
+        assert right.basis_action(j * n + i) == L[j].mul(R[i])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -28,12 +28,15 @@ from recollab.exactfield import (
     QQ,
     GF,
     Matrix,
+    express_in_row_basis,
+    kernel_basis,
     kron,
     linear_combination,
     quotient_map,
     rank,
     rref,
     solve_matrix,
+    unit_vector,
 )
 from recollab.fixtures import (
     a2_path_algebra,
@@ -45,7 +48,7 @@ from recollab.fixtures import (
     vertex_idempotent,
 )
 from recollab.homology import regular_as_left_env_module
-from test_homology import DOCS, _base_change, _doc_over
+from test_homology import DOCS, _base_change, _basis_mats, _doc_over
 from recollab.modules import (
     Bimodule,
     ModuleMap,
@@ -281,7 +284,7 @@ def test_ae_projective_over_corner_in_stratifying_case():
     cb = canonical_bimodules(a, e)
     ae_right = cb.ae.restrict_right()
     from recollab.algebra import discover_basic
-    ae_right = RightModule(discover_basic(cb.corner_algebra), ae_right.dim, ae_right.action)
+    ae_right = RightModule(discover_basic(cb.corner_algebra), ae_right.dim, ae_right._stack())
     assert is_projective(ae_right)
 
 
@@ -322,7 +325,7 @@ def test_iso_test_separates_tops_without_the_grid():
         assert not iso_test(m, n, cap=0)
     # an isomorphic module in another basis needs the grid
     g, g_inv = (Matrix(QQ, [[1, t, 0], [0, 1, 0], [0, 0, 1]]) for t in (1, -1))
-    moved = RightModule(a, 3, [g.mul(x).mul(g_inv) for x in proj.action])
+    moved = RightModule(a, 3, [g.mul(x).mul(g_inv) for x in proj._stack()])
     assert moved != proj
     with pytest.raises(Inconclusive):
         iso_test(proj, moved, cap=0)
@@ -415,8 +418,8 @@ def _ref_module(alg, d, action):
 def _ref_map(src, tgt, mat):
     f = src.field
     for g in src.algebra.generators():
-        lhs = linear_combination(g, src.action, f, src.dim, src.dim).mul(mat)
-        rhs = mat.mul(linear_combination(g, tgt.action, f, tgt.dim, tgt.dim))
+        lhs = linear_combination(g, src._stack(), f, src.dim, src.dim).mul(mat)
+        rhs = mat.mul(linear_combination(g, tgt._stack(), f, tgt.dim, tgt.dim))
         if lhs != rhs:
             return "matrix does not intertwine the actions"
     return None
@@ -501,13 +504,13 @@ def test_module_and_map_checks_match_reference(field, kind, dtypes):
     rng = random.Random(11)
     cases = 0
     for alg in _check_algebras(field, rng):
-        reg = modules.RightModule(alg, alg.dim, alg.basis_right_mats())
+        reg = modules.RightModule(alg, alg.dim, _basis_mats(alg)[1])
         mods = [reg, modules.direct_sum([reg, reg])]
         if alg.basic is not None:
             mods += modules.simple_modules(alg)
         for m in mods:
             p, pinv = _conjugator(field, m.dim, rng, kind)
-            acts = [p.mul(a).mul(pinv) for a in m.action]
+            acts = [p.mul(a).mul(pinv) for a in m._stack()]
             assert _ref_module(alg, m.dim, acts) is None
             conj = modules.RightModule(alg, m.dim, acts)
             for _ in range(6):
@@ -552,10 +555,10 @@ def test_bimodule_check_matches_reference(field, kind):
             left, right, d = b.left_algebra, b.right_algebra, b.dim
             p, pinv = _conjugator(field, d, rng, kind)
             q, qinv = _conjugator(field, d, rng, kind)
-            lam = [p.mul(x).mul(pinv) for x in b.left_action_matrices]
-            rho = [p.mul(x).mul(pinv) for x in b.right_action_matrices]
+            lam = [p.mul(x).mul(pinv) for x in b._stack(left=True)]
+            rho = [p.mul(x).mul(pinv) for x in b._stack()]
             # each action alone is a module; conjugated apart they rarely commute
-            rho_q = [q.mul(x).mul(qinv) for x in b.right_action_matrices]
+            rho_q = [q.mul(x).mul(qinv) for x in b._stack()]
             trials = [(lam, rho), (lam, rho_q)]
             trials += [(_perturbed(lam, field, rng), rho) for _ in range(3)]
             trials += [(lam, _perturbed(rho, field, rng)) for _ in range(3)]
@@ -590,9 +593,9 @@ def test_bimodule_restrictions_are_built_once_and_checked_on_first_use():
     assert enveloping(a) is enveloping(a)
     assert b.restrict_right() is b.restrict_right()
     assert b.left_as_op_module() is b.left_as_op_module()
-    broken = list(b.right_action_matrices)
+    broken = b._stack()
     broken[0] = Matrix.zeros(QQ, a.dim, a.dim)
-    unchecked = modules.Bimodule(a, a, a.dim, b.left_action_matrices, broken,
+    unchecked = modules.Bimodule(a, a, a.dim, b._stack(left=True), broken,
                                  _validate=False)
     with pytest.raises(ValueError, match="rho"):
         unchecked.restrict_right()
@@ -645,7 +648,7 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch):
             if p.dim == 0:
                 continue
             assert p.summand_tags is not None
-            plain = RightModule(p.algebra, p.dim, p.action, _validate=False)
+            plain = RightModule(p.algebra, p.dim, p._stack(), _validate=False)
             assert plain == p and plain.summand_tags is None
             for n in targets + [m] + res.modules:
                 before = len(yoneda)
@@ -664,9 +667,8 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch):
                           tensor_over(as_bimodule(p), left)):
                 assert fast.projection == other.projection
                 assert fast.section_indices == other.section_indices
-                assert fast.bimodule.left_action_matrices == other.bimodule.left_action_matrices
-                assert fast.bimodule.right_action_matrices == \
-                    other.bimodule.right_action_matrices
+                assert fast.bimodule.left_gens == other.bimodule.left_gens
+                assert fast.bimodule.right_gens == other.bimodule.right_gens
             compared += 1
     assert compared >= 4
 
@@ -691,12 +693,14 @@ def test_projective_module_is_the_tagged_sum_of_vertex_projectives(field):
 def _cut_vertex_projective(a, v):
     """e_v A cut out of the regular module by its RREF (`submodule_from_rows`),
     as `vertex_projective` builds it for an algebra that is not a tensor
-    product, and built it for every algebra before."""
-    regular = RightModule(a, a.dim, a.basis_right_mats(), _validate=False)
-    mod, incl = modules.submodule_from_rows(
-        regular, a.left_mult_matrix(a.basic.idempotent_coords[v]))
+    product, and built it for every algebra before; and its per-basis
+    actions the way they were built then, every basis element's right
+    multiplication restricted (`_restrict`)."""
+    regular = RightModule(a, a.dim, _basis_mats(a)[1], _validate=False)
+    rows = a.left_mult_matrix(a.basic.idempotent_coords[v])
+    mod, incl = modules.submodule_from_rows(regular, rows)
     mod._validate()
-    return mod, incl.matrix
+    return mod, incl.matrix, exactfield._restrict(rows, _basis_mats(a)[1])[2]
 
 
 def _kron_cases():
@@ -727,11 +731,14 @@ def _same_entries(x, y):
 def test_tensor_vertex_projectives_are_kronecker_products_of_the_cut(make, monkeypatch):
     """A^e, A (x) kA_2 (the B (x) A of the tensor transfers) and kA_2 (x) A:
     every vertex projective equals, entry for entry and with the same scalar
-    types, the one cut out of the regular module, and its actions are the
-    pairwise Kronecker products of the factors'; none of them is cut or
-    checked over the tensor product, the factors' vertex projectives that
-    certify it are certified by their algebras and never checked directly,
-    and the full checks of both pass."""
+    types, the one cut out of the regular module; its generators act by
+    kron(X_g, I) and kron(I, Y_g), and the action it derives for each basis
+    element is the cut's per-basis matrix and the pairwise Kronecker product
+    of the factors' per-basis matrices, built as they were before modules
+    stored their generators; none of them is cut or checked over the tensor
+    product, the factors' vertex projectives that certify it are certified
+    by their algebras and never checked directly, and the full checks of
+    both pass."""
     a = make()
     a2 = a2_path_algebra(a.field)
     cut, checked = [], []
@@ -751,14 +758,100 @@ def test_tensor_vertex_projectives_are_kronecker_products_of_the_cut(make, monke
             i, j = divmod(v, len(c.basic.idempotent_coords))
             factors = (vertex_projective(b, i)[0], vertex_projective(c, j)[0])
             assert not any(m is modules._rep(x) for x in factors for m in checked)
-            ref_mod, ref_basis = _cut_vertex_projective(t, v)
+            ref_mod, ref_basis, ref_acts = _cut_vertex_projective(t, v)
             assert _same_entries(basis, ref_basis)
             assert mod == ref_mod
-            assert all(_same_entries(x, y) for x, y in zip(mod.action, ref_mod.action))
-            pairwise = [kron(x, y) for x in factors[0].action for y in factors[1].action]
-            assert all(_same_entries(x, y) for x, y in zip(mod.action, pairwise))
+            ib, ic = (Matrix.identity(t.field, x.dim) for x in factors)
+            assert mod.gens == tuple(kron(x, ic) for x in factors[0].gens) + tuple(
+                kron(ib, y) for y in factors[1].gens)
+            assert all(_same_entries(x, y) for x, y in zip(mod._stack(), ref_acts))
+            pairwise = [kron(x, y) for x in _cut_vertex_projective(b, i)[2]
+                        for y in _cut_vertex_projective(c, j)[2]]
+            assert len(pairwise) == t.dim
+            assert all(_same_entries(x, y) for x, y in zip(mod._stack(), pairwise))
             for x in (mod, *factors):
                 real_check(x)
+
+
+def _reference_cases():
+    from test_homology import _linear_doc
+    cases = []
+    for path in DOCS:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        cases.append(pytest.param(doc, id=path.stem))
+        if doc.get("field", "Q") == "Q" and "f5" not in path.stem:
+            cases.append(pytest.param(_doc_over(doc, "Fp:7"), id=path.stem + "@F7"))
+    return cases + [pytest.param(_linear_doc(4, tag), id=f"linear_a4@{tag}") for tag in ("Q", "Fp:5")]
+
+
+def _block_diagonal(stacks, f):
+    """Per basis element, the block-diagonal matrix of the stacks' matrices."""
+    out = []
+    for mats in zip(*stacks):
+        total, rows = sum(m.nrows for m in mats), []
+        for m in mats:
+            rows += [(0,) * len(rows) + r + (0,) * (total - len(rows) - m.nrows) for r in m.rows]
+        out.append(Matrix(f, rows, ncols=total))
+    return out
+
+
+def _vertex_reference(a, v):
+    """e_v A's per-basis actions as they were built before modules stored
+    their generators: every right multiplication restricted, or over a
+    tensor product the pairwise Kronecker products of the factors'."""
+    if a._factors is not None:
+        b, c = a._factors
+        i, j = divmod(v, len(c.basic.idempotent_coords))
+        return [kron(x, y) for x in _vertex_reference(b, i) for y in _vertex_reference(c, j)]
+    rows = a.left_mult_matrix(a.basic.idempotent_coords[v])
+    return exactfield._restrict(rows, _basis_mats(a)[1])[2]
+
+
+@pytest.mark.parametrize("doc", _reference_cases())
+def test_derived_actions_match_the_per_basis_reference(doc):
+    """Every module the engine makes derives, for each basis element, the
+    matrix the per-basis construction built, entry for entry and with the
+    same scalar types: regular modules, simples, vertex projectives (of A^e
+    too), projective_modules, syzygies and quotients down the resolutions of
+    the simples, of A and of A over A^e, and A as a left A^e-module.  The
+    references are built the old way: right multiplications restricted,
+    Kronecker products of the factors' and lam(b) rho(c) over both sides."""
+    a = algebra_from_doc(doc)
+    f, n, env = a.field, a.dim, enveloping(a)
+    L, R = _basis_mats(a)
+    compared = []
+
+    def same(m, ref, left=False):
+        got = m._stack(left)
+        assert len(got) == len(ref) and all(_same_entries(x, y) for x, y in zip(got, ref))
+        compared.append(m)
+
+    rad = radical(a)
+    for ev, s in zip(a.basic.idempotent_coords, simple_modules(a)):
+        stack = Matrix(f, [list(ev)] + [list(r) for r in rad.rows], ncols=n)
+        ebe = Matrix(f, [a.multiply(a.multiply(ev, unit_vector(n, i)), ev) for i in range(n)],
+                     ncols=n)
+        same(s, [Matrix(f, [[c[0]]], ncols=1) for c in express_in_row_basis(stack, ebe).rows])
+    a_env = regular_bimodule(a).as_right_module_over(env)
+    same(regular_module(a), list(R))
+    same(a_env, [x.mul(y) for x in L for y in R])
+    same(regular_as_left_env_module(a), [L[j].mul(R[i]) for i in range(n) for j in range(n)],
+         left=True)
+    for m in simple_modules(a) + [regular_module(a), a_env]:
+        for _ in range(2):
+            cover = projective_cover(m)
+            p_ref = _block_diagonal([_vertex_reference(m.algebra, v) for v, _ in cover.picks], f)
+            same(cover.module, p_ref)
+            for v, _ in cover.picks:
+                same(vertex_projective(m.algebra, v)[0], _vertex_reference(m.algebra, v))
+            ker = kernel_basis(cover.surjection.matrix.transpose()).transpose()
+            if ker.nrows == 0:
+                break
+            same(modules.quotient_by_rows(cover.module, ker)[0],
+                 exactfield._descend(ker, p_ref)[2])
+            m = modules.submodule_from_rows(cover.module, ker)[0]
+            same(m, exactfield._restrict(ker, p_ref)[2])
+    assert any(m.algebra is env for m in compared) and len(compared) > 10
 
 
 @pytest.mark.parametrize("make", _kron_cases())
@@ -894,7 +987,7 @@ def test_restriction_and_descent_check_that_the_span_is_invariant(field):
 def _top_from_the_radical_basis(m):
     """M / M rad from the rows M r, r in the RREF basis of rad A."""
     rows = [row for r in radical(m.algebra).rows
-            for row in linear_combination(r, m.action, m.field, m.dim, m.dim).rows]
+            for row in m.action_of(r).rows]
     proj, free = quotient_map(Matrix(m.field, rows, ncols=m.dim))
     return proj, tuple(free)
 
@@ -940,8 +1033,8 @@ def test_iso_test_computes_each_top_once(monkeypatch):
     assert sorted(map(id, calls)) == sorted({id(p), id(s)})
     # a content-equal copy needs no top; a copy over a second instance of
     # the algebra has its own top, computed once
-    assert iso_test(q, RightModule(a, q.dim, q.action)) and len(calls) == 2
-    copy = RightModule(kronecker_algebra(), q.dim, q.action)
+    assert iso_test(q, RightModule(a, q.dim, q._stack())) and len(calls) == 2
+    copy = RightModule(kronecker_algebra(), q.dim, q._stack())
     assert iso_test(q, copy) and iso_test(copy, q) and len(calls) == 4
 
 
@@ -1043,7 +1136,7 @@ def test_memo_hits_equal_fresh_computations_on_copies(make):
     mods = list({id(m): m for m in mods}.values())
 
     def copy(m):
-        out = RightModule(b, m.dim, m.action, _validate=False)
+        out = RightModule(b, m.dim, m._stack(), _validate=False)
         out.summand_tags = m.summand_tags
         return out
 
@@ -1063,8 +1156,7 @@ def test_memo_hits_equal_fresh_computations_on_copies(make):
         assert hit.section_indices == fresh.section_indices
         x, y = hit.bimodule, fresh.bimodule
         assert all(_same_entries(u, v) for u, v in zip(
-            x.left_action_matrices + x.right_action_matrices,
-            y.left_action_matrices + y.right_action_matrices))
+            x.left_gens + x.right_gens, y.left_gens + y.right_gens))
 
 
 # -- Hom, (x) and law checks once per content -----------------------------------
@@ -1073,8 +1165,9 @@ def test_memo_hits_equal_fresh_computations_on_copies(make):
 @pytest.mark.parametrize("field", [QQ, F5])
 def test_content_equal_copies_share_hom_tensor_and_check(field, monkeypatch):
     """Copies with equal actions over one algebra instance, sharing their
-    matrices or not, cost one Hom basis, one tensor product and one law check
-    between them; copies over a second instance of the algebra cost their own."""
+    matrices or not, cost one Hom basis and one tensor product between them;
+    copies over a second instance of the algebra cost their own.  A per-basis
+    stack from outside is checked in full as it comes in, once per copy."""
     hom, tens, checks = [], [], []
     real_hom, real_tensor, real_check = modules._hom_basis, modules._tensor, RightModule._validate
     monkeypatch.setattr(modules, "_hom_basis", lambda m, n: hom.append(1) or real_hom(m, n))
@@ -1082,13 +1175,13 @@ def test_content_equal_copies_share_hom_tensor_and_check(field, monkeypatch):
     monkeypatch.setattr(RightModule, "_validate",
                         lambda self: checks.append(self) or real_check(self))
     for a in (kronecker_algebra(field), kronecker_algebra(field)):
-        acts = direct_sum(simple_modules(a)).action
+        acts = direct_sum(simple_modules(a))._stack()
         reg = regular_bimodule(a)
         before = len(checks)
         mods = [RightModule(a, 2, acts), RightModule(a, 2, acts), RightModule(
             a, 2, [Matrix(field, [list(r) for r in m.rows]) for m in acts])]
-        assert checks[before:] == [mods[0]]
-        assert mods[2].action[1].rows[0] is not acts[1].rows[0]
+        assert checks[before:] == mods
+        assert mods[2].gens[1].rows[0] is not acts[1].rows[0]
         before = len(hom)
         bases = [(x, y, hom_space(x, y)) for x, y in itertools.product(mods, mods)]
         assert len(hom) == before + 1
@@ -1165,7 +1258,7 @@ def test_a_request_leaves_nothing_in_the_representative_tables(tmp_path, capsys,
     gc.disable()
     try:
         for algebra in (s.algebra, kronecker_algebra()):
-            m = RightModule(algebra, s.dim, s.action)
+            m = RightModule(algebra, s.dim, s._stack())
             assert (modules._rep(m) is s) == (algebra is s.algebra)
             ref = weakref.ref(m)
             del m
@@ -1180,7 +1273,7 @@ def test_iso_test_identity_witness_has_full_rank(field):
     identity, found before the tops and the grid (cap 0)."""
     a = kronecker_algebra(field)
     for m in simple_modules(a) + [regular_module(a), zero_module(a)]:
-        copy = RightModule(a, m.dim, m.action)
+        copy = RightModule(a, m.dim, m._stack())
         res = iso_test(m, copy, cap=0)
         assert res and res.witness == Matrix.identity(field, m.dim)
         assert rank(res.witness) == m.dim
