@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, compress, product
 from math import gcd, lcm
 
 import numpy as np
@@ -227,8 +227,8 @@ class Algebra:
         nrows = memo[()].nrows if () in memo else mats[0].nrows
         words, out = self.words(), []
         for x in xs:
-            terms = [(c * d, word(w[::-1] if reverse else w))
-                     for i, c in enumerate(x) if c for d, w in words[i]]
+            terms = [(x[i] * d, word(w[::-1] if reverse else w))
+                     for i in compress(range(len(x)), x) for d, w in words[i]]
             out.append(linear_combination([c for c, _ in terms], [m for _, m in terms],
                                           self.field, nrows, mats[0].ncols))
         return out

@@ -13,9 +13,10 @@ bimodule's `left_gens` and `right_gens`.  Restriction, descent, sums, tops,
 Hom and (x), and everything over A^e read these only.  A basis element's
 action is derived from its words (`Algebra.words`) where a reader needs it,
 and kept on the object: a cover's idempotents, `free_cover`, i_*, a
-triangular algebra's table, a law check.  Yoneda's blocks and a cover's
-surjection take vectors along the words instead (`images`).  A per-basis
-stack given to a public constructor is checked in full, then reduced.
+triangular algebra's table, a law check.  Yoneda's blocks (out of a
+`projective_module` or A_A) and a cover's surjection take vectors along the
+words instead (`images`).  A per-basis stack given to a public constructor
+is checked in full, then reduced.
 
 The action laws are asserted when a module, map or bimodule is built (or
 first restricted, for a bimodule built unchecked): once per object for a
@@ -51,7 +52,7 @@ import hashlib
 import itertools
 import weakref
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -244,7 +245,8 @@ class RightModule(_Acted):
     """Right module over a fixed algebra, stored as `gens`: the matrix of each
     element of `algebra.generators()`."""
 
-    # the vertex of each summand e_v A, set only by `projective_module`
+    # the vertex of each summand e_v A, set only by `projective_module`; A_A
+    # is laid out by vertices too, by `_summands`, without tags
     summand_tags = None
 
     def __init__(self, algebra, dim, action, _validate=True):
@@ -477,10 +479,31 @@ def regular_bimodule(a):
 # --------------------------------------------------------------------------
 
 
-def _yoneda_basis(p, n, left=False):
+def _summands(m):
+    """The layout `_yoneda_basis` reads, (v, the basis indices of m that e_v A
+    occupies) per summand, or None: a `projective_module`'s, in tag order;
+    for the object `regular_module(a)`, the vertex split of A's basis (e_v
+    b_i = b_i for one v, 0 for the others: each e_v A has an RREF basis of
+    unit vectors), read once per algebra, None for a basis that does not
+    split (one from `discover_basic`)."""
+    a = m.algebra
+    if m.summand_tags is not None:
+        dims = [vertex_projective(a, v)[0].dim for v in m.summand_tags]
+        return [(v, range(e - d, e)) for v, d, e in zip(m.summand_tags, dims, accumulate(dims))]
+    if a.basic is None or m is not a._modules.get("regular_module"):
+        return None
+
+    def split():
+        bases = [vertex_projective(a, v)[1].rows for v in range(len(a.basic.idempotent_coords))]
+        if all(not any(r[r.index(1) + 1:]) for rows in bases for r in rows):
+            return [(v, tuple(r.index(1) for r in rows)) for v, rows in enumerate(bases)]
+    return _once(a._modules, "vertex split", split)
+
+
+def _yoneda_basis(p, n, layout, left=False):
     """(rows, pivots): the basis `kernel_basis` would give a subspace of
-    k^(dim p * dim n), p a `projective_module`, and each row's last nonzero
-    column.
+    k^(dim p * dim n), p a sum of vertex projectives laid out as `layout`
+    (`_summands`), and each row's last nonzero column.
 
     The block (x, y), x in a summand e_v A, is spanned by the rows of
     [act(x_0) | act(x_1) | ...], x_i the basis `vertex_projective` keeps and
@@ -490,10 +513,12 @@ def _yoneda_basis(p, n, left=False):
     nonzero one, and 0 at the others: read right to left, the basis is in
     RREF.  So each block is reduced with its columns reversed (once per
     vertex and n, kept on n) and read back, its rows in order of their last
-    nonzero column.
+    nonzero column.  The blocks lie on disjoint columns, so the whole RREF is
+    their rows, placed dn-wide slice by slice at their summands' indices and
+    sorted by pivot.
     """
     a, f, dn = p.algebra, p.field, n.dim
-    total, rows, pivots, off = p.dim * dn, [], [], 0
+    zero, found = (0,) * dn, []
 
     def block(v, xs):
         ev = n.action_of(a.basic.idempotent_coords[v], left)
@@ -504,21 +529,23 @@ def _yoneda_basis(p, n, left=False):
                                    for j in range(V.nrows)), len(xs) * dn)
         R, piv = rref(span)
         return [(R.rows[i][::-1], len(xs) * dn - 1 - piv[i]) for i in reversed(range(len(piv)))]
-    for v in p.summand_tags:
+    for v, idx in layout:
         xs = vertex_projective(a, v)[1].rows
-        start = off * dn
         # an entry keeps the algebra, so its id is never reused
         for r, k in _once(n._memo, ("yoneda", id(a), v, left), lambda: (a, block(v, xs)))[1]:
-            rows.append((0,) * start + r + (0,) * (total - start - len(r)))
-            pivots.append(start + k)
-        off += len(xs)
-    return rows, pivots
+            row = [zero] * p.dim
+            for t, i in enumerate(idx):
+                row[i] = r[t * dn:(t + 1) * dn]
+            found.append((idx[k // dn] * dn + k % dn, tuple(chain.from_iterable(row))))
+    found.sort(key=lambda e: e[0])
+    return [r for _, r in found], [k for k, _ in found]
 
 
 def hom_space(m, n):
     """Deterministic basis of Hom_A(m, n) as a list of ModuleMaps: the kernel
     of rho_m(g) F = F rho_n(g) over the generators g, or out of a
-    `projective_module` the same basis read off by Yoneda, Hom(e_v A, n) = n e_v.
+    `projective_module`, and out of A_A when A's basis splits by vertices
+    (`_summands`), the same basis read off by Yoneda, Hom(e_v A, n) = n e_v.
     Computed once per pair of representatives and kept on m for the pair of
     objects; each call gets a new list."""
     if m.algebra != n.algebra:
@@ -537,8 +564,8 @@ def _hom_basis(m, n):
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return ()
-    if m.summand_tags is not None:
-        vecs, _ = _yoneda_basis(m, n)
+    if (layout := _summands(m)) is not None:
+        vecs, _ = _yoneda_basis(m, n, layout)
     else:
         pairs = [(x, y.transpose()) for x, y in zip(m.gens, n.gens)]
         vecs = kernel_basis(Matrix(f, sylvester_rows(pairs), ncols=dm * dn)).transpose().rows
@@ -577,8 +604,9 @@ def tensor_over(m, n, _validate=True):
 
     Computed as the vector-space tensor product modulo the balancing relations
     (x.b (x) y - x (x) b.y), with the induced outer actions.  When m wraps a
-    `projective_module`, the relations are read off by Yoneda instead of
-    solved for (`_yoneda_basis`); the result is the same.  Computed once per
+    `projective_module`, or A_A whose basis splits by vertices
+    (`_summands`), the relations are read off by Yoneda instead of solved
+    for (`_yoneda_basis`); the result is the same.  Computed once per
     pair of representatives (kept on m's); a product first built unchecked is
     checked when a later call asks for the check.
     """
@@ -601,9 +629,9 @@ def _tensor(m, n):
                            (empty,) * len(n.right_gens))
         return TensorProduct(bim, Matrix(f, [[] for _ in range(N)], ncols=0), ())
     p = m._memo.get("right")
-    if p is not None and p.summand_tags is not None:
+    if p is not None and (layout := _summands(p)) is not None:
         # e_v B (x)_B n = e_v n: the relations are the kernel of x (x) y |-> x y
-        vecs, free = _yoneda_basis(p, n, True)
+        vecs, free = _yoneda_basis(p, n, layout, True)
         projection = Matrix._of(f, tuple(vecs), N).transpose()
     else:
         pairs = list(zip(m.right_gens, n.left_gens))
@@ -797,8 +825,9 @@ def projective_module(a, tags):
     """The direct sum of the vertex projectives e_v A for v in `tags`, in
     order, with `summand_tags` recording them (the zero module for no tags),
     built once per tag tuple and algebra instance.  Only this constructor
-    sets the tags, which let `hom_space` and `tensor_over` read maps out of
-    the module by Yoneda."""
+    sets the tags, which lay the module out for `hom_space` and `tensor_over`
+    to read maps out of it by Yoneda; the other module they read so is A_A,
+    laid out by the vertex split of A's basis (`_summands`)."""
     def build():
         if not tags:
             return zero_module(a)

@@ -258,6 +258,18 @@ def test_cmd_hochschild_linear_a8_report_digest(tmp_path, capsys):
 
 
 @pytest.mark.scale
+def test_cmd_verify_linear_a6_report_digest(tmp_path, capsys):
+    # linear A_6 (dim 21) at e:3, every suite to degree 3, about 1 s: Hom and
+    # (x) out of A_A are read by Yoneda, and the report bytes are those the
+    # Sylvester systems gave
+    argv = ["verify", _write(tmp_path, _linear_doc(6)), "--suite", "all", "--idempotent", "e:3",
+            "--max-degree", "3", "--cutoff", "6"]
+    assert main(argv) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "3ca58f3037370fbe1bc1c61c4c7e766f045a4e80852c5aa43f593e3410552c93"
+
+
+@pytest.mark.scale
 def test_cmd_hochschild_linear_a10_happel(tmp_path, capsys):
     # linear A_10 (dim 55, A^e of dim 3,025 with 38 generators) to degree 3:
     # Happel's HH^0 = 1 and 0 above for a tree quiver, HH_0 = |Q_0| and 0 above

@@ -620,16 +620,28 @@ def _yoneda_cases():
     return cases
 
 
+def _vertex_split(a):
+    """Per vertex v, the indices i with e_v b_i = b_i, when every e_v b_i is
+    b_i or 0 (A's basis splits by vertices); otherwise None."""
+    mats = [a.left_mult_matrix(e).rows for e in a.basic.idempotent_coords]
+    if all(m[i] in (unit_vector(a.dim, i), (0,) * a.dim) for m in mats for i in range(a.dim)):
+        return [(v, tuple(i for i in range(a.dim) if m[i][i])) for v, m in enumerate(mats)]
+    return None
+
+
 @pytest.mark.parametrize("make", _yoneda_cases())
-def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch):
+def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch, request):
     """Every level of the resolutions of the simples, of A and (over A^e) of
-    A as a bimodule is a tagged projective_module; Hom and (x) out of it
-    must equal, bit for bit and in order, those out of an untagged copy of
-    the same module, which go through the Sylvester systems.  The builders
-    `_hom_basis` and `_tensor` memoise nothing, so calling them on the level
-    shows that every one of these Hom spaces and (x) goes through
+    A as a bimodule is a tagged projective_module, and A_A is the sum of its
+    vertex projectives when A's basis splits by vertices; Hom and (x) out of
+    either must equal, bit for bit and in order, those out of an untagged
+    copy of the same module, which go through the Sylvester systems.  The
+    builders `_hom_basis` and `_tensor` memoise nothing, so calling them on
+    the module shows that every one of these Hom spaces and (x) goes through
     `_yoneda_basis` exactly once, and on the copy that Sylvester does not;
-    the memoised answers out of the level and the copy must be the same."""
+    the memoised answers out of the module and the copy must be the same.
+    A basis from `discover_basic` does not split, and A_A then makes no
+    `_yoneda_basis` call."""
     yoneda = []
     real = modules._yoneda_basis
     monkeypatch.setattr(modules, "_yoneda_basis",
@@ -638,6 +650,33 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch):
     env = enveloping(a)
     simples, reg = simple_modules(a), regular_module(a)
     a_env = regular_bimodule(a).as_right_module_over(env)
+    split = _vertex_split(a)
+    assert (split is None) == ("~" in request.node.callspec.id)
+    assert modules._summands(reg) == split
+
+    def compare(p, targets, left, tagged):
+        plain = RightModule(p.algebra, p.dim, p._stack(), _validate=False)
+        assert plain == p and plain.summand_tags is None
+        for n in targets:
+            before = len(yoneda)
+            fast = modules._hom_basis(p, n)
+            assert len(yoneda) == before + (tagged and n.dim > 0)
+            slow = modules._hom_basis(plain, n)
+            assert len(yoneda) == before + (tagged and n.dim > 0)
+            for other in (slow, hom_space(plain, n), hom_space(p, n)):
+                assert [x.matrix for x in fast] == [x.matrix for x in other]
+        before = len(yoneda)
+        fast = modules._tensor(as_bimodule(p), left)
+        assert len(yoneda) == before + tagged
+        slow = modules._tensor(as_bimodule(plain), left)
+        assert len(yoneda) == before + tagged
+        for other in (slow, tensor_over(as_bimodule(plain), left),
+                      tensor_over(as_bimodule(p), left)):
+            assert fast.projection == other.projection
+            assert fast.section_indices == other.section_indices
+            assert fast.bimodule.left_gens == other.bimodule.left_gens
+            assert fast.bimodule.right_gens == other.bimodule.right_gens
+
     plan = [(s, simples + [reg], regular_bimodule(a), 3) for s in simples]
     plan += [(reg, simples, regular_bimodule(a), 1),
              (a_env, [a_env], regular_as_left_env_module(a), 2)]
@@ -648,28 +687,10 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch):
             if p.dim == 0:
                 continue
             assert p.summand_tags is not None
-            plain = RightModule(p.algebra, p.dim, p._stack(), _validate=False)
-            assert plain == p and plain.summand_tags is None
-            for n in targets + [m] + res.modules:
-                before = len(yoneda)
-                fast = modules._hom_basis(p, n)
-                assert len(yoneda) == before + (n.dim > 0)
-                slow = modules._hom_basis(plain, n)
-                assert len(yoneda) == before + (n.dim > 0)
-                for other in (slow, hom_space(plain, n), hom_space(p, n)):
-                    assert [x.matrix for x in fast] == [x.matrix for x in other]
-            before = len(yoneda)
-            fast = modules._tensor(as_bimodule(p), left)
-            assert len(yoneda) == before + 1
-            slow = modules._tensor(as_bimodule(plain), left)
-            assert len(yoneda) == before + 1
-            for other in (slow, tensor_over(as_bimodule(plain), left),
-                          tensor_over(as_bimodule(p), left)):
-                assert fast.projection == other.projection
-                assert fast.section_indices == other.section_indices
-                assert fast.bimodule.left_gens == other.bimodule.left_gens
-                assert fast.bimodule.right_gens == other.bimodule.right_gens
+            compare(p, targets + [m] + res.modules, left, True)
             compared += 1
+        if m is reg:
+            compare(reg, simples + [reg] + res.modules, left, split is not None)
     assert compared >= 4
 
 

@@ -108,6 +108,42 @@ def _kbim(n):
     return field_bimodule(ground_field(), ground_field(), n)
 
 
+def test_certification_reads_hom_and_tensor_out_of_a_a_by_yoneda(monkeypatch):
+    """A_A heads every certification battery, and its basis splits by
+    vertices on the registry entries (k-k-k, k-k-k2, D-k-k) and their
+    transfers: every Hom and (x) out of the object `regular_module(a)` is
+    read by Yoneda, so `sylvester_rows` builds no system whose left factor
+    is it, while other systems still go through Sylvester."""
+    from recollab import modules
+    from recollab.fixtures import augmentation_bimodule
+    left, sylvester, regular = [], [], []
+
+    def spy(real, side):
+        def builder(m, n):
+            left.append(side(m))
+            regular.append(left[-1] is not None and
+                           left[-1] is left[-1].algebra._modules.get("regular_module"))
+            try:
+                return real(m, n)
+            finally:
+                left.pop()
+        return builder
+    monkeypatch.setattr(modules, "_hom_basis", spy(modules._hom_basis, lambda m: m))
+    monkeypatch.setattr(modules, "_tensor", spy(modules._tensor, lambda m: m._memo.get("right")))
+    monkeypatch.setattr(modules, "sylvester_rows", lambda pairs, real=modules.sylvester_rows:
+                        sylvester.append(left[-1]) or real(pairs))
+    k, d = ground_field(), dual_numbers()
+    built = [from_triangular(k, k, _kbim(1), 6), from_triangular(k, k, _kbim(2), 6),
+             from_triangular(d, k, augmentation_bimodule(k, d), 6)]
+    built.append(tensor_transfer(a2_path_algebra(), built[0], 4))
+    for r in built:
+        for alg in (r.a, r.a1, r.a2):
+            assert modules._summands(regular_module(alg)) is not None
+    assert sum(regular) >= 4 * len(built) and sylvester
+    assert not any(m is not None and m is m.algebra._modules.get("regular_module")
+                   for m in sylvester)
+
+
 def test_degenerate_unit_recollement():
     a = a2_path_algebra()
     r = from_idempotent(a, Idempotent(a, a.unit), 3)
