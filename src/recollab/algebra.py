@@ -218,8 +218,8 @@ class Algebra:
             if w not in memo:
                 if () in memo:
                     g = mats[w[-1]]
-                    memo[w] = Matrix(self.field, [combine_rows(g, enumerate(r))
-                                                  for r in word(w[:-1]).rows], ncols=g.ncols)
+                    memo[w] = Matrix._of(self.field, tuple(combine_rows(g, enumerate(r))
+                                                           for r in word(w[:-1]).rows), g.ncols)
                 else:
                     memo[w] = (word(w[:-1]).mul(mats[w[-1]]) if len(w) > 1 else mats[w[0]] if w
                                else Matrix.identity(self.field, mats[0].nrows))
@@ -923,7 +923,7 @@ def _quotient_by_ideal(a, ideal, suffix=""):
     basic, b = None, a.basic
 
     def push(v):
-        return tuple(combine_rows(proj, enumerate(v)))
+        return combine_rows(proj, enumerate(v))
     if b is not None:
         idem = [(pv, il) for iv, il in zip(b.idempotent_coords, b.idempotent_labels)
                 if any(pv := push(iv))]

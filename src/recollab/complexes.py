@@ -105,7 +105,7 @@ class VectorSpaceComplex:
         if not self.dim(n):
             # a zero term has no cohomology; Tor and Ext ask for every degree
             # up to n_max, most of them past the end of a resolution
-            empty = Matrix(self.field, [], ncols=0)
+            empty = Matrix._of(self.field, (), 0)
             self._h_cache[n] = (empty, empty, 0, empty)
             return self._h_cache[n]
         cycles = kernel_basis(self.diff(n).transpose()).transpose()
@@ -445,8 +445,8 @@ class HomComplexData:
                 c = hom_coords(self.bases[(n, p)], mats)
                 if size == total:
                     return c
-                return Matrix(f, [(0,) * off + r + (0,) * (total - off - size)
-                                  for r in c.rows], ncols=total)
+                return Matrix._of(f, tuple((0,) * off + r + (0,) * (total - off - size)
+                                           for r in c.rows), total)
         return Matrix.zeros(f, len(mats), total)
 
 
@@ -497,7 +497,7 @@ def hom_complex(x, y):
                 dx = x.diff_matrix(p - 1)
                 block = block.add(hc.coords(n + 1, p - 1, [dx.mul(mp.matrix) for mp in maps]))
             rows.extend(block.rows)
-        diffs[n] = Matrix(f, rows, ncols=dims.get(n + 1, 0))
+        diffs[n] = Matrix._of(f, tuple(rows), dims.get(n + 1, 0))
     hc.complex = VectorSpaceComplex(f, dims, diffs)
     return hc
 
@@ -573,8 +573,8 @@ def _solve_through(src, tgt, constraints):
     # one row per basis map: its composites with each post, flattened in order
     sys_rows = Matrix(f, [[x for post, _ in constraints for row in mp.matrix.mul(post).rows
                            for x in row] for mp in maps])
-    target = Matrix(f, [[x for _, rhs in constraints for row in rhs.rows for x in row]],
-                    ncols=sys_rows.ncols)
+    target = Matrix._of(f, (tuple(x for _, rhs in constraints for row in rhs.rows for x in row),),
+                        sys_rows.ncols)
     coeffs = express_in_row_basis(sys_rows, target)
     if coeffs is None:
         raise ValueError("comparison lift system inconsistent")
@@ -691,7 +691,7 @@ def _padded_resolution(res, n_max):
         z = zero_module(a)
         prev = mods[-1]
         mods.append(z)
-        diffs.append(ModuleMap(z, prev, Matrix(f, [], ncols=prev.dim), _validate=False))
+        diffs.append(ModuleMap(z, prev, Matrix._of(f, (), prev.dim), _validate=False))
     return ProjectiveResolution(
         module=res.module, modules=mods, diffs=diffs, augmentation=res.augmentation,
         summand_tags=res.summand_tags + [()] * (n_max - res.depth),
@@ -704,7 +704,7 @@ def _summand_rows(f, ds, dq, first):
     """The rows [I 0] (first summand) or [0 I] of k^ds (+) k^dq: the block
     inclusion or section; their transposes are the retract and projection."""
     n, off = (ds, 0) if first else (dq, ds)
-    return Matrix(f, [unit_vector(ds + dq, off + i) for i in range(n)], ncols=ds + dq)
+    return Matrix._of(f, tuple(unit_vector(ds + dq, off + i) for i in range(n)), ds + dq)
 
 
 # --------------------------------------------------------------------------
@@ -750,4 +750,4 @@ def dualize_perfect(x):
 
 
 def _unvec(row, nr, nc, f):
-    return Matrix(f, [list(row[i * nc:(i + 1) * nc]) for i in range(nr)], ncols=nc)
+    return Matrix._of(f, tuple(row[i * nc:(i + 1) * nc] for i in range(nr)), nc)

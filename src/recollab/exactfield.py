@@ -163,7 +163,8 @@ def check_same_field(*fields):
 
 
 def _canonical_rows(field, rows):
-    """`rows` as a tuple of tuples of canonical scalars of `field`.
+    """`rows` as a tuple of tuples of canonical scalars of `field`: the scan
+    behind `Matrix(...)`, for boundary input and fresh arithmetic only.
 
     Exact ints are canonical over Q as they are and over F_p once in 0..p-1;
     an all-int row is otherwise reduced by one `% p` map, and only a row
@@ -182,7 +183,15 @@ def _canonical_rows(field, rows):
 
 
 class Matrix:
-    """Immutable exact matrix over a fixed field (row-major tuples)."""
+    """Immutable exact matrix over a fixed field (row-major tuples).
+
+    `Matrix(...)` validates: it reduces each entry and rejects ragged rows.
+    It is for the boundary (documents, fixtures, public callers) and for
+    fresh arithmetic not yet reduced (`kron`, `Algebra._mult_matrix`,
+    `linear_combination`, `add`/`sub`/`scale`/`neg`, `sylvester_rows`, the Q
+    fallback of `mul`).  Kernels whose rows are canonical build with `_of`,
+    as `test_matrices_built_without_validation_are_canonical` certifies.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_rref_cache")
 
@@ -190,22 +199,16 @@ class Matrix:
         self.field = field
         self.rows = rows = _canonical_rows(field, rows)
         self.nrows = len(rows)
-        if rows:
-            self.ncols = len(rows[0])
-            for r in rows:
-                if len(r) != self.ncols:
-                    raise DimensionMismatch("ragged rows")
-        else:
-            if ncols is None:
-                ncols = 0
-            self.ncols = ncols
+        self.ncols = len(rows[0]) if rows else ncols or 0
+        if {*map(len, rows)} - {self.ncols}:
+            raise DimensionMismatch("ragged rows")
         self._rref_cache = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def _of(cls, field, rows, ncols):
-        """A matrix on `rows`, a tuple of equal-length tuples of canonical
+        """A matrix on `rows`, a tuple of `ncols`-long tuples of canonical
         scalars of `field`, taken as they are (no coercion, no checks)."""
         m = object.__new__(cls)
         m.field = field
@@ -224,14 +227,8 @@ class Matrix:
         return Matrix._of(field, tuple(unit_vector(n, i) for i in range(n)), n)
 
     @staticmethod
-    def from_cols(field, cols, nrows=None):
-        cols = list(cols)
-        if cols:
-            nrows = len(cols[0])
-        elif nrows is None:
-            nrows = 0
-        return Matrix(field, [[cols[j][i] for j in range(len(cols))] for i in range(nrows)],
-                      ncols=len(cols))
+    def from_cols(field, cols, nrows=0):
+        return Matrix(field, cols, ncols=nrows).transpose()
 
     # -- basic structure ---------------------------------------------------
 
@@ -315,9 +312,9 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         if self.nrows == 0:
-            return Matrix(self.field, [], ncols=other.ncols)
+            return Matrix._of(self.field, (), other.ncols)
         if other.ncols == 0:
-            return Matrix(self.field, [[] for _ in range(self.nrows)], ncols=0)
+            return Matrix._of(self.field, ((),) * self.nrows, 0)
         if self.ncols == 0:
             return Matrix.zeros(self.field, self.nrows, other.ncols)
         fast = _matmul_fast(self, other)
@@ -579,17 +576,15 @@ def quotient_map(m):
     reduces vec modulo the row space and reads off its free coordinates.
     """
     R, pivots = rref(m)
-    f = m.field
-    n = m.ncols
+    n, p = m.ncols, getattr(m.field, "p", None)
     pivset = set(pivots)
     free = [j for j in range(n) if j not in pivset]
     rows = [None] * n
     for t, j in enumerate(free):
         rows[j] = unit_vector(len(free), t)
-    for i, pc in enumerate(pivots):
-        r = R.rows[i]
-        rows[pc] = [-r[j] for j in free]
-    return Matrix(f, rows, ncols=len(free)), free
+    for r, pc in zip(R.rows, pivots):
+        rows[pc] = tuple(-r[j] for j in free) if p is None else tuple(-r[j] % p for j in free)
+    return Matrix._of(m.field, tuple(rows), len(free)), free
 
 
 def solve(m, b):
@@ -601,13 +596,21 @@ def solve(m, b):
     b = [f.coerce(x) for x in b]
     if len(b) != m.nrows:
         raise DimensionMismatch("rhs length != row count")
-    aug = Matrix(f, [list(r) + [b[i]] for i, r in enumerate(m.rows)], ncols=m.ncols + 1)
+    x = _solution(Matrix._of(f, tuple(r + (c,) for r, c in zip(m.rows, b)), m.ncols + 1),
+                  m.ncols)
+    return None if x is None else tuple(r[0] for r in x)
+
+
+def _solution(aug, n):
+    """The rows of the solution X of the augmented system aug = [m | B] in
+    its n unknowns (free unknowns 0), or None if some column is
+    inconsistent: row pc of X is the RREF row pivoting at pc, past column n."""
     R, pivots = rref(aug)
-    if m.ncols in pivots:
+    if pivots and pivots[-1] >= n:
         return None
-    x = [0] * m.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = R.rows[i][m.ncols]
+    x = [(0,) * (aug.ncols - n)] * n
+    for r, pc in zip(R.rows, pivots):
+        x[pc] = r[n:]
     return tuple(x)
 
 
@@ -616,17 +619,8 @@ def solve_matrix(m, B):
     f = check_same_field(m.field, B.field)
     if B.nrows != m.nrows:
         raise DimensionMismatch("solve_matrix shape")
-    aug = m.hstack(B)
-    R, pivots = rref(aug)
-    if any(pc >= m.ncols for pc in pivots):
-        return None
-    cols = []
-    for j in range(B.ncols):
-        x = [0] * m.ncols
-        for i, pc in enumerate(pivots):
-            x[pc] = R.rows[i][m.ncols + j]
-        cols.append(x)
-    return Matrix.from_cols(f, cols, nrows=m.ncols)
+    x = _solution(m.hstack(B), m.ncols)
+    return None if x is None else Matrix._of(f, x, B.ncols)
 
 
 def row_space_basis(m):
@@ -655,10 +649,11 @@ def express_in_row_basis(basis, vectors):
     f = check_same_field(basis.field, vectors.field)
     if basis.ncols != vectors.ncols:
         raise DimensionMismatch("ambient mismatch")
-    sol = solve_matrix(basis.transpose(), vectors.transpose())
-    if sol is None:
+    # C^T solves basis^T @ C^T = vectors^T, so C's rows are X's columns
+    x = _solution(basis.vstack(vectors).transpose(), basis.nrows)
+    if x is None:
         return None
-    return sol.transpose()
+    return Matrix._of(f, tuple(zip(*x)) if x else ((),) * vectors.nrows, basis.nrows)
 
 
 def _restrict(rows, mats):
@@ -702,7 +697,8 @@ def unit_vector(n, i):
 
 
 def combine_rows(m, terms):
-    """sum c * (row j of m) over the (j, c) pairs in `terms`, as a list.
+    """sum c * (row j of m) over the (j, c) pairs in `terms`, as a tuple of
+    canonical scalars (reduced once, by `coerce`): a `Matrix._of` row.
 
     This is a sparse row vector times m: zero coefficients and zero entries
     of m are skipped, so applying a projection costs its non-zero entries,
@@ -715,8 +711,7 @@ def combine_rows(m, terms):
             for t, x in enumerate(rows[j]):
                 if x:
                     acc[t] += c * x
-    coerce = m.field.coerce
-    return [coerce(x) for x in acc]
+    return tuple(map(m.field.coerce, acc))
 
 
 def linear_combination(coeffs, mats, field, nrows, ncols):

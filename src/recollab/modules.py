@@ -575,15 +575,15 @@ def _hom_basis(m, n):
 
 def hom_vec_basis(maps, dm, dn, field):
     """The hom basis flattened to rows (for coordinate computations)."""
-    return Matrix(field, [[x for row in mp.matrix.rows for x in row] for mp in maps],
-                  ncols=dm * dn)
+    return Matrix._of(field, tuple(tuple(chain.from_iterable(mp.matrix.rows)) for mp in maps),
+                      dm * dn)
 
 
 def hom_coords(basis, mats):
     """Coordinates of the matrices `mats` in a hom basis flattened by
     hom_vec_basis, solved as one batch: a len(mats) x basis.nrows Matrix."""
-    vecs = Matrix(basis.field, [[x for row in mat.rows for x in row] for mat in mats],
-                  ncols=basis.ncols)
+    vecs = Matrix._of(basis.field, tuple(tuple(chain.from_iterable(mat.rows)) for mat in mats),
+                      basis.ncols)
     coords = express_in_row_basis(basis, vecs)
     if coords is None:
         raise NotInHomSpace("a map is not in the span of the hom basis")
@@ -659,7 +659,7 @@ def tensor_map(sections, dn, projection, left=None, right=None):
         else:
             terms = ((x * right.ncols + y2, c) for y2, c in enumerate(right.rows[y]))
         rows.append(combine_rows(projection, terms))
-    return Matrix(projection.field, rows, ncols=projection.ncols)
+    return Matrix._of(projection.field, tuple(rows), projection.ncols)
 
 
 def hom_module(u, m):
@@ -867,9 +867,9 @@ def projective_cover(m, picks=None):
         proj, free = top_of(m)
         cands = [(v, t) for v in range(len(idems)) for t in free]
         acts = [m.images(ident.take_rows(free), [ev])[0] for ev in idems]
-        tops = Matrix.from_cols(f, [combine_rows(proj, enumerate(acts[v].row(k)))
-                                    for v in range(len(idems)) for k in range(len(free))],
-                                nrows=len(free))
+        tops = Matrix._of(f, tuple(combine_rows(proj, enumerate(acts[v].row(k)))
+                                   for v in range(len(idems)) for k in range(len(free))),
+                          len(free)).transpose()
         pivots = rref(tops)[1]
         if len(pivots) != len(free):
             raise ValueError("top not covered by idempotent weight spaces")
@@ -885,7 +885,7 @@ def projective_cover(m, picks=None):
         # g x = y_t x for the basis elements x = e_v x of e_v A
         rows += [x.rows[0] for x in m.images(ident.take_rows([t]),
                                                vertex_projective(a, v)[1].rows)]
-    surj = ModuleMap(P, m, Matrix(f, rows, ncols=m.dim), _validate=False)
+    surj = ModuleMap(P, m, Matrix._of(f, tuple(rows), m.dim), _validate=False)
     if rank(surj.matrix) != m.dim:
         raise ValueError("projective cover failed to surject")
     return ProjectiveCover(P, surj, picks)

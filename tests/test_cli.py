@@ -19,7 +19,17 @@ from recollab.cli import (
     validate_algebra_doc,
 )
 from recollab.errors import CertificationFailed
-from test_homology import _dense, _linear_doc
+from recollab.exactfield import Matrix
+from recollab.fixtures import (
+    a2_path_algebra,
+    augmentation_bimodule,
+    dual_numbers,
+    field_bimodule,
+    ground_field,
+)
+from recollab.recollement import from_triangular, opposite_transfer, tensor_transfer
+from test_exactfield import _is_canonical
+from test_homology import _dense, _doc_over, _linear_doc
 
 DOCS = Path(__file__).resolve().parent.parent / "demos" / "docs"
 
@@ -847,3 +857,52 @@ def test_verify_at_max_degree_0(name, capsys):
     assert code == EXIT_OK, capsys.readouterr().err
     out = json.loads(capsys.readouterr().out)
     assert out["certificate_ok"] is True and out["falsified"] is False
+
+
+def _spy_on_trusted_matrices(monkeypatch):
+    """(calls, bad): a count of the `Matrix._of` calls from now on, and the
+    (field, rows, ncols) of each whose rows are not canonical: not a tuple of
+    tuples of the declared width, or holding an entry that is not an int in
+    0..p-1 over F_p, nor an int or a Fraction of denominator > 1 over Q."""
+    calls, bad, real = [0], [], Matrix._of.__func__
+
+    def spy(cls, field, rows, ncols):
+        calls[0] += 1
+        if not (type(rows) is tuple and all(
+                type(r) is tuple and len(r) == ncols and all(_is_canonical(x, field) for x in r)
+                for r in rows)):
+            bad.append((field, rows, ncols))
+        return real(cls, field, rows, ncols)
+
+    monkeypatch.setattr(Matrix, "_of", classmethod(spy))
+    return calls, bad
+
+
+def test_matrices_built_without_validation_are_canonical(tmp_path, capsys, monkeypatch):
+    """The kernels whose rows are already reduced build with `Matrix._of`,
+    which takes the rows as they are: on every shipped document and its F_7
+    copy (define, stratify, verify --suite all, hochschild --oracle) and on
+    the criterion-6 registry (from_triangular, then tensor and opposite
+    transfers), every row they hand it is a tuple of the declared width of
+    canonical scalars."""
+    calls, bad = _spy_on_trusted_matrices(monkeypatch)
+    for name, idem in IDEMPOTENTS.items():
+        for tag in (None, "Fp:7"):
+            doc = _doc(name) if tag is None else _doc_over(_doc(name), tag)
+            path = _write(tmp_path, doc, f"{name}@{tag}.json")
+            for argv in (["define", path],
+                         ["stratify", path, "--idempotent", idem, "--max-degree", "3"],
+                         ["verify", path, "--idempotent", idem, "--suite", "all",
+                          "--max-degree", "3", "--cutoff", "6"],
+                         ["hochschild", path, "--max-degree", "3", "--oracle"]):
+                assert main(argv) in (EXIT_OK, EXIT_PRECONDITION), (argv, capsys.readouterr())
+            capsys.readouterr()
+    k, d = ground_field(), dual_numbers()
+    for a1, a2, m in ((k, k, field_bimodule(k, k, 1)), (k, k, field_bimodule(k, k, 2)),
+                      (d, k, augmentation_bimodule(k, d))):
+        r = from_triangular(a1, a2, m, 6)
+        for b in (k, d, a2_path_algebra()):
+            tensor_transfer(b, r, 4)
+        opposite_transfer(r, 4)
+    assert calls[0] > 10_000
+    assert bad == []

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recollab import exactfield
 from recollab.errors import DimensionMismatch, FieldMismatch
@@ -15,6 +16,7 @@ from recollab.exactfield import (
     _restrict,
     check_same_field,
     combine_rows,
+    express_in_row_basis,
     field_tag_str,
     kernel_basis,
     kron,
@@ -286,7 +288,7 @@ def test_quotient_map_properties(field):
             vec = [field.coerce(Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)))
                    if field == QQ else field.coerce(rng.randrange(5)) for _ in range(n)]
             expected = _sequential_projection(m, vec)
-            assert combine_rows(P, enumerate(vec)) == expected
+            assert combine_rows(P, enumerate(vec)) == tuple(expected)
             assert list(Matrix(field, [vec]).mul(P).row(0)) == expected
 
 
@@ -498,6 +500,72 @@ def test_combinations_and_products_return_canonical_scalars():
     _assert_canonical(QQ, lc, mats[0].mul(mats[1]),
                       mats[0].mul(Matrix(QQ, [[2, 0], [0, 2]])))
     assert type(mats[0].mul(Matrix(QQ, [[2, 0], [0, 2]])).entry(0, 0)) is int
+
+
+# over Q: ints, non-integral fractions, and ints and fractions whose products
+# are integral (Fraction(3, 2) * Fraction(2, 3) is Fraction(1, 1)); over
+# F_p for p = 2, 7 and a 31-bit prime, whose products take `mul`'s Python path
+_KERNEL_FIELDS = (QQ, GF(2), GF(7), GF(2**31 - 1))
+_Q_SCALARS = st.one_of(st.integers(-3, 3), st.sampled_from([2, -4, 6, 2**40]),
+                       st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3),
+                                        Fraction(-1, 3), Fraction(5, 4)]))
+
+
+@st.composite
+def _kernel_inputs(draw):
+    field = draw(st.sampled_from(_KERNEL_FIELDS))
+    scalar = (_Q_SCALARS if field == QQ
+              else st.integers(0, field.p - 1) | st.sampled_from([1, field.p - 1]))
+
+    def mat(nr, nc):
+        rows = draw(st.lists(st.lists(scalar, min_size=nc, max_size=nc),
+                             min_size=nr, max_size=nr))
+        return Matrix(field, rows, ncols=nc)
+
+    nr, nc, k = (draw(st.integers(0, 4)) for _ in range(3))
+    mats = dict(a=mat(nr, nc), b=mat(nc, k), c=mat(nr, nc), d=mat(k % 3, nr % 3),
+                x=mat(k, nr), y=mat(k, nc), B=mat(nr, k))
+    return field, mats, draw(scalar), [draw(scalar) for _ in range(nr)], \
+        [draw(scalar) for _ in range(2)]
+
+
+def _assert_as_built_at_the_boundary(field, out):
+    """`out` (a Matrix, or a tuple of scalars as one row) equals what the
+    validating constructor makes of its rows, row for row and type for type."""
+    if not isinstance(out, Matrix):
+        assert type(out) is tuple
+        out = Matrix._of(field, (out,), len(out))
+    ref = Matrix(field, out.rows, ncols=out.ncols)
+    assert (ref.nrows, ref.ncols) == (out.nrows, out.ncols)
+    assert type(out.rows) is tuple
+    assert all(type(r) is tuple and len(r) == out.ncols for r in out.rows)
+    assert [[(type(x), x) for x in r] for r in out.rows] == \
+        [[(type(x), x) for x in r] for r in ref.rows]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_kernel_inputs())
+def test_kernel_outputs_are_what_the_validating_constructor_makes(case):
+    """Every kernel hands back rows already reduced into the field, so the
+    kernels that build their results with `Matrix._of` store no scalar the
+    boundary constructor `Matrix(...)` would have changed: shapes with 0 rows
+    and 0 columns, consistent and inconsistent systems."""
+    field, m, s, vec, coeffs = case
+    a, b, c, x, y, B = m["a"], m["b"], m["c"], m["x"], m["y"], m["B"]
+    outs = [a.mul(b), x.mul(a), a.add(c), a.sub(c), a.neg(), a.scale(s), a.transpose(),
+            kron(a, m["d"]), kron(m["d"], b),
+            linear_combination(coeffs, [a, c], field, a.nrows, a.ncols),
+            combine_rows(a, enumerate(vec)), rref(a)[0], quotient_map(a)[0],
+            kernel_basis(a), row_space_basis(a), solve_matrix(a, a.mul(b)),
+            solve_matrix(a, B), express_in_row_basis(a, x.mul(a)),
+            express_in_row_basis(a, y)]
+    if b.ncols:
+        outs += [solve(a, a.mul(b).col(0)), solve(a, B.col(0))]
+    for out in outs:
+        if out is not None:
+            _assert_as_built_at_the_boundary(field, out)
+    assert a.mul(solve_matrix(a, a.mul(b))) == a.mul(b)
+    assert express_in_row_basis(a, x.mul(a)).mul(a) == x.mul(a)
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
