@@ -62,7 +62,7 @@ from .errors import (
     RecollabError,
     UnsupportedField,
 )
-from .exactfield import Matrix, QQ, field_tag_str, parse_field
+from .exactfield import Matrix, QQ, field_tag_str, linear_combination, parse_field
 from .homology import bar_oracle, hochschild_cohomology, hochschild_homology
 from .modules import Bimodule
 from .recollement import check_stratifying, from_idempotent
@@ -225,6 +225,10 @@ def algebra_from_doc(doc):
 
 
 def _bimodule_from_doc(spec, a2, a1):
+    """A document's bimodule, given by one matrix per basis element of each
+    algebra: reduced to the generators' matrices and checked, then refused
+    unless each matrix given is the one its words derive (a unital,
+    multiplicative action is)."""
     if spec is None:
         raise ParseError("triangular construction needs a bimodule spec")
     f = a2.field
@@ -236,9 +240,15 @@ def _bimodule_from_doc(spec, a2, a1):
 
     with _building("bimodule"):
         dim = spec["dim"]
-        return Bimodule(a2, a1, dim,
-                        mats(spec["left_action"], a2.dim),
-                        mats(spec["right_action"], a1.dim))
+        sides = ((a2, mats(spec["left_action"], a2.dim)), (a1, mats(spec["right_action"], a1.dim)))
+        bim = Bimodule(a2, a1, dim, *([linear_combination(g, stack, f, dim, dim)
+                                       for g in a.generators()] for a, stack in sides))
+        for left, (a, stack) in zip((True, False), sides):
+            for label, x, y in zip(a.basis_labels, stack, bim._stack(left)):
+                if x != y:
+                    raise ValueError(f"basis element {label} of the {'left' if left else 'right'}"
+                                     f" algebra acts unlike the product along its words")
+        return bim
 
 
 def parse_idempotent(alg, spec):

@@ -217,7 +217,6 @@ class ProjectiveResolution:
     modules: list                      # P_0..P_N
     diffs: list                        # d_n: P_n -> P_{n-1} (ModuleMap), index n-1
     augmentation: ModuleMap            # P_0 -> M
-    summand_tags: list                 # vertex indices per level (minimal levels)
     stabilized: bool
     minimal: bool = True
     periodicity: tuple = None          # (i, j): syzygy_i ~ syzygy_j, i < j
@@ -331,7 +330,6 @@ def _resolve(m, n_max, stored=None):
     cur = m
     modules = []
     diffs = []
-    tags = []
     picks = []
     aug = None
     syzygies = []
@@ -343,7 +341,6 @@ def _resolve(m, n_max, stored=None):
             raise ValueError("the entry has too few levels")
         cover = projective_cover(cur, None if stored is None else stored[level])
         modules.append(cover.module)
-        tags.append(tuple(v for v, _ in cover.picks))
         picks.append(cover.picks)
         if level == 0:
             aug = cover.surjection
@@ -374,7 +371,7 @@ def _resolve(m, n_max, stored=None):
         raise ValueError("the entry has too many levels")
     res = ProjectiveResolution(
         module=m, modules=modules, diffs=diffs, augmentation=aug,
-        summand_tags=tags, stabilized=stabilized, minimal=True,
+        stabilized=stabilized, minimal=True,
         periodicity=periodicity, syzygy_dims=syzygy_dims, picks=picks,
     )
     _assert_resolution_exact(res)
@@ -639,13 +636,13 @@ def horseshoe(ses, n_max):
     prev_map = None
     # P_n = P'_n (+) P''_n, tagged when all three share one basic structure
     a = ses.mid.algebra
-    mid_tags = [ts + tq for ts, tq in zip(res_sub.summand_tags, res_quot.summand_tags)]
     tagged = all(r.module.algebra.structure_hash() == a.structure_hash()
                  for r in (res_sub, res_quot))
     for n in range(n_max + 1):
         Ps = res_sub.modules[n]
         Pq = res_quot.modules[n]
-        P = projective_module(a, mid_tags[n]) if tagged else direct_sum([Ps, Pq])
+        P = (projective_module(a, (Ps.summand_tags or ()) + (Pq.summand_tags or ()))
+             if tagged else direct_sum([Ps, Pq]))
         mid_mods.append(P)
         inc = _summand_rows(f, Ps.dim, Pq.dim, first=True)
         sec = _summand_rows(f, Ps.dim, Pq.dim, first=False)
@@ -671,7 +668,6 @@ def horseshoe(ses, n_max):
         prev_map = mat
     res_mid = ProjectiveResolution(
         module=ses.mid, modules=mid_mods, diffs=mid_diffs, augmentation=aug_mid,
-        summand_tags=mid_tags,
         stabilized=res_sub.stabilized and res_quot.stabilized,
         minimal=False,
     )
@@ -694,7 +690,6 @@ def _padded_resolution(res, n_max):
         diffs.append(ModuleMap(z, prev, Matrix._of(f, (), prev.dim), _validate=False))
     return ProjectiveResolution(
         module=res.module, modules=mods, diffs=diffs, augmentation=res.augmentation,
-        summand_tags=res.summand_tags + [()] * (n_max - res.depth),
         stabilized=res.stabilized, minimal=res.minimal,
         periodicity=res.periodicity, syzygy_dims=res.syzygy_dims,
     )

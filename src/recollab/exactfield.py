@@ -226,10 +226,6 @@ class Matrix:
     def identity(field, n):
         return Matrix._of(field, tuple(unit_vector(n, i) for i in range(n)), n)
 
-    @staticmethod
-    def from_cols(field, cols, nrows=0):
-        return Matrix(field, cols, ncols=nrows).transpose()
-
     # -- basic structure ---------------------------------------------------
 
     def __eq__(self, other):

@@ -69,7 +69,7 @@ def augmentation_bimodule(a2, a1):
     algebra likewise (arrows act by zero).
     """
     s2, s1 = simple_modules(a2)[0], simple_modules(a1)[0]
-    return Bimodule(a2, a1, 1, s2._stack(), s1._stack())
+    return Bimodule(a2, a1, 1, s2.gens, s1.gens)
 
 
 def triangular_a2(field=QQ):

@@ -48,7 +48,6 @@ from .modules import (
     RightModule,
     _certified,
     _once,
-    _over_tensor,
     as_bimodule,
     regular_bimodule,
     simple_modules,
@@ -118,11 +117,11 @@ def regular_as_left_env_module(a):
     once per algebra instance and certified by the regular bimodule: b^op (x) 1
     acts by its right multiplication by b and 1 (x) c by its left one by c,
     so A^e's generators act by that bimodule's generator matrices, the right
-    ones first (`_over_tensor`)."""
+    ones first."""
     def build():
         env, reg = enveloping(a), regular_bimodule(a)
         return _certified(Bimodule._of(env, trivial_algebra(a.field), a.dim,
-                                       _over_tensor(env, reg, False, True),
+                                       reg.right_gens + reg.left_gens,
                                        (Matrix.identity(a.field, a.dim),)), reg)
     return _once(a._modules, "left_env", build)
 

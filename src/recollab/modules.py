@@ -7,16 +7,17 @@ A B-A-bimodule therefore is the same thing as a right module over
 B^op (x) A via (b^op (x) a) |-> lam(b) @ rho(a), which is how bimodules are
 fed to the resolution machinery.
 
-An action is stored as one matrix per element of its algebra's
+An action is given and stored as one matrix per element of its algebra's
 `generators()`, as QPA stores a quiver representation: a module's `gens`, a
-bimodule's `left_gens` and `right_gens`.  Restriction, descent, sums, tops,
-Hom and (x), and everything over A^e read these only.  A basis element's
-action is derived from its words (`Algebra.words`) where a reader needs it,
-and kept on the object: a cover's idempotents, `free_cover`, i_*, a
-triangular algebra's table, a law check.  Yoneda's blocks (out of a
-`projective_module` or A_A) and a cover's surjection take vectors along the
-words instead (`images`).  A per-basis stack given to a public constructor
-is checked in full, then reduced.
+bimodule's `left_gens` and `right_gens`; the public constructors take these
+and check their laws (`_checked`), and `_of` takes them unchecked.
+Restriction, descent, sums, tops, Hom and (x), and everything over A^e read
+these only.  A basis element's action is derived from its words
+(`Algebra.words`) only where a reader needs it, and kept on the object: a
+law check, a triangular algebra's table, `action_of` for a non-generator
+(a cover's idempotents, a discovered radical, i_*).  Yoneda's blocks (out of a
+`projective_module` or A_A), a cover's surjection and `free_cover` take
+vectors along the words instead (`images`).
 
 The action laws are asserted when a module, map or bimodule is built (or
 first restricted, for a bimodule built unchecked): once per object for a
@@ -167,23 +168,12 @@ def _check_action(a, R, G, r, d):
                              f"{a.generators()[g0 + g]}, basis {j}")
 
 
-def _given(a, stack, d):
-    """(stack, its generators' matrices) for a per-basis action stack from
-    outside, once its count and shapes are right."""
-    stack = tuple(stack)
-    if len(stack) != a.dim or any(m.nrows != d or m.ncols != d for m in stack):
-        raise DimensionMismatch("need one dim x dim action matrix per algebra basis element")
-    return stack, tuple(linear_combination(g, stack, a.field, d, d) for g in a.generators())
-
-
-def _check_given(x, stacks):
-    """Check x, built from per-basis stacks from outside ((left, stack)
-    pairs), on those stacks, taken as its derived actions while `_validate`
-    runs, and record its representative as checked."""
-    x._memo.update({("acts", left): dict(enumerate(stack)) for left, stack in stacks})
-    x._validate()
-    x._memo.clear()
-    _rep(x)._memo["checked"] = None
+def _shaped(a, gens, d):
+    """gens, once they are one d x d matrix per element of `a.generators()`."""
+    gens = tuple(gens)
+    if len(gens) != len(a.generators()) or any(m.nrows != d or m.ncols != d for m in gens):
+        raise DimensionMismatch("need one dim x dim action matrix per algebra generator")
+    return gens
 
 
 class _Acted:
@@ -231,7 +221,8 @@ class _Acted:
         return alg.word_products(gens, xs, {(): rows})
 
     def _stack(self, left=False):
-        """Every basis element's action: only a law check reads them all."""
+        """Every basis element's action: only a law check and a document's
+        bimodule (`cli`) read them all."""
         return [self.basis_action(i, left) for i in range(self._sides[left][0].dim)]
 
     def __eq__(self, other):
@@ -242,20 +233,18 @@ class _Acted:
 
 
 class RightModule(_Acted):
-    """Right module over a fixed algebra, stored as `gens`: the matrix of each
-    element of `algebra.generators()`."""
+    """Right module over a fixed algebra, given and stored as `gens`: the
+    matrix of each element of `algebra.generators()`."""
 
     # the vertex of each summand e_v A, set only by `projective_module`; A_A
     # is laid out by vertices too, by `_summands`, without tags
     summand_tags = None
 
-    def __init__(self, algebra, dim, action, _validate=True):
-        """`action` holds one matrix per basis element: checked in full (its
-        shapes, and with _validate its laws), then reduced to the generators'."""
-        action, gens = _given(algebra, action, dim)
-        self._setup(algebra, dim, gens)
-        if _validate:
-            _check_given(self, [(False, action)])
+    def __init__(self, algebra, dim, gens):
+        """`gens` holds one matrix per element of `algebra.generators()`:
+        checked for count and shape, then for the laws (`_checked`)."""
+        self._setup(algebra, dim, _shaped(algebra, gens, dim))
+        _checked(self)
 
     def _setup(self, algebra, dim, gens):
         gens = tuple(gens)
@@ -334,20 +323,17 @@ class ModuleMap:
 
 class Bimodule(_Acted):
     """B-A-bimodule: commuting left B-action (anti-hom) and right A-action
-    (hom), stored as `left_gens` and `right_gens`, the matrices of B's and A's
-    `generators()`."""
+    (hom), given and stored as `left_gens` and `right_gens`, the matrices of
+    B's and A's `generators()`."""
 
-    def __init__(self, left_algebra, right_algebra, dim, left_action, right_action,
-                 _validate=True):
-        """The actions hold one matrix per basis element of each algebra:
-        checked in full (counts and shapes, and with _validate the laws), then
-        reduced to the generators'."""
+    def __init__(self, left_algebra, right_algebra, dim, left_gens, right_gens):
+        """The actions hold one matrix per element of each algebra's
+        `generators()`: checked for counts and shapes, then for the laws
+        (`_checked`)."""
         check_same_field(left_algebra.field, right_algebra.field)
-        (left_action, lg), (right_action, rg) = (_given(left_algebra, left_action, dim),
-                                                 _given(right_algebra, right_action, dim))
-        self._setup(left_algebra, right_algebra, dim, lg, rg)
-        if _validate:
-            _check_given(self, [(True, left_action), (False, right_action)])
+        self._setup(left_algebra, right_algebra, dim, _shaped(left_algebra, left_gens, dim),
+                    _shaped(right_algebra, right_gens, dim))
+        _checked(self)
 
     def _setup(self, left_algebra, right_algebra, dim, left_gens, right_gens):
         left_gens, right_gens = tuple(left_gens), tuple(right_gens)
@@ -404,21 +390,20 @@ class Bimodule(_Acted):
         return _once(self._memo, key, build)
 
     def as_right_module_over(self, env):
-        """Right module over B^op (x) A (basis b_i^op (x) a_j, lexicographic),
-        built once per instance of env (`_over_tensor`).  Over
-        `tensor(opposite(B), A)` of these very instances (`enveloping(A)` for
-        an A-A-bimodule) its laws on the Kronecker table are the bimodule's,
-        which certify it; over any other env it certifies itself, a direct
-        check."""
-        if env.dim != self.left_algebra.dim * self.right_algebra.dim:
-            raise AlgebraMismatch("enveloping algebra dimension mismatch")
-
-        def build():
-            bop, a = env._factors or (None, None)
-            own = a is self.right_algebra and bop is opposite(self.left_algebra)
-            mod = RightModule._of(env, self.dim, _over_tensor(env, self, True, own))
-            return env, _certified(mod, self if own else mod)
-        return _once(self._memo, ("env", id(env)), build)[1]
+        """Right module over env = `tensor(opposite(B), A)` of these very
+        instances (`enveloping(A)` for an A-A-bimodule), built once per
+        instance of env: its generators g (x) 1 and 1 (x) g act by the
+        sides' generators, and its laws on the Kronecker table are the
+        bimodule's, which certify it.  Any other env is refused, and so is
+        one without a basic structure, whose generators are its basis."""
+        bop, a = env._factors or (None, None)
+        if a is not self.right_algebra or bop is not opposite(self.left_algebra):
+            raise AlgebraMismatch("a bimodule acts over tensor(opposite(B), A) of its own algebras")
+        if env.basic is None:
+            raise UnsupportedField("a module over A^e needs the basic structure "
+                                   "(quiver presentation or discovery over Q)")
+        return _once(self._memo, ("env", id(env)), lambda: (env, _certified(RightModule._of(
+            env, self.dim, self.left_gens + self.right_gens), self)))[1]
 
     def swap_sides(self):
         """The same space as an A^op-B^op-bimodule (for opposite transfers)."""
@@ -427,21 +412,6 @@ class Bimodule(_Acted):
 
     def __repr__(self):
         return (f"Bimodule({self.left_algebra.dim}|{self.dim}|{self.right_algebra.dim})")
-
-
-def _over_tensor(env, x, first, own):
-    """The generator matrices over env = B (x) C of b (x) c |-> s(b) t(c) on
-    the bimodule x, s its `first` side and t the other (its two commuting
-    actions).  With `own` factors and `tensor`'s basic structure, the
-    generators are g (x) 1 and 1 (x) g, which act as the sides' generators;
-    otherwise generator y acts by the sum of y_(i n_C + j) s(b_i) t(c_j)."""
-    if own and env.basic is not None:
-        return x._sides[first][1] + x._sides[not first][1]
-    n = x._sides[not first][0].dim
-    return tuple(linear_combination(
-        [c for c in y if c], [x.basis_action(i // n, first).mul(x.basis_action(i % n, not first))
-                              for i, c in enumerate(y) if c], env.field, x.dim, x.dim)
-        for y in env.generators())
 
 
 _TRIVIAL_CACHE = {}
@@ -761,16 +731,11 @@ def free_cover(m):
         z = zero_module(a)
         return FreeCover(z, ModuleMap(z, m, Matrix(m.field, [], ncols=m.dim),
                                       _validate=False), 0)
-    reg = regular_module(a)
-    blocks = [reg] * r
-    F = direct_sum(blocks)
-    rows = []
-    for t in range(r):
-        g = free_idx[t]
-        for i in range(a.dim):
-            # basis element b_i of copy t maps to (lift of top basis vector t) * b_i
-            rows.append(m.basis_action(i).rows[g])
-    mat = Matrix(m.field, rows, ncols=m.dim)
+    F = direct_sum([regular_module(a)] * r)
+    # basis element b_i of copy t maps to (lift of top basis vector t) * b_i
+    lifts = m.images(Matrix.identity(m.field, m.dim).take_rows(free_idx),
+                     [unit_vector(a.dim, i) for i in range(a.dim)])
+    mat = Matrix._of(m.field, tuple(x.rows[t] for t in range(r) for x in lifts), m.dim)
     if rank(mat) != m.dim:
         raise ValueError("free cover failed to surject")
     surj = ModuleMap(F, m, mat, _validate=False)

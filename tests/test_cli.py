@@ -27,6 +27,7 @@ from recollab.fixtures import (
     field_bimodule,
     ground_field,
 )
+from recollab.modules import RightModule, vertex_projective
 from recollab.recollement import from_triangular, opposite_transfer, tensor_transfer
 from test_exactfield import _is_canonical
 from test_homology import _dense, _doc_over, _linear_doc
@@ -787,6 +788,45 @@ def test_not_split_basic_is_a_failed_precondition(tmp_path, capsys):
         assert main(argv) == EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert err.startswith("precondition failed: ") and err.count("\n") == 1, err
+
+
+def test_a_document_bimodule_is_refused_unless_its_words_derive_it(tmp_path, capsys):
+    """A triangular document [[A_3, 0], [M, k]] over linear A_3 gives M's
+    right action by one matrix per basis element, the path a2*a1 among them,
+    which is no generator.  M = e_1 A_3 is accepted; a path matrix unlike the
+    product of its arrows', or generator matrices that break a law (each
+    basis matrix the product along its words), exit 1 with one line."""
+    a3 = algebra_from_doc(_linear_doc(3))
+    path = a3.basis_labels.index("a2*a1")
+    assert len(a3.generators()) == path == 5 and a3.words()[path] == ((1, (4, 3)),)
+    m = max((vertex_projective(a3, v)[0] for v in range(3)), key=lambda x: x.dim)
+
+    def define(stack):
+        rows = [[[str(x) for x in r] for r in mat.rows] for mat in stack]
+        ident = [[str(x) for x in r] for r in Matrix.identity(a3.field, m.dim).rows]
+        doc = {"kind": "construction", "op": "triangular", "args": [_linear_doc(3), _ONE_VERTEX],
+               "bimodule": {"dim": m.dim, "left_action": [ident], "right_action": rows}}
+        code = main(["define", _write(tmp_path, doc)])
+        return code, capsys.readouterr().err
+    assert m.dim == 3 and define(m._stack()) == (EXIT_OK, "")
+    bent = m._stack()
+    bent[path] = bent[path].scale(2)
+    broken = list(m.gens)
+    broken[3] = Matrix.identity(a3.field, m.dim)       # a1 acting by the identity
+    for stack in (bent, RightModule._of(a3, m.dim, broken)._stack()):
+        code, err = define(stack)
+        assert code == EXIT_USAGE and err.startswith("parse error: bimodule: ")
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def test_hochschild_without_a_basic_structure_over_fp_is_a_failed_precondition(
+        tmp_path, capsys):
+    # over F_p no basic structure is discovered: A^e has no generators to act by
+    path = _write(tmp_path, dict(_structure_constants_doc("a2"), field="Fp:5"))
+    assert algebra_from_doc(json.loads(Path(path).read_text())).basic is None
+    assert main(["hochschild", path]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failed: ") and err.count("\n") == 1, err
 
 
 def test_hochschild_cyc2_3_resolution_and_oracle_agree(tmp_path, capsys):

@@ -112,11 +112,11 @@ def test_solve_inconsistent():
 
 
 def test_subspace_equal_cases():
-    u = Matrix.from_cols(QQ, [[1, 0]])
-    v = Matrix.from_cols(QQ, [[0, 1]])
+    u = Matrix(QQ, [[1, 0]], ncols=2).transpose()
+    v = Matrix(QQ, [[0, 1]], ncols=2).transpose()
     assert subspace_equal(u, u)
     assert not subspace_equal(u, v)
-    w = Matrix.from_cols(QQ, [[1, 1], [1, -1]])
+    w = Matrix(QQ, [[1, 1], [1, -1]], ncols=2).transpose()
     assert subspace_equal(w, Matrix.identity(QQ, 2))
 
 
@@ -420,14 +420,14 @@ def test_kernels_match_sympy(field, kind):
                                            for r, j in zip(dm.nullspace().to_list(), free))
         # solve: a consistent rhs (m x0) and a random one
         x0 = [field.coerce(rng.randrange(-3, 4)) for _ in range(nc)]
-        for b in (m.mul(Matrix.from_cols(field, [x0])).col(0),
+        for b in (m.mul(Matrix(field, [x0], ncols=nc).transpose()).col(0),
                   [field.coerce(rng.randrange(-3, 4)) for _ in range(nr)]):
             x = solve(m, b)
             aug = to_dm([list(r) + [bi] for r, bi in zip(m.rows, b)], nc + 1)
             if aug.rank() > dm.rank():
                 assert x is None
                 continue
-            assert m.mul(Matrix.from_cols(field, [x])).col(0) == tuple(b)
+            assert m.mul(Matrix(field, [x], ncols=nc).transpose()).col(0) == tuple(b)
             assert all(x[j] == 0 for j in free)
             _assert_canonical(field, x)
         B = Matrix(field, [[rng.randrange(-3, 4) for _ in range(2)] for _ in range(nc)])

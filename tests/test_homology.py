@@ -67,7 +67,7 @@ F5 = GF(5)
 def left_module_from_simple(alg, s):
     """A one-dimensional right module as a left module (commutative actions)."""
     ident = Matrix.identity(alg.field, s.dim)
-    return Bimodule(alg, trivial_algebra(alg.field), s.dim, s._stack(), (ident,))
+    return Bimodule(alg, trivial_algebra(alg.field), s.dim, s.gens, (ident,))
 
 
 # -- tor -----------------------------------------------------------------------

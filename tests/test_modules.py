@@ -23,7 +23,7 @@ from recollab.algebra import (
 )
 from recollab.cli import algebra_from_doc
 from recollab.complexes import projective_resolution
-from recollab.errors import AlgebraMismatch, Inconclusive, NotInHomSpace
+from recollab.errors import AlgebraMismatch, Inconclusive, NotInHomSpace, UnsupportedField
 from recollab.exactfield import (
     QQ,
     GF,
@@ -284,7 +284,8 @@ def test_ae_projective_over_corner_in_stratifying_case():
     cb = canonical_bimodules(a, e)
     ae_right = cb.ae.restrict_right()
     from recollab.algebra import discover_basic
-    ae_right = RightModule(discover_basic(cb.corner_algebra), ae_right.dim, ae_right._stack())
+    corner = discover_basic(cb.corner_algebra)
+    ae_right = RightModule(corner, ae_right.dim, [ae_right.action_of(g) for g in corner.generators()])
     assert is_projective(ae_right)
 
 
@@ -325,7 +326,7 @@ def test_iso_test_separates_tops_without_the_grid():
         assert not iso_test(m, n, cap=0)
     # an isomorphic module in another basis needs the grid
     g, g_inv = (Matrix(QQ, [[1, t, 0], [0, 1, 0], [0, 0, 1]]) for t in (1, -1))
-    moved = RightModule(a, 3, [g.mul(x).mul(g_inv) for x in proj._stack()])
+    moved = RightModule(a, 3, [g.mul(x).mul(g_inv) for x in proj.gens])
     assert moved != proj
     with pytest.raises(Inconclusive):
         iso_test(proj, moved, cap=0)
@@ -399,16 +400,34 @@ def test_hom_coords_solves_a_batch_and_names_a_map_outside_the_span(field):
 # -- construction checks against the Python-loop transcription -----------------
 
 
-def _ref_module(alg, d, action):
-    """The message of the Python-loop RightModule check, or None: the
-    reference the integer check must reproduce."""
+def _ref_stack(alg, d, gens):
+    """Each basis element's action from the generator matrices `gens`: the
+    sum over its words (`Algebra.words`) of their products in word order."""
+    f, stack = alg.field, []
+    for words in alg.words():
+        acc = Matrix.zeros(f, d, d)
+        for c, w in words:
+            prod = Matrix.identity(f, d)
+            for t in w:
+                prod = prod.mul(gens[t])
+            acc = acc.add(prod.scale(c))
+        stack.append(acc)
+    return stack
+
+
+def _ref_module(alg, d, gens):
+    """The message of the Python-loop RightModule check on the generator
+    matrices `gens`, or None: the reference the integer check must
+    reproduce."""
     f = alg.field
     if d == 0:
         return None
+    action = _ref_stack(alg, d, gens)
     if linear_combination(alg.unit, action, f, d, d) != Matrix.identity(f, d):
         return "rho(1) != id"
-    for g in alg.generators():
-        rho_g = linear_combination(g, action, f, d, d)
+    if any(linear_combination(g, action, f, d, d) != x for g, x in zip(alg.generators(), gens)):
+        return "the generators act unlike their words"
+    for g, rho_g in zip(alg.generators(), gens):
         for j, gb in enumerate(alg.left_mult_matrix(g).rows):
             if rho_g.mul(action[j]) != linear_combination(gb, action, f, d, d):
                 return f"action incompatibility at generator {g}, basis {j}"
@@ -431,11 +450,8 @@ def _ref_bimodule(left, right, d, lam, rho):
     msg = _ref_module(right, d, rho) or _ref_module(opposite(left), d, lam)
     if msg:
         return msg
-    f = left.field
-    rights = [(h, linear_combination(h, rho, f, d, d)) for h in right.generators()]
-    for g in left.generators():
-        lm = linear_combination(g, lam, f, d, d)
-        for h, rm in rights:
+    for g, lm in zip(left.generators(), lam):
+        for h, rm in zip(right.generators(), rho):
             if lm.mul(rm) != rm.mul(lm):
                 return f"left and right actions do not commute at generators {g}, {h}"
     return None
@@ -504,13 +520,13 @@ def test_module_and_map_checks_match_reference(field, kind, dtypes):
     rng = random.Random(11)
     cases = 0
     for alg in _check_algebras(field, rng):
-        reg = modules.RightModule(alg, alg.dim, _basis_mats(alg)[1])
+        reg = modules.RightModule(alg, alg.dim, [alg.right_mult_matrix(g) for g in alg.generators()])
         mods = [reg, modules.direct_sum([reg, reg])]
         if alg.basic is not None:
             mods += modules.simple_modules(alg)
         for m in mods:
             p, pinv = _conjugator(field, m.dim, rng, kind)
-            acts = [p.mul(a).mul(pinv) for a in m._stack()]
+            acts = [p.mul(a).mul(pinv) for a in m.gens]
             assert _ref_module(alg, m.dim, acts) is None
             conj = modules.RightModule(alg, m.dim, acts)
             for _ in range(6):
@@ -535,7 +551,7 @@ def test_module_and_map_checks_match_reference(field, kind, dtypes):
                 assert _message(lambda: modules.ModuleMap(src, tgt, mat0)) is None
     # the zero action is multiplicative; only the unit law rejects it
     a = kronecker_algebra(field)
-    zero = [Matrix.zeros(field, 2, 2)] * a.dim
+    zero = [Matrix.zeros(field, 2, 2)] * len(a.generators())
     assert _message(lambda: modules.RightModule(a, 2, zero)) == "rho(1) != id"
     assert cases > 40
     want = {np.dtype(object)} if kind == "big" or field == P31 else {np.dtype(np.int64)}
@@ -555,10 +571,10 @@ def test_bimodule_check_matches_reference(field, kind):
             left, right, d = b.left_algebra, b.right_algebra, b.dim
             p, pinv = _conjugator(field, d, rng, kind)
             q, qinv = _conjugator(field, d, rng, kind)
-            lam = [p.mul(x).mul(pinv) for x in b._stack(left=True)]
-            rho = [p.mul(x).mul(pinv) for x in b._stack()]
+            lam = [p.mul(x).mul(pinv) for x in b.left_gens]
+            rho = [p.mul(x).mul(pinv) for x in b.right_gens]
             # each action alone is a module; conjugated apart they rarely commute
-            rho_q = [q.mul(x).mul(qinv) for x in b._stack()]
+            rho_q = [q.mul(x).mul(qinv) for x in b.right_gens]
             trials = [(lam, rho), (lam, rho_q)]
             trials += [(_perturbed(lam, field, rng), rho) for _ in range(3)]
             trials += [(lam, _perturbed(rho, field, rng)) for _ in range(3)]
@@ -593,10 +609,9 @@ def test_bimodule_restrictions_are_built_once_and_checked_on_first_use():
     assert enveloping(a) is enveloping(a)
     assert b.restrict_right() is b.restrict_right()
     assert b.left_as_op_module() is b.left_as_op_module()
-    broken = b._stack()
+    broken = list(b.right_gens)
     broken[0] = Matrix.zeros(QQ, a.dim, a.dim)
-    unchecked = modules.Bimodule(a, a, a.dim, b._stack(left=True), broken,
-                                 _validate=False)
+    unchecked = modules.Bimodule._of(a, a, a.dim, b.left_gens, broken)
     with pytest.raises(ValueError, match="rho"):
         unchecked.restrict_right()
 
@@ -655,7 +670,7 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch, re
     assert modules._summands(reg) == split
 
     def compare(p, targets, left, tagged):
-        plain = RightModule(p.algebra, p.dim, p._stack(), _validate=False)
+        plain = RightModule._of(p.algebra, p.dim, p.gens)
         assert plain == p and plain.summand_tags is None
         for n in targets:
             before = len(yoneda)
@@ -717,7 +732,7 @@ def _cut_vertex_projective(a, v):
     product, and built it for every algebra before; and its per-basis
     actions the way they were built then, every basis element's right
     multiplication restricted (`_restrict`)."""
-    regular = RightModule(a, a.dim, _basis_mats(a)[1], _validate=False)
+    regular = RightModule._of(a, a.dim, [a.right_mult_matrix(g) for g in a.generators()])
     rows = a.left_mult_matrix(a.basic.idempotent_coords[v])
     mod, incl = modules.submodule_from_rows(regular, rows)
     mod._validate()
@@ -904,31 +919,51 @@ def test_env_modules_are_certified_by_the_bimodules_they_read(make, monkeypatch)
 @pytest.mark.parametrize("field", [QQ, F5])
 def test_env_module_certificates_are_complete(field, monkeypatch):
     """A bimodule whose actions do not commute, or whose right action is not
-    a module, fails as a module over A^e on every call.  Over a tensor(A^op,
-    A) of a second, equal instance of A the module is checked directly, once;
-    a second tensor(opposite(a), a) of the same instances certifies it."""
+    a module, fails as a module over A^e on every call.  A second
+    tensor(opposite(a), a) of the same instances gets its own module, on the
+    same generator matrices and certified by the bimodule, with no check."""
     a = dual_numbers(field)        # basis 1, x with x^2 = 0
     ident, zero = Matrix.identity(field, 2), Matrix.zeros(field, 2, 2)
     n = Matrix(field, [[0, 1], [0, 0]])
     for left, right, message in (((ident, n.transpose()), (ident, n), "do not commute"),
                                  ((ident, zero), (ident, ident), "incompatibility")):
-        bad = Bimodule(a, a, 2, left, right, _validate=False)
+        bad = Bimodule._of(a, a, 2, left, right)
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
                 bad.as_right_module_over(enveloping(a))
-    reg, twin = regular_bimodule(a), dual_numbers(field)
-    other = tensor(opposite(twin), twin)
+    reg = regular_bimodule(a)
+    env_module = reg.as_right_module_over(enveloping(a))
     checked = []
     real = RightModule._validate
     monkeypatch.setattr(RightModule, "_validate", lambda self: checked.append(self) or real(self))
-    mod = reg.as_right_module_over(other)
-    assert reg.as_right_module_over(other) is mod
-    assert len(checked) == 1 and checked[0] is mod and mod.algebra is other
     same = tensor(opposite(a), a)
     assert same is not enveloping(a)
     assert same._factors[0] is opposite(a) and same._factors[1] is a
-    reg.as_right_module_over(same)
-    assert len(checked) == 1
+    mod = reg.as_right_module_over(same)
+    assert reg.as_right_module_over(same) is mod and mod is not env_module
+    assert mod.algebra is same and mod.gens == env_module.gens == reg.left_gens + reg.right_gens
+    assert not checked and "checked" in modules._rep(mod)._memo
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_as_right_module_over_refuses_other_envs(field):
+    """Only tensor(opposite(B), A) of the bimodule's own instances with a
+    basic structure is an env it acts over: a tensor product of a second,
+    equal instance, or of the factors in another order, raises
+    AlgebraMismatch, and an algebra without a basic structure, whose
+    generators are its basis, raises UnsupportedField."""
+    a, twin = dual_numbers(field), dual_numbers(field)
+    reg = regular_bimodule(a)
+    for env in (tensor(opposite(twin), twin), tensor(opposite(a), twin),
+                tensor(opposite(twin), a), tensor(a, opposite(a)), tensor(a, a)):
+        for _ in range(2):
+            with pytest.raises(AlgebraMismatch):
+                reg.as_right_module_over(env)
+    b = _base_change(kronecker_algebra(field), random.Random(5))
+    assert b.basic is None
+    for _ in range(2):
+        with pytest.raises(UnsupportedField):
+            regular_bimodule(b).as_right_module_over(enveloping(b))
 
 
 def _broken_algebra(field, law):
@@ -1054,8 +1089,8 @@ def test_iso_test_computes_each_top_once(monkeypatch):
     assert sorted(map(id, calls)) == sorted({id(p), id(s)})
     # a content-equal copy needs no top; a copy over a second instance of
     # the algebra has its own top, computed once
-    assert iso_test(q, RightModule(a, q.dim, q._stack())) and len(calls) == 2
-    copy = RightModule(kronecker_algebra(), q.dim, q._stack())
+    assert iso_test(q, RightModule(a, q.dim, q.gens)) and len(calls) == 2
+    copy = RightModule(kronecker_algebra(), q.dim, q.gens)
     assert iso_test(q, copy) and iso_test(copy, q) and len(calls) == 4
 
 
@@ -1105,7 +1140,7 @@ def test_tensor_memo_checks_a_product_first_built_unchecked(field, monkeypatch):
     n = Matrix(field, [[0, 3], [0, 0]])
     # each action alone is a module, but n and n^T do not commute, and
     # M (x)_A A = M keeps both actions
-    bad = Bimodule(a, a, 2, (ident, n.transpose()), (ident, n), _validate=False)
+    bad = Bimodule._of(a, a, 2, (ident, n.transpose()), (ident, n))
     reg = regular_bimodule(a)
     unchecked = tensor_over(bad, reg, _validate=False)
     assert unchecked.bimodule.dim == 2
@@ -1157,7 +1192,7 @@ def test_memo_hits_equal_fresh_computations_on_copies(make):
     mods = list({id(m): m for m in mods}.values())
 
     def copy(m):
-        out = RightModule(b, m.dim, m._stack(), _validate=False)
+        out = RightModule._of(b, m.dim, m.gens)
         out.summand_tags = m.summand_tags
         return out
 
@@ -1187,8 +1222,9 @@ def test_memo_hits_equal_fresh_computations_on_copies(make):
 def test_content_equal_copies_share_hom_tensor_and_check(field, monkeypatch):
     """Copies with equal actions over one algebra instance, sharing their
     matrices or not, cost one Hom basis and one tensor product between them;
-    copies over a second instance of the algebra cost their own.  A per-basis
-    stack from outside is checked in full as it comes in, once per copy."""
+    copies over a second instance of the algebra cost their own.  The public
+    constructor checks the laws once per representative, so the copies share
+    one check."""
     hom, tens, checks = [], [], []
     real_hom, real_tensor, real_check = modules._hom_basis, modules._tensor, RightModule._validate
     monkeypatch.setattr(modules, "_hom_basis", lambda m, n: hom.append(1) or real_hom(m, n))
@@ -1196,12 +1232,12 @@ def test_content_equal_copies_share_hom_tensor_and_check(field, monkeypatch):
     monkeypatch.setattr(RightModule, "_validate",
                         lambda self: checks.append(self) or real_check(self))
     for a in (kronecker_algebra(field), kronecker_algebra(field)):
-        acts = direct_sum(simple_modules(a))._stack()
+        acts = direct_sum(simple_modules(a)).gens
         reg = regular_bimodule(a)
         before = len(checks)
         mods = [RightModule(a, 2, acts), RightModule(a, 2, acts), RightModule(
             a, 2, [Matrix(field, [list(r) for r in m.rows]) for m in acts])]
-        assert checks[before:] == mods
+        assert checks[before:] == mods[:1]
         assert mods[2].gens[1].rows[0] is not acts[1].rows[0]
         before = len(hom)
         bases = [(x, y, hom_space(x, y)) for x, y in itertools.product(mods, mods)]
@@ -1222,13 +1258,13 @@ def test_a_module_that_fails_its_check_raises_on_every_construction(field):
     copy kept alive, so every checked copy raises again."""
     a = dual_numbers(field)        # basis 1, x with x^2 = 0
     ident = Matrix.identity(field, 2)
-    kept = RightModule(a, 2, (ident, ident), _validate=False)    # rho(x)^2 != 0
+    kept = RightModule._of(a, 2, (ident, ident))    # rho(x)^2 != 0
     assert hom_space(kept, kept)
     for _ in range(3):
         with pytest.raises(ValueError, match="incompatibility"):
             RightModule(a, 2, (ident, ident))
     n = Matrix(field, [[0, 1], [0, 0]])
-    bad = Bimodule(a, a, 2, (ident, n.transpose()), (ident, n), _validate=False)
+    bad = Bimodule._of(a, a, 2, (ident, n.transpose()), (ident, n))
     tensor_over(bad, regular_bimodule(a), _validate=False)
     for _ in range(3):
         with pytest.raises(ValueError, match="do not commute"):
@@ -1279,7 +1315,7 @@ def test_a_request_leaves_nothing_in_the_representative_tables(tmp_path, capsys,
     gc.disable()
     try:
         for algebra in (s.algebra, kronecker_algebra()):
-            m = RightModule(algebra, s.dim, s._stack())
+            m = RightModule(algebra, s.dim, s.gens)
             assert (modules._rep(m) is s) == (algebra is s.algebra)
             ref = weakref.ref(m)
             del m
@@ -1294,7 +1330,7 @@ def test_iso_test_identity_witness_has_full_rank(field):
     identity, found before the tops and the grid (cap 0)."""
     a = kronecker_algebra(field)
     for m in simple_modules(a) + [regular_module(a), zero_module(a)]:
-        copy = RightModule(a, m.dim, m._stack())
+        copy = RightModule(a, m.dim, m.gens)
         res = iso_test(m, copy, cap=0)
         assert res and res.witness == Matrix.identity(field, m.dim)
         assert rank(res.witness) == m.dim
