@@ -37,6 +37,8 @@ from .exactfield import (
 from .modules import (
     ModuleMap,
     RightModule,
+    _once,
+    _rep,
     as_bimodule,
     direct_sum,
     hom_coords,
@@ -323,41 +325,43 @@ def resolution_store(disk=None):
         _store = outer
 
 
+def _step(m, picks=None):
+    """One level of m's resolution: the minimal cover, its kernel rows, and
+    the syzygy with its inclusion (None, None once the kernel is zero)."""
+    cover = projective_cover(m, picks)
+    ker = kernel_basis(cover.surjection.matrix.transpose()).transpose()
+    return cover, ker, *(submodule_from_rows(cover.module, ker) if ker.nrows else (None, None))
+
+
 def _resolve(m, n_max, stored=None):
     """The minimal resolution of m to depth n_max; with `stored`, the
     per-level picks of an earlier build are replayed instead of searched for,
-    and the result must be a minimal resolution with as many levels."""
-    cur = m
-    modules = []
-    diffs = []
-    picks = []
-    aug = None
-    syzygies = []
-    syzygy_dims = []
-    periodicity = None
-    stabilized = False
+    and the result must be a minimal resolution with as many levels.  A
+    searched step is built once per representative (`_rep`), so repeating
+    syzygies and deeper requests read it; a replay builds its own."""
+    cur, aug, periodicity, stabilized = m, None, None, False
+    modules, diffs, picks, syzygies = [], [], [], []
     for level in range(n_max + 1):
         if stored is not None and len(stored) <= level:
             raise ValueError("the entry has too few levels")
-        cover = projective_cover(cur, None if stored is None else stored[level])
+        cover, ker_rows, syz, incl = (_step(cur, stored[level]) if stored is not None
+                                      else _once(_rep(cur)._memo, "step", lambda: _step(cur)))
         modules.append(cover.module)
         picks.append(cover.picks)
         if level == 0:
-            aug = cover.surjection
+            # a memoised cover maps onto the module it was built for, equal to m
+            aug = ModuleMap(cover.module, m, cover.surjection.matrix, _validate=False)
         else:
             # d_level: P_level -> P_{level-1} through the syzygy inclusion
-            incl = syzygies[-1][1]
-            mat = cover.surjection.matrix.mul(incl.matrix)
+            mat = cover.surjection.matrix.mul(syzygies[-1][1].matrix)
             diffs.append(ModuleMap(cover.module, modules[level - 1], mat, _validate=False))
-        ker_rows = kernel_basis(cover.surjection.matrix.transpose()).transpose()
         if stored is not None and ker_rows.nrows and \
                 not ker_rows.mul(top_of(cover.module)[0]).is_zero():
             # searched picks are minimal by construction
             raise ValueError("stored picks give a cover that is not minimal")
-        if ker_rows.nrows == 0:
+        if syz is None:
             stabilized = True
             break
-        syz, incl = submodule_from_rows(cover.module, ker_rows)
         if periodicity is None and syz.dim <= _PERIODICITY_DIM_CAP:
             with suppress(Inconclusive):  # no witness then: the verdict stays AtLeast
                 for i, (old, _) in enumerate(syzygies):
@@ -365,14 +369,13 @@ def _resolve(m, n_max, stored=None):
                         periodicity = (i + 1, len(syzygies) + 1)
                         break
         syzygies.append((syz, incl))
-        syzygy_dims.append(syz.dim)
         cur = syz
     if stored is not None and len(stored) > len(modules):
         raise ValueError("the entry has too many levels")
     res = ProjectiveResolution(
         module=m, modules=modules, diffs=diffs, augmentation=aug,
         stabilized=stabilized, minimal=True,
-        periodicity=periodicity, syzygy_dims=syzygy_dims, picks=picks,
+        periodicity=periodicity, syzygy_dims=[s.dim for s, _ in syzygies], picks=picks,
     )
     _assert_resolution_exact(res)
     return res

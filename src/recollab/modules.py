@@ -44,7 +44,9 @@ argument (so the id is never reused), nothing is global.  Per content: the
 representative of a module or bimodule (`_rep`) is the first live object
 over the same algebra instance (same pair, for a bimodule) with equal
 generator actions, found in a weak table on the (right) algebra, so the law
-check, Hom (rebound to the asking pair) and (x) run once per representative.
+check, Hom (rebound to the asking pair; out of an object Yoneda reads, on that
+object), (x) and a resolution step (`complexes._step`) run once per
+representative.
 """
 
 from __future__ import annotations
@@ -284,13 +286,6 @@ def regular_module(a):
         a, a.dim, [a.right_mult_matrix(g) for g in a.generators()]), a))
 
 
-def dual_module(m):
-    """The k-linear dual Hom_k(M, k) as a right module over the opposite
-    algebra ((f.b^op)(x) = f(x.b)); sends projectives to injectives and back,
-    which lets Ext be computed from either side without injective resolutions."""
-    return _checked(RightModule._of(opposite(m.algebra), m.dim, [x.transpose() for x in m.gens]))
-
-
 class ModuleMap:
     """A-linear map between right modules, as a dim(src) x dim(tgt) matrix."""
 
@@ -516,13 +511,14 @@ def hom_space(m, n):
     of rho_m(g) F = F rho_n(g) over the generators g, or out of a
     `projective_module`, and out of A_A when A's basis splits by vertices
     (`_summands`), the same basis read off by Yoneda, Hom(e_v A, n) = n e_v.
-    Computed once per pair of representatives and kept on m for the pair of
-    objects; each call gets a new list."""
+    Computed once per pair of representatives (m itself when Yoneda reads
+    it) and kept on m for the pair of objects; each call gets a new list."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom_space needs one algebra")
 
     def build():
-        rm, rn = _rep(m), _rep(n)
+        # m's representative may lack the layout Yoneda reads off m
+        rm, rn = m if _summands(m) is not None else _rep(m), _rep(n)
         if rm is m and rn is n:
             return _hom_basis(m, n)
         return tuple(ModuleMap(m, n, mp.matrix, _validate=False) for mp in hom_space(rm, rn))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -543,6 +544,33 @@ def test_replayed_entries_recompute_the_periodicity_witness(tmp_path, capsys, mo
     assert main(argv + ["--cache-dir", str(tmp_path)]) == EXIT_OK
     assert capsys.readouterr().out == cold
     assert lookups.hits > 0 and (lookups.misses, lookups.rejected) == (0, 0)
+
+
+def test_verify_searches_each_representatives_cover_once(tmp_path, capsys, monkeypatch):
+    # a resolution step is built once per module representative, so across
+    # the suites a repeating syzygy (every one over the dual numbers) and a
+    # module asked for at a second depth read their covers: no representative
+    # is searched twice (a weak reference tells a live one from a reused id)
+    from recollab import complexes
+    from recollab.modules import _rep
+    cover, seen, again = complexes.projective_cover, {}, []
+
+    def spy(m, picks=None):
+        if picks is None:
+            rep = _rep(m)
+            ref = seen.get(id(rep))
+            if ref is not None and ref() is rep:
+                again.append(m)
+            seen[id(rep)] = weakref.ref(rep)
+        return cover(m, picks)
+
+    monkeypatch.setattr(complexes, "projective_cover", spy)
+    for name, tag in (("dual_numbers", None), ("t2_one_point_extension", "Fp:5")):
+        doc = _doc(name) if tag is None else _doc_over(_doc(name), tag)
+        argv = ["verify", _write(tmp_path, doc, f"{name}.json"), "--idempotent",
+                IDEMPOTENTS[name], "--suite", "all", "--max-degree", "3", "--cutoff", "6"]
+        assert main(argv) == EXIT_OK, capsys.readouterr()
+    assert len(seen) > 10 and again == []
 
 
 def _structure_constants_doc(name):

@@ -27,16 +27,18 @@ from recollab.fixtures import (
     non_stratifying_algebra,
     vertex_idempotent,
 )
+from recollab.cli import algebra_from_doc
 from recollab.modules import (
     ModuleMap,
     canonical_bimodules,
     direct_sum,
     iso_test,
+    regular_bimodule,
     regular_module,
     simple_modules,
     zero_module,
 )
-from test_homology import _dense
+from test_homology import DOCS, _dense, _doc_over
 
 
 def test_resolution_of_projective_stabilizes_at_zero():
@@ -431,6 +433,32 @@ def test_memo_hit_is_rebound_to_the_callers_module():
     assert r1.module is m1 and r1.augmentation.target is m1
     assert r2.module is m2 and r2.augmentation.target is m2
     assert _same_resolution(r1, r2)
+
+
+def _battery(doc):
+    """The simples, the regular module and A over A^e of a document's algebra,
+    each with a resolution depth."""
+    a = algebra_from_doc(doc)
+    env = regular_bimodule(a).as_right_module_over(enveloping(a))
+    return [(s, 4) for s in simple_modules(a)] + [(regular_module(a), 4), (env, 2)]
+
+
+@pytest.mark.parametrize("tag", [None, "Fp:7"], ids=["doc", "F7"])
+@pytest.mark.parametrize("path", DOCS, ids=[p.stem for p in DOCS])
+def test_searched_steps_match_a_replay(path, tag):
+    # searched resolutions read each step from the module's representative,
+    # shallower requests first so that the deeper ones walk their steps; a
+    # replay of the picks on a fresh instance of the algebra reads and writes
+    # no step, so it is an independent reference (the dual numbers' syzygies
+    # all repeat)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = doc if tag is None else _doc_over(doc, tag)
+    searched = [[(n, complexes._resolve(m, n)) for n in (depth, depth + 2)]
+                for m, depth in _battery(doc)]
+    for requests, (m, _) in zip(searched, _battery(doc)):
+        for n, res in requests:
+            replay = complexes._resolve(m, n, stored=res.picks)
+            assert replay.picks == res.picks and _same_resolution(res, replay)
 
 
 def test_store_scope_is_restored_after_the_block():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recollab.algebra import Algebra, enveloping, zero_algebra
+from recollab.algebra import Algebra, enveloping, opposite, zero_algebra
 from recollab.cli import algebra_from_doc
 from recollab.complexes import (
     ShortExactSequence,
@@ -50,6 +50,7 @@ from recollab.homology import (
 from recollab.modules import (
     Bimodule,
     ModuleMap,
+    RightModule,
     as_bimodule,
     canonical_bimodules,
     direct_sum,
@@ -123,10 +124,16 @@ def test_tor_balanced_both_sides():
     assert balanced(m, t_env, 3)
 
 
+def dual_module(m):
+    """The k-linear dual Hom_k(M, k) as a right module over the opposite
+    algebra ((f.b^op)(x) = f(x.b)); sends projectives to injectives and back,
+    which lets Ext be computed from either side without injective resolutions."""
+    return RightModule(opposite(m.algebra), m.dim, [x.transpose() for x in m.gens])
+
+
 def test_ext_balanced_via_linear_duality():
     # Ext_B(M, N) ~ Ext_{B^op}(DN, DM): the second-argument route goes through
     # the k-linear dual, avoiding injective resolutions
-    from recollab.modules import dual_module
     d = dual_numbers()
     s = simple_modules(d)[0]
     lhs = ext(s, s, 4).graded

@@ -644,6 +644,22 @@ def _vertex_split(a):
     return None
 
 
+def test_hom_out_of_a_split_module_is_read_by_yoneda_whatever_its_representative(monkeypatch):
+    # an equal untagged module that became the representative first has no
+    # layout to read, so Hom out of A_A is still taken on A_A itself
+    a = kronecker_algebra()
+    plain = RightModule._of(a, a.dim, [a.right_mult_matrix(g) for g in a.generators()])
+    assert modules._rep(plain) is plain
+    reg = regular_module(a)
+    assert reg == plain and modules._rep(reg) is plain
+    targets = simple_modules(a) + [reg]
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "sylvester_rows", None)
+        fast = [hom_space(reg, n) for n in targets]
+    for maps, n in zip(fast, targets):
+        assert [x.matrix for x in maps] == [x.matrix for x in hom_space(plain, n)]
+
+
 @pytest.mark.parametrize("make", _yoneda_cases())
 def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch, request):
     """Every level of the resolutions of the simples, of A and (over A^e) of
