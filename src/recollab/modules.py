@@ -29,11 +29,14 @@ restriction to an invariant subspace or a descent to a quotient
 inherited) by what it came from: Ae, eA, AeA and A/AeA by the regular
 bimodule, a quotient module by its module; a bimodule's one-sided modules
 and its module over `enveloping` by the bimodule; a vertex projective of
-B (x) C by its factors'; in `homology`, A over A^e; in `recollement`, A/AeA
-over the quotient algebra by A/AeA.  Each check is complete: one
-`exactfield._blocks` conversion of every matrix it reads, then integer numpy
-products per slice of at most `_CHUNK` entries; the failing generator or
-basis element is located only once a check has failed.
+B (x) C by its factors'; M (x)_B N and Hom_A(U, M) by their arguments; in
+`homology`, A over A^e; in `recollement`, A/AeA over the quotient algebra by
+A/AeA.  A bimodule's check is its sides' and their commuting, or over the
+ground field (an `as_bimodule` wrapper's) lam(1) = id and its module.  Each
+check is complete: one `exactfield._blocks` conversion of every matrix it
+reads, then integer numpy products per slice of at most `_CHUNK` entries;
+the failing generator or basis element is located only once a check has
+failed.
 
 Built once per algebra instance (`_once` on `Algebra._modules`): vertex
 projectives, tagged `projective_module`s, simples, regular module and bimodule,
@@ -339,16 +342,19 @@ class Bimodule(_Acted):
         self._memo = {}
 
     def _validate(self):
-        """The right action is a module over A and the left one over B^op (a
-        module's check of each, sharing this bimodule's derived actions), and
-        they commute; once this has passed, `_side` certifies both sides."""
+        """Each side kept by `restrict_right` and `left_as_op_module` is a
+        module (`_checked`: once per side representative), and the actions
+        commute; over the ground field (`trivial_algebra`, a wrapper's) the
+        left law is lam(1) = id, which commutes with everything."""
         if self.dim == 0:
             return
         B, A, d = self.left_algebra, self.right_algebra, self.dim
-        for left, alg in ((False, A), (True, opposite(B))):
-            side = RightModule._of(alg, d, self._sides[left][1])
-            side._memo[("acts", False)] = _once(self._memo, ("acts", left), dict)
-            side._validate()
+        _checked(self.restrict_right())
+        if B is trivial_algebra(self.field):
+            if self.left_gens != (Matrix.identity(self.field, d),):
+                raise ValueError("rho(1) != id")
+            return
+        _checked(self.left_as_op_module())
         # the two actions commute: both are multiplicative, so the matrices
         # commuting with one action form a subalgebra, and generator pairs
         # suffice; in integers both actions share one scale
@@ -368,21 +374,23 @@ class Bimodule(_Acted):
     def restrict_right(self):
         """Forget the left action: a right module over the right algebra,
         built once (the wrapped module itself for `as_bimodule`)."""
-        return self._side("right", self.right_algebra, self.right_gens)
+        return self._side(False)
 
     def left_as_op_module(self):
         """The left B-action viewed as a right module over B^op, built once."""
-        return self._side("left_op", opposite(self.left_algebra), self.left_gens)
+        return self._side(True)
 
-    def _side(self, key, alg, gens):
-        """One action as a right module over `alg`: certified by this
-        bimodule once that is checked or certified, else checked itself."""
+    def _side(self, left):
+        """One action as a right module sharing this bimodule's derived actions:
+        certified by this bimodule once that is on record, else checked."""
         def build():
-            mod = RightModule._of(alg, self.dim, gens)
+            alg, gens = self._sides[left]
+            mod = RightModule._of(opposite(alg) if left else alg, self.dim, gens)
+            mod._memo[("acts", False)] = _once(self._memo, ("acts", left), dict)
             # both a check and a certificate compute the representative
             on_record = "rep" in self._memo and "checked" in _rep(self)._memo
             return _certified(mod, self if on_record else mod)
-        return _once(self._memo, key, build)
+        return _once(self._memo, "left_op" if left else "right", build)
 
     def as_right_module_over(self, env):
         """Right module over env = `tensor(opposite(B), A)` of these very
@@ -573,15 +581,18 @@ def tensor_over(m, n, _validate=True):
     `projective_module`, or A_A whose basis splits by vertices
     (`_summands`), the relations are read off by Yoneda instead of solved
     for (`_yoneda_basis`); the result is the same.  Computed once per
-    pair of representatives (kept on m's); a product first built unchecked is
-    checked when a later call asks for the check.
+    pair of representatives (kept on m's).  With `_validate`, m and n are
+    checked first and certify the product, also one built unchecked: the
+    relations over generators span all relations, a sub-bimodule.
     """
     m, n = _rep(as_bimodule(m)), _rep(as_bimodule(n))
     if m.right_algebra != n.left_algebra:
         raise AlgebraMismatch("tensor_over: middle algebra mismatch")
+    if _validate:
+        _checked(m), _checked(n)
     tp = _once(m._memo, ("tensor", id(n)), lambda: (n, _tensor(m, n)))[1]
     if _validate:
-        _checked(tp.bimodule)
+        _certified(tp.bimodule, m, n)
     return tp
 
 
@@ -633,12 +644,13 @@ def hom_module(u, m):
 
     Right B-action (f.b)(x) = f(b.x); left C-action (c.f)(x) = c.f(x) when M
     is a bimodule.  Returns a Bimodule over (C, B), with C trivial when M is a
-    plain right module.
+    plain right module.  U and M are checked first and certify the result,
+    matrices kept by f |-> lam_U(b) f and f |-> f lam_M(c) (or `hom_coords` raises).
     """
-    u = as_bimodule(u)
-    mbim = as_bimodule(m)
+    u, mbim = as_bimodule(u), as_bimodule(m)
     if u.right_algebra != mbim.right_algebra:
         raise AlgebraMismatch("hom_module: right algebras differ")
+    _checked(u), _checked(mbim)
     maps = hom_space(u.restrict_right(), mbim.restrict_right())
     h = len(maps)
     f = u.field
@@ -648,7 +660,7 @@ def hom_module(u, m):
                 for lc in mbim.left_gens)
     rho = tuple(hom_coords(basis, [lb.mul(mp.matrix) for mp in maps])
                 for lb in u.left_gens)
-    return _checked(Bimodule._of(mbim.left_algebra, u.left_algebra, h, lam, rho))
+    return _certified(Bimodule._of(mbim.left_algebra, u.left_algebra, h, lam, rho), u, mbim)
 
 
 # --------------------------------------------------------------------------

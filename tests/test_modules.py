@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from recollab.algebra import (
     radical,
     tensor,
 )
-from recollab.cli import algebra_from_doc
+from recollab.cli import algebra_from_doc, main
 from recollab.complexes import projective_resolution
 from recollab.errors import AlgebraMismatch, Inconclusive, NotInHomSpace, UnsupportedField
 from recollab.exactfield import (
@@ -48,6 +49,7 @@ from recollab.fixtures import (
     vertex_idempotent,
 )
 from recollab.homology import regular_as_left_env_module
+from recollab.recollement import opposite_transfer, tensor_transfer
 from test_homology import DOCS, _base_change, _basis_mats, _doc_over
 from recollab.modules import (
     Bimodule,
@@ -1164,7 +1166,8 @@ def test_tensor_memo_checks_a_product_first_built_unchecked(field, monkeypatch):
         with pytest.raises(ValueError, match="do not commute"):
             tensor_over(bad, reg)
     assert tensor_over(bad, reg, _validate=False) is unchecked
-    # a sound product is checked once, on the first call that asks
+    # a sound product is certified by its factors' checks on the first call
+    # that asks, and never checked itself
     checked = []
     real = Bimodule._validate
     monkeypatch.setattr(Bimodule, "_validate", lambda self: checked.append(self) or real(self))
@@ -1173,11 +1176,153 @@ def test_tensor_memo_checks_a_product_first_built_unchecked(field, monkeypatch):
     flat = Bimodule(a, a, 2, (ident, zero), (ident, zero))    # k^2, x acting by 0
     tp = tensor_over(flat, flat, _validate=False)             # k^4, equal to no other
     assert checked == [good, flat] and tp.bimodule.dim == 4
-    assert tensor_over(flat, flat) is tp and tensor_over(flat, flat) is tp
-    assert checked == [good, flat, tp.bimodule]
+    assert "checked" not in modules._rep(tp.bimodule)._memo
+    assert tensor_over(flat, flat) is tp
+    assert "checked" in modules._rep(tp.bimodule)._memo
+    assert tensor_over(flat, flat) is tp
+    assert checked == [good, flat]
     # M (x)_A A equals M, which was checked when it was built
     assert tensor_over(good, reg).bimodule == good
-    assert checked == [good, flat, tp.bimodule]
+    assert checked == [good, flat]
+
+
+def _law_spy(monkeypatch):
+    """Spies: every tensor product (`_tensor`) and Hom module (the Bimodule
+    `hom_module` makes) built goes to `built`, every law check to `checks`
+    as (object, the check it runs inside or None)."""
+    built, checks, running = [], [], []
+    real_tensor, real_of = modules._tensor, Bimodule._of.__func__
+
+    def tensor(m, n):
+        tp = real_tensor(m, n)
+        built.append(tp.bimodule)
+        return tp
+
+    def of(cls, *args):
+        x = real_of(cls, *args)
+        if sys._getframe(1).f_code.co_name == "hom_module":
+            built.append(x)
+        return x
+    monkeypatch.setattr(modules, "_tensor", tensor)
+    monkeypatch.setattr(Bimodule, "_of", classmethod(of))
+    for cls in (RightModule, Bimodule):
+        def spy(self, real=cls._validate):
+            checks.append((self, running[-1] if running else None))
+            running.append(self)
+            try:
+                return real(self)
+            finally:
+                running.pop()
+        monkeypatch.setattr(cls, "_validate", spy)
+    return built, checks
+
+
+def _transfers():
+    """Criterion 6: the perfect registry, and its tensor transfers (B = k,
+    dual numbers, A_2) and opposite transfers."""
+    from test_acceptance import _perfect_fixture_registry
+    for r in _perfect_fixture_registry().values():
+        for b in (ground_field(), dual_numbers(), a2_path_algebra()):
+            tensor_transfer(b, r, 4)
+        opposite_transfer(r, 4)
+
+
+def _verify_all(tmp_path, capsys, paths):
+    """`verify --suite all` on each document, and on its F_7 copy if it is
+    over Q (and not a copy of an F_5 one)."""
+    from test_golden_reports import IDEMPOTENTS
+    for path in paths:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        docs = [path]
+        if doc.get("field", "Q") == "Q" and "f5" not in path.stem:
+            docs.append(tmp_path / f"{path.stem}_F7.json")
+            docs[-1].write_text(json.dumps(_doc_over(doc, "Fp:7")), encoding="utf-8")
+        for p in docs:
+            assert main(["verify", str(p), "--idempotent", IDEMPOTENTS[path.stem], "--suite",
+                         "all", "--max-degree", "3", "--cutoff", "6"]) in (0, 2)
+            capsys.readouterr()
+
+
+def test_tensor_and_hom_module_certificates_are_sound(tmp_path, capsys, monkeypatch):
+    """Every tensor product and Hom module built by criterion 6's transfers
+    and by `verify --suite all` on every shipped document and its F_7 copy,
+    certified by its arguments' checks or built unchecked, passes the full
+    law check: both sides checked afresh as modules, then `_validate`."""
+    built, _ = _law_spy(monkeypatch)
+    certified, real = [], modules._certified
+
+    def certify(x, *by):
+        if sys._getframe(1).f_code.co_name in ("tensor_over", "hom_module"):
+            certified.append(x)
+        return real(x, *by)
+    monkeypatch.setattr(modules, "_certified", certify)
+    _transfers()
+    _verify_all(tmp_path, capsys, DOCS)
+    assert {id(x) for x in certified} <= {id(x) for x in built}
+    assert any(x.left_algebra.dim > 1 and x.dim for x in certified)
+    for bim in built:
+        for left in (False, True):
+            alg, gens = bim._sides[left]
+            RightModule._of(opposite(alg) if left else alg, bim.dim, gens)._validate()
+        bim._validate()
+
+
+def test_no_tensor_or_hom_module_result_runs_its_own_law_check(tmp_path, capsys, monkeypatch):
+    """Criterion 6's transfers and `verify --suite all` on kronecker.json
+    build tensor products and Hom modules and run no law check on any of
+    them; a wrapper (`as_bimodule`) is checked as lam(1) = id and its
+    module, which was checked when it was built, so no module check runs
+    inside a wrapper's."""
+    built, checks = _law_spy(monkeypatch)
+    _transfers()
+    _verify_all(tmp_path, capsys, [p for p in DOCS if p.stem == "kronecker"])
+    results = {id(x) for x in built}
+    assert len(results) > 100
+    assert not [x for x, _ in checks if id(x) in results]
+    assert not [x for x, inside in checks if inside is not None
+                and inside.left_algebra is modules.trivial_algebra(inside.field)]
+    # a new algebra instance: its simples are checked, then each wrapper
+    a = kronecker_algebra()
+    mods = simple_modules(a)
+    del checks[:]
+    for m in mods:
+        assert modules._checked(as_bimodule(m)) is as_bimodule(m)
+    assert [x for x, _ in checks] == [as_bimodule(m) for m in mods]
+    bad = as_bimodule(RightModule._of(a, 1, (Matrix.identity(a.field, 1),) * len(a.generators())))
+    with pytest.raises(ValueError, match="rho\\(1\\)"):
+        modules._checked(bad)
+    assert checks[-1][1] is bad
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_a_lawless_argument_fails_tensor_and_hom_module_on_every_call(field):
+    """A bimodule whose actions do not commute, or a module whose action is
+    no action, makes `tensor_over` and `hom_module` raise its own law error
+    on every call, before anything is built out of it; nothing is recorded
+    as checked on it."""
+    a = dual_numbers(field)        # basis 1, x with x^2 = 0
+    ident = Matrix.identity(field, 2)
+    n = Matrix(field, [[0, 1], [0, 0]])
+    bad = Bimodule._of(a, a, 2, (ident, n.transpose()), (ident, n))
+    lawless = RightModule._of(a, 2, (ident, ident))        # rho(x)^2 != 0
+    wrapped = Bimodule._of(modules.trivial_algebra(field), a, 2, (Matrix.zeros(field, 2, 2),),
+                           (ident, n))                  # lam(1) = 0
+    reg = regular_bimodule(a)
+    calls = [(lambda: tensor_over(bad, reg), "do not commute"),
+             (lambda: tensor_over(reg, bad), "do not commute"),
+             (lambda: tensor_over(lawless, reg), "incompatibility"),
+             (lambda: tensor_over(wrapped, reg), "rho\\(1\\)"),
+             (lambda: hom_module(bad, regular_module(a)), "do not commute"),
+             (lambda: hom_module(reg, bad), "do not commute"),
+             (lambda: hom_module(reg, lawless), "incompatibility")]
+    for call, message in calls:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                call()
+    for x in (bad, lawless, as_bimodule(lawless), wrapped):
+        memo = modules._rep(x)._memo
+        assert "checked" not in memo
+        assert not [k for k in memo if isinstance(k, tuple) and k[0] in ("tensor", "hom")]
 
 
 def test_module_content_hash_is_formatted_once_with_the_same_bytes(monkeypatch):
