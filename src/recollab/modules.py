@@ -31,10 +31,9 @@ bimodule, a quotient module by its module; a bimodule's one-sided modules
 and its module over `enveloping` by the bimodule; a vertex projective of
 B (x) C by its factors'; M (x)_B N and Hom_A(U, M) by their arguments; in
 `homology`, A over A^e; in `recollement`, A/AeA over the quotient algebra by
-A/AeA.  A bimodule's check is its sides' and their commuting, or over the
-ground field (an `as_bimodule` wrapper's) lam(1) = id and its module.  Each
-check is complete: one `exactfield._blocks` conversion of every matrix it
-reads, then integer numpy products per slice of at most `_CHUNK` entries;
+A/AeA; an `as_bimodule` wrapper by its module (lam(1) = id by construction).
+Each check is complete: one `exactfield._blocks` conversion of every matrix
+it reads, then integer numpy products per slice of at most `_CHUNK` entries;
 the failing generator or basis element is located only once a check has
 failed.
 
@@ -342,19 +341,21 @@ class Bimodule(_Acted):
         self._memo = {}
 
     def _validate(self):
-        """Each side kept by `restrict_right` and `left_as_op_module` is a
-        module (`_checked`: once per side representative), and the actions
-        commute; over the ground field (`trivial_algebra`, a wrapper's) the
-        left law is lam(1) = id, which commutes with everything."""
+        """The right action is a module over A and the left one over B^op (a
+        module's check of each, sharing this bimodule's derived actions), and
+        they commute; an `as_bimodule` wrapper's left action is lam(1) = id,
+        so its check is its module's (`_checked`, on that module's record)."""
         if self.dim == 0:
             return
-        B, A, d = self.left_algebra, self.right_algebra, self.dim
-        _checked(self.restrict_right())
-        if B is trivial_algebra(self.field):
-            if self.left_gens != (Matrix.identity(self.field, d),):
-                raise ValueError("rho(1) != id")
+        m = self._memo.get("right")
+        if m is not None and m._memo.get("bimodule") is self:
+            _checked(m)
             return
-        _checked(self.left_as_op_module())
+        B, A, d = self.left_algebra, self.right_algebra, self.dim
+        for left, alg in ((False, A), (True, opposite(B))):
+            side = RightModule._of(alg, d, self._sides[left][1])
+            side._memo[("acts", False)] = _once(self._memo, ("acts", left), dict)
+            side._validate()
         # the two actions commute: both are multiplicative, so the matrices
         # commuting with one action form a subalgebra, and generator pairs
         # suffice; in integers both actions share one scale
@@ -374,23 +375,21 @@ class Bimodule(_Acted):
     def restrict_right(self):
         """Forget the left action: a right module over the right algebra,
         built once (the wrapped module itself for `as_bimodule`)."""
-        return self._side(False)
+        return self._side("right", self.right_algebra, self.right_gens)
 
     def left_as_op_module(self):
         """The left B-action viewed as a right module over B^op, built once."""
-        return self._side(True)
+        return self._side("left_op", opposite(self.left_algebra), self.left_gens)
 
-    def _side(self, left):
-        """One action as a right module sharing this bimodule's derived actions:
-        certified by this bimodule once that is on record, else checked."""
+    def _side(self, key, alg, gens):
+        """One action as a right module over `alg`: certified by this
+        bimodule once that is checked or certified, else checked itself."""
         def build():
-            alg, gens = self._sides[left]
-            mod = RightModule._of(opposite(alg) if left else alg, self.dim, gens)
-            mod._memo[("acts", False)] = _once(self._memo, ("acts", left), dict)
+            mod = RightModule._of(alg, self.dim, gens)
             # both a check and a certificate compute the representative
             on_record = "rep" in self._memo and "checked" in _rep(self)._memo
             return _certified(mod, self if on_record else mod)
-        return _once(self._memo, "left_op" if left else "right", build)
+        return _once(self._memo, key, build)
 
     def as_right_module_over(self, env):
         """Right module over env = `tensor(opposite(B), A)` of these very
@@ -589,10 +588,11 @@ def tensor_over(m, n, _validate=True):
     if m.right_algebra != n.left_algebra:
         raise AlgebraMismatch("tensor_over: middle algebra mismatch")
     if _validate:
-        _checked(m), _checked(n)
+        _checked(m)
+        _checked(n)
     tp = _once(m._memo, ("tensor", id(n)), lambda: (n, _tensor(m, n)))[1]
     if _validate:
-        _certified(tp.bimodule, m, n)
+        _certified(tp.bimodule)
     return tp
 
 
@@ -644,13 +644,14 @@ def hom_module(u, m):
 
     Right B-action (f.b)(x) = f(b.x); left C-action (c.f)(x) = c.f(x) when M
     is a bimodule.  Returns a Bimodule over (C, B), with C trivial when M is a
-    plain right module.  U and M are checked first and certify the result,
-    matrices kept by f |-> lam_U(b) f and f |-> f lam_M(c) (or `hom_coords` raises).
+    plain right module.  U and M are checked first and certify the result, a
+    subspace both actions keep (`hom_coords` raises otherwise).
     """
     u, mbim = as_bimodule(u), as_bimodule(m)
     if u.right_algebra != mbim.right_algebra:
         raise AlgebraMismatch("hom_module: right algebras differ")
-    _checked(u), _checked(mbim)
+    _checked(u)
+    _checked(mbim)
     maps = hom_space(u.restrict_right(), mbim.restrict_right())
     h = len(maps)
     f = u.field
@@ -660,7 +661,7 @@ def hom_module(u, m):
                 for lc in mbim.left_gens)
     rho = tuple(hom_coords(basis, [lb.mul(mp.matrix) for mp in maps])
                 for lb in u.left_gens)
-    return _certified(Bimodule._of(mbim.left_algebra, u.left_algebra, h, lam, rho), u, mbim)
+    return _certified(Bimodule._of(mbim.left_algebra, u.left_algebra, h, lam, rho))
 
 
 # --------------------------------------------------------------------------
