@@ -39,7 +39,6 @@ from .modules import (
     RightModule,
     _once,
     _rep,
-    as_bimodule,
     direct_sum,
     hom_coords,
     hom_space,
@@ -726,7 +725,7 @@ def dualize_perfect(x):
     bases = {}
     for n in x.degrees():
         xm = x.module(n)
-        h = hom_module(as_bimodule(xm), reg)
+        h = hom_module(xm, reg)
         # h is a Bimodule(A, k); its left A-structure is a right A^op-module
         mods[-n] = h.left_as_op_module()
         maps = hom_space(xm, reg.restrict_right())

@@ -48,7 +48,6 @@ from .modules import (
     RightModule,
     _certified,
     _once,
-    as_bimodule,
     regular_bimodule,
     simple_modules,
     tensor_map,
@@ -148,16 +147,15 @@ def _tensor_complex(res, t, n_max):
 
 
 def tor(m, n, n_max):
-    """Tor_i^B(m, n) for i <= n_max; m a right B-module, n a left B-module,
-    from a projective resolution of m.  Tor^B_i(M, N) = Tor^{B^op}_i(N, M),
-    so resolving n over B^op (the swapped bimodules) gives the same
-    dimensions (balancedness), which the test suite asserts."""
-    m_bim = as_bimodule(m)
-    n_bim = as_bimodule(n)
-    if m_bim.right_algebra != n_bim.left_algebra:
+    """Tor_i^B(m, n) for i <= n_max; m a right B-module (a right module is its
+    own k-B-bimodule), n a left B-module, from a projective resolution of m.
+    Tor^B_i(M, N) = Tor^{B^op}_i(N, M), so resolving n over B^op (the swapped
+    bimodules) gives the same dimensions (balancedness), which the test
+    suite asserts."""
+    if m.right_algebra != n.left_algebra:
         raise AlgebraMismatch("tor: middle algebra mismatch")
-    res = projective_resolution(m_bim.restrict_right(), n_max + 1)
-    cx, _ = _tensor_complex(res, n_bim, n_max + 1)
+    res = projective_resolution(m.restrict_right(), n_max + 1)
+    cx, _ = _tensor_complex(res, n, n_max + 1)
     return GradedDims(tuple((i, cx.cohomology_dim(-i)) for i in range(n_max + 1)))
 
 
@@ -206,8 +204,7 @@ class ExtClass:
 
 def ext(m, n, n_max):
     """Ext^i_B(m, n) for i <= n_max, via a minimal resolution of m."""
-    m_mod = m.restrict_right() if isinstance(m, Bimodule) else m
-    n_mod = n.restrict_right() if isinstance(n, Bimodule) else n
+    m_mod, n_mod = m.restrict_right(), n.restrict_right()
     if m_mod.algebra != n_mod.algebra:
         raise AlgebraMismatch("ext: algebra mismatch")
     res = projective_resolution(m_mod, n_max + 1)
@@ -572,13 +569,12 @@ def les_from_ses(ses, t, variance, n_max, labels=None):
 def _les_tensor(ses, t, n_max, labels):
     labels = labels or ("Tor(sub)", "Tor(mid)", "Tor(quot)")
     hs = horseshoe(ses, n_max + 1)
-    t_bim = as_bimodule(t)
     (sub_cx, sub_tp), (mid_cx, mid_tp), (quot_cx, quot_tp) = (
-        _tensor_complex(r, t_bim, n_max + 1) for r in (hs.res_sub, hs.res_mid, hs.res_quot))
+        _tensor_complex(r, t, n_max + 1) for r in (hs.res_sub, hs.res_mid, hs.res_quot))
 
     def induced(src, tgt, block_mats):
         """The level maps P^src_n -> P^tgt_n on the tensored quotients."""
-        return {-n: tensor_map(src[n].section_indices, t_bim.dim, tgt[n].projection,
+        return {-n: tensor_map(src[n].section_indices, t.dim, tgt[n].projection,
                                left=block_mats[n]) for n in range(n_max + 2)}
 
     incs = induced(sub_tp, mid_tp, hs.incl_mats)
@@ -633,10 +629,9 @@ class HomGrid:
 
 def _les_contra(ses, t, n_max, labels):
     labels = labels or ("Ext(quot,T)", "Ext(mid,T)", "Ext(sub,T)")
-    t_mod = t.restrict_right() if isinstance(t, Bimodule) else t
     hs = horseshoe(ses, n_max + 1)
     grid = HomGrid({"sub": hs.res_sub, "mid": hs.res_mid, "quot": hs.res_quot},
-                   {"T": t_mod}, n_max)
+                   {"T": t.restrict_right()}, n_max)
     # contravariant: Hom(P'', T) -> Hom(P, T) -> Hom(P', T) via precomposition
     incs = grid.induced(("quot", "T"), ("mid", "T"), pre=hs.proj_mats)
     prjs = grid.induced(("mid", "T"), ("sub", "T"), pre=hs.incl_mats)
@@ -650,8 +645,7 @@ def _les_contra(ses, t, n_max, labels):
 def _les_cov(ses, t, n_max, labels):
     labels = labels or ("Ext(T,sub)", "Ext(T,mid)", "Ext(T,quot)")
     ses.validate()
-    t_mod = t.restrict_right() if isinstance(t, Bimodule) else t
-    grid = HomGrid({"T": projective_resolution(t_mod, n_max + 1)},
+    grid = HomGrid({"T": projective_resolution(t.restrict_right(), n_max + 1)},
                    {"sub": ses.sub, "mid": ses.mid, "quot": ses.quot}, n_max)
     incs = grid.induced(("T", "sub"), ("T", "mid"), post=ses.inclusion.matrix)
     prjs = grid.induced(("T", "mid"), ("T", "quot"), post=ses.projection.matrix)

@@ -31,7 +31,7 @@ bimodule, a quotient module by its module; a bimodule's one-sided modules
 and its module over `enveloping` by the bimodule; a vertex projective of
 B (x) C by its factors'; M (x)_B N and Hom_A(U, M) by their arguments; in
 `homology`, A over A^e; in `recollement`, A/AeA over the quotient algebra by
-A/AeA; an `as_bimodule` wrapper by its module (lam(1) = id by construction).
+A/AeA.  A right module is its own k-A-bimodule, checked only as a module.
 Each check is complete: one `exactfield._blocks` conversion of every matrix
 it reads, then integer numpy products per slice of at most `_CHUNK` entries;
 the failing generator or basis element is located only once a check has
@@ -39,8 +39,8 @@ failed.
 
 Built once per algebra instance (`_once` on `Algebra._modules`): vertex
 projectives, tagged `projective_module`s, simples, regular module and bimodule,
-the zero module.  Kept on a module: its `as_bimodule` wrapper, hash, top,
-top dimensions, derived actions and Hom out of it; on a bimodule, (x) out of
+the zero module.  Kept on a module: its left action lam(1) = id, hash, top,
+top dimensions, derived actions and Hom out of it; on either, (x) out of
 it.  Hom and (x) are keyed by the second argument's id, an entry keeps that
 argument (so the id is never reused), nothing is global.  Per content: the
 representative of a module or bimodule (`_rep`) is the first live object
@@ -173,10 +173,11 @@ def _check_action(a, R, G, r, d):
 
 
 def _shaped(a, gens, d):
-    """gens, once they are one d x d matrix per element of `a.generators()`."""
+    """gens, once they are one d x d matrix over a's field per generator of a."""
     gens = tuple(gens)
     if len(gens) != len(a.generators()) or any(m.nrows != d or m.ncols != d for m in gens):
         raise DimensionMismatch("need one dim x dim action matrix per algebra generator")
+    check_same_field(a.field, *(m.field for m in gens))
     return gens
 
 
@@ -186,6 +187,10 @@ class _Acted:
     matrices)), and a basis element's action is derived from its words where
     a reader needs it."""
 
+    # the vertex of each summand e_v A, set only by `projective_module`; A_A
+    # is laid out by vertices too, by `_summands`, without tags
+    summand_tags = None
+
     @classmethod
     def _of(cls, *args):
         """An object on generator matrices, taken as they are (`_setup`)."""
@@ -193,11 +198,18 @@ class _Acted:
         x._setup(*args)
         return x
 
+    def _acting(self, left):
+        """(algebra, generator matrices) of one side; a module's left one is
+        not in `_sides`, which keys its representative."""
+        if left:
+            return self.left_algebra, self.left_gens
+        return self.right_algebra, self.right_gens
+
     def basis_action(self, i, left=False):
         """The action of basis element i (of the left algebra of a bimodule,
         with `left`), derived from its words, with the products on the way,
         in the memo."""
-        alg, gens = self._sides[left]
+        alg, gens = self._acting(left)
         memo = _once(self._memo, ("acts", left), dict)
         if i not in memo:
             memo[i] = alg.word_products(gens, [unit_vector(alg.dim, i)], memo, left)[0]
@@ -206,7 +218,7 @@ class _Acted:
     def action_of(self, x, left=False):
         """The action of the element with coordinates x: a generator's stored
         matrix, otherwise the sum of its basis elements' derived actions."""
-        alg, gens = self._sides[left]
+        alg, gens = self._acting(left)
         t = _once(alg._modules, "generator index",
                   lambda: {g: t for t, g in enumerate(alg.generators())}).get(tuple(x))
         if t is not None:
@@ -219,7 +231,7 @@ class _Acted:
         """rows rho(x) for each element x of xs (coordinates), and with `left`
         rows lam(x)^T, a product in the order of x's words: no rho(x) is
         derived, each word taking the rows one generator matrix further."""
-        alg, gens = self._sides[left]
+        alg, gens = self._acting(left)
         if left:
             gens = _once(self._memo, "transposed", lambda: [g.transpose() for g in gens])
         return alg.word_products(gens, xs, {(): rows})
@@ -227,7 +239,12 @@ class _Acted:
     def _stack(self, left=False):
         """Every basis element's action: only a law check and a document's
         bimodule (`cli`) read them all."""
-        return [self.basis_action(i, left) for i in range(self._sides[left][0].dim)]
+        return [self.basis_action(i, left) for i in range(self._acting(left)[0].dim)]
+
+    def swap_sides(self):
+        """The same space as an A^op-B^op-bimodule (for opposite transfers)."""
+        return Bimodule._of(opposite(self.right_algebra), opposite(self.left_algebra),
+                            self.dim, self.right_gens, self.left_gens)
 
     def __eq__(self, other):
         return type(other) is type(self) and (self.dim, self._sides) == (other.dim, other._sides)
@@ -238,11 +255,9 @@ class _Acted:
 
 class RightModule(_Acted):
     """Right module over a fixed algebra, given and stored as `gens`: the
-    matrix of each element of `algebra.generators()`."""
-
-    # the vertex of each summand e_v A, set only by `projective_module`; A_A
-    # is laid out by vertices too, by `_summands`, without tags
-    summand_tags = None
+    matrix of each element of `algebra.generators()`.  It is its own
+    k-A-bimodule: `right_algebra` and `right_gens` name these, and the ground
+    field acts on the left by lam(1) = id."""
 
     def __init__(self, algebra, dim, gens):
         """`gens` holds one matrix per element of `algebra.generators()`:
@@ -251,9 +266,21 @@ class RightModule(_Acted):
         _checked(self)
 
     def _setup(self, algebra, dim, gens):
-        gens = tuple(gens)
-        self.algebra, self.dim, self.field, self.gens = algebra, dim, algebra.field, gens
+        self.gens = self.right_gens = gens = tuple(gens)
+        self.algebra = self.right_algebra = algebra
+        self.dim, self.field = dim, algebra.field
         self._sides, self._memo = {False: (algebra, gens)}, {}
+
+    @property
+    def left_algebra(self):
+        return trivial_algebra(self.field)
+
+    @property
+    def left_gens(self):
+        return _once(self._memo, "left_gens", lambda: (Matrix.identity(self.field, self.dim),))
+
+    def restrict_right(self):
+        return self
 
     def _validate(self):
         """The action laws (`_check_action`) on one conversion of the derived
@@ -303,9 +330,10 @@ class ModuleMap:
             self._validate()
 
     def _validate(self):
-        """rho_src(g) F = F rho_tgt(g) for every generator g, in integers:
-        both actions and F share one scale, so both sides scale alike."""
+        """F is over the modules' field, and rho_src(g) F = F rho_tgt(g) for
+        every generator g in integers: both actions and F share one scale."""
         src, tgt = self.source, self.target
+        check_same_field(src.field, self.matrix.field)
         k, ds, dt = len(src.gens), src.dim, tgt.dim
         (S, T, F), _ = _blocks(
             src.field, [(k, ds * ds, src.gens), (k, dt * dt, tgt.gens), (ds, dt, (self.matrix,))],
@@ -342,14 +370,9 @@ class Bimodule(_Acted):
 
     def _validate(self):
         """The right action is a module over A and the left one over B^op (a
-        module's check of each, sharing this bimodule's derived actions), and
-        they commute; an `as_bimodule` wrapper's left action is lam(1) = id,
-        so its check is its module's (`_checked`, on that module's record)."""
+        module's check of each, run afresh on sides sharing this bimodule's
+        derived actions), and they commute."""
         if self.dim == 0:
-            return
-        m = self._memo.get("right")
-        if m is not None and m._memo.get("bimodule") is self:
-            _checked(m)
             return
         B, A, d = self.left_algebra, self.right_algebra, self.dim
         for left, alg in ((False, A), (True, opposite(B))):
@@ -374,7 +397,7 @@ class Bimodule(_Acted):
 
     def restrict_right(self):
         """Forget the left action: a right module over the right algebra,
-        built once (the wrapped module itself for `as_bimodule`)."""
+        built once (a `RightModule` is its own)."""
         return self._side("right", self.right_algebra, self.right_gens)
 
     def left_as_op_module(self):
@@ -407,11 +430,6 @@ class Bimodule(_Acted):
         return _once(self._memo, ("env", id(env)), lambda: (env, _certified(RightModule._of(
             env, self.dim, self.left_gens + self.right_gens), self)))[1]
 
-    def swap_sides(self):
-        """The same space as an A^op-B^op-bimodule (for opposite transfers)."""
-        return Bimodule._of(opposite(self.right_algebra), opposite(self.left_algebra),
-                            self.dim, self.right_gens, self.left_gens)
-
     def __repr__(self):
         return (f"Bimodule({self.left_algebra.dim}|{self.dim}|{self.right_algebra.dim})")
 
@@ -423,20 +441,6 @@ def trivial_algebra(field):
     """The ground field as a one-dimensional algebra (for one-sided modules)."""
     return _once(_TRIVIAL_CACHE, field,
                  lambda: Algebra(field, [[(1,)]], (1,), labels=("1",)))
-
-
-def as_bimodule(m):
-    """Lift a right A-module to a k-A-bimodule (trivial left action), one
-    wrapper per module."""
-    if isinstance(m, Bimodule):
-        return m
-
-    def build():
-        bim = Bimodule._of(trivial_algebra(m.field), m.algebra, m.dim,
-                           (Matrix.identity(m.field, m.dim),), m.gens)
-        bim._memo["right"] = m
-        return bim
-    return _once(m._memo, "bimodule", build)
 
 
 def regular_bimodule(a):
@@ -457,8 +461,8 @@ def _summands(m):
     for the object `regular_module(a)`, the vertex split of A's basis (e_v
     b_i = b_i for one v, 0 for the others: each e_v A has an RREF basis of
     unit vectors), read once per algebra, None for a basis that does not
-    split (one from `discover_basic`)."""
-    a = m.algebra
+    split (one from `discover_basic`), and for a `Bimodule`."""
+    a = m.right_algebra
     if m.summand_tags is not None:
         dims = [vertex_projective(a, v)[0].dim for v in m.summand_tags]
         return [(v, range(e - d, e)) for v, d, e in zip(m.summand_tags, dims, accumulate(dims))]
@@ -576,21 +580,25 @@ def tensor_over(m, n, _validate=True):
     """Tensor product over the middle algebra: (C-B-bim) (x)_B (B-A-bim) -> C-A-bim.
 
     Computed as the vector-space tensor product modulo the balancing relations
-    (x.b (x) y - x (x) b.y), with the induced outer actions.  When m wraps a
-    `projective_module`, or A_A whose basis splits by vertices
-    (`_summands`), the relations are read off by Yoneda instead of solved
-    for (`_yoneda_basis`); the result is the same.  Computed once per
-    pair of representatives (kept on m's).  With `_validate`, m and n are
-    checked first and certify the product, also one built unchecked: the
-    relations over generators span all relations, a sub-bimodule.
+    (x.b (x) y - x (x) b.y), with the induced outer actions; a right module
+    is its own k-A-bimodule.  When m is a `projective_module`, or A_A whose
+    basis splits by vertices (`_summands`), the relations are read off by
+    Yoneda instead of solved for (`_yoneda_basis`); the result is the same.
+    Computed once per pair of representatives, kept on m's (built on m when
+    Yoneda reads it: its representative may lack the layout).  With
+    `_validate`, m and n are checked first and certify the product, also one
+    built unchecked: the relations over generators span all relations.
     """
-    m, n = _rep(as_bimodule(m)), _rep(as_bimodule(n))
     if m.right_algebra != n.left_algebra:
         raise AlgebraMismatch("tensor_over: middle algebra mismatch")
     if _validate:
         _checked(m)
         _checked(n)
-    tp = _once(m._memo, ("tensor", id(n)), lambda: (n, _tensor(m, n)))[1]
+    n = _rep(n)
+
+    def build():
+        return n, _tensor(m if _summands(m) is not None else _rep(m), n)
+    tp = _once(_rep(m)._memo, ("tensor", id(n)), build)[1]
     if _validate:
         _certified(tp.bimodule)
     return tp
@@ -605,10 +613,9 @@ def _tensor(m, n):
         bim = Bimodule._of(m.left_algebra, n.right_algebra, 0, (empty,) * len(m.left_gens),
                            (empty,) * len(n.right_gens))
         return TensorProduct(bim, Matrix(f, [[] for _ in range(N)], ncols=0), ())
-    p = m._memo.get("right")
-    if p is not None and (layout := _summands(p)) is not None:
+    if (layout := _summands(m)) is not None:
         # e_v B (x)_B n = e_v n: the relations are the kernel of x (x) y |-> x y
-        vecs, free = _yoneda_basis(p, n, layout, True)
+        vecs, free = _yoneda_basis(m, n, layout, True)
         projection = Matrix._of(f, tuple(vecs), N).transpose()
     else:
         pairs = list(zip(m.right_gens, n.left_gens))
@@ -642,26 +649,20 @@ def tensor_map(sections, dn, projection, left=None, right=None):
 def hom_module(u, m):
     """Hom_A(U, M) as a module: U a B-A-bimodule, M an A-module or C-A-bimodule.
 
-    Right B-action (f.b)(x) = f(b.x); left C-action (c.f)(x) = c.f(x) when M
-    is a bimodule.  Returns a Bimodule over (C, B), with C trivial when M is a
-    plain right module.  U and M are checked first and certify the result, a
-    subspace both actions keep (`hom_coords` raises otherwise).
+    Right B-action (f.b)(x) = f(b.x); left C-action (c.f)(x) = c.f(x), C = k
+    for a right module M, its own k-A-bimodule.  Returns a Bimodule over
+    (C, B).  U and M are checked first and certify the result, a subspace
+    both actions keep (`hom_coords` raises otherwise).
     """
-    u, mbim = as_bimodule(u), as_bimodule(m)
-    if u.right_algebra != mbim.right_algebra:
+    if u.right_algebra != m.right_algebra:
         raise AlgebraMismatch("hom_module: right algebras differ")
     _checked(u)
-    _checked(mbim)
-    maps = hom_space(u.restrict_right(), mbim.restrict_right())
-    h = len(maps)
-    f = u.field
-    du, dm = u.dim, mbim.dim
-    basis = hom_vec_basis(maps, du, dm, f)
-    lam = tuple(hom_coords(basis, [mp.matrix.mul(lc) for mp in maps])
-                for lc in mbim.left_gens)
-    rho = tuple(hom_coords(basis, [lb.mul(mp.matrix) for mp in maps])
-                for lb in u.left_gens)
-    return _certified(Bimodule._of(mbim.left_algebra, u.left_algebra, h, lam, rho))
+    _checked(m)
+    maps = hom_space(u.restrict_right(), m.restrict_right())
+    basis = hom_vec_basis(maps, u.dim, m.dim, u.field)
+    lam = tuple(hom_coords(basis, [mp.matrix.mul(lc) for mp in maps]) for lc in m.left_gens)
+    rho = tuple(hom_coords(basis, [lb.mul(mp.matrix) for mp in maps]) for lb in u.left_gens)
+    return _certified(Bimodule._of(m.left_algebra, u.left_algebra, len(maps), lam, rho))
 
 
 # --------------------------------------------------------------------------

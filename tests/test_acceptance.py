@@ -31,7 +31,6 @@ from recollab.homology import (
     hochschild_homology,
 )
 from recollab.modules import (
-    as_bimodule,
     iso_test,
     regular_bimodule,
     regular_module,
@@ -262,7 +261,7 @@ def test_criterion_7_structural_invariants():
     for alg in (a2_path_algebra(), dual_numbers()):
         reg_bim = regular_bimodule(alg)
         for m in simple_modules(alg) + [regular_module(alg)]:
-            tp = tensor_over(as_bimodule(m), reg_bim)
+            tp = tensor_over(m, reg_bim)
             ok = ok and bool(iso_test(tp.bimodule.restrict_right(), m))
     elapsed = time.time() - t0
     _line(7, ok and elapsed < 120,

@@ -51,7 +51,6 @@ from recollab.modules import (
     Bimodule,
     ModuleMap,
     RightModule,
-    as_bimodule,
     canonical_bimodules,
     direct_sum,
     hom_space,
@@ -108,7 +107,7 @@ def test_tor_balanced_both_sides():
     # Tor^B_i(M, N) = Tor^{B^op}_i(N, M): the right side resolves N over
     # B^op through the swapped bimodules
     def balanced(m, n, n_max):
-        swapped = tor(as_bimodule(n).swap_sides(), as_bimodule(m).swap_sides(), n_max)
+        swapped = tor(n.swap_sides(), m.swap_sides(), n_max)
         return tor(m, n, n_max).entries == swapped.entries
 
     assert balanced(s, t, 4)

@@ -23,8 +23,14 @@ from recollab.algebra import (
     tensor,
 )
 from recollab.cli import algebra_from_doc, main
-from recollab.complexes import projective_resolution
-from recollab.errors import AlgebraMismatch, Inconclusive, NotInHomSpace, UnsupportedField
+from recollab.complexes import ShortExactSequence, dualize_perfect, projective_resolution
+from recollab.errors import (
+    AlgebraMismatch,
+    FieldMismatch,
+    Inconclusive,
+    NotInHomSpace,
+    UnsupportedField,
+)
 from recollab.exactfield import (
     QQ,
     GF,
@@ -48,14 +54,13 @@ from recollab.fixtures import (
     one_point_extension_of_dual_numbers,
     vertex_idempotent,
 )
-from recollab.homology import regular_as_left_env_module
+from recollab.homology import les_from_ses, regular_as_left_env_module, tor
 from recollab.recollement import opposite_transfer, tensor_transfer
 from test_homology import DOCS, _base_change, _basis_mats, _doc_over
 from recollab.modules import (
     Bimodule,
     ModuleMap,
     RightModule,
-    as_bimodule,
     canonical_bimodules,
     direct_sum,
     free_cover,
@@ -130,7 +135,7 @@ def test_tensor_unit_law_right():
     for alg in (a2_path_algebra(), dual_numbers()):
         reg = regular_bimodule(alg)
         for m in simple_modules(alg):
-            t = tensor_over(as_bimodule(m), reg)
+            t = tensor_over(m, reg)
             assert t.bimodule.dim == m.dim
             assert iso_test(t.bimodule.restrict_right(), m)
 
@@ -139,13 +144,13 @@ def test_tensor_unit_law_left():
     alg = a2_path_algebra()
     reg = regular_bimodule(alg)
     m = regular_module(alg)
-    t = tensor_over(as_bimodule(m), reg)
+    t = tensor_over(m, reg)
     assert iso_test(t.bimodule.restrict_right(), m)
 
 
 def test_tensor_k_over_k():
     k = ground_field()
-    t = tensor_over(as_bimodule(regular_module(k)), regular_bimodule(k))
+    t = tensor_over(regular_module(k), regular_bimodule(k))
     assert t.bimodule.dim == 1
 
 
@@ -699,12 +704,11 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch, re
             for other in (slow, hom_space(plain, n), hom_space(p, n)):
                 assert [x.matrix for x in fast] == [x.matrix for x in other]
         before = len(yoneda)
-        fast = modules._tensor(as_bimodule(p), left)
+        fast = modules._tensor(p, left)
         assert len(yoneda) == before + tagged
-        slow = modules._tensor(as_bimodule(plain), left)
+        slow = modules._tensor(plain, left)
         assert len(yoneda) == before + tagged
-        for other in (slow, tensor_over(as_bimodule(plain), left),
-                      tensor_over(as_bimodule(p), left)):
+        for other in (slow, tensor_over(plain, left), tensor_over(p, left)):
             assert fast.projection == other.projection
             assert fast.section_indices == other.section_indices
             assert fast.bimodule.left_gens == other.bimodule.left_gens
@@ -736,7 +740,7 @@ def test_projective_module_is_the_tagged_sum_of_vertex_projectives(field):
             plain = direct_sum([vertex_projective(a, v)[0] for v in tags])
             assert p == plain and p.summand_tags == tags
             assert plain.summand_tags is None
-            assert as_bimodule(p).restrict_right() is p
+            assert p.restrict_right() is p
         assert projective_module(a, ()) == zero_module(a)
         assert projective_cover(simple_modules(a)[0]).module.summand_tags == (0,)
 
@@ -1125,11 +1129,11 @@ def test_interned_constructors_return_the_same_object():
     assert zero_module(a) is zero_module(a) is projective_module(a, ())
     assert projective_module(a, (0, 1)) is not projective_module(a, (1, 0))
     s = simple_modules(a)[0]
-    assert as_bimodule(s) is as_bimodule(s) and as_bimodule(s).restrict_right() is s
+    assert s.restrict_right() is s
     cb = canonical_bimodules(a, Idempotent(a, a.basic.idempotent_coords[0]))
     assert cb.regular is regular_bimodule(a)
     p = projective_module(a, (0, 1))
-    assert tensor_over(p, regular_bimodule(a)) is tensor_over(as_bimodule(p), regular_bimodule(a))
+    assert tensor_over(p, regular_bimodule(a)) is tensor_over(p, regular_bimodule(a))
     maps = hom_space(p, s)
     assert maps and all(x is y for x, y in zip(maps, hom_space(p, s)))
     # a second algebra instance with the same content builds its own
@@ -1268,28 +1272,37 @@ def test_tensor_and_hom_module_certificates_are_sound(tmp_path, capsys, monkeypa
 def test_no_tensor_or_hom_module_result_runs_its_own_law_check(tmp_path, capsys, monkeypatch):
     """Criterion 6's transfers and `verify --suite all` on kronecker.json
     build tensor products and Hom modules and run no law check on any of
-    them; a wrapper (`as_bimodule`) is checked as its module, on that
-    module's record, so no module check runs inside a wrapper's once the
-    module was checked when it was built."""
+    them.  A right module is read as a k-A-bimodule as it is: no k-A-
+    bimodule is checked as a bimodule, and a module passed to `tensor_over`
+    or `hom_module` runs one `RightModule._validate` per representative."""
     built, checks = _law_spy(monkeypatch)
     _transfers()
     _verify_all(tmp_path, capsys, [p for p in DOCS if p.stem == "kronecker"])
     results = {id(x) for x in built}
     assert len(results) > 100
     assert not [x for x, _ in checks if id(x) in results]
-    assert not [x for x, inside in checks if inside is not None
-                and inside.left_algebra is modules.trivial_algebra(inside.field)]
-    # a new algebra instance: its simples are checked, then each wrapper
+    assert [x for x, _ in checks if isinstance(x, RightModule)]
+    assert not [x for x, _ in checks if isinstance(x, Bimodule)
+                and x.left_algebra is modules.trivial_algebra(x.field)]
+    # a new algebra instance: two equal copies of each simple, built
+    # unchecked, run one module check per representative and no bimodule's
     a = kronecker_algebra()
-    mods = simple_modules(a)
+    reg = regular_bimodule(a)
+    mods = [RightModule._of(a, s.dim, s.gens) for s in simple_modules(kronecker_algebra())
+            for _ in range(2)]
     del checks[:]
     for m in mods:
-        assert modules._checked(as_bimodule(m)) is as_bimodule(m)
-    assert [x for x, _ in checks] == [as_bimodule(m) for m in mods]
-    bad = as_bimodule(RightModule._of(a, 1, (Matrix.identity(a.field, 1),) * len(a.generators())))
+        assert tensor_over(m, reg).bimodule.dim == m.dim == hom_module(reg, m).dim
+    assert [x for x, _ in checks] == mods[::2]
+    assert all(inside is None for _, inside in checks)
+    bad = RightModule._of(a, 1, (Matrix.identity(a.field, 1),) * len(a.generators()))
     with pytest.raises(ValueError, match="rho\\(1\\)"):
         modules._checked(bad)
-    assert checks[-1][1] is bad
+    for call in (lambda: tensor_over(bad, reg), lambda: hom_module(reg, bad)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="rho\\(1\\)"):
+                call()
+            assert checks[-1][0] is bad and checks[-1][1] is None
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -1317,10 +1330,86 @@ def test_a_lawless_argument_fails_tensor_and_hom_module_on_every_call(field):
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
                 call()
-    for x in (bad, lawless, as_bimodule(lawless), wrapped):
+    for x in (bad, lawless, wrapped):
         memo = modules._rep(x)._memo
         assert "checked" not in memo
         assert not [k for k in memo if isinstance(k, tuple) and k[0] in ("tensor", "hom")]
+
+
+def _shipped_algebras():
+    """The algebra of every shipped document, and of its F_7 copy if it is
+    over Q (and not a copy of an F_5 one)."""
+    for path in DOCS:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        yield algebra_from_doc(doc)
+        if doc.get("field", "Q") == "Q" and "f5" not in path.stem:
+            yield algebra_from_doc(_doc_over(doc, "Fp:7"))
+
+
+def test_a_module_acts_as_its_k_a_bimodule():
+    """On every shipped document and its F_7 copy, `tensor_over`,
+    `hom_module`, `tor`, `les_from_ses(..., "tensor", ...)` and
+    `dualize_perfect` give the same projections, section indices, actions
+    and dimensions on a right module M as on the explicit k-A-bimodule
+    (lam(1) = id, M's right action) that reads it."""
+    def reference(m):
+        f = m.field
+        return Bimodule._of(modules.trivial_algebra(f), m.algebra, m.dim,
+                            (Matrix.identity(f, m.dim),), m.gens)
+
+    def tp(t):
+        return t.projection, t.section_indices, bim(t.bimodule)
+
+    def bim(x):
+        return x.left_algebra, x.right_algebra, x.dim, x.left_gens, x.right_gens
+
+    algebras = 0
+    for a in _shipped_algebras():
+        f, algebras = a.field, algebras + 1
+        k = ground_field(f)
+        reg = regular_bimodule(a)
+        vertices = range(len(a.basic.idempotent_coords))
+        cb = canonical_bimodules(a, Idempotent(a, a.basic.idempotent_coords[-1]))
+        mods = simple_modules(a) + [regular_module(a), projective_module(a, tuple(vertices))]
+        mods.append(RightModule._of(a, mods[-1].dim, mods[-1].gens))
+        line = regular_module(k)
+        both = direct_sum([line, line])
+        ses = ShortExactSequence(line, both, line, ModuleMap(line, both, Matrix(f, [[1, 0]])),
+                                 ModuleMap(both, line, Matrix(f, [[0], [1]])))
+        for m in mods:
+            ref = reference(m)
+            assert m.left_algebra is ref.left_algebra and m.left_gens == ref.left_gens
+            for n in (reg, cb.ae, cb.quotient):
+                assert tp(tensor_over(m, n)) == tp(tensor_over(ref, n))
+            for u, v in ((m, reg), (reg, m), (m, m)):
+                want = hom_module(*(reference(x) if x is m else x for x in (u, v)))
+                assert bim(hom_module(u, v)) == bim(want)
+            assert tor(m, cb.quotient, 2) == tor(ref, cb.quotient, 2)
+            assert bim(m.swap_sides()) == bim(ref.swap_sides())
+            assert les_from_ses(ses, m, "tensor", 2) == les_from_ses(ses, ref, "tensor", 2)
+        x = projective_resolution(simple_modules(a)[0], 2).to_complex()
+        dual = dualize_perfect(x)
+        for d in x.degrees():
+            want = hom_module(reference(x.module(d)), reg).left_as_op_module()
+            assert (dual.module(-d).dim, dual.module(-d).gens) == (want.dim, want.gens)
+    assert algebras == 12
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_constructors_refuse_matrices_over_another_field(field):
+    a = dual_numbers(field)        # generators 1, x
+    other = GF(7)
+    ident, zero = Matrix.identity(other, 1), Matrix.zeros(other, 1, 1)
+    s = simple_modules(a)[0]
+    with pytest.raises(FieldMismatch):
+        RightModule(a, 1, [ident, zero])
+    with pytest.raises(FieldMismatch):
+        Bimodule(a, a, 1, [ident, zero], [ident, zero])
+    with pytest.raises(FieldMismatch):
+        Bimodule(a, a, 1, s.gens, [ident, zero])
+    with pytest.raises(FieldMismatch):
+        ModuleMap(s, s, ident)
+    assert ModuleMap(s, s, Matrix.identity(field, 1)).matrix.field == field
 
 
 def test_module_content_hash_is_formatted_once_with_the_same_bytes(monkeypatch):

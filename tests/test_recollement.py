@@ -118,18 +118,17 @@ def test_certification_reads_hom_and_tensor_out_of_a_a_by_yoneda(monkeypatch):
     from recollab.fixtures import augmentation_bimodule
     left, sylvester, regular = [], [], []
 
-    def spy(real, side):
+    def spy(real):
         def builder(m, n):
-            left.append(side(m))
-            regular.append(left[-1] is not None and
-                           left[-1] is left[-1].algebra._modules.get("regular_module"))
+            left.append(m)
+            regular.append(m is m.right_algebra._modules.get("regular_module"))
             try:
                 return real(m, n)
             finally:
                 left.pop()
         return builder
-    monkeypatch.setattr(modules, "_hom_basis", spy(modules._hom_basis, lambda m: m))
-    monkeypatch.setattr(modules, "_tensor", spy(modules._tensor, lambda m: m._memo.get("right")))
+    monkeypatch.setattr(modules, "_hom_basis", spy(modules._hom_basis))
+    monkeypatch.setattr(modules, "_tensor", spy(modules._tensor))
     monkeypatch.setattr(modules, "sylvester_rows", lambda pairs, real=modules.sylvester_rows:
                         sylvester.append(left[-1]) or real(pairs))
     k, d = ground_field(), dual_numbers()
@@ -140,8 +139,7 @@ def test_certification_reads_hom_and_tensor_out_of_a_a_by_yoneda(monkeypatch):
         for alg in (r.a, r.a1, r.a2):
             assert modules._summands(regular_module(alg)) is not None
     assert sum(regular) >= 4 * len(built) and sylvester
-    assert not any(m is not None and m is m.algebra._modules.get("regular_module")
-                   for m in sylvester)
+    assert not any(m is m.right_algebra._modules.get("regular_module") for m in sylvester)
 
 
 def test_degenerate_unit_recollement():
@@ -180,8 +178,8 @@ def test_unit_counit_dim_check():
     r = from_idempotent(a, vertex_idempotent(a, "2"), 4)
     n2 = regular_module(r.a2)
     # j_! N at the module level: N (x)_{eAe} eA
-    from recollab.modules import as_bimodule, tensor_over
-    jl = tensor_over(as_bimodule(n2), r.y2).bimodule.restrict_right()
+    from recollab.modules import tensor_over
+    jl = tensor_over(n2, r.y2).bimodule.restrict_right()
     g = eval_functor(r, "j^!", jl, 4)
     assert g.dim(0) == n2.dim
     for n in range(1, 5):
