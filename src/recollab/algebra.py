@@ -67,15 +67,28 @@ class BasicStructure:
     generator_coords: tuple
 
 
-class Algebra:
+class _Built:
+    """A class whose public constructor checks what it is given, and whose
+    `_of` builds an object whose construction proves its laws (`_setup`)."""
+
+    @classmethod
+    def _of(cls, *args, **kwargs):
+        x = object.__new__(cls)
+        x._setup(*args, **kwargs)
+        return x
+
+
+class Algebra(_Built):
     """Finite-dimensional associative unital algebra over an exact field.
 
     `table` is the only stored form of the multiplication: `table[(i, j)]`
     lists the coordinates of b_i b_j as ((k, c), ...) pairs, k ascending and
     c a nonzero canonical scalar, and a key exists only for a nonzero
-    product.  Readers that need dense rows derive them from it."""
+    product.  Readers that need dense rows derive them from it.  The
+    constructor checks the laws; `_of` takes such a table and a tuple of
+    canonical scalars `unit` as they are (`_check` checks them later)."""
 
-    def __init__(self, field, struct, unit, labels=None, basic=None, _validate=True):
+    def __init__(self, field, struct, unit, labels=None, basic=None):
         """`struct[i][j]` is the dense coordinate vector of b_i b_j; exact
         ints are taken as they are (reduced mod p over F_p), other entries
         coerced, as `Matrix` does its rows."""
@@ -88,18 +101,10 @@ class Algebra:
                 ent = tuple((k, c) for k, c in enumerate(entry) if c)
                 if ent:
                     table[(i, j)] = ent
-        self._setup(field, dim, table, _canonical_rows(field, (unit,))[0], labels, basic,
-                    _validate)
+        self._setup(field, dim, table, _canonical_rows(field, (unit,))[0], labels, basic)
+        self._check()
 
-    @classmethod
-    def _of(cls, field, dim, table, unit, labels=None, basic=None, _validate=False):
-        """An algebra on `table`, already in the canonical form above, and a
-        tuple of canonical scalars `unit`, both taken as they are."""
-        a = object.__new__(cls)
-        a._setup(field, dim, table, unit, labels, basic, _validate)
-        return a
-
-    def _setup(self, field, dim, table, unit, labels, basic, validate):
+    def _setup(self, field, dim, table, unit, labels=None, basic=None):
         self.field, self.dim, self.table, self.unit = field, dim, table, unit
         if len(unit) != dim:
             raise ValueError("unit coordinate length != dim")
@@ -119,8 +124,6 @@ class Algebra:
         # modules over this algebra that modules.py builds once per instance
         self._modules = {}
         self.associativity_checked = False
-        if validate and dim:
-            self._validate()
 
     # -- core structure ----------------------------------------------------
 
@@ -596,8 +599,8 @@ def from_quiver(q, field_tag, degree_bound=32, path_budget=20000):
     kept = [(s, l) for (s, t, l) in q.arrows if (s, (l,)) in pos]
     arrows = tuple(unit_vector(n, pos[(s, (l,))]) for s, l in kept)
     basic = BasicStructure(idem, tuple(q.vertices), Matrix(f, arrows, ncols=n), idem + arrows)
-    out = Algebra._of(f, n, table, tuple(map(sum, zip(*idem))), labels=labels, basic=basic,
-                      _validate=True)
+    out = Algebra._of(f, n, table, tuple(map(sum, zip(*idem))), labels=labels, basic=basic)
+    out._check()
     # a path traversing a_1, .., a_k is the product a_k .. a_1, a vertex its idempotent
     gen = {l: len(idem) + t for t, (_, l) in enumerate(kept)}
     vertex = {v: t for t, v in enumerate(q.vertices)}
@@ -720,7 +723,8 @@ def triangular(a1, a2, m):
         gens = tuple(pad(0, g) for g in a1.generators()) + \
             tuple(pad(o2, g) for g in a2.generators()) + mrows
         basic = BasicStructure(idem, ilab, Matrix._of(f, rad, n), gens)
-    alg = Algebra._of(f, n, table, unit, labels=labels, basic=basic, _validate=True)
+    alg = Algebra._of(f, n, table, unit, labels=labels, basic=basic)
+    alg._check()
     e1 = Idempotent(alg, pad(0, a1.unit), label="diag(1,0)")
     e2 = Idempotent(alg, pad(o2, a2.unit), label="diag(0,1)")
     return alg, e1, e2

@@ -14,7 +14,7 @@ from __future__ import annotations
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 
-from .algebra import opposite
+from .algebra import _Built, opposite
 from .errors import (
     AlgebraMismatch,
     DepthMismatch,
@@ -146,28 +146,24 @@ class VectorSpaceComplex:
 # --------------------------------------------------------------------------
 
 
-class BoundedComplex:
-    """Bounded complex of right modules with differentials d^n: X^n -> X^{n+1}."""
+class BoundedComplex(_Built):
+    """Bounded complex of right modules with differentials d^n: X^n -> X^{n+1}
+    (`_of`: unchecked, for a complex by construction)."""
 
-    def __init__(self, algebra, modules, diffs, _validate=True):
-        self.algebra = algebra
-        self.modules = dict(modules)
-        for n, m in self.modules.items():
-            if m.algebra != algebra:
-                raise AlgebraMismatch("complex mixes algebras")
-        self.diffs = dict(diffs)
-        if self.modules:
-            self.lo = min(self.modules)
-            self.hi = max(self.modules)
-        else:
-            self.lo = self.hi = 0
-        if _validate:
-            for n, d in self.diffs.items():
-                if d.source.dim != self.module(n).dim or d.target.dim != self.module(n + 1).dim:
-                    raise DimensionMismatch(f"differential at {n}")
-                nxt = self.diffs.get(n + 1)
-                if nxt is not None and not d.matrix.mul(nxt.matrix).is_zero():
-                    raise ValueError(f"d o d != 0 at degree {n}")
+    def __init__(self, algebra, modules, diffs):
+        self._setup(algebra, modules, diffs)
+        if any(m.algebra != algebra for m in self.modules.values()):
+            raise AlgebraMismatch("complex mixes algebras")
+        for n, d in self.diffs.items():
+            if d.source.dim != self.module(n).dim or d.target.dim != self.module(n + 1).dim:
+                raise DimensionMismatch(f"differential at {n}")
+            nxt = self.diffs.get(n + 1)
+            if nxt is not None and not d.matrix.mul(nxt.matrix).is_zero():
+                raise ValueError(f"d o d != 0 at degree {n}")
+
+    def _setup(self, algebra, modules, diffs):
+        self.algebra, self.modules, self.diffs = algebra, dict(modules), dict(diffs)
+        self.lo, self.hi = (min(self.modules), max(self.modules)) if self.modules else (0, 0)
 
     def module(self, n):
         m = self.modules.get(n)
@@ -189,9 +185,9 @@ class BoundedComplex:
         differential multiplied by (-1)^k."""
         mods = {n - k: m for n, m in self.modules.items()}
         sgn = -1 if k % 2 else 1
-        diffs = {n - k: ModuleMap(d.source, d.target, d.matrix.scale(sgn), _validate=False)
+        diffs = {n - k: ModuleMap._of(d.source, d.target, d.matrix.scale(sgn))
                  for n, d in self.diffs.items()}
-        return BoundedComplex(self.algebra, mods, diffs, _validate=False)
+        return BoundedComplex._of(self.algebra, mods, diffs)
 
     @staticmethod
     def concentrated(m, degree=0):
@@ -241,9 +237,9 @@ class ProjectiveResolution:
         mods = {-n: p for n, p in enumerate(self.modules)}
         diffs = {}
         for n in range(1, len(self.modules)):
-            diffs[-n] = ModuleMap(self.modules[n], self.modules[n - 1],
-                                  self.diffs[n - 1].matrix, _validate=False)
-        return BoundedComplex(self.module.algebra, mods, diffs, _validate=False)
+            diffs[-n] = ModuleMap._of(self.modules[n], self.modules[n - 1],
+                                      self.diffs[n - 1].matrix)
+        return BoundedComplex._of(self.module.algebra, mods, diffs)
 
 
 def projective_resolution(m, n_max):
@@ -289,8 +285,8 @@ class ResolutionStore:
                     self.disk.put(key, {"version": 3, "levels": res.picks})
             self.memo[key] = res
         if res.module is not m:
-            res = replace(res, module=m, augmentation=ModuleMap(
-                res.modules[0], m, res.augmentation.matrix, _validate=False))
+            res = replace(res, module=m, augmentation=ModuleMap._of(
+                res.modules[0], m, res.augmentation.matrix))
         return res
 
     def _load(self, key, m, n_max):
@@ -349,11 +345,11 @@ def _resolve(m, n_max, stored=None):
         picks.append(cover.picks)
         if level == 0:
             # a memoised cover maps onto the module it was built for, equal to m
-            aug = ModuleMap(cover.module, m, cover.surjection.matrix, _validate=False)
+            aug = ModuleMap._of(cover.module, m, cover.surjection.matrix)
         else:
             # d_level: P_level -> P_{level-1} through the syzygy inclusion
             mat = cover.surjection.matrix.mul(syzygies[-1][1].matrix)
-            diffs.append(ModuleMap(cover.module, modules[level - 1], mat, _validate=False))
+            diffs.append(ModuleMap._of(cover.module, modules[level - 1], mat))
         if stored is not None and ker_rows.nrows and \
                 not ker_rows.mul(top_of(cover.module)[0]).is_zero():
             # searched picks are minimal by construction
@@ -555,8 +551,7 @@ def _lift(rm, rn, top, shift, depth):
         else:
             post = rn.diffs[i - 1].matrix
             rhs = rm.diffs[shift + i - 1].matrix.mul(levels[-1].matrix)
-        levels.append(ModuleMap(src, tgt, _solve_through(src, tgt, [(post, rhs)]),
-                                _validate=False))
+        levels.append(ModuleMap._of(src, tgt, _solve_through(src, tgt, [(post, rhs)])))
     return levels
 
 
@@ -657,7 +652,7 @@ def horseshoe(ses, n_max):
             sigma = _solve_through(Pq, ses.mid, [(ses.projection.matrix,
                                                   res_quot.augmentation.matrix)])
             mat = top.vstack(sigma)
-            aug_mid = ModuleMap(P, ses.mid, mat, _validate=False)
+            aug_mid = ModuleMap._of(P, ses.mid, mat)
         else:
             top = res_sub.diffs[n - 1].matrix.mul(incl_mats[n - 1])
             # tau: P''_n -> P_{n-1} with tau @ proj = d_q and tau @ prev_map = 0
@@ -666,7 +661,7 @@ def horseshoe(ses, n_max):
                                  [(proj_mats[n - 1], res_quot.diffs[n - 1].matrix),
                                   (prev_map, zero)])
             mat = top.vstack(tau)
-            mid_diffs.append(ModuleMap(P, mid_mods[n - 1], mat, _validate=False))
+            mid_diffs.append(ModuleMap._of(P, mid_mods[n - 1], mat))
         prev_map = mat
     res_mid = ProjectiveResolution(
         module=ses.mid, modules=mid_mods, diffs=mid_diffs, augmentation=aug_mid,
@@ -689,7 +684,7 @@ def _padded_resolution(res, n_max):
         z = zero_module(a)
         prev = mods[-1]
         mods.append(z)
-        diffs.append(ModuleMap(z, prev, Matrix._of(f, (), prev.dim), _validate=False))
+        diffs.append(ModuleMap._of(z, prev, Matrix._of(f, (), prev.dim)))
     return ProjectiveResolution(
         module=res.module, modules=mods, diffs=diffs, augmentation=res.augmentation,
         stabilized=res.stabilized, minimal=res.minimal,
@@ -741,9 +736,8 @@ def dualize_perfect(x):
         # precompose each basis map g: X^{n+1} -> A with d
         comps = [d.mul(_unvec(bases[n + 1].rows[t], src_dim, a.dim, f))
                  for t in range(src_dual.dim)]
-        diffs[-(n + 1)] = ModuleMap(src_dual, tgt_dual, hom_coords(bases[n], comps),
-                                    _validate=False)
-    return BoundedComplex(aop, mods, diffs, _validate=False)
+        diffs[-(n + 1)] = ModuleMap._of(src_dual, tgt_dual, hom_coords(bases[n], comps))
+    return BoundedComplex._of(aop, mods, diffs)
 
 
 def _unvec(row, nr, nc, f):

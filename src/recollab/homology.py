@@ -134,7 +134,7 @@ def _tensor_complex(res, t, n_max):
     diffs = {}
     level_data = []
     for nlev in range(min(res.depth, n_max) + 1):
-        tp = tensor_over(res.modules[nlev], t, _validate=False)
+        tp = tensor_over(res.modules[nlev], t)
         level_data.append(tp)
         dims[-nlev] = tp.bimodule.dim
     for nlev in range(1, len(level_data)):
@@ -185,7 +185,7 @@ class ExtData:
         coeffs = [row[off + t] for _, maps, off, _ in comps for t in range(len(maps))]
         mats = [mp.matrix for _, maps, _, _ in comps for mp in maps]
         acc = linear_combination(coeffs, mats, f, src.dim, self.target.dim)
-        return ModuleMap(src, self.target, acc, _validate=False)
+        return ModuleMap._of(src, self.target, acc)
 
     def class_coords(self, cls):
         """Coordinates of an ExtClass in the canonical cohomology basis."""
@@ -236,7 +236,7 @@ def yoneda_product(x, y):
     comp = levels[q].matrix.mul(y.cocycle.matrix)
     src = levels[q].source
     return ExtClass(p + q, res_m, y.target,
-                    ModuleMap(src, y.target, comp, _validate=False))
+                    ModuleMap._of(src, y.target, comp))
 
 
 # --------------------------------------------------------------------------

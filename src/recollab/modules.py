@@ -19,19 +19,21 @@ law check, a triangular algebra's table, `action_of` for a non-generator
 `projective_module` or A_A), a cover's surjection and `free_cover` take
 vectors along the words instead (`images`).
 
-The action laws are asserted when a module, map or bimodule is built (or
-first restricted, for a bimodule built unchecked): once per object for a
-map, once per representative (below) for a module or bimodule.  A module
-may instead be certified (`_certified`) by the checks that imply its laws:
-the regular module and bimodule by A's unit and associativity check; a
-restriction to an invariant subspace or a descent to a quotient
-(`exactfield._restrict`, `_descend`, whose invariance checks prove the laws
-inherited) by what it came from: Ae, eA, AeA and A/AeA by the regular
-bimodule, a quotient module by its module; a bimodule's one-sided modules
-and its module over `enveloping` by the bimodule; a vertex projective of
-B (x) C by its factors'; M (x)_B N and Hom_A(U, M) by their arguments; in
-`homology`, A over A^e; in `recollement`, A/AeA over the quotient algebra by
-A/AeA.  A right module is its own k-A-bimodule, checked only as a module.
+The action laws are asserted when a public constructor builds a module, map
+or bimodule: once per object for a map, once per representative (below) for
+a module or bimodule.  `_of` builds one unchecked, and every module the
+engine derives is certified when built (`_certified`) by the checks that
+imply its laws: the regular module and bimodule by A's unit and
+associativity check; a restriction to an invariant subspace or a descent to
+a quotient (`exactfield._restrict`, `_descend`, whose invariance checks prove
+the laws inherited) by what it came from: Ae, eA, AeA and A/AeA by the
+regular bimodule, a submodule or quotient by its module; a direct sum (a
+`projective_module`, a free cover) by its summands; a swap of sides by what
+it swaps; a bimodule's one-sided modules and its module over `enveloping`
+by the bimodule; a vertex projective of B (x) C by its factors'; every
+M (x)_B N and Hom_A(U, M) by their arguments; in `homology`, A over A^e; in
+`recollement`, A/AeA over the quotient algebra by A/AeA, i_* by its module.
+A right module is its own k-A-bimodule, checked only as a module.
 Each check is complete: one `exactfield._blocks` conversion of every matrix
 it reads, then integer numpy products per slice of at most `_CHUNK` entries;
 the failing generator or basis element is located only once a check has
@@ -46,9 +48,9 @@ argument (so the id is never reused), nothing is global.  Per content: the
 representative of a module or bimodule (`_rep`) is the first live object
 over the same algebra instance (same pair, for a bimodule) with equal
 generator actions, found in a weak table on the (right) algebra, so the law
-check, Hom (rebound to the asking pair; out of an object Yoneda reads, on that
-object), (x) and a resolution step (`complexes._step`) run once per
-representative.
+check, Hom (rebound to the asking pair), (x) and a resolution step
+(`complexes._step`) run once per representative, and Yoneda reads the layout
+of a `projective_module` or A_A off every equal module.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ import numpy as np
 from .algebra import (
     Algebra,
     Idempotent,
+    _Built,
     corner,
     discover_basic,
     ideal_and_quotient,
@@ -118,26 +121,42 @@ def _rep(x):
         reps = _once(x._sides[False][0]._modules, "reps", weakref.WeakValueDictionary)
         rep = reps.setdefault(key, x)
         memo["rep"] = None if rep is x else rep
+        if "checked" in memo:
+            rep._memo["checked"] = None
     return memo["rep"] or x
+
+
+def _record(x):
+    """The memo that records x as checked: its representative's once x has
+    one (x's own record passes to it then), else x's own."""
+    return _rep(x)._memo if "rep" in x._memo else x._memo
 
 
 def _checked(x):
     """x, its laws checked once per representative: they hold for x iff they
     hold for it.  A failing check stores nothing, so it raises every time."""
-    _once(_rep(x)._memo, "checked", x._validate)
+    if "checked" not in _record(x):
+        _once(_rep(x)._memo, "checked", x._validate)
     return x
 
 
 def _certified(x, *by):
-    """x, recorded as checked on its representative once the objects `by`,
-    whose laws imply x's, pass `_checked` (an algebra, `Algebra._check`); a
-    failing one raises every time."""
+    """x, recorded as checked (`_record`) once the objects `by`, whose laws
+    imply x's, pass `_checked` (an algebra, `Algebra._check`); a failing one
+    raises every time.  No representative is sought for x."""
     for y in by:
         if isinstance(y, Algebra):
             y._check()
         else:
             _checked(y)
-    _rep(x)._memo["checked"] = None
+    _record(x)["checked"] = None
+    return x
+
+
+def _shared(x):
+    """x, given a representative now, so an equal module built later (often a
+    simple) reads x's record instead of running its own check."""
+    _rep(x)
     return x
 
 
@@ -181,22 +200,14 @@ def _shaped(a, gens, d):
     return gens
 
 
-class _Acted:
+class _Acted(_Built):
     """What modules and bimodules share: each action is stored as one matrix
     per element of its algebra's `generators()` (`_sides`: left -> (algebra,
     matrices)), and a basis element's action is derived from its words where
     a reader needs it."""
 
-    # the vertex of each summand e_v A, set only by `projective_module`; A_A
-    # is laid out by vertices too, by `_summands`, without tags
+    # the vertex of each summand e_v A, set only by `projective_module`
     summand_tags = None
-
-    @classmethod
-    def _of(cls, *args):
-        """An object on generator matrices, taken as they are (`_setup`)."""
-        x = object.__new__(cls)
-        x._setup(*args)
-        return x
 
     def _acting(self, left):
         """(algebra, generator matrices) of one side; a module's left one is
@@ -242,9 +253,10 @@ class _Acted:
         return [self.basis_action(i, left) for i in range(self._acting(left)[0].dim)]
 
     def swap_sides(self):
-        """The same space as an A^op-B^op-bimodule (for opposite transfers)."""
-        return Bimodule._of(opposite(self.right_algebra), opposite(self.left_algebra),
-                            self.dim, self.right_gens, self.left_gens)
+        """The same space as an A^op-B^op-bimodule (for opposite transfers),
+        certified by this object: its laws are the same laws."""
+        return _certified(Bimodule._of(opposite(self.right_algebra), opposite(self.left_algebra),
+                                       self.dim, self.right_gens, self.left_gens), self)
 
     def __eq__(self, other):
         return type(other) is type(self) and (self.dim, self._sides) == (other.dim, other._sides)
@@ -305,29 +317,30 @@ class RightModule(_Acted):
 
 def zero_module(algebra):
     """The zero module, one per algebra instance."""
-    return _once(algebra._modules, "zero", lambda: RightModule._of(
-        algebra, 0, (Matrix._of(algebra.field, (), 0),) * len(algebra.generators())))
+    return _once(algebra._modules, "zero", lambda: _certified(RightModule._of(
+        algebra, 0, (Matrix._of(algebra.field, (), 0),) * len(algebra.generators()))))
 
 
 def regular_module(a):
     """A as a right module over itself, built once per instance, certified by A."""
-    return _once(a._modules, "regular_module", lambda: _certified(RightModule._of(
-        a, a.dim, [a.right_mult_matrix(g) for g in a.generators()]), a))
+    return _once(a._modules, "regular_module", lambda: _shared(_certified(RightModule._of(
+        a, a.dim, [a.right_mult_matrix(g) for g in a.generators()]), a)))
 
 
-class ModuleMap:
-    """A-linear map between right modules, as a dim(src) x dim(tgt) matrix."""
+class ModuleMap(_Built):
+    """A-linear map between right modules, as a dim(src) x dim(tgt) matrix
+    (`_of`: unchecked, for a map A-linear by construction)."""
 
-    def __init__(self, source, target, matrix, _validate=True):
+    def __init__(self, source, target, matrix):
         if source.algebra != target.algebra:
             raise AlgebraMismatch("module map across different algebras")
         if matrix.nrows != source.dim or matrix.ncols != target.dim:
             raise DimensionMismatch("module map shape")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        if _validate:
-            self._validate()
+        self._setup(source, target, matrix)
+        self._validate()
+
+    def _setup(self, source, target, matrix):
+        self.source, self.target, self.matrix = source, target, matrix
 
     def _validate(self):
         """F is over the modules' field, and rho_src(g) F = F rho_tgt(g) for
@@ -405,13 +418,11 @@ class Bimodule(_Acted):
         return self._side("left_op", opposite(self.left_algebra), self.left_gens)
 
     def _side(self, key, alg, gens):
-        """One action as a right module over `alg`: certified by this
-        bimodule once that is checked or certified, else checked itself."""
+        """One action as a right module over `alg`, `_shared`: certified by
+        this bimodule once that is checked or certified, else checked itself."""
         def build():
             mod = RightModule._of(alg, self.dim, gens)
-            # both a check and a certificate compute the representative
-            on_record = "rep" in self._memo and "checked" in _rep(self)._memo
-            return _certified(mod, self if on_record else mod)
+            return _shared(_certified(mod, self if "checked" in _record(self) else mod))
         return _once(self._memo, key, build)
 
     def as_right_module_over(self, env):
@@ -456,18 +467,17 @@ def regular_bimodule(a):
 
 
 def _summands(m):
-    """The layout `_yoneda_basis` reads, (v, the basis indices of m that e_v A
-    occupies) per summand, or None: a `projective_module`'s, in tag order;
-    for the object `regular_module(a)`, the vertex split of A's basis (e_v
-    b_i = b_i for one v, 0 for the others: each e_v A has an RREF basis of
-    unit vectors), read once per algebra, None for a basis that does not
+    """The layout `_yoneda_basis` reads off a representative m, (v, the basis
+    indices of m that e_v A occupies) per summand, or None: the one a
+    `projective_module` equal to m recorded on m, in tag order; for the
+    representative of `regular_module(a)`, the vertex split of A's basis
+    (e_v b_i = b_i for one v, 0 for the others: each e_v A has an RREF basis
+    of unit vectors), read once per algebra, None for a basis that does not
     split (one from `discover_basic`), and for a `Bimodule`."""
-    a = m.right_algebra
-    if m.summand_tags is not None:
-        dims = [vertex_projective(a, v)[0].dim for v in m.summand_tags]
-        return [(v, range(e - d, e)) for v, d, e in zip(m.summand_tags, dims, accumulate(dims))]
-    if a.basic is None or m is not a._modules.get("regular_module"):
-        return None
+    a, memo = m.right_algebra, m._memo
+    reg = a._modules.get("regular_module")
+    if "layout" in memo or a.basic is None or reg is None or m.dim != a.dim or _rep(reg) is not m:
+        return memo.get("layout")
 
     def split():
         bases = [vertex_projective(a, v)[1].rows for v in range(len(a.basic.idempotent_coords))]
@@ -520,19 +530,18 @@ def _yoneda_basis(p, n, layout, left=False):
 def hom_space(m, n):
     """Deterministic basis of Hom_A(m, n) as a list of ModuleMaps: the kernel
     of rho_m(g) F = F rho_n(g) over the generators g, or out of a
-    `projective_module`, and out of A_A when A's basis splits by vertices
-    (`_summands`), the same basis read off by Yoneda, Hom(e_v A, n) = n e_v.
-    Computed once per pair of representatives (m itself when Yoneda reads
-    it) and kept on m for the pair of objects; each call gets a new list."""
+    module equal to a `projective_module`, and out of A_A when A's basis
+    splits by vertices (`_summands`), the same basis read off by Yoneda,
+    Hom(e_v A, n) = n e_v.  Computed once per pair of representatives and
+    kept on m for the pair of objects; each call gets a new list."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom_space needs one algebra")
 
     def build():
-        # m's representative may lack the layout Yoneda reads off m
-        rm, rn = m if _summands(m) is not None else _rep(m), _rep(n)
+        rm, rn = _rep(m), _rep(n)
         if rm is m and rn is n:
             return _hom_basis(m, n)
-        return tuple(ModuleMap(m, n, mp.matrix, _validate=False) for mp in hom_space(rm, rn))
+        return tuple(ModuleMap._of(m, n, mp.matrix) for mp in hom_space(rm, rn))
     return list(_once(m._memo, ("hom", id(n)), lambda: (n, build()))[1])
 
 
@@ -546,8 +555,8 @@ def _hom_basis(m, n):
     else:
         pairs = [(x, y.transpose()) for x, y in zip(m.gens, n.gens)]
         vecs = kernel_basis(Matrix(f, sylvester_rows(pairs), ncols=dm * dn)).transpose().rows
-    return tuple(ModuleMap(m, n, Matrix._of(f, tuple(v[i * dn:(i + 1) * dn] for i in range(dm)),
-                                            dn), _validate=False) for v in vecs)
+    return tuple(ModuleMap._of(m, n, Matrix._of(f, tuple(v[i * dn:(i + 1) * dn] for i in range(dm)),
+                                                dn)) for v in vecs)
 
 
 def hom_vec_basis(maps, dm, dn, field):
@@ -576,31 +585,23 @@ class TensorProduct:
     section_indices: tuple      # chosen (x, y) coset representatives
 
 
-def tensor_over(m, n, _validate=True):
+def tensor_over(m, n):
     """Tensor product over the middle algebra: (C-B-bim) (x)_B (B-A-bim) -> C-A-bim.
 
     Computed as the vector-space tensor product modulo the balancing relations
     (x.b (x) y - x (x) b.y), with the induced outer actions; a right module
-    is its own k-A-bimodule.  When m is a `projective_module`, or A_A whose
-    basis splits by vertices (`_summands`), the relations are read off by
-    Yoneda instead of solved for (`_yoneda_basis`); the result is the same.
-    Computed once per pair of representatives, kept on m's (built on m when
-    Yoneda reads it: its representative may lack the layout).  With
-    `_validate`, m and n are checked first and certify the product, also one
-    built unchecked: the relations over generators span all relations.
+    is its own k-A-bimodule.  When m is equal to a `projective_module`, or to
+    A_A whose basis splits by vertices (`_summands`), the relations are read
+    off by Yoneda instead of solved for (`_yoneda_basis`); the result is the
+    same.  Computed once per pair of representatives, kept on m's.  m and n
+    are checked first (free for an object certified when it was built) and
+    certify the product: the relations over generators span all relations.
     """
     if m.right_algebra != n.left_algebra:
         raise AlgebraMismatch("tensor_over: middle algebra mismatch")
-    if _validate:
-        _checked(m)
-        _checked(n)
-    n = _rep(n)
-
-    def build():
-        return n, _tensor(m if _summands(m) is not None else _rep(m), n)
-    tp = _once(_rep(m)._memo, ("tensor", id(n)), build)[1]
-    if _validate:
-        _certified(tp.bimodule)
+    rm, rn = _rep(_checked(m)), _rep(_checked(n))
+    tp = _once(rm._memo, ("tensor", id(rn)), lambda: (rn, _tensor(rm, rn)))[1]
+    _certified(tp.bimodule)
     return tp
 
 
@@ -680,12 +681,11 @@ class KernelCokernel:
 
 def submodule_from_rows(m, rows_matrix):
     """The submodule spanned by the given rows, on their RREF basis, with m's
-    action restricted to it (`_restrict`, whose invariance check proves the
-    laws when m's hold, so it is not validated again)."""
+    action restricted to it (`_restrict`, which checks that the span is a
+    submodule); certified by m, whose laws imply the submodule's."""
     basis, _, acts = _restrict(rows_matrix, m.gens)
-    sub = RightModule._of(m.algebra, basis.nrows, acts)
-    incl = ModuleMap(sub, m, basis, _validate=False)
-    return sub, incl
+    sub = _certified(RightModule._of(m.algebra, basis.nrows, acts), m)
+    return sub, ModuleMap._of(sub, m, basis)
 
 
 def quotient_by_rows(m, rows_matrix):
@@ -694,8 +694,7 @@ def quotient_by_rows(m, rows_matrix):
     submodule); certified by m, whose laws imply the quotient's."""
     proj, free, acts = _descend(rows_matrix, m.gens)
     quot = _certified(RightModule._of(m.algebra, len(free), acts), m)
-    pm = ModuleMap(m, quot, proj, _validate=False)
-    return quot, pm
+    return quot, ModuleMap._of(m, quot, proj)
 
 
 def kernel_cokernel(fmap):
@@ -739,8 +738,7 @@ def free_cover(m):
     r = len(free_idx)
     if r == 0:
         z = zero_module(a)
-        return FreeCover(z, ModuleMap(z, m, Matrix(m.field, [], ncols=m.dim),
-                                      _validate=False), 0)
+        return FreeCover(z, ModuleMap._of(z, m, Matrix(m.field, [], ncols=m.dim)), 0)
     F = direct_sum([regular_module(a)] * r)
     # basis element b_i of copy t maps to (lift of top basis vector t) * b_i
     lifts = m.images(Matrix.identity(m.field, m.dim).take_rows(free_idx),
@@ -748,12 +746,12 @@ def free_cover(m):
     mat = Matrix._of(m.field, tuple(x.rows[t] for t in range(r) for x in lifts), m.dim)
     if rank(mat) != m.dim:
         raise ValueError("free cover failed to surject")
-    surj = ModuleMap(F, m, mat, _validate=False)
-    return FreeCover(F, surj, r)
+    return FreeCover(F, ModuleMap._of(F, m, mat), r)
 
 
 def direct_sum(mods):
-    """Block-diagonal direct sum of right modules over one algebra."""
+    """Block-diagonal direct sum of right modules over one algebra, certified
+    by its summands: each generator acts on each summand by its action."""
     if not mods:
         raise ValueError("empty direct sum needs an algebra")
     a = mods[0].algebra
@@ -768,7 +766,7 @@ def direct_sum(mods):
             rows += [(0,) * off + row + (0,) * (total - off - m.dim) for row in m.gens[t].rows]
             off += m.dim
         acts.append(Matrix._of(f, tuple(rows), total))
-    return RightModule._of(a, total, acts)
+    return _certified(RightModule._of(a, total, acts), *mods)
 
 
 def vertex_projective(a, v_index):
@@ -788,11 +786,11 @@ def vertex_projective(a, v_index):
             (mb, ib), (mc, ic) = vertex_projective(b, i), vertex_projective(c, j)
             eb, ec = Matrix.identity(a.field, mb.dim), Matrix.identity(a.field, mc.dim)
             acts = [kron(x, ec) for x in mb.gens] + [kron(eb, y) for y in mc.gens]
-            return (_certified(RightModule._of(a, mb.dim * mc.dim, acts), mb, mc),
+            return (_shared(_certified(RightModule._of(a, mb.dim * mc.dim, acts), mb, mc)),
                     kron(ib, ic))
         basis, _, acts = _restrict(a.left_mult_matrix(a.basic.idempotent_coords[v_index]),
                                    regular_module(a).gens)
-        return _certified(RightModule._of(a, basis.nrows, acts), a), basis
+        return _shared(_certified(RightModule._of(a, basis.nrows, acts), a)), basis
     return _once(a._modules, v_index, build)
 
 
@@ -800,14 +798,18 @@ def projective_module(a, tags):
     """The direct sum of the vertex projectives e_v A for v in `tags`, in
     order, with `summand_tags` recording them (the zero module for no tags),
     built once per tag tuple and algebra instance.  Only this constructor
-    sets the tags, which lay the module out for `hom_space` and `tensor_over`
-    to read maps out of it by Yoneda; the other module they read so is A_A,
-    laid out by the vertex split of A's basis (`_summands`)."""
+    sets the tags, and it records the layout they give on the module's
+    representative, where `hom_space` and `tensor_over` read maps out of
+    every equal module by Yoneda; the other module they read so is A_A, laid
+    out by the vertex split of A's basis (`_summands`)."""
     def build():
         if not tags:
             return zero_module(a)
-        p = direct_sum([vertex_projective(a, v)[0] for v in tags])
+        mods = [vertex_projective(a, v)[0] for v in tags]
+        p = direct_sum(mods)
         p.summand_tags = tuple(tags)
+        ends = accumulate(m.dim for m in mods)
+        _rep(p)._memo["layout"] = [(v, range(e - m.dim, e)) for v, m, e in zip(tags, mods, ends)]
         return p
     return _once(a._modules, ("projective", tuple(tags)), build)
 
@@ -860,7 +862,7 @@ def projective_cover(m, picks=None):
         # g x = y_t x for the basis elements x = e_v x of e_v A
         rows += [x.rows[0] for x in m.images(ident.take_rows([t]),
                                                vertex_projective(a, v)[1].rows)]
-    surj = ModuleMap(P, m, Matrix._of(f, tuple(rows), m.dim), _validate=False)
+    surj = ModuleMap._of(P, m, Matrix._of(f, tuple(rows), m.dim))
     if rank(surj.matrix) != m.dim:
         raise ValueError("projective cover failed to surject")
     return ProjectiveCover(P, surj, picks)

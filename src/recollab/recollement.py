@@ -36,6 +36,7 @@ from .modules import (
     CanonicalBimodules,
     RightModule,
     _certified,
+    _shared,
     canonical_bimodules,
     hom_module,
     hom_space,
@@ -239,11 +240,11 @@ FUNCTOR_NAMES = ("i^*", "i_*", "i^!", "j_!", "j^!", "j_*")
 
 def i_lower_module(r, m):
     """i_* of a module: restriction along the algebra map A -> A/AeA (each of
-    A's generators acting as its image), concentrated in degree 0, and
-    certified by the module."""
+    A's generators acting as its image), concentrated in degree 0,
+    certified by the module and `_shared`: a simple of A often equals it."""
     proj = r.canon.projection
     acts = [m.action_of(combine_rows(proj, enumerate(g))) for g in r.a.generators()]
-    return _certified(RightModule._of(r.a, m.dim, acts), m)
+    return _shared(_certified(RightModule._of(r.a, m.dim, acts), m))
 
 
 def eval_functor(r, name, m, n_max=6):
@@ -297,8 +298,7 @@ def _battery_modules(alg):
 
 def _tensor_with_map(m, src_bim, tgt_bim, bim_map_rows):
     """Induced map M (x)_A U -> M (x)_A V from a bimodule map U -> V (rows)."""
-    tp_src = tensor_over(m, src_bim, _validate=False)
-    tp_tgt = tensor_over(m, tgt_bim, _validate=False)
+    tp_src, tp_tgt = tensor_over(m, src_bim), tensor_over(m, tgt_bim)
     return tp_src, tp_tgt, tensor_map(tp_src.section_indices, src_bim.dim,
                                       tp_tgt.projection, right=bim_map_rows)
 

@@ -313,10 +313,8 @@ def test_horseshoe_rejects_non_exact():
     a = a2_path_algebra()
     s1, s2 = simple_modules(a)
     bad = ShortExactSequence(s1, direct_sum([s1, s2]), s1,
-                             ModuleMap(s1, direct_sum([s1, s2]),
-                                       Matrix(a.field, [[1, 0]]), _validate=False),
-                             ModuleMap(direct_sum([s1, s2]), s1,
-                                       Matrix(a.field, [[1], [0]]), _validate=False))
+                             ModuleMap._of(s1, direct_sum([s1, s2]), Matrix(a.field, [[1, 0]])),
+                             ModuleMap._of(direct_sum([s1, s2]), s1, Matrix(a.field, [[1], [0]])))
     with pytest.raises(InputNotExact):
         horseshoe(bad, 2)
 

@@ -886,8 +886,8 @@ def test_les_split_ses_zero_connecting():
     s1, s2 = simple_modules(a)
     both = direct_sum([s1, s2])
     f = a.field
-    inc = ModuleMap(s1, both, Matrix(f, [[1, 0]]), _validate=False)
-    prj = ModuleMap(both, s2, Matrix(f, [[0], [1]]), _validate=False)
+    inc = ModuleMap._of(s1, both, Matrix(f, [[1, 0]]))
+    prj = ModuleMap._of(both, s2, Matrix(f, [[0], [1]]))
     ses = ShortExactSequence(s1, both, s2, inc, prj)
     rep = les_from_ses(ses, regular_module(a), "hom_contravariant", 3)
     assert rep.exact
@@ -1027,9 +1027,8 @@ def test_yoneda_zero_composite():
     # identity o identity = identity (sanity), then scale to zero
     from recollab.homology import ExtClass
     zc = ExtClass(0, data.resolution, s1,
-                  ModuleMap(data.resolution.modules[0], s1,
-                            Matrix.zeros(a.field, data.resolution.modules[0].dim, 1),
-                            _validate=False))
+                  ModuleMap._of(data.resolution.modules[0], s1,
+                                Matrix.zeros(a.field, data.resolution.modules[0].dim, 1)))
     prod = yoneda_product(zc, one)
     assert data.class_coords(prod).is_zero()
 

@@ -56,6 +56,7 @@ from recollab.fixtures import (
 )
 from recollab.homology import les_from_ses, regular_as_left_env_module, tor
 from recollab.recollement import opposite_transfer, tensor_transfer
+from test_algebra import _unchecked
 from test_homology import DOCS, _base_change, _basis_mats, _doc_over
 from recollab.modules import (
     Bimodule,
@@ -652,8 +653,8 @@ def _vertex_split(a):
 
 
 def test_hom_out_of_a_split_module_is_read_by_yoneda_whatever_its_representative(monkeypatch):
-    # an equal untagged module that became the representative first has no
-    # layout to read, so Hom out of A_A is still taken on A_A itself
+    # an equal untagged module that became the representative first is read
+    # by A_A's vertex split, which is kept per content
     a = kronecker_algebra()
     plain = RightModule._of(a, a.dim, [a.right_mult_matrix(g) for g in a.generators()])
     assert modules._rep(plain) is plain
@@ -675,8 +676,9 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch, re
     either must equal, bit for bit and in order, those out of an untagged
     copy of the same module, which go through the Sylvester systems.  The
     builders `_hom_basis` and `_tensor` memoise nothing, so calling them on
-    the module shows that every one of these Hom spaces and (x) goes through
-    `_yoneda_basis` exactly once, and on the copy that Sylvester does not;
+    the module's representative, where its layout is recorded, shows that
+    every one of these Hom spaces and (x) goes through `_yoneda_basis` exactly
+    once, and on the unregistered copy that Sylvester does not;
     the memoised answers out of the module and the copy must be the same.
     A basis from `discover_basic` does not split, and A_A then makes no
     `_yoneda_basis` call."""
@@ -690,21 +692,21 @@ def test_hom_and_tensor_out_of_projectives_match_sylvester(make, monkeypatch, re
     a_env = regular_bimodule(a).as_right_module_over(env)
     split = _vertex_split(a)
     assert (split is None) == ("~" in request.node.callspec.id)
-    assert modules._summands(reg) == split
+    assert modules._summands(modules._rep(reg)) == split
 
     def compare(p, targets, left, tagged):
-        plain = RightModule._of(p.algebra, p.dim, p.gens)
+        rp, plain = modules._rep(p), RightModule._of(p.algebra, p.dim, p.gens)
         assert plain == p and plain.summand_tags is None
         for n in targets:
             before = len(yoneda)
-            fast = modules._hom_basis(p, n)
+            fast = modules._hom_basis(rp, n)
             assert len(yoneda) == before + (tagged and n.dim > 0)
             slow = modules._hom_basis(plain, n)
             assert len(yoneda) == before + (tagged and n.dim > 0)
             for other in (slow, hom_space(plain, n), hom_space(p, n)):
                 assert [x.matrix for x in fast] == [x.matrix for x in other]
         before = len(yoneda)
-        fast = modules._tensor(p, left)
+        fast = modules._tensor(rp, left)
         assert len(yoneda) == before + tagged
         slow = modules._tensor(plain, left)
         assert len(yoneda) == before + tagged
@@ -754,7 +756,8 @@ def _cut_vertex_projective(a, v):
     product, and built it for every algebra before; and its per-basis
     actions the way they were built then, every basis element's right
     multiplication restricted (`_restrict`)."""
-    regular = RightModule._of(a, a.dim, [a.right_mult_matrix(g) for g in a.generators()])
+    regular = modules._certified(
+        RightModule._of(a, a.dim, [a.right_mult_matrix(g) for g in a.generators()]), a)
     rows = a.left_mult_matrix(a.basic.idempotent_coords[v])
     mod, incl = modules.submodule_from_rows(regular, rows)
     mod._validate()
@@ -1000,8 +1003,7 @@ def _broken_algebra(field, law):
     unit = (1, 0, 0, 0) if law == "unit" else (1, 1, 0, 0)
     basic = BasicStructure(((1, 0, 0, 0), (0, 1, 0, 0)), ("1", "2"),
                            Matrix(field, [(0, 0, 1, 0), (0, 0, 0, 1)]), ())
-    return Algebra(field, struct, unit, labels=("e1", "e2", "x", "y"), basic=basic,
-                   _validate=False)
+    return _unchecked(field, struct, unit, labels=("e1", "e2", "x", "y"), basic=basic)
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -1156,7 +1158,7 @@ def test_memoised_lists_are_new_on_every_call():
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
-def test_tensor_memo_checks_a_product_first_built_unchecked(field, monkeypatch):
+def test_tensor_memo_keeps_only_products_of_checked_factors(field, monkeypatch):
     a = dual_numbers(field)        # basis 1, x
     ident = Matrix.identity(field, 2)
     n = Matrix(field, [[0, 3], [0, 0]])
@@ -1164,26 +1166,23 @@ def test_tensor_memo_checks_a_product_first_built_unchecked(field, monkeypatch):
     # M (x)_A A = M keeps both actions
     bad = Bimodule._of(a, a, 2, (ident, n.transpose()), (ident, n))
     reg = regular_bimodule(a)
-    unchecked = tensor_over(bad, reg, _validate=False)
-    assert unchecked.bimodule.dim == 2
     for _ in range(2):
         with pytest.raises(ValueError, match="do not commute"):
             tensor_over(bad, reg)
-    assert tensor_over(bad, reg, _validate=False) is unchecked
-    # a sound product is certified by its factors' checks on the first call
-    # that asks, and never checked itself
+    assert not any(k[0] == "tensor" for k in modules._rep(bad)._memo if type(k) is tuple)
+    # a sound product is certified by its factors' checks, on its own record
+    # (no representative is sought), and never checked itself
     checked = []
     real = Bimodule._validate
     monkeypatch.setattr(Bimodule, "_validate", lambda self: checked.append(self) or real(self))
     good = Bimodule(a, a, 2, (ident, n), (ident, n))
     zero = Matrix.zeros(field, 2, 2)
     flat = Bimodule(a, a, 2, (ident, zero), (ident, zero))    # k^2, x acting by 0
-    tp = tensor_over(flat, flat, _validate=False)             # k^4, equal to no other
+    tp = tensor_over(flat, flat)                              # k^4, equal to no other
     assert checked == [good, flat] and tp.bimodule.dim == 4
-    assert "checked" not in modules._rep(tp.bimodule)._memo
+    assert "rep" not in tp.bimodule._memo and "checked" in tp.bimodule._memo
     assert tensor_over(flat, flat) is tp
     assert "checked" in modules._rep(tp.bimodule)._memo
-    assert tensor_over(flat, flat) is tp
     assert checked == [good, flat]
     # M (x)_A A equals M, which was checked when it was built
     assert tensor_over(good, reg).bimodule == good
@@ -1249,9 +1248,9 @@ def _verify_all(tmp_path, capsys, paths):
 
 def test_tensor_and_hom_module_certificates_are_sound(tmp_path, capsys, monkeypatch):
     """Every tensor product and Hom module built by criterion 6's transfers
-    and by `verify --suite all` on every shipped document and its F_7 copy,
-    certified by its arguments' checks or built unchecked, passes the full
-    law check (`_validate`: both sides checked afresh as modules, and their
+    and by `verify --suite all` on every shipped document and its F_7 copy
+    is certified by its arguments' checks, and passes the full law check
+    (`_validate`: both sides checked afresh as modules, and their
     commuting)."""
     built, _ = _law_spy(monkeypatch)
     certified, real = [], modules._certified
@@ -1263,7 +1262,7 @@ def test_tensor_and_hom_module_certificates_are_sound(tmp_path, capsys, monkeypa
     monkeypatch.setattr(modules, "_certified", certify)
     _transfers()
     _verify_all(tmp_path, capsys, DOCS)
-    assert {id(x) for x in certified} <= {id(x) for x in built}
+    assert {id(x) for x in certified} == {id(x) for x in built}
     assert any(x.left_algebra.dim > 1 and x.dim for x in certified)
     for bim in built:
         bim._validate()
@@ -1303,6 +1302,81 @@ def test_no_tensor_or_hom_module_result_runs_its_own_law_check(tmp_path, capsys,
             with pytest.raises(ValueError, match="rho\\(1\\)"):
                 call()
             assert checks[-1][0] is bad and checks[-1][1] is None
+
+
+def test_every_derived_module_is_certified_when_it_is_built(tmp_path, capsys, monkeypatch):
+    """Criterion 6's registry and transfers, and `verify --suite all` and
+    `hochschild` on every shipped document and its F_7 copy: every module or
+    bimodule whose actions come out of `_restrict` or `_descend`, and every
+    result of `direct_sum`, `tensor_over` or `hom_module`, is recorded as
+    checked on its representative, and none ever runs `_validate`: each is
+    certified when it is built.  Documents and simples are still checked."""
+    derived, kept, checks = set(), [], []
+
+    def tag(xs):
+        kept.extend(xs)
+        derived.update(id(x) for x in xs)
+
+    def tagging(real, made):
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            tag(made(out))
+            return out
+        return call
+    for name, made in (("_restrict", lambda out: out[2]), ("_descend", lambda out: out[2]),
+                       ("direct_sum", lambda out: [out]),
+                       ("tensor_over", lambda out: [out.bimodule]),
+                       ("hom_module", lambda out: [out])):
+        real = getattr(modules, name)
+        for mod in [m for n, m in sys.modules.items() if n.startswith("recollab")]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, tagging(real, made))
+    for cls in (RightModule, Bimodule):
+        def setup(self, *args, real=cls._setup):
+            real(self, *args)
+            if any(id(g) in derived for _, gens in self._sides.values() for g in gens):
+                tag([self])
+
+        def spy(self, real=cls._validate):
+            checks.append(id(self) in derived)
+            return real(self)
+        monkeypatch.setattr(cls, "_setup", setup)
+        monkeypatch.setattr(cls, "_validate", spy)
+    _transfers()
+    _verify_all(tmp_path, capsys, DOCS)
+    for path in DOCS + sorted(tmp_path.glob("*_F7.json")):
+        assert main(["hochschild", str(path), "--max-degree", "3"]) == 0
+        capsys.readouterr()
+    objects = [x for x in kept if isinstance(x, (RightModule, Bimodule))]
+    assert len(objects) > 1000 and len(checks) > 50
+    assert not any(checks)
+    assert all("checked" in modules._rep(x)._memo for x in objects)
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_an_equal_copy_registered_before_a_projective_reads_hom_and_tensor_by_yoneda(
+        field, monkeypatch):
+    """A `projective_module` records its layout on its representative, so an
+    untagged copy registered before it reads Hom and (x) by Yoneda, with no
+    Sylvester system, and gets the bases the Sylvester systems give."""
+    a = kronecker_algebra(field)
+    tags = (1, 0, 0)
+    gens = direct_sum([vertex_projective(a, v)[0] for v in tags]).gens
+    copy = RightModule(a, sum(vertex_projective(a, v)[0].dim for v in tags), gens)
+    assert modules._rep(copy) is copy and copy.summand_tags is None
+    p = projective_module(a, tags)
+    assert p == copy and modules._rep(p) is copy
+    targets, reg = simple_modules(a) + [regular_module(a), copy], regular_bimodule(a)
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "sylvester_rows", None)
+        fast = [hom_space(copy, n) for n in targets]
+        tp = tensor_over(copy, reg)
+    plain = RightModule._of(a, copy.dim, gens)
+    for maps, n in zip(fast, targets):
+        assert [x.matrix for x in maps] == [x.matrix for x in modules._hom_basis(plain, n)]
+    slow = modules._tensor(plain, reg)
+    assert (tp.projection, tp.section_indices) == (slow.projection, slow.section_indices)
+    assert tp.bimodule == slow.bimodule
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -1513,7 +1587,9 @@ def test_a_module_that_fails_its_check_raises_on_every_construction(field):
             RightModule(a, 2, (ident, ident))
     n = Matrix(field, [[0, 1], [0, 0]])
     bad = Bimodule._of(a, a, 2, (ident, n.transpose()), (ident, n))
-    tensor_over(bad, regular_bimodule(a), _validate=False)
+    with pytest.raises(ValueError, match="do not commute"):
+        tensor_over(bad, regular_bimodule(a))
+    assert modules._rep(bad) is bad
     for _ in range(3):
         with pytest.raises(ValueError, match="do not commute"):
             Bimodule(a, a, 2, (ident, n.transpose()), (ident, n))

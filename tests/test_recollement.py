@@ -111,17 +111,22 @@ def _kbim(n):
 def test_certification_reads_hom_and_tensor_out_of_a_a_by_yoneda(monkeypatch):
     """A_A heads every certification battery, and its basis splits by
     vertices on the registry entries (k-k-k, k-k-k2, D-k-k) and their
-    transfers: every Hom and (x) out of the object `regular_module(a)` is
-    read by Yoneda, so `sylvester_rows` builds no system whose left factor
-    is it, while other systems still go through Sylvester."""
+    transfers: every Hom and (x) out of `regular_module(a)` is built on its
+    representative and read by Yoneda, so `sylvester_rows` builds no system
+    whose left factor is that representative, while other systems still go
+    through Sylvester."""
     from recollab import modules
     from recollab.fixtures import augmentation_bimodule
     left, sylvester, regular = [], [], []
 
+    def is_regular(m):
+        reg = m.right_algebra._modules.get("regular_module")
+        return reg is not None and "rep" in reg._memo and modules._rep(reg) is m
+
     def spy(real):
         def builder(m, n):
             left.append(m)
-            regular.append(m is m.right_algebra._modules.get("regular_module"))
+            regular.append(is_regular(m))
             try:
                 return real(m, n)
             finally:
@@ -137,9 +142,9 @@ def test_certification_reads_hom_and_tensor_out_of_a_a_by_yoneda(monkeypatch):
     built.append(tensor_transfer(a2_path_algebra(), built[0], 4))
     for r in built:
         for alg in (r.a, r.a1, r.a2):
-            assert modules._summands(regular_module(alg)) is not None
+            assert modules._summands(modules._rep(regular_module(alg))) is not None
     assert sum(regular) >= 4 * len(built) and sylvester
-    assert not any(m is m.right_algebra._modules.get("regular_module") for m in sylvester)
+    assert not any(is_regular(m) for m in sylvester)
 
 
 def test_degenerate_unit_recollement():
